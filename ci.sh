@@ -42,12 +42,11 @@ stage_kernel_equivalence() {
 }
 
 stage_diff_equivalence() {
-    # The shift planner's three differentiation modes must agree to 1e-12
+    # The shift planner's two differentiation modes must agree to 1e-12
     # on random symbolic circuits, decomposed gates must match finite
     # differences, and the noisy shifted-job path must stay bit-identical
     # to its pre-refactor goldens at 1/2/8 workers.
-    cargo test --offline --release -p qoc-core \
-        --test diff_equivalence --test env_diff_mode
+    cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 
 stage_trace_validate() {

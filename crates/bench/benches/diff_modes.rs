@@ -1,11 +1,11 @@
 //! Differentiation-mode cost on the paper's MNIST-2 ansatz: the same exact
-//! Jacobian computed three ways — naive 2P shifted replay, prefix-sharing
-//! simulation, and adjoint-mode differentiation.
+//! Jacobian computed two ways — naive 2P shifted replay and adjoint-mode
+//! differentiation.
 //!
 //! Run with `cargo bench -p qoc-bench --bench diff_modes`. The table is
 //! dumped to `BENCH_adjoint.json`; `bench_smoke` gates the adjoint row
-//! against it, and the committed artifact is the PR-level evidence that the
-//! structured modes actually beat the shifted-job path.
+//! against it, and the committed artifact is the evidence that the adjoint
+//! mode actually beats the shifted-job path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -13,9 +13,8 @@ use qoc_core::shift::ParameterShiftEngine;
 use qoc_device::backend::{DiffMode, Execution, NoiselessBackend};
 use qoc_nn::model::QnnModel;
 
-const MODES: [(&str, DiffMode); 3] = [
+const MODES: [(&str, DiffMode); 2] = [
     ("shifted2p", DiffMode::Shifted2P),
-    ("prefix_shared", DiffMode::PrefixShared),
     ("adjoint", DiffMode::Adjoint),
 ];
 
@@ -62,30 +61,12 @@ fn bench_modes_mnist4(c: &mut Criterion) {
 }
 
 fn dump_artifact(c: &mut Criterion) {
-    let results = c.take_results();
-    let mut rows: Vec<qoc_bench::suite::Measurement> = results
+    let timings = c
+        .take_results()
         .iter()
-        .map(|r| qoc_bench::suite::Measurement {
-            label: r.id.clone(),
-            values: vec![
-                ("median_ns".into(), r.median_ns),
-                ("mean_ns".into(), r.mean_ns),
-                ("min_ns".into(), r.min_ns),
-                ("samples".into(), r.samples as f64),
-            ],
-        })
-        .collect();
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    rows.push(qoc_bench::suite::Measurement {
-        label: "host".into(),
-        values: vec![("available_parallelism".into(), cores as f64)],
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adjoint.json");
-    if let Ok(body) = serde_json::to_string_pretty(&rows) {
-        if std::fs::write(path, &body).is_ok() {
-            println!("wrote BENCH_adjoint.json ({} entries)", rows.len());
-        }
-    }
+        .map(|r| qoc_bench::suite::timing_row(&r.id, r.median_ns, r.mean_ns, r.min_ns, r.samples))
+        .collect::<Vec<_>>();
+    qoc_bench::suite::write_bench_artifact("BENCH_adjoint.json", timings, Vec::new());
 }
 
 criterion_group!(benches, bench_modes, bench_modes_mnist4, dump_artifact);

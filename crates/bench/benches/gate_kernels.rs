@@ -127,8 +127,8 @@ fn bench_expectations(c: &mut Criterion) {
 }
 
 /// Dumps timings plus derived `generic_over_fused` / `matrix_over_kernel`
-/// speedup ratios to `BENCH_gate_kernels.json` (same artifact idiom as
-/// `param_shift.rs`); `bench_smoke` gates the fused row against it.
+/// speedup ratios to `BENCH_gate_kernels.json`; `bench_smoke` gates the
+/// fused row against it.
 fn dump_artifact(c: &mut Criterion) {
     let results = c.take_results();
     let min_ns = |label: &str| -> Option<f64> {
@@ -138,18 +138,6 @@ fn dump_artifact(c: &mut Criterion) {
             .map(|r| r.min_ns)
             .filter(|&v| v > 0.0)
     };
-    let mut rows: Vec<qoc_bench::suite::Measurement> = results
-        .iter()
-        .map(|r| qoc_bench::suite::Measurement {
-            label: r.id.clone(),
-            values: vec![
-                ("median_ns".into(), r.median_ns),
-                ("mean_ns".into(), r.mean_ns),
-                ("min_ns".into(), r.min_ns),
-                ("samples".into(), r.samples as f64),
-            ],
-        })
-        .collect();
     let ratios: &[(&str, &str, &str)] = &[
         (
             "ratio/qnn4_generic_over_fused",
@@ -172,25 +160,19 @@ fn dump_artifact(c: &mut Criterion) {
             "kernel_vs_matrix/cx_kernel",
         ),
     ];
-    for &(label, slow, fast) in ratios {
-        if let (Some(s), Some(f)) = (min_ns(slow), min_ns(fast)) {
-            rows.push(qoc_bench::suite::Measurement {
+    let speedups = ratios
+        .iter()
+        .filter_map(|&(label, slow, fast)| {
+            Some(qoc_bench::suite::Measurement {
                 label: label.into(),
-                values: vec![("speedup".into(), s / f)],
-            });
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    rows.push(qoc_bench::suite::Measurement {
-        label: "host".into(),
-        values: vec![("available_parallelism".into(), cores as f64)],
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gate_kernels.json");
-    if let Ok(body) = serde_json::to_string_pretty(&rows) {
-        if std::fs::write(path, &body).is_ok() {
-            println!("wrote BENCH_gate_kernels.json ({} entries)", rows.len());
-        }
-    }
+                values: vec![("speedup".into(), min_ns(slow)? / min_ns(fast)?)],
+            })
+        })
+        .collect();
+    let timings = results
+        .iter()
+        .map(|r| qoc_bench::suite::timing_row(&r.id, r.median_ns, r.mean_ns, r.min_ns, r.samples));
+    qoc_bench::suite::write_bench_artifact("BENCH_gate_kernels.json", timings, speedups);
 }
 
 criterion_group!(

@@ -206,31 +206,16 @@ fn worker_telemetry_rows() -> Vec<qoc_bench::suite::Measurement> {
 }
 
 fn dump_artifact(c: &mut Criterion) {
-    let results = c.take_results();
-    let mut rows: Vec<qoc_bench::suite::Measurement> = results
+    let timings = c
+        .take_results()
         .iter()
-        .map(|r| qoc_bench::suite::Measurement {
-            label: r.id.clone(),
-            values: vec![
-                ("median_ns".into(), r.median_ns),
-                ("mean_ns".into(), r.mean_ns),
-                ("min_ns".into(), r.min_ns),
-                ("samples".into(), r.samples as f64),
-            ],
-        })
-        .collect();
-    rows.extend(worker_telemetry_rows());
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    rows.push(qoc_bench::suite::Measurement {
-        label: "host".into(),
-        values: vec![("available_parallelism".into(), cores as f64)],
-    });
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_param_shift.json");
-    if let Ok(body) = serde_json::to_string_pretty(&rows) {
-        if std::fs::write(path, &body).is_ok() {
-            println!("wrote BENCH_param_shift.json ({} entries)", rows.len());
-        }
-    }
+        .map(|r| qoc_bench::suite::timing_row(&r.id, r.median_ns, r.mean_ns, r.min_ns, r.samples))
+        .collect::<Vec<_>>();
+    qoc_bench::suite::write_bench_artifact(
+        "BENCH_param_shift.json",
+        timings,
+        worker_telemetry_rows(),
+    );
 }
 
 criterion_group!(

@@ -376,11 +376,6 @@ pub struct Analysis {
     pub steps: usize,
     /// Evaluation records found in `.evals.jsonl`.
     pub eval_records: usize,
-    /// Prefix-reuse ratio of the prefix-shared differentiation mode:
-    /// Σ `gates_simulated` / Σ `naive_gates` over all `diff.prefix` spans.
-    /// `None` when the trace has no prefix-shared Jacobians. Must be < 1 —
-    /// otherwise prefix sharing simulated *more* gates than naive 2P replay.
-    pub prefix_reuse_ratio: Option<f64>,
     /// Run savings measured from `.steps.jsonl` evaluated-parameter counts.
     pub measured_savings: Option<f64>,
     /// `r·w_p/(w_a+w_p)` from the manifest's pruning config.
@@ -660,18 +655,6 @@ pub fn analyze_run(
         .map(|n| n.dur_ns)
         .sum();
 
-    // Prefix-reuse ratio: gates actually simulated by prefix sharing over
-    // the gates a naive 2P shifted replay of the same forks would cost.
-    let (mut gates_simulated, mut naive_gates) = (0u64, 0u64);
-    for rec in records
-        .iter()
-        .filter(|r| r.is_span && r.name == "diff.prefix")
-    {
-        gates_simulated += rec.field_u64("gates_simulated").unwrap_or(0);
-        naive_gates += rec.field_u64("naive_gates").unwrap_or(0);
-    }
-    let prefix_reuse_ratio = (naive_gates > 0).then(|| gates_simulated as f64 / naive_gates as f64);
-
     // Run savings measured from the step records: the full parameter width
     // is the widest step (PGP always opens a stage with a full step).
     let evaluated: Vec<u64> = steps
@@ -699,7 +682,6 @@ pub fn analyze_run(
         windows,
         steps: steps.len(),
         eval_records: evals.len(),
-        prefix_reuse_ratio,
         measured_savings,
         expected_savings,
         backoff_wait_ns,
@@ -803,14 +785,6 @@ impl Analysis {
                 }
             }
         }
-        if let Some(ratio) = self.prefix_reuse_ratio {
-            if ratio >= 1.0 {
-                failures.push(format!(
-                    "prefix-reuse ratio {ratio:.4} is not < 1: prefix sharing simulated at \
-                     least as many gates as a naive 2P replay"
-                ));
-            }
-        }
         if let Some(expected) = self.expected_savings {
             if expected > 0.0 {
                 if self.windows.is_empty() {
@@ -846,11 +820,6 @@ impl Analysis {
         ));
         if let Some(acc) = self.best_accuracy {
             out.push_str(&format!("- best accuracy: **{acc:.4}**\n"));
-        }
-        if let Some(r) = self.prefix_reuse_ratio {
-            out.push_str(&format!(
-                "- prefix reuse ratio: **{r:.4}** (gates simulated / naive 2P gates)\n"
-            ));
         }
         match (self.measured_savings, self.expected_savings) {
             (Some(m), Some(e)) => out.push_str(&format!(
@@ -962,7 +931,6 @@ impl Analysis {
             ("steps", Value::UInt(self.steps as u64)),
             ("eval_records", Value::UInt(self.eval_records as u64)),
             ("best_accuracy", opt_f64(self.best_accuracy)),
-            ("prefix_reuse_ratio", opt_f64(self.prefix_reuse_ratio)),
             ("measured_savings", opt_f64(self.measured_savings)),
             ("expected_savings", opt_f64(self.expected_savings)),
             ("device_ns_spans", Value::UInt(self.device_ns_spans)),
@@ -1110,50 +1078,33 @@ mod tests {
     }
 
     #[test]
-    fn mode_rows_and_prefix_reuse_ratio_come_from_diff_spans() {
-        // One adjoint and one prefix-shared Jacobian, each inside its own
-        // minibatch; the prefix span reports 312 of 768 naive gates.
+    fn mode_rows_come_from_jacobian_spans() {
+        // One adjoint and one shifted-2p Jacobian, each inside its own
+        // minibatch.
         let trace = [
             r#"{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{"rows":8,"jobs":0,"mode":"adjoint"}}"#.to_string(),
             span_line(100, "grad.minibatch", 0, 100),
-            r#"{"ts":250,"kind":"span","level":"debug","span":"diff.prefix","thread":0,"dur_ns":40,"fields":{"rows":8,"forks":16,"naive_gates":768,"gates_simulated":312}}"#.to_string(),
-            r#"{"ts":290,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":85,"fields":{"rows":8,"jobs":0,"mode":"prefix-shared"}}"#.to_string(),
+            r#"{"ts":290,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":85,"fields":{"rows":8,"jobs":16,"mode":"shifted-2p"}}"#.to_string(),
             span_line(300, "grad.minibatch", 0, 100),
         ]
         .join("\n");
         let analysis = analyze_run(&trace, None, None, None).unwrap();
-        let ratio = analysis.prefix_reuse_ratio.unwrap();
-        assert!((ratio - 312.0 / 768.0).abs() < 1e-12);
         let labels: Vec<&str> = analysis.phases.iter().map(|p| p.phase.as_str()).collect();
         assert_eq!(
             labels,
-            vec!["jacobian", "jacobian/adjoint", "jacobian/prefix-shared"]
+            vec!["jacobian", "jacobian/adjoint", "jacobian/shifted-2p"]
         );
         let adjoint = &analysis.phases[1];
         assert_eq!((adjoint.records, adjoint.wall_ns), (1, 80));
         assert!(analysis.sanity_failures(0.05).is_empty());
         let md = analysis.to_markdown();
-        assert!(md.contains("prefix reuse ratio"), "missing ratio: {md}");
         assert!(md.contains("jacobian/adjoint"), "missing mode row: {md}");
     }
 
     #[test]
-    fn prefix_reuse_ratio_of_one_or_more_fails_sanity() {
-        let trace = r#"{"ts":250,"kind":"span","level":"debug","span":"diff.prefix","thread":0,"dur_ns":40,"fields":{"rows":8,"forks":16,"naive_gates":768,"gates_simulated":768}}"#.to_string();
-        let analysis = analyze_run(&trace, None, None, None).unwrap();
-        assert_eq!(analysis.prefix_reuse_ratio, Some(1.0));
-        let failures = analysis.sanity_failures(0.05);
-        assert!(
-            failures.iter().any(|f| f.contains("prefix-reuse ratio")),
-            "failures: {failures:?}"
-        );
-    }
-
-    #[test]
-    fn traces_without_diff_spans_have_no_ratio_or_mode_rows() {
+    fn traces_without_jacobian_spans_have_no_mode_rows() {
         let trace = span_line(100, "grad.minibatch", 0, 100);
         let analysis = analyze_run(&trace, None, None, None).unwrap();
-        assert_eq!(analysis.prefix_reuse_ratio, None);
         assert!(analysis.phases.iter().all(|p| !p.phase.contains('/')));
         assert!(analysis.sanity_failures(0.05).is_empty());
     }

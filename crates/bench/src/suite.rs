@@ -164,6 +164,48 @@ pub struct Measurement {
     pub values: Vec<(String, f64)>,
 }
 
+/// One criterion timing row of a `BENCH_*.json` artifact.
+pub fn timing_row(
+    id: &str,
+    median_ns: f64,
+    mean_ns: f64,
+    min_ns: f64,
+    samples: usize,
+) -> Measurement {
+    Measurement {
+        label: id.to_string(),
+        values: vec![
+            ("median_ns".into(), median_ns),
+            ("mean_ns".into(), mean_ns),
+            ("min_ns".into(), min_ns),
+            ("samples".into(), samples as f64),
+        ],
+    }
+}
+
+/// Writes a criterion bench's artifact `name` (e.g. `BENCH_adjoint.json`)
+/// at the repository root: the timing rows, then the bench's `extra` rows,
+/// then a `host` row recording the available parallelism. `bench_smoke`
+/// reads these files back as its baselines.
+pub fn write_bench_artifact(
+    name: &str,
+    timings: impl IntoIterator<Item = Measurement>,
+    extra: Vec<Measurement>,
+) {
+    let mut rows: Vec<Measurement> = timings.into_iter().chain(extra).collect();
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    rows.push(Measurement {
+        label: "host".into(),
+        values: vec![("available_parallelism".into(), cores as f64)],
+    });
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    if let Ok(body) = serde_json::to_string_pretty(&rows) {
+        if std::fs::write(path, &body).is_ok() {
+            println!("wrote {name} ({} entries)", rows.len());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,13 +23,12 @@
 //!
 //! Everything is emitted through `qoc-telemetry`: one `grad.health` event
 //! per evaluated parameter per step, one `prune.efficacy` event per
-//! completed window, SNR samples into the `qoc.grad.snr` streaming-quantile
-//! estimator, and a bounded [`TimeSeries`] of per-step mean SNR. The engine
+//! completed window, and SNR samples into the `qoc.grad.snr`
+//! streaming-quantile estimator. The engine
 //! constructs a [`GradientHealth`] only when telemetry is enabled, so the
 //! disabled path stays at one relaxed atomic load per step.
 
 use qoc_telemetry::metrics::Registry;
-use qoc_telemetry::series::TimeSeries;
 
 use crate::prune::Selection;
 
@@ -49,18 +48,15 @@ pub struct HealthConfig {
     /// The configured steady-state savings `r·w_p/(w_a+w_p)` reported in
     /// `prune.efficacy` events for comparison (0 when pruning is off).
     pub expected_savings: f64,
-    /// Ring capacity of the per-step SNR time series.
-    pub series_capacity: usize,
 }
 
 impl HealthConfig {
-    /// Defaults: `ema_decay` 0.5, series capacity 1024.
+    /// Defaults: `ema_decay` 0.5.
     pub fn new(batch_size: usize, expected_savings: f64) -> Self {
         HealthConfig {
             ema_decay: 0.5,
             batch_size,
             expected_savings,
-            series_capacity: 1024,
         }
     }
 }
@@ -114,8 +110,6 @@ pub struct GradientHealth {
     /// Whether the previous observed step was a pruned (subset) step —
     /// a Full step arriving after a subset step closes the stage.
     prev_was_subset: bool,
-    /// Per-step mean SNR over the evaluated subset.
-    snr_series: TimeSeries,
 }
 
 impl GradientHealth {
@@ -136,7 +130,6 @@ impl GradientHealth {
             stage: StageState::default(),
             windows: 0,
             prev_was_subset: false,
-            snr_series: TimeSeries::new(config.series_capacity.max(1)),
             config,
         }
     }
@@ -149,11 +142,6 @@ impl GradientHealth {
         idx.truncate(k);
         idx.sort_unstable();
         idx
-    }
-
-    /// The per-step mean-SNR time series (x = step index).
-    pub fn snr_series(&self) -> &TimeSeries {
-        &self.snr_series
     }
 
     /// Completed pruning windows so far.
@@ -211,7 +199,6 @@ impl GradientHealth {
         self.prev_was_subset = matches!(selection, Selection::Subset(_));
 
         let snr_estimator = Registry::global().quantile_estimator("qoc.grad.snr", 4096);
-        let mut snr_sum = 0.0;
         for &i in &evaluated {
             let p = &mut self.params[i];
             let g = grad[i];
@@ -247,7 +234,6 @@ impl GradientHealth {
             } else {
                 0.0
             };
-            snr_sum += snr;
             snr_estimator.record(snr);
             qoc_telemetry::event!(
                 qoc_telemetry::Level::Debug,
@@ -262,10 +248,6 @@ impl GradientHealth {
                 flip_rate = flip_rate,
                 evals = p.evals,
             );
-        }
-        if !evaluated.is_empty() {
-            self.snr_series
-                .push(step as u64, snr_sum / evaluated.len() as f64);
         }
     }
 
@@ -383,8 +365,6 @@ mod tests {
 
         // No pruning happened → no efficacy events.
         assert!(records.iter().all(|r| r.span != "prune.efficacy"));
-        // Per-step mean SNR series has one point per step.
-        assert_eq!(h.snr_series().points().len(), 3);
     }
 
     #[test]
@@ -484,7 +464,6 @@ mod tests {
                 ema_decay: 1.0,
                 batch_size: 1,
                 expected_savings: 0.0,
-                series_capacity: 8,
             },
         );
     }

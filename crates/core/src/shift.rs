@@ -36,19 +36,16 @@
 //! - [`DiffMode::Shifted2P`] — the classic 2·occ shifted-job batch above.
 //!   The only mode noisy/hardware backends support; its job set, seeds, and
 //!   results are bit-identical to the historical behavior.
-//! - [`DiffMode::PrefixShared`] — one structured [`JacobianBatch`] job: the
-//!   backend simulates the shared circuit prefix once and forks per ±shift.
-//! - [`DiffMode::Adjoint`] — one forward pass + one backward adjoint sweep;
-//!   exact execution only.
+//! - [`DiffMode::Adjoint`] — one structured [`JacobianBatch`] job: one
+//!   forward pass + one backward adjoint sweep; exact execution only.
 //!
-//! Selection: the `QOC_DIFF_MODE` env var (`auto`/`shifted2p`/
-//! `prefix-shared`/`adjoint`) overrides [`ParameterShiftEngine::with_diff_mode`],
-//! which overrides auto. Auto picks `Adjoint` exactly when the backend
-//! reports [`DifferentiationCapability::Statevector`] *and* execution is
-//! exact; every finite-shot or hardware path stays on `Shifted2P`. A
-//! backend may decline a structured batch ([`QuantumBackend::run_jacobian_batch`]
-//! returning `None`), in which case the planner silently falls back to
-//! shifted jobs.
+//! Selection: [`ParameterShiftEngine::with_diff_mode`] overrides auto. Auto
+//! picks `Adjoint` exactly when the backend reports
+//! [`DifferentiationCapability::Statevector`] *and* execution is exact;
+//! every finite-shot or hardware path stays on `Shifted2P`, and a pinned
+//! `Adjoint` is downgraded to it there. A backend may decline a structured
+//! batch ([`QuantumBackend::run_jacobian_batch`] returning `None`), in
+//! which case the planner silently falls back to shifted jobs.
 //!
 //! Trainable gates without a native two-term shift rule (`crx`/`cry`/`crz`/
 //! `cp`/`p`/`u3`) are rewritten at engine construction via
@@ -60,12 +57,12 @@
 use std::f64::consts::FRAC_PI_2;
 
 use qoc_device::backend::{
-    job_seed, BatchOccurrence, CircuitJob, DiffMode, DifferentiationCapability, Execution,
-    JacobianBatch, JacobianBatchRow, PreparedCircuit, QuantumBackend,
+    job_seed, CircuitJob, DiffMode, DifferentiationCapability, Execution, JacobianBatch,
+    PreparedCircuit, QuantumBackend,
 };
 use qoc_device::retry::{BatchError, BatchResult};
 use qoc_sim::circuit::{Circuit, ParamValue};
-use qoc_sim::diff::decompose_for_shift_rules;
+use qoc_sim::diff::{decompose_for_shift_rules, JacobianRowSpec, ShiftOccurrence};
 
 /// Jacobian of circuit expectations w.r.t. trainable symbols: row `i` is
 /// `∂f/∂θᵢ` across the logical qubits.
@@ -122,9 +119,9 @@ pub struct JacobianPlan {
 
 impl JacobianPlan {
     /// The differentiation mode this plan's jobs realize. Job plans are
-    /// always [`DiffMode::Shifted2P`] — the structured prefix-shared and
-    /// adjoint paths go through [`QuantumBackend::run_jacobian_batch`] and
-    /// never materialize per-shift jobs.
+    /// always [`DiffMode::Shifted2P`] — the structured adjoint path goes
+    /// through [`QuantumBackend::run_jacobian_batch`] and never
+    /// materializes per-shift jobs.
     pub fn mode(&self) -> DiffMode {
         DiffMode::Shifted2P
     }
@@ -254,10 +251,10 @@ pub struct ParameterShiftEngine<'a> {
     num_trainable: usize,
     execution: Execution,
     plans: Vec<SymbolPlan>,
-    /// Per trainable symbol: `(op_index, slot, scale)` occurrences in the
-    /// executed (possibly decomposed) circuit — the structured-batch view
-    /// of what [`SymbolPlan`] encodes for the job path.
-    occurrences: Vec<Vec<(usize, usize, f64)>>,
+    /// Per trainable symbol: its occurrences in the executed (possibly
+    /// decomposed) circuit — the structured-batch view of what
+    /// [`SymbolPlan`] encodes for the job path.
+    row_specs: Vec<JacobianRowSpec>,
     diff_mode: Option<DiffMode>,
     workers: Option<usize>,
 }
@@ -289,7 +286,7 @@ impl<'a> ParameterShiftEngine<'a> {
         let decomposed = decompose_for_shift_rules(circuit, num_trainable);
         let circuit = decomposed.as_ref().unwrap_or(circuit);
         let mut plans = Vec::with_capacity(num_trainable);
-        let mut occurrences = Vec::with_capacity(num_trainable);
+        let mut row_specs = Vec::with_capacity(num_trainable);
         for s in 0..num_trainable {
             let occ = circuit.symbol_occurrences(s);
             assert!(
@@ -303,24 +300,30 @@ impl<'a> ParameterShiftEngine<'a> {
                     "symbol {s} occurs in gate {gate}, which has no two-term shift rule"
                 );
             }
-            let with_scales: Vec<(usize, usize, f64)> = occ
+            let with_scales: Vec<ShiftOccurrence> = occ
                 .iter()
-                .filter_map(|&(op_idx, slot)| match circuit.ops()[op_idx].params[slot] {
-                    ParamValue::Sym { scale, .. } => Some((op_idx, slot, scale)),
-                    ParamValue::Const(_) => None,
-                })
+                .filter_map(
+                    |&(op_index, slot)| match circuit.ops()[op_index].params[slot] {
+                        ParamValue::Sym { scale, .. } => Some(ShiftOccurrence {
+                            op_index,
+                            slot,
+                            scale,
+                        }),
+                        ParamValue::Const(_) => None,
+                    },
+                )
                 .collect();
-            let simple = with_scales.len() == 1 && (with_scales[0].2.abs() - 1.0).abs() < 1e-12;
+            let simple = with_scales.len() == 1 && (with_scales[0].scale.abs() - 1.0).abs() < 1e-12;
             if simple {
                 plans.push(SymbolPlan::Simple);
             } else {
                 let shifts = with_scales
                     .iter()
-                    .map(|&(op_idx, slot, scale)| {
-                        let plus = circuit.with_occurrence_shift(op_idx, slot, FRAC_PI_2);
-                        let minus = circuit.with_occurrence_shift(op_idx, slot, -FRAC_PI_2);
+                    .map(|o| {
+                        let plus = circuit.with_occurrence_shift(o.op_index, o.slot, FRAC_PI_2);
+                        let minus = circuit.with_occurrence_shift(o.op_index, o.slot, -FRAC_PI_2);
                         OccurrenceShift {
-                            scale,
+                            scale: o.scale,
                             plus: backend.prepare(&plus),
                             minus: backend.prepare(&minus),
                         }
@@ -328,7 +331,9 @@ impl<'a> ParameterShiftEngine<'a> {
                     .collect();
                 plans.push(SymbolPlan::Occurrences(shifts));
             }
-            occurrences.push(with_scales);
+            row_specs.push(JacobianRowSpec {
+                occurrences: with_scales,
+            });
         }
         ParameterShiftEngine {
             backend,
@@ -336,7 +341,7 @@ impl<'a> ParameterShiftEngine<'a> {
             num_trainable,
             execution,
             plans,
-            occurrences,
+            row_specs,
             diff_mode: None,
             workers: None,
         }
@@ -350,59 +355,28 @@ impl<'a> ParameterShiftEngine<'a> {
         self
     }
 
-    /// Pins the differentiation mode instead of auto-selecting. The
-    /// `QOC_DIFF_MODE` environment variable still takes precedence.
+    /// Pins the differentiation mode instead of auto-selecting. A pinned
+    /// [`DiffMode::Adjoint`] still falls back to shifted jobs where the
+    /// backend or execution cannot serve it.
     #[must_use]
     pub fn with_diff_mode(mut self, mode: DiffMode) -> Self {
         self.diff_mode = Some(mode);
         self
     }
 
-    /// The mode auto-selection would pick: adjoint on an exact statevector
-    /// backend, the universally supported shifted-job path otherwise.
-    /// Finite-shot execution never auto-selects a structured mode, so every
-    /// sampled result stays bit-identical to the historical path.
-    fn auto_mode(&self) -> DiffMode {
-        if self.backend.differentiation_capability() == DifferentiationCapability::Statevector
-            && self.execution == Execution::Exact
-        {
-            DiffMode::Adjoint
-        } else {
-            DiffMode::Shifted2P
-        }
-    }
-
-    /// Resolves the effective mode — `QOC_DIFF_MODE` beats
-    /// [`Self::with_diff_mode`] beats auto-selection — then downgrades
-    /// combinations the backend cannot serve (structured modes without
-    /// statevector capability; adjoint under finite shots) to
-    /// [`DiffMode::Shifted2P`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized `QOC_DIFF_MODE` value.
+    /// Resolves the effective mode. Adjoint — pinned through
+    /// [`Self::with_diff_mode`] or auto-selected — runs exactly on an exact
+    /// statevector backend; everywhere else the universally supported
+    /// shifted-job path runs. Finite-shot execution therefore never uses a
+    /// structured mode, so every sampled result stays bit-identical to the
+    /// historical path.
     fn resolve_mode(&self) -> DiffMode {
-        let requested = match std::env::var("QOC_DIFF_MODE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "" | "auto" => self.diff_mode.unwrap_or_else(|| self.auto_mode()),
-                "shifted2p" | "shifted-2p" | "shifted" | "2p" => DiffMode::Shifted2P,
-                "prefix" | "prefix-shared" | "prefix_shared" => DiffMode::PrefixShared,
-                "adjoint" => DiffMode::Adjoint,
-                other => panic!(
-                    "unknown QOC_DIFF_MODE {other:?} (expected auto, shifted2p, \
-                     prefix-shared, or adjoint)"
-                ),
-            },
-            Err(_) => self.diff_mode.unwrap_or_else(|| self.auto_mode()),
-        };
-        let statevector =
-            self.backend.differentiation_capability() == DifferentiationCapability::Statevector;
-        match requested {
-            DiffMode::Adjoint if !statevector || self.execution != Execution::Exact => {
-                DiffMode::Shifted2P
-            }
-            DiffMode::PrefixShared if !statevector => DiffMode::Shifted2P,
-            m => m,
+        let adjoint_ok = self.backend.differentiation_capability()
+            == DifferentiationCapability::Statevector
+            && self.execution == Execution::Exact;
+        match self.diff_mode {
+            Some(DiffMode::Adjoint) | None if adjoint_ok => DiffMode::Adjoint,
+            _ => DiffMode::Shifted2P,
         }
     }
 
@@ -589,18 +563,9 @@ impl<'a> ParameterShiftEngine<'a> {
         self.jacobian_subset(theta, &[i], master_seed).remove(0)
     }
 
-    /// Builds the structured whole-Jacobian job for a statevector backend:
-    /// the planner decides the row/occurrence layout and derives each
-    /// occurrence's ± seeds from the same `(symbol, occurrence, sign)`
-    /// streams the shifted-job path uses, so the backend never learns the
-    /// stream encoding.
-    fn jacobian_batch(
-        &self,
-        theta: &[f64],
-        indices: &[usize],
-        master_seed: u64,
-        mode: DiffMode,
-    ) -> JacobianBatch<'_> {
+    /// Builds the structured whole-Jacobian job for a statevector backend
+    /// from the occurrence table computed at construction.
+    fn jacobian_batch(&self, theta: &[f64], indices: &[usize]) -> JacobianBatch<'_> {
         JacobianBatch {
             prepared: &self.prepared,
             theta: theta.to_vec(),
@@ -608,24 +573,10 @@ impl<'a> ParameterShiftEngine<'a> {
                 .iter()
                 .map(|&i| {
                     assert!(i < self.num_trainable, "symbol {i} not trainable");
-                    JacobianBatchRow {
-                        symbol: i,
-                        occurrences: self.occurrences[i]
-                            .iter()
-                            .enumerate()
-                            .map(|(k, &(op_index, slot, scale))| BatchOccurrence {
-                                op_index,
-                                slot,
-                                scale,
-                                plus_seed: job_seed(master_seed, shift_stream(i, k, false)),
-                                minus_seed: job_seed(master_seed, shift_stream(i, k, true)),
-                            })
-                            .collect(),
-                    }
+                    self.row_specs[i].clone()
                 })
                 .collect(),
             execution: self.execution,
-            mode,
         }
     }
 
@@ -639,7 +590,7 @@ impl<'a> ParameterShiftEngine<'a> {
     ) -> Result<Jacobian, BatchError> {
         let mode = self.resolve_mode();
         if mode != DiffMode::Shifted2P {
-            let batch = self.jacobian_batch(theta, indices, master_seed, mode);
+            let batch = self.jacobian_batch(theta, indices);
             let _span = qoc_telemetry::span!(
                 "shift.jacobian",
                 rows = indices.len(),
@@ -922,14 +873,35 @@ mod tests {
 
     #[test]
     fn shots_never_auto_select_structured_modes() {
-        // Sampled execution must stay on the shifted-job path so its RNG
-        // streams (and therefore every trained checkpoint) stay bit-stable.
-        let backend = NoiselessBackend::new();
+        // Sampled execution and noisy backends must stay on the shifted-job
+        // path so their RNG streams (and therefore every trained checkpoint)
+        // stay bit-stable — whether adjoint was auto-selected or pinned
+        // through the builder.
         let c = ansatz_circuit();
-        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Shots(64));
-        backend.reset_stats();
-        let _ = engine.jacobian(&[0.3; 5], 6);
-        assert_eq!(backend.stats().circuits_run, 10);
+        let theta = [0.3; 5];
+        let noiseless = NoiselessBackend::new();
+        let device = FakeDevice::new(fake_lima());
+        let cases: [(&dyn QuantumBackend, Execution, Option<DiffMode>); 4] = [
+            (&noiseless, Execution::Shots(64), None),
+            (&noiseless, Execution::Shots(64), Some(DiffMode::Adjoint)),
+            (&device, Execution::Shots(64), Some(DiffMode::Adjoint)),
+            (&device, Execution::Exact, Some(DiffMode::Adjoint)),
+        ];
+        for (backend, execution, pinned) in cases {
+            let reference = ParameterShiftEngine::new(backend, &c, 5, execution)
+                .with_diff_mode(DiffMode::Shifted2P)
+                .jacobian(&theta, 6);
+            let mut engine = ParameterShiftEngine::new(backend, &c, 5, execution);
+            if let Some(mode) = pinned {
+                engine = engine.with_diff_mode(mode);
+            }
+            backend.reset_stats();
+            let jac = engine.jacobian(&theta, 6);
+            let label = format!("{} {execution:?} {pinned:?}", backend.name());
+            // 2 runs per parameter (all symbols are simple here).
+            assert_eq!(backend.stats().circuits_run, 10, "{label}");
+            assert_eq!(jac, reference, "{label} left the shifted-job path");
+        }
     }
 
     #[test]
@@ -1074,11 +1046,7 @@ mod tests {
         );
         let backend = NoiselessBackend::new();
         let theta = [0.9, -0.35];
-        for mode in [
-            DiffMode::Shifted2P,
-            DiffMode::PrefixShared,
-            DiffMode::Adjoint,
-        ] {
+        for mode in [DiffMode::Shifted2P, DiffMode::Adjoint] {
             let engine =
                 ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact).with_diff_mode(mode);
             let jac = engine.jacobian(&theta, 11);

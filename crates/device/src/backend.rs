@@ -38,7 +38,7 @@ use rand::rngs::StdRng;
 use rand::RngCore;
 
 use qoc_sim::circuit::Circuit;
-use qoc_sim::diff::{adjoint_jacobian, prefix_shared_jacobian, JacobianRowSpec, ShiftOccurrence};
+use qoc_sim::diff::{adjoint_jacobian, JacobianRowSpec};
 use qoc_sim::fusion::FusedProgram;
 use qoc_sim::statevector::with_scratch_state;
 
@@ -229,7 +229,7 @@ pub enum DifferentiationCapability {
     /// their RNG streams must stay bit-identical to the historical layout.
     ShiftedJobsOnly,
     /// The backend exposes its statevector to the differentiation planner,
-    /// enabling prefix-shared simulation and adjoint-mode Jacobians via
+    /// enabling adjoint-mode Jacobians via
     /// [`QuantumBackend::run_jacobian_batch`].
     Statevector,
 }
@@ -240,56 +240,23 @@ pub enum DiffMode {
     /// Two shifted circuit executions per gate occurrence (Eq. 2 of the
     /// paper) — works on any backend, the only choice on hardware.
     Shifted2P,
-    /// Simulate the shared prefix once, fork at each shifted gate, replay
-    /// only the suffix. Statevector backends only.
-    PrefixShared,
     /// Forward pass + backward adjoint sweep; exact readout only.
     Adjoint,
 }
 
 impl DiffMode {
-    /// Stable lowercase label used in telemetry span fields and env
-    /// overrides.
+    /// Stable lowercase label used in telemetry span fields.
     pub fn label(self) -> &'static str {
         match self {
             DiffMode::Shifted2P => "shifted-2p",
-            DiffMode::PrefixShared => "prefix-shared",
             DiffMode::Adjoint => "adjoint",
         }
     }
 }
 
-/// One shifted gate occurrence inside a [`JacobianBatchRow`], with the RNG
-/// seeds its `+π/2` / `−π/2` evaluations must consume. The *planner*
-/// computes the seeds (from the same master-seed/stream scheme as the
-/// shifted-job path), so backends never learn the stream encoding and
-/// cannot drift from it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchOccurrence {
-    /// Operation index inside the prepared circuit.
-    pub op_index: usize,
-    /// Parameter slot inside that operation.
-    pub slot: usize,
-    /// Affine coefficient of the symbol in that slot (chain rule).
-    pub scale: f64,
-    /// Seed for the `+π/2` evaluation's RNG stream.
-    pub plus_seed: u64,
-    /// Seed for the `−π/2` evaluation's RNG stream.
-    pub minus_seed: u64,
-}
-
-/// One Jacobian row: a trainable symbol and its gate occurrences.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JacobianBatchRow {
-    /// The trainable symbol index this row differentiates.
-    pub symbol: usize,
-    /// Every gate occurrence of the symbol.
-    pub occurrences: Vec<BatchOccurrence>,
-}
-
 /// A structured whole-Jacobian job: the planner hands the backend the full
 /// row structure at once instead of a flat list of shifted circuit jobs, so
-/// the backend can share work across rows (prefix reuse, adjoint sweeps).
+/// the backend can share work across rows in one adjoint sweep.
 #[derive(Debug, Clone)]
 pub struct JacobianBatch<'a> {
     /// The compiled circuit to differentiate.
@@ -297,11 +264,10 @@ pub struct JacobianBatch<'a> {
     /// Parameter binding.
     pub theta: Vec<f64>,
     /// One entry per requested Jacobian row, in output order.
-    pub rows: Vec<JacobianBatchRow>,
-    /// Shot specification for the forked evaluations.
+    pub rows: Vec<JacobianRowSpec>,
+    /// Shot specification the Jacobian is requested under; adjoint
+    /// differentiation serves only [`Execution::Exact`].
     pub execution: Execution,
-    /// The strategy the planner selected.
-    pub mode: DiffMode,
 }
 
 /// Worker-thread count for [`QuantumBackend::run_batch`]: the `QOC_WORKERS`
@@ -620,8 +586,8 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
 
     /// Evaluates a whole Jacobian in one structured job, returning
     /// `rows × logical_qubits` gradients, or `None` when the backend cannot
-    /// serve the requested mode/execution combination — the planner then
-    /// falls back to shifted jobs.
+    /// serve the requested execution — the planner then falls back to
+    /// shifted jobs.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let _ = batch;
         None
@@ -869,57 +835,16 @@ impl QuantumBackend for NoiselessBackend {
         let Plan::Direct { circuit, .. } = &batch.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        let rows: Vec<JacobianRowSpec> = batch
-            .rows
-            .iter()
-            .map(|row| JacobianRowSpec {
-                occurrences: row
-                    .occurrences
-                    .iter()
-                    .map(|occ| ShiftOccurrence {
-                        op_index: occ.op_index,
-                        slot: occ.slot,
-                        scale: occ.scale,
-                    })
-                    .collect(),
-            })
-            .collect();
-        match (batch.mode, batch.execution) {
-            (DiffMode::Adjoint, Execution::Exact) => {
+        match batch.execution {
+            Execution::Exact => {
                 // One forward pass + one backward sweep ≈ one inference of
                 // accounting: the Figure 6 x-axis counts circuit executions
                 // and the adjoint method runs the circuit once.
                 self.stats.record(0, 0.0);
-                let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &rows);
+                let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &batch.rows);
                 Some(jac)
             }
-            (DiffMode::Adjoint, Execution::Shots(_)) => None,
-            (DiffMode::PrefixShared, _) => {
-                // Each fork measures a complete shifted circuit — the same
-                // 2·occ inference count as the shifted-job path, so
-                // cost-model accounting is unchanged.
-                let (jac, _) = prefix_shared_jacobian(
-                    circuit,
-                    &batch.theta,
-                    &rows,
-                    batch.prepared.logical_qubits(),
-                    |r, o, minus, sv| match batch.execution {
-                        Execution::Exact => {
-                            self.stats.record(0, 0.0);
-                            sv.expectation_all_z()
-                        }
-                        Execution::Shots(s) => {
-                            let occ = &batch.rows[r].occurrences[o];
-                            let seed = if minus { occ.minus_seed } else { occ.plus_seed };
-                            let mut rng = StdRng::seed_from_u64(seed);
-                            self.stats.record(u64::from(s), 0.0);
-                            sv.sampled_expectation_z(s, &mut rng)
-                        }
-                    },
-                );
-                Some(jac)
-            }
-            (DiffMode::Shifted2P, _) => None,
+            Execution::Shots(_) => None,
         }
     }
 

@@ -1,6 +1,6 @@
 //! Shift-aware differentiation primitives.
 //!
-//! Three building blocks behind the Jacobian planner in `qoc-core`:
+//! Two building blocks behind the Jacobian planner in `qoc-core`:
 //!
 //! - [`decompose_for_shift_rules`] — Crooks-style decomposition (PAPERS.md,
 //!   Crooks 2019) of trainable gates whose generators do not obey the
@@ -8,27 +8,21 @@
 //!   sequences of shift-rule rotations. Each symbolic angle is split
 //!   affinely, so every resulting occurrence stays differentiable and the
 //!   per-occurrence-sum convention of the shift engine applies unchanged.
-//! - [`prefix_shared_jacobian`] — simulates the shared circuit prefix once
-//!   per Jacobian, forks a pooled scratch state at each shifted gate, and
-//!   replays only the suffix per ±π/2 shift: `O(G + Σ suffix)` gate
-//!   applications instead of the naive `O(2·occ·G)`.
 //! - [`adjoint_jacobian`] — exact adjoint-mode differentiation: one forward
 //!   pass plus one backward `U†` sweep ([`Kernel::adjoint`]) that stops at
 //!   the earliest trainable gate, so a frozen encoder prefix is never
 //!   back-propagated through.
 //!
-//! All three operate on the per-op circuit IR (not the fused program) so a
-//! shift at op `k` touches exactly one kernel. Spans: `diff.prefix` /
-//! `diff.fork` / `diff.adjoint`.
+//! Both operate on the per-op circuit IR (not the fused program), so every
+//! trainable op keeps a kernel of its own. Span: `diff.adjoint`.
 
 use std::collections::BTreeMap;
-use std::f64::consts::FRAC_PI_2;
 
 use crate::circuit::{Circuit, Operation, ParamValue};
 use crate::complex::Complex64;
 use crate::gates::GateKind;
 use crate::kernels::Kernel;
-use crate::statevector::{pooled_copy, pooled_zero, Statevector};
+use crate::statevector::{pooled_copy, pooled_zero};
 
 /// Multiplies a gate angle by `f`, distributing over the affine form so a
 /// symbolic angle `s·θ[i]+o` becomes `(s·f)·θ[i]+(o·f)`.
@@ -180,113 +174,6 @@ pub fn rows_for_symbols(circuit: &Circuit, symbols: &[usize]) -> Vec<JacobianRow
                 .collect(),
         })
         .collect()
-}
-
-/// Work accounting for one prefix-shared Jacobian evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefixStats {
-    /// Forked suffix replays (two per occurrence: `+π/2` and `−π/2`).
-    pub forks: usize,
-    /// Gate kernels actually applied (prefix advances + fork suffixes).
-    pub gates_simulated: usize,
-    /// Gate kernels a naive 2P run would apply (`2 · occ · circuit len`).
-    pub naive_gates: usize,
-}
-
-/// Evaluates a parameter-shift Jacobian by simulating the shared circuit
-/// prefix once and forking pooled scratch states at each shifted gate.
-///
-/// Forks are processed in ascending `op_index` order so one prefix state
-/// advances monotonically through the circuit; each fork copies it, applies
-/// the `±π/2`-shifted kernel, and replays only the suffix. `measure(row,
-/// occurrence, minus, state)` turns a forked final state into the
-/// `num_outputs` observable values — exact Z expectations or seeded
-/// shot-sampled estimates, the caller decides — and the two-term rule
-/// `Σ_occ scale · ½ · (f₊ − f₋)` assembles the rows.
-///
-/// # Panics
-///
-/// Panics if an occurrence points at a gate without the two-term shift rule
-/// (run [`decompose_for_shift_rules`] first) or if `measure` returns the
-/// wrong arity.
-pub fn prefix_shared_jacobian<F>(
-    circuit: &Circuit,
-    theta: &[f64],
-    rows: &[JacobianRowSpec],
-    num_outputs: usize,
-    mut measure: F,
-) -> (Vec<Vec<f64>>, PrefixStats)
-where
-    F: FnMut(usize, usize, bool, &Statevector) -> Vec<f64>,
-{
-    let ops = circuit.ops();
-    let kernels: Vec<Kernel> = ops
-        .iter()
-        .map(|op| Kernel::from_operation(op, theta))
-        .collect();
-
-    let mut forks: Vec<(usize, usize, ShiftOccurrence)> = Vec::new();
-    for (r, row) in rows.iter().enumerate() {
-        for (o, occ) in row.occurrences.iter().enumerate() {
-            assert!(
-                ops[occ.op_index].gate.supports_shift_rule(),
-                "occurrence at op {} ({}) lacks the shift rule; decompose first",
-                occ.op_index,
-                ops[occ.op_index].gate
-            );
-            forks.push((r, o, *occ));
-        }
-    }
-    // Ascending fork point keeps the shared prefix monotone; row/occurrence
-    // order breaks ties deterministically.
-    forks.sort_by_key(|&(r, o, occ)| (occ.op_index, r, o));
-
-    let mut stats = PrefixStats {
-        forks: 2 * forks.len(),
-        gates_simulated: 0,
-        naive_gates: 2 * forks.len() * ops.len(),
-    };
-    let mut out = vec![vec![0.0; num_outputs]; rows.len()];
-    let mut span = qoc_telemetry::span!(
-        "diff.prefix",
-        rows = rows.len(),
-        forks = stats.forks,
-        naive_gates = stats.naive_gates,
-    );
-
-    let mut prefix = pooled_zero(circuit.num_qubits());
-    let mut prefix_pos = 0usize;
-    for (r, o, occ) in forks {
-        while prefix_pos < occ.op_index {
-            prefix.apply_kernel(&kernels[prefix_pos]);
-            prefix_pos += 1;
-            stats.gates_simulated += 1;
-        }
-        let op = &ops[occ.op_index];
-        let suffix_gates = ops.len() - occ.op_index;
-        for minus in [false, true] {
-            let _fork_span =
-                qoc_telemetry::span!("diff.fork", row = r, suffix_gates = suffix_gates,);
-            let mut angles = op.resolve(theta);
-            angles[occ.slot] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
-            let mut fork = pooled_copy(&prefix);
-            fork.apply_kernel(&Kernel::for_gate(op.gate, &op.qubits, &angles));
-            for k in &kernels[occ.op_index + 1..] {
-                fork.apply_kernel(k);
-            }
-            stats.gates_simulated += suffix_gates;
-            let vals = measure(r, o, minus, &fork);
-            assert_eq!(vals.len(), num_outputs, "measure output arity");
-            let sign = if minus { -0.5 } else { 0.5 };
-            for (acc, v) in out[r].iter_mut().zip(&vals) {
-                *acc += occ.scale * sign * v;
-            }
-        }
-    }
-    if let Some(s) = span.as_mut() {
-        s.field("gates_simulated", stats.gates_simulated);
-    }
-    (out, stats)
 }
 
 /// Work accounting for one adjoint-mode Jacobian evaluation.
@@ -442,10 +329,6 @@ mod tests {
             .collect()
     }
 
-    fn exact_measure(_r: usize, _o: usize, _m: bool, sv: &Statevector) -> Vec<f64> {
-        sv.expectation_all_z()
-    }
-
     /// Mixed circuit exercising shared symbols, affine scales, and a frozen
     /// (constant-angle) prefix.
     fn test_circuit() -> Circuit {
@@ -469,20 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_shared_matches_finite_differences() {
-        let c = test_circuit();
-        let theta = [0.7, -0.3, 1.2];
-        let rows = rows_for_symbols(&c, &[0, 1, 2]);
-        let (jac, stats) = prefix_shared_jacobian(&c, &theta, &rows, 3, exact_measure);
-        let fd = fd_jacobian(&c, &theta, &[0, 1, 2], 1e-6);
-        for (a, b) in jac.iter().flatten().zip(fd.iter().flatten()) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-        assert!(stats.gates_simulated < stats.naive_gates);
-        assert_eq!(stats.forks, 10); // 5 occurrences × 2 shifts
-    }
-
-    #[test]
     fn adjoint_matches_finite_differences() {
         let c = test_circuit();
         let theta = [0.7, -0.3, 1.2];
@@ -495,18 +364,6 @@ mod tests {
         assert_eq!(stats.gates_forward, c.len());
         // Earliest trainable op is index 2 → 5 backward steps × (1 + 3).
         assert_eq!(stats.gates_backward, (c.len() - 1 - 2) * 4);
-    }
-
-    #[test]
-    fn adjoint_and_prefix_agree_tightly() {
-        let c = test_circuit();
-        let theta = [-1.1, 0.9, 0.25];
-        let rows = rows_for_symbols(&c, &[0, 1, 2]);
-        let (a, _) = adjoint_jacobian(&c, &theta, &rows);
-        let (p, _) = prefix_shared_jacobian(&c, &theta, &rows, 3, exact_measure);
-        for (x, y) in a.iter().flatten().zip(p.iter().flatten()) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
     }
 
     #[test]
@@ -593,8 +450,5 @@ mod tests {
         let (jac, stats) = adjoint_jacobian(&c, &[0.1, 0.2, 0.3], &[]);
         assert!(jac.is_empty());
         assert_eq!(stats.gates_backward, 0);
-        let (jac, stats) = prefix_shared_jacobian(&c, &[0.1, 0.2, 0.3], &[], 3, exact_measure);
-        assert!(jac.is_empty());
-        assert_eq!(stats.forks, 0);
     }
 }

@@ -13,8 +13,8 @@
 //! - [`fusion`] — peephole gate fusion compiling a circuit into a
 //!   [`FusedProgram`] reusable across parameter bindings.
 //! - [`diff`] — shift-aware differentiation primitives: Crooks-style gate
-//!   decomposition onto shift-rule-friendly generators, prefix-sharing
-//!   parameter-shift simulation, and adjoint-mode Jacobians.
+//!   decomposition onto shift-rule-friendly generators and adjoint-mode
+//!   Jacobians.
 //! - [`statevector`] / [`simulator`] — exact state evolution, expectation
 //!   values, and shot sampling.
 //! - [`pauli`] — Pauli strings and observables.

@@ -49,7 +49,6 @@ pub mod profiler;
 pub mod prom;
 pub mod quantile;
 pub mod schema;
-pub mod series;
 pub mod sink;
 
 use std::path::PathBuf;

@@ -4,23 +4,17 @@
 //! quantile queries only at bucket resolution and only for `u64` samples —
 //! fine for nanosecond latencies, useless for gradient-health statistics
 //! whose scale is unknown in advance (SNRs span many decades and can sit
-//! entirely inside one bucket). Two complementary estimators fill the gap:
+//! entirely inside one bucket). [`StreamingQuantile`] fills the gap: a
+//! **lock-free** bounded reservoir for concurrent recording — a ring of
+//! `AtomicU64` cells (f64 bit patterns) with a `fetch_add` write cursor.
+//! Recording is one atomic RMW plus one store — no mutex, no CAS loop — so
+//! hot paths (per-parameter SNR recording inside the training loop) never
+//! contend. Quantile queries sort a point-in-time copy of the window, so
+//! they are *exact over the retained window*: the full stream while
+//! `count ≤ capacity`, the most recent `capacity` samples after that (an
+//! unbiased sample for i.i.d. streams).
 //!
-//! - [`P2Quantile`] — the classic Jain/Chlamtac P² algorithm: a
-//!   single-threaded, O(1)-memory marker estimator for one target quantile.
-//!   The offline analyzer (`qoc-analyze`) uses it to summarize long series
-//!   without buffering them.
-//! - [`StreamingQuantile`] — a **lock-free** bounded reservoir for
-//!   concurrent recording: a ring of `AtomicU64` cells (f64 bit patterns)
-//!   with a `fetch_add` write cursor. Recording is one atomic RMW plus one
-//!   store — no mutex, no CAS loop — so hot paths (per-parameter SNR
-//!   recording inside the training loop) never contend. Quantile queries
-//!   sort a point-in-time copy of the window, so they are *exact over the
-//!   retained window*: the full stream while `count ≤ capacity`, the most
-//!   recent `capacity` samples after that (an unbiased sample for i.i.d.
-//!   streams).
-//!
-//! Both are registered in the global metrics
+//! Estimators are registered in the global metrics
 //! [`Registry`](crate::metrics::Registry) via
 //! [`Registry::quantile_estimator`](crate::metrics::Registry::quantile_estimator)
 //! and exported into run manifests as [`QuantileSnapshot`]s.
@@ -28,145 +22,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::Serialize;
-
-/// The P² (piecewise-parabolic) single-quantile estimator of Jain &
-/// Chlamtac (CACM 1985): five markers track the running min, max, target
-/// quantile, and the two intermediate quantiles, adjusting heights by a
-/// parabolic interpolation as samples stream through. O(1) memory, no
-/// buffering; typical rank error well under 1% after a few hundred samples.
-///
-/// Single-threaded by design (the state update is a multi-word transaction);
-/// for concurrent recording use [`StreamingQuantile`].
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    count: u64,
-    /// Marker heights h₁..h₅ (h₃ estimates the target quantile).
-    heights: [f64; 5],
-    /// Actual marker positions n₁..n₅ (1-based ranks).
-    positions: [f64; 5],
-    /// Desired marker positions n′₁..n′₅.
-    desired: [f64; 5],
-    /// Per-sample increments of the desired positions.
-    increments: [f64; 5],
-    /// The first five observations, before the markers are seeded.
-    warmup: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `q ∈ (0, 1)` (use exact min/max tracking for the
-    /// endpoints).
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "P² target must be in (0, 1), got {q}");
-        P2Quantile {
-            q,
-            count: 0,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            warmup: Vec::with_capacity(5),
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if self.count <= 5 {
-            self.warmup.push(x);
-            if self.count == 5 {
-                self.warmup
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-                for (h, w) in self.heights.iter_mut().zip(&self.warmup) {
-                    *h = *w;
-                }
-            }
-            return;
-        }
-
-        // Locate the cell k with h[k] ≤ x < h[k+1], extending the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("cell search covers [h0, h4)")
-        };
-
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Adjust the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let below = self.positions[i] - self.positions[i - 1];
-            let above = self.positions[i + 1] - self.positions[i];
-            if (d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0) {
-                let sign = d.signum();
-                let candidate = self.parabolic(i, sign);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, sign)
-                    };
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    /// Piecewise-parabolic height prediction for marker `i` moved by `d`.
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (n_prev, n, n_next) = (
-            self.positions[i - 1],
-            self.positions[i],
-            self.positions[i + 1],
-        );
-        let (h_prev, h, h_next) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        h + d / (n_next - n_prev)
-            * ((n - n_prev + d) * (h_next - h) / (n_next - n)
-                + (n_next - n - d) * (h - h_prev) / (n - n_prev))
-    }
-
-    /// Linear fallback when the parabola would break marker monotonicity.
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current estimate of the target quantile (exact while `count ≤ 5`;
-    /// 0.0 before any sample).
-    pub fn value(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count <= 5 {
-            let mut sorted = self.warmup.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            let rank = ((self.q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-            return sorted[rank.min(sorted.len() - 1)];
-        }
-        self.heights[2]
-    }
-}
 
 /// Lock-free bounded reservoir for concurrent quantile estimation.
 ///
@@ -298,65 +153,6 @@ mod tests {
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         quantile_of_sorted(&sorted, q)
-    }
-
-    #[test]
-    fn p2_is_exact_under_five_samples() {
-        let mut p = P2Quantile::new(0.5);
-        assert_eq!(p.value(), 0.0);
-        for x in [5.0, 1.0, 3.0] {
-            p.record(x);
-        }
-        assert_eq!(p.value(), 3.0);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_median_closely() {
-        let mut p = P2Quantile::new(0.5);
-        // Deterministic low-discrepancy stream over (0, 1).
-        let mut x = 0.5f64;
-        let mut values = Vec::new();
-        for _ in 0..5000 {
-            x = (x + 0.618_033_988_749_895) % 1.0;
-            p.record(x);
-            values.push(x);
-        }
-        let exact = exact_quantile(&values, 0.5);
-        assert!(
-            (p.value() - exact).abs() < 0.02,
-            "P² median {} vs exact {exact}",
-            p.value()
-        );
-    }
-
-    #[test]
-    fn p2_handles_the_published_worked_example() {
-        // The 20-observation data set from the original P² paper. Published
-        // walk-throughs differ in the final decimals (marker-adjustment
-        // ordering varies between presentations), so assert the invariant
-        // that matters: the median estimate's empirical rank is close to
-        // 0.5 on this adversarially spread sample.
-        let data = [
-            0.02, 0.5, 0.74, 3.39, 0.83, 22.37, 10.15, 15.43, 38.62, 15.92, 34.60, 10.28, 1.47,
-            0.40, 0.05, 11.39, 0.27, 0.42, 0.09, 11.37,
-        ];
-        let mut p = P2Quantile::new(0.5);
-        for x in data {
-            p.record(x);
-        }
-        assert_eq!(p.count(), 20);
-        let est = p.value();
-        let rank = data.iter().filter(|&&x| x <= est).count() as f64 / data.len() as f64;
-        assert!(
-            (rank - 0.5).abs() <= 0.1,
-            "P² median {est} sits at rank {rank}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "in (0, 1)")]
-    fn p2_rejects_endpoint_targets() {
-        let _ = P2Quantile::new(0.0);
     }
 
     #[test]

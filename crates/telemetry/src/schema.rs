@@ -90,20 +90,6 @@ pub const ALLOC_WINDOW_FIELDS: &[(&str, FieldKind)] = &[
     ("retuned", FieldKind::Bool),
 ];
 
-/// Required fields of a `diff.prefix` span: one per prefix-shared Jacobian
-/// evaluation on a statevector backend.
-pub const DIFF_PREFIX_FIELDS: &[(&str, FieldKind)] = &[
-    ("rows", FieldKind::UInt),
-    ("forks", FieldKind::UInt),
-    ("naive_gates", FieldKind::UInt),
-    ("gates_simulated", FieldKind::UInt),
-];
-
-/// Required fields of a `diff.fork` span: one per pooled-state fork (each ±
-/// shift of each occurrence) inside a prefix-shared evaluation.
-pub const DIFF_FORK_FIELDS: &[(&str, FieldKind)] =
-    &[("row", FieldKind::UInt), ("suffix_gates", FieldKind::UInt)];
-
 /// Required fields of a `diff.adjoint` span: one per adjoint-mode Jacobian
 /// evaluation (single forward pass + backward adjoint sweep).
 pub const DIFF_ADJOINT_FIELDS: &[(&str, FieldKind)] = &[
@@ -257,15 +243,9 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
             _ => {}
         }
     }
-    // Differentiation spans carry the counters the analyzer's prefix-reuse
-    // ratio and per-mode phase table are built from.
-    if kind == "span" {
-        match value.get("span").and_then(Value::as_str) {
-            Some("diff.prefix") => check_fields(fields, DIFF_PREFIX_FIELDS, "diff.prefix")?,
-            Some("diff.fork") => check_fields(fields, DIFF_FORK_FIELDS, "diff.fork")?,
-            Some("diff.adjoint") => check_fields(fields, DIFF_ADJOINT_FIELDS, "diff.adjoint")?,
-            _ => {}
-        }
+    // The adjoint span must carry its work counters as unsigned integers.
+    if kind == "span" && value.get("span").and_then(Value::as_str) == Some("diff.adjoint") {
+        check_fields(fields, DIFF_ADJOINT_FIELDS, "diff.adjoint")?;
     }
     Ok(())
 }
@@ -520,21 +500,17 @@ mod tests {
 
     #[test]
     fn golden_diff_spans_pass() {
-        // Pinned wire shapes of the three differentiation-span kinds emitted
-        // by the shift planner's structured modes.
-        let prefix = r#"{"ts":500,"kind":"span","level":"debug","span":"diff.prefix","thread":0,"dur_ns":42000,"fields":{"rows":8,"forks":16,"naive_gates":768,"gates_simulated":312}}"#;
-        assert_eq!(check_trace_record(&parse(prefix)), Ok(()));
-        let fork = r#"{"ts":510,"kind":"span","level":"debug","span":"diff.fork","thread":0,"dur_ns":900,"fields":{"row":3,"suffix_gates":7}}"#;
-        assert_eq!(check_trace_record(&parse(fork)), Ok(()));
+        // Pinned wire shape of the differentiation span emitted by the shift
+        // planner's structured adjoint mode.
         let adjoint = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":24,"gates_backward":115}}"#;
         assert_eq!(check_trace_record(&parse(adjoint)), Ok(()));
     }
 
     #[test]
     fn diff_span_with_missing_counter_is_rejected() {
-        let prefix = r#"{"ts":500,"kind":"span","level":"debug","span":"diff.prefix","thread":0,"dur_ns":42000,"fields":{"rows":8,"forks":16,"naive_gates":768}}"#;
-        let err = check_trace_record(&parse(prefix)).unwrap_err();
-        assert!(err.contains("gates_simulated"), "unexpected error: {err}");
+        let missing = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":24}}"#;
+        let err = check_trace_record(&parse(missing)).unwrap_err();
+        assert!(err.contains("gates_backward"), "unexpected error: {err}");
         let adjoint = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":"many","gates_backward":115}}"#;
         let err = check_trace_record(&parse(adjoint)).unwrap_err();
         assert!(err.contains("gates_forward"), "unexpected error: {err}");
