@@ -1,5 +1,10 @@
 //! Noisy density-matrix simulation cost — the dominant expense of every
 //! emulated device execution (and hence of on-chip training experiments).
+//!
+//! Rows: one thermal-relaxation channel on a 4-qubit state, a 2-qubit
+//! Kraus channel at 2/4/6 qubits, and one compiled 1024-shot device run of
+//! the MNIST-2 (santiago) and MNIST-4 (jakarta) circuits. Writes
+//! `BENCH_density.json` at the repository root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -68,10 +73,20 @@ fn bench_device_execution(c: &mut Criterion) {
     group.finish();
 }
 
+/// Dumps the timing rows to `BENCH_density.json`.
+fn dump_artifact(c: &mut Criterion) {
+    let timings = c
+        .take_results()
+        .into_iter()
+        .map(|r| qoc_bench::suite::timing_row(&r.id, r.median_ns, r.mean_ns, r.min_ns, r.samples));
+    qoc_bench::suite::write_bench_artifact("BENCH_density.json", timings, Vec::new());
+}
+
 criterion_group!(
     benches,
     bench_kraus_application,
     bench_thermal_channel,
-    bench_device_execution
+    bench_device_execution,
+    dump_artifact
 );
 criterion_main!(benches);

@@ -43,7 +43,7 @@ use qoc_sim::fusion::FusedProgram;
 use qoc_sim::statevector::with_scratch_state;
 
 use qoc_noise::model::NoiseModel;
-use qoc_noise::sim::NoisyDensitySimulator;
+use qoc_noise::sim::NoisyProgram;
 use qoc_noise::trajectory::{TrajectoryNoise, TrajectorySimulator};
 
 use crate::backends::DeviceDescription;
@@ -107,12 +107,12 @@ enum Plan {
         circuit: Circuit,
         program: FusedProgram,
     },
-    /// Hardware plan: compacted physical circuit + noise + latency.
+    /// Hardware plan: the compacted physical circuit compiled with its
+    /// noise into in-place density passes, plus latency.
     Device {
-        compact: Circuit,
+        program: NoisyProgram,
         /// Logical qubit → compact wire carrying its readout.
         logical_readout: Vec<usize>,
-        noise: NoiseModel,
         traj_noise: TrajectoryNoise,
         per_shot_ns: f64,
         overhead_ns: f64,
@@ -138,7 +138,7 @@ impl PreparedCircuit {
     pub fn executable(&self) -> &Circuit {
         match &self.plan {
             Plan::Direct { circuit, .. } => circuit,
-            Plan::Device { compact, .. } => compact,
+            Plan::Device { program, .. } => program.circuit(),
         }
     }
 }
@@ -1032,9 +1032,8 @@ impl QuantumBackend for FakeDevice {
         PreparedCircuit {
             logical_qubits: circuit.num_qubits(),
             plan: Plan::Device {
-                compact,
+                program: NoisyProgram::compile(compact, &noise),
                 logical_readout,
-                noise,
                 traj_noise,
                 per_shot_ns: job.circuit_duration_ns + job.readout_ns + job.rep_delay_ns,
                 overhead_ns: job.overhead_ns,
@@ -1051,9 +1050,8 @@ impl QuantumBackend for FakeDevice {
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
         let Plan::Device {
-            compact,
+            program,
             logical_readout,
-            noise,
             traj_noise,
             per_shot_ns,
             overhead_ns,
@@ -1069,11 +1067,11 @@ impl QuantumBackend for FakeDevice {
         let seconds = (overhead_ns + shots as f64 * per_shot_ns) / 1e9;
         self.stats.record(shots as u64, seconds);
 
+        let compact = program.circuit();
         let physical = if compact.num_qubits() <= self.density_matrix_limit {
-            let sim = NoisyDensitySimulator::new(noise.clone());
             match execution {
-                Execution::Exact => sim.expectations_z(compact, theta),
-                Execution::Shots(s) => sim.sampled_expectations_z(compact, theta, s, rng),
+                Execution::Exact => program.expectations_z(theta),
+                Execution::Shots(s) => program.sampled_expectations_z(theta, s, rng),
             }
         } else {
             let sim = TrajectorySimulator::new(*traj_noise);
@@ -1090,9 +1088,8 @@ impl QuantumBackend for FakeDevice {
 
     fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
         let Plan::Device {
-            compact,
+            program,
             logical_readout,
-            noise,
             overhead_ns,
             ..
         } = &prepared.plan
@@ -1100,15 +1097,14 @@ impl QuantumBackend for FakeDevice {
             panic!("prepared circuit belongs to a different backend kind");
         };
         assert!(
-            compact.num_qubits() <= self.density_matrix_limit,
+            program.num_qubits() <= self.density_matrix_limit,
             "exact outcome distributions need the density-matrix path \
              ({} > {} qubits)",
-            compact.num_qubits(),
+            program.num_qubits(),
             self.density_matrix_limit
         );
         self.stats.record(0, overhead_ns / 1e9);
-        let sim = NoisyDensitySimulator::new(noise.clone());
-        let compact_probs = sim.outcome_probabilities(compact, theta);
+        let compact_probs = program.outcome_probabilities(theta);
         // Marginalize onto the logical readout wires, logical bit order.
         let n_logical = logical_readout.len();
         let mut out = vec![0.0; 1 << n_logical];

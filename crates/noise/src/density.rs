@@ -15,6 +15,9 @@ use qoc_sim::statevector::Statevector;
 
 use crate::kraus::KrausChannel;
 
+/// Widest density matrix supported (a `4¹⁵`-entry buffer).
+pub(crate) const MAX_QUBITS: usize = 15;
+
 /// A mixed quantum state on `num_qubits` qubits.
 ///
 /// Qubit `k` is bit `k` of both row and column indices (little-endian, same
@@ -40,7 +43,10 @@ pub struct DensityMatrix {
 impl DensityMatrix {
     /// The pure state `|0…0⟩⟨0…0|`.
     pub fn zero_state(num_qubits: usize) -> Self {
-        assert!(num_qubits < 16, "density matrices limited to < 16 qubits");
+        assert!(
+            num_qubits <= MAX_QUBITS,
+            "density matrices limited to {MAX_QUBITS} qubits"
+        );
         let dim = 1usize << num_qubits;
         let mut mat = CMatrix::zeros(dim, dim);
         mat[(0, 0)] = Complex64::ONE;
@@ -100,88 +106,6 @@ impl DensityMatrix {
         acc
     }
 
-    /// Applies `U · ρ` on the row index restricted to `qubits` (first listed
-    /// qubit = least-significant matrix bit).
-    fn apply_left(&mut self, u: &CMatrix, qubits: &[usize]) {
-        let k = qubits.len();
-        let sub = 1usize << k;
-        let dim = self.mat.rows();
-        let masks: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
-        let full: usize = masks.iter().sum();
-        let mut scratch = vec![Complex64::ZERO; sub];
-        for col in 0..dim {
-            for base in 0..dim {
-                if base & full != 0 {
-                    continue;
-                }
-                for (r, s) in scratch.iter_mut().enumerate() {
-                    let mut idx = base;
-                    for (bit, m) in masks.iter().enumerate() {
-                        if (r >> bit) & 1 == 1 {
-                            idx |= m;
-                        }
-                    }
-                    *s = self.mat[(idx, col)];
-                }
-                for r in 0..sub {
-                    let mut idx = base;
-                    for (bit, m) in masks.iter().enumerate() {
-                        if (r >> bit) & 1 == 1 {
-                            idx |= m;
-                        }
-                    }
-                    let row = &u.as_slice()[sub * r..sub * (r + 1)];
-                    let mut acc = Complex64::ZERO;
-                    for (c, &amp) in scratch.iter().enumerate() {
-                        acc = row[c].mul_add(amp, acc);
-                    }
-                    self.mat[(idx, col)] = acc;
-                }
-            }
-        }
-    }
-
-    /// Applies `ρ · U†` on the column index restricted to `qubits`.
-    fn apply_right_adjoint(&mut self, u: &CMatrix, qubits: &[usize]) {
-        let k = qubits.len();
-        let sub = 1usize << k;
-        let dim = self.mat.rows();
-        let masks: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
-        let full: usize = masks.iter().sum();
-        let mut scratch = vec![Complex64::ZERO; sub];
-        for row in 0..dim {
-            for base in 0..dim {
-                if base & full != 0 {
-                    continue;
-                }
-                for (c, s) in scratch.iter_mut().enumerate() {
-                    let mut idx = base;
-                    for (bit, m) in masks.iter().enumerate() {
-                        if (c >> bit) & 1 == 1 {
-                            idx |= m;
-                        }
-                    }
-                    *s = self.mat[(row, idx)];
-                }
-                for j in 0..sub {
-                    let mut idx = base;
-                    for (bit, m) in masks.iter().enumerate() {
-                        if (j >> bit) & 1 == 1 {
-                            idx |= m;
-                        }
-                    }
-                    // (ρU†)[row, j] = Σ_c ρ[row, c] · conj(U[j, c]).
-                    let urow = &u.as_slice()[sub * j..sub * (j + 1)];
-                    let mut acc = Complex64::ZERO;
-                    for (c, &amp) in scratch.iter().enumerate() {
-                        acc = urow[c].conj().mul_add(amp, acc);
-                    }
-                    self.mat[(row, idx)] = acc;
-                }
-            }
-        }
-    }
-
     /// Applies a unitary `ρ ↦ UρU†` via a specialized gate [`Kernel`].
     ///
     /// The row-major matrix is treated as a flat `4ⁿ` amplitude vector on
@@ -200,27 +124,42 @@ impl DensityMatrix {
         kernel.conj().apply(self.mat.as_mut_slice());
     }
 
-    /// Applies a unitary `ρ ↦ UρU†` on the listed qubits.
+    /// Applies a unitary `ρ ↦ UρU†` on one or two listed qubits, as the
+    /// dense [`Kernel::Unitary1`]/[`Kernel::Unitary2`] pass pair.
     ///
     /// # Panics
     ///
-    /// Panics if the matrix size does not match the qubit count or an index
-    /// is out of range.
+    /// Panics if the matrix size does not match the qubit count, more than
+    /// two qubits are listed, or an index is out of range.
     pub fn apply_unitary(&mut self, u: &CMatrix, qubits: &[usize]) {
         let dim = 1usize << qubits.len();
         assert_eq!((u.rows(), u.cols()), (dim, dim), "matrix/qubit mismatch");
-        for &q in qubits {
-            assert!(q < self.num_qubits, "qubit {q} out of range");
-        }
-        self.apply_left(u, qubits);
-        self.apply_right_adjoint(u, qubits);
+        self.check_qubits(qubits);
+        let kernel = match *qubits {
+            [q] => {
+                let mut m = [Complex64::ZERO; 4];
+                m.copy_from_slice(u.as_slice());
+                Kernel::Unitary1 { q, m }
+            }
+            [a, b] => {
+                let mut m = [Complex64::ZERO; 16];
+                m.copy_from_slice(u.as_slice());
+                Kernel::Unitary2 { a, b, m }
+            }
+            _ => panic!("unitaries act on one or two qubits, got {}", qubits.len()),
+        };
+        self.apply_kernel(&kernel);
     }
 
-    /// Applies a Kraus channel `ρ ↦ Σ KᵢρKᵢ†` on the listed qubits.
+    /// Applies a Kraus channel `ρ ↦ Σ KᵢρKᵢ†` on one or two listed qubits.
+    ///
+    /// The channel is converted to its superoperator `S = Σ Kᵢ ⊗ K̄ᵢ` and
+    /// applied in one in-place pass: no copy of `ρ` is made per operator.
     ///
     /// # Panics
     ///
-    /// Panics on a dimension/qubit mismatch.
+    /// Panics on a dimension/qubit mismatch or a channel on more than two
+    /// qubits.
     pub fn apply_kraus(&mut self, channel: &KrausChannel, qubits: &[usize]) {
         assert_eq!(
             channel.num_qubits(),
@@ -233,19 +172,57 @@ impl DensityMatrix {
             self.apply_unitary(&channel.operators()[0], qubits);
             return;
         }
-        let dim = self.mat.rows();
-        let mut acc = CMatrix::zeros(dim, dim);
-        for k in channel.operators() {
-            let mut term = self.clone();
-            term.apply_left(k, qubits);
-            term.apply_right_adjoint(k, qubits);
-            acc = &acc + &term.mat;
+        self.check_qubits(qubits);
+        let s = superoperator(channel);
+        match *qubits {
+            [q] => {
+                let mut m = [Complex64::ZERO; 16];
+                m.copy_from_slice(s.as_slice());
+                self.apply_superop_1q(q, &m);
+            }
+            [a, b] => self.apply_superop_2q(a, b, s.as_slice()),
+            _ => panic!(
+                "Kraus channels act on one or two qubits, got {}",
+                qubits.len()
+            ),
         }
-        self.mat = acc;
+    }
+
+    /// Applies a one-qubit superoperator in place: `s` is row-major 4×4 on
+    /// the local index `c + 2r` of qubit `q` (column bit `c`, row bit `r`),
+    /// i.e. one [`Kernel::Unitary2`] pass on flattened bits `(q, n + q)`.
+    pub(crate) fn apply_superop_1q(&mut self, q: usize, s: &[Complex64; 16]) {
+        let b = self.num_qubits + q;
+        Kernel::Unitary2 { a: q, b, m: *s }.apply(self.mat.as_mut_slice());
+    }
+
+    /// Applies a two-qubit superoperator in place: `s` is row-major 16×16
+    /// on the local index `c + 4r`, where `c = c_a + 2·c_b` are the column
+    /// bits and `r = r_a + 2·r_b` the row bits of qubits `(a, b)`.
+    pub(crate) fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64]) {
+        debug_assert_eq!(s.len(), 256, "two-qubit superoperator is 16×16");
+        let n = self.num_qubits;
+        let offsets: [usize; 16] =
+            std::array::from_fn(|x| spread(x & 3, &[a, b], 0) | spread(x >> 2, &[a, b], n));
+        let mask = offsets[15];
+        let flat = self.mat.as_mut_slice();
+        for base in 0..flat.len() {
+            if base & mask != 0 {
+                continue;
+            }
+            let v: [Complex64; 16] = std::array::from_fn(|x| flat[base | offsets[x]]);
+            for (row, &off) in s.chunks_exact(16).zip(&offsets) {
+                let mut acc = Complex64::ZERO;
+                for (&m, &x) in row.iter().zip(&v) {
+                    acc = m.mul_add(x, acc);
+                }
+                flat[base | off] = acc;
+            }
+        }
     }
 
     /// Applies a uniform-Pauli depolarizing channel of probability `p`
-    /// analytically: `ρ ↦ (1−λ)ρ + λ·(I/d ⊗ tr_sub ρ)` with
+    /// analytically and in place: `ρ ↦ (1−λ)ρ + λ·(I/d ⊗ tr_sub ρ)` with
     /// `λ = p·d²/(d²−1)` — one linear pass instead of `d²` Kraus
     /// conjugations, which makes calibrated CX noise ~16× cheaper.
     ///
@@ -254,66 +231,52 @@ impl DensityMatrix {
     /// Panics if `p ∉ [0, 1]` or a qubit index is invalid.
     pub fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        for &q in qubits {
-            assert!(q < self.num_qubits, "qubit {q} out of range");
-        }
+        self.check_qubits(qubits);
         if p == 0.0 || qubits.is_empty() {
             return;
         }
-        let d = (1usize << qubits.len()) as f64;
+        let n = self.num_qubits;
+        let sub = 1usize << qubits.len();
+        let d = sub as f64;
         // λ may exceed 1 for p near 1 (over-uniform Pauli mixing); the map
         // stays CPTP for p ≤ 1, so no clamping.
         let lambda = p * d * d / (d * d - 1.0);
-        let mixed = self.partially_mixed(qubits);
-        let dim = self.mat.rows();
-        for i in 0..dim {
-            for j in 0..dim {
-                self.mat[(i, j)] = self.mat[(i, j)] * (1.0 - lambda) + mixed[(i, j)] * lambda;
+        let inv_d = 1.0 / d;
+        let mask = spread(sub - 1, qubits, 0) | spread(sub - 1, qubits, n);
+        let flat = self.mat.as_mut_slice();
+        // Block (i_rest, j_rest): out[(i_rest, x), (j_rest, y)] =
+        // (1−λ)·ρ[…] + λ·δ_{x,y}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
+        for base in 0..flat.len() {
+            if base & mask != 0 {
+                continue;
+            }
+            let mut acc = Complex64::ZERO;
+            for s in 0..sub {
+                acc += flat[base | spread(s, qubits, 0) | spread(s, qubits, n)];
+            }
+            let acc = acc * inv_d;
+            for x in 0..sub {
+                let row = base | spread(x, qubits, n);
+                for y in 0..sub {
+                    let i = row | spread(y, qubits, 0);
+                    let mixed = if x == y { acc } else { Complex64::ZERO };
+                    flat[i] = flat[i] * (1.0 - lambda) + mixed * lambda;
+                }
             }
         }
     }
 
-    /// `I/d ⊗ tr_sub ρ`: the state with the listed qubits replaced by the
-    /// maximally mixed state and everything else marginalized onto them.
-    fn partially_mixed(&self, qubits: &[usize]) -> CMatrix {
-        let dim = self.mat.rows();
-        let masks: Vec<usize> = qubits.iter().map(|&q| 1usize << q).collect();
-        let full: usize = masks.iter().sum();
-        let sub = 1usize << qubits.len();
-        let inv_d = 1.0 / sub as f64;
-        let mut out = CMatrix::zeros(dim, dim);
-        // out[(i_rest, a), (j_rest, a')] = δ_{a,a'}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
-        for i in 0..dim {
-            if i & full != 0 {
-                continue;
-            }
-            for j in 0..dim {
-                if j & full != 0 {
-                    continue;
-                }
-                let mut acc = Complex64::ZERO;
-                for s in 0..sub {
-                    let mut off = 0usize;
-                    for (bit, m) in masks.iter().enumerate() {
-                        if (s >> bit) & 1 == 1 {
-                            off |= m;
-                        }
-                    }
-                    acc += self.mat[(i | off, j | off)];
-                }
-                let acc = acc * inv_d;
-                for a in 0..sub {
-                    let mut off = 0usize;
-                    for (bit, m) in masks.iter().enumerate() {
-                        if (a >> bit) & 1 == 1 {
-                            off |= m;
-                        }
-                    }
-                    out[(i | off, j | off)] = acc;
-                }
-            }
+    /// Resets to `|0…0⟩⟨0…0|` without reallocating.
+    pub(crate) fn reset_zero(&mut self) {
+        let flat = self.mat.as_mut_slice();
+        flat.fill(Complex64::ZERO);
+        flat[0] = Complex64::ONE;
+    }
+
+    fn check_qubits(&self, qubits: &[usize]) {
+        for &q in qubits {
+            assert!(q < self.num_qubits, "qubit {q} out of range");
         }
-        out
     }
 
     /// Measurement probabilities in the computational basis (the diagonal).
@@ -384,6 +347,41 @@ pub fn sample_from_probabilities<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> BTreeMap<usize, u32> {
     qoc_sim::statevector::sample_counts_from_probabilities(probs, shots, rng)
+}
+
+/// The superoperator `S = Σ Kᵢ ⊗ K̄ᵢ` of a Kraus channel on `k` qubits: a
+/// `4ᵏ × 4ᵏ` matrix acting on the local index `c + 2ᵏ·r` (column bits `c`
+/// low, row bits `r` high, first listed qubit least significant in each),
+/// so that `ρ'[r, c] = Σ S[c + 2ᵏr, c' + 2ᵏr'] · ρ[r', c']`.
+pub(crate) fn superoperator(channel: &KrausChannel) -> CMatrix {
+    let d = 1usize << channel.num_qubits();
+    let mut s = CMatrix::zeros(d * d, d * d);
+    let out = s.as_mut_slice();
+    for k in channel.operators() {
+        let k = k.as_slice();
+        // S[r·d + c, r'·d + c'] += K[r, r'] · conj(K[c, c']), skipping the
+        // zero entries that make Pauli-type operators sparse.
+        for (rr, &a) in k.iter().enumerate() {
+            if a == Complex64::ZERO {
+                continue;
+            }
+            let (r, r2) = (rr / d, rr % d);
+            for (cc, &b) in k.iter().enumerate() {
+                let (c, c2) = (cc / d, cc % d);
+                out[(r * d + c) * d * d + r2 * d + c2] += a * b.conj();
+            }
+        }
+    }
+    s
+}
+
+/// Spreads the low bits of `x` onto the bit positions `qubits[i] + offset`.
+#[inline]
+fn spread(x: usize, qubits: &[usize], offset: usize) -> usize {
+    qubits
+        .iter()
+        .enumerate()
+        .fold(0, |acc, (i, &q)| acc | (((x >> i) & 1) << (q + offset)))
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! - [`density`] — exact density-matrix state evolution (4-qubit QNNs fit in
 //!   a 16×16 matrix).
 //! - [`model`] — per-gate/per-qubit channel assignment plus readout error.
-//! - [`sim`] — the noisy executor that stands in for a real backend.
+//! - [`sim`] — the noisy executor that stands in for a real backend: a
+//!   circuit and its noise compiled into fused in-place superoperator passes.
 //! - [`readout`] — measurement confusion matrices.
 //! - [`trajectory`] — Monte-Carlo Pauli trajectories for wide circuits.
 //!
@@ -50,5 +51,5 @@ pub use density::DensityMatrix;
 pub use kraus::KrausChannel;
 pub use model::{NoiseModel, NoiseModelBuilder};
 pub use readout::ReadoutError;
-pub use sim::NoisyDensitySimulator;
+pub use sim::{NoisyDensitySimulator, NoisyProgram};
 pub use trajectory::{TrajectoryNoise, TrajectorySimulator};

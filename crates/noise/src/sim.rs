@@ -1,38 +1,403 @@
 //! Noisy circuit execution on the density-matrix backend.
+//!
+//! A circuit and its noise model compile into a [`NoisyProgram`] that
+//! updates `ρ` in place:
+//!
+//! - Every single-qubit gate is followed by the same per-wire noise, so the
+//!   gate and its noise fold into one 4×4 superoperator
+//!   `S = N_q · (U ⊗ Ū)` on the local index `c + 2r` of wire `q` (column
+//!   bit `c`, row bit `r` of the flattened `ρ`). `N_q`, the product of the
+//!   wire's noise-entry superoperators (e.g. thermal · depolarizing), is
+//!   composed once at compile time; only `U` is rebound per `θ`, and
+//!   constant gates are baked in whole.
+//! - Single-qubit maps on different wires commute, so consecutive
+//!   superoperators on one wire multiply into a *pending* 4×4 that touches
+//!   `ρ` only when a two-qubit gate needs the wire, or at the end: one
+//!   [`Kernel::Unitary2`] pass on the flattened bits `(q, n + q)` per run of
+//!   single-qubit gates. The fusion is exact; only the floating-point
+//!   summation order changes.
+//! - Two-qubit gates keep their kernel pass pair, their analytic
+//!   depolarizing runs in place, a two-qubit Kraus channel runs as one
+//!   16×16 superoperator pass, and per-wire entries (thermal relaxation
+//!   during a CX) start that wire's next pending map.
+//!
+//! The dense per-gate Kraus evolution is the oracle the program is tested
+//! against (`tests/compiled_equivalence.rs`).
+
+use std::cell::RefCell;
 
 use rand::Rng;
 
-use qoc_sim::circuit::Circuit;
-use qoc_sim::kernels::Kernel;
+use qoc_sim::circuit::{Circuit, Operation, ParamValue};
+use qoc_sim::complex::Complex64;
+use qoc_sim::kernels::{entries_1q, Kernel};
 use qoc_sim::statevector::expectation_z_from_counts;
 
-use crate::density::{sample_from_probabilities, DensityMatrix};
-use crate::model::{GateNoise, NoiseModel, NoiseOpKind, WireSelect};
-use crate::readout::apply_confusion;
+use crate::channels::depolarizing_1q;
+use crate::density::{sample_from_probabilities, superoperator, DensityMatrix, MAX_QUBITS};
+use crate::model::{NoiseModel, NoiseOpKind, WireSelect};
+use crate::readout::{apply_confusion, ReadoutError};
 
-/// Applies one noise entry after a gate on `gate_wires`.
-fn apply_noise(rho: &mut DensityMatrix, noise: &GateNoise, gate_wires: &[usize]) {
-    let single;
-    let wires: &[usize] = match noise.wires {
-        WireSelect::Gate => gate_wires,
-        WireSelect::Wire(i) => {
-            single = [gate_wires[i]];
-            &single
+/// A row-major 4×4 single-qubit superoperator on the local index `c + 2r`.
+type Super1 = [Complex64; 16];
+
+const IDENTITY: Super1 = {
+    let mut m = [Complex64::ZERO; 16];
+    m[0] = Complex64::ONE;
+    m[5] = Complex64::ONE;
+    m[10] = Complex64::ONE;
+    m[15] = Complex64::ONE;
+    m
+};
+
+/// Density matrices parked per thread; more widths than this are rare.
+const SCRATCH_CAP: usize = 2;
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<DensityMatrix>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on a reusable density matrix of width `n` from a per-thread
+/// pool, so repeated runs of a program allocate no `4ⁿ` buffer.
+fn with_scratch_density<T>(n: usize, f: impl FnOnce(&mut DensityMatrix) -> T) -> T {
+    let parked = SCRATCH.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let i = pool.iter().position(|rho| rho.num_qubits() == n)?;
+        Some(pool.swap_remove(i))
+    });
+    let mut rho = parked.unwrap_or_else(|| DensityMatrix::zero_state(n));
+    let out = f(&mut rho);
+    SCRATCH.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        if pool.len() < SCRATCH_CAP {
+            pool.push(rho);
         }
+    });
+    out
+}
+
+/// `a · b` for row-major 4×4 matrices.
+fn mul4(a: &Super1, b: &Super1) -> Super1 {
+    std::array::from_fn(|i| {
+        let (r, c) = (i / 4, i % 4);
+        let mut acc = Complex64::ZERO;
+        for k in 0..4 {
+            acc = a[4 * r + k].mul_add(b[4 * k + c], acc);
+        }
+        acc
+    })
+}
+
+/// `U ⊗ Ū`, the superoperator of `ρ ↦ UρU†` for a row-major 2×2 `U`:
+/// `S[2r + c, 2r' + c'] = U[r, r'] · conj(U[c, c'])`.
+fn conjugation(u: &[Complex64; 4]) -> Super1 {
+    std::array::from_fn(|i| {
+        let (row, col) = (i / 4, i % 4);
+        u[2 * (row >> 1) + (col >> 1)] * u[2 * (row & 1) + (col & 1)].conj()
+    })
+}
+
+/// The superoperator of a single-wire noise entry (a depolarizing entry
+/// through its uniform-Pauli Kraus form, equal to the analytic map).
+fn entry_superop(kind: &NoiseOpKind) -> Super1 {
+    let channel = match kind {
+        NoiseOpKind::Kraus(channel) => superoperator(channel),
+        NoiseOpKind::Depolarizing(p) => superoperator(&depolarizing_1q(*p)),
     };
-    match &noise.kind {
-        NoiseOpKind::Kraus(channel) => rho.apply_kraus(channel, wires),
-        NoiseOpKind::Depolarizing(p) => rho.apply_depolarizing(*p, wires),
+    let mut s = [Complex64::ZERO; 16];
+    s.copy_from_slice(channel.as_slice());
+    s
+}
+
+/// `N_q · (U ⊗ Ū)` for single-qubit gate `op` bound against `theta`.
+fn gate_superop(op: &Operation, theta: &[f64], noise: Option<&Super1>) -> Super1 {
+    let mut buf = [0.0f64; 3];
+    for (slot, p) in buf.iter_mut().zip(&op.params) {
+        *slot = p.eval(theta);
+    }
+    let s = conjugation(&entries_1q(op.gate, &buf[..op.params.len()]));
+    noise.map_or(s, |n| mul4(n, &s))
+}
+
+/// One in-place pass (or pending-map update) of a compiled program.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Multiplies compile-time superoperator `folds[fold]` into wire `q`'s
+    /// pending map.
+    Fold { q: usize, fold: usize },
+    /// Binds symbolic single-qubit gate `op` and folds `N_q · (U ⊗ Ū)` into
+    /// its wire's pending map.
+    Bind { op: usize },
+    /// Applies wire `q`'s pending map to `ρ` and resets it to identity.
+    Flush { q: usize },
+    /// Two-qubit gate `op` as its kernel pass pair.
+    Gate2 { op: usize },
+    /// Analytic depolarizing on the gate's wires, in place.
+    Depolarize { wires: [usize; 2], p: f64 },
+    /// A two-qubit Kraus channel as its 16×16 superoperator.
+    Kraus2 {
+        wires: [usize; 2],
+        s: Vec<Complex64>,
+    },
+}
+
+/// What a wire's pending map holds while compiling.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pending {
+    /// Identity: nothing to flush.
+    Clean,
+    /// Ends in the compile-time map `folds[i]`, which later constant maps
+    /// on the wire multiply into.
+    Fold(usize),
+    /// Ends in a per-`θ` binding.
+    Bound,
+}
+
+/// Step list under construction, with each wire's pending-map state.
+struct Builder {
+    steps: Vec<Step>,
+    folds: Vec<Super1>,
+    pending: Vec<Pending>,
+}
+
+impl Builder {
+    fn fold(&mut self, q: usize, s: Super1) {
+        if let Pending::Fold(i) = self.pending[q] {
+            self.folds[i] = mul4(&s, &self.folds[i]);
+            return;
+        }
+        self.pending[q] = Pending::Fold(self.folds.len());
+        self.steps.push(Step::Fold {
+            q,
+            fold: self.folds.len(),
+        });
+        self.folds.push(s);
+    }
+
+    fn bind(&mut self, q: usize, op: usize) {
+        self.pending[q] = Pending::Bound;
+        self.steps.push(Step::Bind { op });
+    }
+
+    fn flush(&mut self, q: usize) {
+        if self.pending[q] != Pending::Clean {
+            self.pending[q] = Pending::Clean;
+            self.steps.push(Step::Flush { q });
+        }
     }
 }
 
-/// Exact noisy simulator: unitary gates interleaved with the noise model's
-/// Kraus channels, readout confusion on the final distribution, and optional
-/// finite-shot sampling.
+/// A circuit and its noise model compiled into in-place density-matrix
+/// passes (see the [module docs](self)). Compile once per circuit
+/// structure, then run against many `θ` bindings.
+///
+/// # Examples
+///
+/// ```
+/// use qoc_sim::circuit::{Circuit, ParamValue};
+/// use qoc_noise::channels::thermal_relaxation;
+/// use qoc_noise::model::NoiseModel;
+/// use qoc_noise::sim::NoisyProgram;
+///
+/// let mut c = Circuit::new(2);
+/// c.ry(0, ParamValue::sym(0));
+/// c.cx(0, 1);
+/// let noise = NoiseModel::builder(2)
+///     .one_qubit_depolarizing(0, 0.001)
+///     .one_qubit(0, thermal_relaxation(100.0, 80.0, 35.0))
+///     .two_qubit_depolarizing(0, 1, 0.01)
+///     .build();
+/// let program = NoisyProgram::compile(c, &noise);
+/// let rho = program.run(&[0.8]);
+/// assert!((rho.trace() - 1.0).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone)]
+pub struct NoisyProgram {
+    circuit: Circuit,
+    /// `N_q` per wire; `None` for a noiseless wire.
+    wire_noise: Vec<Option<Super1>>,
+    steps: Vec<Step>,
+    /// The compile-time superoperators `Step::Fold` multiplies in.
+    folds: Vec<Super1>,
+    readout: Vec<ReadoutError>,
+}
+
+impl NoisyProgram {
+    /// Compiles `circuit` with the noise `noise` attaches to its gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is wider than the noise model.
+    pub fn compile(circuit: Circuit, noise: &NoiseModel) -> NoisyProgram {
+        let n = circuit.num_qubits();
+        assert!(
+            n <= noise.num_qubits(),
+            "circuit ({n}) wider than noise model ({})",
+            noise.num_qubits()
+        );
+        let wire_noise: Vec<Option<Super1>> = (0..n)
+            .map(|q| {
+                noise
+                    .one_qubit_noise(q)
+                    .iter()
+                    .map(|entry| entry_superop(&entry.kind))
+                    .reduce(|acc, s| mul4(&s, &acc))
+            })
+            .collect();
+        let mut b = Builder {
+            steps: Vec::with_capacity(circuit.len() + n),
+            folds: Vec::new(),
+            pending: vec![Pending::Clean; n],
+        };
+        for (i, op) in circuit.ops().iter().enumerate() {
+            match *op.qubits.as_slice() {
+                [q] => {
+                    if op.params.iter().all(|p| matches!(p, ParamValue::Const(_))) {
+                        b.fold(q, gate_superop(op, &[], wire_noise[q].as_ref()));
+                    } else {
+                        b.bind(q, i);
+                    }
+                }
+                [x, y] => {
+                    b.flush(x);
+                    b.flush(y);
+                    b.steps.push(Step::Gate2 { op: i });
+                    for entry in noise.two_qubit_noise(x, y) {
+                        if let WireSelect::Wire(w) = entry.wires {
+                            b.fold(op.qubits[w], entry_superop(&entry.kind));
+                            continue;
+                        }
+                        b.flush(x);
+                        b.flush(y);
+                        b.steps.push(match &entry.kind {
+                            NoiseOpKind::Depolarizing(p) => Step::Depolarize {
+                                wires: [x, y],
+                                p: *p,
+                            },
+                            NoiseOpKind::Kraus(channel) => Step::Kraus2 {
+                                wires: [x, y],
+                                s: superoperator(channel).as_slice().to_vec(),
+                            },
+                        });
+                    }
+                }
+                _ => unreachable!("gates act on one or two qubits"),
+            }
+        }
+        for q in 0..n {
+            b.flush(q);
+        }
+        NoisyProgram {
+            readout: noise.readout()[..n].to_vec(),
+            circuit,
+            wire_noise,
+            steps: b.steps,
+            folds: b.folds,
+        }
+    }
+
+    /// The source circuit.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// Number of qubits.
+    pub fn num_qubits(&self) -> usize {
+        self.circuit.num_qubits()
+    }
+
+    /// Resets `rho` to `|0…0⟩⟨0…0|` and evolves it through the program.
+    fn evolve(&self, theta: &[f64], rho: &mut DensityMatrix) {
+        let n = self.num_qubits();
+        assert_eq!(rho.num_qubits(), n, "state width does not match program");
+        rho.reset_zero();
+        let ops = self.circuit.ops();
+        let mut pending = [IDENTITY; MAX_QUBITS];
+        for step in &self.steps {
+            match step {
+                Step::Fold { q, fold } => pending[*q] = mul4(&self.folds[*fold], &pending[*q]),
+                Step::Bind { op } => {
+                    let op = &ops[*op];
+                    let q = op.qubits[0];
+                    let s = gate_superop(op, theta, self.wire_noise[q].as_ref());
+                    pending[q] = mul4(&s, &pending[q]);
+                }
+                Step::Flush { q } => {
+                    rho.apply_superop_1q(*q, &pending[*q]);
+                    pending[*q] = IDENTITY;
+                }
+                Step::Gate2 { op } => rho.apply_kernel(&Kernel::from_operation(&ops[*op], theta)),
+                Step::Depolarize { wires, p } => rho.apply_depolarizing(*p, wires),
+                Step::Kraus2 { wires: [a, b], s } => rho.apply_superop_2q(*a, *b, s),
+            }
+        }
+        debug_assert!(
+            (rho.trace() - 1.0).abs() < 1e-9 && rho.matrix().is_hermitian(1e-9),
+            "compiled evolution left a non-state: trace {}",
+            rho.trace()
+        );
+    }
+
+    /// Evolves `|0…0⟩⟨0…0|` through the program into a new density matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `theta` is shorter than the highest symbol index used.
+    pub fn run(&self, theta: &[f64]) -> DensityMatrix {
+        let mut rho = DensityMatrix::zero_state(self.num_qubits());
+        self.evolve(theta, &mut rho);
+        rho
+    }
+
+    /// The measurement distribution after gate noise *and* readout error.
+    pub fn outcome_probabilities(&self, theta: &[f64]) -> Vec<f64> {
+        let mut probs = with_scratch_density(self.num_qubits(), |rho| {
+            self.evolve(theta, rho);
+            rho.probabilities()
+        });
+        apply_confusion(&mut probs, &self.readout);
+        probs
+    }
+
+    /// Exact (infinite-shot) per-qubit Z expectations including readout
+    /// error.
+    pub fn expectations_z(&self, theta: &[f64]) -> Vec<f64> {
+        let probs = self.outcome_probabilities(theta);
+        let mut ez = vec![0.0; self.num_qubits()];
+        for (i, p) in probs.iter().enumerate() {
+            for (q, e) in ez.iter_mut().enumerate() {
+                if i & (1 << q) == 0 {
+                    *e += p;
+                } else {
+                    *e -= p;
+                }
+            }
+        }
+        ez
+    }
+
+    /// Shot-sampled per-qubit Z expectations — exactly the statistic a real
+    /// device job returns after `shots` executions.
+    pub fn sampled_expectations_z<R: Rng + ?Sized>(
+        &self,
+        theta: &[f64],
+        shots: u32,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        let probs = self.outcome_probabilities(theta);
+        let counts = sample_from_probabilities(&probs, shots, rng);
+        expectation_z_from_counts(&counts, self.num_qubits(), shots)
+    }
+}
+
+/// Exact noisy simulator: a circuit compiled with the noise model into a
+/// [`NoisyProgram`] per call, readout confusion on the final distribution,
+/// and optional finite-shot sampling.
 ///
 /// This is what stands in for a real IBM machine in this reproduction: the
 /// training loop only ever sees the shot-sampled, noise-corrupted Z
-/// expectations this simulator emits.
+/// expectations this simulator emits. Callers that run one circuit many
+/// times (the fake devices) compile it once instead.
 ///
 /// # Examples
 ///
@@ -64,64 +429,28 @@ impl NoisyDensitySimulator {
         &self.noise
     }
 
+    fn compile(&self, circuit: &Circuit) -> NoisyProgram {
+        NoisyProgram::compile(circuit.clone(), &self.noise)
+    }
+
     /// Evolves `|0…0⟩⟨0…0|` through the circuit with interleaved noise.
     ///
     /// # Panics
     ///
     /// Panics if the circuit is wider than the noise model.
     pub fn run(&self, circuit: &Circuit, theta: &[f64]) -> DensityMatrix {
-        assert!(
-            circuit.num_qubits() <= self.noise.num_qubits(),
-            "circuit ({}) wider than noise model ({})",
-            circuit.num_qubits(),
-            self.noise.num_qubits()
-        );
-        let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
-        for op in circuit.ops() {
-            // Specialized kernels instead of dense UρU† conjugation; noise
-            // channels interleave per gate, so no cross-gate fusion here.
-            rho.apply_kernel(&Kernel::from_operation(op, theta));
-            match op.qubits.len() {
-                1 => {
-                    for noise in self.noise.one_qubit_noise(op.qubits[0]) {
-                        apply_noise(&mut rho, noise, &op.qubits);
-                    }
-                }
-                2 => {
-                    for noise in self.noise.two_qubit_noise(op.qubits[0], op.qubits[1]) {
-                        apply_noise(&mut rho, noise, &op.qubits);
-                    }
-                }
-                _ => {}
-            }
-        }
-        rho
+        self.compile(circuit).run(theta)
     }
 
     /// The measurement distribution after gate noise *and* readout error.
     pub fn outcome_probabilities(&self, circuit: &Circuit, theta: &[f64]) -> Vec<f64> {
-        let rho = self.run(circuit, theta);
-        let mut probs = rho.probabilities();
-        apply_confusion(&mut probs, &self.noise.readout()[..circuit.num_qubits()]);
-        probs
+        self.compile(circuit).outcome_probabilities(theta)
     }
 
     /// Exact (infinite-shot) per-qubit Z expectations including readout
     /// error.
     pub fn expectations_z(&self, circuit: &Circuit, theta: &[f64]) -> Vec<f64> {
-        let probs = self.outcome_probabilities(circuit, theta);
-        let n = circuit.num_qubits();
-        let mut ez = vec![0.0; n];
-        for (i, p) in probs.iter().enumerate() {
-            for (q, e) in ez.iter_mut().enumerate() {
-                if i & (1 << q) == 0 {
-                    *e += p;
-                } else {
-                    *e -= p;
-                }
-            }
-        }
-        ez
+        self.compile(circuit).expectations_z(theta)
     }
 
     /// Shot-sampled per-qubit Z expectations — exactly the statistic a real
@@ -133,9 +462,8 @@ impl NoisyDensitySimulator {
         shots: u32,
         rng: &mut R,
     ) -> Vec<f64> {
-        let probs = self.outcome_probabilities(circuit, theta);
-        let counts = sample_from_probabilities(&probs, shots, rng);
-        expectation_z_from_counts(&counts, circuit.num_qubits(), shots)
+        self.compile(circuit)
+            .sampled_expectations_z(theta, shots, rng)
     }
 }
 

@@ -22,10 +22,10 @@
 //!   classified again (a product that lands diagonal still runs the diagonal
 //!   kernel).
 //!
-//! Fusion is *skipped* wherever per-gate semantics matter: the noise
-//! trajectory and density paths interleave error channels between gates, so
-//! they reuse the per-gate [`Kernel`]s directly instead of a fused program
-//! (see `qoc-noise`).
+//! Unitary fusion is *skipped* wherever per-gate semantics matter: the noise
+//! trajectory path interleaves error channels between gates, so it reuses
+//! the per-gate [`Kernel`]s directly, and the density path fuses whole
+//! gate-plus-noise superoperators instead (see `qoc-noise`).
 //!
 //! Identity gates are dropped at compile time.
 

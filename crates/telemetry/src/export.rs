@@ -596,6 +596,16 @@ mod tests {
     use super::*;
     use crate::schema::check_status_doc;
 
+    /// Every publication evaluates the process-global alert engine, so the
+    /// tests that step or tick an exporter run one at a time: otherwise one
+    /// test's publications advance, or its terminal flush consumes, the
+    /// alert test's probe-rule transitions.
+    static STEPPING: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        STEPPING.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn core(step: u64, device_ns: u64) -> StatusCore {
         StatusCore {
             run_id: "deadbeefcafef00d".into(),
@@ -620,6 +630,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_schema_valid_and_monotone() {
+        let _serial = serial();
         let path = tmp_status_path("monotone");
         let exporter = StatusExporter::new(path.clone(), 1);
         let history = path.with_extension("history.jsonl");
@@ -664,6 +675,7 @@ mod tests {
 
     #[test]
     fn cadence_skips_steps_but_keeps_terminal_and_first() {
+        let _serial = serial();
         let path = tmp_status_path("cadence");
         let history = path.with_extension("history.jsonl");
         std::fs::remove_file(&history).ok();
@@ -695,6 +707,7 @@ mod tests {
 
     #[test]
     fn prom_sibling_is_written() {
+        let _serial = serial();
         let path = tmp_status_path("prom");
         // The sibling renders the *global* registry; make sure it holds at
         // least one metric regardless of which tests ran before this one.
@@ -710,6 +723,7 @@ mod tests {
 
     #[test]
     fn tenant_counters_group_into_a_schema_valid_section() {
+        let _serial = serial();
         let path = tmp_status_path("tenants");
         let reg = Registry::global();
         reg.counter("qoc.serve.tenant.acme.completed").add(3);
@@ -755,6 +769,7 @@ mod tests {
 
     #[test]
     fn history_rotates_on_cap_and_respects_existing_lines() {
+        let _serial = serial();
         let path = tmp_status_path("rotate");
         let history = path.with_extension("history.jsonl");
         let rotated = path.with_extension("history.jsonl.1");
@@ -791,6 +806,7 @@ mod tests {
 
     #[test]
     fn alert_transitions_reach_log_doc_and_registry() {
+        let _serial = serial();
         let path = tmp_status_path("alerts");
         let log = path.with_extension("alerts.jsonl");
         std::fs::remove_file(&log).ok();
@@ -841,6 +857,7 @@ mod tests {
 
     #[test]
     fn heartbeat_respects_time_floor_and_missing_core() {
+        let _serial = serial();
         let path = tmp_status_path("heartbeat");
         let exporter = StatusExporter::new(path.clone(), 1);
         // No core yet: heartbeat must not write anything.
