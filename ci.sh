@@ -35,12 +35,13 @@ stage_test() {
 stage_kernel_equivalence() {
     # Differential suite: specialized kernels and the fused pipeline vs the
     # generic dense-matrix oracle (≤ 1e-12), plus pinned analytic states,
-    # and the compiled noisy density program vs the dense per-gate Kraus
+    # the shot sampler vs its sort-walk oracle (bit-identical counts), and
+    # the compiled noisy density program vs the dense per-gate Kraus
     # oracle (≤ 1e-12; trace 1, Hermitian, PSD) on random circuits and
     # calibrations. Release mode: the proptest cases are heavy and the
     # kernels under test are the ones production runs actually execute.
     cargo test --offline --release -p qoc-sim \
-        --test kernel_equivalence --test golden_states || return 1
+        --test kernel_equivalence --test golden_states --test properties || return 1
     cargo test --offline --release -p qoc-noise --test compiled_equivalence
 }
 

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use serde::Value;
 
-use qoc_core::engine::{train_with_checkpoints, TrainConfig};
+use qoc_core::engine::{train_anchored, RunAnchor, TrainConfig};
 use qoc_data::tasks::Task;
 use qoc_device::backend::NoiselessBackend;
 use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
@@ -92,13 +92,13 @@ fn main() -> ExitCode {
     config.eval_every = 3;
     config.eval_examples = 8;
 
-    let result = match train_with_checkpoints(
+    let result = match train_anchored(
         &model,
         &backend,
         &train_set.take_front(32),
         &val_set,
         &config,
-        None,
+        RunAnchor::default(),
     ) {
         Ok(r) => r,
         Err(e) => return fail(&format!("training aborted under a recoverable plan: {e}")),

@@ -8,12 +8,12 @@
 //! # Failure and recovery
 //!
 //! Backends surface unrecoverable job failures as
-//! [`BatchError`](qoc_device::retry::BatchError)s. [`try_train`] (and the
-//! checkpoint-aware variants) map those to [`TrainError::Execution`],
-//! writing an *emergency checkpoint* first when checkpointing is configured
-//! — captured from the state at the top of the failing step, so
-//! [`resume_training`] replays that step exactly and the combined run is
-//! bit-identical to an uninterrupted one. Periodic checkpoints
+//! [`BatchError`](qoc_device::retry::BatchError)s. [`train_anchored`] maps
+//! those to [`TrainError::Execution`], writing an *emergency checkpoint*
+//! first when checkpointing is configured — captured from the state at the
+//! top of the failing step, so resuming from it ([`RunAnchor::resume`])
+//! replays that step exactly and the combined run is bit-identical to an
+//! uninterrupted one. Periodic checkpoints
 //! ([`CheckpointConfig::every`]) guard against harder crashes (kill -9,
 //! power loss) with the same replay guarantee.
 
@@ -297,7 +297,13 @@ pub struct RunAnchor<'a> {
     /// Checkpoint target and cadence (`None` disables checkpointing
     /// regardless of the environment).
     pub checkpoint: Option<&'a CheckpointConfig>,
-    /// Resume from this mid-run state (see [`resume_training`]).
+    /// Resume from this mid-run state. Must come from a run with the same
+    /// model, datasets and config: the initialization prefix (parameter
+    /// init, validation subset) is replayed from `config.seed`, then the
+    /// checkpointed RNG words, parameters, optimizer moments and pruner
+    /// window state are installed verbatim, so the resumed result is
+    /// bit-identical to an uninterrupted run — including resumes that land
+    /// mid-pruning-window.
     pub resume: Option<TrainState>,
     /// Per-run telemetry observer.
     pub observer: Option<&'a dyn TrainObserver>,
@@ -345,7 +351,7 @@ struct PreStep {
 /// # Panics
 ///
 /// Panics if dataset widths do not match the model, the config is invalid,
-/// or a batch fails permanently (use [`try_train`] to handle failures).
+/// or a batch fails permanently (use [`train_anchored`] to handle failures).
 pub fn train(
     model: &QnnModel,
     backend: &dyn QuantumBackend,
@@ -353,28 +359,6 @@ pub fn train(
     val_data: &Dataset,
     config: &TrainConfig,
 ) -> TrainResult {
-    try_train(model, backend, train_data, val_data, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`train`] but surfaces permanent batch failures as
-/// [`TrainError::Execution`] instead of panicking. Checkpointing still
-/// comes from the environment (`QOC_CHECKPOINT_FILE`).
-///
-/// # Errors
-///
-/// [`TrainError::Execution`] when a gradient or evaluation batch fails
-/// permanently; an emergency checkpoint is written first if configured.
-///
-/// # Panics
-///
-/// Panics if dataset widths do not match the model or the config is invalid.
-pub fn try_train(
-    model: &QnnModel,
-    backend: &dyn QuantumBackend,
-    train_data: &Dataset,
-    val_data: &Dataset,
-    config: &TrainConfig,
-) -> Result<TrainResult, TrainError> {
     let checkpoint = CheckpointConfig::from_env();
     train_impl(
         model,
@@ -386,16 +370,19 @@ pub fn try_train(
         None,
         None,
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Like [`try_train`] with every per-run anchor made explicit: checkpoint
+/// Like [`train`] with every per-run anchor made explicit: checkpoint
 /// target, resume state, and telemetry observer (see [`RunAnchor`]). This
 /// is the entry point for hosts that multiplex several engines in one
-/// process and cannot share the environment-driven global plumbing.
+/// process and cannot share the environment-driven global plumbing, and
+/// for callers that handle failures instead of panicking.
 ///
 /// # Errors
 ///
-/// [`TrainError::Execution`] when a batch fails permanently.
+/// [`TrainError::Execution`] when a batch fails permanently; an emergency
+/// checkpoint is written first if one is configured.
 ///
 /// # Panics
 ///
@@ -418,67 +405,6 @@ pub fn train_anchored(
         anchor.checkpoint,
         anchor.resume,
         anchor.observer,
-    )
-}
-
-/// Like [`try_train`] with an explicit checkpoint configuration (pass
-/// `None` to disable checkpointing regardless of the environment).
-///
-/// # Errors
-///
-/// [`TrainError::Execution`] when a batch fails permanently.
-///
-/// # Panics
-///
-/// Panics if dataset widths do not match the model or the config is invalid.
-pub fn train_with_checkpoints(
-    model: &QnnModel,
-    backend: &dyn QuantumBackend,
-    train_data: &Dataset,
-    val_data: &Dataset,
-    config: &TrainConfig,
-    checkpoint: Option<&CheckpointConfig>,
-) -> Result<TrainResult, TrainError> {
-    train_impl(
-        model, backend, train_data, val_data, config, checkpoint, None, None,
-    )
-}
-
-/// Resumes an interrupted run from a [`TrainState`] checkpoint.
-///
-/// Must be called with the same model, datasets, and config as the original
-/// run: the initialization prefix (parameter init, validation subset) is
-/// replayed from `config.seed`, then the checkpointed RNG words, parameters,
-/// optimizer moments, and pruner window state are installed verbatim. The
-/// returned [`TrainResult`] is bit-identical to an uninterrupted run —
-/// including resumes that land mid-pruning-window.
-///
-/// # Errors
-///
-/// [`TrainError::Execution`] when a batch fails permanently.
-///
-/// # Panics
-///
-/// Panics if the checkpoint does not match the config (seed, parameter
-/// width, step count) or the datasets do not match the model.
-pub fn resume_training(
-    model: &QnnModel,
-    backend: &dyn QuantumBackend,
-    train_data: &Dataset,
-    val_data: &Dataset,
-    config: &TrainConfig,
-    state: TrainState,
-    checkpoint: Option<&CheckpointConfig>,
-) -> Result<TrainResult, TrainError> {
-    train_impl(
-        model,
-        backend,
-        train_data,
-        val_data,
-        config,
-        checkpoint,
-        Some(state),
-        None,
     )
 }
 

@@ -64,8 +64,8 @@ pub mod zne;
 pub use alloc::{AllocState, ShotAllocConfig, ShotAllocError, ShotAllocator, ShotSpec, StepPlan};
 pub use checkpoint::{CheckpointConfig, CheckpointError, TrainState};
 pub use engine::{
-    resume_training, train, train_anchored, train_with_checkpoints, try_train, DeviceCounters,
-    PruningKind, RunAnchor, TrainConfig, TrainError, TrainObserver, TrainResult,
+    train, train_anchored, DeviceCounters, PruningKind, RunAnchor, TrainConfig, TrainError,
+    TrainObserver, TrainResult,
 };
 pub use grad::QnnGradientComputer;
 pub use optim::OptimizerKind;

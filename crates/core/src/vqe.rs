@@ -7,7 +7,6 @@
 //! statistics), parameter-shift energy gradients, and a VQE driver that
 //! reuses the optimizers and the probabilistic gradient pruner.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use qoc_device::backend::{job_seed, CircuitJob, Execution, PreparedCircuit, QuantumBackend};
@@ -525,16 +524,6 @@ pub fn hardware_efficient_ansatz(num_qubits: usize, depth: usize) -> Circuit {
     }
     ry_layer(&mut c, &mut next);
     c
-}
-
-/// Energy-distribution helper: counts → probabilities (exposed for tests).
-#[doc(hidden)]
-pub fn counts_to_probs(counts: &BTreeMap<usize, u32>, dim: usize, shots: u32) -> Vec<f64> {
-    let mut probs = vec![0.0; dim];
-    for (&s, &n) in counts {
-        probs[s] = n as f64 / shots as f64;
-    }
-    probs
 }
 
 #[cfg(test)]

@@ -18,8 +18,7 @@ use std::sync::Mutex;
 
 use qoc_core::checkpoint::{CheckpointConfig, TrainState};
 use qoc_core::engine::{
-    resume_training, train, train_with_checkpoints, try_train, PruningKind, TrainConfig,
-    TrainError, TrainResult,
+    train, train_anchored, PruningKind, RunAnchor, TrainConfig, TrainError, TrainResult,
 };
 use qoc_core::prune::PruneConfig;
 use qoc_core::{ShotAllocConfig, ShotAllocError};
@@ -82,6 +81,22 @@ fn run(config: &TrainConfig) -> TrainResult {
     let model = QnnModel::mnist2();
     let backend = NoiselessBackend::new();
     train(&model, &backend, &toy_data(16), &toy_data(8), config)
+}
+
+/// Anchors a run to an explicit checkpoint target.
+fn checkpointing(ck: &CheckpointConfig) -> RunAnchor<'_> {
+    RunAnchor {
+        checkpoint: Some(ck),
+        ..RunAnchor::default()
+    }
+}
+
+/// Anchors a run to a resume state, without checkpointing.
+fn resuming(state: TrainState) -> RunAnchor<'static> {
+    RunAnchor {
+        resume: Some(state),
+        ..RunAnchor::default()
+    }
 }
 
 fn assert_bit_identical(a: &TrainResult, b: &TrainResult, what: &str) {
@@ -147,8 +162,15 @@ fn resume_with_controller_state_replays_the_same_bits() {
     let path = dir.join("resume.ckpt");
     let ckpt = CheckpointConfig::new(path.clone(), 3);
 
-    let full = train_with_checkpoints(&model, &backend, &train_ds, &val_ds, &config, Some(&ckpt))
-        .expect("uninterrupted run");
+    let full = train_anchored(
+        &model,
+        &backend,
+        &train_ds,
+        &val_ds,
+        &config,
+        checkpointing(&ckpt),
+    )
+    .expect("uninterrupted run");
 
     // The file on disk is the last periodic save (a mid-run state with
     // live controller accumulators); resuming from it must replay the
@@ -162,8 +184,15 @@ fn resume_with_controller_state_replays_the_same_bits() {
         state.next_step < config.steps,
         "mid-run checkpoint expected"
     );
-    let resumed = resume_training(&model, &backend, &train_ds, &val_ds, &config, state, None)
-        .expect("resumed run");
+    let resumed = train_anchored(
+        &model,
+        &backend,
+        &train_ds,
+        &val_ds,
+        &config,
+        resuming(state),
+    )
+    .expect("resumed run");
     clear_alloc_env();
     std::fs::remove_file(&path).ok();
 
@@ -186,8 +215,15 @@ fn checkpoint_without_alloc_state_resumes_with_controller_disabled() {
 
     // Controller off: the checkpoint carries no alloc state (exactly like
     // a v1 checkpoint written before the field existed).
-    let full = train_with_checkpoints(&model, &backend, &train_ds, &val_ds, &config, Some(&ckpt))
-        .expect("controller-off run");
+    let full = train_anchored(
+        &model,
+        &backend,
+        &train_ds,
+        &val_ds,
+        &config,
+        checkpointing(&ckpt),
+    )
+    .expect("controller-off run");
     let state = TrainState::load(&path).expect("checkpoint loads");
     assert!(state.alloc.is_none(), "controller was off");
 
@@ -195,8 +231,15 @@ fn checkpoint_without_alloc_state_resumes_with_controller_disabled() {
     // controller for the replay (not start a half-initialized one), so the
     // combined run stays bit-identical to the original.
     std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    let resumed = resume_training(&model, &backend, &train_ds, &val_ds, &config, state, None)
-        .expect("resume with controller requested but no saved state");
+    let resumed = train_anchored(
+        &model,
+        &backend,
+        &train_ds,
+        &val_ds,
+        &config,
+        resuming(state),
+    )
+    .expect("resume with controller requested but no saved state");
     clear_alloc_env();
     std::fs::remove_file(&path).ok();
 
@@ -236,7 +279,14 @@ fn inverted_shot_range_surfaces_as_train_error_before_any_circuit() {
     let config = shots_config(4);
     let model = QnnModel::mnist2();
     let backend = NoiselessBackend::new();
-    let result = try_train(&model, &backend, &toy_data(16), &toy_data(8), &config);
+    let result = train_anchored(
+        &model,
+        &backend,
+        &toy_data(16),
+        &toy_data(8),
+        &config,
+        RunAnchor::default(),
+    );
     clear_alloc_env();
 
     match result {

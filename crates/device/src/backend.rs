@@ -40,11 +40,10 @@ use rand::RngCore;
 use qoc_sim::circuit::Circuit;
 use qoc_sim::diff::{adjoint_jacobian, JacobianRowSpec};
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::with_scratch_state;
+use qoc_sim::statevector::{sample_counts, with_scratch_state};
 
 use qoc_noise::model::NoiseModel;
 use qoc_noise::sim::NoisyProgram;
-use qoc_noise::trajectory::{TrajectoryNoise, TrajectorySimulator};
 
 use crate::backends::DeviceDescription;
 use crate::calibration::DeviceCalibration;
@@ -113,7 +112,6 @@ enum Plan {
         program: NoisyProgram,
         /// Logical qubit → compact wire carrying its readout.
         logical_readout: Vec<usize>,
-        traj_noise: TrajectoryNoise,
         per_shot_ns: f64,
         overhead_ns: f64,
         swap_count: usize,
@@ -316,18 +314,6 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     /// than the per-qubit marginals of [`Self::run_prepared`].
     fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64>;
 
-    /// Shot-sampled outcome histogram over the logical qubits.
-    fn outcome_counts(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        shots: u32,
-        rng: &mut dyn RngCore,
-    ) -> std::collections::BTreeMap<usize, u32> {
-        let probs = self.outcome_probabilities(prepared, theta);
-        qoc_noise::density::sample_from_probabilities(&probs, shots, rng)
-    }
-
     /// One-shot convenience: prepare + run.
     fn expectations(
         &self,
@@ -354,16 +340,12 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
             JobKind::OutcomeDistribution => match job.execution {
                 Execution::Exact => self.outcome_probabilities(job.prepared, &job.theta),
                 Execution::Shots(s) => {
-                    let counts = self.outcome_counts(job.prepared, &job.theta, s, &mut rng);
-                    let mut probs = vec![0.0; 1 << job.prepared.logical_qubits()];
-                    for (outcome, count) in counts {
-                        probs[outcome] += f64::from(count);
-                    }
+                    let probs = self.outcome_probabilities(job.prepared, &job.theta);
                     let total = f64::from(s);
-                    for p in &mut probs {
-                        *p /= total;
-                    }
-                    probs
+                    sample_counts(&probs, s, &mut rng)
+                        .into_iter()
+                        .map(|n| f64::from(n) / total)
+                        .collect()
                 }
             },
         }
@@ -857,16 +839,19 @@ impl QuantumBackend for NoiselessBackend {
     }
 }
 
+/// Widest compacted circuit (touched wires plus readout targets) a
+/// [`FakeDevice`] runs: its exact noisy density matrix holds `4¹¹` entries.
+const DENSITY_MATRIX_LIMIT: usize = 11;
+
 /// Hardware-emulating backend built from a [`DeviceDescription`].
 ///
-/// Circuits whose compacted footprint stays at or below
-/// `density_matrix_limit` qubits run on the exact noisy density-matrix
-/// simulator; wider ones fall back to Monte-Carlo Pauli trajectories.
+/// Every circuit runs on the exact noisy density-matrix simulator, so its
+/// compacted footprint must stay at or below 11 qubits;
+/// [`QuantumBackend::prepare`] panics on wider circuits.
 #[derive(Debug)]
 pub struct FakeDevice {
     description: DeviceDescription,
     options: TranspileOptions,
-    density_matrix_limit: usize,
     stats: StatCells,
 }
 
@@ -876,7 +861,6 @@ impl FakeDevice {
         FakeDevice {
             description,
             options: TranspileOptions::default(),
-            density_matrix_limit: 11,
             stats: StatCells::default(),
         }
     }
@@ -1023,18 +1007,17 @@ impl QuantumBackend for FakeDevice {
         let t = transpile(circuit, &self.description.coupling, self.options);
         let job = schedule::job_time(&t.circuit, &self.description.calibration, 1);
         let (compact, logical_readout, noise) = self.compact(&t, circuit.num_qubits());
-        let cal = &self.description.calibration;
-        let traj_noise = TrajectoryNoise::new(
-            (1.5 * cal.mean_error_1q()).min(1.0),
-            (1.25 * cal.mean_error_cx()).min(1.0),
-            cal.mean_readout_error().min(0.5),
+        assert!(
+            compact.num_qubits() <= DENSITY_MATRIX_LIMIT,
+            "compacted circuit spans {} qubits; the noisy density-matrix path \
+             supports at most {DENSITY_MATRIX_LIMIT}",
+            compact.num_qubits()
         );
         PreparedCircuit {
             logical_qubits: circuit.num_qubits(),
             plan: Plan::Device {
                 program: NoisyProgram::compile(compact, &noise),
                 logical_readout,
-                traj_noise,
                 per_shot_ns: job.circuit_duration_ns + job.readout_ns + job.rep_delay_ns,
                 overhead_ns: job.overhead_ns,
                 swap_count: t.swap_count,
@@ -1052,7 +1035,6 @@ impl QuantumBackend for FakeDevice {
         let Plan::Device {
             program,
             logical_readout,
-            traj_noise,
             per_shot_ns,
             overhead_ns,
             ..
@@ -1067,21 +1049,9 @@ impl QuantumBackend for FakeDevice {
         let seconds = (overhead_ns + shots as f64 * per_shot_ns) / 1e9;
         self.stats.record(shots as u64, seconds);
 
-        let compact = program.circuit();
-        let physical = if compact.num_qubits() <= self.density_matrix_limit {
-            match execution {
-                Execution::Exact => program.expectations_z(theta),
-                Execution::Shots(s) => program.sampled_expectations_z(theta, s, rng),
-            }
-        } else {
-            let sim = TrajectorySimulator::new(*traj_noise);
-            match execution {
-                Execution::Exact => {
-                    let mut r = rand::rngs::StdRng::seed_from_u64(0x5eed);
-                    sim.mean_expectations_z(compact, theta, 512, &mut r)
-                }
-                Execution::Shots(s) => sim.sampled_expectations_z(compact, theta, s, rng),
-            }
+        let physical = match execution {
+            Execution::Exact => program.expectations_z(theta),
+            Execution::Shots(s) => program.sampled_expectations_z(theta, s, rng),
         };
         logical_readout.iter().map(|&w| physical[w]).collect()
     }
@@ -1096,13 +1066,6 @@ impl QuantumBackend for FakeDevice {
         else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        assert!(
-            program.num_qubits() <= self.density_matrix_limit,
-            "exact outcome distributions need the density-matrix path \
-             ({} > {} qubits)",
-            program.num_qubits(),
-            self.density_matrix_limit
-        );
         self.stats.record(0, overhead_ns / 1e9);
         let compact_probs = program.outcome_probabilities(theta);
         // Marginalize onto the logical readout wires, logical bit order.
@@ -1134,7 +1097,7 @@ use rand::SeedableRng;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backends::{fake_lima, fake_santiago};
+    use crate::backends::{fake_lima, fake_santiago, fake_toronto};
     use qoc_sim::circuit::ParamValue;
     use qoc_sim::simulator::StatevectorSimulator;
     use rand::rngs::StdRng;
@@ -1245,14 +1208,13 @@ mod tests {
     }
 
     #[test]
-    fn outcome_counts_total_shots() {
-        let device = FakeDevice::new(fake_lima());
-        let c = qnn_circuit();
-        let prepared = device.prepare(&c);
-        let mut rng = StdRng::seed_from_u64(5);
-        let counts = device.outcome_counts(&prepared, &[0.1; 8], 777, &mut rng);
-        assert_eq!(counts.values().sum::<u32>(), 777);
-        assert!(counts.keys().all(|&s| s < 16));
+    #[should_panic(expected = "spans 12 qubits; the noisy density-matrix path supports at most 11")]
+    fn prepare_rejects_circuits_wider_than_the_density_path() {
+        let mut c = Circuit::new(12);
+        for q in 0..12 {
+            c.h(q);
+        }
+        FakeDevice::new(fake_toronto()).prepare(&c);
     }
 
     #[test]
@@ -1401,11 +1363,12 @@ mod tests {
             9,
         ));
         let mut rng = StdRng::seed_from_u64(9);
-        let counts = device.outcome_counts(&prepared, &theta, 512, &mut rng);
-        for (outcome, count) in counts {
-            assert!((sampled[outcome] - f64::from(count) / 512.0).abs() < 1e-12);
+        let probs = device.outcome_probabilities(&prepared, &theta);
+        let counts = sample_counts(&probs, 512, &mut rng);
+        assert_eq!(counts.iter().sum::<u32>(), 512);
+        for (p, n) in sampled.iter().zip(counts) {
+            assert_eq!(*p, f64::from(n) / 512.0);
         }
-        assert!((sampled.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -4,10 +4,6 @@
 //! (2ⁿ × 2ⁿ, Hermitian, trace 1) tracks them exactly. At the paper's scale
 //! (4-qubit QNNs) this is a 16×16 matrix — exact noisy simulation is cheap.
 
-use std::collections::BTreeMap;
-
-use rand::Rng;
-
 use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::Kernel;
 use qoc_sim::matrix::CMatrix;
@@ -329,24 +325,6 @@ impl DensityMatrix {
         }
         acc.re
     }
-
-    /// Samples `shots` basis-state outcomes from the diagonal distribution.
-    pub fn sample_counts<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> BTreeMap<usize, u32> {
-        sample_from_probabilities(&self.probabilities(), shots, rng)
-    }
-}
-
-/// Samples a histogram of `shots` draws from an (unnormalized tolerated)
-/// probability vector.
-///
-/// Delegates to the shot-sorted cumulative-walk sampler shared with the
-/// statevector path ([`qoc_sim::statevector::sample_counts_from_probabilities`]).
-pub fn sample_from_probabilities<R: Rng + ?Sized>(
-    probs: &[f64],
-    shots: u32,
-    rng: &mut R,
-) -> BTreeMap<usize, u32> {
-    qoc_sim::statevector::sample_counts_from_probabilities(probs, shots, rng)
 }
 
 /// The superoperator `S = Σ Kᵢ ⊗ K̄ᵢ` of a Kraus channel on `k` qubits: a
@@ -558,7 +536,7 @@ mod tests {
         use rand::SeedableRng;
         let rho = DensityMatrix::zero_state(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let counts = rho.sample_counts(100, &mut rng);
-        assert_eq!(counts[&0], 100);
+        let counts = qoc_sim::statevector::sample_counts(&rho.probabilities(), 100, &mut rng);
+        assert_eq!(counts, vec![100, 0, 0, 0]);
     }
 }

@@ -13,7 +13,6 @@
 //! - [`sim`] — the noisy executor that stands in for a real backend: a
 //!   circuit and its noise compiled into fused in-place superoperator passes.
 //! - [`readout`] — measurement confusion matrices.
-//! - [`trajectory`] — Monte-Carlo Pauli trajectories for wide circuits.
 //!
 //! # Quick example
 //!
@@ -45,11 +44,9 @@ pub mod kraus;
 pub mod model;
 pub mod readout;
 pub mod sim;
-pub mod trajectory;
 
 pub use density::DensityMatrix;
 pub use kraus::KrausChannel;
 pub use model::{NoiseModel, NoiseModelBuilder};
 pub use readout::ReadoutError;
 pub use sim::{NoisyDensitySimulator, NoisyProgram};
-pub use trajectory::{TrajectoryNoise, TrajectorySimulator};

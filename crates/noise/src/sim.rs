@@ -31,10 +31,10 @@ use rand::Rng;
 use qoc_sim::circuit::{Circuit, Operation, ParamValue};
 use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{entries_1q, Kernel};
-use qoc_sim::statevector::expectation_z_from_counts;
+use qoc_sim::statevector::{expectation_z_from_counts, sample_counts};
 
 use crate::channels::depolarizing_1q;
-use crate::density::{sample_from_probabilities, superoperator, DensityMatrix, MAX_QUBITS};
+use crate::density::{superoperator, DensityMatrix, MAX_QUBITS};
 use crate::model::{NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::{apply_confusion, ReadoutError};
 
@@ -385,7 +385,7 @@ impl NoisyProgram {
         rng: &mut R,
     ) -> Vec<f64> {
         let probs = self.outcome_probabilities(theta);
-        let counts = sample_from_probabilities(&probs, shots, rng);
+        let counts = sample_counts(&probs, shots, rng);
         expectation_z_from_counts(&counts, self.num_qubits(), shots)
     }
 }

@@ -15,7 +15,6 @@
 //! the batch runner's retry loop drives — so preemption latency is one
 //! circuit job, not one optimizer step.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use qoc_device::backend::{
@@ -74,16 +73,6 @@ impl QuantumBackend for PreemptableBackend<'_> {
 
     fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
         self.inner.outcome_probabilities(prepared, theta)
-    }
-
-    fn outcome_counts(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        shots: u32,
-        rng: &mut dyn RngCore,
-    ) -> BTreeMap<usize, u32> {
-        self.inner.outcome_counts(prepared, theta, shots, rng)
     }
 
     fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {

@@ -22,9 +22,8 @@
 //!   classified again (a product that lands diagonal still runs the diagonal
 //!   kernel).
 //!
-//! Unitary fusion is *skipped* wherever per-gate semantics matter: the noise
-//! trajectory path interleaves error channels between gates, so it reuses
-//! the per-gate [`Kernel`]s directly, and the density path fuses whole
+//! Unitary fusion is *skipped* where per-gate semantics matter: the noisy
+//! density path interleaves error channels between gates, so it fuses whole
 //! gate-plus-noise superoperators instead (see `qoc-noise`).
 //!
 //! Identity gates are dropped at compile time.

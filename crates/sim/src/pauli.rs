@@ -1,7 +1,7 @@
 //! Pauli strings and their expectation values.
 //!
-//! Used by the stochastic noise-trajectory simulator (Pauli error insertion)
-//! and by observable bookkeeping in tests.
+//! Used by the VQE Hamiltonian bookkeeping (`qoc-core`) and by observable
+//! checks in tests.
 
 use std::fmt;
 use std::str::FromStr;

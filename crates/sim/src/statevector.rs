@@ -4,7 +4,6 @@
 //! Qubit `k` maps to bit `k` of the amplitude index (little-endian).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,7 +135,7 @@ impl Statevector {
     }
 
     /// Applies a specialized gate [`Kernel`] in place — the fast path the
-    /// fused program executor and the noise trajectory simulator run on.
+    /// fused program executor runs on.
     pub fn apply_kernel(&mut self, kernel: &Kernel) {
         kernel.apply(&mut self.amps);
     }
@@ -312,76 +311,52 @@ impl Statevector {
         self.num_qubits == other.num_qubits && (1.0 - self.fidelity(other)).abs() <= tol
     }
 
-    /// Samples `shots` measurement outcomes in the computational basis and
-    /// returns a histogram of basis-state indices.
-    ///
-    /// Uniform draws happen in RNG order (one per shot, unchanged from the
-    /// historical linear-CDF implementation, so seeded streams reproduce the
-    /// same histograms), then a single shot-sorted cumulative walk over
-    /// `|αᵢ|²` assigns all outcomes in one pass — no CDF array, no per-shot
-    /// binary search.
-    pub fn sample_counts<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> BTreeMap<usize, u32> {
-        sample_counts_by(self.amps.len(), |i| self.amps[i].norm_sqr(), shots, rng)
-    }
-
     /// Estimates per-qubit Pauli-Z expectations from `shots` sampled
     /// measurement outcomes — the statistic a real device reports.
     pub fn sampled_expectation_z<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> Vec<f64> {
-        let counts = self.sample_counts(shots, rng);
+        let counts = sample_counts(&self.probabilities(), shots, rng);
         expectation_z_from_counts(&counts, self.num_qubits, shots)
     }
 }
 
-/// Shot-sorted cumulative-walk sampler over an indexed probability weight.
+/// Samples `shots` basis-state outcomes from a probability vector and
+/// returns dense per-outcome counts (`counts[i]` = draws of outcome `i`).
 ///
-/// Draws the per-shot uniforms first (in RNG order, matching the historical
-/// per-shot draw sequence bit-for-bit), sorts them, and walks the running
-/// prefix sum once: total work is `O(len + shots·log shots)` instead of the
-/// old `O(len + shots·log len)` with a materialized CDF array, and the prefix
-/// accumulates in the same sequential order as before so outcome assignment
-/// is unchanged.
-fn sample_counts_by<R: Rng + ?Sized>(
-    len: usize,
-    prob: impl Fn(usize) -> f64,
-    shots: u32,
-    rng: &mut R,
-) -> BTreeMap<usize, u32> {
-    let mut counts = BTreeMap::new();
-    if len == 0 || shots == 0 {
+/// Negative weights (float noise on noisy density diagonals) are clamped to
+/// zero and the weights need not be normalized. The prefix sums accumulate
+/// sequentially; each shot draws one uniform in RNG order, scales it by the
+/// total, and lands in the first bin whose prefix reaches it (clamped to
+/// the last bin) — so a seeded stream always produces the same counts.
+///
+/// # Examples
+///
+/// ```
+/// use qoc_sim::statevector::sample_counts;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let counts = sample_counts(&[0.0, 1.0, -1e-17], 100, &mut rng);
+/// assert_eq!(counts, vec![0, 100, 0]);
+/// ```
+pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u32, rng: &mut R) -> Vec<u32> {
+    let mut counts = vec![0u32; probs.len()];
+    let Some(last) = probs.len().checked_sub(1) else {
         return counts;
-    }
-    let mut total = 0.0;
-    for i in 0..len {
-        total += prob(i);
-    }
-    let total = total.max(f64::MIN_POSITIVE);
-    let mut draws: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>() * total).collect();
-    draws.sort_unstable_by(f64::total_cmp);
-    let mut idx = 0usize;
-    let mut prefix = prob(0);
-    for r in draws {
-        // First index whose prefix sum reaches r (clamped to the last bin) —
-        // the same bin the old binary search over the CDF selected.
-        while prefix < r && idx + 1 < len {
-            idx += 1;
-            prefix += prob(idx);
-        }
-        *counts.entry(idx).or_insert(0) += 1;
+    };
+    let mut acc = 0.0;
+    let prefix: Vec<f64> = probs
+        .iter()
+        .map(|&p| {
+            acc += p.max(0.0);
+            acc
+        })
+        .collect();
+    let total = prefix[last].max(f64::MIN_POSITIVE);
+    for _ in 0..shots {
+        let r = rng.gen::<f64>() * total;
+        counts[prefix.partition_point(|&p| p < r).min(last)] += 1;
     }
     counts
-}
-
-/// Samples `shots` outcomes from an explicit probability slice (negative
-/// entries are clamped to zero, as produced by noisy density diagonals).
-///
-/// Shared by the density-matrix readout path so both simulators use the same
-/// shot-sorted sampler.
-pub fn sample_counts_from_probabilities<R: Rng + ?Sized>(
-    probs: &[f64],
-    shots: u32,
-    rng: &mut R,
-) -> BTreeMap<usize, u32> {
-    sample_counts_by(probs.len(), |i| probs[i].max(0.0), shots, rng)
 }
 
 thread_local! {
@@ -526,7 +501,7 @@ pub fn pooled_copy(src: &Statevector) -> PooledState {
 /// returning the state to a per-thread pool afterwards.
 ///
 /// This removes the `2ⁿ`-amplitude allocation from every job in the
-/// parameter-shift batch loop and from every noise trajectory shot.
+/// parameter-shift batch loop.
 ///
 /// # Examples
 ///
@@ -541,25 +516,21 @@ pub fn with_scratch_state<T>(num_qubits: usize, f: impl FnOnce(&mut Statevector)
     f(&mut sv)
 }
 
-/// Converts a histogram of basis-state outcomes into per-qubit Z
+/// Converts dense outcome counts (see [`sample_counts`]) into per-qubit Z
 /// expectations: `(#zeros − #ones) / shots` for each qubit.
-pub fn expectation_z_from_counts(
-    counts: &BTreeMap<usize, u32>,
-    num_qubits: usize,
-    shots: u32,
-) -> Vec<f64> {
+pub fn expectation_z_from_counts(counts: &[u32], num_qubits: usize, shots: u32) -> Vec<f64> {
     let mut ez = vec![0.0; num_qubits];
-    for (&state, &n) in counts {
+    for (state, &n) in counts.iter().enumerate() {
         for (q, e) in ez.iter_mut().enumerate() {
             if state & (1 << q) == 0 {
-                *e += n as f64;
+                *e += f64::from(n);
             } else {
-                *e -= n as f64;
+                *e -= f64::from(n);
             }
         }
     }
     for e in &mut ez {
-        *e /= shots.max(1) as f64;
+        *e /= f64::from(shots.max(1));
     }
     ez
 }
@@ -737,9 +708,8 @@ mod tests {
     fn sample_counts_total_shots() {
         let sv = Statevector::zero_state(2);
         let mut rng = StdRng::seed_from_u64(1);
-        let counts = sv.sample_counts(1024, &mut rng);
-        assert_eq!(counts.values().sum::<u32>(), 1024);
-        assert_eq!(counts[&0], 1024);
+        let counts = sample_counts(&sv.probabilities(), 1024, &mut rng);
+        assert_eq!(counts, vec![1024, 0, 0, 0]);
     }
 
     #[test]
@@ -779,39 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_counts_matches_linear_cdf_reference() {
-        // The shot-sorted walk must pick the same bins as the historical
-        // per-shot binary search over a materialized CDF.
-        let mut sv = Statevector::zero_state(3);
-        sv.apply_1q(&GateKind::H.matrix(&[]), 0);
-        sv.apply_1q(&GateKind::Ry.matrix(&[0.9]), 1);
-        sv.apply_2q(&GateKind::Cx.matrix(&[]), 0, 2);
-        for seed in 0..5u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let got = sv.sample_counts(4096, &mut rng);
-            let probs = sv.probabilities();
-            let mut cdf = Vec::with_capacity(probs.len());
-            let mut acc = 0.0;
-            for p in &probs {
-                acc += p;
-                cdf.push(acc);
-            }
-            let total = acc.max(f64::MIN_POSITIVE);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut want: BTreeMap<usize, u32> = BTreeMap::new();
-            for _ in 0..4096 {
-                let r: f64 = rng.gen::<f64>() * total;
-                let idx = match cdf.binary_search_by(|c| c.partial_cmp(&r).unwrap()) {
-                    Ok(i) => i,
-                    Err(i) => i.min(probs.len() - 1),
-                };
-                *want.entry(idx).or_insert(0) += 1;
-            }
-            assert_eq!(got, want, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn scratch_state_pool_reuses_and_resets() {
         let p = with_scratch_state(3, |sv| {
             sv.apply_1q(&GateKind::X.matrix(&[]), 1);
@@ -833,10 +770,7 @@ mod tests {
 
     #[test]
     fn expectation_from_counts() {
-        let mut counts = BTreeMap::new();
-        counts.insert(0b00, 512u32);
-        counts.insert(0b01, 512u32);
-        let ez = expectation_z_from_counts(&counts, 2, 1024);
+        let ez = expectation_z_from_counts(&[512, 512, 0, 0], 2, 1024);
         assert!((ez[0] - 0.0).abs() < 1e-12);
         assert!((ez[1] - 1.0).abs() < 1e-12);
     }

@@ -8,7 +8,7 @@ use qoc_sim::complex::Complex64;
 use qoc_sim::gates::{GateKind, ALL_GATES};
 use qoc_sim::matrix::CMatrix;
 use qoc_sim::simulator::StatevectorSimulator;
-use qoc_sim::statevector::Statevector;
+use qoc_sim::statevector::{sample_counts, Statevector};
 
 fn arb_gate() -> impl Strategy<Value = GateKind> {
     (0..ALL_GATES.len()).prop_map(|i| ALL_GATES[i])
@@ -17,6 +17,52 @@ fn arb_gate() -> impl Strategy<Value = GateKind> {
 #[allow(dead_code)]
 fn arb_params(gate: GateKind) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-6.0f64..6.0, gate.num_params())
+}
+
+/// 1–64 unnormalized outcome weights mixing zero, negative (clamped) and
+/// positive entries; one vector in four is all zeros.
+fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+    let weight = (0u8..3, 0.0f64..1.0).prop_map(|(kind, w)| match kind {
+        0 => 0.0,
+        1 => -w,
+        _ => w,
+    });
+    (0u8..4, proptest::collection::vec(weight, 1..=64)).prop_map(|(kind, weights)| {
+        if kind == 0 {
+            vec![0.0; weights.len()]
+        } else {
+            weights
+        }
+    })
+}
+
+/// Reference shot sampler: draw every uniform in RNG order, sort the
+/// draws, then walk the sequential prefix sum once, assigning each draw to
+/// the first bin whose prefix reaches it (clamped to the last bin).
+fn sort_walk_oracle<R: rand::Rng>(probs: &[f64], shots: u32, rng: &mut R) -> Vec<u32> {
+    let prob = |i: usize| probs[i].max(0.0);
+    let len = probs.len();
+    let mut counts = vec![0u32; len];
+    if len == 0 || shots == 0 {
+        return counts;
+    }
+    let mut total = 0.0;
+    for i in 0..len {
+        total += prob(i);
+    }
+    let total = total.max(f64::MIN_POSITIVE);
+    let mut draws: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>() * total).collect();
+    draws.sort_unstable_by(f64::total_cmp);
+    let mut idx = 0usize;
+    let mut prefix = prob(0);
+    for r in draws {
+        while prefix < r && idx + 1 < len {
+            idx += 1;
+            prefix += prob(idx);
+        }
+        counts[idx] += 1;
+    }
+    counts
 }
 
 /// A random constant circuit on `n` qubits.
@@ -190,15 +236,17 @@ proptest! {
     }
 
     #[test]
-    fn sample_counts_conserve_shots(c in arb_circuit(3, 8), seed in 0u64..1000) {
+    fn sample_counts_match_the_sort_walk_oracle(
+        probs in arb_weights(),
+        shots in proptest::sample::select(vec![0u32, 1, 1024, 4097]),
+        seed in any::<u64>(),
+    ) {
         use rand::SeedableRng;
-        let sv = StatevectorSimulator::new().run(&c, &[]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let counts = sv.sample_counts(257, &mut rng);
-        prop_assert_eq!(counts.values().sum::<u32>(), 257);
-        for &state in counts.keys() {
-            prop_assert!(state < 8);
-        }
+        let counts = sample_counts(&probs, shots, &mut rng);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        prop_assert_eq!(&counts, &sort_walk_oracle(&probs, shots, &mut rng));
+        prop_assert_eq!(counts.iter().sum::<u32>(), shots);
     }
 
     #[test]

@@ -213,7 +213,29 @@ fn parse_capacity(spec: &str) -> Result<Option<usize>, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{event, install_for_test, span};
+    use crate::{event, install_for_test, span, TestInstallGuard};
+
+    /// Forwards only `flight.*` records to the recorder. The exporter tests
+    /// dispatch `alert.*` events through the global subscriber list without
+    /// the install lock, so an unfiltered ring would also count those.
+    #[derive(Debug)]
+    struct FlightOnly(Arc<FlightRecorder>);
+
+    impl Subscriber for FlightOnly {
+        fn wants(&self, level: Level) -> bool {
+            self.0.wants(level)
+        }
+
+        fn record(&self, record: &Record<'_>) {
+            if record.span.starts_with("flight.") {
+                self.0.record(record);
+            }
+        }
+    }
+
+    fn install_recorder(recorder: &Arc<FlightRecorder>) -> TestInstallGuard {
+        install_for_test(vec![Arc::new(FlightOnly(recorder.clone()))], None)
+    }
 
     #[test]
     fn capacity_spec_parses() {
@@ -228,7 +250,7 @@ mod tests {
     #[test]
     fn ring_is_bounded_and_newest_wins() {
         let recorder = Arc::new(FlightRecorder::new(4));
-        let guard = install_for_test(vec![recorder.clone()], None);
+        let guard = install_recorder(&recorder);
         for i in 0..10u64 {
             event!(Level::Info, "flight.unit", idx = i);
         }
@@ -257,7 +279,7 @@ mod tests {
         const CAPACITY: usize = 512;
 
         let recorder = Arc::new(FlightRecorder::new(CAPACITY));
-        let guard = install_for_test(vec![recorder.clone()], None);
+        let guard = install_recorder(&recorder);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 scope.spawn(move || {
@@ -310,7 +332,7 @@ mod tests {
     #[test]
     fn dump_is_schema_valid_trace_jsonl() {
         let recorder = Arc::new(FlightRecorder::new(64));
-        let guard = install_for_test(vec![recorder.clone()], None);
+        let guard = install_recorder(&recorder);
         {
             let _s = span!("flight.span", jobs = 3usize);
         }

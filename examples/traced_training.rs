@@ -48,7 +48,12 @@ fn main() -> ExitCode {
         config.steps,
         backend.name()
     );
-    let result = match try_train(&model, backend, &train_set, &val_set, &config) {
+    let checkpoint = CheckpointConfig::from_env();
+    let anchor = RunAnchor {
+        checkpoint: checkpoint.as_ref(),
+        ..RunAnchor::default()
+    };
+    let result = match train_anchored(&model, backend, &train_set, &val_set, &config, anchor) {
         Ok(result) => result,
         Err(e) => {
             qoc::telemetry::flush();

@@ -52,8 +52,7 @@ pub use qoc_telemetry as telemetry;
 pub mod prelude {
     pub use qoc_core::checkpoint::{CheckpointConfig, TrainState};
     pub use qoc_core::engine::{
-        resume_training, train, train_with_checkpoints, try_train, PruningKind, TrainConfig,
-        TrainError, TrainResult,
+        train, train_anchored, PruningKind, RunAnchor, TrainConfig, TrainError, TrainResult,
     };
     pub use qoc_core::eval::{evaluate, evaluate_with_params};
     pub use qoc_core::grad::QnnGradientComputer;

@@ -8,9 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use qoc::core::checkpoint::{
     CheckpointConfig, CheckpointError, TrainState, CHECKPOINT_SCHEMA_VERSION,
 };
-use qoc::core::engine::{
-    resume_training, train_with_checkpoints, PruningKind, TrainConfig, TrainError,
-};
+use qoc::core::engine::{train_anchored, PruningKind, RunAnchor, TrainConfig, TrainError};
 use qoc::core::prune::PruneConfig;
 use qoc::device::backend::{
     CircuitJob, Execution, ExecutionStats, NoiselessBackend, PreparedCircuit, QuantumBackend,
@@ -123,6 +121,22 @@ fn pgp_config(steps: usize) -> TrainConfig {
     }
 }
 
+/// Anchors a run to an explicit checkpoint target.
+fn checkpointing(ck: &CheckpointConfig) -> RunAnchor<'_> {
+    RunAnchor {
+        checkpoint: Some(ck),
+        ..RunAnchor::default()
+    }
+}
+
+/// Anchors a run to a resume state, without checkpointing.
+fn resuming(state: TrainState) -> RunAnchor<'static> {
+    RunAnchor {
+        resume: Some(state),
+        ..RunAnchor::default()
+    }
+}
+
 fn ckpt_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("qoc_resume_{tag}_{}.ckpt.json", std::process::id()))
 }
@@ -147,13 +161,13 @@ fn killed_run_resumes_bit_identically_mid_pruning_window() {
     let config = pgp_config(8);
 
     let reference_backend = NoiselessBackend::new();
-    let reference = train_with_checkpoints(
+    let reference = train_anchored(
         &model,
         &reference_backend,
         &train_ds,
         &val_ds,
         &config,
-        None,
+        RunAnchor::default(),
     )
     .expect("fault-free reference run");
 
@@ -163,8 +177,15 @@ fn killed_run_resumes_bit_identically_mid_pruning_window() {
     let killer = KillSwitchBackend::new(230);
     let path = ckpt_path("kill");
     let ck = CheckpointConfig::new(&path, 3);
-    let err = train_with_checkpoints(&model, &killer, &train_ds, &val_ds, &config, Some(&ck))
-        .expect_err("fuse must abort the run");
+    let err = train_anchored(
+        &model,
+        &killer,
+        &train_ds,
+        &val_ds,
+        &config,
+        checkpointing(&ck),
+    )
+    .expect_err("fuse must abort the run");
     let TrainError::Execution {
         step, checkpoint, ..
     } = &err
@@ -183,14 +204,13 @@ fn killed_run_resumes_bit_identically_mid_pruning_window() {
     assert_eq!(state.steps.len(), state.next_step);
 
     let resume_backend = NoiselessBackend::new();
-    let resumed = resume_training(
+    let resumed = train_anchored(
         &model,
         &resume_backend,
         &train_ds,
         &val_ds,
         &config,
-        state,
-        None,
+        resuming(state),
     )
     .expect("resumed run completes");
     std::fs::remove_file(&path).ok();
@@ -206,13 +226,13 @@ fn periodic_checkpoint_resumes_bit_identically() {
     let config = pgp_config(8);
 
     let reference_backend = NoiselessBackend::new();
-    let reference = train_with_checkpoints(
+    let reference = train_anchored(
         &model,
         &reference_backend,
         &train_ds,
         &val_ds,
         &config,
-        None,
+        RunAnchor::default(),
     )
     .expect("fault-free reference run");
 
@@ -221,22 +241,28 @@ fn periodic_checkpoint_resumes_bit_identically() {
     let path = ckpt_path("periodic");
     let ck = CheckpointConfig::new(&path, 5);
     let backend = NoiselessBackend::new();
-    let full = train_with_checkpoints(&model, &backend, &train_ds, &val_ds, &config, Some(&ck))
-        .expect("checkpointed run completes");
+    let full = train_anchored(
+        &model,
+        &backend,
+        &train_ds,
+        &val_ds,
+        &config,
+        checkpointing(&ck),
+    )
+    .expect("checkpointed run completes");
     assert_bit_identical(&full, &reference);
 
     let state = TrainState::load(&path).expect("periodic checkpoint loads");
     assert_eq!(state.next_step, 5);
 
     let resume_backend = NoiselessBackend::new();
-    let resumed = resume_training(
+    let resumed = train_anchored(
         &model,
         &resume_backend,
         &train_ds,
         &val_ds,
         &config,
-        state,
-        None,
+        resuming(state),
     )
     .expect("resumed run completes");
     std::fs::remove_file(&path).ok();
@@ -254,13 +280,13 @@ fn resume_rejects_checkpoint_from_another_seed() {
     let path = ckpt_path("seed_mismatch");
     let ck = CheckpointConfig::new(&path, 2);
     let backend = NoiselessBackend::new();
-    train_with_checkpoints(&model, &backend, &ds, &ds, &config, Some(&ck)).expect("run completes");
+    train_anchored(&model, &backend, &ds, &ds, &config, checkpointing(&ck)).expect("run completes");
     let state = TrainState::load(&path).expect("checkpoint loads");
     std::fs::remove_file(&path).ok();
 
     let mut other = config;
     other.seed = 8;
-    let _ = resume_training(&model, &backend, &ds, &ds, &other, state, None);
+    let _ = train_anchored(&model, &backend, &ds, &ds, &other, resuming(state));
 }
 
 /// Rewrites the on-disk checkpoint's `schema_version` and drops whole
@@ -300,13 +326,13 @@ fn cross_version_checkpoint_matrix() {
     let config = pgp_config(6);
 
     let reference_backend = NoiselessBackend::new();
-    let reference = train_with_checkpoints(
+    let reference = train_anchored(
         &model,
         &reference_backend,
         &train_ds,
         &val_ds,
         &config,
-        None,
+        RunAnchor::default(),
     )
     .expect("fault-free reference run");
 
@@ -315,22 +341,28 @@ fn cross_version_checkpoint_matrix() {
     let path = ckpt_path("version_matrix");
     let ck = CheckpointConfig::new(&path, 3);
     let backend = NoiselessBackend::new();
-    train_with_checkpoints(&model, &backend, &train_ds, &val_ds, &config, Some(&ck))
-        .expect("checkpointed run completes");
+    train_anchored(
+        &model,
+        &backend,
+        &train_ds,
+        &val_ds,
+        &config,
+        checkpointing(&ck),
+    )
+    .expect("checkpointed run completes");
     let golden = std::fs::read_to_string(&path).expect("golden checkpoint readable");
 
     // Row 1 — v2 (current): loads and resumes bit-identically.
     let state = TrainState::load(&path).expect("v2 checkpoint loads");
     assert_eq!(state.schema_version, CHECKPOINT_SCHEMA_VERSION);
     assert_eq!(state.next_step, 3);
-    let resumed = resume_training(
+    let resumed = train_anchored(
         &model,
         &NoiselessBackend::new(),
         &train_ds,
         &val_ds,
         &config,
-        state,
-        None,
+        resuming(state),
     )
     .expect("v2 resume completes");
     assert_bit_identical(&resumed, &reference);
@@ -353,14 +385,13 @@ fn cross_version_checkpoint_matrix() {
         qoc::core::engine::run_id_for_seed(config.seed),
         "run_id re-derived from the master seed"
     );
-    let resumed = resume_training(
+    let resumed = train_anchored(
         &model,
         &NoiselessBackend::new(),
         &train_ds,
         &val_ds,
         &config,
-        state,
-        None,
+        resuming(state),
     )
     .expect("v1 resume completes with the controller disabled");
     assert_bit_identical(&resumed, &reference);

@@ -5,6 +5,7 @@
 use qoc::core::grad::QnnGradientComputer;
 use qoc::nn::loss::cross_entropy;
 use qoc::prelude::*;
+use qoc::sim::statevector::sample_counts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,11 +135,11 @@ fn sample_counts_pass_chi_squared_goodness_of_fit() {
     let critical = 24.32;
     for seed in [0u64, 1, 2, 3, 4] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let counts = sv.sample_counts(shots, &mut rng);
+        let counts = sample_counts(&probs, shots, &mut rng);
         let mut chi2 = 0.0;
-        for (bin, p) in probs.iter().enumerate() {
+        for (p, &n) in probs.iter().zip(&counts) {
             let expected = p * shots as f64;
-            let observed = counts.get(&bin).copied().unwrap_or(0) as f64;
+            let observed = f64::from(n);
             chi2 += (observed - expected).powi(2) / expected;
         }
         assert!(
