@@ -29,7 +29,9 @@ stage_build() {
 }
 
 stage_test() {
-    cargo test --offline -q
+    # Every workspace crate's unit and integration tests, not only the root
+    # package's.
+    cargo test --offline --release --workspace -q
 }
 
 stage_kernel_equivalence() {
@@ -46,19 +48,24 @@ stage_kernel_equivalence() {
 }
 
 stage_diff_equivalence() {
-    # The shift planner's two differentiation modes must agree to 1e-12
-    # on random symbolic circuits, decomposed gates must match finite
-    # differences, and the noisy shifted-job path must stay bit-identical
-    # to its pre-refactor goldens at 1/2/8 workers.
+    # The shifted-job Jacobian and the adjoint sweep the exact noiseless
+    # backend answers with must agree to 1e-12 on random symbolic circuits,
+    # both must match finite differences on decomposed gates, and the noisy
+    # shifted-job path must stay bit-identical to its pre-refactor goldens
+    # at 1/2/8 workers.
     cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 
 stage_trace_validate() {
     QOC_LOG=debug QOC_TRACE_FILE=results/ci_trace.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
-    # validate_trace exits 2 when the trace/manifest never appeared and 1 on
-    # schema violations — its stderr names the offending line either way.
-    cargo run --offline --release -p qoc-bench --bin validate_trace results/ci_trace.jsonl
+    # qoc-analyze schema-checks every trace line (grad.health payloads
+    # included, hence the debug-level run) and both record satellites,
+    # gates on a manifest with nonzero circuit-run counters, and exits 2
+    # when the trace or a satellite never appeared and 1 on a violation —
+    # its stderr names the offending line either way.
+    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
+        results/ci_trace.jsonl --quiet
 }
 
 stage_analyze() {
@@ -223,7 +230,7 @@ stage_shot_alloc() {
 stage_bench_smoke() {
     # >25% regression vs a committed baseline fails (serial Jacobian vs
     # BENCH_param_shift.json, fused QNN-4 state prep vs
-    # BENCH_gate_kernels.json, adjoint-mode Jacobian vs BENCH_adjoint.json);
+    # BENCH_gate_kernels.json, adjoint-sweep Jacobian vs BENCH_adjoint.json);
     # tolerance is QOC_BENCH_TOLERANCE. Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke

@@ -392,6 +392,10 @@ pub struct Analysis {
     /// Σ duration of top-level `train.run` spans — the denominator for
     /// phase-share comparisons against the sampling profiler.
     pub run_wall_ns: u64,
+    /// The manifest's circuit-run counters (`execution_stats.circuits_run`,
+    /// `qoc.train.circuit_runs`, `qoc.device.circuits_run`) that read zero
+    /// or are missing; empty without a manifest.
+    pub zero_circuit_counters: Vec<&'static str>,
 }
 
 /// Extracts `r·w_p/(w_a+w_p)` from a manifest `config.pruning` value
@@ -644,6 +648,28 @@ pub fn analyze_run(
         .as_ref()
         .and_then(|m| m.get("best_accuracy").and_then(Value::as_f64));
     let expected_savings = manifest.as_ref().and_then(expected_savings_of);
+    let zero_circuit_counters = manifest.as_ref().map_or_else(Vec::new, |m| {
+        let stats_runs = m
+            .get("execution_stats")
+            .and_then(|s| s.get("circuits_run"))
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
+        [
+            ("execution_stats.circuits_run", stats_runs),
+            (
+                "qoc.train.circuit_runs",
+                counter(m, "qoc.train.circuit_runs"),
+            ),
+            (
+                "qoc.device.circuits_run",
+                counter(m, "qoc.device.circuits_run"),
+            ),
+        ]
+        .into_iter()
+        .filter(|&(_, runs)| runs == 0)
+        .map(|(name, _)| name)
+        .collect()
+    });
 
     let (phases, device_ns_spans, device_deltas_complete) =
         phase_table(&forest, &records, backoff_wait_ns, retries);
@@ -689,6 +715,7 @@ pub fn analyze_run(
         best_accuracy,
         truncated_tail_lines,
         run_wall_ns,
+        zero_circuit_counters,
     })
 }
 
@@ -773,6 +800,9 @@ impl Analysis {
         let mut failures = Vec::new();
         if self.spans == 0 {
             failures.push("trace contains no spans".to_string());
+        }
+        for counter in &self.zero_circuit_counters {
+            failures.push(format!("manifest reports zero circuits run ({counter})"));
         }
         if self.device_deltas_complete {
             if let Some(manifest_ns) = self.device_ns_manifest {

@@ -39,7 +39,7 @@ use std::time::Instant;
 use serde::Value;
 
 use qoc_core::shift::ParameterShiftEngine;
-use qoc_device::backend::{DiffMode, Execution, FakeDevice, NoiselessBackend};
+use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
 use qoc_device::backends::fake_santiago;
 use qoc_nn::model::QnnModel;
 use qoc_sim::fusion::FusedProgram;
@@ -162,9 +162,10 @@ fn measure_fused_min_ns() -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Re-runs the adjoint-mode exact Jacobian of the MNIST-2 ansatz
-/// (per-iteration cost ~10 µs, so each rep averages an inner loop) and
-/// returns the minimum per-run wall time in ns.
+/// Re-runs the exact Jacobian of the MNIST-2 ansatz, which the noiseless
+/// backend answers with its adjoint sweep (per-iteration cost ~10 µs, so
+/// each rep averages an inner loop), and returns the minimum per-run wall
+/// time in ns.
 fn measure_adjoint_min_ns() -> f64 {
     const INNER: usize = 500;
     let model = QnnModel::mnist2();
@@ -175,8 +176,7 @@ fn measure_adjoint_min_ns() -> f64 {
         model.circuit(),
         model.num_params(),
         Execution::Exact,
-    )
-    .with_diff_mode(DiffMode::Adjoint);
+    );
     for _ in 0..WARMUP * INNER {
         std::hint::black_box(engine.jacobian(&theta, 2));
     }

@@ -28,7 +28,7 @@
 //!
 //! Usage: `monitor_check STATUS_FILE MANIFEST_FILE [--alerts none|expect=...]`.
 //!
-//! Exit codes mirror `validate_trace`: **2** when an input file is missing,
+//! Exit codes mirror `qoc-analyze`: **2** when an input file is missing,
 //! **1** when an artifact is malformed or an invariant fails, **0** when
 //! the observability plane is healthy.
 

@@ -29,10 +29,16 @@
 //! schema check and the span-forest/phase report run. A trailing truncated
 //! line (killed writer) is tolerated in either mode.
 //!
-//! Exit codes mirror `validate_trace` so CI can gate on them: **2** when an
-//! input file is missing, **1** when an artifact is malformed or a sanity
-//! gate fails (no spans, device-time mismatch, missing or out-of-tolerance
-//! pruning efficacy), **0** otherwise.
+//! Outside `--blackbox` the three satellites are required, and every trace
+//! line and satellite record is checked against the pinned schemas in
+//! `qoc_telemetry::schema` — so one `qoc-analyze` run is also the full
+//! artifact validation of a traced run.
+//!
+//! Exit codes let CI gate on it: **2** when an input file is missing (the
+//! trace, a satellite, or a `--profile` file), **1** when an artifact is
+//! malformed or a sanity gate fails (no spans, a manifest reporting zero
+//! circuits run, device-time mismatch, missing or out-of-tolerance pruning
+//! efficacy), **0** otherwise.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -49,13 +55,15 @@ fn fail_missing(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Reads a satellite that is allowed to be absent.
-fn read_optional(path: &Path) -> Result<Option<String>, String> {
-    match std::fs::read_to_string(path) {
-        Ok(t) => Ok(Some(t)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
+/// Reads a satellite the traced run must have written next to its trace.
+fn read_satellite(path: &Path) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::NotFound {
+            fail_missing(&format!("{} does not exist", path.display()))
+        } else {
+            fail(&format!("cannot read {}: {e}", path.display()))
+        }
+    })
 }
 
 fn main() -> ExitCode {
@@ -117,26 +125,18 @@ fn main() -> ExitCode {
     };
     // A black-box dump is the ring contents alone — no satellites were ever
     // written next to it, so don't probe for (or gate on) them.
-    let satellites = if blackbox {
-        (Ok(None), Ok(None), Ok(None))
-    } else {
-        (
-            read_optional(&trace_path.with_extension("steps.jsonl")),
-            read_optional(&trace_path.with_extension("evals.jsonl")),
-            read_optional(&trace_path.with_extension("manifest.json")),
-        )
-    };
-    let (steps_text, evals_text, manifest_text) = match satellites {
-        (Ok(s), Ok(e), Ok(m)) => (s, e, m),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return fail(&e),
-    };
+    let mut satellites = Vec::new();
+    if !blackbox {
+        for ext in ["steps.jsonl", "evals.jsonl", "manifest.json"] {
+            match read_satellite(&trace_path.with_extension(ext)) {
+                Ok(text) => satellites.push(text),
+                Err(code) => return code,
+            }
+        }
+    }
+    let satellite = |k: usize| satellites.get(k).map(String::as_str);
 
-    let analysis = match analyze_run(
-        &trace_text,
-        steps_text.as_deref(),
-        evals_text.as_deref(),
-        manifest_text.as_deref(),
-    ) {
+    let analysis = match analyze_run(&trace_text, satellite(0), satellite(1), satellite(2)) {
         Ok(a) => a,
         Err(e) => return fail(&format!("malformed: {e}")),
     };

@@ -238,13 +238,6 @@ pub struct StepPlan {
     pub skipped: Vec<usize>,
 }
 
-impl StepPlan {
-    /// The evaluated parameter indices, ascending.
-    pub fn indices(&self) -> Vec<usize> {
-        self.rows.iter().map(|r| r.param).collect()
-    }
-}
-
 /// A PGP retune the controller requests after measuring a window's recall.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Retune {
@@ -401,12 +394,6 @@ impl ShotAllocator {
     /// The controller's configuration.
     pub fn config(&self) -> &ShotAllocConfig {
         &self.config
-    }
-
-    /// The plan issued by the last [`Self::plan`], until the matching
-    /// [`Self::observe`] consumes it.
-    pub fn planned(&self) -> Option<&StepPlan> {
-        self.pending.as_ref()
     }
 
     /// Cumulative shift-job shots saved against the uniform baseline

@@ -603,44 +603,28 @@ fn train_impl(
             })
             .collect();
 
-        let (subset, mut evaluated): (Option<Vec<usize>>, usize) = match &selection {
-            Selection::Full => (None, n),
-            Selection::Subset(s) => (Some(s.clone()), s.len()),
-        };
         let step_master = job_seed(config.seed, TRAIN_STREAM_BASE + step as u64);
-        // With the controller on, the pruner's selection is refined into
-        // per-row shot budgets (and possibly further skips); without it,
-        // the historical uniform path runs byte-identically.
-        let alloc_indices: Option<Vec<usize>> = match alloc.as_mut() {
-            Some(a) => {
-                let indices: Vec<usize> = match &selection {
-                    Selection::Full => (0..n).collect(),
-                    Selection::Subset(s) => s.clone(),
-                };
-                Some(a.plan(&indices).indices())
-            }
-            None => None,
+        let selected: Vec<usize> = match &selection {
+            Selection::Full => (0..n).collect(),
+            Selection::Subset(s) => s.clone(),
         };
-        let grad_result = match (&alloc_indices, alloc.as_ref()) {
-            (Some(eval_indices), Some(a)) => {
-                let budgets: Vec<Execution> = a
-                    .planned()
-                    .expect("plan() issued above")
-                    .rows
-                    .iter()
-                    .map(|spec| Execution::Shots(spec.shots))
-                    .collect();
-                evaluated = eval_indices.len();
-                computer.try_batch_gradient_budgeted(
-                    &params,
-                    &batch,
-                    eval_indices,
-                    &budgets,
-                    step_master,
-                )
+        // The rows this step evaluates and each row's shot budget: the
+        // allocator refines the pruner's selection (and may skip rows);
+        // without it every selected row runs at the configured execution.
+        let (rows, budgets): (Vec<usize>, Vec<Execution>) = match alloc.as_mut() {
+            Some(a) => a
+                .plan(&selected)
+                .rows
+                .iter()
+                .map(|spec| (spec.param, Execution::Shots(spec.shots)))
+                .unzip(),
+            None => {
+                let budgets = vec![config.execution; selected.len()];
+                (selected, budgets)
             }
-            _ => computer.try_batch_gradient(&params, &batch, subset.as_deref(), step_master),
         };
+        let grad_result =
+            computer.try_batch_gradient_budgeted(&params, &batch, &rows, &budgets, step_master);
         let result = match grad_result {
             Ok(r) => r,
             Err(source) => {
@@ -662,15 +646,10 @@ fn train_impl(
         };
         pruner.record(&result.grad);
         if let Some(h) = health.as_mut() {
-            h.observe_step(step, &selection, &result.grad, &result.grad_var);
+            h.observe_step(step, &selection, &rows, &result.grad, &result.grad_var);
         }
-        match &alloc_indices {
-            Some(eval_indices) => {
-                // Skipped rows are frozen exactly like pruned ones.
-                optimizer.step(&mut params, &result.grad, lr, Some(eval_indices));
-            }
-            None => optimizer.step(&mut params, &result.grad, lr, subset.as_deref()),
-        }
+        // Unevaluated rows (pruned or skipped) stay frozen.
+        optimizer.step(&mut params, &result.grad, lr, Some(&rows));
         if let Some(a) = alloc.as_mut() {
             if let Some(retune) = a.observe(&selection, &result.grad, &result.grad_var) {
                 pruner.retune(retune.ratio, retune.pruning_window);
@@ -682,7 +661,7 @@ fn train_impl(
             step,
             loss: result.loss,
             lr,
-            evaluated_params: evaluated,
+            evaluated_params: rows.len(),
             inferences,
         });
         if let Some(obs) = observer {
@@ -715,7 +694,7 @@ fn train_impl(
                 step = step,
                 loss = result.loss,
                 lr = lr,
-                evaluated_params = evaluated,
+                evaluated_params = rows.len(),
                 inferences = inferences,
                 runs_delta = runs_delta,
                 grad_norm = grad_norm,

@@ -124,16 +124,17 @@ impl<'a> QnnGradientComputer<'a> {
             Some(s) => s.to_vec(),
             None => (0..self.model.num_params()).collect(),
         };
-        self.try_batch_gradient_impl(params, batch, &indices, None, master_seed)
+        let budgets = vec![self.engine.execution(); indices.len()];
+        self.try_batch_gradient_budgeted(params, batch, &indices, &budgets, master_seed)
     }
 
-    /// [`Self::try_batch_gradient`] with a per-row shot budget from the
-    /// SNR-adaptive allocator ([`crate::alloc`]): row `indices[r]` of every
-    /// example's Jacobian runs under `budgets[r]` instead of the engine's
-    /// uniform execution. Seeds are untouched (see
-    /// [`ParameterShiftEngine::jacobian_jobs_budgeted`]), so equal budgets
-    /// reproduce the uniform path bit-identically. `indices` may be empty —
-    /// the batch then evaluates forward passes only and every parameter's
+    /// [`Self::try_batch_gradient`] with a per-row shot budget (e.g. from
+    /// the SNR-adaptive allocator, [`crate::alloc`]): row `indices[r]` of
+    /// every example's Jacobian runs under `budgets[r]`. Seeds are untouched
+    /// (see [`ParameterShiftEngine::jacobian_jobs_budgeted`]), so budgets
+    /// equal to the engine's execution reproduce
+    /// [`Self::try_batch_gradient`] bit-identically. `indices` may be empty
+    /// — the batch then evaluates forward passes only and every parameter's
     /// gradient stays frozen at 0.
     ///
     /// # Panics
@@ -148,17 +149,6 @@ impl<'a> QnnGradientComputer<'a> {
         master_seed: u64,
     ) -> Result<BatchGradient, BatchError> {
         assert_eq!(budgets.len(), indices.len(), "one budget per row");
-        self.try_batch_gradient_impl(params, batch, indices, Some(budgets), master_seed)
-    }
-
-    fn try_batch_gradient_impl(
-        &self,
-        params: &[f64],
-        batch: &[(&[f64], usize)],
-        indices: &[usize],
-        budgets: Option<&[Execution]>,
-        master_seed: u64,
-    ) -> Result<BatchGradient, BatchError> {
         assert!(!batch.is_empty(), "empty batch");
         let n_params = self.model.num_params();
 
@@ -173,14 +163,9 @@ impl<'a> QnnGradientComputer<'a> {
             let example_master = job_seed(master_seed, e as u64);
             let forward_idx = jobs.len();
             jobs.push(self.engine.forward_job(theta, example_master));
-            let (shift_jobs, plan) = match budgets {
-                None => self
-                    .engine
-                    .jacobian_jobs(theta, Some(indices), example_master),
-                Some(b) => self
-                    .engine
-                    .jacobian_jobs_budgeted(theta, indices, example_master, b),
-            };
+            let (shift_jobs, plan) =
+                self.engine
+                    .jacobian_jobs_budgeted(theta, indices, example_master, budgets);
             jobs.extend(shift_jobs);
             layout.push((forward_idx, plan));
         }
@@ -200,11 +185,8 @@ impl<'a> QnnGradientComputer<'a> {
         let scale = 1.0 / batch.len() as f64;
         let num_qubits = self.model.num_qubits();
         // Any finite-shot row makes variance propagation worthwhile; the
-        // planned-variance walk yields exact zeros for exact rows either way.
-        let any_shots = match budgets {
-            None => matches!(self.engine.execution(), Execution::Shots(_)),
-            Some(b) => b.iter().any(|e| matches!(e, Execution::Shots(_))),
-        };
+        // variance walk yields exact zeros for exact rows either way.
+        let any_shots = budgets.iter().any(|e| matches!(e, Execution::Shots(_)));
         for (&(_, target), (forward_idx, plan)) in batch.iter().zip(&layout) {
             let expectations = &results[*forward_idx];
             let logits = self.model.logits_from_expectations(expectations);
@@ -222,7 +204,7 @@ impl<'a> QnnGradientComputer<'a> {
                 // Shot-noise propagation: independent Jacobian entries, so
                 // the weighted sum's variance is the w²-weighted sum of
                 // entry variances, and the batch mean divides by B² (scale²).
-                let variances = plan.row_variances_planned(shifted);
+                let variances = plan.row_variances(shifted);
                 for (var_row, &param_idx) in variances.iter().zip(indices) {
                     let v: f64 = var_row
                         .iter()

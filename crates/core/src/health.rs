@@ -149,13 +149,17 @@ impl GradientHealth {
         self.windows
     }
 
-    /// Folds in one training step: `grad`/`grad_var` are the full-width
-    /// mean gradient and its shot-noise variance (frozen entries 0), as
-    /// produced by
+    /// Folds in one training step: `selection` is the pruner's choice,
+    /// `evaluated` the rows whose gradients the step actually computed (the
+    /// selection minus any rows the shot allocator skipped), and
+    /// `grad`/`grad_var` the full-width mean gradient and its shot-noise
+    /// variance (frozen entries 0), as produced by
     /// [`QnnGradientComputer`](crate::grad::QnnGradientComputer).
     ///
     /// Emits one `grad.health` event per *evaluated* parameter and, when a
     /// full step closes a pruning window, one `prune.efficacy` event.
+    /// Window boundaries and subset recall follow `selection`; per-row
+    /// statistics and the measured savings follow `evaluated`.
     ///
     /// # Panics
     ///
@@ -164,6 +168,7 @@ impl GradientHealth {
         &mut self,
         step: usize,
         selection: &Selection,
+        evaluated: &[usize],
         grad: &[f64],
         grad_var: &[f64],
     ) {
@@ -177,29 +182,25 @@ impl GradientHealth {
             self.emit_efficacy();
         }
 
-        let evaluated: Vec<usize> = match selection {
-            Selection::Full => (0..n).collect(),
-            Selection::Subset(s) => {
-                // Judge the sampled subset against the top-|s| EMA set
-                // *before* this step's gradients update the EMAs — the
-                // pruner, too, chose from pre-step information.
-                let top = self.top_k_by_ema(s.len());
-                let overlap = s.iter().filter(|i| top.binary_search(i).is_ok()).count();
-                let b = self.config.batch_size as u64;
-                self.stage.pruned_steps += 1;
-                self.stage.kept_sum += s.len();
-                self.stage.overlap_sum += overlap;
-                self.stage.saved_runs += 2 * b * (n - s.len()) as u64;
-                self.stage.wasted_runs += 2 * b * (s.len() - overlap) as u64;
-                s.clone()
-            }
-        };
+        if let Selection::Subset(s) = selection {
+            // Judge the sampled subset against the top-|s| EMA set *before*
+            // this step's gradients update the EMAs — the pruner, too, chose
+            // from pre-step information.
+            let top = self.top_k_by_ema(s.len());
+            let overlap = s.iter().filter(|i| top.binary_search(i).is_ok()).count();
+            let b = self.config.batch_size as u64;
+            self.stage.pruned_steps += 1;
+            self.stage.kept_sum += s.len();
+            self.stage.overlap_sum += overlap;
+            self.stage.saved_runs += 2 * b * (n - s.len()) as u64;
+            self.stage.wasted_runs += 2 * b * (s.len() - overlap) as u64;
+        }
         self.stage.steps += 1;
         self.stage.evaluated_sum += evaluated.len();
         self.prev_was_subset = matches!(selection, Selection::Subset(_));
 
         let snr_estimator = Registry::global().quantile_estimator("qoc.grad.snr", 4096);
-        for &i in &evaluated {
+        for &i in evaluated {
             let p = &mut self.params[i];
             let g = grad[i];
             let abs = g.abs();
@@ -330,9 +331,9 @@ mod tests {
         let mut h = GradientHealth::new(2, HealthConfig::new(4, 0.0));
         // Param 0 alternates sign (+0.4, −0.4, +0.4); param 1 is steady.
         let vars = [0.01, 0.04];
-        h.observe_step(0, &Selection::Full, &[0.4, 0.1], &vars);
-        h.observe_step(1, &Selection::Full, &[-0.4, 0.1], &vars);
-        h.observe_step(2, &Selection::Full, &[0.4, 0.1], &vars);
+        h.observe_step(0, &Selection::Full, &[0, 1], &[0.4, 0.1], &vars);
+        h.observe_step(1, &Selection::Full, &[0, 1], &[-0.4, 0.1], &vars);
+        h.observe_step(2, &Selection::Full, &[0, 1], &[0.4, 0.1], &vars);
         h.finish();
         drop(guard);
 
@@ -372,8 +373,8 @@ mod tests {
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
         let mut h = GradientHealth::new(1, HealthConfig::new(1, 0.0));
-        h.observe_step(0, &Selection::Full, &[0.3], &[0.0]);
-        h.observe_step(1, &Selection::Full, &[0.0], &[0.0]);
+        h.observe_step(0, &Selection::Full, &[0], &[0.3], &[0.0]);
+        h.observe_step(1, &Selection::Full, &[0], &[0.0], &[0.0]);
         drop(guard);
         let records = capture.records();
         assert_eq!(f64_of(field(&records[0], "snr")), SNR_CAP);
@@ -387,11 +388,18 @@ mod tests {
         let b = 4usize;
         let mut h = GradientHealth::new(4, HealthConfig::new(b, 0.25));
         // Full step seeds EMAs: params 2 and 3 dominate.
-        h.observe_step(0, &Selection::Full, &[0.01, 0.02, 0.5, 0.6], &[0.0; 4]);
+        h.observe_step(
+            0,
+            &Selection::Full,
+            &[0, 1, 2, 3],
+            &[0.01, 0.02, 0.5, 0.6],
+            &[0.0; 4],
+        );
         // Pruned step keeps {2, 3} — perfect recall of the top-2.
         h.observe_step(
             1,
             &Selection::Subset(vec![2, 3]),
+            &[2, 3],
             &[0.0, 0.0, 0.5, 0.6],
             &[0.0; 4],
         );
@@ -399,11 +407,18 @@ mod tests {
         h.observe_step(
             2,
             &Selection::Subset(vec![0, 2]),
+            &[0, 2],
             &[0.02, 0.0, 0.5, 0.0],
             &[0.0; 4],
         );
         // Next Full step closes the window.
-        h.observe_step(3, &Selection::Full, &[0.01, 0.02, 0.5, 0.6], &[0.0; 4]);
+        h.observe_step(
+            3,
+            &Selection::Full,
+            &[0, 1, 2, 3],
+            &[0.01, 0.02, 0.5, 0.6],
+            &[0.0; 4],
+        );
         h.finish();
         drop(guard);
 
@@ -434,8 +449,8 @@ mod tests {
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
         let mut h = GradientHealth::new(2, HealthConfig::new(1, 0.5));
-        h.observe_step(0, &Selection::Full, &[0.3, 0.1], &[0.0; 2]);
-        h.observe_step(1, &Selection::Subset(vec![0]), &[0.3, 0.0], &[0.0; 2]);
+        h.observe_step(0, &Selection::Full, &[0, 1], &[0.3, 0.1], &[0.0; 2]);
+        h.observe_step(1, &Selection::Subset(vec![0]), &[0], &[0.3, 0.0], &[0.0; 2]);
         // The run ends mid-window; finish() must still report it.
         h.finish();
         drop(guard);
@@ -448,9 +463,36 @@ mod tests {
     }
 
     #[test]
+    fn allocator_skipped_rows_are_not_counted_as_evaluated() {
+        // A Full step whose shot allocator evaluated only rows 0 and 2: the
+        // skipped rows' zero gradients must not reach the per-row stats.
+        let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
+        let guard = install_for_test(vec![capture.clone()], None);
+        let mut h = GradientHealth::new(4, HealthConfig::new(1, 0.5));
+        h.observe_step(
+            0,
+            &Selection::Full,
+            &[0, 2],
+            &[0.3, 0.0, 0.5, 0.0],
+            &[0.01; 4],
+        );
+        assert_eq!(h.stage.evaluated_sum, 2, "two evaluations counted");
+        assert_eq!(h.params[1].evals, 0, "skipped row 1 untouched");
+        assert_eq!(h.params[3].evals, 0, "skipped row 3 untouched");
+        drop(guard);
+        let params: Vec<_> = capture
+            .records()
+            .iter()
+            .filter(|r| r.span == "grad.health")
+            .map(|r| field(r, "param").clone())
+            .collect();
+        assert_eq!(params, vec![FieldValue::U64(0), FieldValue::U64(2)]);
+    }
+
+    #[test]
     fn top_k_by_ema_ranks_after_updates() {
         let mut h = GradientHealth::new(3, HealthConfig::new(1, 0.0));
-        h.observe_step(0, &Selection::Full, &[0.9, 0.1, 0.5], &[0.0; 3]);
+        h.observe_step(0, &Selection::Full, &[0, 1, 2], &[0.9, 0.1, 0.5], &[0.0; 3]);
         assert_eq!(h.top_k_by_ema(2), vec![0, 2]);
         assert_eq!(h.top_k_by_ema(1), vec![0]);
     }

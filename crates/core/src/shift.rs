@@ -28,37 +28,29 @@
 //! circuit variants that are transpiled **once** at engine construction and
 //! cached as [`PreparedCircuit`]s, not re-prepared per evaluation.
 //!
-//! # Differentiation modes
+//! # Choosing the differentiation method
 //!
-//! The engine is a *mode-selecting planner* (see DESIGN.md §5c). Every
-//! Jacobian evaluation resolves a [`DiffMode`]:
-//!
-//! - [`DiffMode::Shifted2P`] — the classic 2·occ shifted-job batch above.
-//!   The only mode noisy/hardware backends support; its job set, seeds, and
-//!   results are bit-identical to the historical behavior.
-//! - [`DiffMode::Adjoint`] — one structured [`JacobianBatch`] job: one
-//!   forward pass + one backward adjoint sweep; exact execution only.
-//!
-//! Selection: [`ParameterShiftEngine::with_diff_mode`] overrides auto. Auto
-//! picks `Adjoint` exactly when the backend reports
-//! [`DifferentiationCapability::Statevector`] *and* execution is exact;
-//! every finite-shot or hardware path stays on `Shifted2P`, and a pinned
-//! `Adjoint` is downgraded to it there. A backend may decline a structured
-//! batch ([`QuantumBackend::run_jacobian_batch`] returning `None`), in
-//! which case the planner silently falls back to shifted jobs.
+//! Every Jacobian evaluation first offers the whole request to the backend
+//! as one structured [`JacobianBatch`] through
+//! [`QuantumBackend::run_jacobian_batch`]. A backend that can answer it in
+//! one sweep does — the exact statevector backend runs one forward pass and
+//! one backward adjoint sweep — and returns `Some`; every other backend
+//! declines with `None`, and the engine runs the 2·occ shifted-job batch
+//! above, whose job set, seeds and results are bit-identical to the
+//! historical behavior. The hook is the only place that decides (see
+//! DESIGN.md §5c).
 //!
 //! Trainable gates without a native two-term shift rule (`crx`/`cry`/`crz`/
 //! `cp`/`p`/`u3`) are rewritten at engine construction via
 //! [`decompose_for_shift_rules`] into shift-friendly rotations, so they are
-//! differentiable under every mode.
+//! differentiable by either method.
 //!
 //! [`FakeDevice`]: qoc_device::backend::FakeDevice
 
 use std::f64::consts::FRAC_PI_2;
 
 use qoc_device::backend::{
-    job_seed, CircuitJob, DiffMode, DifferentiationCapability, Execution, JacobianBatch,
-    PreparedCircuit, QuantumBackend,
+    job_seed, CircuitJob, Execution, JacobianBatch, PreparedCircuit, QuantumBackend,
 };
 use qoc_device::retry::{BatchError, BatchResult};
 use qoc_sim::circuit::{Circuit, ParamValue};
@@ -108,24 +100,16 @@ struct OccurrenceShift {
 pub struct JacobianPlan {
     /// Per row: `(plus_idx, minus_idx, scale)` terms into the job list.
     rows: Vec<Vec<(usize, usize, f64)>>,
-    /// Per row: the execution every one of its shifted jobs ran under.
-    /// Uniform plans carry the engine execution in every slot; budgeted
-    /// plans ([`ParameterShiftEngine::jacobian_jobs_budgeted`]) carry the
-    /// allocator's per-row [`Execution`].
+    /// Per row: the execution every one of its shifted jobs ran under —
+    /// the engine's own execution for [`ParameterShiftEngine::jacobian_jobs`],
+    /// the caller's per-row budget for
+    /// [`ParameterShiftEngine::jacobian_jobs_budgeted`].
     row_executions: Vec<Execution>,
     num_jobs: usize,
     num_outputs: usize,
 }
 
 impl JacobianPlan {
-    /// The differentiation mode this plan's jobs realize. Job plans are
-    /// always [`DiffMode::Shifted2P`] — the structured adjoint path goes
-    /// through [`QuantumBackend::run_jacobian_batch`] and never
-    /// materializes per-shift jobs.
-    pub fn mode(&self) -> DiffMode {
-        DiffMode::Shifted2P
-    }
-
     /// Number of jobs the paired job list contains.
     pub fn num_jobs(&self) -> usize {
         self.num_jobs
@@ -159,58 +143,17 @@ impl JacobianPlan {
     }
 
     /// Shot-noise variance of each assembled Jacobian entry under the
-    /// `shots`-shot binomial model (paper Section 3.3): a measured
-    /// expectation `f = ⟨Z⟩` estimated from `s` shots has
-    /// `Var(f) = (1 − f²)/s`, so a row entry
-    /// `Σ scale·½·(f₊ − f₋)` carries
-    /// `Σ scale²·¼·((1 − f₊²) + (1 − f₋²))/s` (the two shifted runs are
-    /// independent jobs). Shape matches [`Self::assemble`]'s output;
-    /// all-zero for exact (infinite-shot) execution, where `shots` is
-    /// `None`.
+    /// finite-shot binomial model (paper Section 3.3), at each row's own
+    /// execution: a measured expectation `f = ⟨Z⟩` estimated from `s` shots
+    /// has `Var(f) = (1 − f²)/s`, so a row entry `Σ scale·½·(f₊ − f₋)`
+    /// carries `Σ scale²·¼·((1 − f₊²) + (1 − f₋²))/s` (the two shifted runs
+    /// are independent jobs). Rows that ran exactly get zeros. Shape
+    /// matches [`Self::assemble`]'s output.
     ///
     /// # Panics
     ///
     /// Panics if `results` is shorter than [`Self::num_jobs`].
-    pub fn row_variances(&self, results: &[Vec<f64>], shots: Option<u32>) -> Vec<Vec<f64>> {
-        assert!(
-            results.len() >= self.num_jobs,
-            "plan needs {} results, got {}",
-            self.num_jobs,
-            results.len()
-        );
-        let Some(shots) = shots else {
-            return vec![vec![0.0; self.num_outputs]; self.rows.len()];
-        };
-        let s = f64::from(shots.max(1));
-        self.rows
-            .iter()
-            .map(|terms| {
-                let mut row = vec![0.0; self.num_outputs];
-                for &(p, m, scale) in terms {
-                    for ((r, fp), fm) in row.iter_mut().zip(&results[p]).zip(&results[m]) {
-                        // Clamp against |f| > 1 (possible only through
-                        // numerical slop) so variances never go negative.
-                        let vp = (1.0 - fp * fp).max(0.0);
-                        let vm = (1.0 - fm * fm).max(0.0);
-                        *r += scale * scale * 0.25 * (vp + vm) / s;
-                    }
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// [`Self::row_variances`] driven by the plan's own per-row executions
-    /// instead of one uniform shot count: rows that ran exactly get zeros,
-    /// rows that ran with `s` shots get the binomial-model variance at
-    /// their own `s`. For a uniform finite-shot plan this is bit-identical
-    /// to `row_variances(results, Some(s))` — the inner float-op order is
-    /// the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `results` is shorter than [`Self::num_jobs`].
-    pub fn row_variances_planned(&self, results: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub fn row_variances(&self, results: &[Vec<f64>]) -> Vec<Vec<f64>> {
         assert!(
             results.len() >= self.num_jobs,
             "plan needs {} results, got {}",
@@ -228,6 +171,8 @@ impl JacobianPlan {
                 let s = f64::from(shots.max(1));
                 for &(p, m, scale) in terms {
                     for ((r, fp), fm) in row.iter_mut().zip(&results[p]).zip(&results[m]) {
+                        // Clamp against |f| > 1 (possible only through
+                        // numerical slop) so variances never go negative.
                         let vp = (1.0 - fp * fp).max(0.0);
                         let vm = (1.0 - fm * fm).max(0.0);
                         *r += scale * scale * 0.25 * (vp + vm) / s;
@@ -255,7 +200,6 @@ pub struct ParameterShiftEngine<'a> {
     /// decomposed) circuit — the structured-batch view of what
     /// [`SymbolPlan`] encodes for the job path.
     row_specs: Vec<JacobianRowSpec>,
-    diff_mode: Option<DiffMode>,
     workers: Option<usize>,
 }
 
@@ -342,7 +286,6 @@ impl<'a> ParameterShiftEngine<'a> {
             execution,
             plans,
             row_specs,
-            diff_mode: None,
             workers: None,
         }
     }
@@ -353,31 +296,6 @@ impl<'a> ParameterShiftEngine<'a> {
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
-    }
-
-    /// Pins the differentiation mode instead of auto-selecting. A pinned
-    /// [`DiffMode::Adjoint`] still falls back to shifted jobs where the
-    /// backend or execution cannot serve it.
-    #[must_use]
-    pub fn with_diff_mode(mut self, mode: DiffMode) -> Self {
-        self.diff_mode = Some(mode);
-        self
-    }
-
-    /// Resolves the effective mode. Adjoint — pinned through
-    /// [`Self::with_diff_mode`] or auto-selected — runs exactly on an exact
-    /// statevector backend; everywhere else the universally supported
-    /// shifted-job path runs. Finite-shot execution therefore never uses a
-    /// structured mode, so every sampled result stays bit-identical to the
-    /// historical path.
-    fn resolve_mode(&self) -> DiffMode {
-        let adjoint_ok = self.backend.differentiation_capability()
-            == DifferentiationCapability::Statevector
-            && self.execution == Execution::Exact;
-        match self.diff_mode {
-            Some(DiffMode::Adjoint) | None if adjoint_ok => DiffMode::Adjoint,
-            _ => DiffMode::Shifted2P,
-        }
     }
 
     /// The backend this engine drives.
@@ -451,16 +369,16 @@ impl<'a> ParameterShiftEngine<'a> {
             Some(s) => s.to_vec(),
             None => (0..self.num_trainable).collect(),
         };
-        self.jacobian_jobs_impl(theta, &indices, master_seed, None)
+        let budgets = vec![self.execution; indices.len()];
+        self.jacobian_jobs_budgeted(theta, &indices, master_seed, &budgets)
     }
 
-    /// [`Self::jacobian_jobs`] with a per-row [`Execution`] budget, for the
-    /// SNR-adaptive shot allocator ([`crate::alloc`]): `budgets[r]` replaces
-    /// the engine's uniform execution for every shifted job of row
-    /// `subset[r]`. Job *seeds* are untouched — budgets change how many
-    /// shots a job draws, never which RNG stream it draws them from — so a
-    /// budgeted plan whose budgets all equal the engine execution is
-    /// bit-identical to the uniform plan.
+    /// [`Self::jacobian_jobs`] with a per-row [`Execution`] budget (e.g.
+    /// from the SNR-adaptive shot allocator, [`crate::alloc`]): every
+    /// shifted job of row `subset[r]` runs under `budgets[r]`. Job *seeds*
+    /// are untouched — budgets change how many shots a job draws, never
+    /// which RNG stream it draws them from — so budgets that all equal the
+    /// engine execution reproduce [`Self::jacobian_jobs`] bit for bit.
     ///
     /// # Panics
     ///
@@ -473,23 +391,10 @@ impl<'a> ParameterShiftEngine<'a> {
         budgets: &[Execution],
     ) -> (Vec<CircuitJob<'_>>, JacobianPlan) {
         assert_eq!(budgets.len(), subset.len(), "one budget per requested row");
-        self.jacobian_jobs_impl(theta, subset, master_seed, Some(budgets))
-    }
-
-    fn jacobian_jobs_impl(
-        &self,
-        theta: &[f64],
-        indices: &[usize],
-        master_seed: u64,
-        budgets: Option<&[Execution]>,
-    ) -> (Vec<CircuitJob<'_>>, JacobianPlan) {
         let mut jobs = Vec::new();
-        let mut rows = Vec::with_capacity(indices.len());
-        let mut row_executions = Vec::with_capacity(indices.len());
-        for (r, &i) in indices.iter().enumerate() {
+        let mut rows = Vec::with_capacity(subset.len());
+        for (&i, &execution) in subset.iter().zip(budgets) {
             assert!(i < self.num_trainable, "symbol {i} not trainable");
-            let execution = budgets.map_or(self.execution, |b| b[r]);
-            row_executions.push(execution);
             let mut terms = Vec::new();
             match &self.plans[i] {
                 SymbolPlan::Simple => {
@@ -538,7 +443,7 @@ impl<'a> ParameterShiftEngine<'a> {
             jobs,
             JacobianPlan {
                 rows,
-                row_executions,
+                row_executions: budgets.to_vec(),
                 num_jobs,
                 num_outputs: self.prepared.logical_qubits(),
             },
@@ -563,8 +468,8 @@ impl<'a> ParameterShiftEngine<'a> {
         self.jacobian_subset(theta, &[i], master_seed).remove(0)
     }
 
-    /// Builds the structured whole-Jacobian job for a statevector backend
-    /// from the occurrence table computed at construction.
+    /// Builds the structured whole-Jacobian job offered to the backend from
+    /// the occurrence table computed at construction.
     fn jacobian_batch(&self, theta: &[f64], indices: &[usize]) -> JacobianBatch<'_> {
         JacobianBatch {
             prepared: &self.prepared,
@@ -580,37 +485,32 @@ impl<'a> ParameterShiftEngine<'a> {
         }
     }
 
-    /// Mode-dispatching Jacobian evaluation shared by the full and subset
-    /// entry points.
+    /// Jacobian evaluation shared by the full and subset entry points: the
+    /// backend's structured hook answers when it can, the shifted jobs
+    /// otherwise.
     fn try_jacobian_rows(
         &self,
         theta: &[f64],
         indices: &[usize],
         master_seed: u64,
     ) -> Result<Jacobian, BatchError> {
-        let mode = self.resolve_mode();
-        if mode != DiffMode::Shifted2P {
-            let batch = self.jacobian_batch(theta, indices);
-            let _span = qoc_telemetry::span!(
-                "shift.jacobian",
-                rows = indices.len(),
-                jobs = 0usize,
-                mode = mode.label(),
-            );
-            if let Some(jac) = self.backend.run_jacobian_batch(&batch) {
-                debug_assert_eq!(jac.len(), indices.len(), "backend returned wrong row count");
-                return Ok(jac);
+        let mut span = qoc_telemetry::span!("shift.jacobian", rows = indices.len());
+        if let Some(jac) = self
+            .backend
+            .run_jacobian_batch(&self.jacobian_batch(theta, indices))
+        {
+            debug_assert_eq!(jac.len(), indices.len(), "backend returned wrong row count");
+            if let Some(s) = span.as_mut() {
+                s.field("jobs", 0usize);
+                s.field("mode", "adjoint");
             }
-            // Backend declined the structured job — fall through to the
-            // universally supported shifted-job path.
+            return Ok(jac);
         }
         let (jobs, plan) = self.jacobian_jobs(theta, Some(indices), master_seed);
-        let _span = qoc_telemetry::span!(
-            "shift.jacobian",
-            rows = indices.len(),
-            jobs = jobs.len(),
-            mode = DiffMode::Shifted2P.label(),
-        );
+        if let Some(s) = span.as_mut() {
+            s.field("jobs", jobs.len());
+            s.field("mode", "shifted-2p");
+        }
         Ok(plan.assemble(&self.try_run_batch(&jobs)?))
     }
 
@@ -653,6 +553,13 @@ mod tests {
     use qoc_device::backend::{FakeDevice, NoiselessBackend};
     use qoc_device::backends::fake_lima;
     use qoc_sim::simulator::StatevectorSimulator;
+
+    /// The shifted-job Jacobian, built and run exactly as the engine's
+    /// fallback does — whatever the backend's structured hook would answer.
+    fn shifted_jacobian(engine: &ParameterShiftEngine<'_>, theta: &[f64], seed: u64) -> Jacobian {
+        let (jobs, plan) = engine.jacobian_jobs(theta, None, seed);
+        plan.assemble(&engine.run_batch(&jobs))
+    }
 
     fn finite_difference(circuit: &Circuit, theta: &[f64], i: usize) -> Vec<f64> {
         let sim = StatevectorSimulator::new();
@@ -724,11 +631,10 @@ mod tests {
         c.ry(1, ParamValue::sym(0));
         c.rzz(0, 1, ParamValue::sym(1));
         let backend = NoiselessBackend::new();
-        let engine = ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact)
-            .with_diff_mode(DiffMode::Shifted2P);
+        let engine = ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact);
         backend.reset_stats();
-        let _ = engine.jacobian(&[0.9, -0.4], 0);
-        let _ = engine.jacobian(&[0.9, -0.4], 0);
+        let _ = shifted_jacobian(&engine, &[0.9, -0.4], 0);
+        let _ = shifted_jacobian(&engine, &[0.9, -0.4], 0);
         // Per Jacobian: symbol 0 → 2 occurrences × 2 signs = 4 runs;
         // symbol 1 → 2 runs. Total 12 for two Jacobians.
         assert_eq!(backend.stats().circuits_run, 12);
@@ -850,19 +756,17 @@ mod tests {
     fn circuit_run_accounting() {
         let backend = NoiselessBackend::new();
         let c = ansatz_circuit();
-        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Exact)
-            .with_diff_mode(DiffMode::Shifted2P);
+        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Exact);
         backend.reset_stats();
-        let _ = engine.jacobian(&[0.0; 5], 6);
+        let _ = shifted_jacobian(&engine, &[0.0; 5], 6);
         // 2 runs per parameter (all symbols are simple here).
         assert_eq!(backend.stats().circuits_run, 10);
     }
 
     #[test]
     fn exact_noiseless_jacobians_auto_select_adjoint() {
-        // Adjoint mode simulates the circuit once per Jacobian instead of
-        // 2P times — the accounting proves the planner actually took the
-        // structured path by default.
+        // The adjoint sweep simulates the circuit once per Jacobian instead
+        // of 2P times — the accounting proves the backend's hook answered.
         let backend = NoiselessBackend::new();
         let c = ansatz_circuit();
         let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Exact);
@@ -872,32 +776,25 @@ mod tests {
     }
 
     #[test]
-    fn shots_never_auto_select_structured_modes() {
-        // Sampled execution and noisy backends must stay on the shifted-job
-        // path so their RNG streams (and therefore every trained checkpoint)
-        // stay bit-stable — whether adjoint was auto-selected or pinned
-        // through the builder.
+    fn declined_jacobian_batches_run_the_shifted_jobs() {
+        // Sampled execution and noisy backends decline the structured batch,
+        // so their RNG streams (and therefore every trained checkpoint) stay
+        // those of the shifted-job path.
         let c = ansatz_circuit();
         let theta = [0.3; 5];
         let noiseless = NoiselessBackend::new();
         let device = FakeDevice::new(fake_lima());
-        let cases: [(&dyn QuantumBackend, Execution, Option<DiffMode>); 4] = [
-            (&noiseless, Execution::Shots(64), None),
-            (&noiseless, Execution::Shots(64), Some(DiffMode::Adjoint)),
-            (&device, Execution::Shots(64), Some(DiffMode::Adjoint)),
-            (&device, Execution::Exact, Some(DiffMode::Adjoint)),
+        let cases: [(&dyn QuantumBackend, Execution); 3] = [
+            (&noiseless, Execution::Shots(64)),
+            (&device, Execution::Shots(64)),
+            (&device, Execution::Exact),
         ];
-        for (backend, execution, pinned) in cases {
-            let reference = ParameterShiftEngine::new(backend, &c, 5, execution)
-                .with_diff_mode(DiffMode::Shifted2P)
-                .jacobian(&theta, 6);
-            let mut engine = ParameterShiftEngine::new(backend, &c, 5, execution);
-            if let Some(mode) = pinned {
-                engine = engine.with_diff_mode(mode);
-            }
+        for (backend, execution) in cases {
+            let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
+            let reference = shifted_jacobian(&engine, &theta, 6);
             backend.reset_stats();
             let jac = engine.jacobian(&theta, 6);
-            let label = format!("{} {execution:?} {pinned:?}", backend.name());
+            let label = format!("{} {execution:?}", backend.name());
             // 2 runs per parameter (all symbols are simple here).
             assert_eq!(backend.stats().circuits_run, 10, "{label}");
             assert_eq!(jac, reference, "{label} left the shifted-job path");
@@ -918,11 +815,15 @@ mod tests {
         let (jobs, plan) = engine.jacobian_jobs(&theta, None, 9);
         let results = engine.run_batch(&jobs);
 
-        let exact = plan.row_variances(&results, None);
+        let exact = plan.row_variances(&results);
         assert_eq!(exact, vec![vec![0.0]]);
 
+        // The same exact expectations, read through a 1024-shot plan of the
+        // same layout.
         let shots = 1024u32;
-        let noisy = plan.row_variances(&results, Some(shots));
+        let (_, shot_plan) =
+            engine.jacobian_jobs_budgeted(&theta, &[0], 9, &[Execution::Shots(shots)]);
+        let noisy = shot_plan.row_variances(&results);
         let fp = (0.7 + FRAC_PI_2).cos();
         let fm = (0.7 - FRAC_PI_2).cos();
         let want = 0.25 * ((1.0 - fp * fp) + (1.0 - fm * fm)) / f64::from(shots);
@@ -953,9 +854,9 @@ mod tests {
         let bud = engine.run_batch(&bud_jobs);
         assert_eq!(plain, bud, "uniform budget must be bit-identical");
         assert_eq!(
-            plain_plan.row_variances(&plain, Some(256)),
-            bud_plan.row_variances_planned(&bud),
-            "planned variances match the uniform model at a uniform budget"
+            plain_plan.row_variances(&plain),
+            bud_plan.row_variances(&bud),
+            "variances match at a uniform budget"
         );
     }
 
@@ -988,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn planned_variances_mix_exact_and_shot_rows() {
+    fn row_variances_mix_exact_and_shot_rows() {
         let mut c = Circuit::new(1);
         c.ry(0, ParamValue::sym(0));
         c.rz(0, ParamValue::sym(1));
@@ -1002,7 +903,7 @@ mod tests {
             &[Execution::Exact, Execution::Shots(64)],
         );
         let results = engine.run_batch(&jobs);
-        let var = plan.row_variances_planned(&results);
+        let var = plan.row_variances(&results);
         assert_eq!(var[0], vec![0.0], "exact row predicts zero variance");
         assert!(
             var[1][0] > 0.0,
@@ -1046,16 +947,18 @@ mod tests {
         );
         let backend = NoiselessBackend::new();
         let theta = [0.9, -0.35];
-        for mode in [DiffMode::Shifted2P, DiffMode::Adjoint] {
-            let engine =
-                ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact).with_diff_mode(mode);
-            let jac = engine.jacobian(&theta, 11);
+        let engine = ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact);
+        let jacobians = [
+            ("shifted-2p", shifted_jacobian(&engine, &theta, 11)),
+            ("adjoint", engine.jacobian(&theta, 11)),
+        ];
+        for (mode, jac) in jacobians {
             for (i, row) in jac.iter().enumerate() {
                 let fd = finite_difference(&c, &theta, i);
                 for (q, (a, b)) in row.iter().zip(&fd).enumerate() {
                     assert!(
                         (a - b).abs() < 1e-6,
-                        "{mode:?} ∂f[{q}]/∂θ[{i}]: {a} vs fd {b}"
+                        "{mode} ∂f[{q}]/∂θ[{i}]: {a} vs fd {b}"
                     );
                 }
             }

@@ -1,12 +1,13 @@
-//! Mode-equivalence suite for the shift-aware Jacobian planner.
+//! Method-equivalence suite for the shift-aware Jacobian planner.
 //!
 //! Three contracts, straight from the planner's design:
 //!
-//! 1. the two differentiation modes (`Shifted2P`, `Adjoint`) agree to
-//!    ≤1e-12 on random symbolic circuits under exact execution — they are
-//!    different *evaluation strategies* of the same mathematical Jacobian;
+//! 1. the two differentiation methods — the shifted jobs and the exact
+//!    statevector backend's adjoint sweep — agree to ≤1e-12 on random
+//!    symbolic circuits under exact execution: they are different
+//!    *evaluation strategies* of the same mathematical Jacobian;
 //! 2. gates without a two-term shift rule (Phase/U3/Cp/Crx/Cry/Crz) are
-//!    decomposed at plan time, and every mode's Jacobian still matches
+//!    decomposed at plan time, and both methods' Jacobians still match
 //!    finite differences on the ORIGINAL circuit;
 //! 3. the noisy shifted-job path is byte-identical to its pre-refactor
 //!    behaviour: golden Jacobian bit patterns pinned at 1, 2, and 8
@@ -14,8 +15,8 @@
 
 use proptest::prelude::*;
 
-use qoc_core::shift::ParameterShiftEngine;
-use qoc_device::backend::{DiffMode, Execution, FakeDevice, NoiselessBackend};
+use qoc_core::shift::{Jacobian, ParameterShiftEngine};
+use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
 use qoc_device::backends::fake_lima;
 use qoc_sim::circuit::{Circuit, ParamValue};
 use qoc_sim::gates::GateKind;
@@ -41,7 +42,29 @@ const DECOMPOSED_GATES: &[GateKind] = &[
     GateKind::Crz,
 ];
 
-const ALL_MODES: [DiffMode; 2] = [DiffMode::Shifted2P, DiffMode::Adjoint];
+/// Rows `subset` (all when `None`) through both methods, labelled: the
+/// shifted jobs built and run exactly as the engine's fallback does, then
+/// the engine's own choice — on the exact noiseless backend, the adjoint
+/// sweep (asserted by its one-circuit cost).
+fn both_methods(
+    engine: &ParameterShiftEngine<'_>,
+    theta: &[f64],
+    subset: Option<&[usize]>,
+    seed: u64,
+) -> [(&'static str, Jacobian); 2] {
+    let (jobs, plan) = engine.jacobian_jobs(theta, subset, seed);
+    let shifted = plan.assemble(&engine.run_batch(&jobs));
+    let rows: Vec<usize> =
+        subset.map_or_else(|| (0..engine.num_trainable()).collect(), <[usize]>::to_vec);
+    let before = engine.backend().stats().circuits_run;
+    let adjoint = engine.jacobian_subset(theta, &rows, seed);
+    assert_eq!(
+        engine.backend().stats().circuits_run - before,
+        1,
+        "the backend's hook must answer with one adjoint sweep"
+    );
+    [("shifted-2p", shifted), ("adjoint", adjoint)]
+}
 
 /// Random symbolic circuit on `n` qubits: shift-rule gates whose angles may
 /// reuse earlier symbols and carry non-trivial scales/offsets — the shapes
@@ -111,7 +134,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn both_modes_agree_to_1e12_on_random_circuits(
+    fn both_methods_agree_to_1e12_on_random_circuits(
         c in arb_symbolic_circuit(3),
         theta_seed in -3.0f64..3.0,
     ) {
@@ -120,29 +143,20 @@ proptest! {
         let theta: Vec<f64> = (0..n_params)
             .map(|k| theta_seed + 0.41 * k as f64)
             .collect();
-        let jacs: Vec<_> = ALL_MODES
-            .iter()
-            .map(|&mode| {
-                ParameterShiftEngine::new(&backend, &c, n_params, Execution::Exact)
-                    .with_diff_mode(mode)
-                    .jacobian(&theta, 7)
-            })
-            .collect();
-        for (m, jac) in jacs.iter().enumerate().skip(1) {
-            for (i, (row, base)) in jac.iter().zip(&jacs[0]).enumerate() {
-                for (q, (a, b)) in row.iter().zip(base).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() <= 1e-12,
-                        "{:?} vs Shifted2P at ∂f[{q}]/∂θ[{i}]: {a} vs {b}\n{c}",
-                        ALL_MODES[m]
-                    );
-                }
+        let engine = ParameterShiftEngine::new(&backend, &c, n_params, Execution::Exact);
+        let [(_, shifted), (_, adjoint)] = both_methods(&engine, &theta, None, 7);
+        for (i, (row, base)) in adjoint.iter().zip(&shifted).enumerate() {
+            for (q, (a, b)) in row.iter().zip(base).enumerate() {
+                prop_assert!(
+                    (a - b).abs() <= 1e-12,
+                    "adjoint vs shifted-2p at ∂f[{q}]/∂θ[{i}]: {a} vs {b}\n{c}",
+                );
             }
         }
     }
 
     #[test]
-    fn decomposed_gates_match_finite_differences_in_every_mode(
+    fn decomposed_gates_match_finite_differences_by_both_methods(
         g in 0..DECOMPOSED_GATES.len(),
         a in 0..3usize,
         off in 1..3usize,
@@ -165,16 +179,14 @@ proptest! {
             .map(|k| theta_seed + 0.53 * k as f64)
             .collect();
         let backend = NoiselessBackend::new();
-        for mode in ALL_MODES {
-            let jac = ParameterShiftEngine::new(&backend, &c, n_params, Execution::Exact)
-                .with_diff_mode(mode)
-                .jacobian(&theta, 13);
+        let engine = ParameterShiftEngine::new(&backend, &c, n_params, Execution::Exact);
+        for (mode, jac) in both_methods(&engine, &theta, None, 13) {
             for (i, row) in jac.iter().enumerate() {
                 let fd = finite_difference(&c, &theta, i);
                 for (q, (s, f)) in row.iter().zip(&fd).enumerate() {
                     prop_assert!(
                         (s - f).abs() < 1e-5,
-                        "{gate:?}/{mode:?} ∂f[{q}]/∂θ[{i}]: shift {s} vs fd {f}",
+                        "{gate:?}/{mode} ∂f[{q}]/∂θ[{i}]: shift {s} vs fd {f}",
                     );
                 }
             }
@@ -237,31 +249,28 @@ fn noisy_jacobians_are_bit_identical_to_pre_refactor_goldens() {
 }
 
 #[test]
-fn structured_modes_panic_cleanly_on_unknown_trainables() {
-    // A symbol beyond num_trainable stays undifferentiated in every mode.
+fn untrainable_symbols_stay_undifferentiated_by_both_methods() {
+    // A symbol beyond num_trainable stays undifferentiated by either method.
     let mut c = Circuit::new(2);
     c.ry(0, ParamValue::sym(0));
     c.rz(1, ParamValue::sym(1)); // input symbol — not trainable
     let backend = NoiselessBackend::new();
-    for mode in ALL_MODES {
-        let jac = ParameterShiftEngine::new(&backend, &c, 1, Execution::Exact)
-            .with_diff_mode(mode)
-            .jacobian(&[0.4, 0.9], 3);
-        assert_eq!(jac.len(), 1, "{mode:?}");
+    let engine = ParameterShiftEngine::new(&backend, &c, 1, Execution::Exact);
+    for (mode, jac) in both_methods(&engine, &[0.4, 0.9], None, 3) {
+        assert_eq!(jac.len(), 1, "{mode}");
     }
 }
 
 #[test]
-fn subset_rows_match_full_jacobian_rows_in_every_mode() {
+fn subset_rows_match_full_jacobian_rows_by_both_methods() {
     let c = golden_circuit();
     let theta = [0.37, -1.1, 0.52, 2.4, -0.8];
     let backend = NoiselessBackend::new();
-    for mode in ALL_MODES {
-        let engine =
-            ParameterShiftEngine::new(&backend, &c, 5, Execution::Exact).with_diff_mode(mode);
-        let full = engine.jacobian(&theta, 21);
-        let sub = engine.jacobian_subset(&theta, &[3, 0], 21);
-        assert_eq!(sub[0], full[3], "{mode:?}");
-        assert_eq!(sub[1], full[0], "{mode:?}");
+    let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Exact);
+    let full = both_methods(&engine, &theta, None, 21);
+    let sub = both_methods(&engine, &theta, Some(&[3, 0]), 21);
+    for ((mode, full), (_, sub)) in full.into_iter().zip(sub) {
+        assert_eq!(sub[0], full[3], "{mode}");
+        assert_eq!(sub[1], full[0], "{mode}");
     }
 }

@@ -79,11 +79,6 @@ impl Dataset {
         &self.features
     }
 
-    /// Mutable feature rows (for normalization passes).
-    pub fn features_mut(&mut self) -> &mut [Vec<f64>] {
-        &mut self.features
-    }
-
     /// All labels.
     pub fn labels(&self) -> &[usize] {
         &self.labels

@@ -135,11 +135,6 @@ impl Pca {
         }
     }
 
-    /// Number of kept components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Per-component variance explained, descending.
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained_variance

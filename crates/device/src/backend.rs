@@ -219,39 +219,6 @@ impl<'a> CircuitJob<'a> {
     }
 }
 
-/// How a backend can evaluate Jacobians.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DifferentiationCapability {
-    /// Only the generic path: the planner submits 2·occ individually seeded
-    /// shifted [`CircuitJob`]s. Noisy and hardware backends live here —
-    /// their RNG streams must stay bit-identical to the historical layout.
-    ShiftedJobsOnly,
-    /// The backend exposes its statevector to the differentiation planner,
-    /// enabling adjoint-mode Jacobians via
-    /// [`QuantumBackend::run_jacobian_batch`].
-    Statevector,
-}
-
-/// Which differentiation strategy a Jacobian evaluation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffMode {
-    /// Two shifted circuit executions per gate occurrence (Eq. 2 of the
-    /// paper) — works on any backend, the only choice on hardware.
-    Shifted2P,
-    /// Forward pass + backward adjoint sweep; exact readout only.
-    Adjoint,
-}
-
-impl DiffMode {
-    /// Stable lowercase label used in telemetry span fields.
-    pub fn label(self) -> &'static str {
-        match self {
-            DiffMode::Shifted2P => "shifted-2p",
-            DiffMode::Adjoint => "adjoint",
-        }
-    }
-}
-
 /// A structured whole-Jacobian job: the planner hands the backend the full
 /// row structure at once instead of a flat list of shifted circuit jobs, so
 /// the backend can share work across rows in one adjoint sweep.
@@ -433,31 +400,19 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
         // exact device-time and circuit deltas (they telescope to the run
         // totals, which qoc-analyze checks to the nanosecond).
         let before_stats = span.as_ref().map(|_| self.stats());
-        let finish = |slots: Vec<Result<Vec<f64>, (u32, JobError)>>| -> BatchResult {
-            let mut out = Vec::with_capacity(slots.len());
-            for (i, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Ok(result) => out.push(result),
-                    Err((attempts, error)) => {
-                        return Err(BatchError {
-                            job_index: i,
-                            job_seed: jobs[i].seed,
-                            attempts,
-                            error,
-                        })
-                    }
-                }
-            }
-            Ok(out)
-        };
-        if workers <= 1 {
+        // Worker `w`'s share: jobs `w`, `w + workers`, … each driven through
+        // the retry policy, tagged with their batch index.
+        let run_stride = |w: usize| -> Vec<(usize, JobOutcome)> {
             let mut busy_ns = 0u64;
             if let Some((m, _)) = &telemetry {
                 m.workers_delta(1);
             }
-            let slots: Vec<_> = jobs
+            let out: Vec<_> = jobs
                 .iter()
-                .map(|job| {
+                .enumerate()
+                .skip(w)
+                .step_by(workers.max(1))
+                .map(|(i, job)| {
                     let start = telemetry.as_ref().map(|(m, epoch)| {
                         m.queue_wait_ns.record(epoch.elapsed().as_nanos() as u64);
                         Instant::now()
@@ -470,75 +425,32 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                         busy_ns += dur;
                         m.job_finished();
                     }
-                    result
+                    (i, result)
                 })
                 .collect();
             if let Some((m, _)) = &telemetry {
-                m.worker_jobs.record(jobs.len() as u64);
+                m.worker_jobs.record(out.len() as u64);
                 m.worker_busy_ns.record(busy_ns);
                 m.workers_delta(-1);
             }
-            if let (Some(s), Some(before)) = (span.as_mut(), before_stats) {
-                let after = self.stats();
-                s.field(
-                    "circuits",
-                    after.circuits_run.saturating_sub(before.circuits_run),
-                );
-                s.field(
-                    "device_ns",
-                    after.device_nanos().saturating_sub(before.device_nanos()),
-                );
-            }
-            return finish(slots);
-        }
-        let mut slots: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-        std::thread::scope(|scope| {
-            let telemetry = &telemetry;
-            let policy = &policy;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut busy_ns = 0u64;
-                        if let Some((m, _)) = telemetry {
-                            m.workers_delta(1);
-                        }
-                        let out: Vec<_> = jobs
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, job)| {
-                                let start = telemetry.as_ref().map(|(m, epoch)| {
-                                    m.queue_wait_ns.record(epoch.elapsed().as_nanos() as u64);
-                                    Instant::now()
-                                });
-                                let result = run_job_with_retry(job, policy, |attempt, j| {
-                                    self.try_run_job(j, attempt)
-                                });
-                                if let (Some(start), Some((m, _))) = (start, telemetry) {
-                                    let dur = start.elapsed().as_nanos() as u64;
-                                    m.job_wall_ns.record(dur);
-                                    busy_ns += dur;
-                                    m.job_finished();
-                                }
-                                (i, result)
-                            })
-                            .collect();
-                        if let Some((m, _)) = telemetry {
-                            m.worker_jobs.record(out.len() as u64);
-                            m.worker_busy_ns.record(busy_ns);
-                            m.workers_delta(-1);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
+            out
+        };
+        // One worker runs inline: a spawned thread would carry none of the
+        // caller's open spans, hiding the batch from the sampling profiler.
+        let strides = if workers <= 1 {
+            vec![run_stride(0)]
+        } else {
+            let run_stride = &run_stride;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || run_stride(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch worker panicked"))
+                    .collect()
+            })
+        };
         if let (Some(s), Some(before)) = (span.as_mut(), before_stats) {
             let after = self.stats();
             s.field(
@@ -550,26 +462,29 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                 after.device_nanos().saturating_sub(before.device_nanos()),
             );
         }
-        finish(
-            slots
-                .into_iter()
-                .map(|r| r.expect("strided assignment covers every job"))
-                .collect(),
-        )
-    }
-
-    /// How this backend can evaluate Jacobians. Defaults to the universally
-    /// available shifted-jobs path; wrapper backends that don't forward this
-    /// method (fault injectors, queues) therefore conservatively keep their
-    /// inner backend on the bit-stable generic path.
-    fn differentiation_capability(&self) -> DifferentiationCapability {
-        DifferentiationCapability::ShiftedJobsOnly
+        let mut outcomes: Vec<(usize, JobOutcome)> = strides.into_iter().flatten().collect();
+        outcomes.sort_unstable_by_key(|&(i, _)| i);
+        // In index order, so the reported failure is the lowest-index one.
+        outcomes
+            .into_iter()
+            .map(|(i, outcome)| {
+                outcome.map_err(|(attempts, error)| BatchError {
+                    job_index: i,
+                    job_seed: jobs[i].seed,
+                    attempts,
+                    error,
+                })
+            })
+            .collect()
     }
 
     /// Evaluates a whole Jacobian in one structured job, returning
     /// `rows × logical_qubits` gradients, or `None` when the backend cannot
-    /// serve the requested execution — the planner then falls back to
-    /// shifted jobs.
+    /// serve the requested execution — the planner then runs the shifted
+    /// jobs. This hook alone decides the differentiation method: the
+    /// planner offers every Jacobian here first. The default declines, so
+    /// wrapper backends that don't forward it (fault injectors, queues)
+    /// keep their inner backend on the bit-stable shifted-job path.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let _ = batch;
         None
@@ -807,10 +722,6 @@ impl QuantumBackend for NoiselessBackend {
             program.run_into(theta, sv);
             sv.probabilities()
         })
-    }
-
-    fn differentiation_capability(&self) -> DifferentiationCapability {
-        DifferentiationCapability::Statevector
     }
 
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {

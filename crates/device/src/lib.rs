@@ -52,8 +52,7 @@ pub mod topology;
 pub mod transpile;
 
 pub use backend::{
-    DiffMode, DifferentiationCapability, Execution, ExecutionStats, FakeDevice, JacobianBatch,
-    NoiselessBackend, QuantumBackend,
+    Execution, ExecutionStats, FakeDevice, JacobianBatch, NoiselessBackend, QuantumBackend,
 };
 pub use backends::DeviceDescription;
 pub use calibration::{DeviceCalibration, EdgeCalibration, QubitCalibration};

@@ -254,20 +254,6 @@ impl DevicePool {
         best.map(|(idx, _, _)| idx)
     }
 
-    /// The placement score of `circuit` on `class` (for reporting).
-    pub fn score_on(&self, circuit: &Circuit, class: usize) -> Option<PlacementScore> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        match &st.classes[class].description {
-            Some(desc) => placement_score(circuit, desc),
-            None => Some(PlacementScore {
-                swap_count: 0,
-                gates_2q: 0,
-                gates_1q: 0,
-                est_error: 0.0,
-            }),
-        }
-    }
-
     /// Leases an idle instance of `class` without blocking; `None` when all
     /// instances are busy.
     pub fn try_acquire(self: &Arc<Self>, class: usize) -> Option<PooledDevice> {

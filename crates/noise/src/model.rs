@@ -270,16 +270,6 @@ impl NoiseModelBuilder {
         self
     }
 
-    /// Appends an analytic depolarizing default for unlisted edges.
-    pub fn two_qubit_default_depolarizing(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        self.model.two_qubit_default.push(GateNoise {
-            kind: NoiseOpKind::Depolarizing(p),
-            wires: WireSelect::Gate,
-        });
-        self
-    }
-
     /// Sets the readout error of qubit `q`.
     ///
     /// # Panics

@@ -18,8 +18,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use qoc_device::backend::{
-    CircuitJob, DifferentiationCapability, Execution, ExecutionStats, JacobianBatch,
-    PreparedCircuit, QuantumBackend,
+    CircuitJob, Execution, ExecutionStats, JacobianBatch, PreparedCircuit, QuantumBackend,
 };
 use qoc_device::retry::{JobError, JobResult, RetryPolicy};
 use qoc_sim::circuit::Circuit;
@@ -90,10 +89,6 @@ impl QuantumBackend for PreemptableBackend<'_> {
 
     fn retry_policy(&self) -> RetryPolicy {
         self.inner.retry_policy()
-    }
-
-    fn differentiation_capability(&self) -> DifferentiationCapability {
-        self.inner.differentiation_capability()
     }
 
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {

@@ -281,11 +281,6 @@ impl Statevector {
         ez
     }
 
-    /// Marginal probability that qubit `q` reads 1.
-    pub fn prob_one(&self, q: usize) -> f64 {
-        (1.0 - self.expectation_z(q)) / 2.0
-    }
-
     /// Inner product `⟨self|other⟩`.
     ///
     /// # Panics

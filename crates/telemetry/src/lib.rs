@@ -433,11 +433,6 @@ impl SpanGuard {
     pub fn field(&mut self, key: &'static str, value: impl Into<FieldValue>) {
         self.fields.push((key, value.into()));
     }
-
-    /// Elapsed time since the span opened.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
 }
 
 impl Drop for SpanGuard {

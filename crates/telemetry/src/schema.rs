@@ -11,8 +11,8 @@
 //!    layer — `grad.health` and `prune.efficacy` — whose field shapes
 //!    downstream tooling (`qoc-analyze`, CI gates) depends on.
 //!
-//! `validate_trace` and `qoc-analyze` both validate through this module so
-//! the contract lives in exactly one place; the golden tests below pin each
+//! `qoc-analyze` validates through this module so the contract lives in
+//! exactly one place; the golden tests below pin each
 //! shape against hand-written JSON so an accidental field rename breaks the
 //! build, not the analyzer.
 
