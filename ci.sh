@@ -50,9 +50,11 @@ stage_kernel_equivalence() {
 stage_diff_equivalence() {
     # The shifted-job Jacobian and the adjoint sweep the exact noiseless
     # backend answers with must agree to 1e-12 on random symbolic circuits,
-    # both must match finite differences on decomposed gates, and the noisy
+    # both must match finite differences on decomposed gates, the noisy
     # shifted-job path must stay bit-identical to its pre-refactor goldens
-    # at 1/2/8 workers.
+    # at 1/2/8 workers, and a fake device's forked answer to the Jacobian
+    # hook must equal the shifted jobs bit for bit on random circuits on
+    # fake santiago and jakarta, every fork ending in a state.
     cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 
@@ -230,7 +232,8 @@ stage_shot_alloc() {
 stage_bench_smoke() {
     # >25% regression vs a committed baseline fails (serial Jacobian vs
     # BENCH_param_shift.json, fused QNN-4 state prep vs
-    # BENCH_gate_kernels.json, adjoint-sweep Jacobian vs BENCH_adjoint.json);
+    # BENCH_gate_kernels.json, adjoint-sweep Jacobian vs BENCH_adjoint.json,
+    # forked MNIST-4/jakarta example gradient vs BENCH_density.json);
     # tolerance is QOC_BENCH_TOLERANCE. Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke

@@ -2,14 +2,17 @@
 //! emulated device execution (and hence of on-chip training experiments).
 //!
 //! Rows: one thermal-relaxation channel on a 4-qubit state, a 2-qubit
-//! Kraus channel at 2/4/6 qubits, and one compiled 1024-shot device run of
-//! the MNIST-2 (santiago) and MNIST-4 (jakarta) circuits. Writes
+//! Kraus channel at 2/4/6 qubits, one compiled 1024-shot device run of the
+//! MNIST-2 (santiago) and MNIST-4 (jakarta) circuits, and one full-step
+//! example gradient of MNIST-4 on jakarta (73 circuits, the shifted ones
+//! forked from one forward evolution by the device's Jacobian hook). Writes
 //! `BENCH_density.json` at the repository root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use qoc_core::grad::QnnGradientComputer;
 use qoc_device::backend::{Execution, FakeDevice, QuantumBackend};
 use qoc_device::backends::{fake_jakarta, fake_santiago};
 use qoc_nn::model::QnnModel;
@@ -73,6 +76,26 @@ fn bench_device_execution(c: &mut Criterion) {
     group.finish();
 }
 
+/// One example's share of a full PGP step on the paper's workload: the
+/// forward circuit plus all 72 shifted circuits of MNIST-4 on fake jakarta
+/// at 1024 shots, through the gradient computer (which offers the Jacobian
+/// to the device's hook) on one worker.
+fn bench_example_jacobian(c: &mut Criterion) {
+    let mut group = c.benchmark_group("density/jacobian");
+    group.sample_size(10);
+    let model = QnnModel::mnist4();
+    let device = FakeDevice::new(fake_jakarta());
+    let computer =
+        QnnGradientComputer::new(&model, &device, Execution::Shots(1024)).with_workers(1);
+    let params = vec![0.2; model.num_params()];
+    let input = vec![0.7; model.input_dim()];
+    let example: [(&[f64], usize); 1] = [(&input, 0)];
+    group.bench_function("mnist4_jakarta", |b| {
+        b.iter(|| std::hint::black_box(computer.batch_gradient(&params, &example, None, 5)))
+    });
+    group.finish();
+}
+
 /// Dumps the timing rows to `BENCH_density.json`.
 fn dump_artifact(c: &mut Criterion) {
     let timings = c
@@ -87,6 +110,7 @@ criterion_group!(
     bench_kraus_application,
     bench_thermal_channel,
     bench_device_execution,
+    bench_example_jacobian,
     dump_artifact
 );
 criterion_main!(benches);

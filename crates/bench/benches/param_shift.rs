@@ -69,13 +69,12 @@ fn bench_sampled_forward(c: &mut Criterion) {
     });
 }
 
-/// Serial vs batched Jacobian on the noisy device emulator: the paper's
-/// 4-qubit MNIST-2 ansatz on fake ibmq_santiago at 1024 shots — 17 jobs of
-/// density-matrix simulation per Jacobian, the workload `run_batch` fans
-/// over worker threads. The 1-worker row is the serial baseline; results
-/// are bit-identical at every worker count. Speedup tracks the host's core
-/// count: on a single-CPU runner the sweep is flat (all rows share one
-/// core), which the JSON artifact records alongside the timings.
+/// Jacobian on the noisy device emulator at 1, 2, 4 and 8 batch workers:
+/// the paper's 4-qubit MNIST-2 ansatz on fake ibmq_santiago at 1024 shots,
+/// 16 shifted circuits per Jacobian. The fake device answers the engine's
+/// Jacobian hook by forking every shifted circuit from one forward
+/// evolution on the calling thread, so the worker count no longer changes
+/// the work; results are bit-identical at every worker count.
 fn bench_batched_jacobian(c: &mut Criterion) {
     let model = QnnModel::mnist2();
     let device = FakeDevice::new(fake_santiago());
@@ -144,10 +143,12 @@ fn bench_disabled_span(c: &mut Criterion) {
     });
 }
 
-/// Per-worker utilization and queue-wait percentiles for the batched
-/// Jacobian, measured through the telemetry registry itself: force-enable
-/// dispatch, reset the global metrics, run a fixed number of Jacobians, and
-/// read the `qoc.device.*` histograms back. Utilization is the fraction of
+/// Per-worker utilization and queue-wait percentiles for the shifted-job
+/// batch of a Jacobian (what a backend that declines the Jacobian hook
+/// runs; the fake device itself answers the hook on one thread), measured
+/// through the telemetry registry itself: force-enable dispatch, reset the
+/// global metrics, run a fixed number of batches, and read the
+/// `qoc.device.*` histograms back. Utilization is the fraction of
 /// `workers × wall` actually spent inside jobs. Must run after the
 /// criterion benches (it enables telemetry for the rest of the process).
 fn worker_telemetry_rows() -> Vec<qoc_bench::suite::Measurement> {
@@ -171,7 +172,8 @@ fn worker_telemetry_rows() -> Vec<qoc_bench::suite::Measurement> {
         registry.reset();
         let start = std::time::Instant::now();
         for rep in 0..REPS {
-            std::hint::black_box(engine.jacobian(&theta, rep as u64));
+            let (jobs, _) = engine.jacobian_jobs(&theta, None, rep as u64);
+            std::hint::black_box(engine.run_batch(&jobs));
         }
         let wall_ns = start.elapsed().as_nanos() as f64;
         let snap = registry.snapshot();

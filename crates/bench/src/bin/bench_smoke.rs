@@ -9,6 +9,10 @@
 //! - `BENCH_adjoint.json` — re-measures the adjoint-mode exact Jacobian of
 //!   the MNIST-2 ansatz (the `diff/adjoint_mnist2` row), guarding the
 //!   structured differentiation path of the shift planner.
+//! - `BENCH_density.json` — re-measures one full-step example gradient of
+//!   MNIST-4 on the emulated ibmq_jakarta at 1024 shots (the
+//!   `density/jacobian/mnist4_jakarta` row), guarding the forked noisy
+//!   Jacobian the fake device answers the shift planner's hook with.
 //! - `BENCH_shot_alloc.json` — checks the committed shot-allocation
 //!   frontier (the `shot_alloc/mnist2_frontier` row): the controller must
 //!   have reached baseline accuracy with ≥ 25% fewer executed shots. This
@@ -21,7 +25,7 @@
 //! sample: on shared/single-CPU runners medians swing ±25% with scheduler
 //! noise, while the minimum is a stable lower bound on the true cost.
 //!
-//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON]]]]`
+//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]]`
 //! (defaults to the repo-root artifacts). Tolerance defaults to 0.25 (25 %) and can be
 //! overridden with `QOC_BENCH_TOLERANCE`. Exit codes: **0** within
 //! tolerance, **1** regression or malformed baseline, **2** baseline
@@ -38,9 +42,10 @@ use std::time::Instant;
 
 use serde::Value;
 
+use qoc_core::grad::QnnGradientComputer;
 use qoc_core::shift::ParameterShiftEngine;
 use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
-use qoc_device::backends::fake_santiago;
+use qoc_device::backends::{fake_jakarta, fake_santiago};
 use qoc_nn::model::QnnModel;
 use qoc_sim::fusion::FusedProgram;
 use qoc_sim::statevector::Statevector;
@@ -132,6 +137,28 @@ fn measure_jacobian_min_ns() -> f64 {
         .map(|_| {
             let start = Instant::now();
             std::hint::black_box(engine.jacobian(&theta, 4));
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Re-runs one example's full-step gradient of MNIST-4 on fake jakarta at
+/// 1024 shots (73 circuits) and returns the minimum wall time in ns.
+fn measure_example_jacobian_min_ns() -> f64 {
+    let model = QnnModel::mnist4();
+    let device = FakeDevice::new(fake_jakarta());
+    let computer =
+        QnnGradientComputer::new(&model, &device, Execution::Shots(1024)).with_workers(1);
+    let params = vec![0.2; model.num_params()];
+    let input = vec![0.7; model.input_dim()];
+    let example: [(&[f64], usize); 1] = [(&input, 0)];
+    for _ in 0..WARMUP {
+        std::hint::black_box(computer.batch_gradient(&params, &example, None, 5));
+    }
+    (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(computer.batch_gradient(&params, &example, None, 5));
             start.elapsed().as_nanos() as f64
         })
         .fold(f64::INFINITY, f64::min)
@@ -439,6 +466,15 @@ fn main() -> ExitCode {
         },
         PathBuf::from,
     );
+    let density_path: PathBuf = std::env::args().nth(5).map_or_else(
+        || {
+            PathBuf::from(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../BENCH_density.json"
+            ))
+        },
+        PathBuf::from,
+    );
     if cfg!(debug_assertions) {
         println!(
             "bench_smoke: skipped — debug build; baselines are measured with \
@@ -453,7 +489,7 @@ fn main() -> ExitCode {
         },
         Err(_) => DEFAULT_TOLERANCE,
     };
-    let gates: [Gate; 3] = [
+    let gates: [Gate; 4] = [
         (
             &shift_path,
             "shift/jacobian_batched_santiago/1workers",
@@ -471,6 +507,12 @@ fn main() -> ExitCode {
             "diff/adjoint_mnist2",
             "cargo bench -p qoc-bench --bench diff_modes",
             measure_adjoint_min_ns,
+        ),
+        (
+            &density_path,
+            "density/jacobian/mnist4_jakarta",
+            "cargo bench -p qoc-bench --bench density",
+            measure_example_jacobian_min_ns,
         ),
     ];
     let mut rows: Vec<GateRow> = gates

@@ -10,11 +10,17 @@
 //! 3. **dot product** — `∂L/∂θ = (∂f/∂θ)ᵀ · ∂L/∂f`.
 //!
 //! Stages 1 and 2 for *every example in the mini-batch* are independent
-//! circuit executions, so [`QnnGradientComputer::batch_gradient`] collects
-//! them all — `batch·(1 + 2·|subset|)` jobs — into a single
-//! [`QuantumBackend::run_batch`] submission. Each example draws its jobs'
-//! randomness from its own master seed `job_seed(master_seed, example_idx)`,
-//! so results do not depend on batch composition order or worker count.
+//! circuit executions. [`QnnGradientComputer::batch_gradient`] first offers
+//! each example's Jacobian to the backend's hook
+//! ([`ParameterShiftEngine::offer_jacobian`]; a fake device answers it with
+//! the shifted circuits forked from one forward evolution), then collects
+//! the forward jobs and every declined example's shifted jobs — at most
+//! `batch·(1 + 2·|subset|)` jobs — into a single
+//! [`QuantumBackend::run_batch`] submission. Either way every example costs
+//! `1 + 2·|subset|` circuits. Each example draws its jobs' randomness from
+//! its own master seed `job_seed(master_seed, example_idx)`, so results do
+//! not depend on batch composition order, worker count, or which path ran
+//! its shifted circuits.
 
 use qoc_device::backend::{job_seed, Execution, QuantumBackend};
 use qoc_device::retry::BatchError;
@@ -152,7 +158,14 @@ impl<'a> QnnGradientComputer<'a> {
         assert!(!batch.is_empty(), "empty batch");
         let n_params = self.model.num_params();
 
-        // Collect forward + Jacobian jobs for every example into one batch.
+        let mut span = qoc_telemetry::span!(
+            "grad.minibatch",
+            batch = batch.len(),
+            evaluated = indices.len(),
+        );
+        // Offer each example's Jacobian to the backend's hook, then collect
+        // the forward jobs and every declined example's shifted jobs into
+        // one batch.
         let thetas: Vec<Vec<f64>> = batch
             .iter()
             .map(|&(input, _)| self.model.symbol_vector(params, input))
@@ -163,18 +176,15 @@ impl<'a> QnnGradientComputer<'a> {
             let example_master = job_seed(master_seed, e as u64);
             let forward_idx = jobs.len();
             jobs.push(self.engine.forward_job(theta, example_master));
-            let (shift_jobs, plan) =
+            let mut offer =
                 self.engine
-                    .jacobian_jobs_budgeted(theta, indices, example_master, budgets);
-            jobs.extend(shift_jobs);
-            layout.push((forward_idx, plan));
+                    .offer_jacobian(theta, indices, example_master, budgets, true);
+            jobs.extend(offer.take_jobs().unwrap_or_default());
+            layout.push((forward_idx, offer));
         }
-        let mut span = qoc_telemetry::span!(
-            "grad.minibatch",
-            batch = batch.len(),
-            evaluated = indices.len(),
-            jobs = jobs.len(),
-        );
+        if let Some(s) = span.as_mut() {
+            s.field("jobs", jobs.len());
+        }
         let results = self.engine.try_run_batch(&jobs)?;
 
         // Classical stages: backprop through the head and dot with the rows.
@@ -187,15 +197,15 @@ impl<'a> QnnGradientComputer<'a> {
         // Any finite-shot row makes variance propagation worthwhile; the
         // variance walk yields exact zeros for exact rows either way.
         let any_shots = budgets.iter().any(|e| matches!(e, Execution::Shots(_)));
-        for (&(_, target), (forward_idx, plan)) in batch.iter().zip(&layout) {
+        for (&(_, target), (forward_idx, offer)) in batch.iter().zip(&layout) {
             let expectations = &results[*forward_idx];
             let logits = self.model.logits_from_expectations(expectations);
             let (loss, grad_logits) = loss_and_grad(&logits, target);
             let grad_expectations = self.model.head().backward(&grad_logits, num_qubits);
             total_loss += loss;
 
-            let shifted = &results[forward_idx + 1..forward_idx + 1 + plan.num_jobs()];
-            let jac = plan.assemble(shifted);
+            let shifted = &results[forward_idx + 1..forward_idx + 1 + offer.num_jobs()];
+            let jac = offer.jacobian(shifted);
             for (row, &param_idx) in jac.iter().zip(indices) {
                 let dot: f64 = row.iter().zip(&grad_expectations).map(|(j, g)| j * g).sum();
                 grad[param_idx] += scale * dot;
@@ -204,7 +214,7 @@ impl<'a> QnnGradientComputer<'a> {
                 // Shot-noise propagation: independent Jacobian entries, so
                 // the weighted sum's variance is the w²-weighted sum of
                 // entry variances, and the batch mean divides by B² (scale²).
-                let variances = plan.row_variances(shifted);
+                let variances = offer.row_variances(shifted);
                 for (var_row, &param_idx) in variances.iter().zip(indices) {
                     let v: f64 = var_row
                         .iter()

@@ -30,15 +30,27 @@
 //!
 //! # Choosing the differentiation method
 //!
-//! Every Jacobian evaluation first offers the whole request to the backend
-//! as one structured [`JacobianBatch`] through
-//! [`QuantumBackend::run_jacobian_batch`]. A backend that can answer it in
-//! one sweep does — the exact statevector backend runs one forward pass and
-//! one backward adjoint sweep — and returns `Some`; every other backend
-//! declines with `None`, and the engine runs the 2·occ shifted-job batch
-//! above, whose job set, seeds and results are bit-identical to the
-//! historical behavior. The hook is the only place that decides (see
-//! DESIGN.md §5c).
+//! Every Jacobian evaluation — the engine's own and each example's in a
+//! training minibatch — first offers the whole request to the backend as
+//! one structured [`JacobianBatch`] through
+//! [`QuantumBackend::run_jacobian_batch`]
+//! ([`ParameterShiftEngine::offer_jacobian`]). Each row carries its
+//! execution and the seeds of its shifted jobs. The backend answers with
+//! what it computed:
+//!
+//! - the exact statevector backend returns finished rows from one forward
+//!   pass and one backward adjoint sweep, for all-`Exact` requests whose
+//!   caller does not count circuits at the shifted-job cost;
+//! - a [`FakeDevice`] returns the shifted jobs' own results, every shifted
+//!   circuit forked from one forward evolution and sampled with its job's
+//!   seed, when every row is a single occurrence with |scale| = 1.
+//!
+//! Anything else (and every wrapper that doesn't forward the hook)
+//! declines, and the engine runs the 2·occ shifted-job batch above. The
+//! shifted results feed the same [`JacobianPlan::assemble`] and
+//! [`JacobianPlan::row_variances`] whoever ran them, so sampled results
+//! are bit-identical on every path. The hook is the only place that
+//! decides (see DESIGN.md §5c).
 //!
 //! Trainable gates without a native two-term shift rule (`crx`/`cry`/`crz`/
 //! `cp`/`p`/`u3`) are rewritten at engine construction via
@@ -50,7 +62,8 @@
 use std::f64::consts::FRAC_PI_2;
 
 use qoc_device::backend::{
-    job_seed, CircuitJob, Execution, JacobianBatch, PreparedCircuit, QuantumBackend,
+    job_seed, CircuitJob, Execution, JacobianAnswer, JacobianBatch, JacobianRow, PreparedCircuit,
+    QuantumBackend,
 };
 use qoc_device::retry::{BatchError, BatchResult};
 use qoc_sim::circuit::{Circuit, ParamValue};
@@ -184,6 +197,75 @@ impl JacobianPlan {
     }
 }
 
+/// One Jacobian request after the backend's hook saw it
+/// ([`ParameterShiftEngine::offer_jacobian`]): the hook's answer, or the
+/// shifted jobs still to run, and the plan that assembles either.
+#[derive(Debug)]
+pub struct JacobianOffer<'e> {
+    plan: JacobianPlan,
+    answer: Option<JacobianAnswer>,
+    /// The declined request's shifted jobs, until taken.
+    jobs: Option<Vec<CircuitJob<'e>>>,
+}
+
+impl<'e> JacobianOffer<'e> {
+    /// The shifted jobs to run when the hook declined (`None` once taken
+    /// or when it answered). Their results, in order, are what
+    /// [`Self::jacobian`] and [`Self::row_variances`] take.
+    pub fn take_jobs(&mut self) -> Option<Vec<CircuitJob<'e>>> {
+        self.jobs.take()
+    }
+
+    /// Number of job results the assembly needs: the shifted jobs' count
+    /// when the hook declined, 0 when it answered.
+    pub fn num_jobs(&self) -> usize {
+        if self.answer.is_some() {
+            0
+        } else {
+            self.plan.num_jobs()
+        }
+    }
+
+    /// How the rows were computed, as the `shift.jacobian` span's `mode`
+    /// field names it: `"adjoint"` (finished rows), `"forked"` (the hook
+    /// ran the shifted circuits) or `"shifted-2p"` (declined).
+    pub fn mode(&self) -> &'static str {
+        match self.answer {
+            Some(JacobianAnswer::Rows(_)) => "adjoint",
+            Some(JacobianAnswer::Shifted(_)) => "forked",
+            None => "shifted-2p",
+        }
+    }
+
+    /// The shifted-job results behind the rows — the hook's, or
+    /// `job_results` — or the hook's finished rows.
+    fn shifted<'r>(&'r self, job_results: &'r [Vec<f64>]) -> Result<&'r [Vec<f64>], &'r Jacobian> {
+        match &self.answer {
+            Some(JacobianAnswer::Rows(rows)) => Err(rows),
+            Some(JacobianAnswer::Shifted(results)) => Ok(results),
+            None => Ok(job_results),
+        }
+    }
+
+    /// The Jacobian rows, given the results of [`Self::take_jobs`]'s jobs
+    /// (ignored when the hook answered).
+    pub fn jacobian(&self, job_results: &[Vec<f64>]) -> Jacobian {
+        match self.shifted(job_results) {
+            Ok(results) => self.plan.assemble(results),
+            Err(rows) => rows.clone(),
+        }
+    }
+
+    /// Each row's shot-noise variances ([`JacobianPlan::row_variances`]);
+    /// zeros for finished rows, which are exact.
+    pub fn row_variances(&self, job_results: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        match self.shifted(job_results) {
+            Ok(results) => self.plan.row_variances(results),
+            Err(rows) => rows.iter().map(|row| vec![0.0; row.len()]).collect(),
+        }
+    }
+}
+
 /// Parameter-shift gradient engine bound to one backend + circuit template.
 ///
 /// Symbols `0..num_trainable` of the circuit are treated as trainable; any
@@ -257,11 +339,14 @@ impl<'a> ParameterShiftEngine<'a> {
                     },
                 )
                 .collect();
-            let simple = with_scales.len() == 1 && (with_scales[0].scale.abs() - 1.0).abs() < 1e-12;
-            if simple {
+            let spec = JacobianRowSpec {
+                occurrences: with_scales,
+            };
+            if spec.is_symbol_shift() {
                 plans.push(SymbolPlan::Simple);
             } else {
-                let shifts = with_scales
+                let shifts = spec
+                    .occurrences
                     .iter()
                     .map(|o| {
                         let plus = circuit.with_occurrence_shift(o.op_index, o.slot, FRAC_PI_2);
@@ -275,9 +360,7 @@ impl<'a> ParameterShiftEngine<'a> {
                     .collect();
                 plans.push(SymbolPlan::Occurrences(shifts));
             }
-            row_specs.push(JacobianRowSpec {
-                occurrences: with_scales,
-            });
+            row_specs.push(spec);
         }
         ParameterShiftEngine {
             backend,
@@ -468,20 +551,60 @@ impl<'a> ParameterShiftEngine<'a> {
         self.jacobian_subset(theta, &[i], master_seed).remove(0)
     }
 
-    /// Builds the structured whole-Jacobian job offered to the backend from
-    /// the occurrence table computed at construction.
-    fn jacobian_batch(&self, theta: &[f64], indices: &[usize]) -> JacobianBatch<'_> {
-        JacobianBatch {
+    /// Offers rows `indices` of the Jacobian at `theta`, row `indices[r]`
+    /// under `budgets[r]`, to the backend's hook as one [`JacobianBatch`]
+    /// carrying each row's execution and the seeds of its shifted jobs
+    /// ([`Self::jacobian_jobs_budgeted`]). `shifted_only` marks callers that
+    /// count the Jacobian at the shifted-job cost (see
+    /// [`JacobianBatch::shifted_only`]). Every Jacobian the engine or the
+    /// training loop evaluates goes through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `budgets` and `indices` lengths differ or an index is
+    /// not trainable.
+    pub fn offer_jacobian(
+        &self,
+        theta: &[f64],
+        indices: &[usize],
+        master_seed: u64,
+        budgets: &[Execution],
+        shifted_only: bool,
+    ) -> JacobianOffer<'_> {
+        let (jobs, plan) = self.jacobian_jobs_budgeted(theta, indices, master_seed, budgets);
+        let rows = indices
+            .iter()
+            .zip(&plan.rows)
+            .zip(budgets)
+            .map(|((&symbol, terms), &execution)| {
+                let (plus, minus, _) = terms[0];
+                JacobianRow {
+                    symbol,
+                    spec: &self.row_specs[symbol],
+                    execution,
+                    seeds: [jobs[plus].seed, jobs[minus].seed],
+                }
+            })
+            .collect();
+        let batch = JacobianBatch {
             prepared: &self.prepared,
             theta: theta.to_vec(),
-            rows: indices
-                .iter()
-                .map(|&i| {
-                    assert!(i < self.num_trainable, "symbol {i} not trainable");
-                    self.row_specs[i].clone()
-                })
-                .collect(),
-            execution: self.execution,
+            rows,
+            shifted_only,
+        };
+        let answer = self.backend.run_jacobian_batch(&batch);
+        debug_assert!(
+            match &answer {
+                Some(JacobianAnswer::Rows(rows)) => rows.len() == indices.len(),
+                Some(JacobianAnswer::Shifted(results)) => results.len() == plan.num_jobs(),
+                None => true,
+            },
+            "backend answered the wrong number of rows"
+        );
+        JacobianOffer {
+            jobs: answer.is_none().then_some(jobs),
+            answer,
+            plan,
         }
     }
 
@@ -495,23 +618,18 @@ impl<'a> ParameterShiftEngine<'a> {
         master_seed: u64,
     ) -> Result<Jacobian, BatchError> {
         let mut span = qoc_telemetry::span!("shift.jacobian", rows = indices.len());
-        if let Some(jac) = self
-            .backend
-            .run_jacobian_batch(&self.jacobian_batch(theta, indices))
-        {
-            debug_assert_eq!(jac.len(), indices.len(), "backend returned wrong row count");
-            if let Some(s) = span.as_mut() {
-                s.field("jobs", 0usize);
-                s.field("mode", "adjoint");
-            }
-            return Ok(jac);
-        }
-        let (jobs, plan) = self.jacobian_jobs(theta, Some(indices), master_seed);
+        let budgets = vec![self.execution; indices.len()];
+        let mut offer = self.offer_jacobian(theta, indices, master_seed, &budgets, false);
+        let jobs = offer.take_jobs();
         if let Some(s) = span.as_mut() {
-            s.field("jobs", jobs.len());
-            s.field("mode", "shifted-2p");
+            s.field("jobs", offer.num_jobs());
+            s.field("mode", offer.mode());
         }
-        Ok(plan.assemble(&self.try_run_batch(&jobs)?))
+        let results = match jobs {
+            Some(jobs) => self.try_run_batch(&jobs)?,
+            None => Vec::new(),
+        };
+        Ok(offer.jacobian(&results))
     }
 
     /// The full Jacobian: `num_trainable` rows of `∂f/∂θᵢ`, computed as one
@@ -552,6 +670,7 @@ mod tests {
     use super::*;
     use qoc_device::backend::{FakeDevice, NoiselessBackend};
     use qoc_device::backends::fake_lima;
+    use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
     use qoc_sim::simulator::StatevectorSimulator;
 
     /// The shifted-job Jacobian, built and run exactly as the engine's
@@ -777,27 +896,73 @@ mod tests {
 
     #[test]
     fn declined_jacobian_batches_run_the_shifted_jobs() {
-        // Sampled execution and noisy backends decline the structured batch,
-        // so their RNG streams (and therefore every trained checkpoint) stay
-        // those of the shifted-job path.
+        // Sampled execution on the noiseless backend and wrappers that don't
+        // forward the hook decline the structured batch, so the engine runs
+        // the shifted jobs themselves.
         let c = ansatz_circuit();
         let theta = [0.3; 5];
         let noiseless = NoiselessBackend::new();
-        let device = FakeDevice::new(fake_lima());
+        let wrapped = FaultInjectingBackend::new(FakeDevice::new(fake_lima()), FaultPlan::none());
         let cases: [(&dyn QuantumBackend, Execution); 3] = [
             (&noiseless, Execution::Shots(64)),
-            (&device, Execution::Shots(64)),
-            (&device, Execution::Exact),
+            (&wrapped, Execution::Shots(64)),
+            (&wrapped, Execution::Exact),
         ];
         for (backend, execution) in cases {
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
+            let budgets = [execution; 5];
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, false);
+            let label = format!("{} {execution:?}", backend.name());
+            assert_eq!(offer.mode(), "shifted-2p", "{label}");
+            assert_eq!(offer.num_jobs(), 10, "{label}");
             backend.reset_stats();
             let jac = engine.jacobian(&theta, 6);
-            let label = format!("{} {execution:?}", backend.name());
             // 2 runs per parameter (all symbols are simple here).
             assert_eq!(backend.stats().circuits_run, 10, "{label}");
             assert_eq!(jac, reference, "{label} left the shifted-job path");
+        }
+    }
+
+    #[test]
+    fn fake_devices_answer_with_the_shifted_jobs_results() {
+        // The fake device forks every shifted circuit from one forward
+        // evolution: the same results, bit for bit, and the same circuit
+        // count as running the shifted jobs.
+        let c = ansatz_circuit();
+        let theta = [0.3; 5];
+        let device = FakeDevice::new(fake_lima());
+        for execution in [Execution::Shots(64), Execution::Exact] {
+            let engine = ParameterShiftEngine::new(&device, &c, 5, execution);
+            let reference = shifted_jacobian(&engine, &theta, 6);
+            let budgets = [execution; 5];
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, true);
+            assert_eq!(offer.mode(), "forked", "{execution:?}");
+            assert_eq!(offer.num_jobs(), 0, "{execution:?}");
+            device.reset_stats();
+            let jac = engine.jacobian(&theta, 6);
+            assert_eq!(device.stats().circuits_run, 10, "{execution:?}");
+            assert_eq!(jac, reference, "{execution:?}");
+        }
+    }
+
+    #[test]
+    fn offer_modes_are_the_schema_modes() {
+        // Each method the hook can pick names a mode the trace schema pins.
+        let c = ansatz_circuit();
+        let noiseless = NoiselessBackend::new();
+        let device = FakeDevice::new(fake_lima());
+        let cases: [(&dyn QuantumBackend, Execution, bool, &str); 4] = [
+            (&noiseless, Execution::Exact, false, "adjoint"),
+            (&noiseless, Execution::Exact, true, "shifted-2p"),
+            (&noiseless, Execution::Shots(64), false, "shifted-2p"),
+            (&device, Execution::Shots(64), false, "forked"),
+        ];
+        for (backend, execution, shifted_only, mode) in cases {
+            let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
+            let offer = engine.offer_jacobian(&[0.3; 5], &[4, 1], 2, &[execution; 2], shifted_only);
+            assert_eq!(offer.mode(), mode, "{} {execution:?}", backend.name());
+            assert!(qoc_telemetry::schema::SHIFT_JACOBIAN_MODES.contains(&mode));
         }
     }
 

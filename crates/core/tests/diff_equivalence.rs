@@ -11,15 +11,24 @@
 //!    finite differences on the ORIGINAL circuit;
 //! 3. the noisy shifted-job path is byte-identical to its pre-refactor
 //!    behaviour: golden Jacobian bit patterns pinned at 1, 2, and 8
-//!    workers.
+//!    workers;
+//! 4. a fake device's answer to the Jacobian hook — every shifted circuit
+//!    forked from one forward evolution — is bit-identical to the shifted
+//!    jobs run through a wrapper that declines the hook, on random circuits
+//!    with encoder symbols, row subsets and mixed per-row executions, and
+//!    every fork ends in a state (trace 1, Hermitian, PSD to 1e-12).
 
 use proptest::prelude::*;
 
 use qoc_core::shift::{Jacobian, ParameterShiftEngine};
-use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
-use qoc_device::backends::fake_lima;
+use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend, QuantumBackend};
+use qoc_device::backends::{fake_jakarta, fake_lima, fake_santiago};
+use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
+use qoc_noise::density::DensityMatrix;
+use qoc_noise::sim::NoisyProgram;
 use qoc_sim::circuit::{Circuit, ParamValue};
 use qoc_sim::gates::GateKind;
+use qoc_sim::matrix::CMatrix;
 use qoc_sim::simulator::StatevectorSimulator;
 
 const SHIFT_GATES: &[GateKind] = &[
@@ -130,8 +139,170 @@ fn finite_difference(c: &Circuit, theta: &[f64], i: usize) -> Vec<f64> {
         .collect()
 }
 
+/// A random 4-qubit device case: the circuit, its trainable-symbol count
+/// (later symbols are an untrainable encoder), `θ`, the requested rows in
+/// random order, and one execution per row.
+type DeviceCase = (Circuit, usize, Vec<f64>, Vec<usize>, Vec<Execution>);
+
+/// Random circuits over `{H, CX, RX, RY, RZ, RZZ}` whose angles read a fresh
+/// symbol per gate (sometimes a reused one, sometimes at scale −1 or 2 —
+/// rows the fake device must decline), a random trainable prefix of the
+/// symbols, and a random row subset with mixed `Exact`/`Shots(1..=1024)`.
+fn arb_device_case() -> impl Strategy<Value = DeviceCase> {
+    let op = (0u8..6, 0usize..4, 1usize..4, 0u8..10, 0u32..1000);
+    (
+        proptest::collection::vec(op, 1..14),
+        proptest::collection::vec((-3.0f64..3.0, 0u32..1000, 0u32..1025), 12),
+        0usize..12,
+    )
+        .prop_map(|(ops, draws, trainable_draw)| {
+            let mut c = Circuit::new(4);
+            let mut syms = 0usize;
+            for (kind, a, off, variant, reuse) in ops {
+                let b = (a + off) % 4;
+                if kind == 0 {
+                    c.h(a);
+                    continue;
+                }
+                if kind == 1 {
+                    c.cx(a, b);
+                    continue;
+                }
+                let index = if variant == 0 && syms > 0 {
+                    reuse as usize % syms
+                } else {
+                    syms += 1;
+                    syms - 1
+                };
+                let scale = match variant {
+                    1 => -1.0,
+                    2 => 2.0,
+                    _ => 1.0,
+                };
+                let p = ParamValue::Sym {
+                    index,
+                    scale,
+                    offset: 0.1 * f64::from(variant),
+                };
+                match kind {
+                    2 => c.rx(a, p),
+                    3 => c.ry(a, p),
+                    4 => c.rz(a, p),
+                    _ => c.rzz(a, b, p),
+                };
+            }
+            if syms == 0 {
+                c.ry(0, ParamValue::sym(0));
+                syms = 1;
+            }
+            let trainable = 1 + trainable_draw % syms;
+            let theta: Vec<f64> = draws.iter().take(syms).map(|d| d.0).collect();
+            // A random subset of the trainable symbols in random order.
+            let mut keyed: Vec<(u32, usize)> = (0..trainable)
+                .map(|i| (draws[i].1, i))
+                .filter(|&(key, _)| key % 4 != 0)
+                .collect();
+            keyed.sort_unstable();
+            let rows: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
+            let budgets = rows
+                .iter()
+                .map(|&i| match draws[i].2 {
+                    0 => Execution::Exact,
+                    shots => Execution::Shots(shots),
+                })
+                .collect();
+            (c, trainable, theta, rows, budgets)
+        })
+}
+
+/// `true` when every eigenvalue of Hermitian `rho` is at least `floor`:
+/// the Cholesky factorization of `ρ − floor·I` exists exactly then.
+fn min_eigenvalue_at_least(rho: &CMatrix, floor: f64) -> bool {
+    let dim = rho.rows();
+    let mut l = CMatrix::zeros(dim, dim);
+    for j in 0..dim {
+        let mut d = rho[(j, j)].re - floor;
+        for k in 0..j {
+            d -= l[(j, k)].norm_sqr();
+        }
+        if d <= 0.0 {
+            return false;
+        }
+        l[(j, j)] = qoc_sim::complex::Complex64::real(d.sqrt());
+        for i in j + 1..dim {
+            let mut v = rho[(i, j)];
+            for k in 0..j {
+                v -= l[(i, k)] * l[(j, k)].conj();
+            }
+            l[(i, j)] = v * (1.0 / d.sqrt());
+        }
+    }
+    true
+}
+
+fn assert_state(rho: &DensityMatrix) {
+    let m = rho.matrix();
+    assert!((rho.trace() - 1.0).abs() <= 1e-12, "trace {}", rho.trace());
+    assert!(m.is_hermitian(1e-12), "fork is not Hermitian");
+    assert!(
+        min_eigenvalue_at_least(m, -1e-12),
+        "fork eigenvalue below -1e-12"
+    );
+}
+
+fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    rows.iter()
+        .map(|row| row.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn fake_device_answers_equal_the_declined_shifted_jobs_bit_for_bit(
+        case in arb_device_case(),
+        jakarta in any::<bool>(),
+        seed in 0u32..1000,
+    ) {
+        let (c, trainable, theta, rows, budgets) = case;
+        let desc = if jakarta { fake_jakarta() } else { fake_santiago() };
+        let device = FakeDevice::new(desc.clone());
+        let declining = FaultInjectingBackend::new(FakeDevice::new(desc.clone()), FaultPlan::none());
+        let seed = u64::from(seed);
+
+        let engine = ParameterShiftEngine::new(&device, &c, trainable, Execution::Shots(256));
+        let mut answered = engine.offer_jacobian(&theta, &rows, seed, &budgets, true);
+        let own = answered.take_jobs().map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
+        let reference = ParameterShiftEngine::new(&declining, &c, trainable, Execution::Shots(256));
+        let mut declined = reference.offer_jacobian(&theta, &rows, seed, &budgets, true);
+        let jobs = declined.take_jobs().expect("the wrapper declines");
+        let results = reference.run_batch(&jobs);
+
+        // The device answers non-empty requests whose rows are all single
+        // occurrences with |scale| = 1.
+        let all_simple = !rows.is_empty() && rows.iter().all(|&s| {
+            let occ = c.symbol_occurrences(s);
+            occ.len() == 1
+                && matches!(c.ops()[occ[0].0].params[occ[0].1],
+                    ParamValue::Sym { scale, .. } if scale.abs() == 1.0)
+        });
+        prop_assert_eq!(answered.mode(), if all_simple { "forked" } else { "shifted-2p" });
+        prop_assert_eq!(bits(&answered.jacobian(&own)), bits(&declined.jacobian(&results)));
+        prop_assert_eq!(
+            bits(&answered.row_variances(&own)),
+            bits(&declined.row_variances(&results))
+        );
+        prop_assert_eq!(device.stats().circuits_run, declining.stats().circuits_run);
+        prop_assert_eq!(device.stats().total_shots, declining.stats().total_shots);
+        prop_assert_eq!(device.stats().device_nanos(), declining.stats().device_nanos());
+
+        // The forks of the executed (transpiled) circuit under the device's
+        // calibrated noise all end in states.
+        let executable = device.prepare(&c).executable().clone();
+        let program = NoisyProgram::compile(executable, &desc.calibration.noise_model());
+        program.for_each_shift(&theta, &rows, |_, _, rho| assert_state(rho));
+    }
 
     #[test]
     fn both_methods_agree_to_1e12_on_random_circuits(

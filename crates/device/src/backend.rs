@@ -33,6 +33,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use qoc_telemetry::metrics::{Counter, Gauge, Histogram, Registry};
+use qoc_telemetry::SpanGuard;
 
 use rand::rngs::StdRng;
 use rand::RngCore;
@@ -40,10 +41,10 @@ use rand::RngCore;
 use qoc_sim::circuit::Circuit;
 use qoc_sim::diff::{adjoint_jacobian, JacobianRowSpec};
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::{sample_counts, with_scratch_state};
+use qoc_sim::statevector::{expectation_z_from_counts, sample_counts, with_scratch_state};
 
 use qoc_noise::model::NoiseModel;
-use qoc_noise::sim::NoisyProgram;
+use qoc_noise::sim::{expectations_z_of, NoisyProgram};
 
 use crate::backends::DeviceDescription;
 use crate::calibration::DeviceCalibration;
@@ -221,7 +222,7 @@ impl<'a> CircuitJob<'a> {
 
 /// A structured whole-Jacobian job: the planner hands the backend the full
 /// row structure at once instead of a flat list of shifted circuit jobs, so
-/// the backend can share work across rows in one adjoint sweep.
+/// the backend can share work across rows.
 #[derive(Debug, Clone)]
 pub struct JacobianBatch<'a> {
     /// The compiled circuit to differentiate.
@@ -229,10 +230,41 @@ pub struct JacobianBatch<'a> {
     /// Parameter binding.
     pub theta: Vec<f64>,
     /// One entry per requested Jacobian row, in output order.
-    pub rows: Vec<JacobianRowSpec>,
-    /// Shot specification the Jacobian is requested under; adjoint
-    /// differentiation serves only [`Execution::Exact`].
+    pub rows: Vec<JacobianRow<'a>>,
+    /// The caller counts this Jacobian at the shifted-job cost (two
+    /// circuits per row occurrence — the training loop's per-step inference
+    /// accounting), so only a [`JacobianAnswer::Shifted`] answer, which runs
+    /// exactly those circuits, is acceptable.
+    pub shifted_only: bool,
+}
+
+/// One requested Jacobian row and the shifted jobs the planner would run
+/// for it.
+#[derive(Debug, Clone)]
+pub struct JacobianRow<'a> {
+    /// The row's trainable symbol (an index into `theta`).
+    pub symbol: usize,
+    /// The symbol's gate occurrences in the logical circuit, chain-rule
+    /// scales included.
+    pub spec: &'a JacobianRowSpec,
+    /// The execution the row's shifted jobs run under.
     pub execution: Execution,
+    /// Seeds of the row's `[+π/2, −π/2]` jobs on its first occurrence —
+    /// its only jobs when its spec is a symbol shift
+    /// ([`JacobianRowSpec::is_symbol_shift`]), which then run the prepared
+    /// circuit at `theta[symbol] ± π/2`.
+    pub seeds: [u64; 2],
+}
+
+/// A backend's answer to a [`JacobianBatch`], saying what it computed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JacobianAnswer {
+    /// Finished rows, `rows × logical_qubits` (the exact statevector
+    /// adjoint sweep; exact rows only).
+    Rows(Vec<Vec<f64>>),
+    /// Each row's `[f(θ₊), f(θ₋)]` shifted-job results, two per row in row
+    /// order — bit-identical to running the jobs, and charged as them.
+    Shifted(Vec<Vec<f64>>),
 }
 
 /// Worker-thread count for [`QuantumBackend::run_batch`]: the `QOC_WORKERS`
@@ -384,22 +416,13 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
         type JobOutcome = Result<Vec<f64>, (u32, JobError)>;
         let workers = workers.max(1).min(jobs.len());
         let policy = self.retry_policy();
-        let mut span = qoc_telemetry::span!(
-            "device.batch",
-            backend = self.name(),
-            jobs = jobs.len(),
-            workers = workers,
-        );
-        let telemetry = span.as_ref().map(|_| {
+        let span = BatchSpan::open(self, jobs.len(), workers);
+        let telemetry = span.0.as_ref().map(|_| {
             let m = batch_metrics();
             m.batches.inc();
             m.jobs_enqueued(jobs.len() as u64);
             (m, Instant::now())
         });
-        // Snapshot the cumulative stats so the span can carry this batch's
-        // exact device-time and circuit deltas (they telescope to the run
-        // totals, which qoc-analyze checks to the nanosecond).
-        let before_stats = span.as_ref().map(|_| self.stats());
         // Worker `w`'s share: jobs `w`, `w + workers`, … each driven through
         // the retry policy, tagged with their batch index.
         let run_stride = |w: usize| -> Vec<(usize, JobOutcome)> {
@@ -451,17 +474,7 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                     .collect()
             })
         };
-        if let (Some(s), Some(before)) = (span.as_mut(), before_stats) {
-            let after = self.stats();
-            s.field(
-                "circuits",
-                after.circuits_run.saturating_sub(before.circuits_run),
-            );
-            s.field(
-                "device_ns",
-                after.device_nanos().saturating_sub(before.device_nanos()),
-            );
-        }
+        span.close(self);
         let mut outcomes: Vec<(usize, JobOutcome)> = strides.into_iter().flatten().collect();
         outcomes.sort_unstable_by_key(|&(i, _)| i);
         // In index order, so the reported failure is the lowest-index one.
@@ -478,14 +491,13 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
             .collect()
     }
 
-    /// Evaluates a whole Jacobian in one structured job, returning
-    /// `rows × logical_qubits` gradients, or `None` when the backend cannot
-    /// serve the requested execution — the planner then runs the shifted
-    /// jobs. This hook alone decides the differentiation method: the
-    /// planner offers every Jacobian here first. The default declines, so
-    /// wrapper backends that don't forward it (fault injectors, queues)
-    /// keep their inner backend on the bit-stable shifted-job path.
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
+    /// Evaluates a whole Jacobian in one structured job, or returns `None`
+    /// when the backend cannot serve it — the planner then runs the
+    /// shifted jobs. This hook alone decides the differentiation method:
+    /// the planner offers every Jacobian here first. The default declines,
+    /// so wrapper backends that don't forward it (fault injectors, queues)
+    /// keep their inner backend on the shifted-job path.
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
         let _ = batch;
         None
     }
@@ -495,6 +507,38 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
 
     /// Clears the statistics counters.
     fn reset_stats(&self);
+}
+
+/// The `device.batch` span of one batch, with the backend's stats at its
+/// start so [`Self::close`] can record the batch's exact circuit and
+/// device-time deltas (they telescope to the run totals, which qoc-analyze
+/// checks to the nanosecond). Empty while telemetry is off.
+struct BatchSpan(Option<(SpanGuard, ExecutionStats)>);
+
+impl BatchSpan {
+    fn open<B: QuantumBackend + ?Sized>(backend: &B, jobs: usize, workers: usize) -> Self {
+        let span = qoc_telemetry::span!(
+            "device.batch",
+            backend = backend.name(),
+            jobs = jobs,
+            workers = workers,
+        );
+        BatchSpan(span.map(|s| (s, backend.stats())))
+    }
+
+    fn close<B: QuantumBackend + ?Sized>(self, backend: &B) {
+        if let Some((mut span, before)) = self.0 {
+            let after = backend.stats();
+            span.field(
+                "circuits",
+                after.circuits_run.saturating_sub(before.circuits_run),
+            );
+            span.field(
+                "device_ns",
+                after.device_nanos().saturating_sub(before.device_nanos()),
+            );
+        }
+    }
 }
 
 /// Process-wide device metrics mirrored from every backend instance
@@ -724,21 +768,20 @@ impl QuantumBackend for NoiselessBackend {
         })
     }
 
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
         let Plan::Direct { circuit, .. } = &batch.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        match batch.execution {
-            Execution::Exact => {
-                // One forward pass + one backward sweep ≈ one inference of
-                // accounting: the Figure 6 x-axis counts circuit executions
-                // and the adjoint method runs the circuit once.
-                self.stats.record(0, 0.0);
-                let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &batch.rows);
-                Some(jac)
-            }
-            Execution::Shots(_) => None,
+        if batch.shifted_only || batch.rows.iter().any(|r| r.execution != Execution::Exact) {
+            return None;
         }
+        // One forward pass + one backward sweep ≈ one inference of
+        // accounting: the Figure 6 x-axis counts circuit executions and the
+        // adjoint method runs the circuit once.
+        self.stats.record(0, 0.0);
+        let specs: Vec<JacobianRowSpec> = batch.rows.iter().map(|r| r.spec.clone()).collect();
+        let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &specs);
+        Some(JacobianAnswer::Rows(jac))
     }
 
     fn stats(&self) -> ExecutionStats {
@@ -798,6 +841,40 @@ impl FakeDevice {
     pub fn estimate_job_seconds(&self, circuit: &Circuit, shots: u32) -> f64 {
         let t = transpile(circuit, &self.description.coupling, self.options);
         schedule::job_time(&t.circuit, &self.description.calibration, shots).total_seconds()
+    }
+
+    /// Finishes one expectation job of a device plan from its measured
+    /// compact distribution `probs`: charges the job to the stats and
+    /// returns the per-logical-qubit ⟨Z⟩, exact or sampled from `rng`.
+    fn read_out(
+        &self,
+        plan: &Plan,
+        probs: &[f64],
+        execution: Execution,
+        rng: &mut dyn RngCore,
+    ) -> Vec<f64> {
+        let Plan::Device {
+            program,
+            logical_readout,
+            per_shot_ns,
+            overhead_ns,
+            ..
+        } = plan
+        else {
+            panic!("prepared circuit belongs to a different backend kind");
+        };
+        let shots = match execution {
+            Execution::Exact => 0,
+            Execution::Shots(s) => s,
+        };
+        let seconds = (overhead_ns + f64::from(shots) * per_shot_ns) / 1e9;
+        self.stats.record(u64::from(shots), seconds);
+        let n = program.num_qubits();
+        let physical = match execution {
+            Execution::Exact => expectations_z_of(probs, n),
+            Execution::Shots(s) => expectation_z_from_counts(&sample_counts(probs, s, rng), n, s),
+        };
+        logical_readout.iter().map(|&w| physical[w]).collect()
     }
 
     /// Compacts a transpiled circuit onto only its touched wires and builds
@@ -943,28 +1020,11 @@ impl QuantumBackend for FakeDevice {
         execution: Execution,
         rng: &mut dyn RngCore,
     ) -> Vec<f64> {
-        let Plan::Device {
-            program,
-            logical_readout,
-            per_shot_ns,
-            overhead_ns,
-            ..
-        } = &prepared.plan
-        else {
+        let Plan::Device { program, .. } = &prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        let shots = match execution {
-            Execution::Exact => 0,
-            Execution::Shots(s) => s,
-        };
-        let seconds = (overhead_ns + shots as f64 * per_shot_ns) / 1e9;
-        self.stats.record(shots as u64, seconds);
-
-        let physical = match execution {
-            Execution::Exact => program.expectations_z(theta),
-            Execution::Shots(s) => program.sampled_expectations_z(theta, s, rng),
-        };
-        logical_readout.iter().map(|&w| physical[w]).collect()
+        let probs = program.outcome_probabilities(theta);
+        self.read_out(&prepared.plan, &probs, execution, rng)
     }
 
     fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
@@ -992,6 +1052,34 @@ impl QuantumBackend for FakeDevice {
             out[idx] += p;
         }
         out
+    }
+
+    /// Answers every batch whose rows are all symbol shifts
+    /// ([`JacobianRowSpec::is_symbol_shift`]) with the shifted jobs' results,
+    /// forked from one forward evolution
+    /// ([`NoisyProgram::for_each_shift`]): each shifted state is
+    /// bit-identical to the job's, is measured and sampled with the job's
+    /// seed, and is charged to the stats as the job, inside a one-worker
+    /// `device.batch` span. Declines any other row, and empty batches.
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
+        let Plan::Device { program, .. } = &batch.prepared.plan else {
+            panic!("prepared circuit belongs to a different backend kind");
+        };
+        if batch.rows.is_empty() || !batch.rows.iter().all(|r| r.spec.is_symbol_shift()) {
+            return None;
+        }
+        let symbols: Vec<usize> = batch.rows.iter().map(|r| r.symbol).collect();
+        let mut results = vec![Vec::new(); 2 * symbols.len()];
+        let span = BatchSpan::open(self, results.len(), 1);
+        program.for_each_shift(&batch.theta, &symbols, |r, minus, rho| {
+            let row = &batch.rows[r];
+            let mut rng = StdRng::seed_from_u64(row.seeds[usize::from(minus)]);
+            let probs = program.measure(rho);
+            results[2 * r + usize::from(minus)] =
+                self.read_out(&batch.prepared.plan, &probs, row.execution, &mut rng);
+        });
+        span.close(self);
+        Some(JacobianAnswer::Shifted(results))
     }
 
     fn stats(&self) -> ExecutionStats {

@@ -52,7 +52,8 @@ pub mod topology;
 pub mod transpile;
 
 pub use backend::{
-    Execution, ExecutionStats, FakeDevice, JacobianBatch, NoiselessBackend, QuantumBackend,
+    Execution, ExecutionStats, FakeDevice, JacobianAnswer, JacobianBatch, JacobianRow,
+    NoiselessBackend, QuantumBackend,
 };
 pub use backends::DeviceDescription;
 pub use calibration::{DeviceCalibration, EdgeCalibration, QubitCalibration};

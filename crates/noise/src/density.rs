@@ -224,9 +224,15 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `p ∉ [0, 1]` or a qubit index is invalid.
+    /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, or a qubit
+    /// index is invalid.
     pub fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+        assert!(
+            qubits.len() <= 2,
+            "depolarizing acts on one or two qubits, got {}",
+            qubits.len()
+        );
         self.check_qubits(qubits);
         if p == 0.0 || qubits.is_empty() {
             return;
@@ -239,6 +245,16 @@ impl DensityMatrix {
         let lambda = p * d * d / (d * d - 1.0);
         let inv_d = 1.0 / d;
         let mask = spread(sub - 1, qubits, 0) | spread(sub - 1, qubits, n);
+        // Offsets inside a block, spread once per call: `diag[s]` is cell
+        // (s, s), `cells[x·sub + y]` is cell (row x, column y).
+        let mut diag = [0usize; 4];
+        let mut cells = [0usize; 16];
+        for x in 0..sub {
+            diag[x] = spread(x, qubits, 0) | spread(x, qubits, n);
+            for y in 0..sub {
+                cells[x * sub + y] = spread(x, qubits, n) | spread(y, qubits, 0);
+            }
+        }
         let flat = self.mat.as_mut_slice();
         // Block (i_rest, j_rest): out[(i_rest, x), (j_rest, y)] =
         // (1−λ)·ρ[…] + λ·δ_{x,y}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
@@ -247,14 +263,13 @@ impl DensityMatrix {
                 continue;
             }
             let mut acc = Complex64::ZERO;
-            for s in 0..sub {
-                acc += flat[base | spread(s, qubits, 0) | spread(s, qubits, n)];
+            for &off in &diag[..sub] {
+                acc += flat[base | off];
             }
             let acc = acc * inv_d;
-            for x in 0..sub {
-                let row = base | spread(x, qubits, n);
-                for y in 0..sub {
-                    let i = row | spread(y, qubits, 0);
+            for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
+                for (y, &off) in row.iter().enumerate() {
+                    let i = base | off;
                     let mixed = if x == y { acc } else { Complex64::ZERO };
                     flat[i] = flat[i] * (1.0 - lambda) + mixed * lambda;
                 }
@@ -267,6 +282,12 @@ impl DensityMatrix {
         let flat = self.mat.as_mut_slice();
         flat.fill(Complex64::ZERO);
         flat[0] = Complex64::ONE;
+    }
+
+    /// Overwrites this state with `src` (same width) without reallocating.
+    pub(crate) fn copy_from(&mut self, src: &DensityMatrix) {
+        debug_assert_eq!(self.num_qubits, src.num_qubits, "state widths differ");
+        self.mat.as_mut_slice().copy_from_slice(src.mat.as_slice());
     }
 
     fn check_qubits(&self, qubits: &[usize]) {

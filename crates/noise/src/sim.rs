@@ -21,10 +21,21 @@
 //!   16×16 superoperator pass, and per-wire entries (thermal relaxation
 //!   during a CX) start that wire's next pending map.
 //!
+//! Running a program first *binds* `θ`: one walk of the step list multiplies
+//! out the pending maps and turns the steps into bound in-place passes,
+//! which then run on `ρ`. [`NoisyProgram::for_each_shift`] reuses one bound
+//! list for the parameter-shift rule: each `±π/2` shift of a symbol forks
+//! from a snapshot of the unshifted evolution taken just before the
+//! symbol's first step, rebinds only up to its *rejoin step*, and runs the
+//! unshifted passes from there — the float operations of a full run at the
+//! shifted `θ`, so its state is bit-identical to one.
+//!
 //! The dense per-gate Kraus evolution is the oracle the program is tested
 //! against (`tests/compiled_equivalence.rs`).
 
 use std::cell::RefCell;
+use std::f64::consts::FRAC_PI_2;
+use std::ops::Range;
 
 use rand::Rng;
 
@@ -141,6 +152,85 @@ enum Step {
     },
 }
 
+/// One bound in-place pass on `ρ`: what a [`Step`] becomes once `θ` is
+/// known and the pending maps are multiplied out.
+#[derive(Debug, Clone)]
+enum Pass<'p> {
+    /// A flushed pending map on wire `q`.
+    Super1 { q: usize, s: Super1 },
+    /// A two-qubit gate's kernel pass pair.
+    Kernel(Kernel),
+    /// Analytic depolarizing on the gate's wires.
+    Depolarize { wires: &'p [usize; 2], p: f64 },
+    /// A two-qubit Kraus channel as its 16×16 superoperator.
+    Kraus2 {
+        wires: [usize; 2],
+        s: &'p [Complex64],
+    },
+}
+
+impl Pass<'_> {
+    fn apply(&self, rho: &mut DensityMatrix) {
+        match self {
+            Pass::Super1 { q, s } => rho.apply_superop_1q(*q, s),
+            Pass::Kernel(kernel) => rho.apply_kernel(kernel),
+            Pass::Depolarize { wires, p } => rho.apply_depolarizing(*p, &wires[..]),
+            Pass::Kraus2 { wires: [a, b], s } => rho.apply_superop_2q(*a, *b, s),
+        }
+    }
+}
+
+/// Whether step `step` reads symbol `symbol` of `circuit`.
+fn reads_symbol(circuit: &Circuit, step: &Step, symbol: usize) -> bool {
+    let op = match step {
+        Step::Bind { op } | Step::Gate2 { op } => &circuit.ops()[*op],
+        _ => return false,
+    };
+    op.params
+        .iter()
+        .any(|p| matches!(p, ParamValue::Sym { index, .. } if *index == symbol))
+}
+
+/// Per symbol of `circuit`, the step window a shift of it has to rebind:
+/// `(first, rejoin)`, where `first` is the first step reading the symbol
+/// and `rejoin` the first step after its last reading step at which every
+/// wire whose pending map it entered has been flushed. Steps from `rejoin`
+/// on bind identically at every value of the symbol. A symbol no step reads
+/// gets the empty window `(len, len)`.
+fn shift_windows(circuit: &Circuit, steps: &[Step]) -> Vec<(usize, usize)> {
+    (0..circuit.num_symbols())
+        .map(|symbol| {
+            let mut first = None;
+            let mut rejoin = 0;
+            let mut dirty = vec![false; circuit.num_qubits()];
+            for (i, step) in steps.iter().enumerate() {
+                if reads_symbol(circuit, step, symbol) {
+                    first.get_or_insert(i);
+                    rejoin = rejoin.max(i + 1);
+                    if let Step::Bind { op } = step {
+                        dirty[circuit.ops()[*op].qubits[0]] = true;
+                    }
+                } else if let Step::Flush { q } = step {
+                    if dirty[*q] {
+                        dirty[*q] = false;
+                        rejoin = i + 1;
+                    }
+                }
+            }
+            first.map_or((steps.len(), steps.len()), |first| (first, rejoin))
+        })
+        .collect()
+}
+
+/// Debug-build check that a compiled run ended in a state.
+fn debug_check_state(rho: &DensityMatrix) {
+    debug_assert!(
+        (rho.trace() - 1.0).abs() < 1e-9 && rho.matrix().is_hermitian(1e-9),
+        "compiled evolution left a non-state: trace {}",
+        rho.trace()
+    );
+}
+
 /// What a wire's pending map holds while compiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Pending {
@@ -219,6 +309,10 @@ pub struct NoisyProgram {
     steps: Vec<Step>,
     /// The compile-time superoperators `Step::Fold` multiplies in.
     folds: Vec<Super1>,
+    /// `pass_at[i]`: passes the steps before step `i` bind to.
+    pass_at: Vec<usize>,
+    /// Per symbol: its `(first, rejoin)` step window (see [`shift_windows`]).
+    shift_windows: Vec<(usize, usize)>,
     readout: Vec<ReadoutError>,
 }
 
@@ -287,12 +381,20 @@ impl NoisyProgram {
         for q in 0..n {
             b.flush(q);
         }
+        let mut pass_at = Vec::with_capacity(b.steps.len() + 1);
+        pass_at.push(0);
+        for step in &b.steps {
+            let passes = usize::from(!matches!(step, Step::Fold { .. } | Step::Bind { .. }));
+            pass_at.push(pass_at[pass_at.len() - 1] + passes);
+        }
         NoisyProgram {
             readout: noise.readout()[..n].to_vec(),
+            shift_windows: shift_windows(&circuit, &b.steps),
             circuit,
             wire_noise,
             steps: b.steps,
             folds: b.folds,
+            pass_at,
         }
     }
 
@@ -306,14 +408,18 @@ impl NoisyProgram {
         self.circuit.num_qubits()
     }
 
-    /// Resets `rho` to `|0…0⟩⟨0…0|` and evolves it through the program.
-    fn evolve(&self, theta: &[f64], rho: &mut DensityMatrix) {
-        let n = self.num_qubits();
-        assert_eq!(rho.num_qubits(), n, "state width does not match program");
-        rho.reset_zero();
+    /// Binds steps `range` against `theta` — carrying each wire's pending
+    /// map in `pending` — and hands the resulting passes to `emit` in order.
+    /// The program's one step interpreter.
+    fn bind<'p>(
+        &'p self,
+        range: Range<usize>,
+        theta: &[f64],
+        pending: &mut [Super1; MAX_QUBITS],
+        mut emit: impl FnMut(Pass<'p>),
+    ) {
         let ops = self.circuit.ops();
-        let mut pending = [IDENTITY; MAX_QUBITS];
-        for step in &self.steps {
+        for step in &self.steps[range] {
             match step {
                 Step::Fold { q, fold } => pending[*q] = mul4(&self.folds[*fold], &pending[*q]),
                 Step::Bind { op } => {
@@ -323,19 +429,112 @@ impl NoisyProgram {
                     pending[q] = mul4(&s, &pending[q]);
                 }
                 Step::Flush { q } => {
-                    rho.apply_superop_1q(*q, &pending[*q]);
+                    emit(Pass::Super1 {
+                        q: *q,
+                        s: pending[*q],
+                    });
                     pending[*q] = IDENTITY;
                 }
-                Step::Gate2 { op } => rho.apply_kernel(&Kernel::from_operation(&ops[*op], theta)),
-                Step::Depolarize { wires, p } => rho.apply_depolarizing(*p, wires),
-                Step::Kraus2 { wires: [a, b], s } => rho.apply_superop_2q(*a, *b, s),
+                Step::Gate2 { op } => emit(Pass::Kernel(Kernel::from_operation(&ops[*op], theta))),
+                Step::Depolarize { wires, p } => emit(Pass::Depolarize { wires, p: *p }),
+                Step::Kraus2 { wires, s } => emit(Pass::Kraus2 { wires: *wires, s }),
             }
         }
-        debug_assert!(
-            (rho.trace() - 1.0).abs() < 1e-9 && rho.matrix().is_hermitian(1e-9),
-            "compiled evolution left a non-state: trace {}",
-            rho.trace()
+    }
+
+    /// Resets `rho` to `|0…0⟩⟨0…0|` and evolves it through the program:
+    /// binds `θ` and runs each pass as it is bound.
+    fn evolve(&self, theta: &[f64], rho: &mut DensityMatrix) {
+        assert_eq!(
+            rho.num_qubits(),
+            self.num_qubits(),
+            "state width does not match program"
         );
+        rho.reset_zero();
+        let mut pending = [IDENTITY; MAX_QUBITS];
+        self.bind(0..self.steps.len(), theta, &mut pending, |pass| {
+            pass.apply(rho)
+        });
+        debug_check_state(rho);
+    }
+
+    /// Runs the program at each `±π/2` shift of each symbol in `symbols`
+    /// and hands `visit(row, minus, ρ)` the final state at `θ` with
+    /// `θ[symbols[row]]` raised (`minus == false`) or lowered by π/2 — the
+    /// two runs of the parameter-shift rule, plus before minus per row.
+    ///
+    /// `θ` is bound once into the unshifted passes, and one base state
+    /// advances through them in first-step order. Each shift copies the
+    /// base state and the pending maps at its symbol's first step into a
+    /// fork, rebinds the steps up to the symbol's rejoin step at the
+    /// shifted `θ`, and runs the unshifted passes from there: exactly the
+    /// float operations of a full run at the shifted `θ`, so `ρ` (and
+    /// [`Self::measure`] of it) is bit-identical to
+    /// [`Self::outcome_probabilities`]'s at that `θ`. Both states come from
+    /// the per-thread scratch pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed symbol indexes past `theta`.
+    pub fn for_each_shift(
+        &self,
+        theta: &[f64],
+        symbols: &[usize],
+        mut visit: impl FnMut(usize, bool, &DensityMatrix),
+    ) {
+        let n = self.num_qubits();
+        let len = self.steps.len();
+        let window = |s: usize| self.shift_windows.get(s).copied().unwrap_or((len, len));
+        let mut order: Vec<usize> = (0..symbols.len()).collect();
+        order.sort_by_key(|&r| window(symbols[r]).0);
+        // The unshifted passes, and each row's pending maps at its first
+        // step (only the first `n` wires are ever pending).
+        let mut base = Vec::with_capacity(self.pass_at[len]);
+        let mut pending = [IDENTITY; MAX_QUBITS];
+        let mut snapshots = vec![IDENTITY; symbols.len() * n];
+        let mut cursor = 0;
+        for &r in &order {
+            let first = window(symbols[r]).0;
+            self.bind(cursor..first, theta, &mut pending, |pass| base.push(pass));
+            debug_assert_eq!(base.len(), self.pass_at[first], "pass index drifted");
+            cursor = first;
+            snapshots[r * n..(r + 1) * n].copy_from_slice(&pending[..n]);
+        }
+        self.bind(cursor..len, theta, &mut pending, |pass| base.push(pass));
+        debug_assert_eq!(base.len(), self.pass_at[len], "pass index drifted");
+
+        let mut shifted = theta.to_vec();
+        with_scratch_density(n, |rho| {
+            with_scratch_density(n, |fork| {
+                rho.reset_zero();
+                let mut applied = 0;
+                for &r in &order {
+                    let s = symbols[r];
+                    let (first, rejoin) = window(s);
+                    for pass in &base[applied..self.pass_at[first]] {
+                        pass.apply(rho);
+                    }
+                    applied = self.pass_at[first];
+                    for (minus, value) in
+                        [(false, theta[s] + FRAC_PI_2), (true, theta[s] - FRAC_PI_2)]
+                    {
+                        fork.copy_from(rho);
+                        let mut pending = [IDENTITY; MAX_QUBITS];
+                        pending[..n].copy_from_slice(&snapshots[r * n..(r + 1) * n]);
+                        shifted[s] = value;
+                        self.bind(first..rejoin, &shifted, &mut pending, |pass| {
+                            pass.apply(fork)
+                        });
+                        for pass in &base[self.pass_at[rejoin]..] {
+                            pass.apply(fork);
+                        }
+                        debug_check_state(fork);
+                        visit(r, minus, fork);
+                    }
+                    shifted[s] = theta[s];
+                }
+            })
+        });
     }
 
     /// Evolves `|0…0⟩⟨0…0|` through the program into a new density matrix.
@@ -351,10 +550,16 @@ impl NoisyProgram {
 
     /// The measurement distribution after gate noise *and* readout error.
     pub fn outcome_probabilities(&self, theta: &[f64]) -> Vec<f64> {
-        let mut probs = with_scratch_density(self.num_qubits(), |rho| {
+        with_scratch_density(self.num_qubits(), |rho| {
             self.evolve(theta, rho);
-            rho.probabilities()
-        });
+            self.measure(rho)
+        })
+    }
+
+    /// The measurement distribution of a final state `rho` of this program
+    /// (e.g. one [`Self::for_each_shift`] visits), readout error included.
+    pub fn measure(&self, rho: &DensityMatrix) -> Vec<f64> {
+        let mut probs = rho.probabilities();
         apply_confusion(&mut probs, &self.readout);
         probs
     }
@@ -362,18 +567,7 @@ impl NoisyProgram {
     /// Exact (infinite-shot) per-qubit Z expectations including readout
     /// error.
     pub fn expectations_z(&self, theta: &[f64]) -> Vec<f64> {
-        let probs = self.outcome_probabilities(theta);
-        let mut ez = vec![0.0; self.num_qubits()];
-        for (i, p) in probs.iter().enumerate() {
-            for (q, e) in ez.iter_mut().enumerate() {
-                if i & (1 << q) == 0 {
-                    *e += p;
-                } else {
-                    *e -= p;
-                }
-            }
-        }
-        ez
+        expectations_z_of(&self.outcome_probabilities(theta), self.num_qubits())
     }
 
     /// Shot-sampled per-qubit Z expectations — exactly the statistic a real
@@ -388,6 +582,22 @@ impl NoisyProgram {
         let counts = sample_counts(&probs, shots, rng);
         expectation_z_from_counts(&counts, self.num_qubits(), shots)
     }
+}
+
+/// Exact per-qubit Z expectations of a distribution over `num_qubits`-bit
+/// outcomes.
+pub fn expectations_z_of(probs: &[f64], num_qubits: usize) -> Vec<f64> {
+    let mut ez = vec![0.0; num_qubits];
+    for (i, p) in probs.iter().enumerate() {
+        for (q, e) in ez.iter_mut().enumerate() {
+            if i & (1 << q) == 0 {
+                *e += p;
+            } else {
+                *e -= p;
+            }
+        }
+    }
+    ez
 }
 
 /// Exact noisy simulator: a circuit compiled with the noise model into a

@@ -13,16 +13,24 @@
 //! of a 2q entry), and under the ideal model. The public `DensityMatrix`
 //! entry points (`apply_kraus`, `apply_unitary`, `apply_depolarizing`) are
 //! held to the same oracle on mixed states.
+//!
+//! Two bitwise contracts ride along: `apply_depolarizing` equals the
+//! per-element offset loop it replaced, and every fork of
+//! `NoisyProgram::for_each_shift` equals a full compiled run at the shifted
+//! `θ` on random symbolic circuits (shared symbols, parametrized RZZ).
 
 use proptest::prelude::*;
+
+use std::f64::consts::FRAC_PI_2;
 
 use qoc_noise::channels::{
     amplitude_damping, depolarizing_1q, depolarizing_2q, error_rate_to_depolarizing_prob,
     phase_damping, thermal_relaxation,
 };
+use qoc_noise::density::DensityMatrix;
 use qoc_noise::model::{NoiseModel, NoiseOpKind, WireSelect};
 use qoc_noise::readout::{apply_confusion, ReadoutError};
-use qoc_noise::sim::NoisyDensitySimulator;
+use qoc_noise::sim::{NoisyDensitySimulator, NoisyProgram};
 use qoc_sim::circuit::{Circuit, ParamValue};
 use qoc_sim::complex::Complex64;
 use qoc_sim::gates::GateKind;
@@ -255,8 +263,163 @@ fn check(circuit: &Circuit, theta: &[f64], noise: NoiseModel) {
     }
 }
 
+/// The depolarizing loop `DensityMatrix::apply_depolarizing` used before
+/// its offsets were tabulated: every index spread per element. Kept as the
+/// bitwise oracle of the tabulated loop.
+fn depolarize_per_element(rho: &mut CMatrix, n: usize, p: f64, qubits: &[usize]) {
+    let spread = |x: usize, offset: usize| {
+        qubits
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (i, &q)| acc | (((x >> i) & 1) << (q + offset)))
+    };
+    let sub = 1usize << qubits.len();
+    let d = sub as f64;
+    let lambda = p * d * d / (d * d - 1.0);
+    let inv_d = 1.0 / d;
+    let mask = spread(sub - 1, 0) | spread(sub - 1, n);
+    let flat = rho.as_mut_slice();
+    for base in 0..flat.len() {
+        if base & mask != 0 {
+            continue;
+        }
+        let mut acc = Complex64::ZERO;
+        for s in 0..sub {
+            acc += flat[base | spread(s, 0) | spread(s, n)];
+        }
+        let acc = acc * inv_d;
+        for x in 0..sub {
+            let row = base | spread(x, n);
+            for y in 0..sub {
+                let i = row | spread(y, 0);
+                let mixed = if x == y { acc } else { Complex64::ZERO };
+                flat[i] = flat[i] * (1.0 - lambda) + mixed * lambda;
+            }
+        }
+    }
+}
+
+/// Random circuits over `{RZ(θ), RY(θ), SX, CX, RZZ(θ)}` whose angles read
+/// symbols `0..4` (often more than once), plus `θ`.
+fn arb_symbolic_circuit() -> impl Strategy<Value = (Circuit, Vec<f64>)> {
+    let gate = (0u8..5, 0usize..5, 0usize..4, 0usize..4, -1.0f64..1.0);
+    (
+        1usize..=5,
+        proptest::collection::vec(gate, 1..24),
+        proptest::collection::vec(-3.2f64..3.2, 4),
+    )
+        .prop_map(|(n, gates, theta)| {
+            let mut c = Circuit::new(n);
+            for (kind, q, off, index, offset) in gates {
+                let q = q % n;
+                let angle = ParamValue::Sym {
+                    index,
+                    scale: 1.0,
+                    offset,
+                };
+                let partner = (q + 1 + off % n.max(2).saturating_sub(1)) % n;
+                match kind {
+                    0 => c.rz(q, angle),
+                    1 => c.ry(q, angle),
+                    2 => c.push(GateKind::Sx, &[q], &[]),
+                    _ if partner == q => c.ry(q, angle),
+                    3 => c.cx(q, partner),
+                    _ => c.rzz(q, partner, angle),
+                };
+            }
+            (c, theta)
+        })
+}
+
+/// Trace 1, Hermitian and PSD to 1e-12.
+fn assert_state(rho: &DensityMatrix) {
+    let m = rho.matrix();
+    prop_assert!((rho.trace() - 1.0).abs() <= TOL, "trace {}", rho.trace());
+    let herm = max_abs_diff(m, &m.adjoint());
+    prop_assert!(herm <= TOL, "non-Hermitian by {herm:e}");
+    prop_assert!(min_eigenvalue_at_least(m, -TOL), "eigenvalue below -1e-12");
+}
+
+/// Symbols `0..4` plus one past the circuits' symbols, a random subset in
+/// random order.
+fn arb_rows() -> impl Strategy<Value = Vec<usize>> {
+    (
+        proptest::sample::subsequence(vec![0usize, 1, 2, 3, 5], 0..=5),
+        proptest::collection::vec(0u32..1000, 5),
+    )
+        .prop_map(|(rows, keys)| {
+            let mut keyed: Vec<(u32, usize)> = keys.into_iter().zip(rows).collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, r)| r).collect()
+        })
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn tabulated_depolarizing_is_bit_identical_to_the_per_element_loop(
+        case in arb_circuit(),
+        wires in (0usize..5, 0usize..4, any::<bool>()),
+        gamma in 0.0f64..0.3,
+        p in 0.0f64..=1.0,
+    ) {
+        let (circuit, theta) = case;
+        let n = circuit.num_qubits();
+        let mut rho = NoisyDensitySimulator::new(generic_model(n, gamma, 0.1)).run(&circuit, &theta);
+        let a = wires.0 % n;
+        let qubits = if n >= 2 && wires.2 {
+            vec![a, (a + 1 + wires.1 % (n - 1)) % n]
+        } else {
+            vec![a]
+        };
+        let mut want = rho.matrix().clone();
+        depolarize_per_element(&mut want, n, p, &qubits);
+        rho.apply_depolarizing(p, &qubits);
+        let got: Vec<(u64, u64)> =
+            rho.matrix().as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
+        let want: Vec<(u64, u64)> =
+            want.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn forked_shifts_are_bit_identical_to_shifted_runs(
+        case in arb_symbolic_circuit(),
+        cal in arb_calibration(),
+        symbols in arb_rows(),
+    ) {
+        // Symbol 5 indexes past the circuit's symbols: its shifts leave the
+        // program unchanged, and its forks must say so.
+        let (circuit, mut theta) = case;
+        theta.resize(6, 0.4);
+        let noise = calibrated_model(&circuit, &cal.0, &cal.1);
+        let program = NoisyProgram::compile(circuit, &noise);
+        let mut visits = Vec::new();
+        program.for_each_shift(&theta, &symbols, |row, minus, rho| {
+            visits.push((row, minus));
+            let mut shifted = theta.clone();
+            if minus {
+                shifted[symbols[row]] -= FRAC_PI_2;
+            } else {
+                shifted[symbols[row]] += FRAC_PI_2;
+            }
+            assert_state(rho);
+            prop_assert!(rho == &program.run(&shifted), "row {row} minus={minus}: fork differs");
+            prop_assert_eq!(
+                bits(&program.measure(rho)),
+                bits(&program.outcome_probabilities(&shifted))
+            );
+        });
+        visits.sort_unstable();
+        let want: Vec<(usize, bool)> =
+            (0..symbols.len()).flat_map(|r| [(r, false), (r, true)]).collect();
+        prop_assert_eq!(visits, want, "every row visited once per sign");
+    }
 
     #[test]
     fn calibrated_models_match_the_oracle(case in arb_circuit(), cal in arb_calibration()) {

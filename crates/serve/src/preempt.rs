@@ -12,13 +12,18 @@
 //! checkpoint-resume result is bit-identical to an uninterrupted run.
 //!
 //! The check sits on [`QuantumBackend::try_run_job`] — the fallible unit
-//! the batch runner's retry loop drives — so preemption latency is one
-//! circuit job, not one optimizer step.
+//! the batch runner's retry loop drives — and on
+//! [`QuantumBackend::run_jacobian_batch`], which declines while the flag is
+//! set so the request falls back to shifted jobs that then report
+//! [`JobError::Preempted`]. Preemption latency is therefore one circuit
+//! job, or one example's Jacobian on backends that answer the hook (a fake
+//! device runs a whole example's shifted circuits inside it).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use qoc_device::backend::{
-    CircuitJob, Execution, ExecutionStats, JacobianBatch, PreparedCircuit, QuantumBackend,
+    CircuitJob, Execution, ExecutionStats, JacobianAnswer, JacobianBatch, PreparedCircuit,
+    QuantumBackend,
 };
 use qoc_device::retry::{JobError, JobResult, RetryPolicy};
 use qoc_sim::circuit::Circuit;
@@ -91,7 +96,10 @@ impl QuantumBackend for PreemptableBackend<'_> {
         self.inner.retry_policy()
     }
 
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
+        if self.flag.load(Ordering::Acquire) {
+            return None;
+        }
         self.inner.run_jacobian_batch(batch)
     }
 
@@ -107,7 +115,10 @@ impl QuantumBackend for PreemptableBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoc_device::backend::NoiselessBackend;
+    use qoc_core::shift::ParameterShiftEngine;
+    use qoc_device::backend::{FakeDevice, NoiselessBackend};
+    use qoc_device::backends::fake_lima;
+    use qoc_sim::circuit::ParamValue;
 
     #[test]
     fn flag_turns_attempts_into_preemptions() {
@@ -134,5 +145,23 @@ mod tests {
 
         flag.store(false, Ordering::Release);
         assert!(backend.try_run_job(&job, 0).is_ok());
+    }
+
+    #[test]
+    fn flagged_jacobians_on_a_fake_device_report_preemption() {
+        // The fake device answers the Jacobian hook itself; with the flag
+        // set the wrapper declines it, so the shifted jobs run and preempt.
+        let inner = FakeDevice::new(fake_lima());
+        let flag = AtomicBool::new(false);
+        let backend = PreemptableBackend::new(&inner, &flag);
+        let mut circuit = Circuit::new(2);
+        circuit.ry(0, ParamValue::sym(0));
+        circuit.rzz(0, 1, ParamValue::sym(1));
+        let engine = ParameterShiftEngine::new(&backend, &circuit, 2, Execution::Shots(64));
+        assert!(engine.try_jacobian(&[0.3, 0.4], 1).is_ok());
+
+        flag.store(true, Ordering::Release);
+        let err = engine.try_jacobian(&[0.3, 0.4], 1).unwrap_err();
+        assert!(err.error.is_preemption(), "{err}");
     }
 }

@@ -151,6 +151,15 @@ pub struct JacobianRowSpec {
     pub occurrences: Vec<ShiftOccurrence>,
 }
 
+impl JacobianRowSpec {
+    /// `true` for one occurrence with |scale| = 1: the row's gradient is
+    /// `½·(f(θ+π/2) − f(θ−π/2))` with the *symbol* itself shifted, since
+    /// the chain-rule factor ±1 cancels against the sign of the shift.
+    pub fn is_symbol_shift(&self) -> bool {
+        matches!(self.occurrences.as_slice(), [o] if (o.scale.abs() - 1.0).abs() < 1e-12)
+    }
+}
+
 /// Builds one [`JacobianRowSpec`] per requested symbol from the circuit's
 /// occurrence table.
 pub fn rows_for_symbols(circuit: &Circuit, symbols: &[usize]) -> Vec<JacobianRowSpec> {

@@ -99,6 +99,20 @@ pub const DIFF_ADJOINT_FIELDS: &[(&str, FieldKind)] = &[
     ("gates_backward", FieldKind::UInt),
 ];
 
+/// Required fields of a `shift.jacobian` span: one per Jacobian the shift
+/// engine evaluates outside a training minibatch — its rows, the shifted
+/// jobs left to a batch, and the method that ran.
+pub const SHIFT_JACOBIAN_FIELDS: &[(&str, FieldKind)] = &[
+    ("rows", FieldKind::UInt),
+    ("jobs", FieldKind::UInt),
+    ("mode", FieldKind::Str),
+];
+
+/// The values of a `shift.jacobian` span's `mode`: the backend's finished
+/// adjoint rows, the shifted circuits the backend ran itself by forking one
+/// forward evolution, or the declined request's shifted-job batch.
+pub const SHIFT_JACOBIAN_MODES: &[&str] = &["adjoint", "forked", "shifted-2p"];
+
 /// Required fields of a `run.header` event: emitted exactly once at train
 /// start, carrying the seed-derived `run_id` that joins every artifact of a
 /// run (trace, manifest, checkpoint, status snapshots, black-box dump).
@@ -243,9 +257,23 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
             _ => {}
         }
     }
-    // The adjoint span must carry its work counters as unsigned integers.
-    if kind == "span" && value.get("span").and_then(Value::as_str) == Some("diff.adjoint") {
-        check_fields(fields, DIFF_ADJOINT_FIELDS, "diff.adjoint")?;
+    // Differentiation spans carry their work counters as unsigned integers,
+    // and a Jacobian names one of the known methods.
+    match value.get("span").and_then(Value::as_str) {
+        Some("diff.adjoint") if kind == "span" => {
+            check_fields(fields, DIFF_ADJOINT_FIELDS, "diff.adjoint")?;
+        }
+        Some("shift.jacobian") if kind == "span" => {
+            check_fields(fields, SHIFT_JACOBIAN_FIELDS, "shift.jacobian")?;
+            let mode = fields
+                .get("mode")
+                .and_then(Value::as_str)
+                .unwrap_or_default();
+            if !SHIFT_JACOBIAN_MODES.contains(&mode) {
+                return Err(format!("shift.jacobian: unknown mode {mode:?}"));
+            }
+        }
+        _ => {}
     }
     Ok(())
 }
@@ -504,6 +532,24 @@ mod tests {
         // planner's structured adjoint mode.
         let adjoint = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":24,"gates_backward":115}}"#;
         assert_eq!(check_trace_record(&parse(adjoint)), Ok(()));
+    }
+
+    #[test]
+    fn golden_jacobian_spans_pass_and_unknown_modes_fail() {
+        // Pinned wire shape of the shift engine's per-Jacobian span, one per
+        // method the backend hook can pick.
+        for mode in SHIFT_JACOBIAN_MODES {
+            let line = format!(
+                r#"{{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{{"rows":8,"jobs":0,"mode":"{mode}"}}}}"#
+            );
+            assert_eq!(check_trace_record(&parse(&line)), Ok(()), "{mode}");
+        }
+        let unknown = r#"{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{"rows":8,"jobs":0,"mode":"prefix"}}"#;
+        let err = check_trace_record(&parse(unknown)).unwrap_err();
+        assert!(err.contains("unknown mode"), "unexpected error: {err}");
+        let missing = r#"{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{"rows":8,"mode":"forked"}}"#;
+        let err = check_trace_record(&parse(missing)).unwrap_err();
+        assert!(err.contains("jobs"), "unexpected error: {err}");
     }
 
     #[test]
