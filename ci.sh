@@ -231,9 +231,10 @@ stage_shot_alloc() {
 
 stage_bench_smoke() {
     # >25% regression vs a committed baseline fails (serial Jacobian vs
-    # BENCH_param_shift.json, fused QNN-4 state prep vs
-    # BENCH_gate_kernels.json, adjoint-sweep Jacobian vs BENCH_adjoint.json,
-    # forked MNIST-4/jakarta example gradient vs BENCH_density.json);
+    # BENCH_param_shift.json, fused QNN-4 state prep and 1024 shots of the
+    # MNIST-4 read-out vs BENCH_gate_kernels.json, adjoint-sweep Jacobian
+    # vs BENCH_adjoint.json, forked MNIST-4/jakarta example gradient vs
+    # BENCH_density.json);
     # tolerance is QOC_BENCH_TOLERANCE. Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke

@@ -4,18 +4,21 @@
 //!
 //! Besides the raw `apply_1q`/`apply_2q` scaling sweeps, this bench pits the
 //! specialized [`Kernel`]s and the fused execution pipeline against the
-//! generic dense-matrix path on the paper's 4-qubit QNN ansatz, and dumps
-//! the timings plus derived speedup ratios to `BENCH_gate_kernels.json`
-//! (gated by `bench_smoke`).
+//! generic dense-matrix path on the paper's 4-qubit QNN ansatz, times the
+//! shot sampler every sampled read-out goes through, and dumps the timings
+//! plus derived speedup ratios to `BENCH_gate_kernels.json` (gated by
+//! `bench_smoke`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 use qoc_nn::model::QnnModel;
 use qoc_sim::fusion::FusedProgram;
 use qoc_sim::gates::GateKind;
 use qoc_sim::kernels::Kernel;
 use qoc_sim::simulator::StatevectorSimulator;
-use qoc_sim::statevector::Statevector;
+use qoc_sim::statevector::{sample_counts, Statevector};
 
 fn bench_single_qubit(c: &mut Criterion) {
     let h = GateKind::H.matrix(&[]);
@@ -126,9 +129,31 @@ fn bench_expectations(c: &mut Criterion) {
     group.finish();
 }
 
+/// 1024 shots through `sample_counts` with a `&mut dyn RngCore` over a
+/// seeded `StdRng`, as a batch job draws them: the MNIST-4 read-out
+/// (16 bins) and a spread 10-qubit distribution (1024 bins), where most of
+/// the sampler's table buckets straddle a bin boundary.
+fn bench_sample_counts(c: &mut Criterion) {
+    let spread: Vec<f64> = (0..1024)
+        .map(|i| 1.0 + (f64::from(i) * 0.37).sin())
+        .collect();
+    let mut group = c.benchmark_group("sim/sample_counts");
+    for (name, probs) in [
+        ("16bins_1024shots", qoc_bench::suite::mnist4_readout()),
+        ("1024bins_1024shots", spread),
+    ] {
+        group.bench_function(name, |b| {
+            let mut std_rng = StdRng::seed_from_u64(7);
+            let rng: &mut dyn RngCore = &mut std_rng;
+            b.iter(|| std::hint::black_box(sample_counts(&probs, 1024, rng)));
+        });
+    }
+    group.finish();
+}
+
 /// Dumps timings plus derived `generic_over_fused` / `matrix_over_kernel`
 /// speedup ratios to `BENCH_gate_kernels.json`; `bench_smoke` gates the
-/// fused row against it.
+/// fused and 16-bin sampler rows against it.
 fn dump_artifact(c: &mut Criterion) {
     let results = c.take_results();
     let min_ns = |label: &str| -> Option<f64> {
@@ -182,6 +207,7 @@ criterion_group!(
     bench_kernel_vs_matrix,
     bench_qnn4_fused_vs_generic,
     bench_expectations,
+    bench_sample_counts,
     dump_artifact
 );
 criterion_main!(benches);

@@ -5,7 +5,9 @@
 //!   `shift/jacobian_batched_santiago/1workers` row).
 //! - `BENCH_gate_kernels.json` — re-measures one fused-kernel state
 //!   preparation of the 4-qubit MNIST-2 ansatz (the `kernels/qnn4_fused`
-//!   row), guarding the specialized-kernel/fusion hot path.
+//!   row), guarding the specialized-kernel/fusion hot path, and 1024 shots
+//!   of the MNIST-4 read-out through the shot sampler (the
+//!   `sim/sample_counts/16bins_1024shots` row).
 //! - `BENCH_adjoint.json` — re-measures the adjoint-mode exact Jacobian of
 //!   the MNIST-2 ansatz (the `diff/adjoint_mnist2` row), guarding the
 //!   structured differentiation path of the shift planner.
@@ -26,7 +28,8 @@
 //! noise, while the minimum is a stable lower bound on the true cost.
 //!
 //! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]]`
-//! (defaults to the repo-root artifacts). Tolerance defaults to 0.25 (25 %) and can be
+//! (defaults to the repo-root artifacts; `GATE_KERNELS_JSON` holds both the
+//! fused and the sampler row). Tolerance defaults to 0.25 (25 %) and can be
 //! overridden with `QOC_BENCH_TOLERANCE`. Exit codes: **0** within
 //! tolerance, **1** regression or malformed baseline, **2** baseline
 //! missing. Debug builds skip the gates — criterion baselines are measured
@@ -48,7 +51,9 @@ use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
 use qoc_device::backends::{fake_jakarta, fake_santiago};
 use qoc_nn::model::QnnModel;
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::Statevector;
+use qoc_sim::statevector::{sample_counts, Statevector};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
 
 /// One regression gate: artifact path, row label, refresh command, and the
 /// re-measurement to compare against the committed `min_ns`.
@@ -183,6 +188,28 @@ fn measure_fused_min_ns() -> f64 {
             for _ in 0..INNER {
                 program.run_into(&theta, &mut sv);
                 std::hint::black_box(sv.amplitudes()[0]);
+            }
+            start.elapsed().as_nanos() as f64 / INNER as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Re-draws 1024 shots of the MNIST-4 read-out through the shot sampler
+/// (per-call cost a few µs, so each rep averages an inner loop) and returns
+/// the minimum per-call wall time in ns.
+fn measure_sample_counts_min_ns() -> f64 {
+    const INNER: usize = 2_000;
+    let probs = qoc_bench::suite::mnist4_readout();
+    let mut std_rng = StdRng::seed_from_u64(7);
+    let rng: &mut dyn RngCore = &mut std_rng;
+    for _ in 0..WARMUP * INNER {
+        std::hint::black_box(sample_counts(&probs, 1024, rng));
+    }
+    (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..INNER {
+                std::hint::black_box(sample_counts(&probs, 1024, rng));
             }
             start.elapsed().as_nanos() as f64 / INNER as f64
         })
@@ -489,7 +516,7 @@ fn main() -> ExitCode {
         },
         Err(_) => DEFAULT_TOLERANCE,
     };
-    let gates: [Gate; 4] = [
+    let gates: [Gate; 5] = [
         (
             &shift_path,
             "shift/jacobian_batched_santiago/1workers",
@@ -501,6 +528,12 @@ fn main() -> ExitCode {
             "kernels/qnn4_fused",
             "cargo bench -p qoc-bench --bench gate_kernels",
             measure_fused_min_ns,
+        ),
+        (
+            &kernels_path,
+            "sim/sample_counts/16bins_1024shots",
+            "cargo bench -p qoc-bench --bench gate_kernels",
+            measure_sample_counts_min_ns,
         ),
         (
             &adjoint_path,

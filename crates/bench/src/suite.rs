@@ -16,6 +16,7 @@ use qoc_device::backends::{
     fake_jakarta, fake_lima, fake_manila, fake_santiago, DeviceDescription,
 };
 use qoc_nn::model::QnnModel;
+use qoc_sim::simulator::StatevectorSimulator;
 
 /// The QNN architecture the paper assigns to a task.
 pub fn model_for(task: Task) -> QnnModel {
@@ -46,6 +47,20 @@ pub fn pgp_config_for(task: Task) -> PruneConfig {
         pruning_window: 2,
         ratio: if task == Task::Fashion4 { 0.7 } else { 0.5 },
     }
+}
+
+/// The MNIST-4 ansatz's exact 16-outcome read-out at a fixed binding
+/// (parameters 0.2, pixels 0.7): the input of the
+/// `sim/sample_counts/16bins_1024shots` row and its `bench_smoke` gate.
+pub fn mnist4_readout() -> Vec<f64> {
+    let model = QnnModel::mnist4();
+    let theta = model.symbol_vector(
+        &vec![0.2; model.num_params()],
+        &vec![0.7; model.input_dim()],
+    );
+    StatevectorSimulator::new()
+        .run(model.circuit(), &theta)
+        .probabilities()
 }
 
 /// A complete per-task experiment context.

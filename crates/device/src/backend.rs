@@ -59,6 +59,8 @@ pub enum Execution {
     /// Infinite-shot (exact) expectation values.
     Exact,
     /// Finite-shot sampling, as on hardware. The paper uses 1024 shots.
+    /// `Shots(0)` draws nothing and reports all-zero expectations and
+    /// distributions.
     Shots(u32),
 }
 
@@ -340,7 +342,7 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                 Execution::Exact => self.outcome_probabilities(job.prepared, &job.theta),
                 Execution::Shots(s) => {
                     let probs = self.outcome_probabilities(job.prepared, &job.theta);
-                    let total = f64::from(s);
+                    let total = f64::from(s.max(1));
                     sample_counts(&probs, s, &mut rng)
                         .into_iter()
                         .map(|n| f64::from(n) / total)
@@ -1367,6 +1369,20 @@ mod tests {
         assert_eq!(counts.iter().sum::<u32>(), 512);
         for (p, n) in sampled.iter().zip(counts) {
             assert_eq!(*p, f64::from(n) / 512.0);
+        }
+    }
+
+    #[test]
+    fn zero_shot_distribution_jobs_are_all_zero() {
+        let noiseless = NoiselessBackend::new();
+        let device = FakeDevice::new(fake_lima());
+        let backends: [&dyn QuantumBackend; 2] = [&noiseless, &device];
+        for backend in backends {
+            let prepared = backend.prepare(&qnn_circuit());
+            let job = CircuitJob::distribution(&prepared, vec![0.1; 8], Execution::Shots(0), 3);
+            let dist = backend.run_job(&job);
+            assert_eq!(dist.len(), 16);
+            assert!(dist.iter().all(|&p| p == 0.0), "{dist:?}");
         }
     }
 

@@ -319,9 +319,28 @@ impl Statevector {
 ///
 /// Negative weights (float noise on noisy density diagonals) are clamped to
 /// zero and the weights need not be normalized. The prefix sums accumulate
-/// sequentially; each shot draws one uniform in RNG order, scales it by the
-/// total, and lands in the first bin whose prefix reaches it (clamped to
-/// the last bin) — so a seeded stream always produces the same counts.
+/// sequentially; each shot draws `m = next_u64() >> 11` in RNG order, scales
+/// it to `r(m) = m·2⁻⁵³·total` (the same bits and products as
+/// `rng.gen::<f64>() * total`), and lands in the first bin whose prefix
+/// reaches `r(m)` (clamped to the last bin) — so a seeded stream always
+/// produces the same counts.
+///
+/// The bin never decreases as `m` grows, so one merge walk over the top
+/// bits of `m` and the bins tabulates it: each bucket stores the bin of its
+/// first `m`, flagged when its last `m` lands two or more bins later. A
+/// shot costs one table lookup and one comparison of its exact `r(m)`
+/// against the stored bin's prefix, which picks that bin or the next; a
+/// shot in a flagged bucket binary-searches only the bins up to the next
+/// bucket's first bin. The table holds about four buckets per bin, capped
+/// at 4096 and at the shot count, so the cost is `O(2ⁿ + shots)` and never
+/// more than a binary search per shot. The prefix sums, the table and a
+/// second histogram (odd shots, so runs of one bin don't serialize on one
+/// counter) live in per-thread scratch: the returned vector is the only
+/// allocation.
+///
+/// # Panics
+///
+/// Panics with more than 2³¹ outcomes.
 ///
 /// # Examples
 ///
@@ -334,24 +353,121 @@ impl Statevector {
 /// assert_eq!(counts, vec![0, 100, 0]);
 /// ```
 pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u32, rng: &mut R) -> Vec<u32> {
+    assert!(
+        probs.len() <= STRADDLES as usize,
+        "too many outcomes to sample"
+    );
     let mut counts = vec![0u32; probs.len()];
-    let Some(last) = probs.len().checked_sub(1) else {
+    if probs.is_empty() || shots == 0 {
         return counts;
+    }
+    let mut scratch = SAMPLER_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    scratch.sample(probs, shots, rng, &mut counts);
+    SAMPLER_SCRATCH.with(|s| *s.borrow_mut() = scratch);
+    counts
+}
+
+/// Flag bit on a sampler table entry: the bucket's draws straddle more than
+/// one bin boundary.
+const STRADDLES: u32 = 1 << 31;
+
+/// `2⁻⁵³`, the scale `rng.gen::<f64>()` applies to its 53 drawn bits.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+thread_local! {
+    static SAMPLER_SCRATCH: RefCell<SamplerScratch> = const {
+        RefCell::new(SamplerScratch { prefix: Vec::new(), table: Vec::new(), odd: Vec::new() })
     };
-    let mut acc = 0.0;
-    let prefix: Vec<f64> = probs
-        .iter()
-        .map(|&p| {
+}
+
+/// Reusable buffers of [`sample_counts`].
+#[derive(Default)]
+struct SamplerScratch {
+    /// Sequential prefix sums of the clamped weights.
+    prefix: Vec<f64>,
+    /// One entry per bucket of the top bits of `m` (first bin, maybe
+    /// flagged [`STRADDLES`]), then the bin of the largest `m`.
+    table: Vec<u32>,
+    /// Histogram of the odd-numbered shots.
+    odd: Vec<u32>,
+}
+
+impl SamplerScratch {
+    fn sample<R: Rng + ?Sized>(
+        &mut self,
+        probs: &[f64],
+        shots: u32,
+        rng: &mut R,
+        counts: &mut [u32],
+    ) {
+        let last = probs.len() - 1;
+        let mut acc = 0.0;
+        self.prefix.clear();
+        self.prefix.extend(probs.iter().map(|&p| {
             acc += p.max(0.0);
             acc
-        })
-        .collect();
-    let total = prefix[last].max(f64::MIN_POSITIVE);
-    for _ in 0..shots {
-        let r = rng.gen::<f64>() * total;
-        counts[prefix.partition_point(|&p| p < r).min(last)] += 1;
+        }));
+        let prefix = &self.prefix[..];
+        let total = prefix[last].max(f64::MIN_POSITIVE);
+        let draw = |m: u64| m as f64 * UNIT * total;
+
+        let buckets = (4 * probs.len())
+            .next_power_of_two()
+            .min(4096)
+            .min((shots as usize).next_power_of_two());
+        let shift = 53 - buckets.trailing_zeros();
+        // The bin of `m`, walking `bin` forward from the bin of a smaller
+        // `m`: `r(0)` is NaN when the total overflows, and stays in bin 0.
+        let walk = |bin: &mut usize, m: u64| {
+            let r = draw(m);
+            while *bin < last && prefix[*bin] < r {
+                *bin += 1;
+            }
+            *bin as u32
+        };
+        self.table.clear();
+        let mut bin = 0;
+        for b in 0..buckets as u64 {
+            let first = walk(&mut bin, b << shift);
+            let end = walk(&mut bin, ((b + 1) << shift) - 1);
+            self.table.push(if end <= first + 1 {
+                first
+            } else {
+                first | STRADDLES
+            });
+        }
+        self.table.push(bin as u32);
+
+        let table = &self.table[..];
+        let mut shot = || {
+            let m = rng.next_u64() >> 11;
+            let b = (m >> shift) as usize;
+            let entry = table[b];
+            if entry & STRADDLES == 0 {
+                // At most one boundary in the bucket: one comparison of the
+                // exact draw picks the side (`min` covers an all-zero input,
+                // where the last prefix sits below every draw but `r(0)`).
+                let lo = entry as usize;
+                return (lo + usize::from(prefix[lo] < draw(m))).min(last);
+            }
+            let lo = (entry & !STRADDLES) as usize;
+            let hi = (table[b + 1] & !STRADDLES) as usize;
+            let r = draw(m);
+            lo + prefix[lo..hi].partition_point(|&p| p < r)
+        };
+        self.odd.clear();
+        self.odd.resize(probs.len(), 0);
+        for _ in 0..shots / 2 {
+            counts[shot()] += 1;
+            self.odd[shot()] += 1;
+        }
+        if shots % 2 == 1 {
+            counts[shot()] += 1;
+        }
+        for (c, o) in counts.iter_mut().zip(&self.odd) {
+            *c += o;
+        }
     }
-    counts
 }
 
 thread_local! {
@@ -705,6 +821,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let counts = sample_counts(&sv.probabilities(), 1024, &mut rng);
         assert_eq!(counts, vec![1024, 0, 0, 0]);
+    }
+
+    /// Replays fixed 64-bit words.
+    struct Words(std::vec::IntoIter<u64>);
+
+    impl rand::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next().expect("enough words")
+        }
+    }
+
+    #[test]
+    fn overflowed_totals_bin_the_zero_draw_first() {
+        // The prefix overflows to inf: r(0) = 0 · inf is NaN and reaches
+        // no prefix, so it lands in bin 0; every other draw is inf and
+        // lands in the first infinite prefix.
+        let probs = [1e308, 1e308, 1.0];
+        let mut rng = Words(vec![0, 1 << 11, u64::MAX, 0].into_iter());
+        assert_eq!(sample_counts(&probs, 4, &mut rng), vec![2, 2, 0]);
     }
 
     #[test]

@@ -19,21 +19,38 @@ fn arb_params(gate: GateKind) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-6.0f64..6.0, gate.num_params())
 }
 
-/// 1–64 unnormalized outcome weights mixing zero, negative (clamped) and
-/// positive entries; one vector in four is all zeros.
+/// 1–4096 unnormalized outcome weights (three vectors in five have at most 64)
+/// mixing zero, negative (clamped), positive, denormal and near-`f64::MAX`
+/// entries — two of the latter overflow the prefix sum to `inf`. One vector
+/// in five is all zeros and one in five puts almost all weight on one bin.
 fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
-    let weight = (0u8..3, 0.0f64..1.0).prop_map(|(kind, w)| match kind {
+    let weight = (0u8..6, 0.0f64..1.0).prop_map(|(kind, w)| match kind {
         0 => 0.0,
         1 => -w,
+        2 => w * 1e-310,
+        3 if w < 0.002 => 1e308 * (1.0 + w),
         _ => w,
     });
-    (0u8..4, proptest::collection::vec(weight, 1..=64)).prop_map(|(kind, weights)| {
-        if kind == 0 {
-            vec![0.0; weights.len()]
-        } else {
+    (
+        0u8..5,
+        1usize..=64,
+        proptest::collection::vec(weight, 1..=4096),
+        0usize..4096,
+    )
+        .prop_map(|(kind, short, mut weights, at)| {
+            if kind % 2 == 0 {
+                weights.truncate(short);
+            }
+            match kind {
+                0 => weights.iter_mut().for_each(|w| *w = 0.0),
+                1 => {
+                    let at = at % weights.len();
+                    weights[at] = 1e6;
+                }
+                _ => {}
+            }
             weights
-        }
-    })
+        })
 }
 
 /// Reference shot sampler: draw every uniform in RNG order, sort the
@@ -52,7 +69,9 @@ fn sort_walk_oracle<R: rand::Rng>(probs: &[f64], shots: u32, rng: &mut R) -> Vec
     }
     let total = total.max(f64::MIN_POSITIVE);
     let mut draws: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>() * total).collect();
-    draws.sort_unstable_by(f64::total_cmp);
+    // A NaN draw (`0 · inf` when the total overflows) reaches no prefix, so
+    // it sorts first and lands in bin 0.
+    draws.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(b.is_nan().cmp(&a.is_nan())));
     let mut idx = 0usize;
     let mut prefix = prob(0);
     for r in draws {
@@ -238,7 +257,7 @@ proptest! {
     #[test]
     fn sample_counts_match_the_sort_walk_oracle(
         probs in arb_weights(),
-        shots in proptest::sample::select(vec![0u32, 1, 1024, 4097]),
+        shots in proptest::sample::select(vec![0u32, 1, 2, 3, 1024, 4097]),
         seed in any::<u64>(),
     ) {
         use rand::SeedableRng;
