@@ -67,7 +67,14 @@ stage_trace_validate() {
     # when the trace or a satellite never appeared and 1 on a violation —
     # its stderr names the offending line either way.
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
-        results/ci_trace.jsonl --quiet
+        results/ci_trace.jsonl --quiet || return 1
+    # Second leg: the SNR-adaptive shot controller on, so real alloc.window
+    # events get schema-checked and the run-savings gate sees a trace whose
+    # PGP knobs were retuned between windows.
+    QOC_SHOT_ALLOC=snr QOC_LOG=debug QOC_TRACE_FILE=results/ci_trace_snr.jsonl \
+        cargo run --offline --release --example traced_training > /dev/null
+    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
+        results/ci_trace_snr.jsonl --quiet
 }
 
 stage_analyze() {

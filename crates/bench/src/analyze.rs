@@ -27,7 +27,8 @@
 //! [`Analysis::sanity_failures`] distills the CI gates: a nonempty span
 //! forest, device-time exactness, pruning efficacy present when the run
 //! pruned, and the measured run-savings landing near the paper's
-//! `r·w_p/(w_a+w_p)`.
+//! `r·w_p/(w_a+w_p)` — step-weighted over the windows, since the shot
+//! allocator may retune `r` and `w_p` between them.
 
 use std::collections::BTreeMap;
 
@@ -378,7 +379,10 @@ pub struct Analysis {
     pub eval_records: usize,
     /// Run savings measured from `.steps.jsonl` evaluated-parameter counts.
     pub measured_savings: Option<f64>,
-    /// `r·w_p/(w_a+w_p)` from the manifest's pruning config.
+    /// The run's expected savings: each `prune.efficacy` window's
+    /// `r·w_p/(w_a+w_p)` weighted by its `stage_steps`, over the steps in
+    /// `.steps.jsonl` (0 without step records). `Some` iff the manifest
+    /// configures pruning.
     pub expected_savings: Option<f64>,
     /// Σ backoff-wait ns from the manifest's retry histogram.
     pub backoff_wait_ns: u64,
@@ -407,6 +411,20 @@ fn expected_savings_of(manifest: &Value) -> Option<f64> {
     let w_p = cfg.get("pruning_window")?.as_f64()?;
     let r = cfg.get("ratio")?.as_f64()?;
     Some(r * w_p / (w_a + w_p))
+}
+
+/// Σ(`expected_savings`·`stage_steps`) over the closed windows ÷ `steps`:
+/// the run-level `r·w_p/(w_a+w_p)` when retunes changed the knobs between
+/// windows (steps outside any closed window expect no savings).
+fn run_expected_savings(windows: &[WindowRow], steps: usize) -> f64 {
+    if steps == 0 {
+        return 0.0;
+    }
+    let weighted: f64 = windows
+        .iter()
+        .map(|w| w.expected_savings * w.stage_steps as f64)
+        .sum();
+    weighted / steps as f64
 }
 
 /// Builds the wall-vs-device phase table from the forest plus the trace
@@ -647,7 +665,6 @@ pub fn analyze_run(
     let best_accuracy = manifest
         .as_ref()
         .and_then(|m| m.get("best_accuracy").and_then(Value::as_f64));
-    let expected_savings = manifest.as_ref().and_then(expected_savings_of);
     let zero_circuit_counters = manifest.as_ref().map_or_else(Vec::new, |m| {
         let stats_runs = m
             .get("execution_stats")
@@ -674,6 +691,13 @@ pub fn analyze_run(
     let (phases, device_ns_spans, device_deltas_complete) =
         phase_table(&forest, &records, backoff_wait_ns, retries);
     let (params, windows) = health_report(&records);
+    // The manifest only tells whether pruning is configured; what the run
+    // should have saved comes from the windows it actually ran.
+    let expected_savings = manifest
+        .as_ref()
+        .and_then(expected_savings_of)
+        .filter(|&e| e > 0.0)
+        .map(|_| run_expected_savings(&windows, steps.len()));
     let run_wall_ns = forest
         .nodes
         .iter()
@@ -816,20 +840,17 @@ impl Analysis {
             }
         }
         if let Some(expected) = self.expected_savings {
-            if expected > 0.0 {
-                if self.windows.is_empty() {
-                    failures.push(
-                        "pruning is configured but the trace has no prune.efficacy events"
-                            .to_string(),
-                    );
-                }
-                if let Some(measured) = self.measured_savings {
-                    if (measured - expected).abs() > savings_tolerance {
-                        failures.push(format!(
-                            "run savings {measured:.4} deviates from r·w_p/(w_a+w_p) = \
-                             {expected:.4} by more than {savings_tolerance}"
-                        ));
-                    }
+            if self.windows.is_empty() {
+                failures.push(
+                    "pruning is configured but the trace has no prune.efficacy events".to_string(),
+                );
+            }
+            if let Some(measured) = self.measured_savings {
+                if (measured - expected).abs() > savings_tolerance {
+                    failures.push(format!(
+                        "run savings {measured:.4} deviates from r·w_p/(w_a+w_p) = \
+                         {expected:.4} by more than {savings_tolerance}"
+                    ));
                 }
             }
         }
@@ -1174,6 +1195,63 @@ mod tests {
         assert!(analysis
             .reconcile_profile("train.run nonsense\n", 0.15)
             .is_err());
+    }
+
+    /// A traced PGP run reduced to what the savings gate reads: one
+    /// `train.run` span, one `prune.efficacy` event per
+    /// `(stage_steps, expected_savings)` window, a steps satellite with the
+    /// given evaluated-parameter counts, and a manifest configuring
+    /// paper-default pruning.
+    fn savings_run(windows: &[(u64, f64)], evaluated: &[u64]) -> Analysis {
+        let mut trace = span_line(1000, "train.run", 0, 900) + "\n";
+        for (i, (steps, expected)) in windows.iter().enumerate() {
+            trace += &format!(
+                r#"{{"ts":{},"kind":"event","level":"info","span":"prune.efficacy","thread":0,"fields":{{"window":{i},"stage_steps":{steps},"recall":0.5,"overlap":1,"kept":2,"saved_runs":8,"wasted_runs":4,"measured_savings":0.3,"expected_savings":{expected}}}}}"#,
+                200 + i
+            );
+            trace += "\n";
+        }
+        let steps: String = evaluated
+            .iter()
+            .enumerate()
+            .map(|(step, e)| {
+                format!(
+                    r#"{{"step":{step},"loss":0.5,"lr":0.1,"evaluated_params":{e},"inferences":{}}}"#,
+                    10 * (step + 1)
+                ) + "\n"
+            })
+            .collect();
+        let manifest = r#"{"config":{"pruning":{"Probabilistic":{"accumulation_window":1,"pruning_window":2,"ratio":0.5}}},
+            "execution_stats":{"circuits_run":9,"total_shots":0,"estimated_device_seconds":0.0},
+            "metrics":{"counters":{"qoc.train.circuit_runs":9,"qoc.device.circuits_run":9}}}"#;
+        analyze_run(&trace, Some(&steps), Some(""), Some(manifest)).expect("analyzes")
+    }
+
+    #[test]
+    fn run_savings_gate_weights_each_window_by_its_steps() {
+        // Paper defaults, no retune: three 3-step windows at 1/3 over 9
+        // steps expect exactly the configured 1/3.
+        let plain = savings_run(&[(3, 1.0 / 3.0); 3], &[8, 4, 4, 8, 4, 4, 8, 4, 4]);
+        assert!((plain.expected_savings.unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(plain.sanity_failures(0.05), Vec::<String>::new());
+
+        // The shot allocator retuned to r = 0.45, w_p = 1 before the third
+        // window: it expects 0.225 over 2 steps, and the trailing full step
+        // closes no window. Against the configured 1/3 the measured 0.2639
+        // would fail; against (1/3·3 + 1/3·3 + 0.225·2)/9 it passes.
+        let retuned = savings_run(
+            &[(3, 1.0 / 3.0), (3, 1.0 / 3.0), (2, 0.225)],
+            &[8, 4, 4, 8, 4, 4, 8, 5, 8],
+        );
+        let expected = retuned.expected_savings.unwrap();
+        assert!((expected - 2.45 / 9.0).abs() < 1e-12, "expected {expected}");
+        assert!((retuned.measured_savings.unwrap() - 19.0 / 72.0).abs() < 1e-12);
+        assert_eq!(retuned.sanity_failures(0.05), Vec::<String>::new());
+        assert_eq!(
+            retuned.sanity_failures(0.005).len(),
+            1,
+            "tolerance still gates"
+        );
     }
 
     #[test]

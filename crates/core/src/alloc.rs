@@ -1,12 +1,11 @@
-//! SNR-adaptive shot allocation — the runtime controller that closes the
-//! loop from the PR 5 gradient-health *diagnostics* to shot-budget
-//! *decisions*.
+//! SNR-adaptive shot allocation — the runtime controller that turns the
+//! gradient-health statistics into shot-budget *decisions*.
 //!
 //! The paper's core observation (Section 3.3, Figure 5) is that small
 //! gradients under shot noise carry high relative error and frequently a
-//! wrong sign. [`crate::health`] measures exactly that — per-parameter |g|
-//! EMA, shot-noise σ̂, SNR — but only reports it. This module acts on the
-//! same streaming statistics, each step assigning a per-shifted-circuit
+//! wrong sign. [`crate::health::GradientHealth`] measures exactly that —
+//! per-parameter |g| EMA, shot-noise σ̂, SNR. This module is a budget
+//! policy over that one tracker, each step assigning a per-shifted-circuit
 //! shot budget instead of the uniform `Execution::Shots(base)`:
 //!
 //! - **high-SNR parameters** get few shots — their sign and rough magnitude
@@ -21,21 +20,23 @@
 //!
 //! The key identity making this cheap: a gradient entry's shot variance
 //! scales as `1/s`, so `ĉ = σ̂²·s` is a *shot-count-invariant* noise
-//! coefficient. The controller keeps an EMA of `ĉ` per parameter and solves
-//! `target_snr = |g| / √(ĉ/s)` for the budget `s = target²·ĉ/|g|²`.
+//! coefficient. The controller keeps an EMA of `ĉ` per parameter (its only
+//! per-parameter statistic besides skip streaks) and solves
+//! `target_snr = |g| / √(ĉ/s)` against the tracker's |g| EMA for the budget
+//! `s = target²·ĉ/|g|²`.
 //!
-//! Per completed pruning window (a Full selection arriving after Subset
-//! steps, exactly like [`crate::health`]'s stage tracking) the controller
-//! also measures prune-efficacy recall of the sampled subset against its
-//! own top-|g|-EMA ranking and feeds it back to auto-tune PGP's ratio `r`
-//! and pruning-window width via [`crate::prune::Pruner::retune`].
+//! Each pruning window the tracker closes comes with the recall of the
+//! sampled subsets against its top-|g|-EMA ranking; the controller feeds it
+//! back to auto-tune PGP's ratio `r` and pruning-window width via
+//! [`crate::prune::Pruner::retune`].
 //!
 //! **Determinism contract:** every decision derives only from the
 //! deterministic `grad`/`grad_var` stream the gradient computer already
 //! produces — never from wall-clock, worker interleaving, or telemetry
 //! state. Step/eval records are therefore bit-identical at any
-//! `QOC_WORKERS` count, and the accumulators checkpoint/restore through
-//! [`AllocState`] so resumed runs replay identically. Telemetry emission
+//! `QOC_WORKERS` count, and the accumulators (the tracker's EMA, counts and
+//! window position included) checkpoint/restore through [`AllocState`] so
+//! resumed runs replay identically. Telemetry emission
 //! (the `alloc.window` event, `qoc.alloc.*` counters) is separately gated
 //! on [`qoc_telemetry::enabled`] and never feeds back into decisions.
 //!
@@ -45,8 +46,7 @@
 
 use serde::Serialize;
 
-use crate::health::SNR_CAP;
-use crate::prune::Selection;
+use crate::health::{ema_update, ClosedWindow, GradientHealth, EMA_DECAY, SNR_CAP};
 
 /// Default per-row shot floor when `QOC_SHOT_MIN` is unset.
 pub const DEFAULT_MIN_SHOTS: u32 = 128;
@@ -249,6 +249,8 @@ pub struct Retune {
 
 /// Serializable snapshot of every controller accumulator — carried in
 /// schema-v2 checkpoints so resumed runs replay decisions bit-identically.
+/// The gradient statistics and the open window are the
+/// [`GradientHealth`] tracker's; the rest is the allocator's own.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AllocState {
     /// Per-parameter |g| EMA.
@@ -281,39 +283,32 @@ pub struct AllocState {
     pub stage: Vec<u64>,
 }
 
-/// Per-parameter streaming state.
+/// Per-parameter controller state.
 #[derive(Debug, Clone, Copy, Default)]
 struct ParamStat {
-    /// EMA of |g| (seeded by the first evaluation, decay 0.5 — the same
-    /// update rule as [`crate::health`]).
-    ema_abs: f64,
     /// EMA of the shot-invariant noise coefficient `ĉ = σ̂²·s`.
     noise: f64,
-    /// Evaluations observed.
-    evals: u64,
     /// Consecutive steps this parameter was skipped.
     skip_streak: u32,
 }
 
-/// Open-window accumulators.
+/// Open-window shot accounting.
 #[derive(Debug, Default, Clone, Copy)]
 struct Stage {
-    steps: u64,
     planned: u64,
     skipped: u64,
     requested: u64,
     baseline: u64,
-    kept: u64,
-    overlap: u64,
 }
 
 /// The SNR-adaptive shot allocator. One instance per training run,
 /// constructed only when `QOC_SHOT_ALLOC=snr` and execution is finite-shot.
 ///
-/// Unlike [`crate::health::GradientHealth`], which exists only when
-/// telemetry is on, the allocator is **always on** once configured — its
-/// decisions change the training trajectory, so they must not depend on
-/// whether anyone is watching.
+/// A budget policy over the run's [`GradientHealth`] tracker: it reads the
+/// tracker's |g| EMA and evaluation counts and the pruning windows it
+/// closes, and keeps only its own noise EMA, skip streaks and shot
+/// accounting. Its decisions change the training trajectory, so they never
+/// depend on whether telemetry is watching.
 #[derive(Debug)]
 pub struct ShotAllocator {
     config: ShotAllocConfig,
@@ -326,8 +321,6 @@ pub struct ShotAllocator {
     batch_size: u64,
     params: Vec<ParamStat>,
     stage: Stage,
-    prev_was_subset: bool,
-    windows: u64,
     baseline_shots: u64,
     requested_shots: u64,
     skipped_evals: u64,
@@ -335,7 +328,6 @@ pub struct ShotAllocator {
     ratio: f64,
     pruning_window: usize,
     retunes: u64,
-    ema_decay: f64,
     /// The plan issued by the last [`Self::plan`], consumed by
     /// [`Self::observe`]. Not part of [`AllocState`]: a step that fails
     /// mid-flight is replayed wholesale on resume.
@@ -378,15 +370,12 @@ impl ShotAllocator {
             batch_size: batch_size as u64,
             params: vec![ParamStat::default(); num_params],
             stage: Stage::default(),
-            prev_was_subset: false,
-            windows: 0,
             baseline_shots: 0,
             requested_shots: 0,
             skipped_evals: 0,
             ratio,
             pruning_window,
             retunes: 0,
-            ema_decay: 0.5,
             pending: None,
         }
     }
@@ -407,24 +396,19 @@ impl ShotAllocator {
         self.skipped_evals
     }
 
-    /// Completed windows.
-    pub fn windows_completed(&self) -> u64 {
-        self.windows
-    }
-
     /// The shot budget that lifts a parameter's predicted SNR to the
     /// target: `s = ⌈target²·ĉ/|g|²⌉`, clamped to `[min, max]`.
-    fn budget_for(&self, stat: &ParamStat) -> u32 {
-        if stat.noise <= 0.0 {
+    fn budget_for(&self, ema: f64, noise: f64) -> u32 {
+        if noise <= 0.0 {
             // Exact rows (σ̂ = 0) carry no shot noise to buy down: spend
             // the floor, not a division by zero.
             return self.config.min_shots;
         }
-        if stat.ema_abs <= 0.0 {
+        if ema <= 0.0 {
             return self.config.max_shots;
         }
         let t = self.config.target_snr;
-        let ideal = (t * t * stat.noise / (stat.ema_abs * stat.ema_abs)).ceil();
+        let ideal = (t * t * noise / (ema * ema)).ceil();
         if !ideal.is_finite() || ideal >= f64::from(self.config.max_shots) {
             self.config.max_shots
         } else {
@@ -434,15 +418,15 @@ impl ShotAllocator {
 
     /// Predicted SNR at the max budget, capped at [`SNR_CAP`] like the
     /// health tracker's reported SNR.
-    fn snr_at_max(&self, stat: &ParamStat) -> f64 {
-        if stat.noise <= 0.0 {
+    fn snr_at_max(&self, ema: f64, noise: f64) -> f64 {
+        if noise <= 0.0 {
             // No observed noise: trust the gradient.
             return SNR_CAP;
         }
-        let sigma = (stat.noise / f64::from(self.config.max_shots)).sqrt();
+        let sigma = (noise / f64::from(self.config.max_shots)).sqrt();
         if sigma > 0.0 {
-            (stat.ema_abs / sigma).min(SNR_CAP)
-        } else if stat.ema_abs > 0.0 {
+            (ema / sigma).min(SNR_CAP)
+        } else if ema > 0.0 {
             SNR_CAP
         } else {
             0.0
@@ -450,25 +434,25 @@ impl ShotAllocator {
     }
 
     /// Assigns this step's budgets for the selected rows (`indices` is the
-    /// pruner's selection, ascending). Parameters without history warm up
-    /// at the uniform baseline budget; the rest get the SNR-solved budget
-    /// or are skipped when even the max budget cannot beat
-    /// [`WRONG_SIGN_SNR`].
+    /// pruner's selection, ascending) from `health`'s pre-step statistics.
+    /// Parameters without history warm up at the uniform baseline budget;
+    /// the rest get the SNR-solved budget or are skipped when even the max
+    /// budget cannot beat [`WRONG_SIGN_SNR`].
     ///
     /// Call exactly once per step, before the gradient evaluation; the
     /// matching [`Self::observe`] folds the measured gradients back in.
-    pub fn plan(&mut self, indices: &[usize]) -> StepPlan {
+    pub fn plan(&mut self, health: &GradientHealth, indices: &[usize]) -> StepPlan {
         let mut plan = StepPlan::default();
         for &i in indices {
-            let stat = &self.params[i];
-            if stat.evals == 0 {
+            if health.evals(i) == 0 {
                 plan.rows.push(ShotSpec {
                     param: i,
                     shots: self.base_shots,
                 });
                 continue;
             }
-            if self.snr_at_max(stat) < WRONG_SIGN_SNR {
+            let (ema, stat) = (health.ema(i), &self.params[i]);
+            if self.snr_at_max(ema, stat.noise) < WRONG_SIGN_SNR {
                 // Probe instead of skipping on every SKIP_PROBE_EVERY-th
                 // consecutive skip, so recovering gradients are noticed.
                 if (stat.skip_streak + 1).is_multiple_of(SKIP_PROBE_EVERY) {
@@ -483,50 +467,35 @@ impl ShotAllocator {
             }
             plan.rows.push(ShotSpec {
                 param: i,
-                shots: self.budget_for(stat),
+                shots: self.budget_for(ema, stat.noise),
             });
         }
         self.pending = Some(plan.clone());
         plan
     }
 
-    /// Folds the step's measured gradients back into the streaming state,
-    /// updates the savings/window accounting, and — when a Full selection
-    /// closes a pruning window — measures the subset's recall against the
-    /// controller's own top-|g|-EMA ranking and possibly requests a PGP
-    /// retune.
+    /// Folds the step's measured noise back into the controller, updates
+    /// the savings accounting, and — when `closed` reports a pruning window
+    /// the step closed — possibly requests a PGP retune from its recall.
     ///
-    /// `grad`/`grad_var` are the full-width batch-mean gradient and its
-    /// shot-noise variance, exactly as [`crate::grad`] produces them.
+    /// Call after [`GradientHealth::observe_step`] has folded in the same
+    /// step (it returns `closed`); `grad_var` is the full-width shot-noise
+    /// variance [`crate::grad`] produced.
     ///
     /// # Panics
     ///
-    /// Panics when called without a preceding [`Self::plan`] or with
-    /// mismatched widths.
+    /// Panics when called without a preceding [`Self::plan`], with a
+    /// mismatched width, or before `health` counted a planned row.
     pub fn observe(
         &mut self,
-        selection: &Selection,
-        grad: &[f64],
+        health: &GradientHealth,
+        closed: Option<ClosedWindow>,
         grad_var: &[f64],
     ) -> Option<Retune> {
-        let n = self.params.len();
-        assert_eq!(grad.len(), n, "gradient width mismatch");
-        assert_eq!(grad_var.len(), n, "variance width mismatch");
+        assert_eq!(grad_var.len(), self.params.len(), "variance width mismatch");
         let plan = self.pending.take().expect("observe() without plan()");
-
-        // Window boundary first (mirrors GradientHealth): a Full step after
-        // subset steps means the pruner opened a new stage.
-        let mut retune = None;
-        if matches!(selection, Selection::Full) && self.prev_was_subset {
-            retune = self.close_window();
-        }
-        if let Selection::Subset(s) = selection {
-            let top = self.top_k_by_ema(s.len());
-            let overlap = s.iter().filter(|i| top.binary_search(i).is_ok()).count();
-            self.stage.kept += s.len() as u64;
-            self.stage.overlap += overlap as u64;
-        }
-        self.prev_was_subset = matches!(selection, Selection::Subset(_));
+        // Close first: this step's accounting opens the next window.
+        let retune = closed.and_then(|w| self.close_window(w));
 
         let mut step_requested = 0u64;
         let mut step_baseline = 0u64;
@@ -535,14 +504,12 @@ impl ShotAllocator {
             let jobs = self.jobs_per_row[i] as u64 * self.batch_size;
             step_requested += jobs * u64::from(spec.shots);
             step_baseline += jobs * u64::from(self.base_shots);
-            let decay = self.ema_decay;
             let stat = &mut self.params[i];
-            let abs = grad[i].abs();
-            stat.ema_abs = crate::stats::ema_update(decay, stat.ema_abs, stat.evals, abs);
-            // σ̂²·s is shot-invariant; EMA it on the same schedule.
+            // σ̂²·s is shot-invariant; EMA it on the |g| EMA's schedule.
+            // `health` already counted this step's evaluation, so the
+            // seeding test reads the count from before it.
             let c = grad_var[i] * f64::from(spec.shots);
-            stat.noise = crate::stats::ema_update(decay, stat.noise, stat.evals, c);
-            stat.evals += 1;
+            stat.noise = ema_update(EMA_DECAY, stat.noise, health.evals(i) - 1, c);
             stat.skip_streak = 0;
         }
         for &i in &plan.skipped {
@@ -553,7 +520,6 @@ impl ShotAllocator {
         self.requested_shots += step_requested;
         self.baseline_shots += step_baseline;
         self.skipped_evals += plan.skipped.len() as u64;
-        self.stage.steps += 1;
         self.stage.planned += plan.rows.len() as u64;
         self.stage.skipped += plan.skipped.len() as u64;
         self.stage.requested += step_requested;
@@ -571,69 +537,48 @@ impl ShotAllocator {
         retune
     }
 
-    /// Flushes an open window (call after the training loop, mirroring
-    /// [`crate::health::GradientHealth::finish`]).
-    pub fn finish(&mut self) -> Option<Retune> {
-        self.prev_was_subset = false;
-        if self.stage.kept > 0 {
-            self.close_window()
-        } else {
-            self.stage = Stage::default();
-            None
+    /// Reports the window [`GradientHealth::finish`] flushed (call after
+    /// the training loop). No retune is returned — there are no steps left
+    /// to apply it to.
+    pub fn finish(&mut self, closed: Option<ClosedWindow>) {
+        if let Some(w) = closed {
+            let _ = self.close_window(w);
         }
-    }
-
-    /// Indices of the `k` largest-|g|-EMA parameters (ascending).
-    fn top_k_by_ema(&self, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.params.len()).collect();
-        idx.sort_by(|&a, &b| self.params[b].ema_abs.total_cmp(&self.params[a].ema_abs));
-        idx.truncate(k);
-        idx.sort_unstable();
-        idx
     }
 
     /// Closes the window: emits the `alloc.window` event, derives a retune
-    /// from the measured recall, and resets the stage accumulators.
-    fn close_window(&mut self) -> Option<Retune> {
+    /// from the measured recall, and resets the shot accounting.
+    fn close_window(&mut self, w: ClosedWindow) -> Option<Retune> {
         let stage = std::mem::take(&mut self.stage);
-        if stage.steps == 0 {
-            return None;
-        }
-        let recall = if stage.kept > 0 {
-            stage.overlap as f64 / stage.kept as f64
-        } else {
-            0.0
-        };
-        let retune = self.derive_retune(recall, stage.kept > 0);
+        let retune = self.derive_retune(w.recall);
         if qoc_telemetry::enabled() {
             qoc_telemetry::event!(
                 qoc_telemetry::Level::Info,
                 "alloc.window",
-                window = self.windows,
-                stage_steps = stage.steps,
+                window = w.index,
+                stage_steps = w.steps,
                 planned_rows = stage.planned,
                 skipped_rows = stage.skipped,
                 requested_shots = stage.requested,
                 baseline_shots = stage.baseline,
                 saved_shots = stage.baseline as f64 - stage.requested as f64,
-                recall = recall,
+                recall = w.recall,
                 ratio = self.ratio,
                 pruning_window = self.pruning_window as u64,
                 retuned = retune.is_some(),
             );
             let metrics = qoc_telemetry::metrics::Registry::global();
             metrics.counter("qoc.alloc.windows").inc();
-            metrics.gauge("qoc.alloc.recall").set(recall);
+            metrics.gauge("qoc.alloc.recall").set(w.recall);
             metrics.gauge("qoc.alloc.ratio").set(self.ratio);
         }
-        self.windows += 1;
         retune
     }
 
     /// High recall → the EMA ranking and the pruner agree; prune harder.
     /// Low recall → the subset is missing top gradients; back off.
-    fn derive_retune(&mut self, recall: f64, had_subset: bool) -> Option<Retune> {
-        if !had_subset || self.pruning_window == 0 {
+    fn derive_retune(&mut self, recall: f64) -> Option<Retune> {
+        if self.pruning_window == 0 {
             return None;
         }
         let (new_ratio, new_window) = if recall >= RETUNE_RECALL_HIGH {
@@ -661,15 +606,16 @@ impl ShotAllocator {
         })
     }
 
-    /// Snapshot of every accumulator for checkpointing.
-    pub fn state(&self) -> AllocState {
+    /// Snapshot of the controller and of the `health` state it reads, for
+    /// checkpointing.
+    pub fn state(&self, health: &GradientHealth) -> AllocState {
         AllocState {
-            ema_abs: self.params.iter().map(|p| p.ema_abs).collect(),
+            ema_abs: health.params.iter().map(|p| p.ema).collect(),
             noise: self.params.iter().map(|p| p.noise).collect(),
-            evals: self.params.iter().map(|p| p.evals).collect(),
+            evals: health.params.iter().map(|p| p.evals).collect(),
             skip_streak: self.params.iter().map(|p| p.skip_streak).collect(),
-            prev_was_subset: self.prev_was_subset,
-            windows: self.windows,
+            prev_was_subset: health.prev_was_subset,
+            windows: health.windows,
             baseline_shots: self.baseline_shots,
             requested_shots: self.requested_shots,
             skipped_evals: self.skipped_evals,
@@ -677,18 +623,21 @@ impl ShotAllocator {
             pruning_window: self.pruning_window as u64,
             retunes: self.retunes,
             stage: vec![
-                self.stage.steps,
+                health.window.steps,
                 self.stage.planned,
                 self.stage.skipped,
                 self.stage.requested,
                 self.stage.baseline,
-                self.stage.kept,
-                self.stage.overlap,
+                health.window.kept,
+                health.window.overlap,
             ],
         }
     }
 
-    /// Restores a snapshot captured by [`Self::state`].
+    /// Restores a snapshot captured by [`Self::state`] into this controller
+    /// and into `health` (its |g| EMA, evaluation counts and open-window
+    /// position; sign flips and the window's evaluated/saved/wasted sums
+    /// are not checkpointed and restart from here).
     ///
     /// Returns the tuned PGP knobs so the caller can re-apply them to the
     /// live pruner (the pruner's own checkpoint carries only its window
@@ -696,22 +645,27 @@ impl ShotAllocator {
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot's widths do not match this allocator.
-    pub fn restore(&mut self, state: &AllocState) -> Retune {
+    /// Panics when the snapshot's widths do not match this allocator or
+    /// `health`.
+    pub fn restore(&mut self, state: &AllocState, health: &mut GradientHealth) -> Retune {
         let n = self.params.len();
+        assert_eq!(health.params.len(), n, "health tracker width mismatch");
         assert_eq!(state.ema_abs.len(), n, "alloc snapshot width mismatch");
         assert_eq!(state.noise.len(), n, "alloc snapshot width mismatch");
         assert_eq!(state.evals.len(), n, "alloc snapshot width mismatch");
         assert_eq!(state.skip_streak.len(), n, "alloc snapshot width mismatch");
         assert_eq!(state.stage.len(), 7, "alloc snapshot stage width mismatch");
-        for (i, p) in self.params.iter_mut().enumerate() {
-            p.ema_abs = state.ema_abs[i];
+        for (i, (p, h)) in self.params.iter_mut().zip(&mut health.params).enumerate() {
             p.noise = state.noise[i];
-            p.evals = state.evals[i];
             p.skip_streak = state.skip_streak[i];
+            h.ema = state.ema_abs[i];
+            h.evals = state.evals[i];
         }
-        self.prev_was_subset = state.prev_was_subset;
-        self.windows = state.windows;
+        health.prev_was_subset = state.prev_was_subset;
+        health.windows = state.windows;
+        health.window.steps = state.stage[0];
+        health.window.kept = state.stage[5];
+        health.window.overlap = state.stage[6];
         self.baseline_shots = state.baseline_shots;
         self.requested_shots = state.requested_shots;
         self.skipped_evals = state.skipped_evals;
@@ -719,13 +673,10 @@ impl ShotAllocator {
         self.pruning_window = state.pruning_window as usize;
         self.retunes = state.retunes;
         self.stage = Stage {
-            steps: state.stage[0],
             planned: state.stage[1],
             skipped: state.stage[2],
             requested: state.stage[3],
             baseline: state.stage[4],
-            kept: state.stage[5],
-            overlap: state.stage[6],
         };
         self.pending = None;
         Retune {
@@ -738,9 +689,35 @@ impl ShotAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::Selection;
 
-    fn allocator(n: usize, config: ShotAllocConfig) -> ShotAllocator {
-        ShotAllocator::new(n, 1024, 1, vec![2; n], config, 0.5, 2)
+    /// A controller and the health tracker it reads, stepped the way the
+    /// engine steps them.
+    struct Rig {
+        a: ShotAllocator,
+        h: GradientHealth,
+    }
+
+    impl Rig {
+        fn new(a: ShotAllocator) -> Self {
+            let h = GradientHealth::new(a.params.len(), a.batch_size as usize);
+            Rig { a, h }
+        }
+
+        fn plan(&mut self, indices: &[usize]) -> StepPlan {
+            self.a.plan(&self.h, indices)
+        }
+
+        fn observe(&mut self, selection: &Selection, grad: &[f64], var: &[f64]) -> Option<Retune> {
+            let plan = self.a.pending.as_ref().expect("plan() first");
+            let rows: Vec<usize> = plan.rows.iter().map(|r| r.param).collect();
+            let closed = self.h.observe_step(0, selection, &rows, grad, var, 0.0);
+            self.a.observe(&self.h, closed, var)
+        }
+    }
+
+    fn allocator(n: usize, config: ShotAllocConfig) -> Rig {
+        Rig::new(ShotAllocator::new(n, 1024, 1, vec![2; n], config, 0.5, 2))
     }
 
     #[test]
@@ -795,9 +772,24 @@ mod tests {
     }
 
     #[test]
+    fn noise_ema_seeds_on_the_first_evaluation() {
+        // The tracker counts a step's evaluation before the controller
+        // folds in its noise: the first ĉ must still *set* the EMA, and
+        // the second blend with it.
+        let mut a = allocator(1, ShotAllocConfig::default());
+        let _ = a.plan(&[0]);
+        a.observe(&Selection::Full, &[0.3], &[1e-4]);
+        assert_eq!(a.a.params[0].noise, 1e-4 * 1024.0);
+        let s = a.plan(&[0]).rows[0].shots;
+        a.observe(&Selection::Full, &[0.3], &[2e-4]);
+        let blended = 0.5 * (1e-4 * 1024.0) + 0.5 * (2e-4 * f64::from(s));
+        assert_eq!(a.a.params[0].noise, blended);
+    }
+
+    #[test]
     fn high_snr_params_get_few_shots_low_snr_more() {
         let cfg = ShotAllocConfig::new(64, 8192, 2.0).unwrap();
-        let mut a = ShotAllocator::new(2, 1024, 1, vec![2, 2], cfg, 0.5, 2);
+        let mut a = Rig::new(ShotAllocator::new(2, 1024, 1, vec![2, 2], cfg, 0.5, 2));
         let _ = a.plan(&[0, 1]);
         // Param 0: |g| = 0.5, σ̂² = 1e-4 at 1024 shots → ĉ ≈ 0.1 →
         // s* = 4·0.1/0.25 = 1.6 → clamps to the floor.
@@ -812,7 +804,7 @@ mod tests {
     #[test]
     fn hopeless_rows_are_skipped_with_periodic_probes() {
         let cfg = ShotAllocConfig::new(64, 256, 2.0).unwrap();
-        let mut a = ShotAllocator::new(1, 1024, 1, vec![2], cfg, 0.5, 2);
+        let mut a = Rig::new(ShotAllocator::new(1, 1024, 1, vec![2], cfg, 0.5, 2));
         let _ = a.plan(&[0]);
         // |g| tiny, noise large: SNR at 256 shots = |g|/√(ĉ/256) ≪ 1.
         a.observe(&Selection::Full, &[1e-6], &[1e-2]);
@@ -833,7 +825,7 @@ mod tests {
         // SKIP_PROBE_EVERY = 2 → the 8 evals alternate skip / probe.
         assert!(skips >= 3, "skips {skips}");
         assert!(probes >= 3, "deterministic probe must fire");
-        assert_eq!(a.skipped_evals(), skips);
+        assert_eq!(a.a.skipped_evals(), skips);
     }
 
     #[test]
@@ -841,11 +833,10 @@ mod tests {
         // Minuscule but nonzero noise with a huge gradient: the predicted
         // SNR must cap at SNR_CAP (not inf) and the budget at the floor.
         let cfg = ShotAllocConfig::new(16, 512, 2.0).unwrap();
-        let mut a = ShotAllocator::new(1, 1024, 1, vec![2], cfg, 0.5, 2);
+        let mut a = Rig::new(ShotAllocator::new(1, 1024, 1, vec![2], cfg, 0.5, 2));
         let _ = a.plan(&[0]);
         a.observe(&Selection::Full, &[1e30], &[1e-300]);
-        let stat = a.params[0];
-        assert_eq!(a.snr_at_max(&stat), SNR_CAP);
+        assert_eq!(a.a.snr_at_max(a.h.ema(0), a.a.params[0].noise), SNR_CAP);
         let plan = a.plan(&[0]);
         assert_eq!(plan.rows[0].shots, 16);
     }
@@ -854,16 +845,16 @@ mod tests {
     fn saved_shot_accounting_is_exact() {
         let cfg = ShotAllocConfig::new(64, 8192, 2.0).unwrap();
         // 2 params, 4 jobs per row (two occurrences), batch 3.
-        let mut a = ShotAllocator::new(2, 1000, 3, vec![4, 4], cfg, 0.5, 2);
+        let mut a = Rig::new(ShotAllocator::new(2, 1000, 3, vec![4, 4], cfg, 0.5, 2));
         let _ = a.plan(&[0, 1]);
         a.observe(&Selection::Full, &[0.5, 0.5], &[1e-4, 1e-4]);
         // Warmup step: requested == baseline.
-        assert_eq!(a.saved_shots(), 0);
+        assert_eq!(a.a.saved_shots(), 0);
         let plan = a.plan(&[0, 1]);
         let s = plan.rows[0].shots;
         a.observe(&Selection::Full, &[0.5, 0.5], &[1e-4, 1e-4]);
         // Each row: 4 jobs × batch 3 = 12 executions of (1000 − s) saved.
-        assert_eq!(a.saved_shots(), 2 * 12 * (1000 - i64::from(s)));
+        assert_eq!(a.a.saved_shots(), 2 * 12 * (1000 - i64::from(s)));
     }
 
     #[test]
@@ -885,7 +876,7 @@ mod tests {
         let r = retune.expect("perfect recall must push harder");
         assert!((r.ratio - 0.55).abs() < 1e-12);
         assert_eq!(r.pruning_window, 3);
-        assert_eq!(a.windows_completed(), 1);
+        assert_eq!(a.h.windows_completed(), 1);
     }
 
     #[test]
@@ -913,10 +904,8 @@ mod tests {
         let mut a = allocator(4, ShotAllocConfig::default());
         let _ = a.plan(&[0, 1, 2, 3]);
         a.observe(&Selection::Full, &[0.01, 0.02, 0.5, 0.6], &[0.0; 4]);
-        // Keeps one of the top-2 → recall 0.5... that's below LOW. Use a
-        // 4-of-5 style: kept {1, 3} vs top-2 {2, 3} → overlap 1, recall
-        // 0.5 — still low. Drive two subset steps: {2,3} then {1,3} →
-        // recall (2+1)/4 = 0.75, inside the dead band.
+        // Against the top-2 {2, 3}, subset {2, 3} keeps both and {1, 3}
+        // keeps one: recall 3/4, inside the dead band [0.7, 0.95).
         let _ = a.plan(&[2, 3]);
         a.observe(
             &Selection::Subset(vec![2, 3]),
@@ -932,13 +921,14 @@ mod tests {
         let _ = a.plan(&[0, 1, 2, 3]);
         let retune = a.observe(&Selection::Full, &[0.01, 0.02, 0.5, 0.6], &[0.0; 4]);
         assert_eq!(retune, None, "dead-band recall must not retune");
-        assert_eq!(a.windows_completed(), 1);
+        assert_eq!(a.h.windows_completed(), 1);
     }
 
     #[test]
     fn state_round_trips_and_resumes_identically() {
         let cfg = ShotAllocConfig::new(64, 8192, 2.0).unwrap();
-        let mut a = ShotAllocator::new(3, 1024, 2, vec![2, 2, 4], cfg, 0.5, 2);
+        let fresh = || Rig::new(ShotAllocator::new(3, 1024, 2, vec![2, 2, 4], cfg, 0.5, 2));
+        let mut a = fresh();
         let _ = a.plan(&[0, 1, 2]);
         a.observe(&Selection::Full, &[0.4, 0.001, 0.2], &[1e-4, 1e-3, 5e-5]);
         let _ = a.plan(&[0, 2]);
@@ -947,12 +937,12 @@ mod tests {
             &[0.4, 0.0, 0.2],
             &[1e-4, 0.0, 5e-5],
         );
-        let snap = a.state();
+        let snap = a.a.state(&a.h);
 
-        let mut b = ShotAllocator::new(3, 1024, 2, vec![2, 2, 4], cfg, 0.5, 2);
-        let knobs = b.restore(&snap);
+        let mut b = fresh();
+        let knobs = b.a.restore(&snap, &mut b.h);
         assert_eq!(knobs.ratio, 0.5);
-        assert_eq!(b.state(), snap);
+        assert_eq!(b.a.state(&b.h), snap);
 
         // Both continue identically.
         let pa = a.plan(&[0, 1, 2]);
@@ -961,7 +951,7 @@ mod tests {
         let ra = a.observe(&Selection::Full, &[0.3, 0.001, 0.1], &[1e-4, 1e-3, 5e-5]);
         let rb = b.observe(&Selection::Full, &[0.3, 0.001, 0.1], &[1e-4, 1e-3, 5e-5]);
         assert_eq!(ra, rb);
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a.a.state(&a.h), b.a.state(&b.h));
     }
 
     #[test]
@@ -973,7 +963,7 @@ mod tests {
             &[0.1 + 0.2, -1.0 / 3.0],
             &[1e-7, 4.9e-324],
         );
-        let state = a.state();
+        let state = a.a.state(&a.h);
         let text = serde_json::to_string_pretty(&state).unwrap();
         let root: serde::Value = serde_json::from_str(&text).unwrap();
         let parsed = crate::checkpoint::parse_alloc(&root).unwrap();

@@ -34,7 +34,7 @@ use crate::alloc::{AllocState, ShotAllocConfig, ShotAllocError, ShotAllocator};
 use crate::checkpoint::{CheckpointConfig, TrainState, CHECKPOINT_SCHEMA_VERSION};
 use crate::eval::try_evaluate_params_prepared;
 use crate::grad::QnnGradientComputer;
-use crate::health::{GradientHealth, HealthConfig};
+use crate::health::GradientHealth;
 use crate::optim::{OptimizerKind, OptimizerState};
 use crate::prune::{
     DeterministicPruner, NoPruning, ProbabilisticPruner, PruneConfig, Pruner, PrunerState,
@@ -453,13 +453,17 @@ fn train_impl(
     let mut optimizer = config.optimizer.build(n);
     let mut pruner = config.pruning.build(n);
 
-    // SNR-adaptive shot allocation (`QOC_SHOT_ALLOC=snr`). Unlike the
-    // telemetry-gated health diagnostics, the controller is ALWAYS on once
-    // configured — its decisions change the training trajectory, so they
-    // must not depend on whether anyone is watching. It only makes sense
-    // under finite-shot execution (exact gradients have no noise to budget
-    // against), and its decisions derive solely from the deterministic
-    // grad/grad_var stream, keeping runs worker-count invariant.
+    // The per-parameter gradient statistics and pruning windows: always
+    // tracked (the shot allocator reads them), emitted only when telemetry
+    // is enabled.
+    let mut health = GradientHealth::new(n, config.batch_size);
+    // SNR-adaptive shot allocation (`QOC_SHOT_ALLOC=snr`). The controller
+    // is ALWAYS on once configured — its decisions change the training
+    // trajectory, so they must not depend on whether anyone is watching.
+    // It only makes sense under finite-shot execution (exact gradients
+    // have no noise to budget against), and its decisions derive solely
+    // from the deterministic grad/grad_var stream, keeping runs
+    // worker-count invariant.
     let alloc_config = ShotAllocConfig::from_env().map_err(TrainError::ShotAlloc)?;
     let mut alloc = match (alloc_config, config.execution) {
         (Some(cfg), Execution::Shots(base_shots)) => {
@@ -522,7 +526,7 @@ fn train_impl(
                 "checkpoint carries shot-allocator state but QOC_SHOT_ALLOC is off \
                  (or execution is exact) — resume with the original environment",
             );
-            let knobs = a.restore(snap);
+            let knobs = a.restore(snap, &mut health);
             // The pruner snapshot carries window position, not retuned
             // hyper-parameters; re-install what the controller had tuned to.
             pruner.retune(knobs.ratio, knobs.pruning_window);
@@ -566,17 +570,6 @@ fn train_impl(
     );
     let mut prev_inferences = steps.last().map_or(0, |s: &StepRecord| s.inferences);
 
-    // Gradient-health diagnostics ride the telemetry gate: with tracing off
-    // this stays `None` and the loop pays one relaxed load per step.
-    let mut health = if qoc_telemetry::enabled() {
-        Some(GradientHealth::new(
-            n,
-            HealthConfig::new(config.batch_size, pruner.savings()),
-        ))
-    } else {
-        None
-    };
-
     for step in start_step..config.steps {
         // Captured before the step consumes RNG draws or mutates anything,
         // so a failure anywhere in the step can checkpoint a state that
@@ -585,7 +578,7 @@ fn train_impl(
             rng: rng.state(),
             pruner: pruner.state(),
             optimizer: optimizer.state(),
-            alloc: alloc.as_ref().map(ShotAllocator::state),
+            alloc: alloc.as_ref().map(|a| a.state(&health)),
             params: params.clone(),
             steps_len: steps.len(),
             best_accuracy,
@@ -613,7 +606,7 @@ fn train_impl(
         // without it every selected row runs at the configured execution.
         let (rows, budgets): (Vec<usize>, Vec<Execution>) = match alloc.as_mut() {
             Some(a) => a
-                .plan(&selected)
+                .plan(&health, &selected)
                 .rows
                 .iter()
                 .map(|spec| (spec.param, Execution::Shots(spec.shots)))
@@ -645,13 +638,18 @@ fn train_impl(
             }
         };
         pruner.record(&result.grad);
-        if let Some(h) = health.as_mut() {
-            h.observe_step(step, &selection, &rows, &result.grad, &result.grad_var);
-        }
+        let closed = health.observe_step(
+            step,
+            &selection,
+            &rows,
+            &result.grad,
+            &result.grad_var,
+            pruner.savings(),
+        );
         // Unevaluated rows (pruned or skipped) stay frozen.
         optimizer.step(&mut params, &result.grad, lr, Some(&rows));
         if let Some(a) = alloc.as_mut() {
-            if let Some(retune) = a.observe(&selection, &result.grad, &result.grad_var) {
+            if let Some(retune) = a.observe(&health, closed, &result.grad_var) {
                 pruner.retune(retune.ratio, retune.pruning_window);
             }
         }
@@ -765,7 +763,7 @@ fn train_impl(
                     params: params.clone(),
                     optimizer: optimizer.state(),
                     pruner: pruner.state(),
-                    alloc: alloc.as_ref().map(ShotAllocator::state),
+                    alloc: alloc.as_ref().map(|a| a.state(&health)),
                     rng: rng.state(),
                     steps: steps.clone(),
                     evals: evals.clone(),
@@ -816,13 +814,10 @@ fn train_impl(
             });
         }
     }
-    if let Some(h) = health.as_mut() {
-        h.finish();
-    }
+    // Flush the final (possibly partial) window for telemetry.
+    let closed = health.finish(pruner.savings());
     if let Some(a) = alloc.as_mut() {
-        // Flush the final (possibly partial) window for telemetry; the
-        // returned retune is moot — there are no steps left to apply it to.
-        let _ = a.finish();
+        a.finish(closed);
     }
     drop(run_span);
 

@@ -1,4 +1,4 @@
-//! In-loop gradient-health diagnostics (paper Section 3.3, Figure 5).
+//! In-loop gradient-health tracking (paper Section 3.3, Figure 5).
 //!
 //! The paper's core empirical argument is that on noisy hardware *small*
 //! gradients carry large relative error and frequently a wrong sign — which
@@ -21,12 +21,13 @@
 //!   measured circuit-run savings against the paper's
 //!   `r·w_p/(w_a+w_p)` prediction.
 //!
-//! Everything is emitted through `qoc-telemetry`: one `grad.health` event
-//! per evaluated parameter per step, one `prune.efficacy` event per
-//! completed window, and SNR samples into the `qoc.grad.snr`
-//! streaming-quantile estimator. The engine
-//! constructs a [`GradientHealth`] only when telemetry is enabled, so the
-//! disabled path stays at one relaxed atomic load per step.
+//! [`GradientHealth`] is the one owner of these per-parameter statistics
+//! and of the open pruning window. The engine always builds it: the shot
+//! allocator ([`crate::alloc`]) budgets from its EMA and evaluation counts
+//! and retunes PGP from the windows it closes. Only the emission is gated
+//! on [`qoc_telemetry::enabled`]: one `grad.health` event per evaluated
+//! parameter per step, one `prune.efficacy` event per completed window,
+//! and SNR samples into the `qoc.grad.snr` streaming-quantile estimator.
 
 use qoc_telemetry::metrics::Registry;
 
@@ -36,38 +37,39 @@ use crate::prune::Selection;
 /// infinity, and any downstream ranking treats the cap as "noise-free".
 pub const SNR_CAP: f64 = 1e9;
 
-/// Configuration of the health tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// EMA weight on the *previous* average (0.5 halves the influence of
-    /// history per evaluation; the first evaluation seeds the EMA).
-    pub ema_decay: f64,
-    /// Mini-batch size `B` — a pruned parameter skips `2·B` circuit runs
-    /// per step, the unit of the saved/wasted run accounting.
-    pub batch_size: usize,
-    /// The configured steady-state savings `r·w_p/(w_a+w_p)` reported in
-    /// `prune.efficacy` events for comparison (0 when pruning is off).
-    pub expected_savings: f64,
-}
+/// EMA weight on the *previous* average, for the |g| EMA here and the
+/// allocator's noise EMA (0.5 halves the influence of history per
+/// evaluation; the first evaluation seeds the EMA).
+pub const EMA_DECAY: f64 = 0.5;
 
-impl HealthConfig {
-    /// Defaults: `ema_decay` 0.5.
-    pub fn new(batch_size: usize, expected_savings: f64) -> Self {
-        HealthConfig {
-            ema_decay: 0.5,
-            batch_size,
-            expected_savings,
-        }
+/// One EMA step with first-sample initialization: the first observation
+/// (`evals == 0`) *sets* the average; later observations blend as
+/// `decay · prev + (1 − decay) · x`.
+///
+/// The floating-point operation order is part of the contract — checkpoint
+/// accumulators round-trip through files and must replay bit-identically,
+/// so callers get exactly `decay * prev + (1.0 - decay) * x`, never an
+/// algebraic rearrangement.
+#[inline]
+pub(crate) fn ema_update(decay: f64, prev: f64, evals: u64, x: f64) -> f64 {
+    if evals == 0 {
+        x
+    } else {
+        decay * prev + (1.0 - decay) * x
     }
 }
 
-/// Per-parameter streaming state.
+/// Per-parameter streaming state. `ema` and `evals` survive a resume
+/// (through the shot allocator's checkpoint); the sign-flip fields restart.
 #[derive(Debug, Clone, Copy, Default)]
-struct ParamHealth {
+pub(crate) struct ParamHealth {
     /// EMA of |g| across this parameter's evaluations.
-    ema: f64,
+    pub(crate) ema: f64,
     /// Number of evaluations observed.
-    evals: u64,
+    pub(crate) evals: u64,
+    /// Evaluations observed since the tracker was built (equal to `evals`
+    /// unless it resumed from a checkpoint) — the flip-rate denominator.
+    seen: u64,
     /// Sign transitions between consecutive evaluations.
     flips: u64,
     /// Sign of the last nonzero gradient: -1, 0 (none yet), or +1.
@@ -75,23 +77,38 @@ struct ParamHealth {
 }
 
 /// Accumulated state of the pruning stage in progress (one accumulation
-/// window followed by one pruning window).
+/// window followed by one pruning window). `steps`, `kept` and `overlap`
+/// survive a resume; the rest restart with the tracker.
 #[derive(Debug, Default)]
-struct StageState {
-    /// Steps observed in this stage (full + pruned).
-    steps: usize,
-    /// Σ evaluated parameter count over the stage's steps.
-    evaluated_sum: usize,
-    /// Pruned steps in the stage.
-    pruned_steps: usize,
+pub(crate) struct Window {
+    /// Steps in this stage (full + pruned).
+    pub(crate) steps: u64,
     /// Σ subset size over pruned steps.
-    kept_sum: usize,
+    pub(crate) kept: u64,
     /// Σ |subset ∩ top-k-by-EMA| over pruned steps.
-    overlap_sum: usize,
+    pub(crate) overlap: u64,
+    /// Steps observed since the tracker was built — the denominator of
+    /// `measured_savings`, whose numerator restarts with it.
+    observed_steps: u64,
+    /// Σ evaluated parameter count over the observed steps.
+    evaluated_sum: u64,
     /// Circuit runs skipped by pruning: `2·B·Σ(n − k)`.
     saved_runs: u64,
     /// Runs spent on parameters outside the top-k: `2·B·Σ(k − overlap)`.
     wasted_runs: u64,
+}
+
+/// A pruning window the tracker just closed, as the shot allocator's
+/// retuner reads it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClosedWindow {
+    /// Window index (the `window` field of `prune.efficacy`).
+    pub index: u64,
+    /// Steps in the stage (accumulation + pruning).
+    pub steps: u64,
+    /// `Σ overlap / Σ kept`: how well the sampled subsets recalled the
+    /// top-k-by-EMA set (0 when nothing was kept).
+    pub recall: f64,
 }
 
 /// Streaming per-parameter gradient-health tracker.
@@ -102,41 +119,49 @@ struct StageState {
 /// gradient computation already produced.
 #[derive(Debug)]
 pub struct GradientHealth {
-    config: HealthConfig,
-    params: Vec<ParamHealth>,
-    stage: StageState,
-    /// Completed-window counter (the `window` field of `prune.efficacy`).
-    windows: u64,
+    /// Mini-batch size `B` — a pruned parameter skips `2·B` circuit runs
+    /// per step, the unit of the saved/wasted run accounting.
+    batch_size: u64,
+    pub(crate) params: Vec<ParamHealth>,
+    pub(crate) window: Window,
+    /// Completed-window counter (the next window's index).
+    pub(crate) windows: u64,
     /// Whether the previous observed step was a pruned (subset) step —
     /// a Full step arriving after a subset step closes the stage.
-    prev_was_subset: bool,
+    pub(crate) prev_was_subset: bool,
 }
 
 impl GradientHealth {
-    /// Creates a tracker for `num_params` parameters.
+    /// Creates a tracker for `num_params` parameters trained on mini-batches
+    /// of `batch_size` examples.
     ///
     /// # Panics
     ///
-    /// Panics when `ema_decay` is outside `[0, 1)` or `batch_size` is 0.
-    pub fn new(num_params: usize, config: HealthConfig) -> Self {
-        assert!(
-            (0.0..1.0).contains(&config.ema_decay),
-            "ema_decay must be in [0, 1), got {}",
-            config.ema_decay
-        );
-        assert!(config.batch_size > 0, "batch_size must be positive");
+    /// Panics when `batch_size` is 0.
+    pub fn new(num_params: usize, batch_size: usize) -> Self {
+        assert!(batch_size > 0, "batch_size must be positive");
         GradientHealth {
+            batch_size: batch_size as u64,
             params: vec![ParamHealth::default(); num_params],
-            stage: StageState::default(),
+            window: Window::default(),
             windows: 0,
             prev_was_subset: false,
-            config,
         }
+    }
+
+    /// Parameter `i`'s |g| EMA (0 before its first evaluation).
+    pub fn ema(&self, i: usize) -> f64 {
+        self.params[i].ema
+    }
+
+    /// How many times parameter `i`'s gradient has been evaluated.
+    pub fn evals(&self, i: usize) -> u64 {
+        self.params[i].evals
     }
 
     /// The indices of the `k` largest-EMA parameters (the "true top set"
     /// the pruner's sampled subset is judged against).
-    pub fn top_k_by_ema(&self, k: usize) -> Vec<usize> {
+    fn top_k_by_ema(&self, k: usize) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.params.len()).collect();
         idx.sort_by(|&a, &b| self.params[b].ema.total_cmp(&self.params[a].ema));
         idx.truncate(k);
@@ -155,11 +180,16 @@ impl GradientHealth {
     /// `grad`/`grad_var` the full-width mean gradient and its shot-noise
     /// variance (frozen entries 0), as produced by
     /// [`QnnGradientComputer`](crate::grad::QnnGradientComputer).
+    /// `expected_savings` is the pruner's current `r·w_p/(w_a+w_p)`,
+    /// reported with the window this step closes (if any) — retunes take
+    /// effect when a window opens, so the value in force at its close is
+    /// the one that governed it.
     ///
-    /// Emits one `grad.health` event per *evaluated* parameter and, when a
-    /// full step closes a pruning window, one `prune.efficacy` event.
-    /// Window boundaries and subset recall follow `selection`; per-row
-    /// statistics and the measured savings follow `evaluated`.
+    /// Returns the window a full step closes. Window boundaries and subset
+    /// recall follow `selection`; per-row statistics and the measured
+    /// savings follow `evaluated`. With telemetry on, emits one
+    /// `grad.health` event per evaluated parameter and one `prune.efficacy`
+    /// event per closed window.
     ///
     /// # Panics
     ///
@@ -171,16 +201,16 @@ impl GradientHealth {
         evaluated: &[usize],
         grad: &[f64],
         grad_var: &[f64],
-    ) {
+        expected_savings: f64,
+    ) -> Option<ClosedWindow> {
         let n = self.params.len();
         assert_eq!(grad.len(), n, "gradient width mismatch");
         assert_eq!(grad_var.len(), n, "variance width mismatch");
 
         // A Full step right after a subset step means the pruner started a
-        // new stage: the previous window is complete — report it.
-        if matches!(selection, Selection::Full) && self.prev_was_subset {
-            self.emit_efficacy();
-        }
+        // new stage: the previous window is complete.
+        let closed = (matches!(selection, Selection::Full) && self.prev_was_subset)
+            .then(|| self.close_window(expected_savings));
 
         if let Selection::Subset(s) = selection {
             // Judge the sampled subset against the top-|s| EMA set *before*
@@ -188,23 +218,24 @@ impl GradientHealth {
             // from pre-step information.
             let top = self.top_k_by_ema(s.len());
             let overlap = s.iter().filter(|i| top.binary_search(i).is_ok()).count();
-            let b = self.config.batch_size as u64;
-            self.stage.pruned_steps += 1;
-            self.stage.kept_sum += s.len();
-            self.stage.overlap_sum += overlap;
-            self.stage.saved_runs += 2 * b * (n - s.len()) as u64;
-            self.stage.wasted_runs += 2 * b * (s.len() - overlap) as u64;
+            let (k, overlap) = (s.len() as u64, overlap as u64);
+            self.window.kept += k;
+            self.window.overlap += overlap;
+            self.window.saved_runs += 2 * self.batch_size * (n as u64 - k);
+            self.window.wasted_runs += 2 * self.batch_size * (k - overlap);
         }
-        self.stage.steps += 1;
-        self.stage.evaluated_sum += evaluated.len();
+        self.window.steps += 1;
+        self.window.observed_steps += 1;
+        self.window.evaluated_sum += evaluated.len() as u64;
         self.prev_was_subset = matches!(selection, Selection::Subset(_));
 
-        let snr_estimator = Registry::global().quantile_estimator("qoc.grad.snr", 4096);
+        let snr_estimator = qoc_telemetry::enabled()
+            .then(|| Registry::global().quantile_estimator("qoc.grad.snr", 4096));
         for &i in evaluated {
             let p = &mut self.params[i];
             let g = grad[i];
             let abs = g.abs();
-            p.ema = crate::stats::ema_update(self.config.ema_decay, p.ema, p.evals, abs);
+            p.ema = ema_update(EMA_DECAY, p.ema, p.evals, abs);
             let sign = if g > 0.0 {
                 1i8
             } else if g < 0.0 {
@@ -220,10 +251,14 @@ impl GradientHealth {
                 p.last_sign = sign;
             }
             p.evals += 1;
-            // Flip rate over the transitions seen so far (evals − 1 of
-            // them; 0.0 until the second evaluation).
-            let flip_rate = if p.evals > 1 {
-                p.flips as f64 / (p.evals - 1) as f64
+            p.seen += 1;
+            let Some(snr_estimator) = &snr_estimator else {
+                continue;
+            };
+            // Flip rate over the transitions this tracker saw (seen − 1 of
+            // them; 0.0 until its second evaluation).
+            let flip_rate = if p.seen > 1 {
+                p.flips as f64 / (p.seen - 1) as f64
             } else {
                 0.0
             };
@@ -250,59 +285,68 @@ impl GradientHealth {
                 evals = p.evals,
             );
         }
+        closed
     }
 
-    /// Flushes the pruning window in progress (if it pruned anything) —
-    /// call once after the training loop.
-    pub fn finish(&mut self) {
-        if self.stage.pruned_steps > 0 {
-            self.emit_efficacy();
-        }
+    /// Closes the pruning window in progress if it pruned anything — call
+    /// once after the training loop, with the pruner's current savings.
+    pub fn finish(&mut self, expected_savings: f64) -> Option<ClosedWindow> {
         self.prev_was_subset = false;
+        (self.window.kept > 0).then(|| self.close_window(expected_savings))
     }
 
-    /// Emits the `prune.efficacy` event for the completed stage and resets
-    /// the stage accumulator.
-    fn emit_efficacy(&mut self) {
-        let stage = std::mem::take(&mut self.stage);
-        if stage.pruned_steps == 0 || stage.steps == 0 {
-            return;
-        }
-        let n = self.params.len();
-        let recall = if stage.kept_sum > 0 {
-            stage.overlap_sum as f64 / stage.kept_sum as f64
+    /// Closes the stage in progress: emits its `prune.efficacy` event (with
+    /// telemetry on) and resets the stage accumulator.
+    fn close_window(&mut self, expected_savings: f64) -> ClosedWindow {
+        let w = std::mem::take(&mut self.window);
+        let recall = if w.kept > 0 {
+            w.overlap as f64 / w.kept as f64
         } else {
             0.0
         };
-        // Fraction of gradient evaluations this stage skipped, the
-        // empirical counterpart of the paper's r·w_p/(w_a+w_p).
-        let measured_savings = 1.0 - stage.evaluated_sum as f64 / (n * stage.steps) as f64;
-        let metrics = Registry::global();
-        metrics.counter("qoc.health.windows").inc();
-        metrics.gauge("qoc.health.recall").set(recall);
-        metrics
-            .gauge("qoc.health.measured_savings")
-            .set(measured_savings);
-        qoc_telemetry::event!(
-            qoc_telemetry::Level::Info,
-            "prune.efficacy",
-            window = self.windows,
-            stage_steps = stage.steps,
-            recall = recall,
-            overlap = stage.overlap_sum,
-            kept = stage.kept_sum,
-            saved_runs = stage.saved_runs,
-            wasted_runs = stage.wasted_runs,
-            measured_savings = measured_savings,
-            expected_savings = self.config.expected_savings,
-        );
+        if qoc_telemetry::enabled() {
+            // Fraction of gradient evaluations this stage skipped, the
+            // empirical counterpart of the paper's r·w_p/(w_a+w_p).
+            let n = self.params.len() as u64;
+            let measured_savings = if w.observed_steps > 0 {
+                1.0 - w.evaluated_sum as f64 / (n * w.observed_steps) as f64
+            } else {
+                0.0
+            };
+            let metrics = Registry::global();
+            metrics.counter("qoc.health.windows").inc();
+            metrics.gauge("qoc.health.recall").set(recall);
+            metrics
+                .gauge("qoc.health.measured_savings")
+                .set(measured_savings);
+            qoc_telemetry::event!(
+                qoc_telemetry::Level::Info,
+                "prune.efficacy",
+                window = self.windows,
+                stage_steps = w.steps,
+                recall = recall,
+                overlap = w.overlap,
+                kept = w.kept,
+                saved_runs = w.saved_runs,
+                wasted_runs = w.wasted_runs,
+                measured_savings = measured_savings,
+                expected_savings = expected_savings,
+            );
+        }
+        let closed = ClosedWindow {
+            index: self.windows,
+            steps: w.steps,
+            recall,
+        };
         self.windows += 1;
+        closed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::{PruneConfig, Pruner};
     use qoc_telemetry::sink::CaptureSubscriber;
     use qoc_telemetry::{install_for_test, FieldValue, Level};
     use std::sync::Arc;
@@ -324,17 +368,57 @@ mod tests {
         }
     }
 
+    /// Deterministic f64 stream with awkward magnitudes (SplitMix64 bits
+    /// mapped into [0, 8) plus denormal-ish tails).
+    fn stream(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                (z >> 11) as f64 / (1u64 << 53) as f64 * 8.0 + 1e-300
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ema_update_is_bit_identical_to_the_inline_formula() {
+        // Oracle: the update written out inline, as checkpoint replay
+        // needs it bit for bit. A non-default decay catches an
+        // accidentally hardcoded 0.5.
+        for decay in [0.5f64, 0.3] {
+            let (mut oracle, mut ema) = (0.0f64, 0.0f64);
+            for (evals, x) in stream(42, 500).into_iter().enumerate() {
+                oracle = if evals == 0 {
+                    x
+                } else {
+                    decay * oracle + (1.0 - decay) * x
+                };
+                ema = ema_update(decay, ema, evals as u64, x);
+                assert_eq!(
+                    oracle.to_bits(),
+                    ema.to_bits(),
+                    "decay {decay} eval {evals}"
+                );
+            }
+        }
+        assert_eq!(ema_update(0.5, 123.0, 0, 7.0), 7.0, "first sample sets");
+    }
+
     #[test]
     fn ema_flips_and_snr_track_the_stream() {
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
-        let mut h = GradientHealth::new(2, HealthConfig::new(4, 0.0));
+        let mut h = GradientHealth::new(2, 4);
         // Param 0 alternates sign (+0.4, −0.4, +0.4); param 1 is steady.
         let vars = [0.01, 0.04];
-        h.observe_step(0, &Selection::Full, &[0, 1], &[0.4, 0.1], &vars);
-        h.observe_step(1, &Selection::Full, &[0, 1], &[-0.4, 0.1], &vars);
-        h.observe_step(2, &Selection::Full, &[0, 1], &[0.4, 0.1], &vars);
-        h.finish();
+        h.observe_step(0, &Selection::Full, &[0, 1], &[0.4, 0.1], &vars, 0.0);
+        h.observe_step(1, &Selection::Full, &[0, 1], &[-0.4, 0.1], &vars, 0.0);
+        h.observe_step(2, &Selection::Full, &[0, 1], &[0.4, 0.1], &vars, 0.0);
+        h.finish(0.0);
         drop(guard);
 
         let records = capture.records();
@@ -349,7 +433,7 @@ mod tests {
             .unwrap();
         assert_eq!(*field(last0, "flip"), FieldValue::Bool(true));
         assert!((f64_of(field(last0, "flip_rate")) - 1.0).abs() < 1e-12);
-        // EMA with decay 0 tracks |g| exactly.
+        // |g| is constant, so the EMA is exactly 0.4 at any decay.
         assert!((f64_of(field(last0, "ema")) - 0.4).abs() < 1e-12);
         // σ = √0.01 = 0.1 → SNR = 0.4/0.1 = 4.
         assert!((f64_of(field(last0, "snr")) - 4.0).abs() < 1e-12);
@@ -372,9 +456,9 @@ mod tests {
     fn zero_sigma_caps_snr_instead_of_inf() {
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
-        let mut h = GradientHealth::new(1, HealthConfig::new(1, 0.0));
-        h.observe_step(0, &Selection::Full, &[0], &[0.3], &[0.0]);
-        h.observe_step(1, &Selection::Full, &[0], &[0.0], &[0.0]);
+        let mut h = GradientHealth::new(1, 1);
+        h.observe_step(0, &Selection::Full, &[0], &[0.3], &[0.0], 0.0);
+        h.observe_step(1, &Selection::Full, &[0], &[0.0], &[0.0], 0.0);
         drop(guard);
         let records = capture.records();
         assert_eq!(f64_of(field(&records[0], "snr")), SNR_CAP);
@@ -386,7 +470,7 @@ mod tests {
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
         let b = 4usize;
-        let mut h = GradientHealth::new(4, HealthConfig::new(b, 0.25));
+        let mut h = GradientHealth::new(4, b);
         // Full step seeds EMAs: params 2 and 3 dominate.
         h.observe_step(
             0,
@@ -394,6 +478,7 @@ mod tests {
             &[0, 1, 2, 3],
             &[0.01, 0.02, 0.5, 0.6],
             &[0.0; 4],
+            0.25,
         );
         // Pruned step keeps {2, 3} — perfect recall of the top-2.
         h.observe_step(
@@ -402,6 +487,7 @@ mod tests {
             &[2, 3],
             &[0.0, 0.0, 0.5, 0.6],
             &[0.0; 4],
+            0.25,
         );
         // Pruned step keeps {0, 2} — half recall (param 0 is noise).
         h.observe_step(
@@ -410,16 +496,26 @@ mod tests {
             &[0, 2],
             &[0.02, 0.0, 0.5, 0.0],
             &[0.0; 4],
+            0.25,
         );
         // Next Full step closes the window.
-        h.observe_step(
+        let closed = h.observe_step(
             3,
             &Selection::Full,
             &[0, 1, 2, 3],
             &[0.01, 0.02, 0.5, 0.6],
             &[0.0; 4],
+            0.25,
         );
-        h.finish();
+        assert_eq!(
+            closed,
+            Some(ClosedWindow {
+                index: 0,
+                steps: 3,
+                recall: 0.75
+            })
+        );
+        h.finish(0.25);
         drop(guard);
 
         let records = capture.records();
@@ -445,14 +541,70 @@ mod tests {
     }
 
     #[test]
+    fn expected_savings_follows_a_retuned_pruner() {
+        // Drive a real PGP pruner (w_a = 1, w_p = 2, r = 0.5) through one
+        // window, retune it when that window closes (as the shot allocator
+        // does), and check the next window reports r′·w_p′/(w_a + w_p′).
+        let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
+        let guard = install_for_test(vec![capture.clone()], None);
+        let n = 4;
+        let mut pruner = crate::prune::ProbabilisticPruner::new(
+            n,
+            PruneConfig {
+                accumulation_window: 1,
+                pruning_window: 2,
+                ratio: 0.5,
+            },
+        );
+        let mut h = GradientHealth::new(n, 1);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+        let grad = [0.1, 0.2, 0.3, 0.4];
+        // Window 0 = steps 0–2; the retune lands on step 3, which opens
+        // window 1 = steps 3–4 (w_p′ = 1); step 5 closes it.
+        for step in 0..6 {
+            let selection = pruner.begin_step(&mut rng);
+            let rows: Vec<usize> = match &selection {
+                Selection::Full => (0..n).collect(),
+                Selection::Subset(s) => s.clone(),
+            };
+            let g: Vec<f64> = (0..n)
+                .map(|i| if rows.contains(&i) { grad[i] } else { 0.0 })
+                .collect();
+            pruner.record(&g);
+            let closed = h.observe_step(step, &selection, &rows, &g, &[0.0; 4], pruner.savings());
+            if closed.is_some_and(|w| w.index == 0) {
+                pruner.retune(0.45, 1);
+            }
+        }
+        drop(guard);
+
+        let expected: Vec<f64> = capture
+            .records()
+            .iter()
+            .filter(|r| r.span == "prune.efficacy")
+            .map(|r| f64_of(field(r, "expected_savings")))
+            .collect();
+        assert_eq!(expected.len(), 2, "two closed windows");
+        assert!((expected[0] - 0.5 * 2.0 / 3.0).abs() < 1e-12);
+        assert!((expected[1] - 0.45 * 1.0 / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn finish_flushes_an_open_window() {
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
-        let mut h = GradientHealth::new(2, HealthConfig::new(1, 0.5));
-        h.observe_step(0, &Selection::Full, &[0, 1], &[0.3, 0.1], &[0.0; 2]);
-        h.observe_step(1, &Selection::Subset(vec![0]), &[0], &[0.3, 0.0], &[0.0; 2]);
+        let mut h = GradientHealth::new(2, 1);
+        h.observe_step(0, &Selection::Full, &[0, 1], &[0.3, 0.1], &[0.0; 2], 0.5);
+        h.observe_step(
+            1,
+            &Selection::Subset(vec![0]),
+            &[0],
+            &[0.3, 0.0],
+            &[0.0; 2],
+            0.5,
+        );
         // The run ends mid-window; finish() must still report it.
-        h.finish();
+        assert!(h.finish(0.5).is_some());
         drop(guard);
         let count = capture
             .records()
@@ -468,17 +620,18 @@ mod tests {
         // skipped rows' zero gradients must not reach the per-row stats.
         let capture = Arc::new(CaptureSubscriber::new(Level::Trace));
         let guard = install_for_test(vec![capture.clone()], None);
-        let mut h = GradientHealth::new(4, HealthConfig::new(1, 0.5));
+        let mut h = GradientHealth::new(4, 1);
         h.observe_step(
             0,
             &Selection::Full,
             &[0, 2],
             &[0.3, 0.0, 0.5, 0.0],
             &[0.01; 4],
+            0.5,
         );
-        assert_eq!(h.stage.evaluated_sum, 2, "two evaluations counted");
-        assert_eq!(h.params[1].evals, 0, "skipped row 1 untouched");
-        assert_eq!(h.params[3].evals, 0, "skipped row 3 untouched");
+        assert_eq!(h.window.evaluated_sum, 2, "two evaluations counted");
+        assert_eq!(h.evals(1), 0, "skipped row 1 untouched");
+        assert_eq!(h.evals(3), 0, "skipped row 3 untouched");
         drop(guard);
         let params: Vec<_> = capture
             .records()
@@ -491,22 +644,16 @@ mod tests {
 
     #[test]
     fn top_k_by_ema_ranks_after_updates() {
-        let mut h = GradientHealth::new(3, HealthConfig::new(1, 0.0));
-        h.observe_step(0, &Selection::Full, &[0, 1, 2], &[0.9, 0.1, 0.5], &[0.0; 3]);
+        let mut h = GradientHealth::new(3, 1);
+        h.observe_step(
+            0,
+            &Selection::Full,
+            &[0, 1, 2],
+            &[0.9, 0.1, 0.5],
+            &[0.0; 3],
+            0.0,
+        );
         assert_eq!(h.top_k_by_ema(2), vec![0, 2]);
         assert_eq!(h.top_k_by_ema(1), vec![0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ema_decay")]
-    fn rejects_bad_decay() {
-        let _ = GradientHealth::new(
-            1,
-            HealthConfig {
-                ema_decay: 1.0,
-                batch_size: 1,
-                expected_savings: 0.0,
-            },
-        );
     }
 }

@@ -13,10 +13,13 @@
 //!   parameter) updates, and the paper's cosine learning-rate schedule;
 //! - [`engine`] — the on-chip [`engine::train`] loop with inference
 //!   accounting (Figure 6's x-axis);
+//! - [`health`] — the one per-parameter gradient tracker (|g| EMA, sign
+//!   flips, shot-noise SNR) and pruning-window efficacy, always on and
+//!   emitted as telemetry when enabled;
 //! - [`alloc`] — the SNR-adaptive shot-allocation controller
-//!   (`QOC_SHOT_ALLOC=snr`): per-row shot budgets from streaming gradient
-//!   SNR, skip-with-frozen-gradient, and PGP auto-tuning from measured
-//!   prune-efficacy recall;
+//!   (`QOC_SHOT_ALLOC=snr`): a budget policy over [`health`]'s statistics
+//!   (per-row shot budgets, skip-with-frozen-gradient) that auto-tunes PGP
+//!   from the recall of the windows [`health`] closes;
 //! - [`eval`] — on-backend validation.
 //!
 //! # Quick example — train a QNN on a fake IBM device
@@ -57,7 +60,6 @@ pub mod prune;
 pub mod sched;
 pub mod shift;
 pub mod spsa;
-pub mod stats;
 pub mod vqe;
 pub mod zne;
 
