@@ -129,23 +129,27 @@ fn bench_expectations(c: &mut Criterion) {
     group.finish();
 }
 
-/// 1024 shots through `sample_counts` with a `&mut dyn RngCore` over a
-/// seeded `StdRng`, as a batch job draws them: the MNIST-4 read-out
-/// (16 bins) and a spread 10-qubit distribution (1024 bins), where most of
-/// the sampler's table buckets straddle a bin boundary.
+/// Shots through `sample_counts` with a `&mut dyn RngCore` over a seeded
+/// `StdRng`, as a batch job draws them, on each side of the sampler's
+/// 16-shots-per-bin crossover: the MNIST-4 read-out (16 bins) at 1024 shots
+/// (conditional binomials) and at the shot allocator's 128-shot floor (the
+/// bucket table), and a spread 10-qubit distribution (1024 bins, the
+/// table), where most of the table's buckets straddle a bin boundary.
 fn bench_sample_counts(c: &mut Criterion) {
     let spread: Vec<f64> = (0..1024)
         .map(|i| 1.0 + (f64::from(i) * 0.37).sin())
         .collect();
+    let readout = qoc_bench::suite::mnist4_readout();
     let mut group = c.benchmark_group("sim/sample_counts");
-    for (name, probs) in [
-        ("16bins_1024shots", qoc_bench::suite::mnist4_readout()),
-        ("1024bins_1024shots", spread),
+    for (name, probs, shots) in [
+        ("16bins_1024shots", &readout, 1024),
+        ("16bins_128shots", &readout, 128),
+        ("1024bins_1024shots", &spread, 1024),
     ] {
         group.bench_function(name, |b| {
             let mut std_rng = StdRng::seed_from_u64(7);
             let rng: &mut dyn RngCore = &mut std_rng;
-            b.iter(|| std::hint::black_box(sample_counts(&probs, 1024, rng)));
+            b.iter(|| std::hint::black_box(sample_counts(probs, shots, rng)));
         });
     }
     group.finish();

@@ -6,8 +6,8 @@
 //! - `BENCH_gate_kernels.json` — re-measures one fused-kernel state
 //!   preparation of the 4-qubit MNIST-2 ansatz (the `kernels/qnn4_fused`
 //!   row), guarding the specialized-kernel/fusion hot path, and 1024 shots
-//!   of the MNIST-4 read-out through the shot sampler (the
-//!   `sim/sample_counts/16bins_1024shots` row).
+//!   of the MNIST-4 read-out through the shot sampler's conditional
+//!   binomials (the `sim/sample_counts/16bins_1024shots` row).
 //! - `BENCH_adjoint.json` — re-measures the adjoint-mode exact Jacobian of
 //!   the MNIST-2 ansatz (the `diff/adjoint_mnist2` row), guarding the
 //!   structured differentiation path of the shift planner.
@@ -458,48 +458,23 @@ fn summary_table(rows: &[GateRow]) -> String {
 fn main() -> ExitCode {
     qoc_bench::init();
     let shift_path: PathBuf = std::env::args().nth(1).map_or_else(
-        || {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_param_shift.json"
-            ))
-        },
+        || qoc_bench::suite::artifact_path("BENCH_param_shift.json"),
         PathBuf::from,
     );
     let kernels_path: PathBuf = std::env::args().nth(2).map_or_else(
-        || {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_gate_kernels.json"
-            ))
-        },
+        || qoc_bench::suite::artifact_path("BENCH_gate_kernels.json"),
         PathBuf::from,
     );
     let adjoint_path: PathBuf = std::env::args().nth(3).map_or_else(
-        || {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_adjoint.json"
-            ))
-        },
+        || qoc_bench::suite::artifact_path("BENCH_adjoint.json"),
         PathBuf::from,
     );
     let shot_alloc_path: PathBuf = std::env::args().nth(4).map_or_else(
-        || {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_shot_alloc.json"
-            ))
-        },
+        || qoc_bench::suite::artifact_path("BENCH_shot_alloc.json"),
         PathBuf::from,
     );
     let density_path: PathBuf = std::env::args().nth(5).map_or_else(
-        || {
-            PathBuf::from(concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../BENCH_density.json"
-            ))
-        },
+        || qoc_bench::suite::artifact_path("BENCH_density.json"),
         PathBuf::from,
     );
     if cfg!(debug_assertions) {

@@ -19,7 +19,6 @@
 //!   controller reaches baseline accuracy with at least
 //!   [`CI_MIN_REDUCTION`] fewer total shots.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use qoc_bench::suite::{pgp_config_for, Measurement};
@@ -229,10 +228,7 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     };
     rows.push(gate);
-    let path = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_shot_alloc.json"
-    ));
+    let path = qoc_bench::suite::artifact_path("BENCH_shot_alloc.json");
     match serde_json::to_string_pretty(&rows) {
         Ok(body) => {
             if let Err(e) = std::fs::write(&path, body) {

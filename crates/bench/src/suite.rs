@@ -2,6 +2,9 @@
 //! training settings of the paper (Classical-Train, Classical-Train
 //! evaluated on QC, QC-Train, QC-Train-PGP).
 
+use std::ffi::OsString;
+use std::path::PathBuf;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -213,7 +216,7 @@ pub fn write_bench_artifact(
         label: "host".into(),
         values: vec![("available_parallelism".into(), cores as f64)],
     });
-    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    let path = artifact_path(name);
     if let Ok(body) = serde_json::to_string_pretty(&rows) {
         if std::fs::write(path, &body).is_ok() {
             println!("wrote {name} ({} entries)", rows.len());
@@ -221,9 +224,44 @@ pub fn write_bench_artifact(
     }
 }
 
+/// The path of the repository-root artifact `name`, resolved at run time
+/// from the `CARGO_MANIFEST_DIR` cargo sets for the benches and binaries it
+/// runs, so a build reused by a copy of the repository reads and writes the
+/// copy it runs in. Without that variable (a binary started directly) it
+/// falls back to the checkout this crate was compiled in.
+pub fn artifact_path(name: &str) -> PathBuf {
+    artifact_path_in(std::env::var_os("CARGO_MANIFEST_DIR"), name)
+}
+
+/// [`artifact_path`] for a given manifest directory, or the compile-time
+/// one when `manifest_dir` is `None`.
+fn artifact_path_in(manifest_dir: Option<OsString>, name: &str) -> PathBuf {
+    manifest_dir
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+        .join("../..")
+        .join(name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn artifact_paths_follow_the_run_time_manifest_dir() {
+        assert_eq!(
+            artifact_path_in(Some("/copy/crates/bench".into()), "BENCH_x.json"),
+            PathBuf::from("/copy/crates/bench/../../BENCH_x.json")
+        );
+        assert_eq!(
+            artifact_path_in(None, "BENCH_x.json"),
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_x.json")
+        );
+        // Under cargo the run-time directory is this package's own.
+        assert_eq!(
+            artifact_path("BENCH_x.json"),
+            artifact_path_in(std::env::var_os("CARGO_MANIFEST_DIR"), "BENCH_x.json")
+        );
+    }
 
     #[test]
     fn wiring_matches_paper_assignments() {

