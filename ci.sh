@@ -37,9 +37,8 @@ stage_test() {
 stage_kernel_equivalence() {
     # Differential suite: specialized kernels and the fused pipeline vs the
     # generic dense-matrix oracle (≤ 1e-12), plus pinned analytic states,
-    # the shot sampler's bucket table vs its sort-walk oracle
-    # (bit-identical counts), its conditional binomials vs exact binomial
-    # and multinomial pmfs (the qoc-sim unit tests, hence --lib), and the
+    # the shot sampler's conditional binomials vs exact binomial and
+    # multinomial pmfs (the qoc-sim unit tests, hence --lib), and the
     # compiled noisy density program vs the dense per-gate Kraus oracle
     # (≤ 1e-12; trace 1, Hermitian, PSD) on random circuits and
     # calibrations. Release mode: the proptest cases are heavy and the
@@ -54,11 +53,10 @@ stage_diff_equivalence() {
     # backend answers with must agree to 1e-12 on random symbolic circuits,
     # both must match finite differences on decomposed gates, the noisy
     # shifted jobs and the fake device's forked answer must both reproduce
-    # goldens captured from the shifted jobs (256 shots, the sampler's
-    # conditional-binomial regime) at 1/2/8 workers, and the forked answer
-    # to the Jacobian hook must equal the shifted jobs bit for bit on
-    # random circuits on fake santiago and jakarta, every fork ending in a
-    # state.
+    # goldens captured from the shifted jobs (256 shots) at 1/2/8 workers,
+    # and the forked answer to the Jacobian hook must equal the shifted
+    # jobs bit for bit on random circuits on fake santiago and jakarta,
+    # every fork ending in a state.
     cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 

@@ -130,11 +130,10 @@ fn bench_expectations(c: &mut Criterion) {
 }
 
 /// Shots through `sample_counts` with a `&mut dyn RngCore` over a seeded
-/// `StdRng`, as a batch job draws them, on each side of the sampler's
-/// 16-shots-per-bin crossover: the MNIST-4 read-out (16 bins) at 1024 shots
-/// (conditional binomials) and at the shot allocator's 128-shot floor (the
-/// bucket table), and a spread 10-qubit distribution (1024 bins, the
-/// table), where most of the table's buckets straddle a bin boundary.
+/// `StdRng`, as a batch job draws them: the MNIST-4 read-out (16 bins) at
+/// 1024 shots and at the shot allocator's 128-shot floor, and a spread
+/// 10-qubit distribution (1024 bins at 1024 shots, one shot per bin), where
+/// a binomial draw per bin costs more than a table lookup per shot would.
 fn bench_sample_counts(c: &mut Criterion) {
     let spread: Vec<f64> = (0..1024)
         .map(|i| 1.0 + (f64::from(i) * 0.37).sin())

@@ -388,8 +388,7 @@ fn golden_circuit() -> Circuit {
 
 /// Jacobian of the golden circuit on fake_lima, Shots(256), master seed
 /// 0xC0FFEE, captured from the plain shifted jobs: each ±π/2 job run
-/// through `run_batch` on its own. 256 shots over 8 outcomes takes the shot
-/// sampler's conditional-binomial regime. Neither the fork inside the fake
+/// through `run_batch` on its own. Neither the fork inside the fake
 /// device's Jacobian hook nor the shifted jobs may move a single bit of
 /// this, at any worker count.
 const GOLDEN_BITS: [[u64; 3]; 5] = [
@@ -401,7 +400,7 @@ const GOLDEN_BITS: [[u64; 3]; 5] = [
 ];
 
 #[test]
-fn noisy_jacobians_are_bit_identical_to_pre_refactor_goldens() {
+fn noisy_shifted_and_forked_jacobians_match_goldens() {
     let c = golden_circuit();
     let theta = [0.37, -1.1, 0.52, 2.4, -0.8];
     let device = FakeDevice::new(fake_lima());

@@ -1,6 +1,5 @@
-//! Binomial draws by inversion, and multinomial shot counts built from
-//! them: the many-shots-per-bin regime of
-//! [`sample_counts`](crate::statevector::sample_counts).
+//! Binomial draws by inversion, and the multinomial shot counts
+//! [`sample_counts`](crate::statevector::sample_counts) builds from them.
 //!
 //! `shots` draws over `bins` outcomes follow the multinomial law, which
 //! factors into successive conditionals: bin `i` receives
@@ -153,18 +152,19 @@ fn from_mode(n: u32, p: f64, mut u: f64) -> u32 {
 /// Fills `counts` (zeroed, one per weight) with `shots` multinomial draws
 /// over the clamped weights `max(wᵢ, 0)` as successive conditional
 /// binomials, the last bin taking the remainder, and stops drawing once no
-/// shots remain. `suffix` is scratch for the suffix sums.
+/// shots remain. `suffix` is scratch for the suffix sums. The counts sum to
+/// `shots`, and a bin whose clamped weight is zero gets none.
 ///
-/// Returns `false` — having drawn nothing and left `counts` alone — when
-/// the clamped total is zero or not finite. Otherwise every count is drawn,
-/// they sum to `shots`, and a bin whose clamped weight is zero gets none.
+/// A clamped total that is zero or not finite leaves no distribution to
+/// draw from: every shot goes to the first largest clamped weight, and the
+/// RNG is not touched.
 pub(crate) fn multinomial_counts<R: Rng + ?Sized>(
     weights: &[f64],
     shots: u32,
     rng: &mut R,
     suffix: &mut Vec<f64>,
     counts: &mut [u32],
-) -> bool {
+) {
     suffix.clear();
     suffix.resize(weights.len(), 0.0);
     let mut acc = 0.0;
@@ -173,7 +173,14 @@ pub(crate) fn multinomial_counts<R: Rng + ?Sized>(
         *s = acc;
     }
     if !(acc.is_finite() && acc > 0.0) {
-        return false;
+        let mut top = 0;
+        for (i, &w) in weights.iter().enumerate() {
+            if w.max(0.0) > weights[top].max(0.0) {
+                top = i;
+            }
+        }
+        counts[top] = shots;
+        return;
     }
     // A bin past the last positive weight has a zero suffix: its `0 / 0`
     // draws nothing, and that last positive bin took every shot left
@@ -192,7 +199,6 @@ pub(crate) fn multinomial_counts<R: Rng + ?Sized>(
         counts[i] = k;
         left -= k;
     }
-    true
 }
 
 #[cfg(test)]
@@ -436,13 +442,7 @@ mod tests {
             let mut suffix = Vec::new();
             for _ in 0..draws {
                 let mut counts = vec![0u32; weights.len()];
-                assert!(multinomial_counts(
-                    weights,
-                    shots,
-                    &mut rng,
-                    &mut suffix,
-                    &mut counts
-                ));
+                multinomial_counts(weights, shots, &mut rng, &mut suffix, &mut counts);
                 let at = outcomes
                     .iter()
                     .position(|c| *c == counts)
@@ -481,34 +481,30 @@ mod tests {
         for &weights in cases {
             for shots in [0u32, 1, 16, 1024, 65_537] {
                 let mut counts = vec![0u32; weights.len()];
-                assert!(multinomial_counts(
-                    weights,
-                    shots,
-                    &mut rng,
-                    &mut suffix,
-                    &mut counts
-                ));
+                multinomial_counts(weights, shots, &mut rng, &mut suffix, &mut counts);
                 assert_eq!(counts.iter().sum::<u32>(), shots, "{weights:?}");
                 for (&c, &w) in counts.iter().zip(weights) {
                     assert!(!(w.max(0.0) == 0.0 && c > 0), "{weights:?} → {counts:?}");
                 }
             }
         }
-        // All-zero and non-finite totals decline, untouched.
-        for weights in [
-            &[0.0, -1.0, 0.0][..],
-            &[f64::INFINITY, 1.0],
-            &[1e308, 1e308, 1e308],
+        // All-zero and non-finite totals put every shot on the first
+        // largest clamped weight without drawing.
+        struct NoDraws;
+        impl rand::RngCore for NoDraws {
+            fn next_u64(&mut self) -> u64 {
+                unreachable!("a total with no distribution must not draw")
+            }
+        }
+        for (weights, want) in [
+            (&[0.0, -1.0, 0.0][..], &[64, 0, 0][..]),
+            (&[f64::NAN, -0.0], &[64, 0]),
+            (&[1.0, f64::INFINITY, f64::INFINITY], &[0, 64, 0]),
+            (&[1e307, 1e308, 1e308], &[0, 64, 0]),
         ] {
-            let mut counts = vec![7u32; weights.len()];
-            assert!(!multinomial_counts(
-                weights,
-                64,
-                &mut rng,
-                &mut suffix,
-                &mut counts
-            ));
-            assert!(counts.iter().all(|&c| c == 7));
+            let mut counts = vec![0u32; weights.len()];
+            multinomial_counts(weights, 64, &mut NoDraws, &mut suffix, &mut counts);
+            assert_eq!(counts, want, "{weights:?}");
         }
     }
 }

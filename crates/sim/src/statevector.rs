@@ -319,41 +319,17 @@ impl Statevector {
 ///
 /// Negative weights (float noise on noisy density diagonals) are clamped to
 /// zero and the weights need not be normalized. The counts follow the
-/// multinomial law of `shots` independent draws, and a seeded stream always
-/// produces the same counts. Two regimes draw them; which one runs depends
-/// only on the input's sizes and on whether the clamped total is finite and
-/// positive:
+/// multinomial law of `shots` independent draws, drawn as conditional
+/// binomials: bin `i` gets `Binomial(n_rem, wᵢ / w_rem)` of the shots still
+/// unassigned, `w_rem` being the suffix sum of the clamped weights from `i`
+/// on, and the last bin gets the remainder. One uniform per bin (none once
+/// no shots remain) makes this `O(bins)`, and a seeded stream always
+/// produces the same counts. A bin whose clamped weight is zero gets no
+/// shot. A zero or non-finite total has no distribution to draw from: every
+/// shot then goes to the first largest clamped weight.
 ///
-/// - **Conditional binomials**, at `shots ≥ 16 · bins` with a finite,
-///   positive total: bin `i` gets `Binomial(n_rem, wᵢ / w_rem)` of the
-///   shots still unassigned, `w_rem` being the suffix sum of the clamped
-///   weights from `i` on, and the last bin gets the remainder. One uniform
-///   per bin (none once no shots remain) makes this `O(bins)`. A seed
-///   gives other counts here than the bucket table would give it.
-/// - **A bucket table** otherwise, and for zero or non-finite totals. The
-///   prefix sums accumulate sequentially; each shot draws
-///   `m = next_u64() >> 11` in RNG order, scales it to `r(m) = m·2⁻⁵³·total`
-///   (the same bits and products as `rng.gen::<f64>() * total`), and lands
-///   in the first bin whose prefix reaches `r(m)` (clamped to the last bin).
-///   The bin never decreases as `m` grows, so one merge walk over the top
-///   bits of `m` and the bins tabulates it: each bucket stores the bin of
-///   its first `m`, flagged when its last `m` lands two or more bins later.
-///   A shot costs one table lookup and one comparison of its exact `r(m)`
-///   against the stored bin's prefix, which picks that bin or the next; a
-///   shot in a flagged bucket binary-searches only the bins up to the next
-///   bucket's first bin. The table holds about four buckets per bin, capped
-///   at 4096 and at the shot count, so the cost is `O(2ⁿ + shots)` and
-///   never more than a binary search per shot.
-///
-/// Per-shot table work beats per-bin binomial draws up to about 16 shots
-/// per bin (DESIGN.md, "One shot sampler"). The prefix or suffix sums, the
-/// table and a second histogram (odd shots, so runs of one bin don't
-/// serialize on one counter) live in per-thread scratch: the returned
-/// vector is the only allocation.
-///
-/// # Panics
-///
-/// Panics with more than 2³¹ outcomes.
+/// The suffix sums live in per-thread scratch: the returned vector is the
+/// only allocation.
 ///
 /// # Examples
 ///
@@ -362,140 +338,33 @@ impl Statevector {
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// // 100 shots over 3 bins: conditional binomials. The clamped-zero bins
-/// // get nothing.
-/// let counts = sample_counts(&[0.0, 1.0, -1e-17], 100, &mut rng);
-/// assert_eq!(counts, vec![0, 100, 0]);
-/// // 20 shots over 4 bins: the bucket table.
-/// let counts = sample_counts(&[0.1, 0.4, 0.0, 0.5], 20, &mut rng);
+/// // The clamped-zero bins get nothing.
+/// let counts = sample_counts(&[0.1, 0.4, -1e-17, 0.5], 20, &mut rng);
 /// assert_eq!(counts.iter().sum::<u32>(), 20);
 /// assert_eq!(counts[2], 0);
+/// let counts = sample_counts(&[0.0, 1.0, -1e-17], 100, &mut rng);
+/// assert_eq!(counts, vec![0, 100, 0]);
 /// ```
 pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u32, rng: &mut R) -> Vec<u32> {
-    assert!(
-        probs.len() <= STRADDLES as usize,
-        "too many outcomes to sample"
-    );
     let mut counts = vec![0u32; probs.len()];
     if probs.is_empty() || shots == 0 {
         return counts;
     }
-    let mut scratch = SAMPLER_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    let binomial = u64::from(shots) >= CROSSOVER * probs.len() as u64
-        && crate::binomial::multinomial_counts(probs, shots, rng, &mut scratch.prefix, &mut counts);
-    if !binomial {
-        scratch.sample(probs, shots, rng, &mut counts);
-    }
-    SAMPLER_SCRATCH.with(|s| *s.borrow_mut() = scratch);
+    SUFFIX_SCRATCH.with(|suffix| {
+        crate::binomial::multinomial_counts(
+            probs,
+            shots,
+            rng,
+            &mut suffix.borrow_mut(),
+            &mut counts,
+        );
+    });
     counts
 }
 
-/// Shots per bin from which [`sample_counts`] draws conditional binomials
-/// instead of binning each shot through the bucket table.
-const CROSSOVER: u64 = 16;
-
-/// Flag bit on a sampler table entry: the bucket's draws straddle more than
-/// one bin boundary.
-const STRADDLES: u32 = 1 << 31;
-
-/// `2⁻⁵³`, the scale `rng.gen::<f64>()` applies to its 53 drawn bits.
-const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
-
 thread_local! {
-    static SAMPLER_SCRATCH: RefCell<SamplerScratch> = const {
-        RefCell::new(SamplerScratch { prefix: Vec::new(), table: Vec::new(), odd: Vec::new() })
-    };
-}
-
-/// Reusable buffers of [`sample_counts`].
-#[derive(Default)]
-struct SamplerScratch {
-    /// Sequential prefix sums of the clamped weights (suffix sums in the
-    /// binomial regime).
-    prefix: Vec<f64>,
-    /// One entry per bucket of the top bits of `m` (first bin, maybe
-    /// flagged [`STRADDLES`]), then the bin of the largest `m`.
-    table: Vec<u32>,
-    /// Histogram of the odd-numbered shots.
-    odd: Vec<u32>,
-}
-
-impl SamplerScratch {
-    fn sample<R: Rng + ?Sized>(
-        &mut self,
-        probs: &[f64],
-        shots: u32,
-        rng: &mut R,
-        counts: &mut [u32],
-    ) {
-        let last = probs.len() - 1;
-        let mut acc = 0.0;
-        self.prefix.clear();
-        self.prefix.extend(probs.iter().map(|&p| {
-            acc += p.max(0.0);
-            acc
-        }));
-        let prefix = &self.prefix[..];
-        let total = prefix[last].max(f64::MIN_POSITIVE);
-        let draw = |m: u64| m as f64 * UNIT * total;
-
-        let buckets = (4 * probs.len())
-            .next_power_of_two()
-            .min(4096)
-            .min((shots as usize).next_power_of_two());
-        let shift = 53 - buckets.trailing_zeros();
-        // The bin of `m`, walking `bin` forward from the bin of a smaller
-        // `m`: `r(0)` is NaN when the total overflows, and stays in bin 0.
-        let walk = |bin: &mut usize, m: u64| {
-            let r = draw(m);
-            while *bin < last && prefix[*bin] < r {
-                *bin += 1;
-            }
-            *bin as u32
-        };
-        self.table.clear();
-        let mut bin = 0;
-        for b in 0..buckets as u64 {
-            let first = walk(&mut bin, b << shift);
-            let end = walk(&mut bin, ((b + 1) << shift) - 1);
-            self.table.push(if end <= first + 1 {
-                first
-            } else {
-                first | STRADDLES
-            });
-        }
-        self.table.push(bin as u32);
-
-        let table = &self.table[..];
-        let mut shot = || {
-            let m = rng.next_u64() >> 11;
-            let b = (m >> shift) as usize;
-            let entry = table[b];
-            if entry & STRADDLES == 0 {
-                // At most one boundary in the bucket: one comparison of the
-                // exact draw picks the side (`min` covers an all-zero input,
-                // where the last prefix sits below every draw but `r(0)`).
-                let lo = entry as usize;
-                return (lo + usize::from(prefix[lo] < draw(m))).min(last);
-            }
-            let lo = (entry & !STRADDLES) as usize;
-            let hi = (table[b + 1] & !STRADDLES) as usize;
-            let r = draw(m);
-            lo + prefix[lo..hi].partition_point(|&p| p < r)
-        };
-        self.odd.clear();
-        self.odd.resize(probs.len(), 0);
-        for _ in 0..shots / 2 {
-            counts[shot()] += 1;
-            self.odd[shot()] += 1;
-        }
-        if shots % 2 == 1 {
-            counts[shot()] += 1;
-        }
-        for (c, o) in counts.iter_mut().zip(&self.odd) {
-            *c += o;
-        }
-    }
+    /// Suffix sums of [`sample_counts`].
+    static SUFFIX_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 thread_local! {
@@ -849,25 +718,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let counts = sample_counts(&sv.probabilities(), 1024, &mut rng);
         assert_eq!(counts, vec![1024, 0, 0, 0]);
-    }
-
-    /// Replays fixed 64-bit words.
-    struct Words(std::vec::IntoIter<u64>);
-
-    impl rand::RngCore for Words {
-        fn next_u64(&mut self) -> u64 {
-            self.0.next().expect("enough words")
-        }
-    }
-
-    #[test]
-    fn overflowed_totals_bin_the_zero_draw_first() {
-        // The prefix overflows to inf: r(0) = 0 · inf is NaN and reaches
-        // no prefix, so it lands in bin 0; every other draw is inf and
-        // lands in the first infinite prefix.
-        let probs = [1e308, 1e308, 1.0];
-        let mut rng = Words(vec![0, 1 << 11, u64::MAX, 0].into_iter());
-        assert_eq!(sample_counts(&probs, 4, &mut rng), vec![2, 2, 0]);
     }
 
     #[test]

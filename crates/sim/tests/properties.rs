@@ -53,63 +53,10 @@ fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
         })
 }
 
-/// The clamped total `sample_counts` tests to pick its regime: the suffix
-/// sum of `max(w, 0)`.
+/// The clamped total `sample_counts` draws against: the suffix sum of
+/// `max(w, 0)`.
 fn clamped_total(weights: &[f64]) -> f64 {
     weights.iter().rev().fold(0.0, |acc, w| acc + w.max(0.0))
-}
-
-/// Weights and a shot count that `sample_counts` sends through its bucket
-/// table: fewer than 16 shots per bin, or any count when the clamped total
-/// is zero or overflows. A drawn count at or past the crossover is folded
-/// below it.
-fn arb_table_input() -> impl Strategy<Value = (Vec<f64>, u32)> {
-    (
-        arb_weights(),
-        proptest::sample::select(vec![0u32, 1, 2, 3, 1024, 4097]),
-        any::<u32>(),
-    )
-        .prop_map(|(weights, shots, fold)| {
-            let total = clamped_total(&weights);
-            let crossover = 16 * weights.len() as u32;
-            let shots = if shots < crossover || !(total.is_finite() && total > 0.0) {
-                shots
-            } else {
-                fold % crossover
-            };
-            (weights, shots)
-        })
-}
-
-/// Reference shot sampler: draw every uniform in RNG order, sort the
-/// draws, then walk the sequential prefix sum once, assigning each draw to
-/// the first bin whose prefix reaches it (clamped to the last bin).
-fn sort_walk_oracle<R: rand::Rng>(probs: &[f64], shots: u32, rng: &mut R) -> Vec<u32> {
-    let prob = |i: usize| probs[i].max(0.0);
-    let len = probs.len();
-    let mut counts = vec![0u32; len];
-    if len == 0 || shots == 0 {
-        return counts;
-    }
-    let mut total = 0.0;
-    for i in 0..len {
-        total += prob(i);
-    }
-    let total = total.max(f64::MIN_POSITIVE);
-    let mut draws: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>() * total).collect();
-    // A NaN draw (`0 · inf` when the total overflows) reaches no prefix, so
-    // it sorts first and lands in bin 0.
-    draws.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(b.is_nan().cmp(&a.is_nan())));
-    let mut idx = 0usize;
-    let mut prefix = prob(0);
-    for r in draws {
-        while prefix < r && idx + 1 < len {
-            idx += 1;
-            prefix += prob(idx);
-        }
-        counts[idx] += 1;
-    }
-    counts
 }
 
 /// A random constant circuit on `n` qubits.
@@ -283,32 +230,16 @@ proptest! {
     }
 
     #[test]
-    fn sample_counts_match_the_sort_walk_oracle(
-        input in arb_table_input(),
-        seed in any::<u64>(),
-    ) {
-        use rand::SeedableRng;
-        let (probs, shots) = input;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let counts = sample_counts(&probs, shots, &mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        prop_assert_eq!(&counts, &sort_walk_oracle(&probs, shots, &mut rng));
-        prop_assert_eq!(counts.iter().sum::<u32>(), shots);
-    }
-
-    #[test]
-    fn binomial_regime_counts_keep_the_total_and_skip_zero_bins(
+    fn sample_counts_keep_the_total_and_skip_zero_bins(
         probs in arb_weights(),
-        per_bin in 16u32..=64,
-        extra in 0u32..1000,
+        shots in proptest::sample::select(vec![0u32, 1, 2, 3, 128, 1024, 4097, 65_537]),
         seed in any::<u64>(),
     ) {
-        // At 16 or more shots per bin with a finite, positive total the
-        // counts come from conditional binomials, which the sort-walk
-        // oracle does not reproduce; they are still a function of the seed,
-        // sum to the shot count and give a clamped-zero weight nothing.
+        // The counts are a function of the seed and sum to the shot count.
+        // A clamped-zero weight draws nothing; with no distribution to draw
+        // from (a zero or overflowed total) the first largest clamped
+        // weight takes every shot.
         use rand::SeedableRng;
-        let shots = per_bin * probs.len() as u32 + extra;
         let counts = sample_counts(&probs, shots, &mut rand::rngs::StdRng::seed_from_u64(seed));
         prop_assert_eq!(counts.iter().sum::<u32>(), shots);
         let total = clamped_total(&probs);
@@ -316,6 +247,10 @@ proptest! {
             for (&c, &w) in counts.iter().zip(&probs) {
                 prop_assert!(w > 0.0 || c == 0, "weight {} drew {} shots", w, c);
             }
+        } else {
+            let top = probs.iter().map(|w| w.max(0.0)).fold(0.0, f64::max);
+            let first = probs.iter().position(|w| w.max(0.0) == top).unwrap();
+            prop_assert_eq!(counts[first], shots);
         }
         let again = sample_counts(&probs, shots, &mut rand::rngs::StdRng::seed_from_u64(seed));
         prop_assert_eq!(counts, again);

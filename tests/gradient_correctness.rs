@@ -121,12 +121,11 @@ fn device_gradients_correlate_with_exact() {
 fn sample_counts_pass_chi_squared_goodness_of_fit() {
     // The shot sampler must actually draw from the statevector's Born
     // distribution: chi-squared goodness-of-fit over every bin of a
-    // near-uniform state, across several seeds, on each side of the
-    // sampler's 16-shots-per-bin crossover — 8 bins at 1024 shots
-    // (conditional binomials) and 16 bins at the shot allocator's 128-shot
-    // floor (the bucket table). Critical values are χ²₀.₉₉₉ at 7 and 15
-    // degrees of freedom. Seeds are fixed, so this is a deterministic
-    // regression test, not a flaky statistical one.
+    // near-uniform state, across several seeds — 8 bins at 1024 shots and
+    // 16 bins at the shot allocator's 128-shot floor, where most of the
+    // conditional binomials have small means. Critical values are
+    // χ²₀.₉₉₉ at 7 and 15 degrees of freedom. Seeds are fixed, so this is
+    // a deterministic regression test, not a flaky statistical one.
     for (qubits, shots, critical) in [
         (3, 1024u32, 24.32),
         (4, qoc::core::alloc::DEFAULT_MIN_SHOTS, 37.70),
