@@ -25,7 +25,14 @@ stage_clippy() {
 }
 
 stage_build() {
-    cargo build --offline --release
+    cargo build --offline --release || return 1
+    # The benchmark harness is a package of its own outside the workspace,
+    # so the build above never compiles it: a library API change that
+    # breaks it would pass every other stage. Same target dir as
+    # perfbench/run.py; --locked fails a change that would rewrite its
+    # Cargo.lock.
+    CARGO_TARGET_DIR=.bench_build cargo build --offline --release --locked \
+        --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {

@@ -9,11 +9,9 @@
 //! `BENCH_density.json` at the repository root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use qoc_core::grad::QnnGradientComputer;
-use qoc_device::backend::{Execution, FakeDevice, QuantumBackend};
+use qoc_device::backend::{CircuitJob, Execution, FakeDevice, QuantumBackend};
 use qoc_device::backends::{fake_jakarta, fake_santiago};
 use qoc_nn::model::QnnModel;
 use qoc_noise::channels::{depolarizing_2q, thermal_relaxation};
@@ -61,16 +59,9 @@ fn bench_device_execution(c: &mut Criterion) {
             &vec![0.2; model.num_params()],
             &vec![0.7; model.input_dim()],
         );
-        let mut rng = StdRng::seed_from_u64(1);
+        let job = CircuitJob::expectation(&prepared, theta, Execution::Shots(1024), 1);
         group.bench_function(name, |b| {
-            b.iter(|| {
-                std::hint::black_box(device.run_prepared(
-                    &prepared,
-                    &theta,
-                    Execution::Shots(1024),
-                    &mut rng,
-                ))
-            })
+            b.iter(|| std::hint::black_box(device.run_job(&job)))
         });
     }
     group.finish();

@@ -319,13 +319,6 @@ impl std::fmt::Debug for RunAnchor<'_> {
     }
 }
 
-/// Recovers the integer nanoseconds behind `estimated_device_seconds`
-/// (stored internally as a nanosecond counter; the `/1e9` is undone by
-/// rounding, exact for any plausible run length).
-fn stats_nanos(stats: &ExecutionStats) -> u64 {
-    (stats.estimated_device_seconds * 1e9).round() as u64
-}
-
 /// Everything needed to replay the current step from scratch, captured
 /// before the step consumes RNG draws or mutates state. An execution
 /// failure mid-step turns this into an emergency checkpoint with
@@ -771,7 +764,7 @@ fn train_impl(
                     best_accuracy,
                     inferences_base: base.circuits + backend.stats().circuits_run,
                     total_shots_base: base.shots + backend.stats().total_shots,
-                    device_ns_base: base.nanos + stats_nanos(&backend.stats()),
+                    device_ns_base: base.nanos + backend.stats().device_nanos(),
                 };
                 match state.save(&ck.path) {
                     Ok(()) => {
@@ -825,7 +818,7 @@ fn train_impl(
     let totals = ExecutionStats {
         circuits_run: base.circuits + stats.circuits_run,
         total_shots: base.shots + stats.total_shots,
-        estimated_device_seconds: (base.nanos + stats_nanos(&stats)) as f64 / 1e9,
+        estimated_device_seconds: (base.nanos + stats.device_nanos()) as f64 / 1e9,
     };
     // Terminal status snapshot: same integers as the manifest, so the last
     // snapshot of a finished run reconciles to the nanosecond.
@@ -841,7 +834,7 @@ fn train_impl(
             prune_phase: prune_phase(&pruner.state()).to_string(),
             circuits_run: totals.circuits_run,
             total_shots: totals.total_shots,
-            device_ns: base.nanos + stats_nanos(&stats),
+            device_ns: base.nanos + stats.device_nanos(),
         });
     }
     if let Some(trace_path) = qoc_telemetry::trace_file_path() {
@@ -873,7 +866,7 @@ fn combined_stats_base(backend: &dyn QuantumBackend, base: StatsBase) -> StatsBa
     StatsBase {
         circuits: base.circuits + stats.circuits_run,
         shots: base.shots + stats.total_shots,
-        nanos: base.nanos + stats_nanos(&stats),
+        nanos: base.nanos + stats.device_nanos(),
     }
 }
 

@@ -124,12 +124,10 @@ pub fn zero_noise_extrapolate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoc_device::backend::{FakeDevice, NoiselessBackend};
+    use qoc_device::backend::FakeDevice;
     use qoc_device::backends::fake_santiago;
     use qoc_sim::circuit::ParamValue;
     use qoc_sim::simulator::StatevectorSimulator;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn probe_circuit() -> Circuit {
         let mut c = Circuit::new(2);
@@ -158,13 +156,17 @@ mod tests {
     #[test]
     fn folding_amplifies_device_noise_monotonically() {
         let device = FakeDevice::new(fake_santiago());
-        let mut rng = StdRng::seed_from_u64(1);
         let c = probe_circuit();
         let mut damping = Vec::new();
         for scale in [1usize, 3, 5] {
             let folded = fold_global(&c, scale);
             let prepared = device.prepare(&folded);
-            let ez = device.run_prepared(&prepared, &[0.4], Execution::Exact, &mut rng);
+            let ez = device.run_job(&CircuitJob::expectation(
+                &prepared,
+                vec![0.4],
+                Execution::Exact,
+                1,
+            ));
             damping.push(ez[0].abs() + ez[1].abs());
         }
         assert!(
@@ -176,12 +178,16 @@ mod tests {
     #[test]
     fn extrapolation_beats_raw_measurement() {
         let device = FakeDevice::new(fake_santiago());
-        let simulator = NoiselessBackend::new();
-        let mut rng = StdRng::seed_from_u64(2);
         let c = probe_circuit();
         let theta = [0.4];
-        let ideal = simulator.expectations(&c, &theta, Execution::Exact, &mut rng);
-        let raw = device.expectations(&c, &theta, Execution::Exact, &mut rng);
+        let ideal = StatevectorSimulator::new().expectations_z(&c, &theta);
+        let prepared = device.prepare(&c);
+        let raw = device.run_job(&CircuitJob::expectation(
+            &prepared,
+            theta.to_vec(),
+            Execution::Exact,
+            2,
+        ));
         let zne = zero_noise_extrapolate(&device, &c, &theta, &[1, 3, 5], Execution::Exact, 7);
         let err = |v: &[f64]| -> f64 { v.iter().zip(&ideal).map(|(a, b)| (a - b).abs()).sum() };
         assert!(

@@ -14,19 +14,28 @@
 //! Backends count every circuit execution: the paper's Figure 6 x-axis
 //! ("number of inferences") comes from these counters.
 //!
+//! # One way to run a circuit
+//!
+//! Every execution is a [`CircuitJob`]: a prepared circuit, a parameter
+//! binding, a shot spec, what to return, and the job's own RNG seed.
+//! [`QuantumBackend::run_job`] is the one execution method a backend
+//! implements; no backend method takes a caller's RNG. Callers that own an
+//! RNG (randomized benchmarking, readout calibration) draw each job's seed
+//! from it and submit the jobs like everyone else.
+//!
 //! # Batched execution
 //!
 //! Real hardware accepts circuits in *batches* (one IBM job holds many bound
 //! circuits), and the parameter-shift rule produces exactly such batches:
-//! 2·n shifted bindings of one prepared circuit. [`CircuitJob`] describes one
-//! bound execution; [`QuantumBackend::run_batch`] fans a job list out over
-//! `std::thread::scope` workers. Every job carries its own RNG seed, derived
-//! from a caller-chosen master seed and a stable per-job stream id via
-//! [`job_seed`] (a SplitMix64 mix), so results are bit-identical regardless
-//! of worker count or scheduling order. Backends are `Send + Sync`; stats are
-//! atomic counters, with device-seconds accumulated as integer nanoseconds so
-//! parallel accumulation stays exact (integer addition commutes; float
-//! addition does not).
+//! 2·n shifted bindings of one prepared circuit. [`QuantumBackend::run_batch`]
+//! fans a job list out over `std::thread::scope` workers under the backend's
+//! retry policy. A job's seed is typically derived from a caller-chosen
+//! master seed and a stable per-job stream id via [`job_seed`] (a SplitMix64
+//! mix), so results are bit-identical regardless of worker count or
+//! scheduling order. Backends are `Send + Sync`; stats are atomic counters,
+//! with device-seconds accumulated as integer nanoseconds so parallel
+//! accumulation stays exact (integer addition commutes; float addition does
+//! not).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,7 +45,7 @@ use qoc_telemetry::metrics::{Counter, Gauge, Histogram, Registry};
 use qoc_telemetry::SpanGuard;
 
 use rand::rngs::StdRng;
-use rand::RngCore;
+use rand::SeedableRng;
 
 use qoc_sim::circuit::Circuit;
 use qoc_sim::diff::{adjoint_jacobian, JacobianRowSpec};
@@ -299,58 +308,16 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     /// Compiles a logical circuit into an executable plan.
     fn prepare(&self, circuit: &Circuit) -> PreparedCircuit;
 
-    /// Executes a prepared circuit with parameters `theta` and returns
-    /// per-logical-qubit Pauli-Z expectations.
-    fn run_prepared(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64>;
-
-    /// Exact outcome distribution over the **logical** qubits (index bit `k`
-    /// = logical qubit `k`), including all device noise and readout error.
-    /// Joint observables (e.g. ⟨Z⊗Z⟩ for VQE Hamiltonians) need this rather
-    /// than the per-qubit marginals of [`Self::run_prepared`].
-    fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64>;
-
-    /// One-shot convenience: prepare + run.
-    fn expectations(
-        &self,
-        circuit: &Circuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let prepared = self.prepare(circuit);
-        self.run_prepared(&prepared, theta, execution, rng)
-    }
-
-    /// Executes one job with its own deterministic RNG stream.
+    /// Executes one job — the only way a circuit runs — and charges it to
+    /// the stats: per-logical-qubit ⟨Z⟩ for [`JobKind::ExpectationZ`], the
+    /// distribution over logical bitstrings (index bit `k` = logical qubit
+    /// `k`, all device noise and readout error included) for
+    /// [`JobKind::OutcomeDistribution`].
     ///
     /// This is the unit of work [`Self::run_batch`] parallelizes; running it
     /// serially yields bit-identical results because the job's seed — not a
     /// shared RNG threaded through the call order — supplies all randomness.
-    fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(job.seed);
-        match job.kind {
-            JobKind::ExpectationZ => {
-                self.run_prepared(job.prepared, &job.theta, job.execution, &mut rng)
-            }
-            JobKind::OutcomeDistribution => match job.execution {
-                Execution::Exact => self.outcome_probabilities(job.prepared, &job.theta),
-                Execution::Shots(s) => {
-                    let probs = self.outcome_probabilities(job.prepared, &job.theta);
-                    let total = f64::from(s.max(1));
-                    sample_counts(&probs, s, &mut rng)
-                        .into_iter()
-                        .map(|n| f64::from(n) / total)
-                        .collect()
-                }
-            },
-        }
-    }
+    fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64>;
 
     /// One *attempt* at executing a job — the fallible unit the batch
     /// runner's retry loop drives.
@@ -548,7 +515,7 @@ impl BatchSpan {
 /// across the process and are *not* cleared by
 /// [`QuantumBackend::reset_stats`] — they feed run manifests, while
 /// [`ExecutionStats`] stays the per-backend, resettable view. Both are fed
-/// by the single [`StatCells::record`] code path so they cannot drift.
+/// by the single [`StatCells::charge`] code path so they cannot drift.
 struct DeviceMetrics {
     circuits: Arc<Counter>,
     shots: Arc<Counter>,
@@ -658,7 +625,7 @@ fn batch_metrics() -> &'static BatchMetrics {
 /// deterministic `f64 → u64` rounding, and integer addition commutes, so
 /// the total is exact (and identical) no matter how many threads record
 /// concurrently; a float accumulator would drift with summation order.
-/// Every [`StatCells::record`] also mirrors into the process-cumulative
+/// Every [`StatCells::charge`] also mirrors into the process-cumulative
 /// `qoc.device.*` registry metrics (see [`device_metrics`]).
 #[derive(Debug, Default)]
 struct StatCells {
@@ -668,8 +635,16 @@ struct StatCells {
 }
 
 impl StatCells {
-    fn record(&self, shots: u64, seconds: f64) {
+    /// Charges one circuit run under `execution`: its shots, and the
+    /// latency model's `overhead + shots · per_shot` of device time.
+    fn charge(&self, execution: Execution, overhead_ns: f64, per_shot_ns: f64) {
+        let shots = match execution {
+            Execution::Exact => 0,
+            Execution::Shots(s) => s,
+        };
+        let seconds = (overhead_ns + f64::from(shots) * per_shot_ns) / 1e9;
         let nanos = (seconds * 1e9).round() as u64;
+        let shots = u64::from(shots);
         self.circuits.inc();
         self.shots.add(shots);
         self.nanos.add(nanos);
@@ -694,6 +669,16 @@ impl StatCells {
         self.shots.reset();
         self.nanos.reset();
     }
+}
+
+/// A shot histogram of `probs` as a distribution: each outcome's count over
+/// `shots` (all zero at zero shots).
+fn sampled_distribution(probs: &[f64], shots: u32, rng: &mut StdRng) -> Vec<f64> {
+    let total = f64::from(shots.max(1));
+    sample_counts(probs, shots, rng)
+        .into_iter()
+        .map(|n| f64::from(n) / total)
+        .collect()
 }
 
 /// Exact statevector backend — the "Classical-Train" substrate.
@@ -734,39 +719,26 @@ impl QuantumBackend for NoiselessBackend {
         }
     }
 
-    fn run_prepared(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let Plan::Direct { program, .. } = &prepared.plan else {
+    fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
+        let Plan::Direct { program, .. } = &job.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        with_scratch_state(program.num_qubits(), |sv| {
-            program.run_into(theta, sv);
-            match execution {
-                Execution::Exact => {
-                    self.stats.record(0, 0.0);
-                    sv.expectation_all_z()
+        self.stats.charge(job.execution, 0.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(job.seed);
+        let n = program.num_qubits();
+        with_scratch_state(n, |sv| {
+            program.run_into(&job.theta, sv);
+            match (job.kind, job.execution) {
+                (JobKind::ExpectationZ, Execution::Exact) => sv.expectation_all_z(),
+                (JobKind::OutcomeDistribution, Execution::Exact) => sv.probabilities(),
+                (JobKind::ExpectationZ, Execution::Shots(s)) => {
+                    let counts = sample_counts(&sv.probabilities(), s, &mut rng);
+                    expectation_z_from_counts(&counts, n, s)
                 }
-                Execution::Shots(s) => {
-                    self.stats.record(s as u64, 0.0);
-                    sv.sampled_expectation_z(s, rng)
+                (JobKind::OutcomeDistribution, Execution::Shots(s)) => {
+                    sampled_distribution(&sv.probabilities(), s, &mut rng)
                 }
             }
-        })
-    }
-
-    fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
-        let Plan::Direct { program, .. } = &prepared.plan else {
-            panic!("prepared circuit belongs to a different backend kind");
-        };
-        self.stats.record(0, 0.0);
-        with_scratch_state(program.num_qubits(), |sv| {
-            program.run_into(theta, sv);
-            sv.probabilities()
         })
     }
 
@@ -780,7 +752,7 @@ impl QuantumBackend for NoiselessBackend {
         // One forward pass + one backward sweep ≈ one inference of
         // accounting: the Figure 6 x-axis counts circuit executions and the
         // adjoint method runs the circuit once.
-        self.stats.record(0, 0.0);
+        self.stats.charge(Execution::Exact, 0.0, 0.0);
         let specs: Vec<JacobianRowSpec> = batch.rows.iter().map(|r| r.spec.clone()).collect();
         let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &specs);
         Some(JacobianAnswer::Rows(jac))
@@ -853,7 +825,7 @@ impl FakeDevice {
         plan: &Plan,
         probs: &[f64],
         execution: Execution,
-        rng: &mut dyn RngCore,
+        rng: &mut StdRng,
     ) -> Vec<f64> {
         let Plan::Device {
             program,
@@ -865,12 +837,7 @@ impl FakeDevice {
         else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        let shots = match execution {
-            Execution::Exact => 0,
-            Execution::Shots(s) => s,
-        };
-        let seconds = (overhead_ns + f64::from(shots) * per_shot_ns) / 1e9;
-        self.stats.record(u64::from(shots), seconds);
+        self.stats.charge(execution, *overhead_ns, *per_shot_ns);
         let n = program.num_qubits();
         let physical = match execution {
             Execution::Exact => expectations_z_of(probs, n),
@@ -1015,35 +982,26 @@ impl QuantumBackend for FakeDevice {
         }
     }
 
-    fn run_prepared(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        let Plan::Device { program, .. } = &prepared.plan else {
-            panic!("prepared circuit belongs to a different backend kind");
-        };
-        let probs = program.outcome_probabilities(theta);
-        self.read_out(&prepared.plan, &probs, execution, rng)
-    }
-
-    fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
+    fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
+        let plan = &job.prepared.plan;
         let Plan::Device {
             program,
             logical_readout,
+            per_shot_ns,
             overhead_ns,
             ..
-        } = &prepared.plan
+        } = plan
         else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        self.stats.record(0, overhead_ns / 1e9);
-        let compact_probs = program.outcome_probabilities(theta);
+        let compact_probs = program.outcome_probabilities(&job.theta);
+        let mut rng = StdRng::seed_from_u64(job.seed);
+        if job.kind == JobKind::ExpectationZ {
+            return self.read_out(plan, &compact_probs, job.execution, &mut rng);
+        }
+        self.stats.charge(job.execution, *overhead_ns, *per_shot_ns);
         // Marginalize onto the logical readout wires, logical bit order.
-        let n_logical = logical_readout.len();
-        let mut out = vec![0.0; 1 << n_logical];
+        let mut probs = vec![0.0; 1 << logical_readout.len()];
         for (s, p) in compact_probs.iter().enumerate() {
             let mut idx = 0usize;
             for (l, &w) in logical_readout.iter().enumerate() {
@@ -1051,9 +1009,12 @@ impl QuantumBackend for FakeDevice {
                     idx |= 1 << l;
                 }
             }
-            out[idx] += p;
+            probs[idx] += p;
         }
-        out
+        match job.execution {
+            Execution::Exact => probs,
+            Execution::Shots(s) => sampled_distribution(&probs, s, &mut rng),
+        }
     }
 
     /// Answers every batch whose rows are all symbol shifts
@@ -1093,15 +1054,12 @@ impl QuantumBackend for FakeDevice {
     }
 }
 
-use rand::SeedableRng;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backends::{fake_lima, fake_santiago, fake_toronto};
     use qoc_sim::circuit::ParamValue;
     use qoc_sim::simulator::StatevectorSimulator;
-    use rand::rngs::StdRng;
 
     fn qnn_circuit() -> Circuit {
         let mut c = Circuit::new(4);
@@ -1117,13 +1075,29 @@ mod tests {
         c
     }
 
+    /// Prepares `c` and runs one expectation job of it.
+    fn expectation(
+        backend: &dyn QuantumBackend,
+        c: &Circuit,
+        theta: &[f64],
+        execution: Execution,
+        seed: u64,
+    ) -> Vec<f64> {
+        let prepared = backend.prepare(c);
+        backend.run_job(&CircuitJob::expectation(
+            &prepared,
+            theta.to_vec(),
+            execution,
+            seed,
+        ))
+    }
+
     #[test]
     fn noiseless_matches_plain_simulator() {
         let backend = NoiselessBackend::new();
         let c = qnn_circuit();
         let theta = [0.3, -0.2, 0.8, 0.1, 0.5, -0.6, 0.9, 0.0];
-        let mut rng = StdRng::seed_from_u64(1);
-        let got = backend.expectations(&c, &theta, Execution::Exact, &mut rng);
+        let got = expectation(&backend, &c, &theta, Execution::Exact, 1);
         let want = StatevectorSimulator::new().expectations_z(&c, &theta);
         assert_eq!(got, want);
         assert_eq!(backend.stats().circuits_run, 1);
@@ -1136,9 +1110,8 @@ mod tests {
         let device = FakeDevice::new(fake_santiago());
         let c = qnn_circuit();
         let theta = [0.3, -0.2, 0.8, 0.1, 0.5, -0.6, 0.9, 0.0];
-        let mut rng = StdRng::seed_from_u64(2);
         let ideal = StatevectorSimulator::new().expectations_z(&c, &theta);
-        let noisy = device.expectations(&c, &theta, Execution::Exact, &mut rng);
+        let noisy = expectation(&device, &c, &theta, Execution::Exact, 2);
         assert_eq!(noisy.len(), 4);
         for (i, (a, b)) in ideal.iter().zip(&noisy).enumerate() {
             assert!(
@@ -1155,11 +1128,26 @@ mod tests {
         let device = FakeDevice::new(fake_lima());
         let c = qnn_circuit();
         let theta = [0.1; 8];
-        let mut rng1 = StdRng::seed_from_u64(7);
-        let mut rng2 = StdRng::seed_from_u64(7);
-        let a = device.expectations(&c, &theta, Execution::Shots(1024), &mut rng1);
-        let b = device.expectations(&c, &theta, Execution::Shots(1024), &mut rng2);
+        let a = expectation(&device, &c, &theta, Execution::Shots(1024), 7);
+        let b = expectation(&device, &c, &theta, Execution::Shots(1024), 7);
         assert_eq!(a, b);
+        let other = expectation(&device, &c, &theta, Execution::Shots(1024), 8);
+        assert_ne!(a, other, "a different seed must draw different shots");
+    }
+
+    #[test]
+    fn noiseless_shot_jobs_match_exact_in_expectation() {
+        let backend = NoiselessBackend::new();
+        let mut c = Circuit::new(2);
+        c.ry(0, 0.9);
+        c.rzz(0, 1, 0.5);
+        c.rx(1, 1.7);
+        let exact = expectation(&backend, &c, &[], Execution::Exact, 0);
+        let sampled = expectation(&backend, &c, &[], Execution::Shots(100_000), 11);
+        for (e, s) in exact.iter().zip(&sampled) {
+            assert!((e - s).abs() < 0.02, "exact {e} vs sampled {s}");
+        }
+        assert_eq!(backend.stats().total_shots, 100_000);
     }
 
     #[test]
@@ -1168,10 +1156,14 @@ mod tests {
         device.reset_stats();
         let c = qnn_circuit();
         let prepared = device.prepare(&c);
-        let mut rng = StdRng::seed_from_u64(3);
         for k in 0..5 {
-            let theta = [0.1 * k as f64; 8];
-            let _ = device.run_prepared(&prepared, &theta, Execution::Shots(1024), &mut rng);
+            let theta = vec![0.1 * k as f64; 8];
+            device.run_job(&CircuitJob::expectation(
+                &prepared,
+                theta,
+                Execution::Shots(1024),
+                k,
+            ));
         }
         let stats = device.stats();
         assert_eq!(stats.circuits_run, 5);
@@ -1186,11 +1178,20 @@ mod tests {
             Box::new(FakeDevice::new(fake_santiago())),
         ] {
             let c = qnn_circuit();
-            let theta = [0.4, -0.2, 0.9, 0.1, 0.3, -0.5, 0.7, 0.2];
+            let theta = vec![0.4, -0.2, 0.9, 0.1, 0.3, -0.5, 0.7, 0.2];
             let prepared = backend.prepare(&c);
-            let mut rng = StdRng::seed_from_u64(4);
-            let ez = backend.run_prepared(&prepared, &theta, Execution::Exact, &mut rng);
-            let probs = backend.outcome_probabilities(&prepared, &theta);
+            let ez = backend.run_job(&CircuitJob::expectation(
+                &prepared,
+                theta.clone(),
+                Execution::Exact,
+                4,
+            ));
+            let probs = backend.run_job(&CircuitJob::distribution(
+                &prepared,
+                theta,
+                Execution::Exact,
+                4,
+            ));
             assert_eq!(probs.len(), 16);
             assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             for (q, &expected) in ez.iter().enumerate() {
@@ -1344,31 +1345,37 @@ mod tests {
     }
 
     #[test]
-    fn distribution_jobs_match_outcome_apis() {
+    fn sampled_distribution_jobs_sample_the_exact_one_and_are_charged_their_shots() {
+        let noiseless = NoiselessBackend::new();
         let device = FakeDevice::new(fake_lima());
-        let prepared = device.prepare(&qnn_circuit());
-        let theta = vec![0.1; 8];
+        let backends: [&dyn QuantumBackend; 2] = [&noiseless, &device];
+        for backend in backends {
+            let prepared = backend.prepare(&qnn_circuit());
+            let theta = vec![0.1; 8];
+            let exact = backend.run_job(&CircuitJob::distribution(
+                &prepared,
+                theta.clone(),
+                Execution::Exact,
+                0,
+            ));
+            let execution = Execution::Shots(512);
+            backend.reset_stats();
+            let sampled = backend.run_job(&CircuitJob::distribution(
+                &prepared,
+                theta.clone(),
+                execution,
+                9,
+            ));
+            let charged = backend.stats();
+            let counts = sample_counts(&exact, 512, &mut StdRng::seed_from_u64(9));
+            assert_eq!(counts.iter().sum::<u32>(), 512);
+            let want: Vec<f64> = counts.iter().map(|&n| f64::from(n) / 512.0).collect();
+            assert_eq!(sampled, want, "{}", backend.name());
 
-        let exact = device.run_job(&CircuitJob::distribution(
-            &prepared,
-            theta.clone(),
-            Execution::Exact,
-            0,
-        ));
-        assert_eq!(exact, device.outcome_probabilities(&prepared, &theta));
-
-        let sampled = device.run_job(&CircuitJob::distribution(
-            &prepared,
-            theta.clone(),
-            Execution::Shots(512),
-            9,
-        ));
-        let mut rng = StdRng::seed_from_u64(9);
-        let probs = device.outcome_probabilities(&prepared, &theta);
-        let counts = sample_counts(&probs, 512, &mut rng);
-        assert_eq!(counts.iter().sum::<u32>(), 512);
-        for (p, n) in sampled.iter().zip(counts) {
-            assert_eq!(*p, f64::from(n) / 512.0);
+            backend.reset_stats();
+            backend.run_job(&CircuitJob::expectation(&prepared, theta, execution, 9));
+            assert_eq!(charged, backend.stats(), "{}", backend.name());
+            assert_eq!(charged.total_shots, 512);
         }
     }
 

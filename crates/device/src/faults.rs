@@ -32,10 +32,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use qoc_telemetry::metrics::{Counter, Registry};
-use rand::RngCore;
 
 use crate::backend::QuantumBackend;
-use crate::backend::{job_seed, CircuitJob, Execution, ExecutionStats, JobKind, PreparedCircuit};
+use crate::backend::{job_seed, CircuitJob, ExecutionStats, JobKind, PreparedCircuit};
 use crate::retry::{JobError, JobResult, RetryPolicy};
 
 /// Declarative, seed-driven fault schedule for a [`FaultInjectingBackend`].
@@ -254,10 +253,8 @@ fn fault_metrics() -> &'static FaultMetrics {
 /// Decorates any backend with deterministic fault injection.
 ///
 /// Only the fallible batch path ([`QuantumBackend::try_run_job`], hence
-/// `run_batch`/`run_batch_workers`) is injected; the raw serial APIs
-/// (`run_prepared`, `run_job`, `outcome_probabilities`) pass straight
-/// through, which keeps the wrapper transparent to calibration-style
-/// direct probing.
+/// `run_batch`/`run_batch_workers`) is injected; a direct
+/// [`QuantumBackend::run_job`] passes straight through.
 #[derive(Debug)]
 pub struct FaultInjectingBackend<B> {
     inner: B,
@@ -333,18 +330,8 @@ impl<B: QuantumBackend> QuantumBackend for FaultInjectingBackend<B> {
         self.inner.prepare(circuit)
     }
 
-    fn run_prepared(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        self.inner.run_prepared(prepared, theta, execution, rng)
-    }
-
-    fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
-        self.inner.outcome_probabilities(prepared, theta)
+    fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
+        self.inner.run_job(job)
     }
 
     fn try_run_job(&self, job: &CircuitJob<'_>, attempt: u32) -> JobResult {
@@ -398,7 +385,7 @@ impl<B: QuantumBackend> QuantumBackend for FaultInjectingBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::NoiselessBackend;
+    use crate::backend::{Execution, NoiselessBackend};
     use qoc_sim::circuit::{Circuit, ParamValue};
 
     fn two_qubit_circuit() -> Circuit {

@@ -23,17 +23,19 @@
 //! ```
 //! use qoc_sim::circuit::{Circuit, ParamValue};
 //! use qoc_device::backends::fake_santiago;
-//! use qoc_device::backend::{Execution, FakeDevice, QuantumBackend};
-//! use rand::SeedableRng;
+//! use qoc_device::backend::{CircuitJob, Execution, FakeDevice, QuantumBackend};
 //!
 //! let mut c = Circuit::new(2);
 //! c.ry(0, ParamValue::sym(0));
 //! c.rzz(0, 1, ParamValue::sym(1));
 //!
 //! let device = FakeDevice::new(fake_santiago());
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let ez = device.expectations(&c, &[0.7, 0.3], Execution::Shots(1024), &mut rng);
+//! let prepared = device.prepare(&c);
+//! // One job: a binding, a shot count and the job's own RNG seed.
+//! let job = CircuitJob::expectation(&prepared, vec![0.7, 0.3], Execution::Shots(1024), 42);
+//! let ez = device.run_batch_expect(&[job]).remove(0);
 //! assert_eq!(ez.len(), 2);
+//! assert_eq!(device.stats().total_shots, 1024);
 //! ```
 
 #![warn(missing_docs)]

@@ -18,7 +18,7 @@ use rand::RngCore;
 
 use qoc_sim::circuit::Circuit;
 
-use crate::backend::{Execution, QuantumBackend};
+use crate::backend::{CircuitJob, Execution, QuantumBackend};
 
 /// A fitted readout-mitigation filter (per-qubit inverse confusion).
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +34,12 @@ impl ReadoutMitigator {
     ///
     /// This estimates each qubit's confusion matrix from its marginals,
     /// which is exact when readout errors are qubit-local (our devices) and
-    /// the leading-order model otherwise.
+    /// the leading-order model otherwise. Each circuit runs as a job seeded
+    /// from `rng`, under the backend's retry policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job fails (see [`QuantumBackend::run_batch_expect`]).
     pub fn calibrate(
         backend: &dyn QuantumBackend,
         num_qubits: usize,
@@ -53,7 +58,14 @@ impl ReadoutMitigator {
                     circuit.push(qoc_sim::gates::GateKind::I, &[q], &[]);
                 }
             }
-            let ez = backend.expectations(&circuit, &[], Execution::Shots(shots), rng);
+            let prepared = backend.prepare(&circuit);
+            let job = CircuitJob::expectation(
+                &prepared,
+                Vec::new(),
+                Execution::Shots(shots),
+                rng.next_u64(),
+            );
+            let ez = backend.run_batch_expect(&[job]).remove(0);
             for (q, &z) in ez.iter().enumerate() {
                 let p1 = ((1.0 - z) / 2.0).clamp(0.0, 1.0);
                 if prep_ones {
@@ -158,8 +170,10 @@ impl ReadoutMitigator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FakeDevice, NoiselessBackend, QuantumBackend};
+    use crate::backend::{FakeDevice, JobKind, NoiselessBackend};
     use crate::backends::fake_lima;
+    use crate::faults::{FaultInjectingBackend, FaultPlan};
+    use crate::retry::RetryPolicy;
     use qoc_sim::circuit::ParamValue;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -196,6 +210,39 @@ mod tests {
         }
     }
 
+    /// Calibrates 4 logical qubits of fake lima behind `plan`.
+    fn calibrate_behind(plan: FaultPlan) -> ReadoutMitigator {
+        let backend = FaultInjectingBackend::new(FakeDevice::new(fake_lima()), plan)
+            .with_retry_policy(RetryPolicy::default().without_backoff());
+        ReadoutMitigator::calibrate(&backend, 4, 4096, &mut StdRng::seed_from_u64(5))
+    }
+
+    #[test]
+    fn calibration_retries_transient_faults_with_the_same_seeds() {
+        let bare = ReadoutMitigator::calibrate(
+            &FakeDevice::new(fake_lima()),
+            4,
+            4096,
+            &mut StdRng::seed_from_u64(5),
+        );
+        // Every job fails twice, then succeeds.
+        let transient = FaultPlan {
+            transient_rate: 1.0,
+            max_failures_per_job: 2,
+            ..FaultPlan::none()
+        };
+        assert_eq!(calibrate_behind(transient), bare);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch execution failed")]
+    fn calibration_fails_on_permanent_faults() {
+        calibrate_behind(FaultPlan {
+            permanent_rate: 1.0,
+            ..FaultPlan::none()
+        });
+    }
+
     #[test]
     fn mitigation_improves_expectation_fidelity() {
         // Compare device expectations with and without mitigation against
@@ -213,22 +260,19 @@ mod tests {
         }
         let theta = [0.4, -0.2, 0.7, 0.1];
 
-        let ideal = simulator.expectations(&c, &theta, Execution::Exact, &mut rng);
-        let prepared = device.prepare(&c);
-        let raw_probs = device.outcome_probabilities(&prepared, &theta);
-        let raw_ez: Vec<f64> = {
-            let mut ez = vec![0.0; 4];
-            for (i, p) in raw_probs.iter().enumerate() {
-                for (q, e) in ez.iter_mut().enumerate() {
-                    if i & (1 << q) == 0 {
-                        *e += p;
-                    } else {
-                        *e -= p;
-                    }
-                }
-            }
-            ez
+        let run = |backend: &dyn QuantumBackend, kind| {
+            let prepared = backend.prepare(&c);
+            backend.run_job(&CircuitJob {
+                prepared: &prepared,
+                theta: theta.to_vec(),
+                execution: Execution::Exact,
+                seed: 0,
+                kind,
+            })
         };
+        let ideal = run(&simulator, JobKind::ExpectationZ);
+        let raw_ez = run(&device, JobKind::ExpectationZ);
+        let raw_probs = run(&device, JobKind::OutcomeDistribution);
 
         let mitigator = ReadoutMitigator::calibrate(&device, 4, 200_000, &mut rng);
         let mitigated = mitigator.mitigated_expectations(&raw_probs);

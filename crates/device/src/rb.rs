@@ -17,7 +17,7 @@ use qoc_sim::circuit::Circuit;
 use qoc_sim::gates::GateKind;
 use qoc_sim::matrix::CMatrix;
 
-use crate::backend::{Execution, QuantumBackend};
+use crate::backend::{CircuitJob, Execution, QuantumBackend};
 
 /// The 24 single-qubit Clifford elements, each as a short `{H, S}` word plus
 /// its matrix.
@@ -115,7 +115,8 @@ pub struct RbResult {
 /// Runs single-qubit RB on logical qubit `qubit` of `backend`.
 ///
 /// `lengths` are the sequence lengths; `samples` random sequences are
-/// averaged per length.
+/// averaged per length. `rng` draws each sequence and then its job's seed;
+/// every sequence runs as a job under the backend's retry policy.
 ///
 /// **Compilation caveat:** RB assumes the executed sequence is *not*
 /// compiled across Clifford boundaries — a transpiler with gate fusion
@@ -126,7 +127,8 @@ pub struct RbResult {
 ///
 /// # Panics
 ///
-/// Panics on empty `lengths` or zero `samples`.
+/// Panics on empty `lengths` or zero `samples`, or if a job fails (see
+/// [`QuantumBackend::run_batch_expect`]).
 pub fn randomized_benchmarking(
     backend: &dyn QuantumBackend,
     qubit: usize,
@@ -156,7 +158,9 @@ pub fn randomized_benchmarking(
             for &g in group.word(rec) {
                 circuit.push(g, &[qubit], &[]);
             }
-            let ez = backend.expectations(&circuit, &[], execution, rng);
+            let prepared = backend.prepare(&circuit);
+            let job = CircuitJob::expectation(&prepared, Vec::new(), execution, rng.next_u64());
+            let ez = backend.run_batch_expect(&[job]).remove(0);
             survival += (1.0 + ez[qubit]) / 2.0 / samples as f64;
         }
         points.push(RbPoint {

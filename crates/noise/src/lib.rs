@@ -20,7 +20,7 @@
 //! use qoc_sim::circuit::Circuit;
 //! use qoc_noise::channels::{depolarizing_1q, depolarizing_2q};
 //! use qoc_noise::model::NoiseModel;
-//! use qoc_noise::sim::NoisyDensitySimulator;
+//! use qoc_noise::sim::NoisyProgram;
 //!
 //! let mut c = Circuit::new(2);
 //! c.ry(0, 1.1);
@@ -30,8 +30,9 @@
 //!     .one_qubit_all(depolarizing_1q(0.001))
 //!     .two_qubit_default(depolarizing_2q(0.01))
 //!     .build();
-//! let sim = NoisyDensitySimulator::new(noise);
-//! let ez = sim.expectations_z(&c, &[]);
+//! // Compile once, then run at any binding of the circuit's symbols.
+//! let program = NoisyProgram::compile(c, &noise);
+//! let ez = program.expectations_z(&[]);
 //! assert!(ez[0].abs() <= 1.0);
 //! ```
 
@@ -49,4 +50,4 @@ pub use density::DensityMatrix;
 pub use kraus::KrausChannel;
 pub use model::{NoiseModel, NoiseModelBuilder};
 pub use readout::ReadoutError;
-pub use sim::{NoisyDensitySimulator, NoisyProgram};
+pub use sim::NoisyProgram;

@@ -37,12 +37,9 @@ use std::cell::RefCell;
 use std::f64::consts::FRAC_PI_2;
 use std::ops::Range;
 
-use rand::Rng;
-
 use qoc_sim::circuit::{Circuit, Operation, ParamValue};
 use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{entries_1q, Kernel};
-use qoc_sim::statevector::{expectation_z_from_counts, sample_counts};
 
 use crate::channels::depolarizing_1q;
 use crate::density::{superoperator, DensityMatrix, MAX_QUBITS};
@@ -569,19 +566,6 @@ impl NoisyProgram {
     pub fn expectations_z(&self, theta: &[f64]) -> Vec<f64> {
         expectations_z_of(&self.outcome_probabilities(theta), self.num_qubits())
     }
-
-    /// Shot-sampled per-qubit Z expectations — exactly the statistic a real
-    /// device job returns after `shots` executions.
-    pub fn sampled_expectations_z<R: Rng + ?Sized>(
-        &self,
-        theta: &[f64],
-        shots: u32,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        let probs = self.outcome_probabilities(theta);
-        let counts = sample_counts(&probs, shots, rng);
-        expectation_z_from_counts(&counts, self.num_qubits(), shots)
-    }
 }
 
 /// Exact per-qubit Z expectations of a distribution over `num_qubits`-bit
@@ -600,91 +584,12 @@ pub fn expectations_z_of(probs: &[f64], num_qubits: usize) -> Vec<f64> {
     ez
 }
 
-/// Exact noisy simulator: a circuit compiled with the noise model into a
-/// [`NoisyProgram`] per call, readout confusion on the final distribution,
-/// and optional finite-shot sampling.
-///
-/// This is what stands in for a real IBM machine in this reproduction: the
-/// training loop only ever sees the shot-sampled, noise-corrupted Z
-/// expectations this simulator emits. Callers that run one circuit many
-/// times (the fake devices) compile it once instead.
-///
-/// # Examples
-///
-/// ```
-/// use qoc_sim::circuit::Circuit;
-/// use qoc_noise::model::NoiseModel;
-/// use qoc_noise::sim::NoisyDensitySimulator;
-///
-/// let mut c = Circuit::new(2);
-/// c.h(0);
-/// c.cx(0, 1);
-/// let sim = NoisyDensitySimulator::new(NoiseModel::ideal(2));
-/// let ez = sim.expectations_z(&c, &[]);
-/// assert!(ez[0].abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct NoisyDensitySimulator {
-    noise: NoiseModel,
-}
-
-impl NoisyDensitySimulator {
-    /// Creates a simulator carrying a noise model.
-    pub fn new(noise: NoiseModel) -> Self {
-        NoisyDensitySimulator { noise }
-    }
-
-    /// The attached noise model.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
-    fn compile(&self, circuit: &Circuit) -> NoisyProgram {
-        NoisyProgram::compile(circuit.clone(), &self.noise)
-    }
-
-    /// Evolves `|0…0⟩⟨0…0|` through the circuit with interleaved noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit is wider than the noise model.
-    pub fn run(&self, circuit: &Circuit, theta: &[f64]) -> DensityMatrix {
-        self.compile(circuit).run(theta)
-    }
-
-    /// The measurement distribution after gate noise *and* readout error.
-    pub fn outcome_probabilities(&self, circuit: &Circuit, theta: &[f64]) -> Vec<f64> {
-        self.compile(circuit).outcome_probabilities(theta)
-    }
-
-    /// Exact (infinite-shot) per-qubit Z expectations including readout
-    /// error.
-    pub fn expectations_z(&self, circuit: &Circuit, theta: &[f64]) -> Vec<f64> {
-        self.compile(circuit).expectations_z(theta)
-    }
-
-    /// Shot-sampled per-qubit Z expectations — exactly the statistic a real
-    /// device job returns after `shots` executions.
-    pub fn sampled_expectations_z<R: Rng + ?Sized>(
-        &self,
-        circuit: &Circuit,
-        theta: &[f64],
-        shots: u32,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        self.compile(circuit)
-            .sampled_expectations_z(theta, shots, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channels::{depolarizing_1q, depolarizing_2q};
     use crate::readout::ReadoutError;
     use qoc_sim::simulator::StatevectorSimulator;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn test_circuit() -> Circuit {
         let mut c = Circuit::new(2);
@@ -697,9 +602,9 @@ mod tests {
     #[test]
     fn ideal_noise_matches_statevector() {
         let c = test_circuit();
-        let noisy = NoisyDensitySimulator::new(NoiseModel::ideal(2));
+        let noisy = NoisyProgram::compile(c.clone(), &NoiseModel::ideal(2));
         let exact = StatevectorSimulator::new().expectations_z(&c, &[]);
-        let got = noisy.expectations_z(&c, &[]);
+        let got = noisy.expectations_z(&[]);
         for (a, b) in exact.iter().zip(&got) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -712,9 +617,9 @@ mod tests {
             .one_qubit_all(depolarizing_1q(0.05))
             .two_qubit_default(depolarizing_2q(0.08))
             .build();
-        let noisy = NoisyDensitySimulator::new(noise);
+        let noisy = NoisyProgram::compile(c.clone(), &noise);
         let exact = StatevectorSimulator::new().expectations_z(&c, &[]);
-        let got = noisy.expectations_z(&c, &[]);
+        let got = noisy.expectations_z(&[]);
         for (a, b) in exact.iter().zip(&got) {
             assert!(b.abs() < a.abs() + 1e-12, "noise must not amplify |⟨Z⟩|");
             assert!(b.abs() > 0.0);
@@ -728,28 +633,10 @@ mod tests {
         let noise = NoiseModel::builder(1)
             .readout(0, ReadoutError::new(0.0, 0.25))
             .build();
-        let noisy = NoisyDensitySimulator::new(noise);
+        let noisy = NoisyProgram::compile(c, &noise);
         // ⟨Z⟩ should be −1 shifted by the 25% chance of reading 0: −0.5.
-        let ez = noisy.expectations_z(&c, &[])[0];
+        let ez = noisy.expectations_z(&[])[0];
         assert!((ez + 0.5).abs() < 1e-10);
-    }
-
-    #[test]
-    fn shot_noise_has_right_scale() {
-        let c = test_circuit();
-        let noisy = NoisyDensitySimulator::new(NoiseModel::ideal(2));
-        let exact = noisy.expectations_z(&c, &[]);
-        let mut rng = StdRng::seed_from_u64(5);
-        // With 1024 shots, the std-dev of ⟨Z⟩ is √((1−z²)/1024) ≲ 0.032.
-        let mut max_dev: f64 = 0.0;
-        for _ in 0..20 {
-            let got = noisy.sampled_expectations_z(&c, &[], 1024, &mut rng);
-            for (a, b) in exact.iter().zip(&got) {
-                max_dev = max_dev.max((a - b).abs());
-            }
-        }
-        assert!(max_dev > 1e-4, "sampling should fluctuate");
-        assert!(max_dev < 0.15, "fluctuation too large: {max_dev}");
     }
 
     #[test]
@@ -761,8 +648,8 @@ mod tests {
             .readout(0, ReadoutError::symmetric(0.03))
             .readout(1, ReadoutError::new(0.01, 0.05))
             .build();
-        let noisy = NoisyDensitySimulator::new(noise);
-        let probs = noisy.outcome_probabilities(&c, &[]);
+        let noisy = NoisyProgram::compile(c, &noise);
+        let probs = noisy.outcome_probabilities(&[]);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

@@ -30,7 +30,7 @@ use qoc_noise::channels::{
 use qoc_noise::density::DensityMatrix;
 use qoc_noise::model::{NoiseModel, NoiseOpKind, WireSelect};
 use qoc_noise::readout::{apply_confusion, ReadoutError};
-use qoc_noise::sim::{NoisyDensitySimulator, NoisyProgram};
+use qoc_noise::sim::NoisyProgram;
 use qoc_sim::circuit::{Circuit, ParamValue};
 use qoc_sim::complex::Complex64;
 use qoc_sim::gates::GateKind;
@@ -241,8 +241,8 @@ fn generic_model(n: usize, gamma: f64, p: f64) -> NoiseModel {
 /// compiled state, plus the readout-corrupted distribution.
 fn check(circuit: &Circuit, theta: &[f64], noise: NoiseModel) {
     let want = oracle(circuit, theta, &noise);
-    let sim = NoisyDensitySimulator::new(noise);
-    let got = sim.run(circuit, theta);
+    let program = NoisyProgram::compile(circuit.clone(), &noise);
+    let got = program.run(theta);
     let rho = got.matrix();
     let diff = max_abs_diff(rho, &want);
     prop_assert!(diff <= TOL, "compiled vs oracle: max |Δρ| = {diff:e}");
@@ -256,8 +256,8 @@ fn check(circuit: &Circuit, theta: &[f64], noise: NoiseModel) {
 
     let n = circuit.num_qubits();
     let mut want_probs: Vec<f64> = (0..1 << n).map(|i| want[(i, i)].re.max(0.0)).collect();
-    apply_confusion(&mut want_probs, &sim.noise().readout()[..n]);
-    let probs = sim.outcome_probabilities(circuit, theta);
+    apply_confusion(&mut want_probs, &noise.readout()[..n]);
+    let probs = program.outcome_probabilities(theta);
     for (p, w) in probs.iter().zip(&want_probs) {
         prop_assert!((p - w).abs() <= TOL, "outcome {p} vs oracle {w}");
     }
@@ -370,7 +370,7 @@ proptest! {
     ) {
         let (circuit, theta) = case;
         let n = circuit.num_qubits();
-        let mut rho = NoisyDensitySimulator::new(generic_model(n, gamma, 0.1)).run(&circuit, &theta);
+        let mut rho = NoisyProgram::compile(circuit, &generic_model(n, gamma, 0.1)).run(&theta);
         let a = wires.0 % n;
         let qubits = if n >= 2 && wires.2 {
             vec![a, (a + 1 + wires.1 % (n - 1)) % n]
@@ -449,7 +449,7 @@ proptest! {
         // A mixed input state: the circuit under the generic model.
         let (circuit, theta) = case;
         let n = circuit.num_qubits();
-        let mut rho = NoisyDensitySimulator::new(generic_model(n, gamma, p)).run(&circuit, &theta);
+        let mut rho = NoisyProgram::compile(circuit, &generic_model(n, gamma, p)).run(&theta);
         let a = wires.0 % n;
         let mut want = rho.matrix().clone();
         let one_qubit = [

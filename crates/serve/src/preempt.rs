@@ -22,12 +22,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use qoc_device::backend::{
-    CircuitJob, Execution, ExecutionStats, JacobianAnswer, JacobianBatch, PreparedCircuit,
-    QuantumBackend,
+    CircuitJob, ExecutionStats, JacobianAnswer, JacobianBatch, PreparedCircuit, QuantumBackend,
 };
 use qoc_device::retry::{JobError, JobResult, RetryPolicy};
 use qoc_sim::circuit::Circuit;
-use rand::RngCore;
 
 /// A [`QuantumBackend`] lease that can be yanked between circuit jobs.
 pub struct PreemptableBackend<'a> {
@@ -63,20 +61,6 @@ impl QuantumBackend for PreemptableBackend<'_> {
 
     fn prepare(&self, circuit: &Circuit) -> PreparedCircuit {
         self.inner.prepare(circuit)
-    }
-
-    fn run_prepared(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        self.inner.run_prepared(prepared, theta, execution, rng)
-    }
-
-    fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
-        self.inner.outcome_probabilities(prepared, theta)
     }
 
     fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
@@ -116,7 +100,7 @@ impl QuantumBackend for PreemptableBackend<'_> {
 mod tests {
     use super::*;
     use qoc_core::shift::ParameterShiftEngine;
-    use qoc_device::backend::{FakeDevice, NoiselessBackend};
+    use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
     use qoc_device::backends::fake_lima;
     use qoc_sim::circuit::ParamValue;
 

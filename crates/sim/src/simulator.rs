@@ -1,7 +1,5 @@
 //! Circuit execution on the statevector backend.
 
-use rand::Rng;
-
 use crate::circuit::Circuit;
 use crate::fusion::FusedProgram;
 use crate::statevector::Statevector;
@@ -10,8 +8,8 @@ use crate::statevector::Statevector;
 ///
 /// This is the "Classical-Train" substrate of the QOC paper: amplitudes are
 /// tracked in a `2ⁿ` vector, gates are applied as complex matrix kernels, and
-/// measurement can either be exact (expectation values) or sampled
-/// (shot-limited, as on hardware).
+/// measurement is exact; shot-limited readout, as on hardware, samples the
+/// state's probabilities with [`crate::statevector::sample_counts`].
 ///
 /// # Examples
 ///
@@ -88,26 +86,12 @@ impl StatevectorSimulator {
     pub fn expectations_z(&self, circuit: &Circuit, theta: &[f64]) -> Vec<f64> {
         self.run(circuit, theta).expectation_all_z()
     }
-
-    /// Shot-sampled per-qubit Pauli-Z expectations, mimicking a real
-    /// device's finite-shot readout (but with no gate noise).
-    pub fn sampled_expectations_z<R: Rng + ?Sized>(
-        &self,
-        circuit: &Circuit,
-        theta: &[f64],
-        shots: u32,
-        rng: &mut R,
-    ) -> Vec<f64> {
-        self.run(circuit, theta).sampled_expectation_z(shots, rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circuit::ParamValue;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn ry_rotation_expectation_is_cosine() {
@@ -146,21 +130,6 @@ mod tests {
         sim.run_into(&c.inverse(), &[], &mut sv);
         let zero = Statevector::zero_state(3);
         assert!(sv.approx_eq_up_to_phase(&zero, 1e-10));
-    }
-
-    #[test]
-    fn sampled_matches_exact_in_expectation() {
-        let mut c = Circuit::new(2);
-        c.ry(0, 0.9);
-        c.rzz(0, 1, 0.5);
-        c.rx(1, 1.7);
-        let sim = StatevectorSimulator::new();
-        let exact = sim.expectations_z(&c, &[]);
-        let mut rng = StdRng::seed_from_u64(11);
-        let sampled = sim.sampled_expectations_z(&c, &[], 100_000, &mut rng);
-        for (e, s) in exact.iter().zip(&sampled) {
-            assert!((e - s).abs() < 0.02);
-        }
     }
 
     #[test]

@@ -305,13 +305,6 @@ impl Statevector {
     pub fn approx_eq_up_to_phase(&self, other: &Statevector, tol: f64) -> bool {
         self.num_qubits == other.num_qubits && (1.0 - self.fidelity(other)).abs() <= tol
     }
-
-    /// Estimates per-qubit Pauli-Z expectations from `shots` sampled
-    /// measurement outcomes — the statistic a real device reports.
-    pub fn sampled_expectation_z<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> Vec<f64> {
-        let counts = sample_counts(&self.probabilities(), shots, rng);
-        expectation_z_from_counts(&counts, self.num_qubits, shots)
-    }
 }
 
 /// Samples `shots` basis-state outcomes from a probability vector and
@@ -708,7 +701,8 @@ mod tests {
         sv.apply_1q(&GateKind::Ry.matrix(&[1.0]), 0);
         let exact = sv.expectation_z(0);
         let mut rng = StdRng::seed_from_u64(7);
-        let est = sv.sampled_expectation_z(200_000, &mut rng)[0];
+        let counts = sample_counts(&sv.probabilities(), 200_000, &mut rng);
+        let est = expectation_z_from_counts(&counts, 1, 200_000)[0];
         assert!((est - exact).abs() < 0.01, "est {est} vs exact {exact}");
     }
 

@@ -25,18 +25,19 @@ fn main() {
     }
     let theta: [f64; 0] = [];
 
-    let ideal = simulator.expectations(&c, &theta, Execution::Exact, &mut rng);
-    let prepared = device.prepare(&c);
-    let raw_probs = device.outcome_probabilities(&prepared, &theta);
-    let raw: Vec<f64> = (0..4)
-        .map(|q| {
-            raw_probs
-                .iter()
-                .enumerate()
-                .map(|(s, p)| if s & (1 << q) == 0 { *p } else { -*p })
-                .sum()
+    let exact = |backend: &dyn QuantumBackend, kind| {
+        let prepared = backend.prepare(&c);
+        backend.run_job(&CircuitJob {
+            prepared: &prepared,
+            theta: theta.to_vec(),
+            execution: Execution::Exact,
+            seed: 0,
+            kind,
         })
-        .collect();
+    };
+    let ideal = exact(&simulator, JobKind::ExpectationZ);
+    let raw = exact(&device, JobKind::ExpectationZ);
+    let raw_probs = exact(&device, JobKind::OutcomeDistribution);
 
     // 1. Readout mitigation: calibrate the confusion matrices, invert.
     println!("calibrating readout on {} ...", device.name());

@@ -8,8 +8,6 @@
 
 use qoc::core::grad::QnnGradientComputer;
 use qoc::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let model = QnnModel::mnist2();
@@ -20,9 +18,17 @@ fn main() {
     let theta = model.symbol_vector(&params, &input);
 
     // Part 1: expectation shrinkage per device.
+    let exact = |backend: &dyn QuantumBackend| {
+        let prepared = backend.prepare(model.circuit());
+        backend.run_job(&CircuitJob::expectation(
+            &prepared,
+            theta.clone(),
+            Execution::Exact,
+            0,
+        ))
+    };
     let simulator = NoiselessBackend::new();
-    let mut rng = StdRng::seed_from_u64(1);
-    let ideal = simulator.expectations(model.circuit(), &theta, Execution::Exact, &mut rng);
+    let ideal = exact(&simulator);
     println!("per-qubit ⟨Z⟩ of the MNIST-2 circuit:\n");
     println!(
         "{:<16} {:>8} {:>8} {:>8} {:>8}",
@@ -34,7 +40,7 @@ fn main() {
     );
     for desc in all_paper_devices() {
         let device = FakeDevice::new(desc);
-        let ez = device.expectations(model.circuit(), &theta, Execution::Exact, &mut rng);
+        let ez = exact(&device);
         println!(
             "{:<16} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
             device.name(),

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use qoc_data::dataset::Dataset;
     pub use qoc_data::tasks::Task;
     pub use qoc_device::backend::{
-        Execution, FakeDevice, NoiselessBackend, QuantumBackend, PAPER_SHOTS,
+        CircuitJob, Execution, FakeDevice, JobKind, NoiselessBackend, QuantumBackend, PAPER_SHOTS,
     };
     pub use qoc_device::backends::{
         all_paper_devices, fake_jakarta, fake_lima, fake_manila, fake_santiago, fake_toronto,

@@ -17,7 +17,6 @@ use qoc::device::retry::{JobError, JobResult, RetryPolicy};
 use qoc::nn::model::QnnModel;
 use qoc::prelude::{Dataset, LrSchedule, OptimizerKind};
 use qoc::sim::circuit::Circuit;
-use rand::RngCore;
 
 /// Delegates to a noiseless simulator until its job fuse is spent, then
 /// fails every job fatally — a hardware backend going offline mid-run.
@@ -49,18 +48,8 @@ impl QuantumBackend for KillSwitchBackend {
         self.inner.prepare(circuit)
     }
 
-    fn run_prepared(
-        &self,
-        prepared: &PreparedCircuit,
-        theta: &[f64],
-        execution: Execution,
-        rng: &mut dyn RngCore,
-    ) -> Vec<f64> {
-        self.inner.run_prepared(prepared, theta, execution, rng)
-    }
-
-    fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64> {
-        self.inner.outcome_probabilities(prepared, theta)
+    fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
+        self.inner.run_job(job)
     }
 
     fn try_run_job(&self, job: &CircuitJob<'_>, _attempt: u32) -> JobResult {

@@ -97,7 +97,12 @@ fn cx_thermal_wire_slot_shortcut_error_on_mnist4_jakarta() {
             .map(|i| ((i * 7 + k * 3) % 11) as f64 * 0.5 - 2.5)
             .collect();
         let theta = model.symbol_vector(&params, &vec![input; model.input_dim()]);
-        let device_probs = device.outcome_probabilities(&prepared, &theta);
+        let device_probs = device.run_job(&CircuitJob::distribution(
+            &prepared,
+            theta.clone(),
+            Execution::Exact,
+            0,
+        ));
         let shortcut = calibrated_outcome(&t.circuit, &theta, &desc.calibration, readout, false);
         for (d, s) in device_probs.iter().zip(&shortcut) {
             assert!((d - s).abs() < 1e-12, "harness must reproduce the device");

@@ -84,18 +84,19 @@ fn zne_and_readout_mitigation_both_help() {
     c.rx(2, 0.4);
     let theta: [f64; 0] = [];
 
-    let ideal = simulator.expectations(&c, &theta, Execution::Exact, &mut rng);
-    let prepared = device.prepare(&c);
-    let raw_probs = device.outcome_probabilities(&prepared, &theta);
-    let raw: Vec<f64> = (0..3)
-        .map(|q| {
-            raw_probs
-                .iter()
-                .enumerate()
-                .map(|(s, p)| if s & (1 << q) == 0 { *p } else { -*p })
-                .sum()
+    let exact = |backend: &dyn QuantumBackend, kind| {
+        let prepared = backend.prepare(&c);
+        backend.run_job(&CircuitJob {
+            prepared: &prepared,
+            theta: theta.to_vec(),
+            execution: Execution::Exact,
+            seed: 0,
+            kind,
         })
-        .collect();
+    };
+    let ideal = exact(&simulator, JobKind::ExpectationZ);
+    let raw = exact(&device, JobKind::ExpectationZ);
+    let raw_probs = exact(&device, JobKind::OutcomeDistribution);
     let err = |v: &[f64]| -> f64 { v.iter().zip(&ideal).map(|(a, b)| (a - b).abs()).sum() };
 
     // Readout mitigation.
