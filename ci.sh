@@ -83,7 +83,19 @@ stage_trace_validate() {
     QOC_SHOT_ALLOC=snr QOC_LOG=debug QOC_TRACE_FILE=results/ci_trace_snr.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
-        results/ci_trace_snr.jsonl --quiet
+        results/ci_trace_snr.jsonl --quiet || return 1
+    # Third leg: a misspelt knob must stop the run before it trains, with
+    # the error naming the knob that was meant.
+    local err
+    if err=$(QOC_SHOT_ALOC=snr cargo run --offline --release --example traced_training 2>&1 >/dev/null); then
+        echo "trace-validate: traced_training ran with QOC_SHOT_ALOC set" >&2
+        return 1
+    fi
+    if ! grep -q 'QOC_SHOT_ALLOC' <<< "$err"; then
+        echo "trace-validate: the QOC_SHOT_ALOC error does not name QOC_SHOT_ALLOC:" >&2
+        echo "$err" | tail -5 >&2
+        return 1
+    fi
 }
 
 stage_analyze() {
@@ -167,7 +179,7 @@ stage_monitor() {
     # families including qoc_grad_snr.
     rm -f results/ci_monitor.status.json results/ci_monitor.status.history.jsonl \
           results/ci_monitor.status.prom
-    QOC_STATUS_FILE=results/ci_monitor.status.json QOC_STATUS_EVERY=1 \
+    QOC_STATUS_FILE=results/ci_monitor.status.json \
     QOC_FLIGHT_RECORDER=2048 QOC_TRACE_FILE=results/ci_monitor.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
     cargo run --offline --release -p qoc-bench --bin monitor_check -- \
@@ -206,7 +218,7 @@ stage_watch() {
     rm -f results/ci_watch.status.json results/ci_watch.status.history.jsonl \
           results/ci_watch.status.history.jsonl.1 results/ci_watch.status.prom \
           results/ci_watch.status.alerts.jsonl results/ci_watch.profile.folded
-    QOC_STATUS_FILE=results/ci_watch.status.json QOC_STATUS_EVERY=1 \
+    QOC_STATUS_FILE=results/ci_watch.status.json \
     QOC_PROFILE_HZ=97 QOC_TRACE_FILE=results/ci_watch.jsonl \
     QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr p50 < 0.05 for 3 windows" \
         cargo run --offline --release --example traced_training > /dev/null
@@ -228,7 +240,7 @@ stage_watch() {
           results/ci_watch_fault.status.prom \
           results/ci_watch_fault.status.alerts.jsonl
     QOC_FAULT_PLAN="seed=7,transient=0.2,timeout=0.05,max_failures=3" \
-    QOC_STATUS_FILE=results/ci_watch_fault.status.json QOC_STATUS_EVERY=1 \
+    QOC_STATUS_FILE=results/ci_watch_fault.status.json \
     QOC_TRACE_FILE=results/ci_watch_fault.jsonl \
     QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr min < 0.5" \
         cargo run --offline --release --example traced_training > /dev/null
@@ -250,8 +262,7 @@ stage_bench_smoke() {
     # BENCH_param_shift.json, fused QNN-4 state prep and 1024 shots of the
     # MNIST-4 read-out vs BENCH_gate_kernels.json, adjoint-sweep Jacobian
     # vs BENCH_adjoint.json, forked MNIST-4/jakarta example gradient vs
-    # BENCH_density.json);
-    # tolerance is QOC_BENCH_TOLERANCE. Also statically gates the committed
+    # BENCH_density.json). Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke
 }

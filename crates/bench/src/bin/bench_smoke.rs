@@ -29,8 +29,7 @@
 //!
 //! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]]`
 //! (defaults to the repo-root artifacts; `GATE_KERNELS_JSON` holds both the
-//! fused and the sampler row). Tolerance defaults to 0.25 (25 %) and can be
-//! overridden with `QOC_BENCH_TOLERANCE`. Exit codes: **0** within
+//! fused and the sampler row). The tolerance is 0.25 (25 %). Exit codes: **0** within
 //! tolerance, **1** regression or malformed baseline, **2** baseline
 //! missing. Debug builds skip the gates — criterion baselines are measured
 //! with optimizations on, so unoptimized timings are not comparable.
@@ -60,15 +59,10 @@ use rand::{RngCore, SeedableRng};
 type Gate<'a> = (&'a PathBuf, &'a str, &'a str, fn() -> f64);
 
 /// Allowed fractional slowdown before a gate fails.
-const DEFAULT_TOLERANCE: f64 = 0.25;
+const TOLERANCE: f64 = 0.25;
 /// Timed repetitions (minimum taken) after the warmup.
 const REPS: usize = 12;
 const WARMUP: usize = 2;
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("bench_smoke: {msg}");
-    ExitCode::from(1)
-}
 
 /// Pulls the value named `key` (`min_ns`, `median_ns`, …) for `label` out
 /// of a bench artifact.
@@ -484,13 +478,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let tolerance = match std::env::var("QOC_BENCH_TOLERANCE") {
-        Ok(raw) => match raw.parse::<f64>() {
-            Ok(t) if t >= 0.0 => t,
-            _ => return fail(&format!("QOC_BENCH_TOLERANCE {raw:?} is not a number ≥ 0")),
-        },
-        Err(_) => DEFAULT_TOLERANCE,
-    };
     let gates: [Gate; 5] = [
         (
             &shift_path,
@@ -525,7 +512,7 @@ fn main() -> ExitCode {
     ];
     let mut rows: Vec<GateRow> = gates
         .into_iter()
-        .map(|(path, label, hint, measure)| check_gate(path, label, tolerance, hint, measure))
+        .map(|(path, label, hint, measure)| check_gate(path, label, TOLERANCE, hint, measure))
         .collect();
     // The disabled-span row measures single nanoseconds, where scheduler
     // jitter on a shared runner dwarfs the 25% default band — gate it at a
@@ -534,7 +521,7 @@ fn main() -> ExitCode {
     rows.push(check_gate(
         &shift_path,
         "telemetry/span_disabled_profiler_off",
-        tolerance.max(1.0),
+        TOLERANCE.max(1.0),
         "cargo bench -p qoc-bench --bench param_shift",
         measure_disabled_span_profiler_off_min_ns,
     ));

@@ -34,8 +34,8 @@ fn fail(msg: &str) -> ExitCode {
 
 /// Asserts the manifest written by the traced run carries nonzero retry
 /// accounting (so postmortems can see what the device did).
-fn check_manifest(trace_file: &str) -> Result<u64, String> {
-    let path = std::path::Path::new(trace_file).with_extension("manifest.json");
+fn check_manifest(trace_file: &std::path::Path) -> Result<u64, String> {
+    let path = trace_file.with_extension("manifest.json");
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read manifest {}: {e}", path.display()))?;
     let manifest =
@@ -59,7 +59,10 @@ fn check_manifest(trace_file: &str) -> Result<u64, String> {
 
 fn main() -> ExitCode {
     qoc_bench::init();
-    let plan = FaultPlan::from_env().unwrap_or_else(|| FaultPlan::aggressive(SOAK_SEED));
+    let plan = match FaultPlan::from_env() {
+        Ok(plan) => plan.unwrap_or_else(|| FaultPlan::aggressive(SOAK_SEED)),
+        Err(e) => return fail(&e.to_string()),
+    };
     let policy = RetryPolicy::from_env().without_backoff();
     if plan.transient_rate < 0.10 {
         return fail(&format!(
@@ -137,12 +140,12 @@ fn main() -> ExitCode {
         ));
     }
 
-    match std::env::var("QOC_TRACE_FILE") {
-        Ok(trace) => match check_manifest(&trace) {
+    match qoc_telemetry::env::path("QOC_TRACE_FILE") {
+        Some(trace) => match check_manifest(&trace) {
             Ok(n) => println!("fault_soak: manifest ok ({n} retries persisted)"),
             Err(msg) => return fail(&msg),
         },
-        Err(_) => println!("fault_soak: QOC_TRACE_FILE unset — manifest check skipped"),
+        None => println!("fault_soak: QOC_TRACE_FILE unset — manifest check skipped"),
     }
 
     println!(

@@ -107,11 +107,10 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    let trace_path =
-        match trace_arg.or_else(|| std::env::var("QOC_TRACE_FILE").ok().map(PathBuf::from)) {
-            Some(p) => p,
-            None => return fail_missing("no trace file given (argument or QOC_TRACE_FILE)"),
-        };
+    let trace_path = match trace_arg.or_else(|| qoc_telemetry::env::path("QOC_TRACE_FILE")) {
+        Some(p) => p,
+        None => return fail_missing("no trace file given (argument or QOC_TRACE_FILE)"),
+    };
 
     let trace_text = match std::fs::read_to_string(&trace_path) {
         Ok(t) => t,

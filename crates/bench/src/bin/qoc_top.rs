@@ -265,14 +265,13 @@ fn main() -> ExitCode {
         }
         i += 1;
     }
-    let status_path =
-        match status_arg.or_else(|| std::env::var("QOC_STATUS_FILE").ok().map(PathBuf::from)) {
-            Some(p) => p,
-            None => {
-                eprintln!("qoc-top: no status file given (argument or QOC_STATUS_FILE)");
-                return ExitCode::from(2);
-            }
-        };
+    let status_path = match status_arg.or_else(|| qoc_telemetry::env::path("QOC_STATUS_FILE")) {
+        Some(p) => p,
+        None => {
+            eprintln!("qoc-top: no status file given (argument or QOC_STATUS_FILE)");
+            return ExitCode::from(2);
+        }
+    };
     let history_path = status_path.with_extension("history.jsonl");
 
     let mut last_frame = String::new();

@@ -1,5 +1,5 @@
 //! **Shot-allocation frontier** — measures what the SNR-adaptive shot
-//! controller (`QOC_SHOT_ALLOC=snr`, see `qoc_core::alloc`) buys over the
+//! controller (`TrainConfig::shot_alloc`, see `qoc_core::alloc`) buys over the
 //! paper's fixed 1024-shot budget on MNIST-2.
 //!
 //! Protocol: train the same model, data, seed, and PGP settings twice —
@@ -12,7 +12,7 @@
 //! Usage:
 //! `cargo run --release -p qoc-bench --bin shot_frontier [--ci] [--steps N] [--seed N]`
 //!
-//! - default (full) profile sweeps `QOC_TARGET_SNR` over a grid and writes
+//! - default (full) profile sweeps the target SNR over a grid and writes
 //!   the committed `BENCH_shot_alloc.json` at the repo root (the
 //!   `bench_smoke` gate and the `ci.sh shot-alloc` stage read it);
 //! - `--ci` runs one reduced-size point and **exits 1** unless the
@@ -23,8 +23,9 @@ use std::process::ExitCode;
 
 use qoc_bench::suite::{pgp_config_for, Measurement};
 use qoc_bench::{arg_usize, format_table};
-use qoc_core::engine::{train, PruningKind, TrainConfig};
+use qoc_core::engine::{train_anchored, PruningKind, RunAnchor, TrainConfig};
 use qoc_core::eval::evaluate_with_params;
+use qoc_core::ShotAllocConfig;
 use qoc_data::tasks::Task;
 use qoc_device::backend::{Execution, NoiselessBackend, QuantumBackend};
 use qoc_nn::model::QnnModel;
@@ -33,7 +34,7 @@ use qoc_nn::model::QnnModel;
 const BASE_SHOTS: u32 = 1024;
 /// Fractional shot reduction the CI gate demands at no accuracy loss.
 const CI_MIN_REDUCTION: f64 = 0.25;
-/// `QOC_TARGET_SNR` grid for the full frontier sweep.
+/// Target-SNR grid for the full frontier sweep.
 const SNR_GRID: [f64; 4] = [1.0, 1.5, 2.0, 3.0];
 
 /// Outcome of one training run: executed shots and exact-eval accuracy.
@@ -42,10 +43,11 @@ struct RunPoint {
     accuracy: f64,
 }
 
-/// Trains MNIST-2 once under the ambient `QOC_SHOT_ALLOC` environment and
-/// returns executed shots (from backend stats) plus the final accuracy
-/// scored with exact expectations on the full validation split.
-fn run_once(steps: usize, seed: u64) -> RunPoint {
+/// Trains MNIST-2 once with the shot allocator `shot_alloc` (`None`: the
+/// fixed baseline budget) and returns executed shots (from backend stats)
+/// plus the final accuracy scored with exact expectations on the full
+/// validation split.
+fn run_once(steps: usize, seed: u64, shot_alloc: Option<ShotAllocConfig>) -> RunPoint {
     let model = QnnModel::mnist2();
     let backend = NoiselessBackend::new();
     let (train_set, val_set) = Task::Mnist2.load(seed);
@@ -54,6 +56,7 @@ fn run_once(steps: usize, seed: u64) -> RunPoint {
     config.schedule = qoc_core::sched::LrSchedule::paper_cosine(steps);
     config.pruning = PruningKind::Probabilistic(pgp_config_for(Task::Mnist2));
     config.execution = Execution::Shots(BASE_SHOTS);
+    config.shot_alloc = shot_alloc;
     config.seed = seed;
     // Validation also runs on the backend; keep it small and identical on
     // both sides so it dilutes the measured reduction equally.
@@ -61,7 +64,15 @@ fn run_once(steps: usize, seed: u64) -> RunPoint {
     config.eval_examples = 8;
 
     backend.reset_stats();
-    let result = train(&model, &backend, &train_set, &val_set, &config);
+    let result = train_anchored(
+        &model,
+        &backend,
+        &train_set,
+        &val_set,
+        &config,
+        RunAnchor::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let total_shots = backend.stats().total_shots;
     let accuracy = evaluate_with_params(
         &model,
@@ -78,20 +89,12 @@ fn run_once(steps: usize, seed: u64) -> RunPoint {
     }
 }
 
-/// Runs the controller side at one `QOC_TARGET_SNR`, restoring the
-/// environment afterwards so the caller's next baseline stays clean.
-fn run_with_controller(steps: usize, seed: u64, target_snr: f64, min_shots: usize) -> RunPoint {
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    std::env::set_var("QOC_SHOT_MIN", min_shots.to_string());
-    // Cap at the baseline budget: the controller may only save, not splurge.
-    std::env::set_var("QOC_SHOT_MAX", BASE_SHOTS.to_string());
-    std::env::set_var("QOC_TARGET_SNR", format!("{target_snr}"));
-    let point = run_once(steps, seed);
-    std::env::remove_var("QOC_SHOT_ALLOC");
-    std::env::remove_var("QOC_SHOT_MIN");
-    std::env::remove_var("QOC_SHOT_MAX");
-    std::env::remove_var("QOC_TARGET_SNR");
-    point
+/// Runs the controller side at one target SNR. The ceiling is the baseline
+/// budget: the controller may only save, not splurge.
+fn run_with_controller(steps: usize, seed: u64, target_snr: f64, min_shots: u32) -> RunPoint {
+    let shot_alloc = ShotAllocConfig::new(min_shots, BASE_SHOTS, target_snr)
+        .unwrap_or_else(|e| panic!("--min-shots {min_shots}: {e}"));
+    run_once(steps, seed, Some(shot_alloc))
 }
 
 fn frontier_row(label: &str, target_snr: f64, base: &RunPoint, alloc: &RunPoint) -> Measurement {
@@ -153,13 +156,10 @@ fn main() -> ExitCode {
     let ci = std::env::args().any(|a| a == "--ci");
     let steps = arg_usize("--steps", if ci { 25 } else { 40 });
     let seed = arg_usize("--seed", 42) as u64;
-    let min_shots = arg_usize("--min-shots", 128);
-
-    // A stale controller setting would contaminate the baseline side.
-    std::env::remove_var("QOC_SHOT_ALLOC");
+    let min_shots = u32::try_from(arg_usize("--min-shots", 128)).unwrap_or(u32::MAX);
 
     eprintln!("[shot_frontier] baseline: fixed {BASE_SHOTS} shots, {steps} steps, seed {seed}");
-    let base = run_once(steps, seed);
+    let base = run_once(steps, seed, None);
     eprintln!(
         "[shot_frontier] baseline: {} shots, accuracy {:.3}",
         base.total_shots, base.accuracy

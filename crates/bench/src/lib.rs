@@ -12,10 +12,15 @@ use std::path::Path;
 
 use serde::Serialize;
 
-/// Standard entry-point setup for every experiment binary: activates
-/// telemetry from `QOC_LOG` / `QOC_TRACE_FILE` so any harness run can be
-/// traced without code changes.
+/// Standard entry-point setup for every experiment binary: validates every
+/// `QOC_*` knob (exiting with status 2 on an unknown or malformed one,
+/// before anything runs), then activates telemetry from `QOC_LOG` /
+/// `QOC_TRACE_FILE` so any harness run can be traced without code changes.
 pub fn init() {
+    if let Err(e) = qoc_telemetry::env::check() {
+        eprintln!("qoc-bench: {e}");
+        std::process::exit(2);
+    }
     qoc_telemetry::init_from_env();
 }
 

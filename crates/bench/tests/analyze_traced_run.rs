@@ -62,6 +62,7 @@ fn analyzer_reconciles_device_time_and_savings_on_a_pgp_run() {
         schedule: LrSchedule::Constant { lr: 0.2 },
         pruning: PruningKind::Probabilistic(PruneConfig::paper_default()),
         execution: Execution::Shots(256),
+        shot_alloc: None,
         seed: 11,
         eval_every: 100,
         eval_examples: 8,

@@ -40,19 +40,22 @@
 //! (the `alloc.window` event, `qoc.alloc.*` counters) is separately gated
 //! on [`qoc_telemetry::enabled`] and never feeds back into decisions.
 //!
-//! Configured via `QOC_SHOT_ALLOC=off|snr` (default off — every existing
-//! golden stays byte-identical) plus `QOC_SHOT_MIN` / `QOC_SHOT_MAX` /
-//! `QOC_TARGET_SNR`.
+//! Configured by value: `TrainConfig::shot_alloc` (`None` by default, so
+//! every existing golden stays byte-identical). The env-driven entry points
+//! map `QOC_SHOT_ALLOC=snr` to [`ShotAllocConfig::default`] through
+//! [`ShotAllocConfig::from_env`].
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+
+use qoc_telemetry::env::EnvError;
 
 use crate::health::{ema_update, ClosedWindow, GradientHealth, EMA_DECAY, SNR_CAP};
 
-/// Default per-row shot floor when `QOC_SHOT_MIN` is unset.
+/// Default per-row shot floor.
 pub const DEFAULT_MIN_SHOTS: u32 = 128;
-/// Default per-row shot ceiling when `QOC_SHOT_MAX` is unset.
+/// Default per-row shot ceiling.
 pub const DEFAULT_MAX_SHOTS: u32 = 4096;
-/// Default SNR target when `QOC_TARGET_SNR` is unset.
+/// Default SNR target.
 pub const DEFAULT_TARGET_SNR: f64 = 2.0;
 /// Predicted-SNR threshold below which evaluating a row is considered a
 /// coin flip: if even [`ShotAllocConfig::max_shots`] cannot lift a
@@ -81,17 +84,15 @@ const RETUNE_RECALL_LOW: f64 = 0.7;
 /// Why the shot-allocation configuration was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShotAllocError {
-    /// `QOC_SHOT_ALLOC` was set to something other than `off`/`snr`.
-    InvalidMode(String),
-    /// A numeric variable did not parse or was out of its domain.
+    /// A field was out of its domain.
     InvalidNumber {
-        /// Which environment variable.
-        var: &'static str,
-        /// The offending raw value.
+        /// Which [`ShotAllocConfig`] field.
+        field: &'static str,
+        /// The offending value.
         value: String,
     },
-    /// `QOC_SHOT_MIN` exceeds `QOC_SHOT_MAX` — clamping silently would
-    /// invert the caller's intent, so this is a typed error, not a panic.
+    /// `min_shots` exceeds `max_shots` — clamping silently would invert
+    /// the caller's intent, so this is a typed error, not a panic.
     InvalidRange {
         /// Configured floor.
         min: u32,
@@ -103,31 +104,28 @@ pub enum ShotAllocError {
 impl std::fmt::Display for ShotAllocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShotAllocError::InvalidMode(m) => {
-                write!(f, "unknown QOC_SHOT_ALLOC mode {m:?} (expected off or snr)")
+            ShotAllocError::InvalidNumber { field, value } => {
+                write!(f, "{field} must be a positive number, got {value}")
             }
-            ShotAllocError::InvalidNumber { var, value } => {
-                write!(f, "{var} must be a positive number, got {value:?}")
+            ShotAllocError::InvalidRange { min, max } => {
+                write!(f, "min_shots ({min}) must not exceed max_shots ({max})")
             }
-            ShotAllocError::InvalidRange { min, max } => write!(
-                f,
-                "QOC_SHOT_MIN ({min}) must not exceed QOC_SHOT_MAX ({max})"
-            ),
         }
     }
 }
 
 impl std::error::Error for ShotAllocError {}
 
-/// Validated shot-allocation controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Shot-allocation controller configuration. Only [`Self::new`] and
+/// [`Self::default`] build one, so every value is valid.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShotAllocConfig {
     /// Per-row shot floor (≥ 1).
-    pub min_shots: u32,
+    min_shots: u32,
     /// Per-row shot ceiling (≥ `min_shots`).
-    pub max_shots: u32,
+    max_shots: u32,
     /// The SNR the budget solver aims each evaluated row at (> 0).
-    pub target_snr: f64,
+    target_snr: f64,
 }
 
 impl Default for ShotAllocConfig {
@@ -151,7 +149,7 @@ impl ShotAllocConfig {
     pub fn new(min_shots: u32, max_shots: u32, target_snr: f64) -> Result<Self, ShotAllocError> {
         if min_shots == 0 {
             return Err(ShotAllocError::InvalidNumber {
-                var: "QOC_SHOT_MIN",
+                field: "min_shots",
                 value: "0".to_string(),
             });
         }
@@ -163,7 +161,7 @@ impl ShotAllocConfig {
         }
         if !(target_snr.is_finite() && target_snr > 0.0) {
             return Err(ShotAllocError::InvalidNumber {
-                var: "QOC_TARGET_SNR",
+                field: "target_snr",
                 value: format!("{target_snr}"),
             });
         }
@@ -174,47 +172,15 @@ impl ShotAllocConfig {
         })
     }
 
-    /// Reads `QOC_SHOT_ALLOC` (`off`/`snr`, default off → `None`) plus the
-    /// `QOC_SHOT_MIN` / `QOC_SHOT_MAX` / `QOC_TARGET_SNR` overrides.
+    /// The controller `QOC_SHOT_ALLOC` asks for: the defaults under `snr`,
+    /// `None` under `off` or when unset.
     ///
     /// # Errors
     ///
-    /// Typed [`ShotAllocError`]s for an unknown mode, unparseable numbers,
-    /// or an inverted min/max range — never a panic, so callers can decide
-    /// how loudly to fail.
-    pub fn from_env() -> Result<Option<Self>, ShotAllocError> {
-        let mode = std::env::var("QOC_SHOT_ALLOC").unwrap_or_default();
-        match mode.trim().to_ascii_lowercase().as_str() {
-            "" | "off" => return Ok(None),
-            "snr" => {}
-            other => return Err(ShotAllocError::InvalidMode(other.to_string())),
-        }
-        let parse_u32 = |var: &'static str, default: u32| -> Result<u32, ShotAllocError> {
-            match std::env::var(var) {
-                Ok(raw) => raw
-                    .trim()
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&v| v >= 1)
-                    .ok_or(ShotAllocError::InvalidNumber { var, value: raw }),
-                Err(_) => Ok(default),
-            }
-        };
-        let min_shots = parse_u32("QOC_SHOT_MIN", DEFAULT_MIN_SHOTS)?;
-        let max_shots = parse_u32("QOC_SHOT_MAX", DEFAULT_MAX_SHOTS)?;
-        let target_snr = match std::env::var("QOC_TARGET_SNR") {
-            Ok(raw) => raw
-                .trim()
-                .parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .ok_or(ShotAllocError::InvalidNumber {
-                    var: "QOC_TARGET_SNR",
-                    value: raw,
-                })?,
-            Err(_) => DEFAULT_TARGET_SNR,
-        };
-        ShotAllocConfig::new(min_shots, max_shots, target_snr).map(Some)
+    /// An [`EnvError`] for any other value.
+    pub fn from_env() -> Result<Option<Self>, EnvError> {
+        let snr = qoc_telemetry::env::choice("QOC_SHOT_ALLOC")?.as_deref() == Some("snr");
+        Ok(snr.then(ShotAllocConfig::default))
     }
 }
 
@@ -302,7 +268,8 @@ struct Stage {
 }
 
 /// The SNR-adaptive shot allocator. One instance per training run,
-/// constructed only when `QOC_SHOT_ALLOC=snr` and execution is finite-shot.
+/// constructed only when `TrainConfig::shot_alloc` is set and execution is
+/// finite-shot.
 ///
 /// A budget policy over the run's [`GradientHealth`] tracker: it reads the
 /// tracker's |g| EMA and evaluation counts and the pruning windows it
@@ -378,11 +345,6 @@ impl ShotAllocator {
             retunes: 0,
             pending: None,
         }
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &ShotAllocConfig {
-        &self.config
     }
 
     /// Cumulative shift-job shots saved against the uniform baseline
@@ -724,7 +686,7 @@ mod tests {
     fn config_rejects_inverted_range_with_typed_error() {
         let err = ShotAllocConfig::new(512, 128, 2.0).unwrap_err();
         assert_eq!(err, ShotAllocError::InvalidRange { min: 512, max: 128 });
-        assert!(err.to_string().contains("QOC_SHOT_MIN"));
+        assert!(err.to_string().contains("min_shots"));
     }
 
     #[test]
@@ -971,20 +933,5 @@ mod tests {
         for (x, y) in state.ema_abs.iter().zip(&parsed.ema_abs) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn env_parsing_covers_modes_and_errors() {
-        // No env mutation here (tests run threaded): exercise the pure
-        // constructor and Display paths; the env-driven paths are covered
-        // by the serialized integration tests in tests/shot_alloc.rs.
-        assert!(ShotAllocConfig::new(128, 4096, 2.0).is_ok());
-        let e = ShotAllocError::InvalidMode("banana".into());
-        assert!(e.to_string().contains("banana"));
-        let e = ShotAllocError::InvalidNumber {
-            var: "QOC_SHOT_MIN",
-            value: "-3".into(),
-        };
-        assert!(e.to_string().contains("QOC_SHOT_MIN"));
     }
 }

@@ -19,6 +19,8 @@ use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
 
+use qoc_telemetry::env::EnvError;
+
 use crate::alloc::AllocState;
 use crate::engine::{EvalRecord, StepRecord};
 use crate::optim::OptimizerState;
@@ -60,30 +62,22 @@ impl CheckpointConfig {
     }
 
     /// Reads `QOC_CHECKPOINT_FILE` (the save path) and `QOC_CHECKPOINT_EVERY`
-    /// (the cadence, default [`DEFAULT_CHECKPOINT_EVERY`]). Returns `None`
-    /// when no file is configured.
+    /// (the cadence, default [`DEFAULT_CHECKPOINT_EVERY`]). `None` when no
+    /// file is configured.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `QOC_CHECKPOINT_EVERY` is set but not a positive integer —
-    /// a typo'd cadence should fail loudly, not silently disable recovery.
-    pub fn from_env() -> Option<Self> {
-        let path = std::env::var_os("QOC_CHECKPOINT_FILE")?;
-        if path.is_empty() {
-            return None;
-        }
-        let every = match std::env::var("QOC_CHECKPOINT_EVERY") {
-            Ok(raw) => raw
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&k| k >= 1)
-                .unwrap_or_else(|| {
-                    panic!("QOC_CHECKPOINT_EVERY must be a positive integer, got `{raw}`")
-                }),
-            Err(_) => DEFAULT_CHECKPOINT_EVERY,
+    /// An [`EnvError`] when the cadence is set but not a positive integer —
+    /// a typo'd cadence must fail loudly, not silently disable recovery.
+    pub fn from_env() -> Result<Option<Self>, EnvError> {
+        let every = qoc_telemetry::env::count("QOC_CHECKPOINT_EVERY")?;
+        let Some(path) = qoc_telemetry::env::path("QOC_CHECKPOINT_FILE") else {
+            return Ok(None);
         };
-        Some(CheckpointConfig::new(PathBuf::from(path), every))
+        let every = every.map_or(DEFAULT_CHECKPOINT_EVERY, |k| {
+            usize::try_from(k).unwrap_or(usize::MAX)
+        });
+        Ok(Some(CheckpointConfig::new(path, every)))
     }
 }
 
@@ -578,8 +572,8 @@ mod tests {
     fn env_config_honors_cadence() {
         // from_env reads process-global env vars; run disabled-path check
         // only (setting vars would race with other tests).
-        if std::env::var_os("QOC_CHECKPOINT_FILE").is_none() {
-            assert_eq!(CheckpointConfig::from_env(), None);
+        if qoc_telemetry::env::path("QOC_CHECKPOINT_FILE").is_none() {
+            assert_eq!(CheckpointConfig::from_env(), Ok(None));
         }
         let cfg = CheckpointConfig::new("/tmp/x.json", 3);
         assert_eq!(cfg.every, 3);

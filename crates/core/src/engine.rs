@@ -29,8 +29,10 @@ use qoc_device::backend::{
 };
 use qoc_device::retry::BatchError;
 use qoc_nn::model::QnnModel;
+use qoc_telemetry::env::EnvError;
+use qoc_telemetry::export::StatusCore;
 
-use crate::alloc::{AllocState, ShotAllocConfig, ShotAllocError, ShotAllocator};
+use crate::alloc::{AllocState, ShotAllocConfig, ShotAllocator};
 use crate::checkpoint::{CheckpointConfig, TrainState, CHECKPOINT_SCHEMA_VERSION};
 use crate::eval::try_evaluate_params_prepared;
 use crate::grad::QnnGradientComputer;
@@ -109,6 +111,10 @@ pub struct TrainConfig {
     pub pruning: PruningKind,
     /// Shot policy for every circuit execution.
     pub execution: Execution,
+    /// SNR-adaptive shot allocation (see [`crate::alloc`]); `None` runs
+    /// every selected row at `execution`. The controller only acts under
+    /// finite-shot execution.
+    pub shot_alloc: Option<ShotAllocConfig>,
     /// RNG seed (parameter init, batching, sampling, shots).
     pub seed: u64,
     /// Evaluate on validation data every this many steps (and at the end).
@@ -131,6 +137,7 @@ impl TrainConfig {
             schedule: LrSchedule::paper_cosine(steps),
             pruning: PruningKind::None,
             execution: Execution::Shots(1024),
+            shot_alloc: None,
             seed: 42,
             eval_every: 5,
             eval_examples: 60,
@@ -209,10 +216,9 @@ pub enum TrainError {
         /// (`None` when checkpointing is not configured or the save failed).
         checkpoint: Option<PathBuf>,
     },
-    /// The `QOC_SHOT_ALLOC` controller configuration was rejected before
-    /// any circuit ran (unknown mode, unparseable number, inverted
-    /// min/max range).
-    ShotAlloc(ShotAllocError),
+    /// A `QOC_*` environment knob was unknown or malformed; rejected before
+    /// any circuit ran.
+    Config(EnvError),
 }
 
 impl std::fmt::Display for TrainError {
@@ -229,9 +235,7 @@ impl std::fmt::Display for TrainError {
                 }
                 Ok(())
             }
-            TrainError::ShotAlloc(source) => {
-                write!(f, "shot-allocation configuration rejected: {source}")
-            }
+            TrainError::Config(source) => write!(f, "configuration rejected: {source}"),
         }
     }
 }
@@ -240,23 +244,15 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Execution { source, .. } => Some(source),
-            TrainError::ShotAlloc(source) => Some(source),
+            TrainError::Config(source) => Some(source),
         }
     }
 }
 
-/// Backend usage carried over from before a resume, in exactly-additive
-/// integer units (circuit counts, shots, nanoseconds).
-#[derive(Debug, Default, Clone, Copy)]
-struct StatsBase {
-    circuits: u64,
-    shots: u64,
-    nanos: u64,
-}
-
-/// Cumulative device usage at an observer callback, in the same exact
-/// integer units the run manifest and status snapshots are built from
-/// (resume base + this process; see [`TrainObserver`]).
+/// Cumulative device usage in exactly-additive integer units: the usage
+/// carried over from before a resume, and the totals (resume base + this
+/// process) the observer callbacks, run manifest and status snapshots are
+/// built from (see [`TrainObserver`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceCounters {
     /// Circuits executed so far.
@@ -331,7 +327,7 @@ struct PreStep {
     params: Vec<f64>,
     steps_len: usize,
     best_accuracy: f64,
-    stats: StatsBase,
+    stats: DeviceCounters,
 }
 
 /// Trains `model` on `backend` per Algorithm 1 and records the run.
@@ -339,12 +335,14 @@ struct PreStep {
 /// The backend's statistics counters are reset at entry so inference counts
 /// start from zero. Checkpointing is driven by the environment:
 /// `QOC_CHECKPOINT_FILE` (save path) and `QOC_CHECKPOINT_EVERY` (cadence,
-/// default 10 steps).
+/// default 10 steps); so is the shot allocator when `config.shot_alloc` is
+/// `None` (`QOC_SHOT_ALLOC=snr` runs [`ShotAllocConfig::default`]).
 ///
 /// # Panics
 ///
-/// Panics if dataset widths do not match the model, the config is invalid,
-/// or a batch fails permanently (use [`train_anchored`] to handle failures).
+/// Panics if dataset widths do not match the model, the config or a
+/// `QOC_*` knob is invalid, or a batch fails permanently (use
+/// [`train_anchored`] to handle failures).
 pub fn train(
     model: &QnnModel,
     backend: &dyn QuantumBackend,
@@ -352,18 +350,19 @@ pub fn train(
     val_data: &Dataset,
     config: &TrainConfig,
 ) -> TrainResult {
-    let checkpoint = CheckpointConfig::from_env();
-    train_impl(
-        model,
-        backend,
-        train_data,
-        val_data,
-        config,
-        checkpoint.as_ref(),
-        None,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
+    let run = || {
+        let checkpoint = CheckpointConfig::from_env().map_err(TrainError::Config)?;
+        let mut config = *config;
+        if config.shot_alloc.is_none() {
+            config.shot_alloc = ShotAllocConfig::from_env().map_err(TrainError::Config)?;
+        }
+        let anchor = RunAnchor {
+            checkpoint: checkpoint.as_ref(),
+            ..RunAnchor::default()
+        };
+        train_anchored(model, backend, train_data, val_data, &config, anchor)
+    };
+    run().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Like [`train`] with every per-run anchor made explicit: checkpoint
@@ -374,8 +373,10 @@ pub fn train(
 ///
 /// # Errors
 ///
-/// [`TrainError::Execution`] when a batch fails permanently; an emergency
-/// checkpoint is written first if one is configured.
+/// [`TrainError::Config`] for an unknown or malformed `QOC_*` knob, before
+/// any circuit runs; [`TrainError::Execution`] when a batch fails
+/// permanently — an emergency checkpoint is written first if one is
+/// configured.
 ///
 /// # Panics
 ///
@@ -389,29 +390,12 @@ pub fn train_anchored(
     config: &TrainConfig,
     anchor: RunAnchor<'_>,
 ) -> Result<TrainResult, TrainError> {
-    train_impl(
-        model,
-        backend,
-        train_data,
-        val_data,
-        config,
-        anchor.checkpoint,
-        anchor.resume,
-        anchor.observer,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn train_impl(
-    model: &QnnModel,
-    backend: &dyn QuantumBackend,
-    train_data: &Dataset,
-    val_data: &Dataset,
-    config: &TrainConfig,
-    checkpoint: Option<&CheckpointConfig>,
-    resume: Option<TrainState>,
-    observer: Option<&dyn TrainObserver>,
-) -> Result<TrainResult, TrainError> {
+    let RunAnchor {
+        checkpoint,
+        resume,
+        observer,
+    } = anchor;
+    qoc_telemetry::env::check().map_err(TrainError::Config)?;
     assert!(config.steps > 0, "need at least one training step");
     assert!(config.batch_size > 0, "batch size must be positive");
     assert_eq!(
@@ -450,15 +434,14 @@ fn train_impl(
     // tracked (the shot allocator reads them), emitted only when telemetry
     // is enabled.
     let mut health = GradientHealth::new(n, config.batch_size);
-    // SNR-adaptive shot allocation (`QOC_SHOT_ALLOC=snr`). The controller
+    // SNR-adaptive shot allocation (`config.shot_alloc`). The controller
     // is ALWAYS on once configured — its decisions change the training
     // trajectory, so they must not depend on whether anyone is watching.
     // It only makes sense under finite-shot execution (exact gradients
     // have no noise to budget against), and its decisions derive solely
     // from the deterministic grad/grad_var stream, keeping runs
     // worker-count invariant.
-    let alloc_config = ShotAllocConfig::from_env().map_err(TrainError::ShotAlloc)?;
-    let mut alloc = match (alloc_config, config.execution) {
+    let mut alloc = match (config.shot_alloc, config.execution) {
         (Some(cfg), Execution::Shots(base_shots)) => {
             let (ratio, pruning_window) = match config.pruning {
                 PruningKind::Probabilistic(c) | PruningKind::Deterministic(c) => {
@@ -484,7 +467,7 @@ fn train_impl(
     let mut checkpoint_params = Vec::new();
     let mut best_accuracy = 0.0f64;
     let mut start_step = 0usize;
-    let mut base = StatsBase::default();
+    let mut base = DeviceCounters::default();
 
     if let Some(state) = &resume {
         assert_eq!(
@@ -516,8 +499,8 @@ fn train_impl(
         pruner.restore(&state.pruner);
         if let Some(snap) = &state.alloc {
             let a = alloc.as_mut().expect(
-                "checkpoint carries shot-allocator state but QOC_SHOT_ALLOC is off \
-                 (or execution is exact) — resume with the original environment",
+                "checkpoint carries shot-allocator state but config.shot_alloc is None \
+                 (or execution is exact) — resume with the original config",
             );
             let knobs = a.restore(snap, &mut health);
             // The pruner snapshot carries window position, not retuned
@@ -535,20 +518,26 @@ fn train_impl(
         checkpoint_params.clone_from(&state.checkpoint_params);
         best_accuracy = state.best_accuracy;
         start_step = state.next_step;
-        base = StatsBase {
-            circuits: state.inferences_base,
-            shots: state.total_shots_base,
-            nanos: state.device_ns_base,
+        base = DeviceCounters {
+            circuits_run: state.inferences_base,
+            total_shots: state.total_shots_base,
+            device_ns: state.device_ns_base,
         };
     }
 
-    let run_id = run_id_for_seed(config.seed);
+    let run = Run {
+        id: run_id_for_seed(config.seed),
+        config,
+        backend,
+        base,
+        checkpoint,
+    };
     // The trace header: first structured event of every traced run, carrying
     // the identity that joins trace/manifest/checkpoint/status artifacts.
     qoc_telemetry::event!(
         qoc_telemetry::Level::Info,
         "run.header",
-        run_id = run_id.as_str(),
+        run_id = run.id.as_str(),
         seed = config.seed,
         steps = config.steps,
         backend = backend.name(),
@@ -575,7 +564,7 @@ fn train_impl(
             params: params.clone(),
             steps_len: steps.len(),
             best_accuracy,
-            stats: combined_stats_base(backend, base),
+            stats: run.counters(),
         });
 
         let lr = config.schedule.lr(step);
@@ -614,18 +603,11 @@ fn train_impl(
         let result = match grad_result {
             Ok(r) => r,
             Err(source) => {
-                return Err(abort_with_checkpoint(
+                return Err(run.abort(
                     step,
                     source,
                     prestep,
-                    checkpoint,
-                    config,
-                    &steps,
-                    &evals,
-                    &checkpoint_params,
-                    &run_id,
-                    backend,
-                    base,
+                    (&steps, &evals, &checkpoint_params),
                     prune_phase(&pruner.state()),
                 ));
             }
@@ -647,7 +629,7 @@ fn train_impl(
             }
         }
 
-        let inferences = base.circuits + backend.stats().circuits_run;
+        let inferences = run.counters().circuits_run;
         steps.push(StepRecord {
             step,
             loss: result.loss,
@@ -656,15 +638,7 @@ fn train_impl(
             inferences,
         });
         if let Some(obs) = observer {
-            let s = combined_stats_base(backend, base);
-            obs.on_step(
-                steps.last().expect("just pushed"),
-                DeviceCounters {
-                    circuits_run: s.circuits,
-                    total_shots: s.shots,
-                    device_ns: s.nanos,
-                },
-            );
+            obs.on_step(steps.last().expect("just pushed"), run.counters());
         }
 
         // `runs_delta` is the circuit-run cost of this step alone (plus any
@@ -694,7 +668,7 @@ fn train_impl(
 
         let last = step + 1 == config.steps;
         if last || (step + 1) % config.eval_every == 0 {
-            let snapshot = base.circuits + backend.stats().circuits_run;
+            let snapshot = run.counters().circuits_run;
             let eval = match try_evaluate_params_prepared(
                 model,
                 backend,
@@ -706,18 +680,11 @@ fn train_impl(
             ) {
                 Ok(e) => e,
                 Err(source) => {
-                    return Err(abort_with_checkpoint(
+                    return Err(run.abort(
                         step,
                         source,
                         prestep,
-                        checkpoint,
-                        config,
-                        &steps,
-                        &evals,
-                        &checkpoint_params,
-                        &run_id,
-                        backend,
-                        base,
+                        (&steps, &evals, &checkpoint_params),
                         prune_phase(&pruner.state()),
                     ));
                 }
@@ -748,10 +715,11 @@ fn train_impl(
 
         if let Some(ck) = checkpoint {
             if (step + 1) % ck.every == 0 && step + 1 < config.steps {
+                let device = run.counters();
                 let state = TrainState {
                     schema_version: CHECKPOINT_SCHEMA_VERSION,
                     master_seed: config.seed,
-                    run_id: run_id.clone(),
+                    run_id: run.id.clone(),
                     next_step: step + 1,
                     params: params.clone(),
                     optimizer: optimizer.state(),
@@ -762,9 +730,9 @@ fn train_impl(
                     evals: evals.clone(),
                     checkpoint_params: checkpoint_params.clone(),
                     best_accuracy,
-                    inferences_base: base.circuits + backend.stats().circuits_run,
-                    total_shots_base: base.shots + backend.stats().total_shots,
-                    device_ns_base: base.nanos + backend.stats().device_nanos(),
+                    inferences_base: device.circuits_run,
+                    total_shots_base: device.total_shots,
+                    device_ns_base: device.device_ns,
                 };
                 match state.save(&ck.path) {
                     Ok(()) => {
@@ -787,25 +755,13 @@ fn train_impl(
             }
         }
 
-        // Live status snapshot (QOC_STATUS_FILE): the device counters are
-        // stamped here from the same integer bases that build the final
-        // manifest, so snapshots telescope to it exactly.
-        if let Some(exporter) = qoc_telemetry::export::global() {
-            let s = combined_stats_base(backend, base);
-            exporter.on_step(qoc_telemetry::export::StatusCore {
-                run_id: run_id.clone(),
-                state: "running",
-                backend: backend.name().to_string(),
-                step: (step + 1) as u64,
-                steps_total: config.steps as u64,
-                loss: result.loss,
-                best_accuracy,
-                prune_phase: prune_phase(&pruner.state()).to_string(),
-                circuits_run: s.circuits,
-                total_shots: s.shots,
-                device_ns: s.nanos,
-            });
-        }
+        run.publish_status(
+            "running",
+            step + 1,
+            result.loss,
+            best_accuracy,
+            prune_phase(&pruner.state()),
+        );
     }
     // Flush the final (possibly partial) window for telemetry.
     let closed = health.finish(pruner.savings());
@@ -814,40 +770,23 @@ fn train_impl(
     }
     drop(run_span);
 
-    let stats = backend.stats();
+    let device = run.counters();
     let totals = ExecutionStats {
-        circuits_run: base.circuits + stats.circuits_run,
-        total_shots: base.shots + stats.total_shots,
-        estimated_device_seconds: (base.nanos + stats.device_nanos()) as f64 / 1e9,
+        circuits_run: device.circuits_run,
+        total_shots: device.total_shots,
+        estimated_device_seconds: device.device_ns as f64 / 1e9,
     };
     // Terminal status snapshot: same integers as the manifest, so the last
     // snapshot of a finished run reconciles to the nanosecond.
-    if let Some(exporter) = qoc_telemetry::export::global() {
-        exporter.on_step(qoc_telemetry::export::StatusCore {
-            run_id: run_id.clone(),
-            state: "finished",
-            backend: backend.name().to_string(),
-            step: config.steps as u64,
-            steps_total: config.steps as u64,
-            loss: steps.last().map_or(0.0, |s| s.loss),
-            best_accuracy,
-            prune_phase: prune_phase(&pruner.state()).to_string(),
-            circuits_run: totals.circuits_run,
-            total_shots: totals.total_shots,
-            device_ns: base.nanos + stats.device_nanos(),
-        });
-    }
+    run.publish_status(
+        "finished",
+        config.steps,
+        steps.last().map_or(0.0, |s| s.loss),
+        best_accuracy,
+        prune_phase(&pruner.state()),
+    );
     if let Some(trace_path) = qoc_telemetry::trace_file_path() {
-        persist_run(
-            &trace_path,
-            config,
-            &run_id,
-            &steps,
-            &evals,
-            &totals,
-            backend.name(),
-            best_accuracy,
-        );
+        persist_run(&run, &trace_path, &steps, &evals, &totals, best_accuracy);
     }
     Ok(TrainResult {
         params,
@@ -860,99 +799,129 @@ fn train_impl(
     })
 }
 
-/// Combined (pre-resume base + this run) backend counters as exact integers.
-fn combined_stats_base(backend: &dyn QuantumBackend, base: StatsBase) -> StatsBase {
-    let stats = backend.stats();
-    StatsBase {
-        circuits: base.circuits + stats.circuits_run,
-        shots: base.shots + stats.total_shots,
-        nanos: base.nanos + stats.device_nanos(),
-    }
+/// The per-run constants the step loop's status, abort and manifest paths
+/// share.
+struct Run<'a> {
+    /// Seed-derived identity ([`run_id_for_seed`]).
+    id: String,
+    config: &'a TrainConfig,
+    backend: &'a dyn QuantumBackend,
+    /// Device usage carried over from before a resume.
+    base: DeviceCounters,
+    checkpoint: Option<&'a CheckpointConfig>,
 }
 
-/// Writes the emergency checkpoint (when configured) and builds the
-/// [`TrainError`] for a batch failure at `step`. The checkpoint uses the
-/// pre-step snapshot so the resumed run replays the failed step in full.
-/// Before surfacing the error, the crash leaves its observability trail:
-/// a `failed` status snapshot (when exporting) and the flight recorder's
-/// black-box dump (when recording) next to the checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn abort_with_checkpoint(
-    step: usize,
-    source: BatchError,
-    prestep: Option<PreStep>,
-    checkpoint: Option<&CheckpointConfig>,
-    config: &TrainConfig,
-    steps: &[StepRecord],
-    evals: &[EvalRecord],
-    checkpoint_params: &[Vec<f64>],
-    run_id: &str,
-    backend: &dyn QuantumBackend,
-    base: StatsBase,
-    prune_phase: &'static str,
-) -> TrainError {
-    let mut saved = None;
-    if let (Some(ck), Some(pre)) = (checkpoint, prestep) {
-        let state = TrainState {
-            schema_version: CHECKPOINT_SCHEMA_VERSION,
-            master_seed: config.seed,
-            run_id: run_id.to_string(),
-            next_step: step,
-            params: pre.params,
-            optimizer: pre.optimizer,
-            pruner: pre.pruner,
-            alloc: pre.alloc,
-            rng: pre.rng,
-            steps: steps[..pre.steps_len].to_vec(),
-            evals: evals.to_vec(),
-            checkpoint_params: checkpoint_params.to_vec(),
-            best_accuracy: pre.best_accuracy,
-            inferences_base: pre.stats.circuits,
-            total_shots_base: pre.stats.shots,
-            device_ns_base: pre.stats.nanos,
-        };
-        match state.save(&ck.path) {
-            Ok(()) => saved = Some(ck.path.clone()),
-            Err(e) => eprintln!(
-                "qoc: failed to write emergency checkpoint {}: {e}",
-                ck.path.display()
-            ),
+impl Run<'_> {
+    /// Combined (pre-resume base + this process) backend counters as exact
+    /// integers.
+    fn counters(&self) -> DeviceCounters {
+        let stats = self.backend.stats();
+        DeviceCounters {
+            circuits_run: self.base.circuits_run + stats.circuits_run,
+            total_shots: self.base.total_shots + stats.total_shots,
+            device_ns: self.base.device_ns + stats.device_nanos(),
         }
     }
-    if qoc_telemetry::enabled() {
-        qoc_telemetry::metrics::Registry::global()
-            .counter("qoc.train.aborted_runs")
-            .inc();
-        qoc_telemetry::event!(
-            qoc_telemetry::Level::Warn,
-            "train.abort",
-            step = step,
-            error = source.to_string(),
-            checkpointed = saved.is_some(),
-        );
-    }
-    if let Some(exporter) = qoc_telemetry::export::global() {
-        let s = combined_stats_base(backend, base);
-        exporter.on_step(qoc_telemetry::export::StatusCore {
-            run_id: run_id.to_string(),
-            state: "failed",
-            backend: backend.name().to_string(),
+
+    /// Publishes a live status snapshot when `QOC_STATUS_FILE` is set,
+    /// `step` steps into the run. The device counters come from the same
+    /// integer bases that build the final manifest, so snapshots telescope
+    /// to it exactly.
+    fn publish_status(
+        &self,
+        state: &'static str,
+        step: usize,
+        loss: f64,
+        best_accuracy: f64,
+        prune_phase: &str,
+    ) {
+        let Some(exporter) = qoc_telemetry::export::global() else {
+            return;
+        };
+        let device = self.counters();
+        exporter.on_step(StatusCore {
+            run_id: self.id.clone(),
+            state,
+            backend: self.backend.name().to_string(),
             step: step as u64,
-            steps_total: config.steps as u64,
-            loss: steps.last().map_or(0.0, |s| s.loss),
-            best_accuracy: evals.iter().fold(0.0, |b, e| b.max(e.accuracy)),
+            steps_total: self.config.steps as u64,
+            loss,
+            best_accuracy,
             prune_phase: prune_phase.to_string(),
-            circuits_run: s.circuits,
-            total_shots: s.shots,
-            device_ns: s.nanos,
+            circuits_run: device.circuits_run,
+            total_shots: device.total_shots,
+            device_ns: device.device_ns,
         });
     }
-    // The dump is last so the train.abort event above is inside the ring.
-    dump_blackbox(saved.as_deref());
-    TrainError::Execution {
-        step,
-        source,
-        checkpoint: saved,
+
+    /// Writes the emergency checkpoint (when configured) and builds the
+    /// [`TrainError`] for a batch failure at `step`. The checkpoint uses the
+    /// pre-step snapshot so the resumed run replays the failed step in full.
+    /// Before surfacing the error, the crash leaves its observability trail:
+    /// a `failed` status snapshot (when exporting) and the flight recorder's
+    /// black-box dump (when recording) next to the checkpoint.
+    fn abort(
+        &self,
+        step: usize,
+        source: BatchError,
+        prestep: Option<PreStep>,
+        (steps, evals, checkpoint_params): (&[StepRecord], &[EvalRecord], &[Vec<f64>]),
+        prune_phase: &'static str,
+    ) -> TrainError {
+        let mut saved = None;
+        if let (Some(ck), Some(pre)) = (self.checkpoint, prestep) {
+            let state = TrainState {
+                schema_version: CHECKPOINT_SCHEMA_VERSION,
+                master_seed: self.config.seed,
+                run_id: self.id.clone(),
+                next_step: step,
+                params: pre.params,
+                optimizer: pre.optimizer,
+                pruner: pre.pruner,
+                alloc: pre.alloc,
+                rng: pre.rng,
+                steps: steps[..pre.steps_len].to_vec(),
+                evals: evals.to_vec(),
+                checkpoint_params: checkpoint_params.to_vec(),
+                best_accuracy: pre.best_accuracy,
+                inferences_base: pre.stats.circuits_run,
+                total_shots_base: pre.stats.total_shots,
+                device_ns_base: pre.stats.device_ns,
+            };
+            match state.save(&ck.path) {
+                Ok(()) => saved = Some(ck.path.clone()),
+                Err(e) => eprintln!(
+                    "qoc: failed to write emergency checkpoint {}: {e}",
+                    ck.path.display()
+                ),
+            }
+        }
+        if qoc_telemetry::enabled() {
+            qoc_telemetry::metrics::Registry::global()
+                .counter("qoc.train.aborted_runs")
+                .inc();
+            qoc_telemetry::event!(
+                qoc_telemetry::Level::Warn,
+                "train.abort",
+                step = step,
+                error = source.to_string(),
+                checkpointed = saved.is_some(),
+            );
+        }
+        self.publish_status(
+            "failed",
+            step,
+            steps.last().map_or(0.0, |s| s.loss),
+            evals.iter().fold(0.0, |b, e| b.max(e.accuracy)),
+            prune_phase,
+        );
+        // The dump is last so the train.abort event above is inside the ring.
+        dump_blackbox(saved.as_deref());
+        TrainError::Execution {
+            step,
+            source,
+            checkpoint: saved,
+        }
     }
 }
 
@@ -1006,15 +975,12 @@ fn write_jsonl<T: serde::Serialize>(path: &std::path::Path, records: &[T]) {
 /// together the config, environment, execution stats, and a final snapshot
 /// of the global metrics registry. I/O failures are reported to stderr, not
 /// propagated — telemetry must never fail a training run.
-#[allow(clippy::too_many_arguments)]
 fn persist_run(
+    run: &Run<'_>,
     trace_path: &std::path::Path,
-    config: &TrainConfig,
-    run_id: &str,
     steps: &[StepRecord],
     evals: &[EvalRecord],
     stats: &ExecutionStats,
-    backend_name: &str,
     best_accuracy: f64,
 ) {
     use serde::Value;
@@ -1032,11 +998,19 @@ fn persist_run(
         report.to_manifest_json()
     });
 
+    let env = qoc_telemetry::env::set_knobs()
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), Value::Str(value)))
+        .collect();
     let mut entries = vec![
-        ("config".to_string(), serde_json::to_value(config)),
-        ("seed".to_string(), Value::UInt(config.seed)),
-        ("run_id".to_string(), Value::Str(run_id.to_string())),
-        ("backend".to_string(), Value::Str(backend_name.to_string())),
+        ("config".to_string(), serde_json::to_value(run.config)),
+        ("env".to_string(), Value::Object(env)),
+        ("seed".to_string(), Value::UInt(run.config.seed)),
+        ("run_id".to_string(), Value::Str(run.id.clone())),
+        (
+            "backend".to_string(),
+            Value::Str(run.backend.name().to_string()),
+        ),
         (
             "workers".to_string(),
             Value::UInt(default_worker_count() as u64),
@@ -1097,6 +1071,7 @@ mod tests {
             schedule: LrSchedule::Constant { lr: 0.2 },
             pruning: PruningKind::None,
             execution: Execution::Exact,
+            shot_alloc: None,
             seed: 7,
             eval_every: 5,
             eval_examples: 16,

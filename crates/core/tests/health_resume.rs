@@ -1,12 +1,10 @@
-//! Gradient-health telemetry across a kill/resume under
-//! `QOC_SHOT_ALLOC=snr`. The tracker's |g| EMA, evaluation counts and
+//! Gradient-health telemetry across a kill/resume with the SNR-adaptive
+//! shot allocator on. The tracker's |g| EMA, evaluation counts and
 //! open-window position are checkpointed with the shot allocator, so the
 //! resumed run must report them exactly as the uninterrupted run did; the
 //! sign-flip counts and the window's evaluated/saved/wasted sums are not,
 //! so the rates built on them must divide by counts taken over the same
 //! (post-resume) steps.
-//!
-//! Own test binary: it sets `QOC_SHOT_ALLOC` for the whole process.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -14,6 +12,7 @@ use std::sync::Arc;
 use qoc_core::checkpoint::{CheckpointConfig, TrainState};
 use qoc_core::engine::{train_anchored, PruningKind, RunAnchor, TrainConfig, TrainResult};
 use qoc_core::prune::PruneConfig;
+use qoc_core::ShotAllocConfig;
 use qoc_data::dataset::Dataset;
 use qoc_device::backend::{Execution, NoiselessBackend};
 use qoc_nn::model::QnnModel;
@@ -37,6 +36,7 @@ fn config() -> TrainConfig {
     let mut c = TrainConfig::paper_default(9);
     c.batch_size = 4;
     c.execution = Execution::Shots(256);
+    c.shot_alloc = Some(ShotAllocConfig::new(64, 256, 2.0).expect("valid range"));
     c.pruning = PruningKind::Probabilistic(PruneConfig {
         accumulation_window: 1,
         pruning_window: 2,
@@ -117,9 +117,6 @@ fn windows_with_close_step(records: &[OwnedRecord]) -> Vec<(&OwnedRecord, Option
 
 #[test]
 fn resumed_health_telemetry_matches_the_uninterrupted_run() {
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    std::env::set_var("QOC_SHOT_MIN", "64");
-    std::env::set_var("QOC_SHOT_MAX", "256");
     let dir = std::env::temp_dir().join(format!("qoc-health-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("resume.ckpt");

@@ -201,7 +201,6 @@ proptest! {
         let policy = RetryPolicy {
             max_attempts: 4,
             degrade_after: None,
-            attempt_timeout: None,
             ..RetryPolicy::default()
         }
         .without_backoff();

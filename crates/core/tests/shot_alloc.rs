@@ -1,49 +1,30 @@
 //! End-to-end contracts of the SNR-adaptive shot-allocation controller
-//! (`QOC_SHOT_ALLOC`), isolated in its own test binary: every test mutates
-//! process-global environment variables, so they serialize behind one lock
-//! and restore the environment before releasing it.
-//!
-//! The contracts, in order:
-//! 1. `QOC_SHOT_ALLOC=off` (and unset) leave training byte-identical;
+//! (`TrainConfig::shot_alloc`), in order:
+//! 1. a controller configured on an exact-execution run is inert: the run
+//!    is byte-identical to one without it;
 //! 2. with the controller on, per-step and per-eval records are invariant
 //!    under the worker count (budgets change *executions*, never seeds);
 //! 3. kill/resume through a checkpoint carrying controller accumulators
 //!    replays to the exact bits of the uninterrupted run;
-//! 4. a checkpoint written without controller state resumes under
-//!    `QOC_SHOT_ALLOC=snr` with the controller cleanly disabled;
-//! 5. an inverted `QOC_SHOT_MIN`/`QOC_SHOT_MAX` range is a typed
-//!    configuration error, not a panic or a silent clamp.
+//! 4. a checkpoint written without controller state resumes under a
+//!    controller-on config with the controller cleanly disabled;
+//! 5. an inverted `min_shots`/`max_shots` range is a typed configuration
+//!    error, not a panic or a silent clamp (and no invalid configuration
+//!    can reach the engine: `ShotAllocConfig::new` is its only public
+//!    constructor).
 
 use std::sync::Mutex;
 
 use qoc_core::checkpoint::{CheckpointConfig, TrainState};
-use qoc_core::engine::{
-    train, train_anchored, PruningKind, RunAnchor, TrainConfig, TrainError, TrainResult,
-};
+use qoc_core::engine::{train_anchored, PruningKind, RunAnchor, TrainConfig, TrainResult};
 use qoc_core::prune::PruneConfig;
 use qoc_core::{ShotAllocConfig, ShotAllocError};
 use qoc_data::dataset::Dataset;
 use qoc_device::backend::{Execution, NoiselessBackend};
-use qoc_device::QuantumBackend;
 use qoc_nn::model::QnnModel;
 
-/// Serializes the tests in this binary — they all mutate `QOC_SHOT_*` (and
-/// some `QOC_WORKERS`).
+/// Serializes the tests in this binary that set `QOC_WORKERS`.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-const ALLOC_VARS: [&str; 4] = [
-    "QOC_SHOT_ALLOC",
-    "QOC_SHOT_MIN",
-    "QOC_SHOT_MAX",
-    "QOC_TARGET_SNR",
-];
-
-fn clear_alloc_env() {
-    for var in ALLOC_VARS {
-        std::env::remove_var(var);
-    }
-    std::env::remove_var("QOC_WORKERS");
-}
 
 /// A tiny linearly-separable 2-class dataset in encoder space.
 fn toy_data(n: usize) -> Dataset {
@@ -77,10 +58,26 @@ fn shots_config(steps: usize) -> TrainConfig {
     c
 }
 
+/// [`shots_config`] with the controller on, budgets in `[64, 256]`.
+fn snr_config(steps: usize) -> TrainConfig {
+    TrainConfig {
+        shot_alloc: Some(ShotAllocConfig::new(64, 256, 2.0).expect("valid range")),
+        ..shots_config(steps)
+    }
+}
+
 fn run(config: &TrainConfig) -> TrainResult {
     let model = QnnModel::mnist2();
     let backend = NoiselessBackend::new();
-    train(&model, &backend, &toy_data(16), &toy_data(8), config)
+    train_anchored(
+        &model,
+        &backend,
+        &toy_data(16),
+        &toy_data(8),
+        config,
+        RunAnchor::default(),
+    )
+    .expect("run completes")
 }
 
 /// Anchors a run to an explicit checkpoint target.
@@ -107,33 +104,32 @@ fn assert_bit_identical(a: &TrainResult, b: &TrainResult, what: &str) {
 }
 
 #[test]
-fn off_mode_is_byte_identical_to_unset() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_alloc_env();
-    let config = shots_config(6);
-
-    let unset = run(&config);
-    std::env::set_var("QOC_SHOT_ALLOC", "off");
-    let off = run(&config);
-    clear_alloc_env();
-
-    assert_bit_identical(&unset, &off, "QOC_SHOT_ALLOC=off vs unset");
+fn controller_on_exact_execution_is_byte_identical_to_none() {
+    let exact = TrainConfig {
+        execution: Execution::Exact,
+        ..shots_config(6)
+    };
+    let with_controller = TrainConfig {
+        execution: Execution::Exact,
+        ..snr_config(6)
+    };
+    assert_bit_identical(
+        &run(&exact),
+        &run(&with_controller),
+        "exact execution with and without a controller",
+    );
 }
 
 #[test]
 fn snr_records_are_worker_count_invariant() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_alloc_env();
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    std::env::set_var("QOC_SHOT_MIN", "64");
-    std::env::set_var("QOC_SHOT_MAX", "256");
-    let config = shots_config(6);
+    let config = snr_config(6);
 
     std::env::set_var("QOC_WORKERS", "1");
     let serial = run(&config);
     std::env::set_var("QOC_WORKERS", "4");
     let threaded = run(&config);
-    clear_alloc_env();
+    std::env::remove_var("QOC_WORKERS");
 
     assert_bit_identical(&serial, &threaded, "QOC_WORKERS=1 vs 4 under snr");
     // Sanity: the controller actually changed the run (the warmup step
@@ -147,12 +143,7 @@ fn snr_records_are_worker_count_invariant() {
 
 #[test]
 fn resume_with_controller_state_replays_the_same_bits() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_alloc_env();
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    std::env::set_var("QOC_SHOT_MIN", "64");
-    std::env::set_var("QOC_SHOT_MAX", "256");
-    let config = shots_config(8);
+    let config = snr_config(8);
     let model = QnnModel::mnist2();
     let backend = NoiselessBackend::new();
     let (train_ds, val_ds) = (toy_data(16), toy_data(8));
@@ -193,7 +184,6 @@ fn resume_with_controller_state_replays_the_same_bits() {
         resuming(state),
     )
     .expect("resumed run");
-    clear_alloc_env();
     std::fs::remove_file(&path).ok();
 
     assert_bit_identical(&full, &resumed, "kill/resume with controller state");
@@ -201,8 +191,6 @@ fn resume_with_controller_state_replays_the_same_bits() {
 
 #[test]
 fn checkpoint_without_alloc_state_resumes_with_controller_disabled() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_alloc_env();
     let config = shots_config(8);
     let model = QnnModel::mnist2();
     let backend = NoiselessBackend::new();
@@ -227,20 +215,18 @@ fn checkpoint_without_alloc_state_resumes_with_controller_disabled() {
     let state = TrainState::load(&path).expect("checkpoint loads");
     assert!(state.alloc.is_none(), "controller was off");
 
-    // Resume under QOC_SHOT_ALLOC=snr: the missing state must disable the
+    // Resume with the controller on: the missing state must disable the
     // controller for the replay (not start a half-initialized one), so the
     // combined run stays bit-identical to the original.
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
     let resumed = train_anchored(
         &model,
         &backend,
         &train_ds,
         &val_ds,
-        &config,
+        &snr_config(8),
         resuming(state),
     )
     .expect("resume with controller requested but no saved state");
-    clear_alloc_env();
     std::fs::remove_file(&path).ok();
 
     assert_bit_identical(&full, &resumed, "alloc-less checkpoint under snr");
@@ -248,15 +234,7 @@ fn checkpoint_without_alloc_state_resumes_with_controller_disabled() {
 
 #[test]
 fn inverted_shot_range_is_a_typed_error_not_a_panic() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_alloc_env();
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    std::env::set_var("QOC_SHOT_MIN", "512");
-    std::env::set_var("QOC_SHOT_MAX", "128");
-    let result = ShotAllocConfig::from_env();
-    clear_alloc_env();
-
-    match result {
+    match ShotAllocConfig::new(512, 128, 2.0) {
         Err(ShotAllocError::InvalidRange { min, max }) => {
             assert_eq!((min, max), (512, 128));
         }
@@ -266,37 +244,5 @@ fn inverted_shot_range_is_a_typed_error_not_a_panic() {
     assert!(
         message.contains("512") && message.contains("128"),
         "{message}"
-    );
-}
-
-#[test]
-fn inverted_shot_range_surfaces_as_train_error_before_any_circuit() {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_alloc_env();
-    std::env::set_var("QOC_SHOT_ALLOC", "snr");
-    std::env::set_var("QOC_SHOT_MIN", "512");
-    std::env::set_var("QOC_SHOT_MAX", "128");
-    let config = shots_config(4);
-    let model = QnnModel::mnist2();
-    let backend = NoiselessBackend::new();
-    let result = train_anchored(
-        &model,
-        &backend,
-        &toy_data(16),
-        &toy_data(8),
-        &config,
-        RunAnchor::default(),
-    );
-    clear_alloc_env();
-
-    match result {
-        Err(TrainError::ShotAlloc(ShotAllocError::InvalidRange { min: 512, max: 128 })) => {}
-        Ok(_) => panic!("inverted range must not train"),
-        Err(other) => panic!("expected a ShotAlloc error, got {other}"),
-    }
-    assert_eq!(
-        backend.stats().circuits_run,
-        0,
-        "config must be rejected before any circuit runs"
     );
 }

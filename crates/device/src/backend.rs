@@ -279,17 +279,12 @@ pub enum JacobianAnswer {
 }
 
 /// Worker-thread count for [`QuantumBackend::run_batch`]: the `QOC_WORKERS`
-/// environment variable when set (≥ 1), else the machine's available
-/// parallelism.
+/// knob when set, else the machine's available parallelism.
 pub fn default_worker_count() -> usize {
-    if let Ok(v) = std::env::var("QOC_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
+    match qoc_telemetry::env::count("QOC_WORKERS") {
+        Ok(Some(n)) => usize::try_from(n).unwrap_or(usize::MAX),
+        _ => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// An execution target for circuits.
@@ -853,7 +848,6 @@ impl FakeDevice {
         t: &TranspiledCircuit,
         logical_qubits: usize,
     ) -> (Circuit, Vec<usize>, NoiseModel) {
-        let cal = &self.description.calibration;
         // Wires that matter: everything the circuit touches plus every
         // readout target.
         let mut used: Vec<usize> = t
@@ -881,73 +875,13 @@ impl FakeDevice {
             .map(|&p| phys_to_compact[p])
             .collect();
 
-        // Compact noise model: per used qubit, analytic 1q depolarizing +
-        // thermal Kraus and readout; per compact CX pair, analytic 2q
-        // depolarizing + per-wire thermal.
-        let mut builder = NoiseModel::builder(used.len());
-        for (i, &p) in used.iter().enumerate() {
-            let qc = cal.qubit(p);
-            builder = builder
-                .one_qubit_depolarizing(
-                    i,
-                    qoc_noise::channels::error_rate_to_depolarizing_prob(qc.gate_error_1q, 1),
-                )
-                .one_qubit(
-                    i,
-                    qoc_noise::channels::thermal_relaxation(
-                        qc.t1_us,
-                        qc.t2_us,
-                        qc.gate_duration_1q_ns,
-                    ),
-                )
-                .readout(i, qc.readout_error());
-        }
-        let mut seen_pairs = std::collections::BTreeSet::new();
-        for op in compact.ops() {
-            if op.qubits.len() == 2 {
-                let (a, b) = (
-                    op.qubits[0].min(op.qubits[1]),
-                    op.qubits[0].max(op.qubits[1]),
-                );
-                if !seen_pairs.insert((a, b)) {
-                    continue;
-                }
-                let (pa, pb) = (used[a], used[b]);
-                let edge = cal
-                    .edge(pa, pb)
-                    .copied()
-                    .unwrap_or(crate::calibration::EdgeCalibration::typical());
-                let qa = cal.qubit(pa);
-                let qb = cal.qubit(pb);
-                builder = builder
-                    .two_qubit_depolarizing(
-                        a,
-                        b,
-                        qoc_noise::channels::error_rate_to_depolarizing_prob(edge.gate_error_cx, 2),
-                    )
-                    .two_qubit_wire(
-                        a,
-                        b,
-                        0,
-                        qoc_noise::channels::thermal_relaxation(
-                            qa.t1_us,
-                            qa.t2_us,
-                            edge.gate_duration_cx_ns,
-                        ),
-                    )
-                    .two_qubit_wire(
-                        a,
-                        b,
-                        1,
-                        qoc_noise::channels::thermal_relaxation(
-                            qb.t1_us,
-                            qb.t2_us,
-                            edge.gate_duration_cx_ns,
-                        ),
-                    );
-            }
-        }
-        (compact, logical_readout, builder.build())
+        let pairs = compact
+            .ops()
+            .iter()
+            .filter(|op| op.qubits.len() == 2)
+            .map(|op| (op.qubits[0], op.qubits[1]));
+        let noise = self.description.calibration.noise_model_on(&used, pairs);
+        (compact, logical_readout, noise)
     }
 }
 

@@ -5,7 +5,7 @@
 //! assignment errors. The noise model and the latency model are both derived
 //! from this structure.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -167,25 +167,47 @@ impl DeviceCalibration {
     /// relaxation over each gate duration (as per-wire 1-qubit channels),
     /// and per-qubit readout confusion.
     pub fn noise_model(&self) -> NoiseModel {
-        let mut builder = NoiseModel::builder(self.qubits.len());
-        for (q, cal) in self.qubits.iter().enumerate() {
+        let wires: Vec<usize> = (0..self.qubits.len()).collect();
+        self.noise_model_on(&wires, self.edges.keys().copied())
+    }
+
+    /// [`Self::noise_model`] restricted to the physical qubits `wires`:
+    /// model wire `i` is physical qubit `wires[i]`, and `pairs` lists the
+    /// model-wire pairs a CX runs on (in any order, repeats ignored). A
+    /// pair without a calibrated edge gets [`EdgeCalibration::typical`].
+    pub fn noise_model_on(
+        &self,
+        wires: &[usize],
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> NoiseModel {
+        let mut builder = NoiseModel::builder(wires.len());
+        for (i, &p) in wires.iter().enumerate() {
+            let cal = self.qubit(p);
             builder = builder
-                .one_qubit_depolarizing(q, error_rate_to_depolarizing_prob(cal.gate_error_1q, 1))
+                .one_qubit_depolarizing(i, error_rate_to_depolarizing_prob(cal.gate_error_1q, 1))
                 .one_qubit(
-                    q,
+                    i,
                     thermal_relaxation(cal.t1_us, cal.t2_us, cal.gate_duration_1q_ns),
                 )
-                .readout(q, cal.readout_error());
+                .readout(i, cal.readout_error());
         }
-        for (&(a, b), edge) in &self.edges {
+        let pairs: BTreeSet<(usize, usize)> = pairs
+            .into_iter()
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        for (a, b) in pairs {
             // Per-wire thermal relaxation during the CX: wire 0 of the
             // executed gate sits on whichever endpoint the transpiler chose,
             // but both endpoints share this edge's duration, so attach each
-            // qubit's own T1/T2 channel to a fixed wire slot (the edge is
-            // stored with a < b, matching the gate order the router emits
-            // up to direction — an acceptable approximation either way).
-            let ca = self.qubits[a];
-            let cb = self.qubits[b];
+            // qubit's own T1/T2 channel to a fixed wire slot (the lower
+            // wire first, matching the gate order the router emits up to
+            // direction — an acceptable approximation either way).
+            let (pa, pb) = (wires[a], wires[b]);
+            let edge = self
+                .edge(pa, pb)
+                .copied()
+                .unwrap_or(EdgeCalibration::typical());
+            let (ca, cb) = (self.qubit(pa), self.qubit(pb));
             builder = builder
                 .two_qubit_depolarizing(
                     a,

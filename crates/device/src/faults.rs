@@ -31,6 +31,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use qoc_telemetry::env::EnvError;
 use qoc_telemetry::metrics::{Counter, Registry};
 
 use crate::backend::QuantumBackend;
@@ -167,12 +168,14 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// Reads `QOC_FAULT_PLAN` from the environment. `None` when unset;
-    /// panics with the parse error when set but malformed (a typo'd plan
-    /// silently ignored would void a soak run).
-    pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("QOC_FAULT_PLAN").ok()?;
-        Some(FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("QOC_FAULT_PLAN: {e}")))
+    /// Reads `QOC_FAULT_PLAN` from the environment: `None` when unset, an
+    /// [`EnvError`] when set but malformed (a typo'd plan silently ignored
+    /// would void a soak run).
+    pub fn from_env() -> Result<Option<Self>, EnvError> {
+        let spec = qoc_telemetry::env::spec("QOC_FAULT_PLAN");
+        let parse =
+            |s: String| FaultPlan::parse(&s).map_err(|e| EnvError::new("QOC_FAULT_PLAN", &s, e));
+        spec.map(parse).transpose()
     }
 
     /// Uniform draw in `[0, 1)` as a pure function of this plan, a job seed,

@@ -5,9 +5,9 @@
 //! [`crate::backend::QuantumBackend::try_run_job`], and [`RetryPolicy`]
 //! decides what the batch runner does about it — how many attempts, how long
 //! to back off between them (exponential, with deterministic jitter derived
-//! from the job's own seed so replays wait the same amount), a per-attempt
-//! wall-clock timeout, and an optional graceful-degradation step that halves
-//! the shot budget once a job keeps failing.
+//! from the job's own seed so replays wait the same amount), and an optional
+//! graceful-degradation step that halves the shot budget once a job keeps
+//! failing.
 //!
 //! Bit-identity invariant: **retries reuse the original job seed**. A job
 //! that succeeds on attempt 3 returns exactly the bytes it would have
@@ -15,7 +15,7 @@
 //! training trajectory (property-tested in `crates/core/tests/properties.rs`).
 
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qoc_telemetry::metrics::{Counter, Histogram, Registry};
 
@@ -145,10 +145,6 @@ pub struct RetryPolicy {
     pub degrade_after: Option<u32>,
     /// Shot floor for degradation.
     pub min_shots: u32,
-    /// Per-attempt wall-clock timeout: an attempt whose execution exceeds
-    /// this is discarded and counted as [`JobError::Timeout`]. `None`
-    /// disables the check (simulated jobs normally finish in microseconds).
-    pub attempt_timeout: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -161,7 +157,6 @@ impl Default for RetryPolicy {
             jitter: 0.5,
             degrade_after: Some(3),
             min_shots: 128,
-            attempt_timeout: None,
         }
     }
 }
@@ -185,10 +180,8 @@ impl RetryPolicy {
     /// attempt; `0` disables retrying) applied from the environment.
     pub fn from_env() -> Self {
         let mut policy = RetryPolicy::default();
-        if let Ok(v) = std::env::var("QOC_MAX_RETRIES") {
-            if let Ok(n) = v.trim().parse::<u32>() {
-                policy.max_attempts = 1 + n;
-            }
+        if let Ok(Some(n)) = qoc_telemetry::env::count("QOC_MAX_RETRIES") {
+            policy.max_attempts = u32::try_from(n).unwrap_or(u32::MAX).saturating_add(1);
         }
         policy
     }
@@ -295,21 +288,14 @@ where
     }
     let mut attempt: u32 = 0;
     loop {
-        let mut this_try = job.clone();
         let degraded_execution = policy.execution_for_attempt(job.execution, attempt);
-        if degraded_execution != job.execution {
-            this_try.execution = degraded_execution;
-        }
-        let started = Instant::now();
-        let mut outcome = run(attempt, &this_try);
-        if let (Ok(_), Some(limit)) = (&outcome, policy.attempt_timeout) {
-            let elapsed = started.elapsed();
-            if elapsed > limit {
-                outcome = Err(JobError::Timeout {
-                    waited_ms: elapsed.as_millis() as u64,
-                });
-            }
-        }
+        let outcome = if degraded_execution == job.execution {
+            run(attempt, job)
+        } else {
+            let mut degraded = job.clone();
+            degraded.execution = degraded_execution;
+            run(attempt, &degraded)
+        };
         match outcome {
             Ok(result) => {
                 if degraded_execution != job.execution {

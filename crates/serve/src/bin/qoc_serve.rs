@@ -146,6 +146,10 @@ fn main() -> ExitCode {
         }
     }
 
+    if let Err(e) = qoc_telemetry::env::check() {
+        eprintln!("qoc-serve: {e}");
+        return ExitCode::from(1);
+    }
     qoc_telemetry::init_from_env();
     let checkpoint_dir = std::env::temp_dir().join(format!("qoc-serve-{}", std::process::id()));
     let cfg = match ServeConfig::from_env(checkpoint_dir) {

@@ -7,16 +7,12 @@
 
 use std::fmt;
 
+use qoc_telemetry::env::EnvError;
+
 /// Default queued-job cap per tenant when no quota is configured.
 pub const DEFAULT_MAX_QUEUED: usize = 16;
 /// Default concurrently-running cap per tenant.
 pub const DEFAULT_MAX_RUNNING: usize = 2;
-
-/// Environment variable holding a [`TenantQuota::parse`] spec applied to
-/// every tenant (e.g. `queued=8,running=2`).
-pub const QUOTA_ENV: &str = "QOC_SERVE_QUOTA";
-/// Environment variable holding the comma-separated tenant allow-list.
-pub const TENANTS_ENV: &str = "QOC_SERVE_TENANTS";
 
 /// Admission caps for one tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,31 +60,15 @@ impl TenantQuota {
         Ok(quota)
     }
 
-    /// Quota from `QOC_SERVE_QUOTA`, or the default when unset. An
-    /// unparseable value is an error (silently ignoring a typo'd quota
-    /// would run tenants uncapped).
-    pub fn from_env() -> Result<TenantQuota, String> {
-        match std::env::var(QUOTA_ENV) {
-            Ok(spec) => TenantQuota::parse(&spec),
-            Err(_) => Ok(TenantQuota::default()),
+    /// Quota from `QOC_SERVE_QUOTA` (a [`Self::parse`] spec applied to
+    /// every tenant), or the default when unset. An unparseable value is an
+    /// error (silently ignoring a typo'd quota would run tenants uncapped).
+    pub fn from_env() -> Result<TenantQuota, EnvError> {
+        match qoc_telemetry::env::spec("QOC_SERVE_QUOTA") {
+            Some(spec) => TenantQuota::parse(&spec)
+                .map_err(|reason| EnvError::new("QOC_SERVE_QUOTA", &spec, reason)),
+            None => Ok(TenantQuota::default()),
         }
-    }
-}
-
-/// Tenant allow-list from `QOC_SERVE_TENANTS` (comma-separated names), or
-/// `None` when unset (open admission).
-pub fn tenants_from_env() -> Option<Vec<String>> {
-    let spec = std::env::var(TENANTS_ENV).ok()?;
-    let names: Vec<String> = spec
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    if names.is_empty() {
-        None
-    } else {
-        Some(names)
     }
 }
 

@@ -49,6 +49,7 @@ use qoc_core::{
     CheckpointConfig, DeviceCounters, RunAnchor, TrainError, TrainObserver, TrainState,
 };
 use qoc_device::pool::{DevicePool, PooledDevice};
+use qoc_telemetry::env::EnvError;
 use qoc_telemetry::metrics::{Counter, Histogram, Registry};
 
 use crate::job::{JobHandle, JobId, JobOutcome, JobPhase, JobShared, TrainRequest};
@@ -73,11 +74,16 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Configuration for `dir` with environment-supplied quota
-    /// (`QOC_SERVE_QUOTA`) and allow-list (`QOC_SERVE_TENANTS`).
-    pub fn from_env(checkpoint_dir: PathBuf) -> Result<ServeConfig, String> {
+    /// (`QOC_SERVE_QUOTA`) and allow-list (`QOC_SERVE_TENANTS`,
+    /// comma-separated; unset or empty admits any tenant).
+    pub fn from_env(checkpoint_dir: PathBuf) -> Result<ServeConfig, EnvError> {
+        let tenants = qoc_telemetry::env::spec("QOC_SERVE_TENANTS").map(|spec| {
+            let names = spec.split(',').map(str::trim).filter(|s| !s.is_empty());
+            names.map(str::to_string).collect::<Vec<_>>()
+        });
         Ok(ServeConfig {
             quota: TenantQuota::from_env()?,
-            tenants: crate::quota::tenants_from_env(),
+            tenants: tenants.filter(|names| !names.is_empty()),
             checkpoint_dir,
             checkpoint_every: 1,
         })

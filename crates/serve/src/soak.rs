@@ -528,7 +528,7 @@ pub fn run_soak(profile: &SoakProfile) -> Result<SoakReport, String> {
         device_ns_total += ns;
     }
     let status_path = work_dir.join("serve_soak_status.json");
-    let exporter = StatusExporter::new(status_path.clone(), 1);
+    let exporter = StatusExporter::new(status_path.clone());
     exporter.on_step(StatusCore {
         run_id: format!("{:016x}", profile.seed),
         state: "finished",

@@ -45,9 +45,6 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::metrics::MetricsSnapshot;
 
-/// Environment variable holding the semicolon-separated rule list.
-pub const ALERT_RULES_ENV: &str = "QOC_ALERT_RULES";
-
 /// Statistic of a metric a threshold rule compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stat {
@@ -699,12 +696,10 @@ static GLOBAL: OnceLock<Mutex<AlertEngine>> = OnceLock::new();
 fn global() -> &'static Mutex<AlertEngine> {
     GLOBAL.get_or_init(|| {
         let mut engine = AlertEngine::default();
-        if let Ok(spec) = std::env::var(ALERT_RULES_ENV) {
-            if let Err(err) = engine.install(&spec) {
-                // A typo'd rule list degrades to fewer alerts, loudly —
-                // never to a crashed training run.
-                eprintln!("qoc-telemetry: {ALERT_RULES_ENV}: {err}");
-            }
+        // `QOC_ALERT_RULES`, parsed by `env::check` before any run starts,
+        // so nothing is left to report here.
+        if let Some(spec) = crate::env::spec("QOC_ALERT_RULES") {
+            let _ = engine.install(&spec);
         }
         Mutex::new(engine)
     })

@@ -1,7 +1,7 @@
 //! Live status export: atomic JSON snapshots + Prometheus sibling.
 //!
 //! When `QOC_STATUS_FILE` is set, the training engine publishes a status
-//! document every `QOC_STATUS_EVERY` steps (default 1), and the device
+//! document after every step, and the device
 //! worker pool refreshes it on a time floor between steps — so even a long
 //! Jacobian (hundreds of queued circuit batches inside one step) keeps the
 //! file alive. Three artifacts, all derived from the same snapshot:
@@ -44,12 +44,9 @@ const HEARTBEAT_FLOOR_MS: u128 = 2_000;
 /// EMA smoothing for the step rate: weight of the newest inter-step rate.
 const RATE_EMA_ALPHA: f64 = 0.3;
 
-/// Default cap on `<stem>.history.jsonl` lines before rotate-on-cap
-/// (`QOC_STATUS_HISTORY_MAX`) — bounds the history of a week-long serve run.
+/// Default cap on `<stem>.history.jsonl` lines before rotate-on-cap —
+/// bounds the history of a week-long serve run.
 pub const DEFAULT_HISTORY_MAX: u64 = 10_000;
-
-/// Environment variable overriding [`DEFAULT_HISTORY_MAX`].
-pub const HISTORY_MAX_ENV: &str = "QOC_STATUS_HISTORY_MAX";
 
 /// Engine-stamped core of a status snapshot — everything the metrics
 /// registry can *not* provide exactly: run identity, training progress, and
@@ -96,11 +93,10 @@ struct ExportState {
 }
 
 /// Writes live status snapshots (see module docs). One per process, built
-/// from `QOC_STATUS_FILE` / `QOC_STATUS_EVERY` on first use.
+/// from `QOC_STATUS_FILE` on first use.
 #[derive(Debug)]
 pub struct StatusExporter {
     path: PathBuf,
-    every: u64,
     /// History-sibling line cap: reaching it atomically rotates the file to
     /// `<stem>.history.jsonl.1` and starts fresh.
     history_max: u64,
@@ -113,28 +109,13 @@ static EXPORTER: OnceLock<Option<StatusExporter>> = OnceLock::new();
 /// Fast-path flag for [`heartbeat`]: false until an exporter exists.
 static HEARTBEAT_ON: AtomicBool = AtomicBool::new(false);
 
-/// Whether `QOC_STATUS_FILE` names a target (env check only — does not
-/// build the exporter). Telemetry init uses this to force-enable dispatch.
-pub fn configured_from_env() -> bool {
-    std::env::var("QOC_STATUS_FILE").is_ok_and(|v| !v.trim().is_empty())
-}
-
 /// The process-wide exporter, `None` unless `QOC_STATUS_FILE` is set.
 pub fn global() -> Option<&'static StatusExporter> {
     EXPORTER
         .get_or_init(|| {
-            let path = std::env::var("QOC_STATUS_FILE").ok()?;
-            let path = path.trim();
-            if path.is_empty() {
-                return None;
-            }
-            let every = std::env::var("QOC_STATUS_EVERY")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(1)
-                .max(1);
+            let path = crate::env::path("QOC_STATUS_FILE")?;
             HEARTBEAT_ON.store(true, Ordering::Relaxed);
-            Some(StatusExporter::new(PathBuf::from(path), every))
+            Some(StatusExporter::new(path))
         })
         .as_ref()
 }
@@ -153,25 +134,19 @@ pub fn heartbeat() {
 }
 
 impl StatusExporter {
-    /// An exporter publishing to `path` every `every` steps. Public for
-    /// tests; production goes through [`global`].
-    pub fn new(path: PathBuf, every: u64) -> Self {
-        let history_max = std::env::var(HISTORY_MAX_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_HISTORY_MAX);
+    /// An exporter publishing to `path`. Public for tests and job hosts;
+    /// production goes through [`global`].
+    pub fn new(path: PathBuf) -> Self {
         StatusExporter {
             path,
-            every: every.max(1),
-            history_max,
+            history_max: DEFAULT_HISTORY_MAX,
             epoch: Instant::now(),
             state: Mutex::new(ExportState::default()),
         }
     }
 
-    /// Overrides the history-rotation cap (tests; production reads
-    /// `QOC_STATUS_HISTORY_MAX`).
+    /// Overrides the history-rotation cap (tests; production keeps
+    /// [`DEFAULT_HISTORY_MAX`]).
     pub fn with_history_max(mut self, max: u64) -> Self {
         self.history_max = max.max(1);
         self
@@ -182,15 +157,8 @@ impl StatusExporter {
         &self.path
     }
 
-    /// Step cadence (`QOC_STATUS_EVERY`).
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Publishes a step-boundary snapshot. Terminal states (`finished`,
-    /// `failed`) and the first step always publish; otherwise publication
-    /// follows the configured cadence. Every publication appends to the
-    /// history sibling.
+    /// Publishes a step-boundary snapshot and appends it to the history
+    /// sibling.
     pub fn on_step(&self, core: StatusCore) {
         let now = Instant::now();
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -207,14 +175,8 @@ impl StatusExporter {
             }
         }
         st.last_step = Some((core.step, now));
-        let due = core.state != "running"
-            || core.step <= 1
-            || core.step == core.steps_total
-            || core.step.is_multiple_of(self.every);
         st.core = Some(core);
-        if due {
-            self.publish(&mut st, true);
-        }
+        self.publish(&mut st, true);
     }
 
     /// Explicit heartbeat for exporters owned directly (tests, job hosts):
@@ -632,7 +594,7 @@ mod tests {
     fn snapshots_are_schema_valid_and_monotone() {
         let _serial = serial();
         let path = tmp_status_path("monotone");
-        let exporter = StatusExporter::new(path.clone(), 1);
+        let exporter = StatusExporter::new(path.clone());
         let history = path.with_extension("history.jsonl");
         std::fs::remove_file(&history).ok();
         for step in 1..=4 {
@@ -674,45 +636,13 @@ mod tests {
     }
 
     #[test]
-    fn cadence_skips_steps_but_keeps_terminal_and_first() {
-        let _serial = serial();
-        let path = tmp_status_path("cadence");
-        let history = path.with_extension("history.jsonl");
-        std::fs::remove_file(&history).ok();
-        let exporter = StatusExporter::new(path.clone(), 3);
-        for step in 1..=8 {
-            exporter.on_step(core(step, step));
-        }
-        let mut fin = core(9, 9);
-        fin.state = "failed";
-        exporter.on_step(fin);
-        let text = std::fs::read_to_string(&history).unwrap();
-        let steps: Vec<u64> = text
-            .lines()
-            .map(|l| {
-                serde_json::from_str(l)
-                    .unwrap()
-                    .get("step")
-                    .unwrap()
-                    .as_u64()
-                    .unwrap()
-            })
-            .collect();
-        // step 1 (first), 3 and 6 (cadence), 9 (terminal).
-        assert_eq!(steps, vec![1, 3, 6, 9]);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&history).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
-    }
-
-    #[test]
     fn prom_sibling_is_written() {
         let _serial = serial();
         let path = tmp_status_path("prom");
         // The sibling renders the *global* registry; make sure it holds at
         // least one metric regardless of which tests ran before this one.
         Registry::global().counter("t.export.prom_probe").inc();
-        let exporter = StatusExporter::new(path.clone(), 1);
+        let exporter = StatusExporter::new(path.clone());
         exporter.on_step(core(1, 10));
         let prom_text = std::fs::read_to_string(path.with_extension("prom")).unwrap();
         assert!(prom_text.lines().any(|l| l.starts_with("# TYPE ")));
@@ -729,7 +659,7 @@ mod tests {
         reg.counter("qoc.serve.tenant.acme.completed").add(3);
         reg.counter("qoc.serve.tenant.acme.device_ns").add(1234);
         reg.counter("qoc.serve.tenant.beta.completed").add(5);
-        let exporter = StatusExporter::new(path.clone(), 1);
+        let exporter = StatusExporter::new(path.clone());
         exporter.on_step(core(1, 10));
         let doc: serde::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
@@ -775,7 +705,7 @@ mod tests {
         let rotated = path.with_extension("history.jsonl.1");
         std::fs::remove_file(&history).ok();
         std::fs::remove_file(&rotated).ok();
-        let exporter = StatusExporter::new(path.clone(), 1).with_history_max(3);
+        let exporter = StatusExporter::new(path.clone()).with_history_max(3);
         for step in 1..=7 {
             exporter.on_step(core(step, step));
         }
@@ -790,7 +720,7 @@ mod tests {
         }
         // A fresh exporter over the same files counts the pre-existing line
         // instead of clobbering it (resume/shared-host case).
-        let exporter2 = StatusExporter::new(path.clone(), 1).with_history_max(3);
+        let exporter2 = StatusExporter::new(path.clone()).with_history_max(3);
         exporter2.on_step(core(8, 8));
         exporter2.on_step(core(9, 9));
         assert_eq!(
@@ -815,7 +745,7 @@ mod tests {
         crate::alerts::install_rules("t.export.alert_probe > 10 for 2 windows")
             .expect("rule parses");
         let gauge = Registry::global().gauge("t.export.alert_probe");
-        let exporter = StatusExporter::new(path.clone(), 1);
+        let exporter = StatusExporter::new(path.clone());
         gauge.set(50.0);
         exporter.on_step(core(1, 1)); // streak 1
         exporter.on_step(core(2, 2)); // streak 2 → fires
@@ -859,7 +789,7 @@ mod tests {
     fn heartbeat_respects_time_floor_and_missing_core() {
         let _serial = serial();
         let path = tmp_status_path("heartbeat");
-        let exporter = StatusExporter::new(path.clone(), 1);
+        let exporter = StatusExporter::new(path.clone());
         // No core yet: heartbeat must not write anything.
         exporter.maybe_heartbeat();
         assert!(!path.exists());

@@ -25,11 +25,11 @@
 //! memory is at most `capacity × writing-threads` records and a snapshot (or
 //! dump) returns at most `capacity` records — the globally newest ones.
 //!
-//! Enabled by `QOC_FLIGHT_RECORDER=N` (ring capacity; `0` or empty disables;
-//! an unparseable value falls back to [`DEFAULT_CAPACITY`] rather than
-//! silently disabling — a typo should yield more telemetry, not none). With
-//! the variable unset the recorder is **never constructed** and the
-//! instrumentation macros stay at one relaxed atomic load (pinned by the
+//! Enabled by `QOC_FLIGHT_RECORDER=N` (ring capacity; `0` or empty
+//! disables; a malformed value is rejected by
+//! [`env::check`](crate::env::check)). With the variable unset the recorder
+//! is **never constructed** and the instrumentation macros stay at one
+//! relaxed atomic load (pinned by the
 //! `telemetry/span_disabled_flight_off` micro-bench).
 
 use std::cell::RefCell;
@@ -42,9 +42,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::sink::{owned_record_json, OwnedRecord};
 use crate::{Level, Record, Subscriber};
-
-/// Ring capacity used when `QOC_FLIGHT_RECORDER` is set but unparseable.
-pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One thread's private ring: `(global seq, record)` pairs, newest at the
 /// back. Only the owning thread writes; snapshots briefly lock to clone.
@@ -83,23 +80,6 @@ impl FlightRecorder {
             seq: AtomicU64::new(0),
             rings: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Builds from `QOC_FLIGHT_RECORDER`. `None` (no construction at all)
-    /// when the variable is unset, empty, or `0`.
-    pub fn from_env() -> Option<Arc<FlightRecorder>> {
-        let spec = std::env::var("QOC_FLIGHT_RECORDER").ok()?;
-        let capacity = match parse_capacity(&spec) {
-            Ok(capacity) => capacity?,
-            Err(()) => {
-                eprintln!(
-                    "qoc-telemetry: QOC_FLIGHT_RECORDER=`{spec}` is not a ring size; \
-                     using {DEFAULT_CAPACITY}"
-                );
-                DEFAULT_CAPACITY
-            }
-        };
-        Some(Arc::new(FlightRecorder::new(capacity)))
     }
 
     /// Configured ring capacity.
@@ -196,20 +176,6 @@ impl Subscriber for FlightRecorder {
     }
 }
 
-/// Parses a `QOC_FLIGHT_RECORDER` value. `Ok(None)` = explicitly disabled
-/// (empty or `0`), `Ok(Some(n))` = capacity, `Err(())` = unparseable.
-fn parse_capacity(spec: &str) -> Result<Option<usize>, ()> {
-    let spec = spec.trim();
-    if spec.is_empty() {
-        return Ok(None);
-    }
-    match spec.parse::<usize>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,16 +201,6 @@ mod tests {
 
     fn install_recorder(recorder: &Arc<FlightRecorder>) -> TestInstallGuard {
         install_for_test(vec![Arc::new(FlightOnly(recorder.clone()))], None)
-    }
-
-    #[test]
-    fn capacity_spec_parses() {
-        assert_eq!(parse_capacity(""), Ok(None));
-        assert_eq!(parse_capacity("  "), Ok(None));
-        assert_eq!(parse_capacity("0"), Ok(None));
-        assert_eq!(parse_capacity("256"), Ok(Some(256)));
-        assert_eq!(parse_capacity(" 8192 "), Ok(Some(8192)));
-        assert_eq!(parse_capacity("lots"), Err(()));
     }
 
     #[test]

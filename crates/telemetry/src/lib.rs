@@ -15,8 +15,10 @@
 //!   [`metrics::Registry::snapshot`] into run manifests and bench artifacts.
 //! - **Live observability** — a bounded in-memory [`flight`] recorder
 //!   (`QOC_FLIGHT_RECORDER`, black-box crash dumps) and a live status
-//!   [`export`]er (`QOC_STATUS_FILE`/`QOC_STATUS_EVERY`) publishing atomic
+//!   [`export`]er (`QOC_STATUS_FILE`) publishing atomic
 //!   JSON snapshots plus a Prometheus text sibling (see [`prom`]).
+//! - **Knobs** — every `QOC_*` environment variable of the workspace is
+//!   tabled and parsed in [`env`].
 //!
 //! # Off by default, cheap when off
 //!
@@ -42,6 +44,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alerts;
+pub mod env;
 pub mod export;
 pub mod flight;
 pub mod metrics;
@@ -261,25 +264,28 @@ static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(|| {
         let mut subscribers: Vec<Arc<dyn Subscriber>> = Vec::new();
-        if let Ok(spec) = std::env::var("QOC_LOG") {
-            // Unparseable levels fall back to info rather than erroring: a
-            // typo'd QOC_LOG should yield more telemetry, not none.
-            let level = spec.parse().unwrap_or(Level::Info);
+        // A malformed knob is left off here: `env::check`, which every
+        // entry point runs before training, reports it.
+        if let Ok(Some(level)) = env::level("QOC_LOG") {
             subscribers.push(Arc::new(sink::ConsoleSubscriber::new(level)));
         }
         let mut trace_path = None;
-        if let Ok(path) = std::env::var("QOC_TRACE_FILE") {
-            if !path.trim().is_empty() {
-                match sink::JsonlSink::create(&path) {
-                    Ok(sink) => {
-                        subscribers.push(Arc::new(sink));
-                        trace_path = Some(PathBuf::from(path));
-                    }
-                    Err(err) => eprintln!("qoc-telemetry: cannot open QOC_TRACE_FILE: {err}"),
+        if let Some(path) = env::path("QOC_TRACE_FILE") {
+            match sink::JsonlSink::create(&path) {
+                Ok(sink) => {
+                    subscribers.push(Arc::new(sink));
+                    trace_path = Some(path);
                 }
+                Err(err) => eprintln!("qoc-telemetry: cannot open QOC_TRACE_FILE: {err}"),
             }
         }
-        let flight = flight::FlightRecorder::from_env();
+        // The flight recorder is never constructed unless asked for (a
+        // capacity > 0).
+        let count = |name| env::count(name).ok().flatten().filter(|&n| n > 0);
+        let flight = count("QOC_FLIGHT_RECORDER").map(|n| {
+            let capacity = usize::try_from(n).unwrap_or(usize::MAX);
+            Arc::new(flight::FlightRecorder::new(capacity))
+        });
         if let Some(recorder) = &flight {
             subscribers.push(recorder.clone());
         }
@@ -287,10 +293,13 @@ fn global() -> &'static Telemetry {
         // (SNR, queue-wait) to feed the metrics registry even when no
         // record subscriber exists; a configured profiler needs the spans
         // themselves to be constructed so their stacks can be sampled.
+        let profile_hz = count("QOC_PROFILE_HZ");
+        if let Some(hz) = profile_hz {
+            profiler::start_at(u32::try_from(hz).unwrap_or(u32::MAX));
+        }
         let active = !subscribers.is_empty()
-            || export::configured_from_env()
-            || profiler::configured_from_env();
-        profiler::start_from_env();
+            || env::path("QOC_STATUS_FILE").is_some()
+            || profile_hz.is_some();
         Telemetry {
             active: AtomicBool::new(active),
             epoch: Instant::now(),

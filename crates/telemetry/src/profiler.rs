@@ -43,9 +43,6 @@ use std::time::Duration;
 /// samples (the depth counter still tracks them so pops stay balanced).
 pub const MAX_DEPTH: usize = 32;
 
-/// Environment variable selecting the sampling rate in Hz (> 0 enables).
-pub const PROFILE_HZ_ENV: &str = "QOC_PROFILE_HZ";
-
 /// Fast-path flag for [`SpanGuard`](crate::SpanGuard): one relaxed load.
 static PROFILER_ON: AtomicBool = AtomicBool::new(false);
 
@@ -53,19 +50,6 @@ static PROFILER_ON: AtomicBool = AtomicBool::new(false);
 #[inline]
 pub fn active() -> bool {
     PROFILER_ON.load(Ordering::Relaxed)
-}
-
-/// Whether `QOC_PROFILE_HZ` requests sampling (env check only). Telemetry
-/// init uses this to force-enable span construction even with no
-/// subscriber, then calls [`start_from_env`].
-pub fn configured_from_env() -> bool {
-    hz_from_env().is_some()
-}
-
-fn hz_from_env() -> Option<u32> {
-    let spec = std::env::var(PROFILE_HZ_ENV).ok()?;
-    let hz = spec.trim().parse::<u32>().ok()?;
-    (hz > 0).then_some(hz)
 }
 
 // ---------------------------------------------------------------------------
@@ -251,15 +235,6 @@ fn sample_once(accum: &mut Accum) {
             None => accum.torn += 1,
         }
     }
-}
-
-/// Starts the sampler thread if `QOC_PROFILE_HZ` requests one. Idempotent;
-/// called from telemetry init.
-pub fn start_from_env() {
-    let Some(hz) = hz_from_env() else {
-        return;
-    };
-    start_at(hz);
 }
 
 /// Starts the sampler at `hz` (first caller wins; later rates are ignored).

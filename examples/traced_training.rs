@@ -11,11 +11,37 @@
 //!     cargo run --release --example quickstart
 //! ```
 
+use std::error::Error;
 use std::process::ExitCode;
 
 use qoc::prelude::*;
 
 fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            qoc::telemetry::flush();
+            eprintln!("traced_training: {e}");
+            ExitCode::from(1)
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn Error>> {
+    // Every QOC_* knob is read and checked before telemetry opens (and
+    // truncates) a trace file, so a typo leaves no half-written artifacts.
+    qoc::telemetry::env::check()?;
+    // QOC_FAULT_PLAN wraps the emulator in the deterministic fault injector
+    // — CI uses this (with retries disabled) to drive the emergency
+    // checkpoint + flight-recorder black-box path.
+    let fault_plan = FaultPlan::from_env()?;
+    let checkpoint = CheckpointConfig::from_env()?;
+    let mut config = TrainConfig::paper_pgp(9);
+    config.batch_size = 4;
+    config.eval_examples = 16;
+    // QOC_SHOT_ALLOC=snr turns on the SNR-adaptive shot allocator.
+    config.shot_alloc = ShotAllocConfig::from_env()?;
+
     // Telemetry reads the environment once, on first use — configure it
     // before anything else touches the training stack. Values exported by
     // the caller win (CI runs this at QOC_LOG=debug).
@@ -30,37 +56,22 @@ fn main() -> ExitCode {
     let (train_set, val_set) = Task::Mnist2.load(42);
     let model = QnnModel::mnist2();
     let device = FakeDevice::new(fake_santiago());
-    // QOC_FAULT_PLAN wraps the emulator in the deterministic fault injector
-    // — CI uses this (with retries disabled) to drive the emergency
-    // checkpoint + flight-recorder black-box path.
-    let faulty = FaultPlan::from_env()
-        .map(|plan| FaultInjectingBackend::new(FakeDevice::new(fake_santiago()), plan));
+    let faulty =
+        fault_plan.map(|plan| FaultInjectingBackend::new(FakeDevice::new(fake_santiago()), plan));
     let backend: &dyn QuantumBackend = match &faulty {
         Some(b) => b,
         None => &device,
     };
-
-    let mut config = TrainConfig::paper_pgp(9);
-    config.batch_size = 4;
-    config.eval_examples = 16;
     println!(
         "training {} steps on {} with tracing on ...\n",
         config.steps,
         backend.name()
     );
-    let checkpoint = CheckpointConfig::from_env();
     let anchor = RunAnchor {
         checkpoint: checkpoint.as_ref(),
         ..RunAnchor::default()
     };
-    let result = match train_anchored(&model, backend, &train_set, &val_set, &config, anchor) {
-        Ok(result) => result,
-        Err(e) => {
-            qoc::telemetry::flush();
-            eprintln!("traced_training: {e}");
-            return ExitCode::from(1);
-        }
-    };
+    let result = train_anchored(&model, backend, &train_set, &val_set, &config, anchor)?;
     qoc::telemetry::flush();
 
     println!(
@@ -69,7 +80,7 @@ fn main() -> ExitCode {
     );
 
     // Show what landed on disk: the trace plus its sibling artifacts.
-    let trace = qoc::telemetry::trace_file_path().expect("trace path configured above");
+    let trace = qoc::telemetry::trace_file_path().ok_or("trace path configured above")?;
     for path in [
         trace.clone(),
         trace.with_extension("steps.jsonl"),
@@ -84,5 +95,5 @@ fn main() -> ExitCode {
             println!("\nsample trace line:\n{line}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

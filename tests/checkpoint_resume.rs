@@ -103,6 +103,7 @@ fn pgp_config(steps: usize) -> TrainConfig {
         schedule: LrSchedule::Constant { lr: 0.2 },
         pruning: PruningKind::Probabilistic(PruneConfig::paper_default()),
         execution: Execution::Shots(128),
+        shot_alloc: None,
         seed: 7,
         eval_every: 3,
         eval_examples: 8,

@@ -14,6 +14,7 @@ fn small_config(steps: usize) -> TrainConfig {
         schedule: LrSchedule::Constant { lr: 0.25 },
         pruning: PruningKind::None,
         execution: Execution::Exact,
+        shot_alloc: None,
         seed: 17,
         eval_every: steps,
         eval_examples: 40,

@@ -51,6 +51,7 @@ fn config_for(seed: u64) -> TrainConfig {
         schedule: LrSchedule::Constant { lr: 0.2 },
         pruning: PruningKind::Probabilistic(PruneConfig::paper_default()),
         execution: Execution::Shots(64),
+        shot_alloc: None,
         seed,
         eval_every: 3,
         eval_examples: 4,
@@ -112,7 +113,7 @@ fn overlapping_engines_share_one_exporter_without_losing_snapshots() {
     std::fs::remove_file(&history_path).ok();
 
     // Cadence 1: every step from every engine must publish with history.
-    let exporter = StatusExporter::new(PathBuf::from(&status_path), 1);
+    let exporter = StatusExporter::new(PathBuf::from(&status_path));
 
     let model = QnnModel::mnist2();
     let train_ds = toy_data(12);
@@ -261,7 +262,7 @@ fn history_rotation_under_concurrency_loses_no_step_snapshots() {
     std::fs::remove_file(&history_path).ok();
     std::fs::remove_file(&rotated_path).ok();
 
-    let exporter = StatusExporter::new(PathBuf::from(&status_path), 1).with_history_max(CAP);
+    let exporter = StatusExporter::new(PathBuf::from(&status_path)).with_history_max(CAP);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
             let exporter = &exporter;
@@ -316,7 +317,7 @@ fn history_rotation_under_concurrency_loses_no_step_snapshots() {
 
     // A fresh exporter over the same stem counts the surviving lines and
     // keeps rotating from there rather than restarting from zero.
-    let resumed = StatusExporter::new(PathBuf::from(&status_path), 1).with_history_max(CAP);
+    let resumed = StatusExporter::new(PathBuf::from(&status_path)).with_history_max(CAP);
     let live_before = live_lines.len() as u64;
     for step in 0..(CAP - live_before + 1) {
         resumed.on_step(StatusCore {
