@@ -59,9 +59,6 @@ pub mod optim;
 pub mod prune;
 pub mod sched;
 pub mod shift;
-pub mod spsa;
-pub mod vqe;
-pub mod zne;
 
 pub use alloc::{AllocState, ShotAllocConfig, ShotAllocError, ShotAllocator, ShotSpec, StepPlan};
 pub use checkpoint::{CheckpointConfig, CheckpointError, TrainState};

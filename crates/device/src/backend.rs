@@ -176,8 +176,8 @@ pub enum JobKind {
     ExpectationZ,
     /// Probability distribution over logical bitstrings — exact under
     /// [`Execution::Exact`], a normalized shot histogram under
-    /// [`Execution::Shots`]. Joint observables (VQE Hamiltonian terms) need
-    /// this instead of per-qubit marginals.
+    /// [`Execution::Shots`]. Joint statistics need this instead of per-qubit
+    /// marginals.
     OutcomeDistribution,
 }
 

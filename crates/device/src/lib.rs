@@ -45,7 +45,6 @@ pub mod backend;
 pub mod backends;
 pub mod calibration;
 pub mod faults;
-pub mod mitigation;
 pub mod pool;
 pub mod rb;
 pub mod retry;

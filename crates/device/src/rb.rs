@@ -127,7 +127,8 @@ pub struct RbResult {
 ///
 /// # Panics
 ///
-/// Panics on empty `lengths` or zero `samples`, or if a job fails (see
+/// Panics if `lengths` holds fewer than two distinct values (a decay needs
+/// two points to fit), on zero `samples`, or if a job fails (see
 /// [`QuantumBackend::run_batch_expect`]).
 pub fn randomized_benchmarking(
     backend: &dyn QuantumBackend,
@@ -137,7 +138,10 @@ pub fn randomized_benchmarking(
     execution: Execution,
     rng: &mut dyn RngCore,
 ) -> RbResult {
-    assert!(!lengths.is_empty(), "need at least one sequence length");
+    assert!(
+        distinct_lengths(lengths.iter().copied()) >= 2,
+        "need at least two distinct sequence lengths"
+    );
     assert!(samples > 0, "need at least one sample per length");
     let group = CliffordGroup::generate();
     let mut points = Vec::with_capacity(lengths.len());
@@ -168,9 +172,11 @@ pub fn randomized_benchmarking(
             survival,
         });
     }
-    // Log-linear fit of (F − 1/2) = A·αᵐ.
+    // Log-linear fit of (F − 1/2) = A·αᵐ over the lengths still above the
+    // fully mixed 1/2; with fewer than two of those left the curve has
+    // decayed away and α = 0.
     let usable: Vec<&RbPoint> = points.iter().filter(|p| p.survival > 0.5 + 1e-6).collect();
-    let (alpha, _a) = if usable.len() >= 2 {
+    let alpha = if distinct_lengths(usable.iter().map(|p| p.length)) >= 2 {
         let xs: Vec<f64> = usable.iter().map(|p| p.length as f64).collect();
         let ys: Vec<f64> = usable.iter().map(|p| (p.survival - 0.5).ln()).collect();
         let n = xs.len() as f64;
@@ -178,10 +184,9 @@ pub fn randomized_benchmarking(
         let my = ys.iter().sum::<f64>() / n;
         let sxx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
         let sxy: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-        let slope = if sxx > 1e-12 { sxy / sxx } else { 0.0 };
-        (slope.exp().clamp(0.0, 1.0), (my - slope * mx).exp())
+        (sxy / sxx).exp().clamp(0.0, 1.0)
     } else {
-        (0.0, 0.5)
+        0.0
     };
     RbResult {
         points,
@@ -190,11 +195,21 @@ pub fn randomized_benchmarking(
     }
 }
 
+/// Number of distinct values in `lengths`.
+fn distinct_lengths(lengths: impl Iterator<Item = usize>) -> usize {
+    let mut seen: Vec<usize> = lengths.collect();
+    seen.sort_unstable();
+    seen.dedup();
+    seen.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{FakeDevice, NoiselessBackend};
-    use crate::backends::fake_lima;
+    use crate::backends::{fake_jakarta, fake_lima, fake_santiago};
+    use crate::faults::{FaultInjectingBackend, FaultPlan};
+    use crate::retry::RetryPolicy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -241,27 +256,89 @@ mod tests {
         assert!(result.error_per_clifford < 1e-9);
     }
 
+    /// The calibrated fake device with gate fusion disabled: RB must
+    /// execute the sequence as written.
+    fn unfused(desc: crate::backends::DeviceDescription) -> FakeDevice {
+        FakeDevice::new(desc).with_options(crate::transpile::TranspileOptions {
+            optimize: false,
+            smart_layout: true,
+        })
+    }
+
     #[test]
     fn device_rb_decays_and_matches_calibration_scale() {
-        // Disable gate fusion: RB must execute the sequence as written.
-        let device =
-            FakeDevice::new(fake_lima()).with_options(crate::transpile::TranspileOptions {
-                optimize: false,
-                smart_layout: true,
-            });
-        let mut rng = StdRng::seed_from_u64(3);
-        let result =
-            randomized_benchmarking(&device, 0, &[1, 8, 20, 40], 6, Execution::Exact, &mut rng);
-        // Survival decays with sequence length.
-        assert!(result.points[0].survival > result.points.last().unwrap().survival);
         // Error per Clifford: each Clifford averages ~1.9 {H,S} gates, H
         // costs 2 physical SX-frames; the calibrated 1q error is ~3.7e-4
         // and thermal adds more. Expect r in a broad physical band.
-        let r = result.error_per_clifford;
-        assert!(
-            r > 5e-5 && r < 2e-2,
-            "error per Clifford {r} outside the plausible band"
+        for desc in [fake_lima(), fake_santiago(), fake_jakarta()] {
+            let name = desc.name.clone();
+            let device = unfused(desc);
+            let mut rng = StdRng::seed_from_u64(3);
+            let result =
+                randomized_benchmarking(&device, 0, &[1, 8, 20, 40], 6, Execution::Exact, &mut rng);
+            // Survival decays with sequence length.
+            assert!(
+                result.points[0].survival > result.points.last().unwrap().survival,
+                "{name}: no RB decay"
+            );
+            let r = result.error_per_clifford;
+            assert!(
+                r > 5e-5 && r < 2e-2,
+                "{name}: error per Clifford {r} outside the plausible band"
+            );
+            assert!(result.alpha > 0.9 && result.alpha < 1.0, "{name}");
+        }
+    }
+
+    /// Short shot-sampled RB on `backend`, with the sequences and job seeds
+    /// of RNG seed 5.
+    fn short_rb(backend: &dyn QuantumBackend) -> RbResult {
+        randomized_benchmarking(
+            backend,
+            0,
+            &[1, 8],
+            2,
+            Execution::Shots(256),
+            &mut StdRng::seed_from_u64(5),
+        )
+    }
+
+    fn faulty(plan: FaultPlan) -> FaultInjectingBackend<FakeDevice> {
+        FaultInjectingBackend::new(unfused(fake_lima()), plan)
+            .with_retry_policy(RetryPolicy::default().without_backoff())
+    }
+
+    #[test]
+    fn rb_retries_transient_faults_with_the_same_seeds() {
+        let bare = short_rb(&unfused(fake_lima()));
+        // Every job fails twice, then succeeds.
+        let transient = faulty(FaultPlan {
+            transient_rate: 1.0,
+            max_failures_per_job: 2,
+            ..FaultPlan::none()
+        });
+        assert_eq!(short_rb(&transient), bare);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch execution failed")]
+    fn rb_fails_on_permanent_faults() {
+        short_rb(&faulty(FaultPlan {
+            permanent_rate: 1.0,
+            ..FaultPlan::none()
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least two distinct sequence lengths")]
+    fn rb_rejects_a_single_length() {
+        randomized_benchmarking(
+            &NoiselessBackend::new(),
+            0,
+            &[8, 8],
+            1,
+            Execution::Exact,
+            &mut StdRng::seed_from_u64(0),
         );
-        assert!(result.alpha > 0.9 && result.alpha < 1.0);
     }
 }

@@ -17,7 +17,6 @@
 //!   Jacobians.
 //! - [`statevector`] / [`simulator`] — exact state evolution, expectation
 //!   values, and shot sampling.
-//! - [`pauli`] — Pauli strings and observables.
 //! - [`resources`] — the exponential classical-cost model behind Figures
 //!   2(a) and 8 of the paper.
 //! - [`qasm`] — OpenQASM 2.0 export at the hardware interface boundary.
@@ -49,7 +48,6 @@ pub mod fusion;
 pub mod gates;
 pub mod kernels;
 pub mod matrix;
-pub mod pauli;
 pub mod qasm;
 pub mod resources;
 pub mod simulator;

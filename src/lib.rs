@@ -61,9 +61,6 @@ pub mod prelude {
     pub use qoc_core::prune::PruneConfig;
     pub use qoc_core::sched::LrSchedule;
     pub use qoc_core::shift::ParameterShiftEngine;
-    pub use qoc_core::spsa::{minimize_spsa, SpsaConfig};
-    pub use qoc_core::vqe::{run_vqe, Hamiltonian, VqeConfig, VqeProblem};
-    pub use qoc_core::zne::zero_noise_extrapolate;
     pub use qoc_data::dataset::Dataset;
     pub use qoc_data::tasks::Task;
     pub use qoc_device::backend::{
@@ -73,7 +70,6 @@ pub mod prelude {
         all_paper_devices, fake_jakarta, fake_lima, fake_manila, fake_santiago, fake_toronto,
     };
     pub use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
-    pub use qoc_device::mitigation::ReadoutMitigator;
     pub use qoc_device::rb::randomized_benchmarking;
     pub use qoc_device::retry::{BatchError, JobError, RetryPolicy};
     pub use qoc_nn::model::QnnModel;
