@@ -61,9 +61,10 @@ stage_diff_equivalence() {
     # both must match finite differences on decomposed gates, the noisy
     # shifted jobs and the fake device's forked answer must both reproduce
     # goldens captured from the shifted jobs (256 shots) at 1/2/8 workers,
-    # and the forked answer to the Jacobian hook must equal the shifted
-    # jobs bit for bit on random circuits on fake santiago and jakarta,
-    # every fork ending in a state.
+    # the fake device's forked answer to the Jacobian hook must equal the
+    # shifted jobs bit for bit on random circuits on fake santiago and
+    # jakarta, every fork ending in a state, and so must the noiseless
+    # backend's (exact, 64-shot and mixed rows, 1/2/8 workers).
     cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 

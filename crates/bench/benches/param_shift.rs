@@ -69,6 +69,32 @@ fn bench_sampled_forward(c: &mut Criterion) {
     });
 }
 
+/// Sampled Jacobian on the noiseless backend: the paper's 36-parameter
+/// MNIST-4 QNN at 1024 shots, 72 shifted circuits per Jacobian, as
+/// Classical-Train's noiseless sampled gradients run them. The backend
+/// answers the engine's Jacobian hook by forking every shifted state from
+/// one binding of `θ` and sampling it with its job's seed.
+fn bench_sampled_jacobian(c: &mut Criterion) {
+    let model = QnnModel::mnist4();
+    let backend = NoiselessBackend::new();
+    let engine = ParameterShiftEngine::new(
+        &backend,
+        model.circuit(),
+        model.num_params(),
+        Execution::Shots(1024),
+    )
+    .with_workers(1);
+    let theta = model.symbol_vector(
+        &vec![0.2; model.num_params()],
+        &vec![0.7; model.input_dim()],
+    );
+    let mut group = c.benchmark_group("shift/jacobian_sampled");
+    group.bench_function("mnist4_36p_1024shots", |b| {
+        b.iter(|| std::hint::black_box(engine.jacobian(&theta, 5)))
+    });
+    group.finish();
+}
+
 /// Jacobian on the noisy device emulator at 1, 2, 4 and 8 batch workers:
 /// the paper's 4-qubit MNIST-2 ansatz on fake ibmq_santiago at 1024 shots,
 /// 16 shifted circuits per Jacobian. The fake device answers the engine's
@@ -225,6 +251,7 @@ criterion_group!(
     bench_forward,
     bench_jacobian,
     bench_sampled_forward,
+    bench_sampled_jacobian,
     bench_batched_jacobian,
     bench_disabled_span,
     dump_artifact

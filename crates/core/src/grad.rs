@@ -12,8 +12,9 @@
 //! Stages 1 and 2 for *every example in the mini-batch* are independent
 //! circuit executions. [`QnnGradientComputer::batch_gradient`] first offers
 //! each example's Jacobian to the backend's hook
-//! ([`ParameterShiftEngine::offer_jacobian`]; a fake device answers it with
-//! the shifted circuits forked from one forward evolution), then collects
+//! ([`ParameterShiftEngine::offer_jacobian`]; the fake device and the
+//! noiseless backend answer it with the shifted circuits forked from one
+//! forward evolution), then collects
 //! the forward jobs and every declined example's shifted jobs — at most
 //! `batch·(1 + 2·|subset|)` jobs — into a single
 //! [`QuantumBackend::run_batch`] submission. Either way every example costs

@@ -41,12 +41,15 @@
 //! - the exact statevector backend returns finished rows from one forward
 //!   pass and one backward adjoint sweep, for all-`Exact` requests whose
 //!   caller does not count circuits at the shifted-job cost;
-//! - a [`FakeDevice`] returns the shifted jobs' own results, every shifted
-//!   circuit forked from one forward evolution and sampled with its job's
-//!   seed, when every row is a single occurrence with |scale| = 1.
+//! - a [`FakeDevice`], and the statevector backend for every other request
+//!   (sampled rows, or exact rows counted at the shifted-job cost), return
+//!   the shifted jobs' own results, every shifted circuit forked from one
+//!   forward evolution and sampled with its job's seed, when every row is a
+//!   single occurrence with |scale| = 1.
 //!
 //! Anything else (and every wrapper that doesn't forward the hook)
-//! declines, and the engine runs the 2·occ shifted-job batch above. The
+//! declines, and the engine builds and runs the 2·occ shifted-job batch
+//! above; an answered request never builds its jobs. The
 //! shifted results feed the same [`JacobianPlan::assemble`] and
 //! [`JacobianPlan::row_variances`] whoever ran them, so sampled results
 //! are bit-identical on every path. The hook is the only place that
@@ -202,18 +205,27 @@ impl JacobianPlan {
 /// shifted jobs still to run, and the plan that assembles either.
 #[derive(Debug)]
 pub struct JacobianOffer<'e> {
+    engine: &'e ParameterShiftEngine<'e>,
+    /// The request as the hook saw it.
+    batch: JacobianBatch<'e>,
     plan: JacobianPlan,
     answer: Option<JacobianAnswer>,
-    /// The declined request's shifted jobs, until taken.
-    jobs: Option<Vec<CircuitJob<'e>>>,
+    /// The master seed of a declined request's shifted jobs, until they
+    /// are taken.
+    jobs_seed: Option<u64>,
 }
 
 impl<'e> JacobianOffer<'e> {
-    /// The shifted jobs to run when the hook declined (`None` once taken
-    /// or when it answered). Their results, in order, are what
+    /// Builds the shifted jobs to run when the hook declined (`None` once
+    /// taken or when it answered). Their results, in order, are what
     /// [`Self::jacobian`] and [`Self::row_variances`] take.
     pub fn take_jobs(&mut self) -> Option<Vec<CircuitJob<'e>>> {
-        self.jobs.take()
+        let master_seed = self.jobs_seed.take()?;
+        let rows = self.batch.rows.iter().map(|r| (r.symbol, r.execution));
+        Some(
+            self.engine
+                .shifted_jobs(&self.batch.theta, rows, master_seed),
+        )
     }
 
     /// Number of job results the assembly needs: the shifted jobs' count
@@ -473,64 +485,81 @@ impl<'a> ParameterShiftEngine<'a> {
         master_seed: u64,
         budgets: &[Execution],
     ) -> (Vec<CircuitJob<'_>>, JacobianPlan) {
+        let plan = self.plan(subset, budgets);
+        let rows = subset.iter().copied().zip(budgets.iter().copied());
+        (self.shifted_jobs(theta, rows, master_seed), plan)
+    }
+
+    /// The assembly recipe for rows `subset` under `budgets`: the layout of
+    /// [`Self::shifted_jobs`]'s list, two jobs per occurrence in row order.
+    fn plan(&self, subset: &[usize], budgets: &[Execution]) -> JacobianPlan {
         assert_eq!(budgets.len(), subset.len(), "one budget per requested row");
+        let mut num_jobs = 0;
+        let rows = subset
+            .iter()
+            .map(|&i| {
+                assert!(i < self.num_trainable, "symbol {i} not trainable");
+                let terms: Vec<_> = match &self.plans[i] {
+                    SymbolPlan::Simple => vec![(num_jobs, num_jobs + 1, 1.0)],
+                    SymbolPlan::Occurrences(shifts) => (num_jobs..)
+                        .step_by(2)
+                        .zip(shifts)
+                        .map(|(p, shift)| (p, p + 1, shift.scale))
+                        .collect(),
+                };
+                num_jobs += 2 * terms.len();
+                terms
+            })
+            .collect();
+        JacobianPlan {
+            rows,
+            row_executions: budgets.to_vec(),
+            num_jobs,
+            num_outputs: self.prepared.logical_qubits(),
+        }
+    }
+
+    /// The `[+π/2, −π/2]` shifted jobs of `(symbol, execution)` rows, in
+    /// [`Self::plan`]'s layout. A simple symbol shifts `θ` on the shared
+    /// prepared circuit; a shared or scaled one runs `θ` on each
+    /// occurrence's shifted variant.
+    fn shifted_jobs(
+        &self,
+        theta: &[f64],
+        rows: impl IntoIterator<Item = (usize, Execution)>,
+        master_seed: u64,
+    ) -> Vec<CircuitJob<'_>> {
         let mut jobs = Vec::new();
-        let mut rows = Vec::with_capacity(subset.len());
-        for (&i, &execution) in subset.iter().zip(budgets) {
-            assert!(i < self.num_trainable, "symbol {i} not trainable");
-            let mut terms = Vec::new();
+        for (i, execution) in rows {
+            let seed = |k: usize, minus: bool| job_seed(master_seed, shift_stream(i, k, minus));
             match &self.plans[i] {
                 SymbolPlan::Simple => {
-                    let mut plus = theta.to_vec();
-                    plus[i] += FRAC_PI_2;
-                    let mut minus = theta.to_vec();
-                    minus[i] -= FRAC_PI_2;
-                    let p = jobs.len();
-                    jobs.push(CircuitJob::expectation(
-                        &self.prepared,
-                        plus,
-                        execution,
-                        job_seed(master_seed, shift_stream(i, 0, false)),
-                    ));
-                    jobs.push(CircuitJob::expectation(
-                        &self.prepared,
-                        minus,
-                        execution,
-                        job_seed(master_seed, shift_stream(i, 0, true)),
-                    ));
-                    terms.push((p, p + 1, 1.0));
+                    for (minus, shift) in [(false, FRAC_PI_2), (true, -FRAC_PI_2)] {
+                        let mut shifted = theta.to_vec();
+                        shifted[i] += shift;
+                        jobs.push(CircuitJob::expectation(
+                            &self.prepared,
+                            shifted,
+                            execution,
+                            seed(0, minus),
+                        ));
+                    }
                 }
                 SymbolPlan::Occurrences(shifts) => {
                     for (k, shift) in shifts.iter().enumerate() {
-                        let p = jobs.len();
-                        jobs.push(CircuitJob::expectation(
-                            &shift.plus,
-                            theta.to_vec(),
-                            execution,
-                            job_seed(master_seed, shift_stream(i, k, false)),
-                        ));
-                        jobs.push(CircuitJob::expectation(
-                            &shift.minus,
-                            theta.to_vec(),
-                            execution,
-                            job_seed(master_seed, shift_stream(i, k, true)),
-                        ));
-                        terms.push((p, p + 1, shift.scale));
+                        for (minus, prepared) in [(false, &shift.plus), (true, &shift.minus)] {
+                            jobs.push(CircuitJob::expectation(
+                                prepared,
+                                theta.to_vec(),
+                                execution,
+                                seed(k, minus),
+                            ));
+                        }
                     }
                 }
             }
-            rows.push(terms);
         }
-        let num_jobs = jobs.len();
-        (
-            jobs,
-            JacobianPlan {
-                rows,
-                row_executions: budgets.to_vec(),
-                num_jobs,
-                num_outputs: self.prepared.logical_qubits(),
-            },
-        )
+        jobs
     }
 
     /// Shifted jobs each trainable symbol's Jacobian row costs per
@@ -554,7 +583,9 @@ impl<'a> ParameterShiftEngine<'a> {
     /// Offers rows `indices` of the Jacobian at `theta`, row `indices[r]`
     /// under `budgets[r]`, to the backend's hook as one [`JacobianBatch`]
     /// carrying each row's execution and the seeds of its shifted jobs
-    /// ([`Self::jacobian_jobs_budgeted`]). `shifted_only` marks callers that
+    /// ([`Self::jacobian_jobs_budgeted`]'s, drawn from the same streams).
+    /// The jobs themselves are built only if the hook declines, by
+    /// [`JacobianOffer::take_jobs`]. `shifted_only` marks callers that
     /// count the Jacobian at the shifted-job cost (see
     /// [`JacobianBatch::shifted_only`]). Every Jacobian the engine or the
     /// training loop evaluates goes through here.
@@ -571,19 +602,16 @@ impl<'a> ParameterShiftEngine<'a> {
         budgets: &[Execution],
         shifted_only: bool,
     ) -> JacobianOffer<'_> {
-        let (jobs, plan) = self.jacobian_jobs_budgeted(theta, indices, master_seed, budgets);
+        let plan = self.plan(indices, budgets);
         let rows = indices
             .iter()
-            .zip(&plan.rows)
             .zip(budgets)
-            .map(|((&symbol, terms), &execution)| {
-                let (plus, minus, _) = terms[0];
-                JacobianRow {
-                    symbol,
-                    spec: &self.row_specs[symbol],
-                    execution,
-                    seeds: [jobs[plus].seed, jobs[minus].seed],
-                }
+            .map(|(&symbol, &execution)| JacobianRow {
+                symbol,
+                spec: &self.row_specs[symbol],
+                execution,
+                seeds: [false, true]
+                    .map(|minus| job_seed(master_seed, shift_stream(symbol, 0, minus))),
             })
             .collect();
         let batch = JacobianBatch {
@@ -602,7 +630,9 @@ impl<'a> ParameterShiftEngine<'a> {
             "backend answered the wrong number of rows"
         );
         JacobianOffer {
-            jobs: answer.is_none().then_some(jobs),
+            engine: self,
+            jobs_seed: answer.is_none().then_some(master_seed),
+            batch,
             answer,
             plan,
         }
@@ -896,53 +926,58 @@ mod tests {
 
     #[test]
     fn declined_jacobian_batches_run_the_shifted_jobs() {
-        // Sampled execution on the noiseless backend and wrappers that don't
-        // forward the hook decline the structured batch, so the engine runs
-        // the shifted jobs themselves.
+        // Wrappers that don't forward the hook decline the structured
+        // batch, so the engine runs the shifted jobs themselves.
         let c = ansatz_circuit();
         let theta = [0.3; 5];
-        let noiseless = NoiselessBackend::new();
         let wrapped = FaultInjectingBackend::new(FakeDevice::new(fake_lima()), FaultPlan::none());
-        let cases: [(&dyn QuantumBackend, Execution); 3] = [
-            (&noiseless, Execution::Shots(64)),
-            (&wrapped, Execution::Shots(64)),
-            (&wrapped, Execution::Exact),
-        ];
-        for (backend, execution) in cases {
-            let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
+        for execution in [Execution::Shots(64), Execution::Exact] {
+            let engine = ParameterShiftEngine::new(&wrapped, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
             let budgets = [execution; 5];
             let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, false);
-            let label = format!("{} {execution:?}", backend.name());
-            assert_eq!(offer.mode(), "shifted-2p", "{label}");
-            assert_eq!(offer.num_jobs(), 10, "{label}");
-            backend.reset_stats();
+            assert_eq!(offer.mode(), "shifted-2p", "{execution:?}");
+            assert_eq!(offer.num_jobs(), 10, "{execution:?}");
+            wrapped.reset_stats();
             let jac = engine.jacobian(&theta, 6);
             // 2 runs per parameter (all symbols are simple here).
-            assert_eq!(backend.stats().circuits_run, 10, "{label}");
-            assert_eq!(jac, reference, "{label} left the shifted-job path");
+            assert_eq!(wrapped.stats().circuits_run, 10, "{execution:?}");
+            assert_eq!(jac, reference, "{execution:?} left the shifted-job path");
         }
     }
 
     #[test]
-    fn fake_devices_answer_with_the_shifted_jobs_results() {
+    fn forked_answers_equal_the_shifted_jobs_results() {
         // The fake device forks every shifted circuit from one forward
-        // evolution: the same results, bit for bit, and the same circuit
-        // count as running the shifted jobs.
+        // evolution, the noiseless backend from one binding of θ — sampled
+        // rows, and exact rows whose caller counts the shifted jobs: the
+        // same results, bit for bit, and the same circuit count as running
+        // the shifted jobs.
         let c = ansatz_circuit();
         let theta = [0.3; 5];
         let device = FakeDevice::new(fake_lima());
-        for execution in [Execution::Shots(64), Execution::Exact] {
-            let engine = ParameterShiftEngine::new(&device, &c, 5, execution);
+        let noiseless = NoiselessBackend::new();
+        let cases: [(&dyn QuantumBackend, Execution, bool); 5] = [
+            (&device, Execution::Shots(64), false),
+            (&device, Execution::Exact, false),
+            (&noiseless, Execution::Shots(64), false),
+            (&noiseless, Execution::Shots(64), true),
+            (&noiseless, Execution::Exact, true),
+        ];
+        for (backend, execution, shifted_only) in cases {
+            let label = format!(
+                "{} {execution:?} shifted_only={shifted_only}",
+                backend.name()
+            );
+            let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
+            backend.reset_stats();
             let budgets = [execution; 5];
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, true);
-            assert_eq!(offer.mode(), "forked", "{execution:?}");
-            assert_eq!(offer.num_jobs(), 0, "{execution:?}");
-            device.reset_stats();
-            let jac = engine.jacobian(&theta, 6);
-            assert_eq!(device.stats().circuits_run, 10, "{execution:?}");
-            assert_eq!(jac, reference, "{execution:?}");
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, shifted_only);
+            assert_eq!(backend.stats().circuits_run, 10, "{label}");
+            assert_eq!(offer.mode(), "forked", "{label}");
+            assert_eq!(offer.num_jobs(), 0, "{label}");
+            assert_eq!(offer.jacobian(&[]), reference, "{label}");
         }
     }
 
@@ -952,17 +987,24 @@ mod tests {
         let c = ansatz_circuit();
         let noiseless = NoiselessBackend::new();
         let device = FakeDevice::new(fake_lima());
-        let cases: [(&dyn QuantumBackend, Execution, bool, &str); 4] = [
+        let wrapped = FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
+        let cases: [(&dyn QuantumBackend, Execution, bool, &str); 5] = [
             (&noiseless, Execution::Exact, false, "adjoint"),
-            (&noiseless, Execution::Exact, true, "shifted-2p"),
-            (&noiseless, Execution::Shots(64), false, "shifted-2p"),
+            (&noiseless, Execution::Exact, true, "forked"),
+            (&noiseless, Execution::Shots(64), false, "forked"),
             (&device, Execution::Shots(64), false, "forked"),
+            (&wrapped, Execution::Shots(64), false, "shifted-2p"),
         ];
+        let mut seen = Vec::new();
         for (backend, execution, shifted_only, mode) in cases {
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
             let offer = engine.offer_jacobian(&[0.3; 5], &[4, 1], 2, &[execution; 2], shifted_only);
             assert_eq!(offer.mode(), mode, "{} {execution:?}", backend.name());
             assert!(qoc_telemetry::schema::SHIFT_JACOBIAN_MODES.contains(&mode));
+            seen.push(mode);
+        }
+        for mode in qoc_telemetry::schema::SHIFT_JACOBIAN_MODES {
+            assert!(seen.contains(mode), "{mode} not exercised");
         }
     }
 

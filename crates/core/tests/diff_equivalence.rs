@@ -1,6 +1,6 @@
 //! Method-equivalence suite for the shift-aware Jacobian planner.
 //!
-//! Three contracts, straight from the planner's design:
+//! Five contracts, straight from the planner's design:
 //!
 //! 1. the two differentiation methods — the shifted jobs and the exact
 //!    statevector backend's adjoint sweep — agree to ≤1e-12 on random
@@ -16,7 +16,12 @@
 //!    forked from one forward evolution — is bit-identical to the shifted
 //!    jobs run through a wrapper that declines the hook, on random circuits
 //!    with encoder symbols, row subsets and mixed per-row executions, and
-//!    every fork ends in a state (trace 1, Hermitian, PSD to 1e-12).
+//!    every fork ends in a state (trace 1, Hermitian, PSD to 1e-12);
+//! 5. the noiseless backend's forked answer — every shifted statevector
+//!    forked from one binding of `θ` — is bit-identical to the declined
+//!    shifted jobs on the same random cases, for exact rows under
+//!    `shifted_only`, `Shots(64)` rows and mixed per-row budgets, at 1, 2
+//!    and 8 workers.
 
 use proptest::prelude::*;
 
@@ -250,6 +255,58 @@ fn assert_state(rho: &DensityMatrix) {
     );
 }
 
+/// Offers rows `rows` of `c` at `theta`, row `rows[r]` under `budgets[r]`,
+/// to `backend` and to `declining`, a wrapper of the same backend that
+/// declines the hook, each engine at `workers` batch workers, with
+/// `shifted_only` set. A forking backend answers non-empty requests whose
+/// rows are all single occurrences with |scale| = 1, and declines the rest;
+/// either way its Jacobian, row variances and charged stats equal the
+/// declined shifted jobs' bit for bit.
+fn check_forked_equals_declined(
+    backend: &dyn QuantumBackend,
+    declining: &dyn QuantumBackend,
+    (c, trainable, theta, rows): (&Circuit, usize, &[f64], &[usize]),
+    budgets: &[Execution],
+    seed: u64,
+    workers: usize,
+) {
+    let engine = ParameterShiftEngine::new(backend, c, trainable, Execution::Shots(256))
+        .with_workers(workers);
+    let mut answered = engine.offer_jacobian(theta, rows, seed, budgets, true);
+    let own = answered
+        .take_jobs()
+        .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
+    let reference = ParameterShiftEngine::new(declining, c, trainable, Execution::Shots(256))
+        .with_workers(workers);
+    let mut declined = reference.offer_jacobian(theta, rows, seed, budgets, true);
+    let jobs = declined.take_jobs().expect("the wrapper declines");
+    let results = reference.run_batch(&jobs);
+
+    let all_simple = !rows.is_empty()
+        && rows.iter().all(|&s| {
+            let occ = c.symbol_occurrences(s);
+            occ.len() == 1
+                && matches!(c.ops()[occ[0].0].params[occ[0].1],
+                    ParamValue::Sym { scale, .. } if scale.abs() == 1.0)
+        });
+    let mode = if all_simple { "forked" } else { "shifted-2p" };
+    assert_eq!(answered.mode(), mode);
+    assert_eq!(
+        bits(&answered.jacobian(&own)),
+        bits(&declined.jacobian(&results))
+    );
+    assert_eq!(
+        bits(&answered.row_variances(&own)),
+        bits(&declined.row_variances(&results))
+    );
+    assert_eq!(backend.stats().circuits_run, declining.stats().circuits_run);
+    assert_eq!(backend.stats().total_shots, declining.stats().total_shots);
+    assert_eq!(
+        backend.stats().device_nanos(),
+        declining.stats().device_nanos()
+    );
+}
+
 fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
     rows.iter()
         .map(|row| row.iter().map(|v| v.to_bits()).collect())
@@ -269,39 +326,44 @@ proptest! {
         let desc = if jakarta { fake_jakarta() } else { fake_santiago() };
         let device = FakeDevice::new(desc.clone());
         let declining = FaultInjectingBackend::new(FakeDevice::new(desc.clone()), FaultPlan::none());
-        let seed = u64::from(seed);
-
-        let engine = ParameterShiftEngine::new(&device, &c, trainable, Execution::Shots(256));
-        let mut answered = engine.offer_jacobian(&theta, &rows, seed, &budgets, true);
-        let own = answered.take_jobs().map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
-        let reference = ParameterShiftEngine::new(&declining, &c, trainable, Execution::Shots(256));
-        let mut declined = reference.offer_jacobian(&theta, &rows, seed, &budgets, true);
-        let jobs = declined.take_jobs().expect("the wrapper declines");
-        let results = reference.run_batch(&jobs);
-
-        // The device answers non-empty requests whose rows are all single
-        // occurrences with |scale| = 1.
-        let all_simple = !rows.is_empty() && rows.iter().all(|&s| {
-            let occ = c.symbol_occurrences(s);
-            occ.len() == 1
-                && matches!(c.ops()[occ[0].0].params[occ[0].1],
-                    ParamValue::Sym { scale, .. } if scale.abs() == 1.0)
-        });
-        prop_assert_eq!(answered.mode(), if all_simple { "forked" } else { "shifted-2p" });
-        prop_assert_eq!(bits(&answered.jacobian(&own)), bits(&declined.jacobian(&results)));
-        prop_assert_eq!(
-            bits(&answered.row_variances(&own)),
-            bits(&declined.row_variances(&results))
-        );
-        prop_assert_eq!(device.stats().circuits_run, declining.stats().circuits_run);
-        prop_assert_eq!(device.stats().total_shots, declining.stats().total_shots);
-        prop_assert_eq!(device.stats().device_nanos(), declining.stats().device_nanos());
+        let case = (&c, trainable, &theta[..], &rows[..]);
+        check_forked_equals_declined(&device, &declining, case, &budgets, u64::from(seed), 1);
 
         // The forks of the executed (transpiled) circuit under the device's
         // calibrated noise all end in states.
         let executable = device.prepare(&c).executable().clone();
         let program = NoisyProgram::compile(executable, &desc.calibration.noise_model());
         program.for_each_shift(&theta, &rows, |_, _, rho| assert_state(rho));
+    }
+
+    #[test]
+    fn noiseless_forked_answers_equal_the_declined_shifted_jobs_bit_for_bit(
+        case in arb_device_case(),
+        seed in 0u32..1000,
+    ) {
+        let (c, trainable, theta, rows, mixed) = case;
+        let noiseless = NoiselessBackend::new();
+        let declining = FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
+        let case = (&c, trainable, &theta[..], &rows[..]);
+        // Every request counts the shifted jobs, as the training loop's
+        // requests do; only then do exact rows fork too.
+        let requests = [
+            vec![Execution::Exact; rows.len()],
+            vec![Execution::Shots(64); rows.len()],
+            mixed,
+        ];
+        for budgets in &requests {
+            for workers in [1usize, 2, 8] {
+                check_forked_equals_declined(
+                    &noiseless,
+                    &declining,
+                    case,
+                    budgets,
+                    u64::from(seed),
+                    workers,
+                );
+            }
+        }
     }
 
     #[test]

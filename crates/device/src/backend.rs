@@ -50,7 +50,9 @@ use rand::SeedableRng;
 use qoc_sim::circuit::Circuit;
 use qoc_sim::diff::{adjoint_jacobian, JacobianRowSpec};
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::{expectation_z_from_counts, sample_counts, with_scratch_state};
+use qoc_sim::statevector::{
+    expectation_z_from_counts, sample_counts, with_scratch_state, Statevector,
+};
 
 use qoc_noise::model::NoiseModel;
 use qoc_noise::sim::{expectations_z_of, NoisyProgram};
@@ -676,12 +678,48 @@ fn sampled_distribution(probs: &[f64], shots: u32, rng: &mut StdRng) -> Vec<f64>
         .collect()
 }
 
+/// A backend's forked answer to `batch`: the results of its shifted jobs,
+/// computed without running them one by one. `None` unless the batch is
+/// non-empty and every row is a symbol shift
+/// ([`JacobianRowSpec::is_symbol_shift`]).
+///
+/// `for_each_shift(symbols, visit)` must hand `visit(row, minus, state)`
+/// each row's final state at `θ[symbols[row]] ± π/2` — bit-identical to the
+/// shifted job's. `read_out(state, execution, rng)` then finishes it as the
+/// job would, charging it to the backend's stats, with an RNG seeded from
+/// the job's seed. Results land in the [`JacobianAnswer::Shifted`] order
+/// (`2·row + minus`), and the batch runs inside a one-worker `device.batch`
+/// span.
+fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
+    backend: &B,
+    batch: &JacobianBatch<'_>,
+    for_each_shift: impl FnOnce(&[usize], &mut dyn FnMut(usize, bool, &S)),
+    mut read_out: impl FnMut(&S, Execution, &mut StdRng) -> Vec<f64>,
+) -> Option<JacobianAnswer> {
+    if batch.rows.is_empty() || !batch.rows.iter().all(|r| r.spec.is_symbol_shift()) {
+        return None;
+    }
+    let symbols: Vec<usize> = batch.rows.iter().map(|r| r.symbol).collect();
+    let mut results = vec![Vec::new(); 2 * symbols.len()];
+    let span = BatchSpan::open(backend, results.len(), 1);
+    for_each_shift(&symbols, &mut |r, minus, state| {
+        let row = &batch.rows[r];
+        let mut rng = StdRng::seed_from_u64(row.seeds[usize::from(minus)]);
+        results[2 * r + usize::from(minus)] = read_out(state, row.execution, &mut rng);
+    });
+    span.close(backend);
+    Some(JacobianAnswer::Shifted(results))
+}
+
 /// Exact statevector backend — the "Classical-Train" substrate.
 ///
 /// Executes fused kernel programs compiled at [`QuantumBackend::prepare`]
 /// time on pooled scratch states, so the per-job cost in a parameter-shift
 /// batch is pure gate arithmetic: no matrix construction, no circuit
-/// re-analysis, no statevector allocation.
+/// re-analysis, no statevector allocation. Its Jacobian hook answers exact
+/// requests with one adjoint sweep, and sampled or `shifted_only` ones by
+/// forking every shifted state from one binding of `θ`
+/// ([`FusedProgram::for_each_shift`]).
 #[derive(Debug, Default)]
 pub struct NoiselessBackend {
     stats: StatCells,
@@ -691,6 +729,29 @@ impl NoiselessBackend {
     /// Creates a noiseless backend.
     pub fn new() -> Self {
         NoiselessBackend::default()
+    }
+
+    /// Finishes one job from its final state `sv`: charges it to the stats
+    /// and returns what `kind` asks for, exact or sampled from `rng`.
+    fn read_out(
+        &self,
+        sv: &Statevector,
+        kind: JobKind,
+        execution: Execution,
+        rng: &mut StdRng,
+    ) -> Vec<f64> {
+        self.stats.charge(execution, 0.0, 0.0);
+        match (kind, execution) {
+            (JobKind::ExpectationZ, Execution::Exact) => sv.expectation_all_z(),
+            (JobKind::OutcomeDistribution, Execution::Exact) => sv.probabilities(),
+            (JobKind::ExpectationZ, Execution::Shots(s)) => {
+                let counts = sample_counts(&sv.probabilities(), s, rng);
+                expectation_z_from_counts(&counts, sv.num_qubits(), s)
+            }
+            (JobKind::OutcomeDistribution, Execution::Shots(s)) => {
+                sampled_distribution(&sv.probabilities(), s, rng)
+            }
+        }
     }
 }
 
@@ -718,39 +779,39 @@ impl QuantumBackend for NoiselessBackend {
         let Plan::Direct { program, .. } = &job.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        self.stats.charge(job.execution, 0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(job.seed);
-        let n = program.num_qubits();
-        with_scratch_state(n, |sv| {
+        with_scratch_state(program.num_qubits(), |sv| {
             program.run_into(&job.theta, sv);
-            match (job.kind, job.execution) {
-                (JobKind::ExpectationZ, Execution::Exact) => sv.expectation_all_z(),
-                (JobKind::OutcomeDistribution, Execution::Exact) => sv.probabilities(),
-                (JobKind::ExpectationZ, Execution::Shots(s)) => {
-                    let counts = sample_counts(&sv.probabilities(), s, &mut rng);
-                    expectation_z_from_counts(&counts, n, s)
-                }
-                (JobKind::OutcomeDistribution, Execution::Shots(s)) => {
-                    sampled_distribution(&sv.probabilities(), s, &mut rng)
-                }
-            }
+            self.read_out(sv, job.kind, job.execution, &mut rng)
         })
     }
 
+    /// Answers all-`Exact` batches whose caller does not need the
+    /// shifted-job cost with finished rows from one adjoint sweep, charged
+    /// as one circuit. Answers every other batch whose rows are all symbol
+    /// shifts — sampled rows, or `Exact` rows under
+    /// [`JacobianBatch::shifted_only`] — with the shifted jobs' results
+    /// ([`forked_answer`]), forked from one binding of `θ` by
+    /// [`FusedProgram::for_each_shift`].
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
-        let Plan::Direct { circuit, .. } = &batch.prepared.plan else {
+        let Plan::Direct { circuit, program } = &batch.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        if batch.shifted_only || batch.rows.iter().any(|r| r.execution != Execution::Exact) {
-            return None;
+        if !batch.shifted_only && batch.rows.iter().all(|r| r.execution == Execution::Exact) {
+            // One forward pass + one backward sweep ≈ one inference of
+            // accounting: the Figure 6 x-axis counts circuit executions and
+            // the adjoint method runs the circuit once.
+            self.stats.charge(Execution::Exact, 0.0, 0.0);
+            let specs: Vec<JacobianRowSpec> = batch.rows.iter().map(|r| r.spec.clone()).collect();
+            let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &specs);
+            return Some(JacobianAnswer::Rows(jac));
         }
-        // One forward pass + one backward sweep ≈ one inference of
-        // accounting: the Figure 6 x-axis counts circuit executions and the
-        // adjoint method runs the circuit once.
-        self.stats.charge(Execution::Exact, 0.0, 0.0);
-        let specs: Vec<JacobianRowSpec> = batch.rows.iter().map(|r| r.spec.clone()).collect();
-        let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &specs);
-        Some(JacobianAnswer::Rows(jac))
+        forked_answer(
+            self,
+            batch,
+            |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
+            |sv, execution, rng| self.read_out(sv, JobKind::ExpectationZ, execution, rng),
+        )
     }
 
     fn stats(&self) -> ExecutionStats {
@@ -951,32 +1012,21 @@ impl QuantumBackend for FakeDevice {
         }
     }
 
-    /// Answers every batch whose rows are all symbol shifts
-    /// ([`JacobianRowSpec::is_symbol_shift`]) with the shifted jobs' results,
-    /// forked from one forward evolution
-    /// ([`NoisyProgram::for_each_shift`]): each shifted state is
-    /// bit-identical to the job's, is measured and sampled with the job's
-    /// seed, and is charged to the stats as the job, inside a one-worker
-    /// `device.batch` span. Declines any other row, and empty batches.
+    /// Answers every batch whose rows are all symbol shifts with the
+    /// shifted jobs' results ([`forked_answer`]), forked from one forward
+    /// evolution by [`NoisyProgram::for_each_shift`]: each shifted density
+    /// matrix is measured with readout error, then read out like the job.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
-        let Plan::Device { program, .. } = &batch.prepared.plan else {
+        let plan = &batch.prepared.plan;
+        let Plan::Device { program, .. } = plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        if batch.rows.is_empty() || !batch.rows.iter().all(|r| r.spec.is_symbol_shift()) {
-            return None;
-        }
-        let symbols: Vec<usize> = batch.rows.iter().map(|r| r.symbol).collect();
-        let mut results = vec![Vec::new(); 2 * symbols.len()];
-        let span = BatchSpan::open(self, results.len(), 1);
-        program.for_each_shift(&batch.theta, &symbols, |r, minus, rho| {
-            let row = &batch.rows[r];
-            let mut rng = StdRng::seed_from_u64(row.seeds[usize::from(minus)]);
-            let probs = program.measure(rho);
-            results[2 * r + usize::from(minus)] =
-                self.read_out(&batch.prepared.plan, &probs, row.execution, &mut rng);
-        });
-        span.close(self);
-        Some(JacobianAnswer::Shifted(results))
+        forked_answer(
+            self,
+            batch,
+            |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
+            |rho, execution, rng| self.read_out(plan, &program.measure(rho), execution, rng),
+        )
     }
 
     fn stats(&self) -> ExecutionStats {

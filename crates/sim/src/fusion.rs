@@ -27,12 +27,21 @@
 //! gate-plus-noise superoperators instead (see `qoc-noise`).
 //!
 //! Identity gates are dropped at compile time.
+//!
+//! [`FusedProgram::for_each_shift`] serves the parameter-shift rule: it binds
+//! `θ` into one kernel per step once, advances one base state in order of
+//! each symbol's first reading step, and forks every `±π/2` shift of a
+//! symbol from the base state at that step, rebinding only the steps that
+//! read the symbol. Each fork does exactly the float operations of a full
+//! run at the shifted `θ`, so its state is bit-identical to one.
+
+use std::f64::consts::FRAC_PI_2;
 
 use crate::circuit::{Circuit, ParamValue};
 use crate::complex::Complex64;
 use crate::gates::GateKind;
 use crate::kernels::{entries_1q, Kernel};
-use crate::statevector::Statevector;
+use crate::statevector::{with_scratch_state, Statevector};
 
 /// One source gate inside a symbolic 1q run, kept unresolved until binding.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,6 +103,61 @@ impl Slot {
     }
 }
 
+impl Step {
+    /// The step's (possibly symbolic) parameters, in source-gate order.
+    fn params(&self) -> impl Iterator<Item = &ParamValue> {
+        let (run, two): (&[DynGate], &[ParamValue]) = match self {
+            Step::Fixed(_) => (&[], &[]),
+            Step::Dyn1 { gates, .. } => (gates, &[]),
+            Step::Dyn2 { params, .. } => (&[], params),
+        };
+        run.iter().flat_map(|g| &g.params).chain(two)
+    }
+
+    /// The step's kernel at `theta`: the compiled one for a fixed step, a
+    /// freshly bound one otherwise. The program's one step binder.
+    fn bind(&self, theta: &[f64]) -> Kernel {
+        match self {
+            Step::Fixed(k) => *k,
+            Step::Dyn1 { q, gates } => bind_1q(*q, gates, theta),
+            Step::Dyn2 {
+                gate,
+                qubits,
+                params,
+            } => {
+                let mut buf = [0.0f64; 3];
+                for (slot, p) in buf.iter_mut().zip(params) {
+                    *slot = p.eval(theta);
+                }
+                Kernel::for_gate(*gate, qubits, &buf[..params.len()])
+            }
+        }
+    }
+
+    /// Applies the step at `theta` to `state`; a fixed step applies its
+    /// compiled kernel without copying it.
+    fn apply(&self, theta: &[f64], state: &mut Statevector) {
+        match self {
+            Step::Fixed(k) => state.apply_kernel(k),
+            symbolic => state.apply_kernel(&symbolic.bind(theta)),
+        }
+    }
+}
+
+/// Per symbol of `circuit`, the ascending indices of the steps that read it
+/// (empty for a symbol no step reads).
+fn reading_steps(circuit: &Circuit, steps: &[Step]) -> Vec<Vec<usize>> {
+    let mut reads = vec![Vec::new(); circuit.num_symbols()];
+    for (i, step) in steps.iter().enumerate() {
+        for symbol in step.params().filter_map(|p| p.symbol()) {
+            if reads[symbol].last() != Some(&i) {
+                reads[symbol].push(i);
+            }
+        }
+    }
+    reads
+}
+
 /// A circuit compiled into fused, pre-classified gate steps.
 ///
 /// Compile once per circuit structure (e.g. per `PreparedCircuit`), then
@@ -119,6 +183,8 @@ impl Slot {
 pub struct FusedProgram {
     num_qubits: usize,
     steps: Vec<Step>,
+    /// Per symbol: the steps that read it (see [`reading_steps`]).
+    reading_steps: Vec<Vec<usize>>,
     source_len: usize,
 }
 
@@ -154,7 +220,7 @@ impl FusedProgram {
                 }),
             }
         }
-        let steps = slots
+        let steps: Vec<Step> = slots
             .into_iter()
             .map(|slot| match slot {
                 Slot::One { q, gates } => {
@@ -187,6 +253,7 @@ impl FusedProgram {
             .collect();
         FusedProgram {
             num_qubits: circuit.num_qubits(),
+            reading_steps: reading_steps(circuit, &steps),
             steps,
             source_len: circuit.len(),
         }
@@ -239,23 +306,74 @@ impl FusedProgram {
             self.num_qubits,
             "state width does not match program width"
         );
-        let mut buf = [0.0f64; 3];
         for step in &self.steps {
-            match step {
-                Step::Fixed(k) => state.apply_kernel(k),
-                Step::Dyn1 { q, gates } => state.apply_kernel(&bind_1q(*q, gates, theta)),
-                Step::Dyn2 {
-                    gate,
-                    qubits,
-                    params,
-                } => {
-                    for (slot, p) in buf.iter_mut().zip(params) {
-                        *slot = p.eval(theta);
-                    }
-                    state.apply_kernel(&Kernel::for_gate(*gate, qubits, &buf[..params.len()]));
-                }
-            }
+            step.apply(theta, state);
         }
+    }
+
+    /// Runs the program at each `±π/2` shift of each symbol in `symbols`
+    /// and hands `visit(row, minus, state)` the final state at `θ` with
+    /// `θ[symbols[row]]` raised (`minus == false`) or lowered by π/2 — the
+    /// two runs of the parameter-shift rule, plus before minus per row.
+    ///
+    /// `θ` is bound into one kernel per step once, and one base state
+    /// advances through them in order of each symbol's first reading step.
+    /// Each shift copies the base state at its symbol's first reading step
+    /// into a fork, rebinds the steps that read the symbol at the shifted
+    /// `θ`, and applies the base kernels everywhere else: exactly the float
+    /// operations of [`Self::run_into`] at the shifted `θ`, so the state is
+    /// bit-identical to that run's. A symbol no step reads visits the
+    /// unshifted final state. Both states come from the per-thread scratch
+    /// pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed symbol indexes past `theta`.
+    pub fn for_each_shift(
+        &self,
+        theta: &[f64],
+        symbols: &[usize],
+        mut visit: impl FnMut(usize, bool, &Statevector),
+    ) {
+        let len = self.steps.len();
+        let reads = |s: usize| self.reading_steps.get(s).map_or(&[][..], Vec::as_slice);
+        let first = |s: usize| reads(s).first().copied().unwrap_or(len);
+        let base: Vec<Kernel> = self.steps.iter().map(|step| step.bind(theta)).collect();
+        let mut order: Vec<usize> = (0..symbols.len()).collect();
+        order.sort_by_key(|&r| first(symbols[r]));
+        let mut shifted = theta.to_vec();
+        with_scratch_state(self.num_qubits, |state| {
+            with_scratch_state(self.num_qubits, |fork| {
+                let mut applied = 0;
+                for &r in &order {
+                    let s = symbols[r];
+                    let start = first(s);
+                    for k in &base[applied..start] {
+                        state.apply_kernel(k);
+                    }
+                    applied = start;
+                    for (minus, value) in
+                        [(false, theta[s] + FRAC_PI_2), (true, theta[s] - FRAC_PI_2)]
+                    {
+                        fork.copy_from(state);
+                        shifted[s] = value;
+                        let mut next = start;
+                        for &i in reads(s) {
+                            for k in &base[next..i] {
+                                fork.apply_kernel(k);
+                            }
+                            self.steps[i].apply(&shifted, fork);
+                            next = i + 1;
+                        }
+                        for k in &base[next..] {
+                            fork.apply_kernel(k);
+                        }
+                        visit(r, minus, fork);
+                    }
+                    shifted[s] = theta[s];
+                }
+            })
+        });
     }
 }
 
@@ -461,6 +579,86 @@ mod tests {
         c.h(0);
         c.h(0);
         assert_matches_reference(&c, &[], 1);
+    }
+
+    /// Every state `for_each_shift` visits equals `run` at the shifted `θ`
+    /// amplitude for amplitude, and each `(row, sign)` is visited once.
+    fn assert_forks_match_shifted_runs(c: &Circuit, theta: &[f64], symbols: &[usize]) {
+        let prog = FusedProgram::compile(c);
+        let mut visits = Vec::new();
+        prog.for_each_shift(theta, symbols, |row, minus, sv| {
+            let mut at = theta.to_vec();
+            let s = symbols[row];
+            at[s] = if minus {
+                theta[s] - FRAC_PI_2
+            } else {
+                theta[s] + FRAC_PI_2
+            };
+            let want = prog.run(&at);
+            assert!(
+                sv.amplitudes() == want.amplitudes(),
+                "row {row} (symbol {s}, minus {minus}) differs from the shifted run"
+            );
+            visits.push((row, minus));
+        });
+        visits.sort_unstable();
+        let want: Vec<(usize, bool)> = (0..symbols.len())
+            .flat_map(|r| [(r, false), (r, true)])
+            .collect();
+        assert_eq!(visits, want);
+    }
+
+    /// Symbols in `Dyn1` runs (several in one run, one spread over two
+    /// runs) and in `Dyn2` gates, around fixed steps; symbol 3 is read by
+    /// no step.
+    fn shift_circuit() -> Circuit {
+        let mut c = Circuit::new(3);
+        c.h(0);
+        c.ry(0, ParamValue::sym(0));
+        c.rz(0, ParamValue::sym(1));
+        c.rx(1, ParamValue::sym(2));
+        c.rzz(0, 1, ParamValue::sym(4));
+        c.cx(1, 2);
+        c.ry(
+            1,
+            ParamValue::Sym {
+                index: 0,
+                scale: -2.0,
+                offset: 0.3,
+            },
+        );
+        c.rxx(1, 2, ParamValue::sym(2));
+        c.rx(2, ParamValue::sym(5));
+        c.ry(2, 0.4);
+        c
+    }
+
+    #[test]
+    fn forks_match_shifted_runs_bit_for_bit() {
+        let c = shift_circuit();
+        let prog = FusedProgram::compile(&c);
+        assert!(
+            prog.steps()
+                .iter()
+                .any(|s| matches!(s, Step::Dyn1 { gates, .. }
+            if gates.iter().filter(|g| g.params.iter().any(|p| p.symbol().is_some())).count() > 1))
+        );
+        assert!(prog.steps().iter().any(|s| matches!(s, Step::Dyn2 { .. })));
+        assert!(prog.reading_steps[3].is_empty());
+        let theta = [0.37, -1.1, 0.52, 2.4, -0.8, 1.3];
+        assert_forks_match_shifted_runs(&c, &theta, &[0, 1, 2, 3, 4, 5]);
+        // Out of first-step order, and the last symbol first.
+        assert_forks_match_shifted_runs(&c, &theta, &[5, 2, 0]);
+    }
+
+    #[test]
+    fn forks_cover_repeated_unread_and_no_symbols() {
+        let c = shift_circuit();
+        let theta = [0.37, -1.1, 0.52, 2.4, -0.8, 1.3, 0.9];
+        // Symbol 6 lies past every symbol the circuit reads.
+        assert_forks_match_shifted_runs(&c, &theta, &[3, 6]);
+        assert_forks_match_shifted_runs(&c, &theta, &[2, 4, 2]);
+        assert_forks_match_shifted_runs(&c, &theta, &[]);
     }
 
     #[test]
