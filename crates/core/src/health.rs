@@ -351,6 +351,18 @@ mod tests {
     use qoc_telemetry::{install_for_test, FieldValue, Level};
     use std::sync::Arc;
 
+    /// The records `capture` took on this test's thread. The subscriber is
+    /// global, so a training run in another test on another thread can add
+    /// its own `grad.health` records while this test's guard is held.
+    fn own_records(capture: &CaptureSubscriber) -> Vec<qoc_telemetry::sink::OwnedRecord> {
+        let me = qoc_telemetry::thread_id();
+        capture
+            .records()
+            .into_iter()
+            .filter(|r| r.thread == me)
+            .collect()
+    }
+
     fn field<'a>(rec: &'a qoc_telemetry::sink::OwnedRecord, key: &str) -> &'a FieldValue {
         &rec.fields
             .iter()
@@ -421,7 +433,7 @@ mod tests {
         h.finish(0.0);
         drop(guard);
 
-        let records = capture.records();
+        let records = own_records(&capture);
         let health: Vec<_> = records.iter().filter(|r| r.span == "grad.health").collect();
         assert_eq!(health.len(), 6, "2 params × 3 steps");
 
@@ -460,7 +472,7 @@ mod tests {
         h.observe_step(0, &Selection::Full, &[0], &[0.3], &[0.0], 0.0);
         h.observe_step(1, &Selection::Full, &[0], &[0.0], &[0.0], 0.0);
         drop(guard);
-        let records = capture.records();
+        let records = own_records(&capture);
         assert_eq!(f64_of(field(&records[0], "snr")), SNR_CAP);
         assert_eq!(f64_of(field(&records[1], "snr")), 0.0);
     }
@@ -518,7 +530,7 @@ mod tests {
         h.finish(0.25);
         drop(guard);
 
-        let records = capture.records();
+        let records = own_records(&capture);
         let eff: Vec<_> = records
             .iter()
             .filter(|r| r.span == "prune.efficacy")
@@ -578,8 +590,7 @@ mod tests {
         }
         drop(guard);
 
-        let expected: Vec<f64> = capture
-            .records()
+        let expected: Vec<f64> = own_records(&capture)
             .iter()
             .filter(|r| r.span == "prune.efficacy")
             .map(|r| f64_of(field(r, "expected_savings")))
@@ -606,8 +617,7 @@ mod tests {
         // The run ends mid-window; finish() must still report it.
         assert!(h.finish(0.5).is_some());
         drop(guard);
-        let count = capture
-            .records()
+        let count = own_records(&capture)
             .iter()
             .filter(|r| r.span == "prune.efficacy")
             .count();
@@ -633,8 +643,7 @@ mod tests {
         assert_eq!(h.evals(1), 0, "skipped row 1 untouched");
         assert_eq!(h.evals(3), 0, "skipped row 3 untouched");
         drop(guard);
-        let params: Vec<_> = capture
-            .records()
+        let params: Vec<_> = own_records(&capture)
             .iter()
             .filter(|r| r.span == "grad.health")
             .map(|r| field(r, "param").clone())

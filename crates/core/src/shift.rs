@@ -89,6 +89,13 @@ pub fn shift_stream(symbol: usize, occurrence: usize, minus: bool) -> u64 {
     ((symbol as u64) << 32) | ((occurrence as u64) << 1) | u64::from(minus)
 }
 
+/// Seed of the `minus`-signed shifted job for `occurrence` of `symbol`
+/// under `master_seed`: what a shifted job runs with and what a
+/// [`JacobianRow`] hands the hook.
+fn shift_seed(master_seed: u64, symbol: usize, occurrence: usize, minus: bool) -> u64 {
+    job_seed(master_seed, shift_stream(symbol, occurrence, minus))
+}
+
 /// How one trainable symbol's gradient is computed.
 #[derive(Debug)]
 enum SymbolPlan {
@@ -101,6 +108,24 @@ enum SymbolPlan {
     /// occurrence separately and sum with the occurrence's chain-rule
     /// scale. The shifted circuit variants are transpiled once, here.
     Occurrences(Vec<OccurrenceShift>),
+}
+
+impl SymbolPlan {
+    /// Number of gate occurrences shifted, two jobs each.
+    fn num_occurrences(&self) -> usize {
+        match self {
+            SymbolPlan::Simple => 1,
+            SymbolPlan::Occurrences(shifts) => shifts.len(),
+        }
+    }
+
+    /// Chain-rule scale of occurrence `k`'s shifted pair.
+    fn scale(&self, k: usize) -> f64 {
+        match self {
+            SymbolPlan::Simple => 1.0,
+            SymbolPlan::Occurrences(shifts) => shifts[k].scale,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -205,27 +230,18 @@ impl JacobianPlan {
 /// shifted jobs still to run, and the plan that assembles either.
 #[derive(Debug)]
 pub struct JacobianOffer<'e> {
-    engine: &'e ParameterShiftEngine<'e>,
-    /// The request as the hook saw it.
-    batch: JacobianBatch<'e>,
     plan: JacobianPlan,
     answer: Option<JacobianAnswer>,
-    /// The master seed of a declined request's shifted jobs, until they
-    /// are taken.
-    jobs_seed: Option<u64>,
+    /// The declined request's shifted jobs, until taken.
+    jobs: Option<Vec<CircuitJob<'e>>>,
 }
 
 impl<'e> JacobianOffer<'e> {
-    /// Builds the shifted jobs to run when the hook declined (`None` once
-    /// taken or when it answered). Their results, in order, are what
+    /// The shifted jobs to run when the hook declined (`None` once taken
+    /// or when it answered). Their results, in order, are what
     /// [`Self::jacobian`] and [`Self::row_variances`] take.
     pub fn take_jobs(&mut self) -> Option<Vec<CircuitJob<'e>>> {
-        let master_seed = self.jobs_seed.take()?;
-        let rows = self.batch.rows.iter().map(|r| (r.symbol, r.execution));
-        Some(
-            self.engine
-                .shifted_jobs(&self.batch.theta, rows, master_seed),
-        )
+        self.jobs.take()
     }
 
     /// Number of job results the assembly needs: the shifted jobs' count
@@ -485,32 +501,38 @@ impl<'a> ParameterShiftEngine<'a> {
         master_seed: u64,
         budgets: &[Execution],
     ) -> (Vec<CircuitJob<'_>>, JacobianPlan) {
-        let plan = self.plan(subset, budgets);
-        let rows = subset.iter().copied().zip(budgets.iter().copied());
-        (self.shifted_jobs(theta, rows, master_seed), plan)
+        let mut jobs = Vec::new();
+        let plan = self.layout(subset, budgets, |i, k, minus, execution| {
+            jobs.push(self.shifted_job(theta, i, k, minus, execution, master_seed));
+        });
+        (jobs, plan)
     }
 
-    /// The assembly recipe for rows `subset` under `budgets`: the layout of
-    /// [`Self::shifted_jobs`]'s list, two jobs per occurrence in row order.
-    fn plan(&self, subset: &[usize], budgets: &[Execution]) -> JacobianPlan {
+    /// The shifted-job list of rows `subset` under `budgets`, as the plan
+    /// that assembles it: two jobs per gate occurrence, `+π/2` before
+    /// `−π/2`, in row order. Calls `job(symbol, occurrence, minus,
+    /// execution)` once per job, in list order.
+    fn layout(
+        &self,
+        subset: &[usize],
+        budgets: &[Execution],
+        mut job: impl FnMut(usize, usize, bool, Execution),
+    ) -> JacobianPlan {
         assert_eq!(budgets.len(), subset.len(), "one budget per requested row");
         let mut num_jobs = 0;
-        let rows = subset
-            .iter()
-            .map(|&i| {
-                assert!(i < self.num_trainable, "symbol {i} not trainable");
-                let terms: Vec<_> = match &self.plans[i] {
-                    SymbolPlan::Simple => vec![(num_jobs, num_jobs + 1, 1.0)],
-                    SymbolPlan::Occurrences(shifts) => (num_jobs..)
-                        .step_by(2)
-                        .zip(shifts)
-                        .map(|(p, shift)| (p, p + 1, shift.scale))
-                        .collect(),
-                };
-                num_jobs += 2 * terms.len();
-                terms
-            })
-            .collect();
+        let mut rows = Vec::with_capacity(subset.len());
+        for (&i, &execution) in subset.iter().zip(budgets) {
+            assert!(i < self.num_trainable, "symbol {i} not trainable");
+            let plan = &self.plans[i];
+            let mut terms = Vec::with_capacity(plan.num_occurrences());
+            for k in 0..plan.num_occurrences() {
+                job(i, k, false, execution);
+                job(i, k, true, execution);
+                terms.push((num_jobs, num_jobs + 1, plan.scale(k)));
+                num_jobs += 2;
+            }
+            rows.push(terms);
+        }
         JacobianPlan {
             rows,
             row_executions: budgets.to_vec(),
@@ -519,60 +541,38 @@ impl<'a> ParameterShiftEngine<'a> {
         }
     }
 
-    /// The `[+π/2, −π/2]` shifted jobs of `(symbol, execution)` rows, in
-    /// [`Self::plan`]'s layout. A simple symbol shifts `θ` on the shared
-    /// prepared circuit; a shared or scaled one runs `θ` on each
-    /// occurrence's shifted variant.
-    fn shifted_jobs(
+    /// The `minus`-signed shifted job of `occurrence` of symbol `i` at
+    /// `theta`. A simple symbol shifts `θᵢ` on the shared prepared circuit;
+    /// a shared or scaled one runs `θ` on the occurrence's shifted variant.
+    fn shifted_job(
         &self,
         theta: &[f64],
-        rows: impl IntoIterator<Item = (usize, Execution)>,
+        i: usize,
+        occurrence: usize,
+        minus: bool,
+        execution: Execution,
         master_seed: u64,
-    ) -> Vec<CircuitJob<'_>> {
-        let mut jobs = Vec::new();
-        for (i, execution) in rows {
-            let seed = |k: usize, minus: bool| job_seed(master_seed, shift_stream(i, k, minus));
-            match &self.plans[i] {
-                SymbolPlan::Simple => {
-                    for (minus, shift) in [(false, FRAC_PI_2), (true, -FRAC_PI_2)] {
-                        let mut shifted = theta.to_vec();
-                        shifted[i] += shift;
-                        jobs.push(CircuitJob::expectation(
-                            &self.prepared,
-                            shifted,
-                            execution,
-                            seed(0, minus),
-                        ));
-                    }
-                }
-                SymbolPlan::Occurrences(shifts) => {
-                    for (k, shift) in shifts.iter().enumerate() {
-                        for (minus, prepared) in [(false, &shift.plus), (true, &shift.minus)] {
-                            jobs.push(CircuitJob::expectation(
-                                prepared,
-                                theta.to_vec(),
-                                execution,
-                                seed(k, minus),
-                            ));
-                        }
-                    }
-                }
+    ) -> CircuitJob<'_> {
+        let seed = shift_seed(master_seed, i, occurrence, minus);
+        match &self.plans[i] {
+            SymbolPlan::Simple => {
+                let mut shifted = theta.to_vec();
+                shifted[i] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
+                CircuitJob::expectation(&self.prepared, shifted, execution, seed)
+            }
+            SymbolPlan::Occurrences(shifts) => {
+                let shift = &shifts[occurrence];
+                let prepared = if minus { &shift.minus } else { &shift.plus };
+                CircuitJob::expectation(prepared, theta.to_vec(), execution, seed)
             }
         }
-        jobs
     }
 
     /// Shifted jobs each trainable symbol's Jacobian row costs per
     /// evaluation (2 per differentiable gate occurrence) — the cost model
     /// the shot allocator's savings accounting uses.
     pub fn jobs_per_row(&self) -> Vec<usize> {
-        self.plans
-            .iter()
-            .map(|p| match p {
-                SymbolPlan::Simple => 2,
-                SymbolPlan::Occurrences(shifts) => 2 * shifts.len(),
-            })
-            .collect()
+        self.plans.iter().map(|p| 2 * p.num_occurrences()).collect()
     }
 
     /// Gradient row `∂f/∂θᵢ` for one trainable symbol.
@@ -583,9 +583,9 @@ impl<'a> ParameterShiftEngine<'a> {
     /// Offers rows `indices` of the Jacobian at `theta`, row `indices[r]`
     /// under `budgets[r]`, to the backend's hook as one [`JacobianBatch`]
     /// carrying each row's execution and the seeds of its shifted jobs
-    /// ([`Self::jacobian_jobs_budgeted`]'s, drawn from the same streams).
-    /// The jobs themselves are built only if the hook declines, by
-    /// [`JacobianOffer::take_jobs`]. `shifted_only` marks callers that
+    /// (those of [`Self::jacobian_jobs_budgeted`]). The jobs themselves are
+    /// built only if the hook declines ([`JacobianOffer::take_jobs`]).
+    /// `shifted_only` marks callers that
     /// count the Jacobian at the shifted-job cost (see
     /// [`JacobianBatch::shifted_only`]). Every Jacobian the engine or the
     /// training loop evaluates goes through here.
@@ -602,7 +602,7 @@ impl<'a> ParameterShiftEngine<'a> {
         budgets: &[Execution],
         shifted_only: bool,
     ) -> JacobianOffer<'_> {
-        let plan = self.plan(indices, budgets);
+        let plan = self.layout(indices, budgets, |_, _, _, _| {});
         let rows = indices
             .iter()
             .zip(budgets)
@@ -610,8 +610,7 @@ impl<'a> ParameterShiftEngine<'a> {
                 symbol,
                 spec: &self.row_specs[symbol],
                 execution,
-                seeds: [false, true]
-                    .map(|minus| job_seed(master_seed, shift_stream(symbol, 0, minus))),
+                seeds: [false, true].map(|minus| shift_seed(master_seed, symbol, 0, minus)),
             })
             .collect();
         let batch = JacobianBatch {
@@ -629,13 +628,11 @@ impl<'a> ParameterShiftEngine<'a> {
             },
             "backend answered the wrong number of rows"
         );
-        JacobianOffer {
-            engine: self,
-            jobs_seed: answer.is_none().then_some(master_seed),
-            batch,
-            answer,
-            plan,
-        }
+        let jobs = answer.is_none().then(|| {
+            let (jobs, _) = self.jacobian_jobs_budgeted(theta, indices, master_seed, budgets);
+            jobs
+        });
+        JacobianOffer { plan, answer, jobs }
     }
 
     /// Jacobian evaluation shared by the full and subset entry points: the

@@ -15,8 +15,9 @@
 //! 4. a fake device's answer to the Jacobian hook — every shifted circuit
 //!    forked from one forward evolution — is bit-identical to the shifted
 //!    jobs run through a wrapper that declines the hook, on random circuits
-//!    with encoder symbols, row subsets and mixed per-row executions, and
-//!    every fork ends in a state (trace 1, Hermitian, PSD to 1e-12);
+//!    with encoder symbols, row subsets and mixed per-row executions, at
+//!    1, 2 and 8 workers, and every fork ends in a state (trace 1,
+//!    Hermitian, PSD to 1e-12);
 //! 5. the noiseless backend's forked answer — every shifted statevector
 //!    forked from one binding of `θ` — is bit-identical to the declined
 //!    shifted jobs on the same random cases, for exact rows under
@@ -327,7 +328,16 @@ proptest! {
         let device = FakeDevice::new(desc.clone());
         let declining = FaultInjectingBackend::new(FakeDevice::new(desc.clone()), FaultPlan::none());
         let case = (&c, trainable, &theta[..], &rows[..]);
-        check_forked_equals_declined(&device, &declining, case, &budgets, u64::from(seed), 1);
+        for workers in [1usize, 2, 8] {
+            check_forked_equals_declined(
+                &device,
+                &declining,
+                case,
+                &budgets,
+                u64::from(seed),
+                workers,
+            );
+        }
 
         // The forks of the executed (transpiled) circuit under the device's
         // calibrated noise all end in states.
