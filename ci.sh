@@ -56,11 +56,13 @@ stage_kernel_equivalence() {
 }
 
 stage_diff_equivalence() {
-    # The shifted-job Jacobian and the adjoint sweep the exact noiseless
-    # backend answers with must agree to 1e-12 on random symbolic circuits,
-    # both must match finite differences on decomposed gates, the noisy
-    # shifted jobs and the fake device's forked answer must both reproduce
-    # goldens captured from the shifted jobs (256 shots) at 1/2/8 workers,
+    # The engine's exact Jacobian on the noiseless backend (the hook's
+    # forked answer, or the shifted jobs it declined) must agree to 1e-12
+    # with the shifted jobs run one by one on random symbolic circuits, at
+    # two circuits per gate occurrence, both must match finite differences
+    # on decomposed gates, the noisy shifted jobs and the fake device's
+    # forked answer must both reproduce goldens captured from the shifted
+    # jobs (256 shots) at 1/2/8 workers,
     # the fake device's forked answer to the Jacobian hook must equal the
     # shifted jobs bit for bit on random circuits on fake santiago and
     # jakarta, every fork ending in a state, and so must the noiseless
@@ -259,11 +261,11 @@ stage_shot_alloc() {
 }
 
 stage_bench_smoke() {
-    # >25% regression vs a committed baseline fails (serial Jacobian vs
+    # >25% regression vs a committed baseline fails (serial santiago
+    # Jacobian and the noiseless MNIST-4 1024-shot Jacobian vs
     # BENCH_param_shift.json, fused QNN-4 state prep and 1024 shots of the
-    # MNIST-4 read-out vs BENCH_gate_kernels.json, adjoint-sweep Jacobian
-    # vs BENCH_adjoint.json, forked MNIST-4/jakarta example gradient vs
-    # BENCH_density.json). Also statically gates the committed
+    # MNIST-4 read-out vs BENCH_gate_kernels.json, forked MNIST-4/jakarta
+    # example gradient vs BENCH_density.json). Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke
 }

@@ -1,12 +1,12 @@
-//! Parameter-shift engine cost: forward values, full Jacobians of the
-//! paper's QNN models, and — the headline of the batched execution layer —
-//! serial vs multi-worker Jacobian wall-clock on the noisy device emulator.
+//! Parameter-shift engine cost: forward values, exact and sampled Jacobians
+//! of the paper's QNN models on the noiseless backend, and the Jacobian on
+//! the noisy device emulator.
 //!
 //! Run with `cargo bench -p qoc-bench --bench param_shift`. Besides the
-//! stdout table, the serial-vs-batched sweep is dumped to
-//! `BENCH_param_shift.json` so the perf trajectory is tracked across PRs.
+//! stdout table, every row is dumped to `BENCH_param_shift.json` so the
+//! perf trajectory is tracked across PRs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use qoc_core::shift::ParameterShiftEngine;
 use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend};
@@ -28,6 +28,8 @@ fn bench_forward(c: &mut Criterion) {
     });
 }
 
+/// Exact Jacobians on the noiseless backend, which answers the engine's
+/// Jacobian hook by forking every shifted state from one binding of `θ`.
 fn bench_jacobian(c: &mut Criterion) {
     let mut group = c.benchmark_group("shift/jacobian");
     for (name, model) in [
@@ -95,32 +97,27 @@ fn bench_sampled_jacobian(c: &mut Criterion) {
     group.finish();
 }
 
-/// Jacobian on the noisy device emulator at 1, 2, 4 and 8 batch workers:
-/// the paper's 4-qubit MNIST-2 ansatz on fake ibmq_santiago at 1024 shots,
-/// 16 shifted circuits per Jacobian. The fake device answers the engine's
-/// Jacobian hook by forking every shifted circuit from one forward
-/// evolution on the calling thread, so the worker count no longer changes
-/// the work; results are bit-identical at every worker count.
+/// Jacobian on the noisy device emulator: the paper's 4-qubit MNIST-2
+/// ansatz on fake ibmq_santiago at 1024 shots, 16 shifted circuits per
+/// Jacobian. The fake device answers the engine's Jacobian hook by forking
+/// every shifted circuit from one forward evolution on the calling thread,
+/// so the batch worker count does not change the work.
 fn bench_batched_jacobian(c: &mut Criterion) {
     let model = QnnModel::mnist2();
     let device = FakeDevice::new(fake_santiago());
     let theta = model.symbol_vector(&[0.2; 8], &[0.7; 16]);
+    let engine = ParameterShiftEngine::new(
+        &device,
+        model.circuit(),
+        model.num_params(),
+        Execution::Shots(1024),
+    )
+    .with_workers(1);
     let mut group = c.benchmark_group("shift/jacobian_batched_santiago");
     group.sample_size(10);
-    for workers in [1usize, 2, 4, 8] {
-        let engine = ParameterShiftEngine::new(
-            &device,
-            model.circuit(),
-            model.num_params(),
-            Execution::Shots(1024),
-        )
-        .with_workers(workers);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{workers}workers")),
-            &workers,
-            |b, _| b.iter(|| std::hint::black_box(engine.jacobian(&theta, 4))),
-        );
-    }
+    group.bench_function("1workers", |b| {
+        b.iter(|| std::hint::black_box(engine.jacobian(&theta, 4)))
+    });
     group.finish();
 }
 
@@ -169,68 +166,61 @@ fn bench_disabled_span(c: &mut Criterion) {
     });
 }
 
-/// Per-worker utilization and queue-wait percentiles for the shifted-job
-/// batch of a Jacobian (what a backend that declines the Jacobian hook
-/// runs; the fake device itself answers the hook on one thread), measured
-/// through the telemetry registry itself: force-enable dispatch, reset the
-/// global metrics, run a fixed number of batches, and read the
-/// `qoc.device.*` histograms back. Utilization is the fraction of
-/// `workers × wall` actually spent inside jobs. Must run after the
-/// criterion benches (it enables telemetry for the rest of the process).
-fn worker_telemetry_rows() -> Vec<qoc_bench::suite::Measurement> {
+/// Worker utilization and queue-wait percentiles for the shifted-job batch
+/// of a Jacobian (what a backend that declines the Jacobian hook runs; the
+/// fake device itself answers the hook on one thread), at one batch worker,
+/// measured through the telemetry registry itself: force-enable dispatch,
+/// reset the global metrics, run a fixed number of batches, and read the
+/// `qoc.device.*` histograms back. Utilization is the fraction of the wall
+/// time actually spent inside jobs. Must run after the criterion benches
+/// (it enables telemetry for the rest of the process).
+fn worker_telemetry_row() -> qoc_bench::suite::Measurement {
     use qoc_telemetry::metrics::Registry;
 
+    const REPS: usize = 5;
     let model = QnnModel::mnist2();
     let device = FakeDevice::new(fake_santiago());
     let theta = model.symbol_vector(&[0.2; 8], &[0.7; 16]);
     qoc_telemetry::force_enable();
-    let mut rows = Vec::new();
-    const REPS: usize = 5;
-    for workers in [1usize, 2, 4, 8] {
-        let engine = ParameterShiftEngine::new(
-            &device,
-            model.circuit(),
-            model.num_params(),
-            Execution::Shots(1024),
-        )
-        .with_workers(workers);
-        let registry = Registry::global();
-        registry.reset();
-        let start = std::time::Instant::now();
-        for rep in 0..REPS {
-            let (jobs, _) = engine.jacobian_jobs(&theta, None, rep as u64);
-            std::hint::black_box(engine.run_batch(&jobs));
-        }
-        let wall_ns = start.elapsed().as_nanos() as f64;
-        let snap = registry.snapshot();
-        let queue = snap.histogram("qoc.device.queue_wait_ns");
-        let busy = snap.histogram("qoc.device.worker_busy_ns");
-        let busy_ns: f64 = busy.map_or(0.0, |h| h.sum as f64);
-        rows.push(qoc_bench::suite::Measurement {
-            label: format!("telemetry/batched_santiago/{workers}workers"),
-            values: vec![
-                ("jobs".into(), queue.map_or(0.0, |h| h.count as f64)),
-                (
-                    "queue_wait_p50_ns".into(),
-                    queue.map_or(0.0, |h| h.quantile(0.5) as f64),
-                ),
-                (
-                    "queue_wait_p90_ns".into(),
-                    queue.map_or(0.0, |h| h.quantile(0.9) as f64),
-                ),
-                (
-                    "queue_wait_p99_ns".into(),
-                    queue.map_or(0.0, |h| h.quantile(0.99) as f64),
-                ),
-                (
-                    "worker_utilization".into(),
-                    busy_ns / (wall_ns * workers as f64),
-                ),
-                ("wall_ns".into(), wall_ns / REPS as f64),
-            ],
-        });
+    let engine = ParameterShiftEngine::new(
+        &device,
+        model.circuit(),
+        model.num_params(),
+        Execution::Shots(1024),
+    )
+    .with_workers(1);
+    let registry = Registry::global();
+    registry.reset();
+    let start = std::time::Instant::now();
+    for rep in 0..REPS {
+        let (jobs, _) = engine.jacobian_jobs(&theta, None, rep as u64);
+        std::hint::black_box(engine.run_batch(&jobs));
     }
-    rows
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    let snap = registry.snapshot();
+    let queue = snap.histogram("qoc.device.queue_wait_ns");
+    let busy = snap.histogram("qoc.device.worker_busy_ns");
+    let busy_ns: f64 = busy.map_or(0.0, |h| h.sum as f64);
+    qoc_bench::suite::Measurement {
+        label: "telemetry/batched_santiago/1workers".to_string(),
+        values: vec![
+            ("jobs".into(), queue.map_or(0.0, |h| h.count as f64)),
+            (
+                "queue_wait_p50_ns".into(),
+                queue.map_or(0.0, |h| h.quantile(0.5) as f64),
+            ),
+            (
+                "queue_wait_p90_ns".into(),
+                queue.map_or(0.0, |h| h.quantile(0.9) as f64),
+            ),
+            (
+                "queue_wait_p99_ns".into(),
+                queue.map_or(0.0, |h| h.quantile(0.99) as f64),
+            ),
+            ("worker_utilization".into(), busy_ns / wall_ns),
+            ("wall_ns".into(), wall_ns / REPS as f64),
+        ],
+    }
 }
 
 fn dump_artifact(c: &mut Criterion) {
@@ -242,7 +232,7 @@ fn dump_artifact(c: &mut Criterion) {
     qoc_bench::suite::write_bench_artifact(
         "BENCH_param_shift.json",
         timings,
-        worker_telemetry_rows(),
+        vec![worker_telemetry_row()],
     );
 }
 

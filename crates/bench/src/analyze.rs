@@ -1130,10 +1130,10 @@ mod tests {
 
     #[test]
     fn mode_rows_come_from_jacobian_spans() {
-        // One adjoint and one shifted-2p Jacobian, each inside its own
+        // One forked and one shifted-2p Jacobian, each inside its own
         // minibatch.
         let trace = [
-            r#"{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{"rows":8,"jobs":0,"mode":"adjoint"}}"#.to_string(),
+            r#"{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{"rows":8,"jobs":0,"mode":"forked"}}"#.to_string(),
             span_line(100, "grad.minibatch", 0, 100),
             r#"{"ts":290,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":85,"fields":{"rows":8,"jobs":16,"mode":"shifted-2p"}}"#.to_string(),
             span_line(300, "grad.minibatch", 0, 100),
@@ -1143,13 +1143,13 @@ mod tests {
         let labels: Vec<&str> = analysis.phases.iter().map(|p| p.phase.as_str()).collect();
         assert_eq!(
             labels,
-            vec!["jacobian", "jacobian/adjoint", "jacobian/shifted-2p"]
+            vec!["jacobian", "jacobian/forked", "jacobian/shifted-2p"]
         );
-        let adjoint = &analysis.phases[1];
-        assert_eq!((adjoint.records, adjoint.wall_ns), (1, 80));
+        let forked = &analysis.phases[1];
+        assert_eq!((forked.records, forked.wall_ns), (1, 80));
         assert!(analysis.sanity_failures(0.05).is_empty());
         let md = analysis.to_markdown();
-        assert!(md.contains("jacobian/adjoint"), "missing mode row: {md}");
+        assert!(md.contains("jacobian/forked"), "missing mode row: {md}");
     }
 
     #[test]

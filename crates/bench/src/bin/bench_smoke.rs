@@ -2,15 +2,15 @@
 //!
 //! - `BENCH_param_shift.json` — re-measures the serial (1-worker) batched
 //!   Jacobian on the emulated ibmq_santiago (the
-//!   `shift/jacobian_batched_santiago/1workers` row).
+//!   `shift/jacobian_batched_santiago/1workers` row), and the sampled
+//!   Jacobian of the 36-parameter MNIST-4 QNN on the noiseless backend at
+//!   1024 shots (the `shift/jacobian_sampled/mnist4_36p_1024shots` row),
+//!   guarding the forked Jacobian Classical-Train runs.
 //! - `BENCH_gate_kernels.json` — re-measures one fused-kernel state
 //!   preparation of the 4-qubit MNIST-2 ansatz (the `kernels/qnn4_fused`
 //!   row), guarding the specialized-kernel/fusion hot path, and 1024 shots
 //!   of the MNIST-4 read-out through the shot sampler's conditional
 //!   binomials (the `sim/sample_counts/16bins_1024shots` row).
-//! - `BENCH_adjoint.json` — re-measures the adjoint-mode exact Jacobian of
-//!   the MNIST-2 ansatz (the `diff/adjoint_mnist2` row), guarding the
-//!   structured differentiation path of the shift planner.
 //! - `BENCH_density.json` — re-measures one full-step example gradient of
 //!   MNIST-4 on the emulated ibmq_jakarta at 1024 shots (the
 //!   `density/jacobian/mnist4_jakarta` row), guarding the forked noisy
@@ -27,7 +27,7 @@
 //! sample: on shared/single-CPU runners medians swing ±25% with scheduler
 //! noise, while the minimum is a stable lower bound on the true cost.
 //!
-//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]]`
+//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]`
 //! (defaults to the repo-root artifacts; `GATE_KERNELS_JSON` holds both the
 //! fused and the sampler row). The tolerance is 0.25 (25 %). Exit codes: **0** within
 //! tolerance, **1** regression or malformed baseline, **2** baseline
@@ -210,31 +210,31 @@ fn measure_sample_counts_min_ns() -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Re-runs the exact Jacobian of the MNIST-2 ansatz, which the noiseless
-/// backend answers with its adjoint sweep (per-iteration cost ~10 µs, so
-/// each rep averages an inner loop), and returns the minimum per-run wall
+/// Re-runs the sampled Jacobian of the MNIST-4 QNN on the noiseless
+/// backend at 1024 shots (72 forked circuits) and returns the minimum wall
 /// time in ns.
-fn measure_adjoint_min_ns() -> f64 {
-    const INNER: usize = 500;
-    let model = QnnModel::mnist2();
+fn measure_sampled_jacobian_min_ns() -> f64 {
+    let model = QnnModel::mnist4();
     let backend = NoiselessBackend::new();
-    let theta = model.symbol_vector(&[0.2; 8], &[0.7; 16]);
+    let theta = model.symbol_vector(
+        &vec![0.2; model.num_params()],
+        &vec![0.7; model.input_dim()],
+    );
     let engine = ParameterShiftEngine::new(
         &backend,
         model.circuit(),
         model.num_params(),
-        Execution::Exact,
-    );
-    for _ in 0..WARMUP * INNER {
-        std::hint::black_box(engine.jacobian(&theta, 2));
+        Execution::Shots(1024),
+    )
+    .with_workers(1);
+    for _ in 0..WARMUP {
+        std::hint::black_box(engine.jacobian(&theta, 5));
     }
     (0..REPS)
         .map(|_| {
             let start = Instant::now();
-            for _ in 0..INNER {
-                std::hint::black_box(engine.jacobian(&theta, 2));
-            }
-            start.elapsed().as_nanos() as f64 / INNER as f64
+            std::hint::black_box(engine.jacobian(&theta, 5));
+            start.elapsed().as_nanos() as f64
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -459,15 +459,11 @@ fn main() -> ExitCode {
         || qoc_bench::suite::artifact_path("BENCH_gate_kernels.json"),
         PathBuf::from,
     );
-    let adjoint_path: PathBuf = std::env::args().nth(3).map_or_else(
-        || qoc_bench::suite::artifact_path("BENCH_adjoint.json"),
-        PathBuf::from,
-    );
-    let shot_alloc_path: PathBuf = std::env::args().nth(4).map_or_else(
+    let shot_alloc_path: PathBuf = std::env::args().nth(3).map_or_else(
         || qoc_bench::suite::artifact_path("BENCH_shot_alloc.json"),
         PathBuf::from,
     );
-    let density_path: PathBuf = std::env::args().nth(5).map_or_else(
+    let density_path: PathBuf = std::env::args().nth(4).map_or_else(
         || qoc_bench::suite::artifact_path("BENCH_density.json"),
         PathBuf::from,
     );
@@ -486,6 +482,12 @@ fn main() -> ExitCode {
             measure_jacobian_min_ns,
         ),
         (
+            &shift_path,
+            "shift/jacobian_sampled/mnist4_36p_1024shots",
+            "cargo bench -p qoc-bench --bench param_shift",
+            measure_sampled_jacobian_min_ns,
+        ),
+        (
             &kernels_path,
             "kernels/qnn4_fused",
             "cargo bench -p qoc-bench --bench gate_kernels",
@@ -496,12 +498,6 @@ fn main() -> ExitCode {
             "sim/sample_counts/16bins_1024shots",
             "cargo bench -p qoc-bench --bench gate_kernels",
             measure_sample_counts_min_ns,
-        ),
-        (
-            &adjoint_path,
-            "diff/adjoint_mnist2",
-            "cargo bench -p qoc-bench --bench diff_modes",
-            measure_adjoint_min_ns,
         ),
         (
             &density_path,

@@ -201,7 +201,7 @@ pub fn timing_row(
     }
 }
 
-/// Writes a criterion bench's artifact `name` (e.g. `BENCH_adjoint.json`)
+/// Writes a criterion bench's artifact `name` (e.g. `BENCH_density.json`)
 /// at the repository root: the timing rows, then the bench's `extra` rows,
 /// then a `host` row recording the available parallelism. `bench_smoke`
 /// reads these files back as its baselines.

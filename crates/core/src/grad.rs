@@ -177,9 +177,9 @@ impl<'a> QnnGradientComputer<'a> {
             let example_master = job_seed(master_seed, e as u64);
             let forward_idx = jobs.len();
             jobs.push(self.engine.forward_job(theta, example_master));
-            let mut offer =
-                self.engine
-                    .offer_jacobian(theta, indices, example_master, budgets, true);
+            let mut offer = self
+                .engine
+                .offer_jacobian(theta, indices, example_master, budgets);
             jobs.extend(offer.take_jobs().unwrap_or_default());
             layout.push((forward_idx, offer));
         }

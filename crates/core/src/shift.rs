@@ -28,45 +28,36 @@
 //! circuit variants that are transpiled **once** at engine construction and
 //! cached as [`PreparedCircuit`]s, not re-prepared per evaluation.
 //!
-//! # Choosing the differentiation method
+//! # Who runs the shifted circuits
 //!
 //! Every Jacobian evaluation — the engine's own and each example's in a
 //! training minibatch — first offers the whole request to the backend as
 //! one structured [`JacobianBatch`] through
 //! [`QuantumBackend::run_jacobian_batch`]
 //! ([`ParameterShiftEngine::offer_jacobian`]). Each row carries its
-//! execution and the seeds of its shifted jobs. The backend answers with
-//! what it computed:
-//!
-//! - the exact statevector backend returns finished rows from one forward
-//!   pass and one backward adjoint sweep, for all-`Exact` requests whose
-//!   caller does not count circuits at the shifted-job cost;
-//! - a [`FakeDevice`], and the statevector backend for every other request
-//!   (sampled rows, or exact rows counted at the shifted-job cost), return
-//!   the shifted jobs' own results, every shifted circuit forked from one
-//!   forward evolution and sampled with its job's seed, when every row is a
-//!   single occurrence with |scale| = 1.
-//!
-//! Anything else (and every wrapper that doesn't forward the hook)
-//! declines, and the engine builds and runs the 2·occ shifted-job batch
-//! above; an answered request never builds its jobs. The
-//! shifted results feed the same [`JacobianPlan::assemble`] and
-//! [`JacobianPlan::row_variances`] whoever ran them, so sampled results
-//! are bit-identical on every path. The hook is the only place that
-//! decides (see DESIGN.md §5c).
+//! execution and the seeds of its shifted jobs. When every row is a single
+//! occurrence with |scale| = 1, a [`FakeDevice`] and the statevector
+//! backend answer with the shifted jobs' own results, every shifted circuit
+//! forked from one forward evolution and read out with its job's seed.
+//! Anything else (an empty request, a shared or scaled symbol, and every
+//! wrapper that doesn't forward the hook) declines, and the engine builds
+//! and runs the 2·occ shifted-job batch above; an answered request never
+//! builds its jobs. The shifted results feed the same
+//! [`JacobianPlan::assemble`] and [`JacobianPlan::row_variances`] whoever
+//! ran them, so results are bit-identical on both paths (see DESIGN.md
+//! §5c).
 //!
 //! Trainable gates without a native two-term shift rule (`crx`/`cry`/`crz`/
 //! `cp`/`p`/`u3`) are rewritten at engine construction via
-//! [`decompose_for_shift_rules`] into shift-friendly rotations, so they are
-//! differentiable by either method.
+//! [`decompose_for_shift_rules`] into shift-friendly rotations, so every
+//! trainable gate has a shift rule.
 //!
 //! [`FakeDevice`]: qoc_device::backend::FakeDevice
 
 use std::f64::consts::FRAC_PI_2;
 
 use qoc_device::backend::{
-    job_seed, CircuitJob, Execution, JacobianAnswer, JacobianBatch, JacobianRow, PreparedCircuit,
-    QuantumBackend,
+    job_seed, CircuitJob, Execution, JacobianBatch, JacobianRow, PreparedCircuit, QuantumBackend,
 };
 use qoc_device::retry::{BatchError, BatchResult};
 use qoc_sim::circuit::{Circuit, ParamValue};
@@ -226,12 +217,14 @@ impl JacobianPlan {
 }
 
 /// One Jacobian request after the backend's hook saw it
-/// ([`ParameterShiftEngine::offer_jacobian`]): the hook's answer, or the
-/// shifted jobs still to run, and the plan that assembles either.
+/// ([`ParameterShiftEngine::offer_jacobian`]): the hook's shifted-job
+/// results, or the shifted jobs still to run, and the plan that assembles
+/// either.
 #[derive(Debug)]
 pub struct JacobianOffer<'e> {
     plan: JacobianPlan,
-    answer: Option<JacobianAnswer>,
+    /// The hook's results, in the order of the plan's jobs.
+    answer: Option<Vec<Vec<f64>>>,
     /// The declined request's shifted jobs, until taken.
     jobs: Option<Vec<CircuitJob<'e>>>,
 }
@@ -254,43 +247,31 @@ impl<'e> JacobianOffer<'e> {
         }
     }
 
-    /// How the rows were computed, as the `shift.jacobian` span's `mode`
-    /// field names it: `"adjoint"` (finished rows), `"forked"` (the hook
-    /// ran the shifted circuits) or `"shifted-2p"` (declined).
+    /// Who ran the shifted circuits, as the `shift.jacobian` span's `mode`
+    /// field names it: `"forked"` (the hook) or `"shifted-2p"` (declined).
     pub fn mode(&self) -> &'static str {
-        match self.answer {
-            Some(JacobianAnswer::Rows(_)) => "adjoint",
-            Some(JacobianAnswer::Shifted(_)) => "forked",
-            None => "shifted-2p",
+        if self.answer.is_some() {
+            "forked"
+        } else {
+            "shifted-2p"
         }
     }
 
-    /// The shifted-job results behind the rows — the hook's, or
-    /// `job_results` — or the hook's finished rows.
-    fn shifted<'r>(&'r self, job_results: &'r [Vec<f64>]) -> Result<&'r [Vec<f64>], &'r Jacobian> {
-        match &self.answer {
-            Some(JacobianAnswer::Rows(rows)) => Err(rows),
-            Some(JacobianAnswer::Shifted(results)) => Ok(results),
-            None => Ok(job_results),
-        }
+    /// The shifted-job results behind the rows: the hook's, or
+    /// `job_results`.
+    fn shifted<'r>(&'r self, job_results: &'r [Vec<f64>]) -> &'r [Vec<f64>] {
+        self.answer.as_deref().unwrap_or(job_results)
     }
 
     /// The Jacobian rows, given the results of [`Self::take_jobs`]'s jobs
     /// (ignored when the hook answered).
     pub fn jacobian(&self, job_results: &[Vec<f64>]) -> Jacobian {
-        match self.shifted(job_results) {
-            Ok(results) => self.plan.assemble(results),
-            Err(rows) => rows.clone(),
-        }
+        self.plan.assemble(self.shifted(job_results))
     }
 
-    /// Each row's shot-noise variances ([`JacobianPlan::row_variances`]);
-    /// zeros for finished rows, which are exact.
+    /// Each row's shot-noise variances ([`JacobianPlan::row_variances`]).
     pub fn row_variances(&self, job_results: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        match self.shifted(job_results) {
-            Ok(results) => self.plan.row_variances(results),
-            Err(rows) => rows.iter().map(|row| vec![0.0; row.len()]).collect(),
-        }
+        self.plan.row_variances(self.shifted(job_results))
     }
 }
 
@@ -585,10 +566,8 @@ impl<'a> ParameterShiftEngine<'a> {
     /// carrying each row's execution and the seeds of its shifted jobs
     /// (those of [`Self::jacobian_jobs_budgeted`]). The jobs themselves are
     /// built only if the hook declines ([`JacobianOffer::take_jobs`]).
-    /// `shifted_only` marks callers that
-    /// count the Jacobian at the shifted-job cost (see
-    /// [`JacobianBatch::shifted_only`]). Every Jacobian the engine or the
-    /// training loop evaluates goes through here.
+    /// Every Jacobian the engine or the training loop evaluates goes
+    /// through here.
     ///
     /// # Panics
     ///
@@ -600,7 +579,6 @@ impl<'a> ParameterShiftEngine<'a> {
         indices: &[usize],
         master_seed: u64,
         budgets: &[Execution],
-        shifted_only: bool,
     ) -> JacobianOffer<'_> {
         let plan = self.layout(indices, budgets, |_, _, _, _| {});
         let rows = indices
@@ -617,16 +595,11 @@ impl<'a> ParameterShiftEngine<'a> {
             prepared: &self.prepared,
             theta: theta.to_vec(),
             rows,
-            shifted_only,
         };
         let answer = self.backend.run_jacobian_batch(&batch);
         debug_assert!(
-            match &answer {
-                Some(JacobianAnswer::Rows(rows)) => rows.len() == indices.len(),
-                Some(JacobianAnswer::Shifted(results)) => results.len() == plan.num_jobs(),
-                None => true,
-            },
-            "backend answered the wrong number of rows"
+            answer.as_ref().is_none_or(|r| r.len() == plan.num_jobs()),
+            "backend answered the wrong number of results"
         );
         let jobs = answer.is_none().then(|| {
             let (jobs, _) = self.jacobian_jobs_budgeted(theta, indices, master_seed, budgets);
@@ -636,8 +609,8 @@ impl<'a> ParameterShiftEngine<'a> {
     }
 
     /// Jacobian evaluation shared by the full and subset entry points: the
-    /// backend's structured hook answers when it can, the shifted jobs
-    /// otherwise.
+    /// backend's structured hook runs the shifted circuits when it can, a
+    /// shifted-job batch otherwise.
     fn try_jacobian_rows(
         &self,
         theta: &[f64],
@@ -646,7 +619,7 @@ impl<'a> ParameterShiftEngine<'a> {
     ) -> Result<Jacobian, BatchError> {
         let mut span = qoc_telemetry::span!("shift.jacobian", rows = indices.len());
         let budgets = vec![self.execution; indices.len()];
-        let mut offer = self.offer_jacobian(theta, indices, master_seed, &budgets, false);
+        let mut offer = self.offer_jacobian(theta, indices, master_seed, &budgets);
         let jobs = offer.take_jobs();
         if let Some(s) = span.as_mut() {
             s.field("jobs", offer.num_jobs());
@@ -910,18 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_noiseless_jacobians_auto_select_adjoint() {
-        // The adjoint sweep simulates the circuit once per Jacobian instead
-        // of 2P times — the accounting proves the backend's hook answered.
-        let backend = NoiselessBackend::new();
-        let c = ansatz_circuit();
-        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Exact);
-        backend.reset_stats();
-        let _ = engine.jacobian(&[0.3; 5], 6);
-        assert_eq!(backend.stats().circuits_run, 1);
-    }
-
-    #[test]
     fn declined_jacobian_batches_run_the_shifted_jobs() {
         // Wrappers that don't forward the hook decline the structured
         // batch, so the engine runs the shifted jobs themselves.
@@ -932,7 +893,7 @@ mod tests {
             let engine = ParameterShiftEngine::new(&wrapped, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
             let budgets = [execution; 5];
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, false);
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets);
             assert_eq!(offer.mode(), "shifted-2p", "{execution:?}");
             assert_eq!(offer.num_jobs(), 10, "{execution:?}");
             wrapped.reset_stats();
@@ -947,30 +908,25 @@ mod tests {
     fn forked_answers_equal_the_shifted_jobs_results() {
         // The fake device forks every shifted circuit from one forward
         // evolution, the noiseless backend from one binding of θ — sampled
-        // rows, and exact rows whose caller counts the shifted jobs: the
-        // same results, bit for bit, and the same circuit count as running
-        // the shifted jobs.
+        // and exact rows: the same results, bit for bit, and the same
+        // circuit count as running the shifted jobs.
         let c = ansatz_circuit();
         let theta = [0.3; 5];
         let device = FakeDevice::new(fake_lima());
         let noiseless = NoiselessBackend::new();
-        let cases: [(&dyn QuantumBackend, Execution, bool); 5] = [
-            (&device, Execution::Shots(64), false),
-            (&device, Execution::Exact, false),
-            (&noiseless, Execution::Shots(64), false),
-            (&noiseless, Execution::Shots(64), true),
-            (&noiseless, Execution::Exact, true),
+        let cases: [(&dyn QuantumBackend, Execution); 4] = [
+            (&device, Execution::Shots(64)),
+            (&device, Execution::Exact),
+            (&noiseless, Execution::Shots(64)),
+            (&noiseless, Execution::Exact),
         ];
-        for (backend, execution, shifted_only) in cases {
-            let label = format!(
-                "{} {execution:?} shifted_only={shifted_only}",
-                backend.name()
-            );
+        for (backend, execution) in cases {
+            let label = format!("{} {execution:?}", backend.name());
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
             backend.reset_stats();
             let budgets = [execution; 5];
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets, shifted_only);
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets);
             assert_eq!(backend.stats().circuits_run, 10, "{label}");
             assert_eq!(offer.mode(), "forked", "{label}");
             assert_eq!(offer.num_jobs(), 0, "{label}");
@@ -980,24 +936,38 @@ mod tests {
 
     #[test]
     fn offer_modes_are_the_schema_modes() {
-        // Each method the hook can pick names a mode the trace schema pins.
+        // Each way the hook can go names a mode the trace schema pins, and
+        // the Jacobian costs its shifted circuits either way: two per row,
+        // none for an empty request, which every backend declines.
         let c = ansatz_circuit();
         let noiseless = NoiselessBackend::new();
         let device = FakeDevice::new(fake_lima());
         let wrapped = FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
-        let cases: [(&dyn QuantumBackend, Execution, bool, &str); 5] = [
-            (&noiseless, Execution::Exact, false, "adjoint"),
-            (&noiseless, Execution::Exact, true, "forked"),
-            (&noiseless, Execution::Shots(64), false, "forked"),
-            (&device, Execution::Shots(64), false, "forked"),
-            (&wrapped, Execution::Shots(64), false, "shifted-2p"),
+        let cases: [(&dyn QuantumBackend, Execution, &[usize], &str); 7] = [
+            (&noiseless, Execution::Exact, &[4, 1], "forked"),
+            (&noiseless, Execution::Shots(64), &[4, 1], "forked"),
+            (&device, Execution::Shots(64), &[4, 1], "forked"),
+            (&wrapped, Execution::Shots(64), &[4, 1], "shifted-2p"),
+            (&noiseless, Execution::Exact, &[], "shifted-2p"),
+            (&device, Execution::Exact, &[], "shifted-2p"),
+            (&wrapped, Execution::Exact, &[], "shifted-2p"),
         ];
         let mut seen = Vec::new();
-        for (backend, execution, shifted_only, mode) in cases {
+        for (backend, execution, rows, mode) in cases {
+            let label = format!("{} {execution:?} rows {rows:?}", backend.name());
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
-            let offer = engine.offer_jacobian(&[0.3; 5], &[4, 1], 2, &[execution; 2], shifted_only);
-            assert_eq!(offer.mode(), mode, "{} {execution:?}", backend.name());
+            let budgets = vec![execution; rows.len()];
+            let offer = engine.offer_jacobian(&[0.3; 5], rows, 2, &budgets);
+            let jobs = if mode == "forked" { 0 } else { 2 * rows.len() };
+            assert_eq!((offer.mode(), offer.num_jobs()), (mode, jobs), "{label}");
             assert!(qoc_telemetry::schema::SHIFT_JACOBIAN_MODES.contains(&mode));
+            backend.reset_stats();
+            assert_eq!(engine.jacobian_subset(&[0.3; 5], rows, 2).len(), rows.len());
+            assert_eq!(
+                backend.stats().circuits_run,
+                2 * rows.len() as u64,
+                "{label}"
+            );
             seen.push(mode);
         }
         for mode in qoc_telemetry::schema::SHIFT_JACOBIAN_MODES {
@@ -1154,7 +1124,7 @@ mod tests {
         let engine = ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact);
         let jacobians = [
             ("shifted-2p", shifted_jacobian(&engine, &theta, 11)),
-            ("adjoint", engine.jacobian(&theta, 11)),
+            ("engine", engine.jacobian(&theta, 11)),
         ];
         for (mode, jac) in jacobians {
             for (i, row) in jac.iter().enumerate() {

@@ -2,13 +2,14 @@
 //!
 //! Five contracts, straight from the planner's design:
 //!
-//! 1. the two differentiation methods — the shifted jobs and the exact
-//!    statevector backend's adjoint sweep — agree to ≤1e-12 on random
-//!    symbolic circuits under exact execution: they are different
-//!    *evaluation strategies* of the same mathematical Jacobian;
+//! 1. the engine's own exact Jacobian — the noiseless backend's forked
+//!    answer to the Jacobian hook, or the shifted jobs it declined — agrees
+//!    to ≤1e-12 with the shifted jobs built and run one by one, on random
+//!    symbolic circuits, at the shifted jobs' cost of two circuits per
+//!    gate occurrence;
 //! 2. gates without a two-term shift rule (Phase/U3/Cp/Crx/Cry/Crz) are
-//!    decomposed at plan time, and both methods' Jacobians still match
-//!    finite differences on the ORIGINAL circuit;
+//!    decomposed at plan time, and both Jacobians still match finite
+//!    differences on the ORIGINAL circuit;
 //! 3. the noisy shifted jobs and the fake device's forked answer both
 //!    reproduce golden Jacobian bit patterns, captured from the shifted
 //!    jobs, at 1, 2, and 8 workers;
@@ -20,9 +21,8 @@
 //!    Hermitian, PSD to 1e-12);
 //! 5. the noiseless backend's forked answer — every shifted statevector
 //!    forked from one binding of `θ` — is bit-identical to the declined
-//!    shifted jobs on the same random cases, for exact rows under
-//!    `shifted_only`, `Shots(64)` rows and mixed per-row budgets, at 1, 2
-//!    and 8 workers.
+//!    shifted jobs on the same random cases, for exact rows, `Shots(64)`
+//!    rows and mixed per-row budgets, at 1, 2 and 8 workers.
 
 use proptest::prelude::*;
 
@@ -57,10 +57,10 @@ const DECOMPOSED_GATES: &[GateKind] = &[
     GateKind::Crz,
 ];
 
-/// Rows `subset` (all when `None`) through both methods, labelled: the
-/// shifted jobs built and run exactly as the engine's fallback does, then
-/// the engine's own choice — on the exact noiseless backend, the adjoint
-/// sweep (asserted by its one-circuit cost).
+/// Rows `subset` (all when `None`) two ways, labelled: the shifted jobs
+/// built and run one by one, then the engine's own choice — the hook's
+/// forked answer, or the jobs it declined — labelled with its mode and
+/// asserted to cost two circuits per gate occurrence.
 fn both_methods(
     engine: &ParameterShiftEngine<'_>,
     theta: &[f64],
@@ -72,13 +72,19 @@ fn both_methods(
     let rows: Vec<usize> =
         subset.map_or_else(|| (0..engine.num_trainable()).collect(), <[usize]>::to_vec);
     let before = engine.backend().stats().circuits_run;
-    let adjoint = engine.jacobian_subset(theta, &rows, seed);
+    let mut offer =
+        engine.offer_jacobian(theta, &rows, seed, &vec![engine.execution(); rows.len()]);
+    let results = offer
+        .take_jobs()
+        .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
+    let own = offer.jacobian(&results);
+    let cost: usize = rows.iter().map(|&i| engine.jobs_per_row()[i]).sum();
     assert_eq!(
         engine.backend().stats().circuits_run - before,
-        1,
-        "the backend's hook must answer with one adjoint sweep"
+        cost as u64,
+        "the engine's Jacobian must cost its shifted circuits"
     );
-    [("shifted-2p", shifted), ("adjoint", adjoint)]
+    [("shifted-2p", shifted), (offer.mode(), own)]
 }
 
 /// Random symbolic circuit on `n` qubits: shift-rule gates whose angles may
@@ -258,8 +264,8 @@ fn assert_state(rho: &DensityMatrix) {
 
 /// Offers rows `rows` of `c` at `theta`, row `rows[r]` under `budgets[r]`,
 /// to `backend` and to `declining`, a wrapper of the same backend that
-/// declines the hook, each engine at `workers` batch workers, with
-/// `shifted_only` set. A forking backend answers non-empty requests whose
+/// declines the hook, each engine at `workers` batch workers. A forking
+/// backend answers non-empty requests whose
 /// rows are all single occurrences with |scale| = 1, and declines the rest;
 /// either way its Jacobian, row variances and charged stats equal the
 /// declined shifted jobs' bit for bit.
@@ -273,13 +279,13 @@ fn check_forked_equals_declined(
 ) {
     let engine = ParameterShiftEngine::new(backend, c, trainable, Execution::Shots(256))
         .with_workers(workers);
-    let mut answered = engine.offer_jacobian(theta, rows, seed, budgets, true);
+    let mut answered = engine.offer_jacobian(theta, rows, seed, budgets);
     let own = answered
         .take_jobs()
         .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
     let reference = ParameterShiftEngine::new(declining, c, trainable, Execution::Shots(256))
         .with_workers(workers);
-    let mut declined = reference.offer_jacobian(theta, rows, seed, budgets, true);
+    let mut declined = reference.offer_jacobian(theta, rows, seed, budgets);
     let jobs = declined.take_jobs().expect("the wrapper declines");
     let results = reference.run_batch(&jobs);
 
@@ -355,8 +361,6 @@ proptest! {
         let noiseless = NoiselessBackend::new();
         let declining = FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
         let case = (&c, trainable, &theta[..], &rows[..]);
-        // Every request counts the shifted jobs, as the training loop's
-        // requests do; only then do exact rows fork too.
         let requests = [
             vec![Execution::Exact; rows.len()],
             vec![Execution::Shots(64); rows.len()],
@@ -387,12 +391,12 @@ proptest! {
             .map(|k| theta_seed + 0.41 * k as f64)
             .collect();
         let engine = ParameterShiftEngine::new(&backend, &c, n_params, Execution::Exact);
-        let [(_, shifted), (_, adjoint)] = both_methods(&engine, &theta, None, 7);
-        for (i, (row, base)) in adjoint.iter().zip(&shifted).enumerate() {
+        let [(_, shifted), (mode, own)] = both_methods(&engine, &theta, None, 7);
+        for (i, (row, base)) in own.iter().zip(&shifted).enumerate() {
             for (q, (a, b)) in row.iter().zip(base).enumerate() {
                 prop_assert!(
                     (a - b).abs() <= 1e-12,
-                    "adjoint vs shifted-2p at ∂f[{q}]/∂θ[{i}]: {a} vs {b}\n{c}",
+                    "{mode} vs shifted-2p at ∂f[{q}]/∂θ[{i}]: {a} vs {b}\n{c}",
                 );
             }
         }

@@ -48,7 +48,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qoc_sim::circuit::Circuit;
-use qoc_sim::diff::{adjoint_jacobian, JacobianRowSpec};
+use qoc_sim::diff::JacobianRowSpec;
 use qoc_sim::fusion::FusedProgram;
 use qoc_sim::statevector::{
     expectation_z_from_counts, sample_counts, with_scratch_state, Statevector,
@@ -244,11 +244,6 @@ pub struct JacobianBatch<'a> {
     pub theta: Vec<f64>,
     /// One entry per requested Jacobian row, in output order.
     pub rows: Vec<JacobianRow<'a>>,
-    /// The caller counts this Jacobian at the shifted-job cost (two
-    /// circuits per row occurrence — the training loop's per-step inference
-    /// accounting), so only a [`JacobianAnswer::Shifted`] answer, which runs
-    /// exactly those circuits, is acceptable.
-    pub shifted_only: bool,
 }
 
 /// One requested Jacobian row and the shifted jobs the planner would run
@@ -267,17 +262,6 @@ pub struct JacobianRow<'a> {
     /// ([`JacobianRowSpec::is_symbol_shift`]), which then run the prepared
     /// circuit at `theta[symbol] ± π/2`.
     pub seeds: [u64; 2],
-}
-
-/// A backend's answer to a [`JacobianBatch`], saying what it computed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JacobianAnswer {
-    /// Finished rows, `rows × logical_qubits` (the exact statevector
-    /// adjoint sweep; exact rows only).
-    Rows(Vec<Vec<f64>>),
-    /// Each row's `[f(θ₊), f(θ₋)]` shifted-job results, two per row in row
-    /// order — bit-identical to running the jobs, and charged as them.
-    Shifted(Vec<Vec<f64>>),
 }
 
 /// Worker-thread count for [`QuantumBackend::run_batch`]: the `QOC_WORKERS`
@@ -457,13 +441,15 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
             .collect()
     }
 
-    /// Evaluates a whole Jacobian in one structured job, or returns `None`
-    /// when the backend cannot serve it — the planner then runs the
-    /// shifted jobs. This hook alone decides the differentiation method:
-    /// the planner offers every Jacobian here first. The default declines,
-    /// so wrapper backends that don't forward it (fault injectors, queues)
-    /// keep their inner backend on the shifted-job path.
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
+    /// Runs a whole Jacobian's shifted jobs in one structured job, or
+    /// returns `None` when the backend cannot serve it — the planner then
+    /// runs the jobs itself. An answer holds each row's `[f(θ₊), f(θ₋)]`
+    /// results, two per row in row order, bit-identical to running the
+    /// jobs and charged as them. The planner offers every Jacobian here
+    /// first. The default declines, so wrapper backends that don't forward
+    /// it (fault injectors, queues) keep their inner backend on the
+    /// shifted-job path.
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let _ = batch;
         None
     }
@@ -687,15 +673,15 @@ fn sampled_distribution(probs: &[f64], shots: u32, rng: &mut StdRng) -> Vec<f64>
 /// each row's final state at `θ[symbols[row]] ± π/2` — bit-identical to the
 /// shifted job's. `read_out(state, execution, rng)` then finishes it as the
 /// job would, charging it to the backend's stats, with an RNG seeded from
-/// the job's seed. Results land in the [`JacobianAnswer::Shifted`] order
-/// (`2·row + minus`), and the batch runs inside a one-worker `device.batch`
-/// span.
+/// the job's seed. Results land in the
+/// [`QuantumBackend::run_jacobian_batch`] order (`2·row + minus`), and the
+/// batch runs inside a one-worker `device.batch` span.
 fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
     backend: &B,
     batch: &JacobianBatch<'_>,
     for_each_shift: impl FnOnce(&[usize], &mut dyn FnMut(usize, bool, &S)),
     mut read_out: impl FnMut(&S, Execution, &mut StdRng) -> Vec<f64>,
-) -> Option<JacobianAnswer> {
+) -> Option<Vec<Vec<f64>>> {
     if batch.rows.is_empty() || !batch.rows.iter().all(|r| r.spec.is_symbol_shift()) {
         return None;
     }
@@ -708,7 +694,7 @@ fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
         results[2 * r + usize::from(minus)] = read_out(state, row.execution, &mut rng);
     });
     span.close(backend);
-    Some(JacobianAnswer::Shifted(results))
+    Some(results)
 }
 
 /// Exact statevector backend — the "Classical-Train" substrate.
@@ -716,10 +702,8 @@ fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
 /// Executes fused kernel programs compiled at [`QuantumBackend::prepare`]
 /// time on pooled scratch states, so the per-job cost in a parameter-shift
 /// batch is pure gate arithmetic: no matrix construction, no circuit
-/// re-analysis, no statevector allocation. Its Jacobian hook answers exact
-/// requests with one adjoint sweep, and sampled or `shifted_only` ones by
-/// forking every shifted state from one binding of `θ`
-/// ([`FusedProgram::for_each_shift`]).
+/// re-analysis, no statevector allocation. Its Jacobian hook forks every
+/// shifted state from one binding of `θ` ([`FusedProgram::for_each_shift`]).
 #[derive(Debug, Default)]
 pub struct NoiselessBackend {
     stats: StatCells,
@@ -786,26 +770,13 @@ impl QuantumBackend for NoiselessBackend {
         })
     }
 
-    /// Answers all-`Exact` batches whose caller does not need the
-    /// shifted-job cost with finished rows from one adjoint sweep, charged
-    /// as one circuit. Answers every other batch whose rows are all symbol
-    /// shifts — sampled rows, or `Exact` rows under
-    /// [`JacobianBatch::shifted_only`] — with the shifted jobs' results
-    /// ([`forked_answer`]), forked from one binding of `θ` by
-    /// [`FusedProgram::for_each_shift`].
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
-        let Plan::Direct { circuit, program } = &batch.prepared.plan else {
+    /// Answers every batch whose rows are all symbol shifts, exact or
+    /// sampled, with the shifted jobs' results ([`forked_answer`]), forked
+    /// from one binding of `θ` by [`FusedProgram::for_each_shift`].
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
+        let Plan::Direct { program, .. } = &batch.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        if !batch.shifted_only && batch.rows.iter().all(|r| r.execution == Execution::Exact) {
-            // One forward pass + one backward sweep ≈ one inference of
-            // accounting: the Figure 6 x-axis counts circuit executions and
-            // the adjoint method runs the circuit once.
-            self.stats.charge(Execution::Exact, 0.0, 0.0);
-            let specs: Vec<JacobianRowSpec> = batch.rows.iter().map(|r| r.spec.clone()).collect();
-            let (jac, _) = adjoint_jacobian(circuit, &batch.theta, &specs);
-            return Some(JacobianAnswer::Rows(jac));
-        }
         forked_answer(
             self,
             batch,
@@ -1016,7 +987,7 @@ impl QuantumBackend for FakeDevice {
     /// shifted jobs' results ([`forked_answer`]), forked from one forward
     /// evolution by [`NoisyProgram::for_each_shift`]: each shifted density
     /// matrix is measured with readout error, then read out like the job.
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let plan = &batch.prepared.plan;
         let Plan::Device { program, .. } = plan else {
             panic!("prepared circuit belongs to a different backend kind");

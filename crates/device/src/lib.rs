@@ -53,8 +53,8 @@ pub mod topology;
 pub mod transpile;
 
 pub use backend::{
-    Execution, ExecutionStats, FakeDevice, JacobianAnswer, JacobianBatch, JacobianRow,
-    NoiselessBackend, QuantumBackend,
+    Execution, ExecutionStats, FakeDevice, JacobianBatch, JacobianRow, NoiselessBackend,
+    QuantumBackend,
 };
 pub use backends::DeviceDescription;
 pub use calibration::{DeviceCalibration, EdgeCalibration, QubitCalibration};

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use qoc_device::backend::{
-    CircuitJob, ExecutionStats, JacobianAnswer, JacobianBatch, PreparedCircuit, QuantumBackend,
+    CircuitJob, ExecutionStats, JacobianBatch, PreparedCircuit, QuantumBackend,
 };
 use qoc_device::retry::{JobError, JobResult, RetryPolicy};
 use qoc_sim::circuit::Circuit;
@@ -80,7 +80,7 @@ impl QuantumBackend for PreemptableBackend<'_> {
         self.inner.retry_policy()
     }
 
-    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<JacobianAnswer> {
+    fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         if self.flag.load(Ordering::Acquire) {
             return None;
         }

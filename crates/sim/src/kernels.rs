@@ -364,39 +364,6 @@ impl Kernel {
         }
     }
 
-    /// The Hermitian adjoint kernel `U†` — the inverse, since every gate
-    /// kernel is unitary.
-    ///
-    /// Built on [`Kernel::conj`]: `U† = transpose(conj(U))`, and every kernel
-    /// class is either symmetric (diagonals, flips, exchanges — where the
-    /// conjugate alone is the adjoint) or dense, where the off-diagonal
-    /// entries swap. The adjoint-mode differentiation sweep uses this to
-    /// walk a statevector *backwards* through a circuit.
-    #[must_use]
-    pub fn adjoint(&self) -> Kernel {
-        match self.conj() {
-            // RY(θ)† = RY(−θ): the conjugate is a no-op (real entries), the
-            // transpose negates the sine.
-            Kernel::RealRot1 { q, c, s } => Kernel::RealRot1 { q, c, s: -s },
-            Kernel::Unitary1 { q, m } => Kernel::Unitary1 {
-                q,
-                m: [m[0], m[2], m[1], m[3]],
-            },
-            Kernel::Unitary2 { a, b, m } => {
-                let mut t = [Complex64::ZERO; 16];
-                for (r, row) in m.chunks_exact(4).enumerate() {
-                    for (c, &v) in row.iter().enumerate() {
-                        t[4 * c + r] = v;
-                    }
-                }
-                Kernel::Unitary2 { a, b, m: t }
-            }
-            // Diagonal, permutation, and ±1-phase kernels are symmetric:
-            // conj(U) is already U†.
-            symmetric => symmetric,
-        }
-    }
-
     /// The same kernel with every qubit index shifted up by `offset`
     /// (used to address the row bits of a flattened density matrix).
     #[must_use]
@@ -641,29 +608,6 @@ mod tests {
                     rho[r * dim + c].approx_eq(want, 1e-13),
                     "ρ[{r},{c}] mismatch"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn adjoint_inverts_every_gate_kernel() {
-        // U† undoes U on a random state, for all gates × placements.
-        let n = 4;
-        let placements: &[&[usize]] = &[&[0], &[2], &[0, 1], &[1, 0], &[3, 0]];
-        for &g in ALL_GATES {
-            let p = params_for(g);
-            for qs in placements {
-                if qs.len() != g.num_qubits() {
-                    continue;
-                }
-                let start = random_state(n, 0x517E ^ g as u64);
-                let k = Kernel::for_gate(g, qs, &p);
-                let mut sv = start.clone();
-                sv.apply_kernel(&k);
-                sv.apply_kernel(&k.adjoint());
-                for (a, b) in sv.amplitudes().iter().zip(start.amplitudes()) {
-                    assert!(a.approx_eq(*b, 1e-13), "{g}† on {qs:?}: {a} vs {b}");
-                }
             }
         }
     }

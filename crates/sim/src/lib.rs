@@ -13,8 +13,8 @@
 //! - [`fusion`] — peephole gate fusion compiling a circuit into a
 //!   [`FusedProgram`] reusable across parameter bindings.
 //! - [`diff`] — shift-aware differentiation primitives: Crooks-style gate
-//!   decomposition onto shift-rule-friendly generators and adjoint-mode
-//!   Jacobians.
+//!   decomposition onto shift-rule-friendly generators and the per-symbol
+//!   occurrence table of a Jacobian row.
 //! - [`statevector`] / [`simulator`] — exact state evolution, expectation
 //!   values, and shot sampling.
 //! - [`resources`] — the exponential classical-cost model behind Figures

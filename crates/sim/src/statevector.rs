@@ -121,7 +121,9 @@ impl Statevector {
     }
 
     /// Copies the amplitudes of `src` into this state without reallocating
-    /// (the fork primitive behind [`pooled_copy`]).
+    /// (the fork primitive behind [`FusedProgram::for_each_shift`]).
+    ///
+    /// [`FusedProgram::for_each_shift`]: crate::fusion::FusedProgram::for_each_shift
     ///
     /// # Panics
     ///
@@ -400,8 +402,7 @@ static POOL_LIVE: AtomicU64 = AtomicU64::new(0);
 ///
 /// Dereferences to the underlying state; on drop the state is returned to
 /// the pool (up to [`STATE_POOL_CAP`] per thread) for reuse by later
-/// acquisitions of the same width. Acquire with [`pooled_zero`] or
-/// [`pooled_copy`].
+/// acquisitions of the same width. Acquire with [`pooled_zero`].
 pub struct PooledState {
     // Always Some until drop.
     sv: Option<Statevector>,
@@ -490,14 +491,6 @@ pub fn pooled_zero(num_qubits: usize) -> PooledState {
     PooledState { sv: Some(sv) }
 }
 
-/// Forks `src` into a pooled state of the same width — the amplitudes are
-/// copied without reallocating when a parked state of that width exists.
-pub fn pooled_copy(src: &Statevector) -> PooledState {
-    let mut sv = PooledState::acquire(src.num_qubits());
-    sv.copy_from(src);
-    PooledState { sv: Some(sv) }
-}
-
 /// Runs `f` with a reusable `|0…0⟩` scratch state of the given width,
 /// returning the state to a per-thread pool afterwards.
 ///
@@ -582,10 +575,8 @@ mod tests {
         assert!(misses.get() > m0, "first checkout must miss");
 
         let h0 = hits.get();
-        let src = Statevector::basis_state(6, 3);
-        let again = pooled_copy(&src);
+        let again = pooled_zero(6);
         assert_eq!(again.amplitudes().as_ptr(), ptr, "parked buffer reused");
-        assert_eq!(again.amplitudes()[3], Complex64::ONE);
         assert!(hits.get() > h0, "same-width checkout must hit");
 
         // into_inner detaches the state: the buffer must not be reused.

@@ -90,28 +90,19 @@ pub const ALLOC_WINDOW_FIELDS: &[(&str, FieldKind)] = &[
     ("retuned", FieldKind::Bool),
 ];
 
-/// Required fields of a `diff.adjoint` span: one per adjoint-mode Jacobian
-/// evaluation (single forward pass + backward adjoint sweep).
-pub const DIFF_ADJOINT_FIELDS: &[(&str, FieldKind)] = &[
-    ("rows", FieldKind::UInt),
-    ("outputs", FieldKind::UInt),
-    ("gates_forward", FieldKind::UInt),
-    ("gates_backward", FieldKind::UInt),
-];
-
 /// Required fields of a `shift.jacobian` span: one per Jacobian the shift
 /// engine evaluates outside a training minibatch — its rows, the shifted
-/// jobs left to a batch, and the method that ran.
+/// jobs left to a batch, and who ran the shifted circuits.
 pub const SHIFT_JACOBIAN_FIELDS: &[(&str, FieldKind)] = &[
     ("rows", FieldKind::UInt),
     ("jobs", FieldKind::UInt),
     ("mode", FieldKind::Str),
 ];
 
-/// The values of a `shift.jacobian` span's `mode`: the backend's finished
-/// adjoint rows, the shifted circuits the backend ran itself by forking one
-/// forward evolution, or the declined request's shifted-job batch.
-pub const SHIFT_JACOBIAN_MODES: &[&str] = &["adjoint", "forked", "shifted-2p"];
+/// The values of a `shift.jacobian` span's `mode`: the shifted circuits the
+/// backend ran itself by forking one forward evolution, or the declined
+/// request's shifted-job batch.
+pub const SHIFT_JACOBIAN_MODES: &[&str] = &["forked", "shifted-2p"];
 
 /// Required fields of a `run.header` event: emitted exactly once at train
 /// start, carrying the seed-derived `run_id` that joins every artifact of a
@@ -257,23 +248,16 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
             _ => {}
         }
     }
-    // Differentiation spans carry their work counters as unsigned integers,
-    // and a Jacobian names one of the known methods.
-    match value.get("span").and_then(Value::as_str) {
-        Some("diff.adjoint") if kind == "span" => {
-            check_fields(fields, DIFF_ADJOINT_FIELDS, "diff.adjoint")?;
+    // A Jacobian names one of the known modes.
+    if kind == "span" && value.get("span").and_then(Value::as_str) == Some("shift.jacobian") {
+        check_fields(fields, SHIFT_JACOBIAN_FIELDS, "shift.jacobian")?;
+        let mode = fields
+            .get("mode")
+            .and_then(Value::as_str)
+            .unwrap_or_default();
+        if !SHIFT_JACOBIAN_MODES.contains(&mode) {
+            return Err(format!("shift.jacobian: unknown mode {mode:?}"));
         }
-        Some("shift.jacobian") if kind == "span" => {
-            check_fields(fields, SHIFT_JACOBIAN_FIELDS, "shift.jacobian")?;
-            let mode = fields
-                .get("mode")
-                .and_then(Value::as_str)
-                .unwrap_or_default();
-            if !SHIFT_JACOBIAN_MODES.contains(&mode) {
-                return Err(format!("shift.jacobian: unknown mode {mode:?}"));
-            }
-        }
-        _ => {}
     }
     Ok(())
 }
@@ -527,17 +511,9 @@ mod tests {
     }
 
     #[test]
-    fn golden_diff_spans_pass() {
-        // Pinned wire shape of the differentiation span emitted by the shift
-        // planner's structured adjoint mode.
-        let adjoint = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":24,"gates_backward":115}}"#;
-        assert_eq!(check_trace_record(&parse(adjoint)), Ok(()));
-    }
-
-    #[test]
     fn golden_jacobian_spans_pass_and_unknown_modes_fail() {
         // Pinned wire shape of the shift engine's per-Jacobian span, one per
-        // method the backend hook can pick.
+        // way the backend hook can go.
         for mode in SHIFT_JACOBIAN_MODES {
             let line = format!(
                 r#"{{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{{"rows":8,"jobs":0,"mode":"{mode}"}}}}"#
@@ -550,16 +526,6 @@ mod tests {
         let missing = r#"{"ts":90,"kind":"span","level":"debug","span":"shift.jacobian","thread":0,"dur_ns":80,"fields":{"rows":8,"mode":"forked"}}"#;
         let err = check_trace_record(&parse(missing)).unwrap_err();
         assert!(err.contains("jobs"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn diff_span_with_missing_counter_is_rejected() {
-        let missing = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":24}}"#;
-        let err = check_trace_record(&parse(missing)).unwrap_err();
-        assert!(err.contains("gates_backward"), "unexpected error: {err}");
-        let adjoint = r#"{"ts":600,"kind":"span","level":"debug","span":"diff.adjoint","thread":0,"dur_ns":31000,"fields":{"rows":8,"outputs":4,"gates_forward":"many","gates_backward":115}}"#;
-        let err = check_trace_record(&parse(adjoint)).unwrap_err();
-        assert!(err.contains("gates_forward"), "unexpected error: {err}");
     }
 
     #[test]
