@@ -45,14 +45,17 @@ stage_kernel_equivalence() {
     # Differential suite: specialized kernels and the fused pipeline vs the
     # generic dense-matrix oracle (≤ 1e-12), plus pinned analytic states,
     # the shot sampler's conditional binomials vs exact binomial and
-    # multinomial pmfs (the qoc-sim unit tests, hence --lib), and the
-    # compiled noisy density program vs the dense per-gate Kraus oracle
-    # (≤ 1e-12; trace 1, Hermitian, PSD) on random circuits and
-    # calibrations. Release mode: the proptest cases are heavy and the
-    # kernels under test are the ones production runs actually execute.
+    # multinomial pmfs (the qoc-sim unit tests, hence --lib), the compiled
+    # noisy density program vs the dense per-gate Kraus oracle (≤ 1e-12;
+    # trace 1, Hermitian, PSD) on random circuits and calibrations, its
+    # forks bit for bit vs full runs at the shifted θ, and every pass of
+    # the two-lane fork state bit for bit vs two single-state passes (the
+    # qoc-noise unit tests, hence --lib again). Release mode: the proptest
+    # cases are heavy and the kernels under test are the ones production
+    # runs actually execute.
     cargo test --offline --release -p qoc-sim --lib \
         --test kernel_equivalence --test golden_states --test properties || return 1
-    cargo test --offline --release -p qoc-noise --test compiled_equivalence
+    cargo test --offline --release -p qoc-noise --lib --test compiled_equivalence
 }
 
 stage_diff_equivalence() {

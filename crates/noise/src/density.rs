@@ -4,8 +4,10 @@
 //! (2ⁿ × 2ⁿ, Hermitian, trace 1) tracks them exactly. At the paper's scale
 //! (4-qubit QNNs) this is a 16×16 matrix — exact noisy simulation is cheap.
 
+use std::ops::{Add, AddAssign, Mul, Neg};
+
 use qoc_sim::complex::Complex64;
-use qoc_sim::kernels::Kernel;
+use qoc_sim::kernels::{expand2, Kernel};
 use qoc_sim::matrix::CMatrix;
 use qoc_sim::statevector::Statevector;
 
@@ -197,9 +199,7 @@ impl DensityMatrix {
     /// bits and `r = r_a + 2·r_b` the row bits of qubits `(a, b)`.
     pub(crate) fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64]) {
         debug_assert_eq!(s.len(), 256, "two-qubit superoperator is 16×16");
-        let n = self.num_qubits;
-        let offsets: [usize; 16] =
-            std::array::from_fn(|x| spread(x & 3, &[a, b], 0) | spread(x >> 2, &[a, b], n));
+        let offsets = superop_2q_offsets(self.num_qubits, a, b);
         let mask = offsets[15];
         let flat = self.mat.as_mut_slice();
         for base in 0..flat.len() {
@@ -227,34 +227,17 @@ impl DensityMatrix {
     /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, or a qubit
     /// index is invalid.
     pub fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        assert!(
-            qubits.len() <= 2,
-            "depolarizing acts on one or two qubits, got {}",
-            qubits.len()
-        );
-        self.check_qubits(qubits);
-        if p == 0.0 || qubits.is_empty() {
+        let Some(Depolarizer {
+            sub,
+            lambda,
+            inv_d,
+            mask,
+            diag,
+            cells,
+        }) = Depolarizer::new(self.num_qubits, p, qubits)
+        else {
             return;
-        }
-        let n = self.num_qubits;
-        let sub = 1usize << qubits.len();
-        let d = sub as f64;
-        // λ may exceed 1 for p near 1 (over-uniform Pauli mixing); the map
-        // stays CPTP for p ≤ 1, so no clamping.
-        let lambda = p * d * d / (d * d - 1.0);
-        let inv_d = 1.0 / d;
-        let mask = spread(sub - 1, qubits, 0) | spread(sub - 1, qubits, n);
-        // Offsets inside a block, spread once per call: `diag[s]` is cell
-        // (s, s), `cells[x·sub + y]` is cell (row x, column y).
-        let mut diag = [0usize; 4];
-        let mut cells = [0usize; 16];
-        for x in 0..sub {
-            diag[x] = spread(x, qubits, 0) | spread(x, qubits, n);
-            for y in 0..sub {
-                cells[x * sub + y] = spread(x, qubits, n) | spread(y, qubits, 0);
-            }
-        }
+        };
         let flat = self.mat.as_mut_slice();
         // Block (i_rest, j_rest): out[(i_rest, x), (j_rest, y)] =
         // (1−λ)·ρ[…] + λ·δ_{x,y}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
@@ -348,6 +331,330 @@ impl DensityMatrix {
     }
 }
 
+/// Entry `i` of both lanes of a [`DensityPair`], stored `[re₀, re₁, im₀,
+/// im₁]`: the real parts side by side, then the imaginary parts.
+///
+/// Every operation below is the [`Complex64`] operation of the same shape
+/// written once per lane, operand for operand, so a lane rounds exactly as
+/// a lone `Complex64` would. Rust never contracts `a * b + c` into a fused
+/// multiply-add, so the two lanes of each line compile to one 2-wide SSE2
+/// instruction without changing a bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Lanes {
+    re: [f64; 2],
+    im: [f64; 2],
+}
+
+impl Lanes {
+    const ZERO: Lanes = Lanes {
+        re: [0.0; 2],
+        im: [0.0; 2],
+    };
+
+    /// `m · x + acc` per lane, as [`Complex64::mul_add`].
+    #[inline(always)]
+    fn mul_add(m: Complex64, x: Lanes, acc: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| m.re * x.re[l] - m.im * x.im[l] + acc.re[l]),
+            im: std::array::from_fn(|l| m.re * x.im[l] + m.im * x.re[l] + acc.im[l]),
+        }
+    }
+}
+
+impl Mul<Lanes> for Complex64 {
+    type Output = Lanes;
+    /// `m · x` per lane, as `Complex64 * Complex64`.
+    #[inline(always)]
+    fn mul(self, x: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re * x.re[l] - self.im * x.im[l]),
+            im: std::array::from_fn(|l| self.re * x.im[l] + self.im * x.re[l]),
+        }
+    }
+}
+
+impl Mul<f64> for Lanes {
+    type Output = Lanes;
+    #[inline(always)]
+    fn mul(self, k: f64) -> Lanes {
+        Lanes {
+            re: self.re.map(|x| x * k),
+            im: self.im.map(|x| x * k),
+        }
+    }
+}
+
+impl Add for Lanes {
+    type Output = Lanes;
+    #[inline(always)]
+    fn add(self, o: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] + o.re[l]),
+            im: std::array::from_fn(|l| self.im[l] + o.im[l]),
+        }
+    }
+}
+
+impl AddAssign for Lanes {
+    #[inline(always)]
+    fn add_assign(&mut self, o: Lanes) {
+        *self = *self + o;
+    }
+}
+
+impl Neg for Lanes {
+    type Output = Lanes;
+    #[inline(always)]
+    fn neg(self) -> Lanes {
+        Lanes {
+            re: self.re.map(|x| -x),
+            im: self.im.map(|x| -x),
+        }
+    }
+}
+
+/// Two density matrices of one width evolved in lockstep, entry by entry
+/// interleaved as [`Lanes`] — the `±π/2` forks of one parameter-shift row.
+///
+/// Each pass does, lane by lane, exactly the float operations of the
+/// [`DensityMatrix`] pass of the same name, in the same order, so each lane
+/// stays bit-identical to a single state put through the same passes; one
+/// 2-wide instruction serves both lanes.
+#[derive(Debug, Clone)]
+pub(crate) struct DensityPair {
+    num_qubits: usize,
+    flat: Vec<Lanes>,
+}
+
+impl DensityPair {
+    /// A pair of width `num_qubits` (both lanes zero, not yet states).
+    pub(crate) fn new(num_qubits: usize) -> Self {
+        assert!(
+            num_qubits <= MAX_QUBITS,
+            "density matrices limited to {MAX_QUBITS} qubits"
+        );
+        DensityPair {
+            num_qubits,
+            flat: vec![Lanes::ZERO; 1 << (2 * num_qubits)],
+        }
+    }
+
+    /// Number of qubits of each lane.
+    pub(crate) fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    /// Overwrites lane `lane` (0 or 1) with `rho`.
+    pub(crate) fn set_lane(&mut self, lane: usize, rho: &DensityMatrix) {
+        debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
+        for (e, z) in self.flat.iter_mut().zip(rho.mat.as_slice()) {
+            e.re[lane] = z.re;
+            e.im[lane] = z.im;
+        }
+    }
+
+    /// Copies lane `lane` (0 or 1) into `rho`.
+    pub(crate) fn lane_into(&self, lane: usize, rho: &mut DensityMatrix) {
+        debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
+        for (z, e) in rho.mat.as_mut_slice().iter_mut().zip(&self.flat) {
+            *z = Complex64::new(e.re[lane], e.im[lane]);
+        }
+    }
+
+    /// [`DensityMatrix::apply_kernel`] on both lanes.
+    pub(crate) fn apply_kernel(&mut self, kernel: &Kernel) {
+        let n = self.num_qubits;
+        apply_kernel_lanes(&kernel.remapped(n), &mut self.flat);
+        apply_kernel_lanes(&kernel.conj(), &mut self.flat);
+    }
+
+    /// [`DensityMatrix::apply_superop_1q`] on both lanes.
+    pub(crate) fn apply_superop_1q(&mut self, q: usize, s: &[Complex64; 16]) {
+        let b = self.num_qubits + q;
+        apply_kernel_lanes(&Kernel::Unitary2 { a: q, b, m: *s }, &mut self.flat);
+    }
+
+    /// [`DensityMatrix::apply_superop_2q`] on both lanes.
+    pub(crate) fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64]) {
+        debug_assert_eq!(s.len(), 256, "two-qubit superoperator is 16×16");
+        let offsets = superop_2q_offsets(self.num_qubits, a, b);
+        let mask = offsets[15];
+        let flat = &mut self.flat;
+        for base in 0..flat.len() {
+            if base & mask != 0 {
+                continue;
+            }
+            let v: [Lanes; 16] = std::array::from_fn(|x| flat[base | offsets[x]]);
+            for (row, &off) in s.chunks_exact(16).zip(&offsets) {
+                let mut acc = Lanes::ZERO;
+                for (&m, &x) in row.iter().zip(&v) {
+                    acc = Lanes::mul_add(m, x, acc);
+                }
+                flat[base | off] = acc;
+            }
+        }
+    }
+
+    /// [`DensityMatrix::apply_depolarizing`] on both lanes.
+    pub(crate) fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
+        let Some(Depolarizer {
+            sub,
+            lambda,
+            inv_d,
+            mask,
+            diag,
+            cells,
+        }) = Depolarizer::new(self.num_qubits, p, qubits)
+        else {
+            return;
+        };
+        let flat = &mut self.flat;
+        for base in 0..flat.len() {
+            if base & mask != 0 {
+                continue;
+            }
+            let mut acc = Lanes::ZERO;
+            for &off in &diag[..sub] {
+                acc += flat[base | off];
+            }
+            let acc = acc * inv_d;
+            for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
+                for (y, &off) in row.iter().enumerate() {
+                    let i = base | off;
+                    let mixed = if x == y { acc } else { Lanes::ZERO };
+                    flat[i] = flat[i] * (1.0 - lambda) + mixed * lambda;
+                }
+            }
+        }
+    }
+}
+
+/// [`Kernel::apply`] on a two-lane amplitude slice: each arm is the
+/// single-lane arm with [`Lanes`] for `Complex64`.
+fn apply_kernel_lanes(kernel: &Kernel, amps: &mut [Lanes]) {
+    debug_assert!(amps.len().is_power_of_two(), "amplitude length");
+    let len = amps.len();
+    match *kernel {
+        Kernel::Id => {}
+        Kernel::Diag1 { q, d } => {
+            let stride = 1usize << q;
+            debug_assert!(stride < len, "qubit {q} out of range");
+            let (d0, d1) = (d[0], d[1]);
+            let mut base = 0usize;
+            while base < len {
+                for i in base..base + stride {
+                    amps[i] = d0 * amps[i];
+                    amps[i + stride] = d1 * amps[i + stride];
+                }
+                base += stride << 1;
+            }
+        }
+        Kernel::RealRot1 { q, c, s } => {
+            let stride = 1usize << q;
+            debug_assert!(stride < len, "qubit {q} out of range");
+            let mut base = 0usize;
+            while base < len {
+                for i in base..base + stride {
+                    let a0 = amps[i];
+                    let a1 = amps[i + stride];
+                    amps[i] = Lanes {
+                        re: std::array::from_fn(|l| c * a0.re[l] - s * a1.re[l]),
+                        im: std::array::from_fn(|l| c * a0.im[l] - s * a1.im[l]),
+                    };
+                    amps[i + stride] = Lanes {
+                        re: std::array::from_fn(|l| s * a0.re[l] + c * a1.re[l]),
+                        im: std::array::from_fn(|l| s * a0.im[l] + c * a1.im[l]),
+                    };
+                }
+                base += stride << 1;
+            }
+        }
+        Kernel::Flip { q } => {
+            let stride = 1usize << q;
+            debug_assert!(stride < len, "qubit {q} out of range");
+            let mut base = 0usize;
+            while base < len {
+                for i in base..base + stride {
+                    amps.swap(i, i + stride);
+                }
+                base += stride << 1;
+            }
+        }
+        Kernel::Unitary1 { q, m } => {
+            let stride = 1usize << q;
+            debug_assert!(stride < len, "qubit {q} out of range");
+            let (m00, m01, m10, m11) = (m[0], m[1], m[2], m[3]);
+            let mut base = 0usize;
+            while base < len {
+                for i in base..base + stride {
+                    let a0 = amps[i];
+                    let a1 = amps[i + stride];
+                    amps[i] = Lanes::mul_add(m00, a0, m01 * a1);
+                    amps[i + stride] = Lanes::mul_add(m10, a0, m11 * a1);
+                }
+                base += stride << 1;
+            }
+        }
+        Kernel::ControlledFlip { control, target } => {
+            let (cb, tb) = (1usize << control, 1usize << target);
+            debug_assert!(cb < len && tb < len, "qubit out of range");
+            let (lo, hi) = (control.min(target), control.max(target));
+            for k in 0..len >> 2 {
+                let on = expand2(k, lo, hi) | cb;
+                amps.swap(on, on | tb);
+            }
+        }
+        Kernel::PhaseFlip2 { a, b } => {
+            let both = (1usize << a) | (1usize << b);
+            debug_assert!(both < len, "qubit out of range");
+            let (lo, hi) = (a.min(b), a.max(b));
+            for k in 0..len >> 2 {
+                let i = expand2(k, lo, hi) | both;
+                amps[i] = -amps[i];
+            }
+        }
+        Kernel::Diag2 { a, b, d } => {
+            let (ba, bb) = (1usize << a, 1usize << b);
+            debug_assert!(ba < len && bb < len, "qubit out of range");
+            let (lo, hi) = (a.min(b), a.max(b));
+            for k in 0..len >> 2 {
+                let base = expand2(k, lo, hi);
+                amps[base] = d[0] * amps[base];
+                amps[base | ba] = d[1] * amps[base | ba];
+                amps[base | bb] = d[2] * amps[base | bb];
+                amps[base | ba | bb] = d[3] * amps[base | ba | bb];
+            }
+        }
+        Kernel::Exchange { a, b } => {
+            let (ba, bb) = (1usize << a, 1usize << b);
+            debug_assert!(ba < len && bb < len, "qubit out of range");
+            let (lo, hi) = (a.min(b), a.max(b));
+            for k in 0..len >> 2 {
+                let base = expand2(k, lo, hi);
+                amps.swap(base | ba, base | bb);
+            }
+        }
+        Kernel::Unitary2 { a, b, ref m } => {
+            let (ba, bb) = (1usize << a, 1usize << b);
+            debug_assert!(ba < len && bb < len, "qubit out of range");
+            let (lo, hi) = (a.min(b), a.max(b));
+            for k in 0..len >> 2 {
+                let base = expand2(k, lo, hi);
+                let idx = [base, base | ba, base | bb, base | ba | bb];
+                let amp = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
+                for (r, &out_i) in idx.iter().enumerate() {
+                    let row = &m[4 * r..4 * r + 4];
+                    let mut acc = Lanes::ZERO;
+                    for (c, &v) in amp.iter().enumerate() {
+                        acc = Lanes::mul_add(row[c], v, acc);
+                    }
+                    amps[out_i] = acc;
+                }
+            }
+        }
+    }
+}
+
 /// The superoperator `S = Σ Kᵢ ⊗ K̄ᵢ` of a Kraus channel on `k` qubits: a
 /// `4ᵏ × 4ᵏ` matrix acting on the local index `c + 2ᵏ·r` (column bits `c`
 /// low, row bits `r` high, first listed qubit least significant in each),
@@ -374,6 +681,71 @@ pub(crate) fn superoperator(channel: &KrausChannel) -> CMatrix {
     s
 }
 
+/// Flat offsets of the 16 cells a two-qubit superoperator on `(a, b)` of an
+/// `n`-qubit state mixes, indexed by the local index `c + 4r`.
+fn superop_2q_offsets(n: usize, a: usize, b: usize) -> [usize; 16] {
+    std::array::from_fn(|x| spread(x & 3, &[a, b], 0) | spread(x >> 2, &[a, b], n))
+}
+
+/// The constants and block offsets of an analytic depolarizing pass on
+/// `qubits` of an `n`-qubit state.
+struct Depolarizer {
+    /// `d = 2^|qubits|`.
+    sub: usize,
+    lambda: f64,
+    inv_d: f64,
+    /// The bits of `qubits` in both halves of a flat index.
+    mask: usize,
+    /// `diag[s]` is cell (s, s) of a block.
+    diag: [usize; 4],
+    /// `cells[x·sub + y]` is cell (row x, column y) of a block.
+    cells: [usize; 16],
+}
+
+impl Depolarizer {
+    /// The pass of probability `p` on `qubits`; `None` when it is the
+    /// identity (`p = 0` or no qubits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, or a qubit
+    /// index is out of range.
+    fn new(n: usize, p: f64, qubits: &[usize]) -> Option<Depolarizer> {
+        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+        assert!(
+            qubits.len() <= 2,
+            "depolarizing acts on one or two qubits, got {}",
+            qubits.len()
+        );
+        for &q in qubits {
+            assert!(q < n, "qubit {q} out of range");
+        }
+        if p == 0.0 || qubits.is_empty() {
+            return None;
+        }
+        let sub = 1usize << qubits.len();
+        let d = sub as f64;
+        let mut diag = [0usize; 4];
+        let mut cells = [0usize; 16];
+        for x in 0..sub {
+            diag[x] = spread(x, qubits, 0) | spread(x, qubits, n);
+            for y in 0..sub {
+                cells[x * sub + y] = spread(x, qubits, n) | spread(y, qubits, 0);
+            }
+        }
+        Some(Depolarizer {
+            sub,
+            // λ may exceed 1 for p near 1 (over-uniform Pauli mixing); the
+            // map stays CPTP for p ≤ 1, so no clamping.
+            lambda: p * d * d / (d * d - 1.0),
+            inv_d: 1.0 / d,
+            mask: spread(sub - 1, qubits, 0) | spread(sub - 1, qubits, n),
+            diag,
+            cells,
+        })
+    }
+}
+
 /// Spreads the low bits of `x` onto the bit positions `qubits[i] + offset`.
 #[inline]
 fn spread(x: usize, qubits: &[usize], offset: usize) -> usize {
@@ -390,6 +762,8 @@ mod tests {
     use qoc_sim::circuit::Circuit;
     use qoc_sim::gates::GateKind;
     use qoc_sim::simulator::StatevectorSimulator;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn pure_state_round_trip() {
@@ -551,10 +925,156 @@ mod tests {
         }
     }
 
+    /// A random Hermitian `2ⁿ × 2ⁿ` matrix (not a state: trace and sign are
+    /// free, which the passes do not care about).
+    fn random_hermitian(n: usize, rng: &mut StdRng) -> DensityMatrix {
+        let dim = 1usize << n;
+        let mut mat = CMatrix::zeros(dim, dim);
+        for i in 0..dim {
+            mat[(i, i)] = Complex64::real(rng.gen::<f64>() - 0.5);
+            for j in 0..i {
+                let z = random_c64(rng);
+                mat[(i, j)] = z;
+                mat[(j, i)] = z.conj();
+            }
+        }
+        DensityMatrix { num_qubits: n, mat }
+    }
+
+    fn random_c64(rng: &mut StdRng) -> Complex64 {
+        Complex64::new(rng.gen::<f64>() * 2.0 - 1.0, rng.gen::<f64>() * 2.0 - 1.0)
+    }
+
+    fn random_entries<const N: usize>(rng: &mut StdRng) -> [Complex64; N] {
+        std::array::from_fn(|_| random_c64(rng))
+    }
+
+    fn bit_pattern(rho: &DensityMatrix) -> Vec<(u64, u64)> {
+        let flat = rho.matrix().as_slice();
+        flat.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// Puts two random Hermitian matrices through `single` one by one and,
+    /// as the two lanes of a pair, through `pair`; each lane must match its
+    /// single pass bit for bit.
+    fn assert_lanes_match(
+        n: usize,
+        rng: &mut StdRng,
+        what: &str,
+        single: impl Fn(&mut DensityMatrix),
+        pair: impl Fn(&mut DensityPair),
+    ) {
+        let mut states = [random_hermitian(n, rng), random_hermitian(n, rng)];
+        let mut lanes = DensityPair::new(n);
+        for (lane, rho) in states.iter().enumerate() {
+            lanes.set_lane(lane, rho);
+        }
+        pair(&mut lanes);
+        let mut got = DensityMatrix::zero_state(n);
+        for (lane, rho) in states.iter_mut().enumerate() {
+            single(rho);
+            lanes.lane_into(lane, &mut got);
+            assert!(
+                bit_pattern(&got) == bit_pattern(rho),
+                "n={n}, {what}: lane {lane} differs from the single pass"
+            );
+        }
+    }
+
+    #[test]
+    fn pair_passes_are_bit_identical_to_single_passes() {
+        let mut rng = StdRng::seed_from_u64(0x9a17);
+        for n in 1..=5usize {
+            let wire_pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+                .collect();
+            let mut kernels = vec![Kernel::Id];
+            for q in 0..n {
+                let (s, c) = (rng.gen::<f64>() * 6.0).sin_cos();
+                kernels.extend([
+                    Kernel::Diag1 {
+                        q,
+                        d: random_entries(&mut rng),
+                    },
+                    Kernel::RealRot1 { q, c, s },
+                    Kernel::Flip { q },
+                    Kernel::Unitary1 {
+                        q,
+                        m: random_entries(&mut rng),
+                    },
+                ]);
+            }
+            for &(a, b) in &wire_pairs {
+                kernels.extend([
+                    Kernel::ControlledFlip {
+                        control: a,
+                        target: b,
+                    },
+                    Kernel::PhaseFlip2 { a, b },
+                    Kernel::Diag2 {
+                        a,
+                        b,
+                        d: random_entries(&mut rng),
+                    },
+                    Kernel::Exchange { a, b },
+                    Kernel::Unitary2 {
+                        a,
+                        b,
+                        m: random_entries(&mut rng),
+                    },
+                ]);
+            }
+            for kernel in &kernels {
+                assert_lanes_match(
+                    n,
+                    &mut rng,
+                    &format!("{kernel:?}"),
+                    |rho| rho.apply_kernel(kernel),
+                    |pair| pair.apply_kernel(kernel),
+                );
+            }
+            for q in 0..n {
+                let s: [Complex64; 16] = random_entries(&mut rng);
+                assert_lanes_match(
+                    n,
+                    &mut rng,
+                    &format!("1q superoperator on {q}"),
+                    |rho| rho.apply_superop_1q(q, &s),
+                    |pair| pair.apply_superop_1q(q, &s),
+                );
+            }
+            let depolarized: Vec<Vec<usize>> = (0..n)
+                .map(|q| vec![q])
+                .chain(wire_pairs.iter().map(|&(a, b)| vec![a, b]))
+                .collect();
+            for qubits in &depolarized {
+                for p in [0.0, 0.3, 1.0] {
+                    assert_lanes_match(
+                        n,
+                        &mut rng,
+                        &format!("depolarizing p={p} on {qubits:?}"),
+                        |rho| rho.apply_depolarizing(p, qubits),
+                        |pair| pair.apply_depolarizing(p, qubits),
+                    );
+                }
+            }
+            for &(a, b) in &wire_pairs {
+                let s: [Complex64; 256] = random_entries(&mut rng);
+                assert_lanes_match(
+                    n,
+                    &mut rng,
+                    &format!("2q superoperator on ({a}, {b})"),
+                    |rho| rho.apply_superop_2q(a, b, &s),
+                    |pair| pair.apply_superop_2q(a, b, &s),
+                );
+            }
+        }
+    }
+
     #[test]
     fn sampling_respects_diagonal() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let rho = DensityMatrix::zero_state(2);
         let mut rng = StdRng::seed_from_u64(3);
         let counts = qoc_sim::statevector::sample_counts(&rho.probabilities(), 100, &mut rng);

@@ -26,9 +26,11 @@
 //! which then run on `ρ`. [`NoisyProgram::for_each_shift`] reuses one bound
 //! list for the parameter-shift rule: each `±π/2` shift of a symbol forks
 //! from a snapshot of the unshifted evolution taken just before the
-//! symbol's first step, rebinds only up to its *rejoin step*, and runs the
-//! unshifted passes from there — the float operations of a full run at the
-//! shifted `θ`, so its state is bit-identical to one.
+//! symbol's first step and rebinds only up to its *rejoin step*. There the
+//! symbol's two forks are packed into the lanes of one two-lane state,
+//! which runs the unshifted passes to the end in lockstep, each lane doing
+//! the float operations of a full run at its shifted `θ`, so each fork's
+//! state is bit-identical to one.
 //!
 //! The dense per-gate Kraus evolution is the oracle the program is tested
 //! against (`tests/compiled_equivalence.rs`).
@@ -36,13 +38,14 @@
 use std::cell::RefCell;
 use std::f64::consts::FRAC_PI_2;
 use std::ops::Range;
+use std::thread::LocalKey;
 
 use qoc_sim::circuit::{Circuit, Operation, ParamValue};
 use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{entries_1q, Kernel};
 
 use crate::channels::depolarizing_1q;
-use crate::density::{superoperator, DensityMatrix, MAX_QUBITS};
+use crate::density::{superoperator, DensityMatrix, DensityPair, MAX_QUBITS};
 use crate::model::{NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::{apply_confusion, ReadoutError};
 
@@ -58,30 +61,60 @@ const IDENTITY: Super1 = {
     m
 };
 
-/// Density matrices parked per thread; more widths than this are rare.
+/// States of one kind parked per thread; more widths than this are rare.
 const SCRATCH_CAP: usize = 2;
 
 thread_local! {
     static SCRATCH: RefCell<Vec<DensityMatrix>> = const { RefCell::new(Vec::new()) };
+    static PAIR_SCRATCH: RefCell<Vec<DensityPair>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on a reusable density matrix of width `n` from a per-thread
-/// pool, so repeated runs of a program allocate no `4ⁿ` buffer.
-fn with_scratch_density<T>(n: usize, f: impl FnOnce(&mut DensityMatrix) -> T) -> T {
-    let parked = SCRATCH.with(|pool| {
+/// Runs `f` on a reusable state of width `n` from the per-thread pool
+/// `pool` (`fresh(n)` on a miss), so repeated runs of a program allocate
+/// no `4ⁿ` buffer.
+fn with_scratch<S, T>(
+    pool: &'static LocalKey<RefCell<Vec<S>>>,
+    n: usize,
+    width: fn(&S) -> usize,
+    fresh: fn(usize) -> S,
+    f: impl FnOnce(&mut S) -> T,
+) -> T {
+    let parked = pool.with(|pool| {
         let mut pool = pool.borrow_mut();
-        let i = pool.iter().position(|rho| rho.num_qubits() == n)?;
+        let i = pool.iter().position(|state| width(state) == n)?;
         Some(pool.swap_remove(i))
     });
-    let mut rho = parked.unwrap_or_else(|| DensityMatrix::zero_state(n));
-    let out = f(&mut rho);
-    SCRATCH.with(|pool| {
+    let mut state = parked.unwrap_or_else(|| fresh(n));
+    let out = f(&mut state);
+    pool.with(|pool| {
         let mut pool = pool.borrow_mut();
         if pool.len() < SCRATCH_CAP {
-            pool.push(rho);
+            pool.push(state);
         }
     });
     out
+}
+
+/// [`with_scratch`] on a density matrix.
+fn with_scratch_density<T>(n: usize, f: impl FnOnce(&mut DensityMatrix) -> T) -> T {
+    with_scratch(
+        &SCRATCH,
+        n,
+        DensityMatrix::num_qubits,
+        DensityMatrix::zero_state,
+        f,
+    )
+}
+
+/// [`with_scratch`] on a two-lane pair.
+fn with_scratch_pair<T>(n: usize, f: impl FnOnce(&mut DensityPair) -> T) -> T {
+    with_scratch(
+        &PAIR_SCRATCH,
+        n,
+        DensityPair::num_qubits,
+        DensityPair::new,
+        f,
+    )
 }
 
 /// `a · b` for row-major 4×4 matrices.
@@ -173,6 +206,16 @@ impl Pass<'_> {
             Pass::Kernel(kernel) => rho.apply_kernel(kernel),
             Pass::Depolarize { wires, p } => rho.apply_depolarizing(*p, &wires[..]),
             Pass::Kraus2 { wires: [a, b], s } => rho.apply_superop_2q(*a, *b, s),
+        }
+    }
+
+    /// [`Self::apply`] on both lanes of `pair`.
+    fn apply_pair(&self, pair: &mut DensityPair) {
+        match self {
+            Pass::Super1 { q, s } => pair.apply_superop_1q(*q, s),
+            Pass::Kernel(kernel) => pair.apply_kernel(kernel),
+            Pass::Depolarize { wires, p } => pair.apply_depolarizing(*p, &wires[..]),
+            Pass::Kraus2 { wires: [a, b], s } => pair.apply_superop_2q(*a, *b, s),
         }
     }
 }
@@ -464,11 +507,13 @@ impl NoisyProgram {
     /// advances through them in first-step order. Each shift copies the
     /// base state and the pending maps at its symbol's first step into a
     /// fork, rebinds the steps up to the symbol's rejoin step at the
-    /// shifted `θ`, and runs the unshifted passes from there: exactly the
-    /// float operations of a full run at the shifted `θ`, so `ρ` (and
-    /// [`Self::measure`] of it) is bit-identical to
-    /// [`Self::outcome_probabilities`]'s at that `θ`. Both states come from
-    /// the per-thread scratch pool.
+    /// shifted `θ`, and packs the fork into its lane of a two-lane pair
+    /// (`+` in lane 0, `−` in lane 1). The pair then runs the unshifted
+    /// passes from the rejoin step once for both forks; each lane does
+    /// exactly the float operations of a full run at its shifted `θ`, so
+    /// `ρ` (and [`Self::measure`] of it) is bit-identical to
+    /// [`Self::outcome_probabilities`]'s at that `θ`. The base state, the
+    /// fork and the pair come from the per-thread scratch pools.
     ///
     /// # Panics
     ///
@@ -503,33 +548,41 @@ impl NoisyProgram {
         let mut shifted = theta.to_vec();
         with_scratch_density(n, |rho| {
             with_scratch_density(n, |fork| {
-                rho.reset_zero();
-                let mut applied = 0;
-                for &r in &order {
-                    let s = symbols[r];
-                    let (first, rejoin) = window(s);
-                    for pass in &base[applied..self.pass_at[first]] {
-                        pass.apply(rho);
-                    }
-                    applied = self.pass_at[first];
-                    for (minus, value) in
-                        [(false, theta[s] + FRAC_PI_2), (true, theta[s] - FRAC_PI_2)]
-                    {
-                        fork.copy_from(rho);
-                        let mut pending = [IDENTITY; MAX_QUBITS];
-                        pending[..n].copy_from_slice(&snapshots[r * n..(r + 1) * n]);
-                        shifted[s] = value;
-                        self.bind(first..rejoin, &shifted, &mut pending, |pass| {
-                            pass.apply(fork)
-                        });
-                        for pass in &base[self.pass_at[rejoin]..] {
-                            pass.apply(fork);
+                with_scratch_pair(n, |pair| {
+                    rho.reset_zero();
+                    let mut applied = 0;
+                    for &r in &order {
+                        let s = symbols[r];
+                        let (first, rejoin) = window(s);
+                        for pass in &base[applied..self.pass_at[first]] {
+                            pass.apply(rho);
                         }
-                        debug_check_state(fork);
-                        visit(r, minus, fork);
+                        applied = self.pass_at[first];
+                        // Lane 0 is the `+` fork, lane 1 the `−` fork.
+                        for (lane, value) in [theta[s] + FRAC_PI_2, theta[s] - FRAC_PI_2]
+                            .into_iter()
+                            .enumerate()
+                        {
+                            fork.copy_from(rho);
+                            let mut pending = [IDENTITY; MAX_QUBITS];
+                            pending[..n].copy_from_slice(&snapshots[r * n..(r + 1) * n]);
+                            shifted[s] = value;
+                            self.bind(first..rejoin, &shifted, &mut pending, |pass| {
+                                pass.apply(fork)
+                            });
+                            pair.set_lane(lane, fork);
+                        }
+                        shifted[s] = theta[s];
+                        for pass in &base[self.pass_at[rejoin]..] {
+                            pass.apply_pair(pair);
+                        }
+                        for (lane, minus) in [(0, false), (1, true)] {
+                            pair.lane_into(lane, fork);
+                            debug_check_state(fork);
+                            visit(r, minus, fork);
+                        }
                     }
-                    shifted[s] = theta[s];
-                }
+                })
             })
         });
     }

@@ -17,7 +17,9 @@
 //! Two bitwise contracts ride along: `apply_depolarizing` equals the
 //! per-element offset loop it replaced, and every fork of
 //! `NoisyProgram::for_each_shift` equals a full compiled run at the shifted
-//! `θ` on random symbolic circuits (shared symbols, parametrized RZZ).
+//! `θ` on random symbolic circuits (shared symbols, parametrized RZZ) under
+//! calibrated models with an asymmetric 2q Kraus entry on every edge, so
+//! the forks' two-lane suffix runs every kind of pass the program emits.
 
 use proptest::prelude::*;
 
@@ -28,6 +30,7 @@ use qoc_noise::channels::{
     phase_damping, thermal_relaxation,
 };
 use qoc_noise::density::DensityMatrix;
+use qoc_noise::kraus::KrausChannel;
 use qoc_noise::model::{NoiseModel, NoiseOpKind, WireSelect};
 use qoc_noise::readout::{apply_confusion, ReadoutError};
 use qoc_noise::sim::NoisyProgram;
@@ -194,8 +197,14 @@ fn arb_calibration() -> impl Strategy<Value = (Vec<QubitCal>, Vec<EdgeCal>)> {
 
 /// Builds the model the fake devices derive from a calibration: per wire
 /// 1q depolarizing + thermal relaxation + readout, per CX edge 2q
-/// depolarizing + each endpoint's thermal relaxation on a wire slot.
-fn calibrated_model(circuit: &Circuit, qubits: &[QubitCal], edges: &[EdgeCal]) -> NoiseModel {
+/// depolarizing + each endpoint's thermal relaxation on a wire slot, then
+/// `edge_kraus` on the gate wires when given.
+fn calibrated_model(
+    circuit: &Circuit,
+    qubits: &[QubitCal],
+    edges: &[EdgeCal],
+    edge_kraus: Option<&KrausChannel>,
+) -> NoiseModel {
     let n = circuit.num_qubits();
     let thermal = |q: usize, ns: f64| {
         let (t1, ratio, ..) = qubits[q];
@@ -215,9 +224,18 @@ fn calibrated_model(circuit: &Circuit, qubits: &[QubitCal], edges: &[EdgeCal]) -
                 .two_qubit_depolarizing(a, c, error_rate_to_depolarizing_prob(ecx, 2))
                 .two_qubit_wire(a, c, 0, thermal(a, ns))
                 .two_qubit_wire(a, c, 1, thermal(c, ns));
+            if let Some(channel) = edge_kraus {
+                b = b.two_qubit(a, c, channel.clone());
+            }
         }
     }
     b.build()
+}
+
+/// An asymmetric two-qubit Kraus channel, so that a swapped wire order
+/// shows.
+fn asymmetric_2q(gamma: f64, p: f64) -> KrausChannel {
+    amplitude_damping(gamma).tensor(&phase_damping(p))
 }
 
 /// The generic builder entries the device models never use: a 1q amplitude
@@ -227,7 +245,7 @@ fn generic_model(n: usize, gamma: f64, p: f64) -> NoiseModel {
     let mut b = NoiseModel::builder(n)
         .one_qubit_all(amplitude_damping(gamma))
         .one_qubit_depolarizing(0, p)
-        .two_qubit_default(amplitude_damping(gamma).tensor(&phase_damping(p)));
+        .two_qubit_default(asymmetric_2q(gamma, p));
     if n >= 2 {
         b = b
             .two_qubit_wire(0, 1, 1, amplitude_damping(gamma))
@@ -392,12 +410,15 @@ proptest! {
         case in arb_symbolic_circuit(),
         cal in arb_calibration(),
         symbols in arb_rows(),
+        kraus in (0.0f64..0.3, 0.0f64..0.3),
     ) {
         // Symbol 5 indexes past the circuit's symbols: its shifts leave the
-        // program unchanged, and its forks must say so.
+        // program unchanged, and its forks must say so. The edge Kraus entry
+        // puts a 16×16 superoperator pass into the forks' paired suffix.
         let (circuit, mut theta) = case;
         theta.resize(6, 0.4);
-        let noise = calibrated_model(&circuit, &cal.0, &cal.1);
+        let edge_kraus = asymmetric_2q(kraus.0, kraus.1);
+        let noise = calibrated_model(&circuit, &cal.0, &cal.1, Some(&edge_kraus));
         let program = NoisyProgram::compile(circuit, &noise);
         let mut visits = Vec::new();
         program.for_each_shift(&theta, &symbols, |row, minus, rho| {
@@ -424,7 +445,7 @@ proptest! {
     #[test]
     fn calibrated_models_match_the_oracle(case in arb_circuit(), cal in arb_calibration()) {
         let (circuit, theta) = case;
-        let noise = calibrated_model(&circuit, &cal.0, &cal.1);
+        let noise = calibrated_model(&circuit, &cal.0, &cal.1, None);
         check(&circuit, &theta, noise);
     }
 
@@ -467,10 +488,7 @@ proptest! {
         if n >= 2 {
             // Listed in either order, adjacent or not.
             let b = (a + 1 + wires.1 % (n - 1)) % n;
-            let two_qubit = [
-                amplitude_damping(gamma).tensor(&phase_damping(p)),
-                depolarizing_2q(p),
-            ];
+            let two_qubit = [asymmetric_2q(gamma, p), depolarizing_2q(p)];
             for channel in &two_qubit {
                 rho.apply_kraus(channel, &[a, b]);
                 want = dense_channel(&want, channel.operators(), &[a, b], n);

@@ -189,9 +189,10 @@ fn insert_zero_bit(x: usize, bit: usize) -> usize {
 }
 
 /// Expands a compact index `k` into a base amplitude index with zero bits at
-/// positions `lo < hi`.
+/// positions `lo < hi`: `k` in `0..len/4` enumerates the 4-blocks of a
+/// two-qubit pass.
 #[inline(always)]
-fn expand2(k: usize, lo: usize, hi: usize) -> usize {
+pub fn expand2(k: usize, lo: usize, hi: usize) -> usize {
     insert_zero_bit(insert_zero_bit(k, lo), hi)
 }
 
