@@ -63,13 +63,15 @@ stage_diff_equivalence() {
     # forked answer, or the shifted jobs it declined) must agree to 1e-12
     # with the shifted jobs run one by one on random symbolic circuits, at
     # two circuits per gate occurrence, both must match finite differences
-    # on decomposed gates, the noisy shifted jobs and the fake device's
-    # forked answer must both reproduce goldens captured from the shifted
-    # jobs (256 shots) at 1/2/8 workers,
-    # the fake device's forked answer to the Jacobian hook must equal the
-    # shifted jobs bit for bit on random circuits on fake santiago and
-    # jakarta, every fork ending in a state, and so must the noiseless
-    # backend's (exact, 64-shot and mixed rows, 1/2/8 workers).
+    # on decomposed gates, the noisy shifted jobs must reproduce goldens
+    # captured from the shifted jobs (256 shots) at 1/2/8 workers, and so
+    # must the fake device's forked answer on the four golden rows it forks
+    # (its mode asserted "forked"), the fake device's forked answer to the
+    # Jacobian hook must equal the shifted jobs bit for bit on random
+    # circuits on fake santiago and jakarta, every fork's distribution
+    # equal to its shifted run's (measured and in full, the full run a
+    # state), and so must the noiseless backend's (exact, 64-shot and mixed
+    # rows, 1/2/8 workers).
     cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 

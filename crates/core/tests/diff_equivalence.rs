@@ -10,21 +10,25 @@
 //! 2. gates without a two-term shift rule (Phase/U3/Cp/Crx/Cry/Crz) are
 //!    decomposed at plan time, and both Jacobians still match finite
 //!    differences on the ORIGINAL circuit;
-//! 3. the noisy shifted jobs and the fake device's forked answer both
-//!    reproduce golden Jacobian bit patterns, captured from the shifted
-//!    jobs, at 1, 2, and 8 workers;
+//! 3. the noisy shifted jobs reproduce golden Jacobian bit patterns,
+//!    captured from the shifted jobs, at 1, 2, and 8 workers, and so does
+//!    the fake device's forked answer for the golden rows it forks (every
+//!    row whose symbol the circuit reads once);
 //! 4. a fake device's answer to the Jacobian hook — every shifted circuit
 //!    forked from one forward evolution — is bit-identical to the shifted
 //!    jobs run through a wrapper that declines the hook, on random circuits
 //!    with encoder symbols, row subsets and mixed per-row executions, at
-//!    1, 2 and 8 workers, and every fork ends in a state (trace 1,
-//!    Hermitian, PSD to 1e-12);
+//!    1, 2 and 8 workers, and every fork's measured distribution equals
+//!    its shifted run's, measured and in full, each full run a state
+//!    (trace 1, Hermitian, PSD to 1e-12);
 //! 5. the noiseless backend's forked answer — every shifted statevector
 //!    forked from one binding of `θ` — is bit-identical to the declined
 //!    shifted jobs on the same random cases, for exact rows, `Shots(64)`
 //!    rows and mixed per-row budgets, at 1, 2 and 8 workers.
 
 use proptest::prelude::*;
+
+use std::f64::consts::FRAC_PI_2;
 
 use qoc_core::shift::{Jacobian, ParameterShiftEngine};
 use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend, QuantumBackend};
@@ -345,11 +349,23 @@ proptest! {
             );
         }
 
-        // The forks of the executed (transpiled) circuit under the device's
-        // calibrated noise all end in states.
+        // Each fork of the executed (transpiled) circuit under the device's
+        // calibrated noise reads out as its shifted run, measured and in
+        // full, and that full run ends in a state.
         let executable = device.prepare(&c).executable().clone();
         let program = NoisyProgram::compile(executable, &desc.calibration.noise_model());
-        program.for_each_shift(&theta, &rows, |_, _, rho| assert_state(rho));
+        program.for_each_shift(&theta, &rows, |row, minus, probs| {
+            let mut shifted = theta.clone();
+            shifted[rows[row]] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
+            let rho = program.run(&shifted);
+            assert_state(&rho);
+            let want = [program.outcome_probabilities(&shifted), program.measure(&rho)];
+            assert_eq!(
+                bits(&[probs.to_vec(), probs.to_vec()]),
+                bits(&want),
+                "row {row} minus={minus}: fork differs from the measured and the full run"
+            );
+        });
     }
 
     #[test]
@@ -475,29 +491,51 @@ const GOLDEN_BITS: [[u64; 3]; 5] = [
     [0xbf9c000000000000, 0xbf94000000000000, 0x3fcb800000000000],
 ];
 
+/// Asserts that rows `rows` of `GOLDEN_BITS` are `jac`, bit for bit.
+fn assert_golden_rows(jac: &Jacobian, rows: &[usize], path: &str, workers: usize) {
+    assert_eq!(
+        jac.len(),
+        rows.len(),
+        "{path}, workers={workers}: row count"
+    );
+    for (row, &i) in jac.iter().zip(rows) {
+        for (q, (v, bits)) in row.iter().zip(&GOLDEN_BITS[i]).enumerate() {
+            assert_eq!(
+                v.to_bits(),
+                *bits,
+                "{path}, workers={workers} row {i} qubit {q}: {v} != {}",
+                f64::from_bits(*bits)
+            );
+        }
+    }
+}
+
 #[test]
 fn noisy_shifted_and_forked_jacobians_match_goldens() {
     let c = golden_circuit();
     let theta = [0.37, -1.1, 0.52, 2.4, -0.8];
+    let all = [0, 1, 2, 3, 4];
+    // Every row but the one whose symbol the golden circuit reads twice:
+    // RY, RZZ, RZX and RY shifts, so the fake device forks the request.
+    let forkable = [0, 2, 3, 4];
     let device = FakeDevice::new(fake_lima());
     for workers in [1usize, 2, 8] {
         let engine =
             ParameterShiftEngine::new(&device, &c, 5, Execution::Shots(256)).with_workers(workers);
         let (jobs, plan) = engine.jacobian_jobs(&theta, None, 0xC0FFEE);
         let shifted = plan.assemble(&engine.run_batch(&jobs));
-        let forked = engine.jacobian(&theta, 0xC0FFEE);
-        for (path, jac) in [("shifted jobs", &shifted), ("forked hook", &forked)] {
-            for (i, (row, want)) in jac.iter().zip(&GOLDEN_BITS).enumerate() {
-                for (q, (v, bits)) in row.iter().zip(want.iter()).enumerate() {
-                    assert_eq!(
-                        v.to_bits(),
-                        *bits,
-                        "{path}, workers={workers} row {i} qubit {q}: {v} != {}",
-                        f64::from_bits(*bits)
-                    );
-                }
-            }
-        }
+        assert_golden_rows(&shifted, &all, "shifted jobs", workers);
+        // The full request reads symbol 1 twice, so the hook declines it.
+        let declined = engine.jacobian(&theta, 0xC0FFEE);
+        assert_golden_rows(&declined, &all, "declined hook", workers);
+        let executions = vec![Execution::Shots(256); forkable.len()];
+        let mut offer = engine.offer_jacobian(&theta, &forkable, 0xC0FFEE, &executions);
+        assert!(
+            offer.take_jobs().is_none(),
+            "the fake device forks rows {forkable:?}"
+        );
+        assert_eq!(offer.mode(), "forked");
+        assert_golden_rows(&offer.jacobian(&[]), &forkable, "forked hook", workers);
     }
 }
 

@@ -670,10 +670,11 @@ fn sampled_distribution(probs: &[f64], shots: u32, rng: &mut StdRng) -> Vec<f64>
 /// ([`JacobianRowSpec::is_symbol_shift`]).
 ///
 /// `for_each_shift(symbols, visit)` must hand `visit(row, minus, state)`
-/// each row's final state at `θ[symbols[row]] ± π/2` — bit-identical to the
-/// shifted job's. `read_out(state, execution, rng)` then finishes it as the
-/// job would, charging it to the backend's stats, with an RNG seeded from
-/// the job's seed. Results land in the
+/// what each row's job at `θ[symbols[row]] ± π/2` reads out — a final
+/// statevector, or a measured distribution — bit-identical to the shifted
+/// job's. `read_out(state, execution, rng)` then finishes it as the job
+/// would, charging it to the backend's stats, with an RNG seeded from the
+/// job's seed. Results land in the
 /// [`QuantumBackend::run_jacobian_batch`] order (`2·row + minus`), and the
 /// batch runs inside a one-worker `device.batch` span.
 fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
@@ -985,8 +986,9 @@ impl QuantumBackend for FakeDevice {
 
     /// Answers every batch whose rows are all symbol shifts with the
     /// shifted jobs' results ([`forked_answer`]), forked from one forward
-    /// evolution by [`NoisyProgram::for_each_shift`]: each shifted density
-    /// matrix is measured with readout error, then read out like the job.
+    /// evolution by [`NoisyProgram::for_each_shift`], which measures each
+    /// shifted run (readout error included) into the distribution the job
+    /// would sample; it is then read out like the job.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let plan = &batch.prepared.plan;
         let Plan::Device { program, .. } = plan else {
@@ -996,7 +998,7 @@ impl QuantumBackend for FakeDevice {
             self,
             batch,
             |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
-            |rho, execution, rng| self.read_out(plan, &program.measure(rho), execution, rng),
+            |probs, execution, rng| self.read_out(plan, probs, execution, rng),
         )
     }
 

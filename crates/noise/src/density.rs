@@ -194,6 +194,14 @@ impl DensityMatrix {
         Kernel::Unitary2 { a: q, b, m: *s }.apply(self.mat.as_mut_slice());
     }
 
+    /// [`Self::apply_superop_1q`] cut to what a measurement reads: only the
+    /// entries diagonal on `q`, over the groups diagonal on every wire
+    /// outside `free` ([`superop_1q_diag`]). Every entry it writes is
+    /// bit-identical to the full pass's; the others are left stale.
+    pub(crate) fn apply_superop_1q_diag(&mut self, q: usize, s: &[Complex64; 16], free: usize) {
+        superop_1q_diag(self.mat.as_mut_slice(), self.num_qubits, q, s, free);
+    }
+
     /// Applies a two-qubit superoperator in place: `s` is row-major 16×16
     /// on the local index `c + 4r`, where `c = c_a + 2·c_b` are the column
     /// bits and `r = r_a + 2·r_b` the row bits of qubits `(a, b)`.
@@ -239,24 +247,23 @@ impl DensityMatrix {
             return;
         };
         let flat = self.mat.as_mut_slice();
+        let (keep, off_diag) = (1.0 - lambda, Complex64::ZERO * lambda);
         // Block (i_rest, j_rest): out[(i_rest, x), (j_rest, y)] =
         // (1−λ)·ρ[…] + λ·δ_{x,y}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
-        for base in 0..flat.len() {
-            if base & mask != 0 {
-                continue;
-            }
+        let mut base = 0;
+        while base < flat.len() {
             let mut acc = Complex64::ZERO;
             for &off in &diag[..sub] {
                 acc += flat[base | off];
             }
-            let acc = acc * inv_d;
+            let mixed = acc * inv_d * lambda;
             for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
                 for (y, &off) in row.iter().enumerate() {
                     let i = base | off;
-                    let mixed = if x == y { acc } else { Complex64::ZERO };
-                    flat[i] = flat[i] * (1.0 - lambda) + mixed * lambda;
+                    flat[i] = flat[i] * keep + if x == y { mixed } else { off_diag };
                 }
             }
+            base = ((base | mask) + 1) & !mask;
         }
     }
 
@@ -265,12 +272,6 @@ impl DensityMatrix {
         let flat = self.mat.as_mut_slice();
         flat.fill(Complex64::ZERO);
         flat[0] = Complex64::ONE;
-    }
-
-    /// Overwrites this state with `src` (same width) without reallocating.
-    pub(crate) fn copy_from(&mut self, src: &DensityMatrix) {
-        debug_assert_eq!(self.num_qubits, src.num_qubits, "state widths differ");
-        self.mat.as_mut_slice().copy_from_slice(src.mat.as_slice());
     }
 
     fn check_qubits(&self, qubits: &[usize]) {
@@ -340,7 +341,7 @@ impl DensityMatrix {
 /// multiply-add, so the two lanes of each line compile to one 2-wide SSE2
 /// instruction without changing a bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Lanes {
+pub(crate) struct Lanes {
     re: [f64; 2],
     im: [f64; 2],
 }
@@ -350,15 +351,6 @@ impl Lanes {
         re: [0.0; 2],
         im: [0.0; 2],
     };
-
-    /// `m · x + acc` per lane, as [`Complex64::mul_add`].
-    #[inline(always)]
-    fn mul_add(m: Complex64, x: Lanes, acc: Lanes) -> Lanes {
-        Lanes {
-            re: std::array::from_fn(|l| m.re * x.re[l] - m.im * x.im[l] + acc.re[l]),
-            im: std::array::from_fn(|l| m.re * x.im[l] + m.im * x.re[l] + acc.im[l]),
-        }
-    }
 }
 
 impl Mul<Lanes> for Complex64 {
@@ -453,6 +445,17 @@ impl DensityPair {
         }
     }
 
+    /// Overwrites both lanes with `rho`.
+    pub(crate) fn fill(&mut self, rho: &DensityMatrix) {
+        debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
+        for (e, z) in self.flat.iter_mut().zip(rho.mat.as_slice()) {
+            *e = Lanes {
+                re: [z.re; 2],
+                im: [z.im; 2],
+            };
+        }
+    }
+
     /// Copies lane `lane` (0 or 1) into `rho`.
     pub(crate) fn lane_into(&self, lane: usize, rho: &mut DensityMatrix) {
         debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
@@ -468,10 +471,23 @@ impl DensityPair {
         apply_kernel_lanes(&kernel.conj(), &mut self.flat);
     }
 
-    /// [`DensityMatrix::apply_superop_1q`] on both lanes.
-    pub(crate) fn apply_superop_1q(&mut self, q: usize, s: &[Complex64; 16]) {
-        let b = self.num_qubits + q;
-        apply_kernel_lanes(&Kernel::Unitary2 { a: q, b, m: *s }, &mut self.flat);
+    /// [`DensityMatrix::apply_superop_1q`] on both lanes: `m` is one
+    /// matrix both lanes share ([`Complex64`] entries) or one per lane
+    /// ([`lane_matrix`]), each lane rounding as the single pass with its
+    /// matrix.
+    pub(crate) fn apply_superop_1q<M: Coeff<Lanes>>(&mut self, q: usize, m: &[M; 16]) {
+        unitary2_lanes(q, self.num_qubits + q, m, &mut self.flat);
+    }
+
+    /// [`DensityMatrix::apply_superop_1q_diag`] on both lanes, with `m` as
+    /// in [`Self::apply_superop_1q`].
+    pub(crate) fn apply_superop_1q_diag<M: Coeff<Lanes>>(
+        &mut self,
+        q: usize,
+        m: &[M; 16],
+        free: usize,
+    ) {
+        superop_1q_diag(&mut self.flat, self.num_qubits, q, m, free);
     }
 
     /// [`DensityMatrix::apply_superop_2q`] on both lanes.
@@ -488,7 +504,7 @@ impl DensityPair {
             for (row, &off) in s.chunks_exact(16).zip(&offsets) {
                 let mut acc = Lanes::ZERO;
                 for (&m, &x) in row.iter().zip(&v) {
-                    acc = Lanes::mul_add(m, x, acc);
+                    acc = Coeff::mul_add(m, x, acc);
                 }
                 flat[base | off] = acc;
             }
@@ -509,22 +525,151 @@ impl DensityPair {
             return;
         };
         let flat = &mut self.flat;
-        for base in 0..flat.len() {
-            if base & mask != 0 {
-                continue;
-            }
+        let (keep, off_diag) = (1.0 - lambda, Lanes::ZERO * lambda);
+        let mut base = 0;
+        while base < flat.len() {
             let mut acc = Lanes::ZERO;
             for &off in &diag[..sub] {
                 acc += flat[base | off];
             }
-            let acc = acc * inv_d;
+            let mixed = acc * inv_d * lambda;
             for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
                 for (y, &off) in row.iter().enumerate() {
                     let i = base | off;
-                    let mixed = if x == y { acc } else { Lanes::ZERO };
-                    flat[i] = flat[i] * (1.0 - lambda) + mixed * lambda;
+                    flat[i] = flat[i] * keep + if x == y { mixed } else { off_diag };
                 }
             }
+            base = ((base | mask) + 1) & !mask;
+        }
+    }
+
+    /// The measurement distribution of lane `lane` (0 or 1), as
+    /// [`DensityMatrix::probabilities`] of it.
+    pub(crate) fn lane_probabilities(&self, lane: usize) -> Vec<f64> {
+        let dim = 1usize << self.num_qubits;
+        (0..dim)
+            .map(|i| self.flat[i * (dim + 1)].re[lane].max(0.0))
+            .collect()
+    }
+}
+
+/// An entry of a pass matrix acting on amplitudes of type `A`: a
+/// [`Complex64`] on one state or shared by both lanes of a pair, or a
+/// [`Lanes`] value holding one matrix entry per lane.
+pub(crate) trait Coeff<A>: Copy {
+    /// The zero amplitude each output entry's sum starts from.
+    const ZERO: A;
+    /// `self · x + acc`, in each lane exactly as [`Complex64::mul_add`].
+    fn mul_add(self, x: A, acc: A) -> A;
+}
+
+impl Coeff<Complex64> for Complex64 {
+    const ZERO: Complex64 = Complex64::ZERO;
+    #[inline(always)]
+    fn mul_add(self, x: Complex64, acc: Complex64) -> Complex64 {
+        Complex64::mul_add(self, x, acc)
+    }
+}
+
+impl Coeff<Lanes> for Complex64 {
+    const ZERO: Lanes = Lanes::ZERO;
+    #[inline(always)]
+    fn mul_add(self, x: Lanes, acc: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re * x.re[l] - self.im * x.im[l] + acc.re[l]),
+            im: std::array::from_fn(|l| self.re * x.im[l] + self.im * x.re[l] + acc.im[l]),
+        }
+    }
+}
+
+impl Coeff<Lanes> for Lanes {
+    const ZERO: Lanes = Lanes::ZERO;
+    #[inline(always)]
+    fn mul_add(self, x: Lanes, acc: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] * x.re[l] - self.im[l] * x.im[l] + acc.re[l]),
+            im: std::array::from_fn(|l| self.re[l] * x.im[l] + self.im[l] * x.re[l] + acc.im[l]),
+        }
+    }
+}
+
+/// The per-lane matrix with `m[0]` in lane 0 and `m[1]` in lane 1, for the
+/// pair passes that take [`Coeff`] entries.
+pub(crate) fn lane_matrix(m: [&[Complex64; 16]; 2]) -> [Lanes; 16] {
+    std::array::from_fn(|i| Lanes {
+        re: [m[0][i].re, m[1][i].re],
+        im: [m[0][i].im, m[1][i].im],
+    })
+}
+
+/// The [`Kernel::Unitary2`] loop on a two-lane slice: matrix `m` on bits
+/// `(a, b)`, the single-lane loop with [`Lanes`] for `Complex64`. `m` is
+/// shared by both lanes or holds one matrix per lane ([`Coeff`]).
+fn unitary2_lanes<M: Coeff<Lanes>>(a: usize, b: usize, m: &[M; 16], amps: &mut [Lanes]) {
+    let (ba, bb) = (1usize << a, 1usize << b);
+    debug_assert!(ba < amps.len() && bb < amps.len(), "qubit out of range");
+    let (lo, hi) = (a.min(b), a.max(b));
+    for k in 0..amps.len() >> 2 {
+        let base = expand2(k, lo, hi);
+        let idx = [base, base | ba, base | bb, base | ba | bb];
+        let amp = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
+        for (r, &out_i) in idx.iter().enumerate() {
+            let row = &m[4 * r..4 * r + 4];
+            let mut acc = M::ZERO;
+            for (c, &v) in amp.iter().enumerate() {
+                acc = row[c].mul_add(v, acc);
+            }
+            amps[out_i] = acc;
+        }
+    }
+}
+
+/// The rows `r ∈ {0, 3}` of a one-qubit superoperator pass `m` on wire `q`
+/// of the flat `4ⁿ` slice `amps` (the [`Kernel::Unitary2`] loop on bits
+/// `(q, n + q)`), over only the groups whose row and column bits agree on
+/// every wire outside `free`: the entries diagonal on `q` and on those
+/// wires. Each entry it writes gets the full loop's float operations in the
+/// same order; the rows `r ∈ {1, 2}` and the other groups are left as they
+/// were.
+///
+/// A measured run ends in passes on distinct wires `w₁ … w_k`; pass `j`
+/// with `free = {w_j … w_k}` reads only entries the pass before it wrote,
+/// so after pass `k` the diagonal equals the full passes' bit for bit.
+fn superop_1q_diag<A: Copy, M: Coeff<A>>(
+    amps: &mut [A],
+    n: usize,
+    q: usize,
+    m: &[M; 16],
+    free: usize,
+) {
+    let (col_q, row_q) = (1usize << q, 1usize << (n + q));
+    debug_assert_eq!(amps.len(), 1 << (2 * n), "state width");
+    debug_assert!(q < n, "qubit {q} out of range");
+    // Wires other than `q` whose row bits may differ from their column bits.
+    let open = free & !col_q & ((1 << n) - 1);
+    for col in (0..1usize << n).filter(|col| col & col_q == 0) {
+        let pinned = col & !open;
+        let mut row = 0;
+        loop {
+            let base = col | ((pinned | row) << n);
+            let amp = [
+                amps[base],
+                amps[base | col_q],
+                amps[base | row_q],
+                amps[base | col_q | row_q],
+            ];
+            for (r, out_i) in [(0, base), (3, base | col_q | row_q)] {
+                let mut acc = M::ZERO;
+                for (c, &v) in amp.iter().enumerate() {
+                    acc = m[4 * r + c].mul_add(v, acc);
+                }
+                amps[out_i] = acc;
+            }
+            if row == open {
+                break;
+            }
+            // The next subset of `open`, in increasing order.
+            row = ((row | !open) + 1) & open;
         }
     }
 }
@@ -589,8 +734,8 @@ fn apply_kernel_lanes(kernel: &Kernel, amps: &mut [Lanes]) {
                 for i in base..base + stride {
                     let a0 = amps[i];
                     let a1 = amps[i + stride];
-                    amps[i] = Lanes::mul_add(m00, a0, m01 * a1);
-                    amps[i + stride] = Lanes::mul_add(m10, a0, m11 * a1);
+                    amps[i] = Coeff::mul_add(m00, a0, m01 * a1);
+                    amps[i + stride] = Coeff::mul_add(m10, a0, m11 * a1);
                 }
                 base += stride << 1;
             }
@@ -634,24 +779,7 @@ fn apply_kernel_lanes(kernel: &Kernel, amps: &mut [Lanes]) {
                 amps.swap(base | ba, base | bb);
             }
         }
-        Kernel::Unitary2 { a, b, ref m } => {
-            let (ba, bb) = (1usize << a, 1usize << b);
-            debug_assert!(ba < len && bb < len, "qubit out of range");
-            let (lo, hi) = (a.min(b), a.max(b));
-            for k in 0..len >> 2 {
-                let base = expand2(k, lo, hi);
-                let idx = [base, base | ba, base | bb, base | ba | bb];
-                let amp = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
-                for (r, &out_i) in idx.iter().enumerate() {
-                    let row = &m[4 * r..4 * r + 4];
-                    let mut acc = Lanes::ZERO;
-                    for (c, &v) in amp.iter().enumerate() {
-                        acc = Lanes::mul_add(row[c], v, acc);
-                    }
-                    amps[out_i] = acc;
-                }
-            }
-        }
+        Kernel::Unitary2 { a, b, ref m } => unitary2_lanes(a, b, m, amps),
     }
 }
 
@@ -956,14 +1084,14 @@ mod tests {
             .collect()
     }
 
-    /// Puts two random Hermitian matrices through `single` one by one and,
-    /// as the two lanes of a pair, through `pair`; each lane must match its
-    /// single pass bit for bit.
+    /// Puts two random Hermitian matrices through `single(lane, ·)` one by
+    /// one and, as the two lanes of a pair, through `pair`; each lane must
+    /// match its single pass bit for bit.
     fn assert_lanes_match(
         n: usize,
         rng: &mut StdRng,
         what: &str,
-        single: impl Fn(&mut DensityMatrix),
+        single: impl Fn(usize, &mut DensityMatrix),
         pair: impl Fn(&mut DensityPair),
     ) {
         let mut states = [random_hermitian(n, rng), random_hermitian(n, rng)];
@@ -974,12 +1102,109 @@ mod tests {
         pair(&mut lanes);
         let mut got = DensityMatrix::zero_state(n);
         for (lane, rho) in states.iter_mut().enumerate() {
-            single(rho);
+            single(lane, rho);
             lanes.lane_into(lane, &mut got);
             assert!(
                 bit_pattern(&got) == bit_pattern(rho),
                 "n={n}, {what}: lane {lane} differs from the single pass"
             );
+        }
+    }
+
+    /// Every sequence of distinct wires of an `n`-qubit state.
+    fn wire_sequences(n: usize) -> Vec<Vec<usize>> {
+        let mut all = Vec::new();
+        let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+        while let Some(seq) = stack.pop() {
+            for q in (0..n).filter(|q| !seq.contains(q)) {
+                let mut next = seq.clone();
+                next.push(q);
+                stack.push(next.clone());
+                all.push(next);
+            }
+        }
+        all
+    }
+
+    fn diagonal_bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
+        let dim = rho.matrix().rows();
+        (0..dim)
+            .map(|i| {
+                let z = rho.matrix()[(i, i)];
+                (z.re.to_bits(), z.im.to_bits())
+            })
+            .collect()
+    }
+
+    /// Runs random superoperators on the distinct wires `order` as a
+    /// measured tail — single, pair with shared matrices, pair with one
+    /// matrix per lane — and holds every diagonal to the full passes', bit
+    /// for bit.
+    fn assert_tail_diagonal_matches(n: usize, order: &[usize], rng: &mut StdRng) {
+        let maps: Vec<[[Complex64; 16]; 2]> = order
+            .iter()
+            .map(|_| [random_entries(rng), random_entries(rng)])
+            .collect();
+        // Pass j may leave entries off the diagonal on its own wire and on
+        // the later tail wires stale.
+        let free: Vec<usize> = (0..order.len())
+            .map(|j| order[j..].iter().fold(0, |acc, &q| acc | 1 << q))
+            .collect();
+        let inputs = [random_hermitian(n, rng), random_hermitian(n, rng)];
+        let mut full = inputs.clone();
+        for (lane, rho) in full.iter_mut().enumerate() {
+            for (&q, m) in order.iter().zip(&maps) {
+                rho.apply_superop_1q(q, &m[lane]);
+            }
+        }
+        let what = format!("n={n}, tail on {order:?}");
+
+        let mut single = inputs[0].clone();
+        for ((&q, m), &free) in order.iter().zip(&maps).zip(&free) {
+            single.apply_superop_1q_diag(q, &m[0], free);
+        }
+        assert!(
+            diagonal_bits(&single) == diagonal_bits(&full[0]),
+            "{what}: single tail diagonal differs"
+        );
+
+        let mut got = DensityMatrix::zero_state(n);
+        let mut shared = DensityPair::new(n);
+        let mut per_lane = DensityPair::new(n);
+        for (lane, rho) in inputs.iter().enumerate() {
+            shared.set_lane(lane, rho);
+            per_lane.set_lane(lane, rho);
+        }
+        for ((&q, m), &free) in order.iter().zip(&maps).zip(&free) {
+            shared.apply_superop_1q_diag(q, &m[0], free);
+            per_lane.apply_superop_1q_diag(q, &lane_matrix([&m[0], &m[1]]), free);
+        }
+        for lane in 0..2 {
+            let mut want = inputs[lane].clone();
+            for (&q, m) in order.iter().zip(&maps) {
+                want.apply_superop_1q(q, &m[0]);
+            }
+            shared.lane_into(lane, &mut got);
+            assert!(
+                diagonal_bits(&got) == diagonal_bits(&want),
+                "{what}: shared pair tail, lane {lane} diagonal differs"
+            );
+            per_lane.lane_into(lane, &mut got);
+            assert!(
+                diagonal_bits(&got) == diagonal_bits(&full[lane]),
+                "{what}: per-lane pair tail, lane {lane} diagonal differs"
+            );
+            let probs: Vec<u64> = per_lane
+                .lane_probabilities(lane)
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            let want: Vec<u64> = full[lane]
+                .probabilities()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(probs, want, "{what}: lane {lane} probabilities");
         }
     }
 
@@ -1031,7 +1256,7 @@ mod tests {
                     n,
                     &mut rng,
                     &format!("{kernel:?}"),
-                    |rho| rho.apply_kernel(kernel),
+                    |_, rho| rho.apply_kernel(kernel),
                     |pair| pair.apply_kernel(kernel),
                 );
             }
@@ -1041,9 +1266,22 @@ mod tests {
                     n,
                     &mut rng,
                     &format!("1q superoperator on {q}"),
-                    |rho| rho.apply_superop_1q(q, &s),
+                    |_, rho| rho.apply_superop_1q(q, &s),
                     |pair| pair.apply_superop_1q(q, &s),
                 );
+                // One matrix per lane: each lane rounds as the single pass
+                // with its own matrix.
+                let per_lane: [[Complex64; 16]; 2] = [s, random_entries(&mut rng)];
+                assert_lanes_match(
+                    n,
+                    &mut rng,
+                    &format!("per-lane 1q superoperator on {q}"),
+                    |lane, rho| rho.apply_superop_1q(q, &per_lane[lane]),
+                    |pair| pair.apply_superop_1q(q, &lane_matrix([&per_lane[0], &per_lane[1]])),
+                );
+            }
+            for order in wire_sequences(n) {
+                assert_tail_diagonal_matches(n, &order, &mut rng);
             }
             let depolarized: Vec<Vec<usize>> = (0..n)
                 .map(|q| vec![q])
@@ -1055,7 +1293,7 @@ mod tests {
                         n,
                         &mut rng,
                         &format!("depolarizing p={p} on {qubits:?}"),
-                        |rho| rho.apply_depolarizing(p, qubits),
+                        |_, rho| rho.apply_depolarizing(p, qubits),
                         |pair| pair.apply_depolarizing(p, qubits),
                     );
                 }
@@ -1066,7 +1304,7 @@ mod tests {
                     n,
                     &mut rng,
                     &format!("2q superoperator on ({a}, {b})"),
-                    |rho| rho.apply_superop_2q(a, b, &s),
+                    |_, rho| rho.apply_superop_2q(a, b, &s),
                     |pair| pair.apply_superop_2q(a, b, &s),
                 );
             }

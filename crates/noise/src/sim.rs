@@ -23,14 +23,21 @@
 //!
 //! Running a program first *binds* `θ`: one walk of the step list multiplies
 //! out the pending maps and turns the steps into bound in-place passes,
-//! which then run on `ρ`. [`NoisyProgram::for_each_shift`] reuses one bound
-//! list for the parameter-shift rule: each `±π/2` shift of a symbol forks
-//! from a snapshot of the unshifted evolution taken just before the
-//! symbol's first step and rebinds only up to its *rejoin step*. There the
-//! symbol's two forks are packed into the lanes of one two-lane state,
-//! which runs the unshifted passes to the end in lockstep, each lane doing
-//! the float operations of a full run at its shifted `θ`, so each fork's
-//! state is bit-identical to one.
+//! which then run on `ρ`. A *measured* run
+//! ([`NoisyProgram::outcome_probabilities`]) reads only the diagonal of
+//! `ρ`, so its *tail* — the closing flushes, on distinct wires — computes
+//! only the entries the diagonal depends on, each with the full pass's
+//! float operations; [`NoisyProgram::run`] keeps every pass in full.
+//!
+//! [`NoisyProgram::for_each_shift`] reuses one bound list for the
+//! parameter-shift rule. A shift of a symbol changes only the pending maps
+//! of the wires its single-qubit gates sit on (its *dirty* wires) and the
+//! two-qubit gates reading it, and only up to its *rejoin step*. At the
+//! symbol's first step both lanes of a two-lane state load the unshifted
+//! evolution; from there the pair runs the unshifted passes both signs
+//! share, one pass with a matrix per lane for each dirty flush, and the
+//! measured tail. Each lane does the float operations of a measured run at
+//! its shifted `θ`, so each fork's distribution is bit-identical to one.
 //!
 //! The dense per-gate Kraus evolution is the oracle the program is tested
 //! against (`tests/compiled_equivalence.rs`).
@@ -45,7 +52,9 @@ use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{entries_1q, Kernel};
 
 use crate::channels::depolarizing_1q;
-use crate::density::{superoperator, DensityMatrix, DensityPair, MAX_QUBITS};
+use crate::density::{
+    lane_matrix, superoperator, Coeff, DensityMatrix, DensityPair, Lanes, MAX_QUBITS,
+};
 use crate::model::{NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::{apply_confusion, ReadoutError};
 
@@ -170,7 +179,9 @@ enum Step {
     /// its wire's pending map.
     Bind { op: usize },
     /// Applies wire `q`'s pending map to `ρ` and resets it to identity.
-    Flush { q: usize },
+    /// `tail` is `Some(free)` for a flush in the measured tail (see
+    /// [`measured_tail`]): `free` holds `q` and the wires flushed after it.
+    Flush { q: usize, tail: Option<usize> },
     /// Two-qubit gate `op` as its kernel pass pair.
     Gate2 { op: usize },
     /// Analytic depolarizing on the gate's wires, in place.
@@ -186,8 +197,13 @@ enum Step {
 /// known and the pending maps are multiplied out.
 #[derive(Debug, Clone)]
 enum Pass<'p> {
-    /// A flushed pending map on wire `q`.
-    Super1 { q: usize, s: Super1 },
+    /// A flushed pending map on wire `q`; in a measured run, a tail flush
+    /// (`tail` is `Some(free)`) computes only what the diagonal needs.
+    Super1 {
+        q: usize,
+        s: Super1,
+        tail: Option<usize>,
+    },
     /// A two-qubit gate's kernel pass pair.
     Kernel(Kernel),
     /// Analytic depolarizing on the gate's wires.
@@ -202,7 +218,12 @@ enum Pass<'p> {
 impl Pass<'_> {
     fn apply(&self, rho: &mut DensityMatrix) {
         match self {
-            Pass::Super1 { q, s } => rho.apply_superop_1q(*q, s),
+            Pass::Super1 { q, s, tail: None } => rho.apply_superop_1q(*q, s),
+            Pass::Super1 {
+                q,
+                s,
+                tail: Some(free),
+            } => rho.apply_superop_1q_diag(*q, s, *free),
             Pass::Kernel(kernel) => rho.apply_kernel(kernel),
             Pass::Depolarize { wires, p } => rho.apply_depolarizing(*p, &wires[..]),
             Pass::Kraus2 { wires: [a, b], s } => rho.apply_superop_2q(*a, *b, s),
@@ -212,11 +233,20 @@ impl Pass<'_> {
     /// [`Self::apply`] on both lanes of `pair`.
     fn apply_pair(&self, pair: &mut DensityPair) {
         match self {
-            Pass::Super1 { q, s } => pair.apply_superop_1q(*q, s),
+            Pass::Super1 { q, s, tail } => flush_pair(pair, *q, s, *tail),
             Pass::Kernel(kernel) => pair.apply_kernel(kernel),
             Pass::Depolarize { wires, p } => pair.apply_depolarizing(*p, &wires[..]),
             Pass::Kraus2 { wires: [a, b], s } => pair.apply_superop_2q(*a, *b, s),
         }
+    }
+}
+
+/// Wire `q`'s flush on both lanes of `pair`: matrix `m` shared or one per
+/// lane ([`Coeff`]), a tail flush only where the diagonal needs it.
+fn flush_pair<M: Coeff<Lanes>>(pair: &mut DensityPair, q: usize, m: &[M; 16], tail: Option<usize>) {
+    match tail {
+        None => pair.apply_superop_1q(q, m),
+        Some(free) => pair.apply_superop_1q_diag(q, m, free),
     }
 }
 
@@ -231,35 +261,83 @@ fn reads_symbol(circuit: &Circuit, step: &Step, symbol: usize) -> bool {
         .any(|p| matches!(p, ParamValue::Sym { index, .. } if *index == symbol))
 }
 
+/// The steps a shift of one symbol has to rebind (see [`shift_windows`]).
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    /// The first step reading the symbol.
+    first: usize,
+    /// The first step from which every step binds as in the unshifted run.
+    rejoin: usize,
+    /// The wires whose pending maps a single-qubit bind of the symbol
+    /// enters: inside the window, only their steps and the two-qubit gates
+    /// reading the symbol differ from the unshifted passes.
+    dirty: usize,
+}
+
+impl Window {
+    /// The window of a symbol no step reads.
+    fn empty(len: usize) -> Window {
+        Window {
+            first: len,
+            rejoin: len,
+            dirty: 0,
+        }
+    }
+}
+
 /// Per symbol of `circuit`, the step window a shift of it has to rebind:
-/// `(first, rejoin)`, where `first` is the first step reading the symbol
-/// and `rejoin` the first step after its last reading step at which every
-/// wire whose pending map it entered has been flushed. Steps from `rejoin`
-/// on bind identically at every value of the symbol. A symbol no step reads
-/// gets the empty window `(len, len)`.
-fn shift_windows(circuit: &Circuit, steps: &[Step]) -> Vec<(usize, usize)> {
+/// `first` is the first step reading the symbol and `rejoin` the first step
+/// after its last reading step at which every wire whose pending map it
+/// entered has been flushed. Steps from `rejoin` on bind identically at
+/// every value of the symbol. A symbol no step reads gets the empty window
+/// at `len`.
+fn shift_windows(circuit: &Circuit, steps: &[Step]) -> Vec<Window> {
     (0..circuit.num_symbols())
         .map(|symbol| {
             let mut first = None;
             let mut rejoin = 0;
-            let mut dirty = vec![false; circuit.num_qubits()];
+            let mut dirty = 0;
+            let mut unflushed = 0usize;
             for (i, step) in steps.iter().enumerate() {
                 if reads_symbol(circuit, step, symbol) {
                     first.get_or_insert(i);
                     rejoin = rejoin.max(i + 1);
                     if let Step::Bind { op } = step {
-                        dirty[circuit.ops()[*op].qubits[0]] = true;
+                        let bit = 1 << circuit.ops()[*op].qubits[0];
+                        dirty |= bit;
+                        unflushed |= bit;
                     }
-                } else if let Step::Flush { q } = step {
-                    if dirty[*q] {
-                        dirty[*q] = false;
+                } else if let Step::Flush { q, .. } = step {
+                    if unflushed & (1 << q) != 0 {
+                        unflushed &= !(1 << q);
                         rejoin = i + 1;
                     }
                 }
             }
-            first.map_or((steps.len(), steps.len()), |first| (first, rejoin))
+            first.map_or(Window::empty(steps.len()), |first| Window {
+                first,
+                rejoin,
+                dirty,
+            })
         })
         .collect()
+}
+
+/// Marks the measured tail of `steps`: the trailing run of flushes on
+/// distinct wires, each tagged with the wires it and the flushes after it
+/// touch. Those wires' passes may leave entries off their diagonals stale,
+/// since nothing after them reads one (see [`DensityMatrix::probabilities`]).
+fn measured_tail(steps: &mut [Step]) {
+    let mut later = 0usize;
+    for step in steps.iter_mut().rev() {
+        match step {
+            Step::Flush { q, tail } if later & (1 << *q) == 0 => {
+                later |= 1 << *q;
+                *tail = Some(later);
+            }
+            _ => break,
+        }
+    }
 }
 
 /// Debug-build check that a compiled run ended in a state.
@@ -268,6 +346,14 @@ fn debug_check_state(rho: &DensityMatrix) {
         (rho.trace() - 1.0).abs() < 1e-9 && rho.matrix().is_hermitian(1e-9),
         "compiled evolution left a non-state: trace {}",
         rho.trace()
+    );
+}
+
+/// Debug-build check that a measured run ended in a distribution.
+fn debug_check_distribution(probs: &[f64]) {
+    debug_assert!(
+        probs.iter().all(|&p| p >= 0.0) && (probs.iter().sum::<f64>() - 1.0).abs() < 1e-9,
+        "compiled evolution measured a non-distribution: {probs:?}"
     );
 }
 
@@ -312,7 +398,7 @@ impl Builder {
     fn flush(&mut self, q: usize) {
         if self.pending[q] != Pending::Clean {
             self.pending[q] = Pending::Clean;
-            self.steps.push(Step::Flush { q });
+            self.steps.push(Step::Flush { q, tail: None });
         }
     }
 }
@@ -351,8 +437,8 @@ pub struct NoisyProgram {
     folds: Vec<Super1>,
     /// `pass_at[i]`: passes the steps before step `i` bind to.
     pass_at: Vec<usize>,
-    /// Per symbol: its `(first, rejoin)` step window (see [`shift_windows`]).
-    shift_windows: Vec<(usize, usize)>,
+    /// Per symbol: its step window (see [`shift_windows`]).
+    shift_windows: Vec<Window>,
     readout: Vec<ReadoutError>,
 }
 
@@ -421,6 +507,7 @@ impl NoisyProgram {
         for q in 0..n {
             b.flush(q);
         }
+        measured_tail(&mut b.steps);
         let mut pass_at = Vec::with_capacity(b.steps.len() + 1);
         pass_at.push(0);
         for step in &b.steps {
@@ -449,12 +536,14 @@ impl NoisyProgram {
     }
 
     /// Binds steps `range` against `theta` — carrying each wire's pending
-    /// map in `pending` — and hands the resulting passes to `emit` in order.
-    /// The program's one step interpreter.
+    /// map in `pending` — and hands the resulting passes to `emit` in order;
+    /// tail flushes keep their tail mark only when `measured`. The program's
+    /// one step interpreter.
     fn bind<'p>(
         &'p self,
         range: Range<usize>,
         theta: &[f64],
+        measured: bool,
         pending: &mut [Super1; MAX_QUBITS],
         mut emit: impl FnMut(Pass<'p>),
     ) {
@@ -468,10 +557,11 @@ impl NoisyProgram {
                     let s = gate_superop(op, theta, self.wire_noise[q].as_ref());
                     pending[q] = mul4(&s, &pending[q]);
                 }
-                Step::Flush { q } => {
+                Step::Flush { q, tail } => {
                     emit(Pass::Super1 {
                         q: *q,
                         s: pending[*q],
+                        tail: tail.filter(|_| measured),
                     });
                     pending[*q] = IDENTITY;
                 }
@@ -483,8 +573,9 @@ impl NoisyProgram {
     }
 
     /// Resets `rho` to `|0…0⟩⟨0…0|` and evolves it through the program:
-    /// binds `θ` and runs each pass as it is bound.
-    fn evolve(&self, theta: &[f64], rho: &mut DensityMatrix) {
+    /// binds `θ` and runs each pass as it is bound. A `measured` run ends
+    /// in the diagonal-only tail, so only `rho`'s diagonal is its state's.
+    fn evolve(&self, theta: &[f64], measured: bool, rho: &mut DensityMatrix) {
         assert_eq!(
             rho.num_qubits(),
             self.num_qubits(),
@@ -492,28 +583,35 @@ impl NoisyProgram {
         );
         rho.reset_zero();
         let mut pending = [IDENTITY; MAX_QUBITS];
-        self.bind(0..self.steps.len(), theta, &mut pending, |pass| {
+        self.bind(0..self.steps.len(), theta, measured, &mut pending, |pass| {
             pass.apply(rho)
         });
-        debug_check_state(rho);
+        if !measured {
+            debug_check_state(rho);
+        }
     }
 
     /// Runs the program at each `±π/2` shift of each symbol in `symbols`
-    /// and hands `visit(row, minus, ρ)` the final state at `θ` with
-    /// `θ[symbols[row]]` raised (`minus == false`) or lowered by π/2 — the
-    /// two runs of the parameter-shift rule, plus before minus per row.
+    /// and hands `visit(row, minus, probs)` the measured distribution (with
+    /// readout error) at `θ` with `θ[symbols[row]]` raised
+    /// (`minus == false`) or lowered by π/2 — the two runs of the
+    /// parameter-shift rule, plus before minus per row.
     ///
     /// `θ` is bound once into the unshifted passes, and one base state
-    /// advances through them in first-step order. Each shift copies the
-    /// base state and the pending maps at its symbol's first step into a
-    /// fork, rebinds the steps up to the symbol's rejoin step at the
-    /// shifted `θ`, and packs the fork into its lane of a two-lane pair
-    /// (`+` in lane 0, `−` in lane 1). The pair then runs the unshifted
-    /// passes from the rejoin step once for both forks; each lane does
-    /// exactly the float operations of a full run at its shifted `θ`, so
-    /// `ρ` (and [`Self::measure`] of it) is bit-identical to
-    /// [`Self::outcome_probabilities`]'s at that `θ`. The base state, the
-    /// fork and the pair come from the per-thread scratch pools.
+    /// advances through them in first-step order. At each symbol's first
+    /// step both lanes of a two-lane pair (`+` in lane 0, `−` in lane 1)
+    /// load the base state and run the symbol's window on it: the shifted
+    /// value changes only the pending maps of the symbol's dirty wires and
+    /// the two-qubit gates reading it, so only those steps are rebound per
+    /// sign (a dirty flush is one pass with a matrix per lane, a shifted
+    /// two-qubit gate runs one lane at a time), and every other pass is the
+    /// unshifted pass both lanes share. From the rejoin step on the pair
+    /// runs the unshifted passes, and the measured tail computes only what
+    /// the diagonal needs. Each lane does exactly the float operations of a
+    /// run at its shifted `θ` on every entry the diagonal depends on, so
+    /// `probs` is bit-identical to [`Self::outcome_probabilities`] and to
+    /// [`Self::measure`] of [`Self::run`] at that `θ`. The base state, the
+    /// pair and a lane buffer come from the per-thread scratch pools.
     ///
     /// # Panics
     ///
@@ -522,13 +620,18 @@ impl NoisyProgram {
         &self,
         theta: &[f64],
         symbols: &[usize],
-        mut visit: impl FnMut(usize, bool, &DensityMatrix),
+        mut visit: impl FnMut(usize, bool, &[f64]),
     ) {
         let n = self.num_qubits();
         let len = self.steps.len();
-        let window = |s: usize| self.shift_windows.get(s).copied().unwrap_or((len, len));
+        let window = |s: usize| {
+            self.shift_windows
+                .get(s)
+                .copied()
+                .unwrap_or(Window::empty(len))
+        };
         let mut order: Vec<usize> = (0..symbols.len()).collect();
-        order.sort_by_key(|&r| window(symbols[r]).0);
+        order.sort_by_key(|&r| window(symbols[r]).first);
         // The unshifted passes, and each row's pending maps at its first
         // step (only the first `n` wires are ever pending).
         let mut base = Vec::with_capacity(self.pass_at[len]);
@@ -536,50 +639,91 @@ impl NoisyProgram {
         let mut snapshots = vec![IDENTITY; symbols.len() * n];
         let mut cursor = 0;
         for &r in &order {
-            let first = window(symbols[r]).0;
-            self.bind(cursor..first, theta, &mut pending, |pass| base.push(pass));
+            let first = window(symbols[r]).first;
+            self.bind(cursor..first, theta, true, &mut pending, |pass| {
+                base.push(pass)
+            });
             debug_assert_eq!(base.len(), self.pass_at[first], "pass index drifted");
             cursor = first;
             snapshots[r * n..(r + 1) * n].copy_from_slice(&pending[..n]);
         }
-        self.bind(cursor..len, theta, &mut pending, |pass| base.push(pass));
+        self.bind(cursor..len, theta, true, &mut pending, |pass| {
+            base.push(pass)
+        });
         debug_assert_eq!(base.len(), self.pass_at[len], "pass index drifted");
 
+        let ops = self.circuit.ops();
         let mut shifted = theta.to_vec();
         with_scratch_density(n, |rho| {
-            with_scratch_density(n, |fork| {
+            with_scratch_density(n, |lane_state| {
                 with_scratch_pair(n, |pair| {
                     rho.reset_zero();
                     let mut applied = 0;
                     for &r in &order {
                         let s = symbols[r];
-                        let (first, rejoin) = window(s);
+                        let Window {
+                            first,
+                            rejoin,
+                            dirty,
+                        } = window(s);
                         for pass in &base[applied..self.pass_at[first]] {
                             pass.apply(rho);
                         }
                         applied = self.pass_at[first];
-                        // Lane 0 is the `+` fork, lane 1 the `−` fork.
-                        for (lane, value) in [theta[s] + FRAC_PI_2, theta[s] - FRAC_PI_2]
-                            .into_iter()
-                            .enumerate()
-                        {
-                            fork.copy_from(rho);
-                            let mut pending = [IDENTITY; MAX_QUBITS];
-                            pending[..n].copy_from_slice(&snapshots[r * n..(r + 1) * n]);
-                            shifted[s] = value;
-                            self.bind(first..rejoin, &shifted, &mut pending, |pass| {
-                                pass.apply(fork)
-                            });
-                            pair.set_lane(lane, fork);
+                        pair.fill(rho);
+                        // Lane 0 is the `+` fork, lane 1 the `−` fork; each
+                        // keeps its own pending maps of the dirty wires.
+                        let values = [theta[s] + FRAC_PI_2, theta[s] - FRAC_PI_2];
+                        let mut lanes = [[IDENTITY; MAX_QUBITS]; 2];
+                        for maps in &mut lanes {
+                            maps[..n].copy_from_slice(&snapshots[r * n..(r + 1) * n]);
+                        }
+                        let is_dirty = |q: usize| dirty & (1 << q) != 0;
+                        for (i, step) in self.steps.iter().enumerate().take(rejoin).skip(first) {
+                            match step {
+                                Step::Fold { q, fold } if is_dirty(*q) => {
+                                    for maps in &mut lanes {
+                                        maps[*q] = mul4(&self.folds[*fold], &maps[*q]);
+                                    }
+                                }
+                                Step::Bind { op } if is_dirty(ops[*op].qubits[0]) => {
+                                    let (op, q) = (&ops[*op], ops[*op].qubits[0]);
+                                    for (maps, value) in lanes.iter_mut().zip(values) {
+                                        shifted[s] = value;
+                                        let g =
+                                            gate_superop(op, &shifted, self.wire_noise[q].as_ref());
+                                        maps[q] = mul4(&g, &maps[q]);
+                                    }
+                                }
+                                Step::Flush { q, tail } if is_dirty(*q) => {
+                                    let m = lane_matrix([&lanes[0][*q], &lanes[1][*q]]);
+                                    flush_pair(pair, *q, &m, *tail);
+                                    for maps in &mut lanes {
+                                        maps[*q] = IDENTITY;
+                                    }
+                                }
+                                Step::Gate2 { op } if reads_symbol(&self.circuit, step, s) => {
+                                    for (lane, value) in values.into_iter().enumerate() {
+                                        shifted[s] = value;
+                                        let kernel = Kernel::from_operation(&ops[*op], &shifted);
+                                        pair.lane_into(lane, lane_state);
+                                        lane_state.apply_kernel(&kernel);
+                                        pair.set_lane(lane, lane_state);
+                                    }
+                                }
+                                Step::Fold { .. } | Step::Bind { .. } => {}
+                                _ => base[self.pass_at[i]].apply_pair(pair),
+                            }
                         }
                         shifted[s] = theta[s];
                         for pass in &base[self.pass_at[rejoin]..] {
                             pass.apply_pair(pair);
                         }
                         for (lane, minus) in [(0, false), (1, true)] {
-                            pair.lane_into(lane, fork);
-                            debug_check_state(fork);
-                            visit(r, minus, fork);
+                            let mut probs = pair.lane_probabilities(lane);
+                            apply_confusion(&mut probs, &self.readout);
+                            debug_check_distribution(&probs);
+                            visit(r, minus, &probs);
                         }
                     }
                 })
@@ -587,27 +731,32 @@ impl NoisyProgram {
         });
     }
 
-    /// Evolves `|0…0⟩⟨0…0|` through the program into a new density matrix.
+    /// Evolves `|0…0⟩⟨0…0|` through the program into a new density matrix,
+    /// every pass in full.
     ///
     /// # Panics
     ///
     /// Panics if `theta` is shorter than the highest symbol index used.
     pub fn run(&self, theta: &[f64]) -> DensityMatrix {
         let mut rho = DensityMatrix::zero_state(self.num_qubits());
-        self.evolve(theta, &mut rho);
+        self.evolve(theta, false, &mut rho);
         rho
     }
 
-    /// The measurement distribution after gate noise *and* readout error.
+    /// The measurement distribution after gate noise *and* readout error,
+    /// from a measured run: its tail computes only the diagonal, which is
+    /// bit-identical to [`Self::run`]'s.
     pub fn outcome_probabilities(&self, theta: &[f64]) -> Vec<f64> {
         with_scratch_density(self.num_qubits(), |rho| {
-            self.evolve(theta, rho);
-            self.measure(rho)
+            self.evolve(theta, true, rho);
+            let probs = self.measure(rho);
+            debug_check_distribution(&probs);
+            probs
         })
     }
 
     /// The measurement distribution of a final state `rho` of this program
-    /// (e.g. one [`Self::for_each_shift`] visits), readout error included.
+    /// (e.g. one [`Self::run`] returns), readout error included.
     pub fn measure(&self, rho: &DensityMatrix) -> Vec<f64> {
         let mut probs = rho.probabilities();
         apply_confusion(&mut probs, &self.readout);

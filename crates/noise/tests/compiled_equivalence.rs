@@ -15,11 +15,14 @@
 //! held to the same oracle on mixed states.
 //!
 //! Two bitwise contracts ride along: `apply_depolarizing` equals the
-//! per-element offset loop it replaced, and every fork of
-//! `NoisyProgram::for_each_shift` equals a full compiled run at the shifted
-//! `θ` on random symbolic circuits (shared symbols, parametrized RZZ) under
-//! calibrated models with an asymmetric 2q Kraus entry on every edge, so
-//! the forks' two-lane suffix runs every kind of pass the program emits.
+//! per-element offset loop it replaced, and every fork's distribution from
+//! `NoisyProgram::for_each_shift` equals both the measured run
+//! (`outcome_probabilities`, diagonal-only tail) and the measured full run
+//! (`measure(run(…))`) at the shifted `θ`, on random symbolic circuits
+//! (shared symbols, parametrized RZZ) under calibrated models with an
+//! asymmetric 2q Kraus entry on every edge, so the forks' two-lane passes
+//! cover every kind of pass the program emits; each full run ends in a
+//! state.
 
 use proptest::prelude::*;
 
@@ -279,6 +282,8 @@ fn check(circuit: &Circuit, theta: &[f64], noise: NoiseModel) {
     for (p, w) in probs.iter().zip(&want_probs) {
         prop_assert!((p - w).abs() <= TOL, "outcome {p} vs oracle {w}");
     }
+    // The measured run's diagonal-only tail reads out the full run's bits.
+    prop_assert_eq!(bits(&probs), bits(&program.measure(&got)));
 }
 
 /// The depolarizing loop `DensityMatrix::apply_depolarizing` used before
@@ -421,7 +426,7 @@ proptest! {
         let noise = calibrated_model(&circuit, &cal.0, &cal.1, Some(&edge_kraus));
         let program = NoisyProgram::compile(circuit, &noise);
         let mut visits = Vec::new();
-        program.for_each_shift(&theta, &symbols, |row, minus, rho| {
+        program.for_each_shift(&theta, &symbols, |row, minus, probs| {
             visits.push((row, minus));
             let mut shifted = theta.clone();
             if minus {
@@ -429,11 +434,17 @@ proptest! {
             } else {
                 shifted[symbols[row]] += FRAC_PI_2;
             }
-            assert_state(rho);
-            prop_assert!(rho == &program.run(&shifted), "row {row} minus={minus}: fork differs");
+            let rho = program.run(&shifted);
+            assert_state(&rho);
             prop_assert_eq!(
-                bits(&program.measure(rho)),
-                bits(&program.outcome_probabilities(&shifted))
+                bits(probs),
+                bits(&program.outcome_probabilities(&shifted)),
+                "row {} minus={}: fork differs from the measured run", row, minus
+            );
+            prop_assert_eq!(
+                bits(probs),
+                bits(&program.measure(&rho)),
+                "row {} minus={}: fork differs from the full run", row, minus
             );
         });
         visits.sort_unstable();
