@@ -48,8 +48,10 @@ stage_kernel_equivalence() {
     # multinomial pmfs (the qoc-sim unit tests, hence --lib), the compiled
     # noisy density program vs the dense per-gate Kraus oracle (≤ 1e-12;
     # trace 1, Hermitian, PSD) on random circuits and calibrations, its
-    # forks bit for bit vs full runs at the shifted θ, and every pass of
-    # the two-lane fork state bit for bit vs two single-state passes (the
+    # forks bit for bit vs full runs at the shifted θ, the block-stepped 2q
+    # superoperator pass bit for bit vs the full-index scan it replaced,
+    # and the two-lane fork state's `Lanes` arithmetic, which runs the one
+    # generic set of passes, bit for bit vs two single-state passes (the
     # qoc-noise unit tests, hence --lib again). Release mode: the proptest
     # cases are heavy and the kernels under test are the ones production
     # runs actually execute.

@@ -4,10 +4,10 @@
 //! (2ⁿ × 2ⁿ, Hermitian, trace 1) tracks them exactly. At the paper's scale
 //! (4-qubit QNNs) this is a 16×16 matrix — exact noisy simulation is cheap.
 
-use std::ops::{Add, AddAssign, Mul, Neg};
+use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 use qoc_sim::complex::Complex64;
-use qoc_sim::kernels::{expand2, Kernel};
+use qoc_sim::kernels::{unitary2, Amplitude, Coeff, Kernel};
 use qoc_sim::matrix::CMatrix;
 use qoc_sim::statevector::Statevector;
 
@@ -117,9 +117,7 @@ impl DensityMatrix {
     ///
     /// Panics (in debug builds) if a kernel qubit is out of range.
     pub fn apply_kernel(&mut self, kernel: &Kernel) {
-        let n = self.num_qubits;
-        kernel.remapped(n).apply(self.mat.as_mut_slice());
-        kernel.conj().apply(self.mat.as_mut_slice());
+        Passes::apply_kernel(self, kernel);
     }
 
     /// Applies a unitary `ρ ↦ UρU†` on one or two listed qubits, as the
@@ -128,11 +126,11 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics if the matrix size does not match the qubit count, more than
-    /// two qubits are listed, or an index is out of range.
+    /// two qubits are listed, an index is out of range, or a wire repeats.
     pub fn apply_unitary(&mut self, u: &CMatrix, qubits: &[usize]) {
         let dim = 1usize << qubits.len();
         assert_eq!((u.rows(), u.cols()), (dim, dim), "matrix/qubit mismatch");
-        self.check_qubits(qubits);
+        check_wires(self.num_qubits, qubits);
         let kernel = match *qubits {
             [q] => {
                 let mut m = [Complex64::ZERO; 4];
@@ -156,8 +154,8 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics on a dimension/qubit mismatch or a channel on more than two
-    /// qubits.
+    /// Panics on a dimension/qubit mismatch, a channel on more than two
+    /// qubits, an index out of range, or a repeated wire.
     pub fn apply_kraus(&mut self, channel: &KrausChannel, qubits: &[usize]) {
         assert_eq!(
             channel.num_qubits(),
@@ -170,7 +168,7 @@ impl DensityMatrix {
             self.apply_unitary(&channel.operators()[0], qubits);
             return;
         }
-        self.check_qubits(qubits);
+        check_wires(self.num_qubits, qubits);
         let s = superoperator(channel);
         match *qubits {
             [q] => {
@@ -186,45 +184,6 @@ impl DensityMatrix {
         }
     }
 
-    /// Applies a one-qubit superoperator in place: `s` is row-major 4×4 on
-    /// the local index `c + 2r` of qubit `q` (column bit `c`, row bit `r`),
-    /// i.e. one [`Kernel::Unitary2`] pass on flattened bits `(q, n + q)`.
-    pub(crate) fn apply_superop_1q(&mut self, q: usize, s: &[Complex64; 16]) {
-        let b = self.num_qubits + q;
-        Kernel::Unitary2 { a: q, b, m: *s }.apply(self.mat.as_mut_slice());
-    }
-
-    /// [`Self::apply_superop_1q`] cut to what a measurement reads: only the
-    /// entries diagonal on `q`, over the groups diagonal on every wire
-    /// outside `free` ([`superop_1q_diag`]). Every entry it writes is
-    /// bit-identical to the full pass's; the others are left stale.
-    pub(crate) fn apply_superop_1q_diag(&mut self, q: usize, s: &[Complex64; 16], free: usize) {
-        superop_1q_diag(self.mat.as_mut_slice(), self.num_qubits, q, s, free);
-    }
-
-    /// Applies a two-qubit superoperator in place: `s` is row-major 16×16
-    /// on the local index `c + 4r`, where `c = c_a + 2·c_b` are the column
-    /// bits and `r = r_a + 2·r_b` the row bits of qubits `(a, b)`.
-    pub(crate) fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64]) {
-        debug_assert_eq!(s.len(), 256, "two-qubit superoperator is 16×16");
-        let offsets = superop_2q_offsets(self.num_qubits, a, b);
-        let mask = offsets[15];
-        let flat = self.mat.as_mut_slice();
-        for base in 0..flat.len() {
-            if base & mask != 0 {
-                continue;
-            }
-            let v: [Complex64; 16] = std::array::from_fn(|x| flat[base | offsets[x]]);
-            for (row, &off) in s.chunks_exact(16).zip(&offsets) {
-                let mut acc = Complex64::ZERO;
-                for (&m, &x) in row.iter().zip(&v) {
-                    acc = m.mul_add(x, acc);
-                }
-                flat[base | off] = acc;
-            }
-        }
-    }
-
     /// Applies a uniform-Pauli depolarizing channel of probability `p`
     /// analytically and in place: `ρ ↦ (1−λ)ρ + λ·(I/d ⊗ tr_sub ρ)` with
     /// `λ = p·d²/(d²−1)` — one linear pass instead of `d²` Kraus
@@ -232,39 +191,10 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, or a qubit
-    /// index is invalid.
+    /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, a qubit
+    /// index is invalid, or a wire repeats.
     pub fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
-        let Some(Depolarizer {
-            sub,
-            lambda,
-            inv_d,
-            mask,
-            diag,
-            cells,
-        }) = Depolarizer::new(self.num_qubits, p, qubits)
-        else {
-            return;
-        };
-        let flat = self.mat.as_mut_slice();
-        let (keep, off_diag) = (1.0 - lambda, Complex64::ZERO * lambda);
-        // Block (i_rest, j_rest): out[(i_rest, x), (j_rest, y)] =
-        // (1−λ)·ρ[…] + λ·δ_{x,y}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
-        let mut base = 0;
-        while base < flat.len() {
-            let mut acc = Complex64::ZERO;
-            for &off in &diag[..sub] {
-                acc += flat[base | off];
-            }
-            let mixed = acc * inv_d * lambda;
-            for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
-                for (y, &off) in row.iter().enumerate() {
-                    let i = base | off;
-                    flat[i] = flat[i] * keep + if x == y { mixed } else { off_diag };
-                }
-            }
-            base = ((base | mask) + 1) & !mask;
-        }
+        Passes::apply_depolarizing(self, p, qubits);
     }
 
     /// Resets to `|0…0⟩⟨0…0|` without reallocating.
@@ -272,12 +202,6 @@ impl DensityMatrix {
         let flat = self.mat.as_mut_slice();
         flat.fill(Complex64::ZERO);
         flat[0] = Complex64::ONE;
-    }
-
-    fn check_qubits(&self, qubits: &[usize]) {
-        for &q in qubits {
-            assert!(q < self.num_qubits, "qubit {q} out of range");
-        }
     }
 
     /// Measurement probabilities in the computational basis (the diagonal).
@@ -332,6 +256,73 @@ impl DensityMatrix {
     }
 }
 
+/// A flattened density state the in-place passes run on: one
+/// [`DensityMatrix`] ([`Complex64`] entries) or a lockstep [`DensityPair`]
+/// ([`Lanes`] entries). Each pass is written once, generic over the entry
+/// [`Amplitude`], so each lane of a pair does exactly the float operations
+/// of a lone state put through the same pass.
+pub(crate) trait Passes {
+    /// The entry type.
+    type Amp: Amplitude;
+
+    /// The width `n` and the `4ⁿ` row-major entries.
+    fn flat(&mut self) -> (usize, &mut [Self::Amp]);
+
+    /// `ρ ↦ UρU†` as the kernel pass pair of
+    /// [`DensityMatrix::apply_kernel`].
+    fn apply_kernel(&mut self, kernel: &Kernel)
+    where
+        Complex64: Coeff<Self::Amp>,
+    {
+        let (n, amps) = self.flat();
+        kernel.remapped(n).apply(amps);
+        kernel.conj().apply(amps);
+    }
+
+    /// Applies a one-qubit superoperator in place: `m` is row-major 4×4 on
+    /// the local index `c + 2r` of qubit `q` (column bit `c`, row bit `r`),
+    /// i.e. one [`Kernel::Unitary2`] pass on flattened bits `(q, n + q)`.
+    /// On a pair `m` is one matrix both lanes share ([`Complex64`] entries)
+    /// or one per lane ([`lane_matrix`]).
+    fn apply_superop_1q<M: Coeff<Self::Amp>>(&mut self, q: usize, m: &[M; 16]) {
+        let (n, amps) = self.flat();
+        unitary2(amps, q, n + q, m);
+    }
+
+    /// [`Self::apply_superop_1q`] cut to what a measurement reads: only the
+    /// entries diagonal on `q`, over the groups diagonal on every wire
+    /// outside `free` ([`superop_1q_diag`]). Every entry it writes is
+    /// bit-identical to the full pass's; the others are left stale.
+    fn apply_superop_1q_diag<M: Coeff<Self::Amp>>(&mut self, q: usize, m: &[M; 16], free: usize) {
+        let (n, amps) = self.flat();
+        superop_1q_diag(amps, n, q, m, free);
+    }
+
+    /// A two-qubit superoperator on `(a, b)` in place ([`superop_2q`]).
+    fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64])
+    where
+        Complex64: Coeff<Self::Amp>,
+    {
+        let (n, amps) = self.flat();
+        superop_2q(amps, n, a, b, s);
+    }
+
+    /// Uniform-Pauli depolarizing of probability `p` on `qubits`, as
+    /// [`DensityMatrix::apply_depolarizing`].
+    fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
+        let (n, amps) = self.flat();
+        depolarize(amps, n, p, qubits);
+    }
+}
+
+impl Passes for DensityMatrix {
+    type Amp = Complex64;
+
+    fn flat(&mut self) -> (usize, &mut [Complex64]) {
+        (self.num_qubits, self.mat.as_mut_slice())
+    }
+}
+
 /// Entry `i` of both lanes of a [`DensityPair`], stored `[re₀, re₁, im₀,
 /// im₁]`: the real parts side by side, then the imaginary parts.
 ///
@@ -346,7 +337,7 @@ pub(crate) struct Lanes {
     im: [f64; 2],
 }
 
-impl Lanes {
+impl Amplitude for Lanes {
     const ZERO: Lanes = Lanes {
         re: [0.0; 2],
         im: [0.0; 2],
@@ -361,6 +352,19 @@ impl Mul<Lanes> for Complex64 {
         Lanes {
             re: std::array::from_fn(|l| self.re * x.re[l] - self.im * x.im[l]),
             im: std::array::from_fn(|l| self.re * x.im[l] + self.im * x.re[l]),
+        }
+    }
+}
+
+impl Mul for Lanes {
+    type Output = Lanes;
+    /// Lane `l` of `self` times lane `l` of `x`, as `Complex64 * Complex64`:
+    /// a per-lane matrix entry ([`lane_matrix`]) on a pair entry.
+    #[inline(always)]
+    fn mul(self, x: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] * x.re[l] - self.im[l] * x.im[l]),
+            im: std::array::from_fn(|l| self.re[l] * x.im[l] + self.im[l] * x.re[l]),
         }
     }
 }
@@ -387,6 +391,17 @@ impl Add for Lanes {
     }
 }
 
+impl Sub for Lanes {
+    type Output = Lanes;
+    #[inline(always)]
+    fn sub(self, o: Lanes) -> Lanes {
+        Lanes {
+            re: std::array::from_fn(|l| self.re[l] - o.re[l]),
+            im: std::array::from_fn(|l| self.im[l] - o.im[l]),
+        }
+    }
+}
+
 impl AddAssign for Lanes {
     #[inline(always)]
     fn add_assign(&mut self, o: Lanes) {
@@ -407,11 +422,9 @@ impl Neg for Lanes {
 
 /// Two density matrices of one width evolved in lockstep, entry by entry
 /// interleaved as [`Lanes`] — the `±π/2` forks of one parameter-shift row.
-///
-/// Each pass does, lane by lane, exactly the float operations of the
-/// [`DensityMatrix`] pass of the same name, in the same order, so each lane
-/// stays bit-identical to a single state put through the same passes; one
-/// 2-wide instruction serves both lanes.
+/// It runs the [`Passes`] of a single state, so each lane stays
+/// bit-identical to a single state put through the same passes; one 2-wide
+/// instruction serves both lanes.
 #[derive(Debug, Clone)]
 pub(crate) struct DensityPair {
     num_qubits: usize,
@@ -464,85 +477,6 @@ impl DensityPair {
         }
     }
 
-    /// [`DensityMatrix::apply_kernel`] on both lanes.
-    pub(crate) fn apply_kernel(&mut self, kernel: &Kernel) {
-        let n = self.num_qubits;
-        apply_kernel_lanes(&kernel.remapped(n), &mut self.flat);
-        apply_kernel_lanes(&kernel.conj(), &mut self.flat);
-    }
-
-    /// [`DensityMatrix::apply_superop_1q`] on both lanes: `m` is one
-    /// matrix both lanes share ([`Complex64`] entries) or one per lane
-    /// ([`lane_matrix`]), each lane rounding as the single pass with its
-    /// matrix.
-    pub(crate) fn apply_superop_1q<M: Coeff<Lanes>>(&mut self, q: usize, m: &[M; 16]) {
-        unitary2_lanes(q, self.num_qubits + q, m, &mut self.flat);
-    }
-
-    /// [`DensityMatrix::apply_superop_1q_diag`] on both lanes, with `m` as
-    /// in [`Self::apply_superop_1q`].
-    pub(crate) fn apply_superop_1q_diag<M: Coeff<Lanes>>(
-        &mut self,
-        q: usize,
-        m: &[M; 16],
-        free: usize,
-    ) {
-        superop_1q_diag(&mut self.flat, self.num_qubits, q, m, free);
-    }
-
-    /// [`DensityMatrix::apply_superop_2q`] on both lanes.
-    pub(crate) fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64]) {
-        debug_assert_eq!(s.len(), 256, "two-qubit superoperator is 16×16");
-        let offsets = superop_2q_offsets(self.num_qubits, a, b);
-        let mask = offsets[15];
-        let flat = &mut self.flat;
-        for base in 0..flat.len() {
-            if base & mask != 0 {
-                continue;
-            }
-            let v: [Lanes; 16] = std::array::from_fn(|x| flat[base | offsets[x]]);
-            for (row, &off) in s.chunks_exact(16).zip(&offsets) {
-                let mut acc = Lanes::ZERO;
-                for (&m, &x) in row.iter().zip(&v) {
-                    acc = Coeff::mul_add(m, x, acc);
-                }
-                flat[base | off] = acc;
-            }
-        }
-    }
-
-    /// [`DensityMatrix::apply_depolarizing`] on both lanes.
-    pub(crate) fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
-        let Some(Depolarizer {
-            sub,
-            lambda,
-            inv_d,
-            mask,
-            diag,
-            cells,
-        }) = Depolarizer::new(self.num_qubits, p, qubits)
-        else {
-            return;
-        };
-        let flat = &mut self.flat;
-        let (keep, off_diag) = (1.0 - lambda, Lanes::ZERO * lambda);
-        let mut base = 0;
-        while base < flat.len() {
-            let mut acc = Lanes::ZERO;
-            for &off in &diag[..sub] {
-                acc += flat[base | off];
-            }
-            let mixed = acc * inv_d * lambda;
-            for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
-                for (y, &off) in row.iter().enumerate() {
-                    let i = base | off;
-                    flat[i] = flat[i] * keep + if x == y { mixed } else { off_diag };
-                }
-            }
-            base = ((base | mask) + 1) & !mask;
-        }
-    }
-
     /// The measurement distribution of lane `lane` (0 or 1), as
     /// [`DensityMatrix::probabilities`] of it.
     pub(crate) fn lane_probabilities(&self, lane: usize) -> Vec<f64> {
@@ -553,43 +487,11 @@ impl DensityPair {
     }
 }
 
-/// An entry of a pass matrix acting on amplitudes of type `A`: a
-/// [`Complex64`] on one state or shared by both lanes of a pair, or a
-/// [`Lanes`] value holding one matrix entry per lane.
-pub(crate) trait Coeff<A>: Copy {
-    /// The zero amplitude each output entry's sum starts from.
-    const ZERO: A;
-    /// `self · x + acc`, in each lane exactly as [`Complex64::mul_add`].
-    fn mul_add(self, x: A, acc: A) -> A;
-}
+impl Passes for DensityPair {
+    type Amp = Lanes;
 
-impl Coeff<Complex64> for Complex64 {
-    const ZERO: Complex64 = Complex64::ZERO;
-    #[inline(always)]
-    fn mul_add(self, x: Complex64, acc: Complex64) -> Complex64 {
-        Complex64::mul_add(self, x, acc)
-    }
-}
-
-impl Coeff<Lanes> for Complex64 {
-    const ZERO: Lanes = Lanes::ZERO;
-    #[inline(always)]
-    fn mul_add(self, x: Lanes, acc: Lanes) -> Lanes {
-        Lanes {
-            re: std::array::from_fn(|l| self.re * x.re[l] - self.im * x.im[l] + acc.re[l]),
-            im: std::array::from_fn(|l| self.re * x.im[l] + self.im * x.re[l] + acc.im[l]),
-        }
-    }
-}
-
-impl Coeff<Lanes> for Lanes {
-    const ZERO: Lanes = Lanes::ZERO;
-    #[inline(always)]
-    fn mul_add(self, x: Lanes, acc: Lanes) -> Lanes {
-        Lanes {
-            re: std::array::from_fn(|l| self.re[l] * x.re[l] - self.im[l] * x.im[l] + acc.re[l]),
-            im: std::array::from_fn(|l| self.re[l] * x.im[l] + self.im[l] * x.re[l] + acc.im[l]),
-        }
+    fn flat(&mut self) -> (usize, &mut [Lanes]) {
+        (self.num_qubits, &mut self.flat)
     }
 }
 
@@ -600,28 +502,6 @@ pub(crate) fn lane_matrix(m: [&[Complex64; 16]; 2]) -> [Lanes; 16] {
         re: [m[0][i].re, m[1][i].re],
         im: [m[0][i].im, m[1][i].im],
     })
-}
-
-/// The [`Kernel::Unitary2`] loop on a two-lane slice: matrix `m` on bits
-/// `(a, b)`, the single-lane loop with [`Lanes`] for `Complex64`. `m` is
-/// shared by both lanes or holds one matrix per lane ([`Coeff`]).
-fn unitary2_lanes<M: Coeff<Lanes>>(a: usize, b: usize, m: &[M; 16], amps: &mut [Lanes]) {
-    let (ba, bb) = (1usize << a, 1usize << b);
-    debug_assert!(ba < amps.len() && bb < amps.len(), "qubit out of range");
-    let (lo, hi) = (a.min(b), a.max(b));
-    for k in 0..amps.len() >> 2 {
-        let base = expand2(k, lo, hi);
-        let idx = [base, base | ba, base | bb, base | ba | bb];
-        let amp = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
-        for (r, &out_i) in idx.iter().enumerate() {
-            let row = &m[4 * r..4 * r + 4];
-            let mut acc = M::ZERO;
-            for (c, &v) in amp.iter().enumerate() {
-                acc = row[c].mul_add(v, acc);
-            }
-            amps[out_i] = acc;
-        }
-    }
 }
 
 /// The rows `r ∈ {0, 3}` of a one-qubit superoperator pass `m` on wire `q`
@@ -635,7 +515,7 @@ fn unitary2_lanes<M: Coeff<Lanes>>(a: usize, b: usize, m: &[M; 16], amps: &mut [
 /// A measured run ends in passes on distinct wires `w₁ … w_k`; pass `j`
 /// with `free = {w_j … w_k}` reads only entries the pass before it wrote,
 /// so after pass `k` the diagonal equals the full passes' bit for bit.
-fn superop_1q_diag<A: Copy, M: Coeff<A>>(
+fn superop_1q_diag<A: Amplitude, M: Coeff<A>>(
     amps: &mut [A],
     n: usize,
     q: usize,
@@ -659,9 +539,9 @@ fn superop_1q_diag<A: Copy, M: Coeff<A>>(
                 amps[base | col_q | row_q],
             ];
             for (r, out_i) in [(0, base), (3, base | col_q | row_q)] {
-                let mut acc = M::ZERO;
+                let mut acc = A::ZERO;
                 for (c, &v) in amp.iter().enumerate() {
-                    acc = m[4 * r + c].mul_add(v, acc);
+                    acc = m[4 * r + c] * v + acc;
                 }
                 amps[out_i] = acc;
             }
@@ -674,112 +554,79 @@ fn superop_1q_diag<A: Copy, M: Coeff<A>>(
     }
 }
 
-/// [`Kernel::apply`] on a two-lane amplitude slice: each arm is the
-/// single-lane arm with [`Lanes`] for `Complex64`.
-fn apply_kernel_lanes(kernel: &Kernel, amps: &mut [Lanes]) {
-    debug_assert!(amps.len().is_power_of_two(), "amplitude length");
-    let len = amps.len();
-    match *kernel {
-        Kernel::Id => {}
-        Kernel::Diag1 { q, d } => {
-            let stride = 1usize << q;
-            debug_assert!(stride < len, "qubit {q} out of range");
-            let (d0, d1) = (d[0], d[1]);
-            let mut base = 0usize;
-            while base < len {
-                for i in base..base + stride {
-                    amps[i] = d0 * amps[i];
-                    amps[i + stride] = d1 * amps[i + stride];
-                }
-                base += stride << 1;
+/// Applies a two-qubit superoperator in place to the flat `4ⁿ` row-major
+/// entries `amps` of an `n`-qubit density matrix (or pair): `s` is
+/// row-major 16×16 on the local index `c + 4r`, where `c = c_a + 2·c_b` are
+/// the column bits and `r = r_a + 2·r_b` the row bits of qubits `(a, b)` —
+/// the pass [`DensityMatrix::apply_kraus`] runs for a two-qubit channel.
+/// It steps from block base to block base, the 16 entries of a block being
+/// mixed together; each output is `Σ_x s[row][x]·v_x` summed left to right
+/// from zero.
+///
+/// # Panics
+///
+/// Debug-asserts the slice and matrix sizes and that `a ≠ b` fit `n`.
+pub fn superop_2q<A: Amplitude>(amps: &mut [A], n: usize, a: usize, b: usize, s: &[Complex64])
+where
+    Complex64: Coeff<A>,
+{
+    debug_assert_eq!(amps.len(), 1 << (2 * n), "state width");
+    debug_assert_eq!(s.len(), 256, "two-qubit superoperator is 16×16");
+    debug_assert!(a < n && b < n && a != b, "wires ({a}, {b}) on {n} qubits");
+    // The flat offsets of the 16 cells of a block, by local index `c + 4r`.
+    let offsets: [usize; 16] =
+        std::array::from_fn(|x| spread(x & 3, &[a, b], 0) | spread(x >> 2, &[a, b], n));
+    let mask = offsets[15];
+    let mut base = 0;
+    while base < amps.len() {
+        let v: [A; 16] = std::array::from_fn(|x| amps[base | offsets[x]]);
+        for (row, &off) in s.chunks_exact(16).zip(&offsets) {
+            let mut acc = A::ZERO;
+            for (&m, &x) in row.iter().zip(&v) {
+                acc = m * x + acc;
+            }
+            amps[base | off] = acc;
+        }
+        base = ((base | mask) + 1) & !mask;
+    }
+}
+
+/// Uniform-Pauli depolarizing of probability `p` on `qubits` of the flat
+/// `4ⁿ` entries `amps` (see [`DensityMatrix::apply_depolarizing`]),
+/// stepping from block base to block base.
+///
+/// # Panics
+///
+/// As [`DensityMatrix::apply_depolarizing`].
+fn depolarize<A: Amplitude>(amps: &mut [A], n: usize, p: f64, qubits: &[usize]) {
+    let Some(Depolarizer {
+        sub,
+        lambda,
+        inv_d,
+        mask,
+        diag,
+        cells,
+    }) = Depolarizer::new(n, p, qubits)
+    else {
+        return;
+    };
+    let (keep, off_diag) = (1.0 - lambda, A::ZERO * lambda);
+    // Block (i_rest, j_rest): out[(i_rest, x), (j_rest, y)] =
+    // (1−λ)·ρ[…] + λ·δ_{x,y}/d · Σ_s ρ[(i_rest, s), (j_rest, s)].
+    let mut base = 0;
+    while base < amps.len() {
+        let mut acc = A::ZERO;
+        for &off in &diag[..sub] {
+            acc += amps[base | off];
+        }
+        let mixed = acc * inv_d * lambda;
+        for (x, row) in cells[..sub * sub].chunks_exact(sub).enumerate() {
+            for (y, &off) in row.iter().enumerate() {
+                let i = base | off;
+                amps[i] = amps[i] * keep + if x == y { mixed } else { off_diag };
             }
         }
-        Kernel::RealRot1 { q, c, s } => {
-            let stride = 1usize << q;
-            debug_assert!(stride < len, "qubit {q} out of range");
-            let mut base = 0usize;
-            while base < len {
-                for i in base..base + stride {
-                    let a0 = amps[i];
-                    let a1 = amps[i + stride];
-                    amps[i] = Lanes {
-                        re: std::array::from_fn(|l| c * a0.re[l] - s * a1.re[l]),
-                        im: std::array::from_fn(|l| c * a0.im[l] - s * a1.im[l]),
-                    };
-                    amps[i + stride] = Lanes {
-                        re: std::array::from_fn(|l| s * a0.re[l] + c * a1.re[l]),
-                        im: std::array::from_fn(|l| s * a0.im[l] + c * a1.im[l]),
-                    };
-                }
-                base += stride << 1;
-            }
-        }
-        Kernel::Flip { q } => {
-            let stride = 1usize << q;
-            debug_assert!(stride < len, "qubit {q} out of range");
-            let mut base = 0usize;
-            while base < len {
-                for i in base..base + stride {
-                    amps.swap(i, i + stride);
-                }
-                base += stride << 1;
-            }
-        }
-        Kernel::Unitary1 { q, m } => {
-            let stride = 1usize << q;
-            debug_assert!(stride < len, "qubit {q} out of range");
-            let (m00, m01, m10, m11) = (m[0], m[1], m[2], m[3]);
-            let mut base = 0usize;
-            while base < len {
-                for i in base..base + stride {
-                    let a0 = amps[i];
-                    let a1 = amps[i + stride];
-                    amps[i] = Coeff::mul_add(m00, a0, m01 * a1);
-                    amps[i + stride] = Coeff::mul_add(m10, a0, m11 * a1);
-                }
-                base += stride << 1;
-            }
-        }
-        Kernel::ControlledFlip { control, target } => {
-            let (cb, tb) = (1usize << control, 1usize << target);
-            debug_assert!(cb < len && tb < len, "qubit out of range");
-            let (lo, hi) = (control.min(target), control.max(target));
-            for k in 0..len >> 2 {
-                let on = expand2(k, lo, hi) | cb;
-                amps.swap(on, on | tb);
-            }
-        }
-        Kernel::PhaseFlip2 { a, b } => {
-            let both = (1usize << a) | (1usize << b);
-            debug_assert!(both < len, "qubit out of range");
-            let (lo, hi) = (a.min(b), a.max(b));
-            for k in 0..len >> 2 {
-                let i = expand2(k, lo, hi) | both;
-                amps[i] = -amps[i];
-            }
-        }
-        Kernel::Diag2 { a, b, d } => {
-            let (ba, bb) = (1usize << a, 1usize << b);
-            debug_assert!(ba < len && bb < len, "qubit out of range");
-            let (lo, hi) = (a.min(b), a.max(b));
-            for k in 0..len >> 2 {
-                let base = expand2(k, lo, hi);
-                amps[base] = d[0] * amps[base];
-                amps[base | ba] = d[1] * amps[base | ba];
-                amps[base | bb] = d[2] * amps[base | bb];
-                amps[base | ba | bb] = d[3] * amps[base | ba | bb];
-            }
-        }
-        Kernel::Exchange { a, b } => {
-            let (ba, bb) = (1usize << a, 1usize << b);
-            debug_assert!(ba < len && bb < len, "qubit out of range");
-            let (lo, hi) = (a.min(b), a.max(b));
-            for k in 0..len >> 2 {
-                let base = expand2(k, lo, hi);
-                amps.swap(base | ba, base | bb);
-            }
-        }
-        Kernel::Unitary2 { a, b, ref m } => unitary2_lanes(a, b, m, amps),
+        base = ((base | mask) + 1) & !mask;
     }
 }
 
@@ -809,12 +656,6 @@ pub(crate) fn superoperator(channel: &KrausChannel) -> CMatrix {
     s
 }
 
-/// Flat offsets of the 16 cells a two-qubit superoperator on `(a, b)` of an
-/// `n`-qubit state mixes, indexed by the local index `c + 4r`.
-fn superop_2q_offsets(n: usize, a: usize, b: usize) -> [usize; 16] {
-    std::array::from_fn(|x| spread(x & 3, &[a, b], 0) | spread(x >> 2, &[a, b], n))
-}
-
 /// The constants and block offsets of an analytic depolarizing pass on
 /// `qubits` of an `n`-qubit state.
 struct Depolarizer {
@@ -836,8 +677,8 @@ impl Depolarizer {
     ///
     /// # Panics
     ///
-    /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, or a qubit
-    /// index is out of range.
+    /// Panics if `p ∉ [0, 1]`, more than two qubits are listed, a qubit
+    /// index is out of range, or a wire repeats.
     fn new(n: usize, p: f64, qubits: &[usize]) -> Option<Depolarizer> {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         assert!(
@@ -845,9 +686,7 @@ impl Depolarizer {
             "depolarizing acts on one or two qubits, got {}",
             qubits.len()
         );
-        for &q in qubits {
-            assert!(q < n, "qubit {q} out of range");
-        }
+        check_wires(n, qubits);
         if p == 0.0 || qubits.is_empty() {
             return None;
         }
@@ -871,6 +710,16 @@ impl Depolarizer {
             diag,
             cells,
         })
+    }
+}
+
+/// Panics unless every wire of `qubits` is below `n` and none repeats: a
+/// pass on a repeated wire would mix entries that are not one block and
+/// leave a non-state.
+fn check_wires(n: usize, qubits: &[usize]) {
+    for (i, &q) in qubits.iter().enumerate() {
+        assert!(q < n, "qubit {q} out of range");
+        assert!(!qubits[..i].contains(&q), "repeated wire {q}");
     }
 }
 
@@ -1309,6 +1158,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated wire")]
+    fn unitary_on_a_repeated_wire_panics() {
+        let mut rho = DensityMatrix::zero_state(2);
+        rho.apply_unitary(&GateKind::Cx.matrix(&[]), &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated wire")]
+    fn kraus_on_a_repeated_wire_panics() {
+        let mut rho = DensityMatrix::zero_state(2);
+        rho.apply_kraus(&depolarizing_2q(0.5), &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated wire")]
+    fn depolarizing_on_a_repeated_wire_panics() {
+        let mut rho = DensityMatrix::maximally_mixed(2);
+        rho.apply_depolarizing(0.5, &[0, 0]);
     }
 
     #[test]

@@ -49,12 +49,10 @@ use std::thread::LocalKey;
 
 use qoc_sim::circuit::{Circuit, Operation, ParamValue};
 use qoc_sim::complex::Complex64;
-use qoc_sim::kernels::{entries_1q, Kernel};
+use qoc_sim::kernels::{entries_1q, Coeff, Kernel};
 
 use crate::channels::depolarizing_1q;
-use crate::density::{
-    lane_matrix, superoperator, Coeff, DensityMatrix, DensityPair, Lanes, MAX_QUBITS,
-};
+use crate::density::{lane_matrix, superoperator, DensityMatrix, DensityPair, Passes, MAX_QUBITS};
 use crate::model::{NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::{apply_confusion, ReadoutError};
 
@@ -216,37 +214,27 @@ enum Pass<'p> {
 }
 
 impl Pass<'_> {
-    fn apply(&self, rho: &mut DensityMatrix) {
+    /// Runs the pass on `state`: one density matrix, or both lanes of a
+    /// pair with the matrices both share.
+    fn apply<S: Passes>(&self, state: &mut S)
+    where
+        Complex64: Coeff<S::Amp>,
+    {
         match self {
-            Pass::Super1 { q, s, tail: None } => rho.apply_superop_1q(*q, s),
-            Pass::Super1 {
-                q,
-                s,
-                tail: Some(free),
-            } => rho.apply_superop_1q_diag(*q, s, *free),
-            Pass::Kernel(kernel) => rho.apply_kernel(kernel),
-            Pass::Depolarize { wires, p } => rho.apply_depolarizing(*p, &wires[..]),
-            Pass::Kraus2 { wires: [a, b], s } => rho.apply_superop_2q(*a, *b, s),
-        }
-    }
-
-    /// [`Self::apply`] on both lanes of `pair`.
-    fn apply_pair(&self, pair: &mut DensityPair) {
-        match self {
-            Pass::Super1 { q, s, tail } => flush_pair(pair, *q, s, *tail),
-            Pass::Kernel(kernel) => pair.apply_kernel(kernel),
-            Pass::Depolarize { wires, p } => pair.apply_depolarizing(*p, &wires[..]),
-            Pass::Kraus2 { wires: [a, b], s } => pair.apply_superop_2q(*a, *b, s),
+            Pass::Super1 { q, s, tail } => flush(state, *q, s, *tail),
+            Pass::Kernel(kernel) => state.apply_kernel(kernel),
+            Pass::Depolarize { wires, p } => state.apply_depolarizing(*p, &wires[..]),
+            Pass::Kraus2 { wires: [a, b], s } => state.apply_superop_2q(*a, *b, s),
         }
     }
 }
 
-/// Wire `q`'s flush on both lanes of `pair`: matrix `m` shared or one per
-/// lane ([`Coeff`]), a tail flush only where the diagonal needs it.
-fn flush_pair<M: Coeff<Lanes>>(pair: &mut DensityPair, q: usize, m: &[M; 16], tail: Option<usize>) {
+/// Wire `q`'s flush on `state`: matrix `m` shared by a pair's lanes or one
+/// per lane ([`Coeff`]), a tail flush only where the diagonal needs it.
+fn flush<S: Passes, M: Coeff<S::Amp>>(state: &mut S, q: usize, m: &[M; 16], tail: Option<usize>) {
     match tail {
-        None => pair.apply_superop_1q(q, m),
-        Some(free) => pair.apply_superop_1q_diag(q, m, free),
+        None => state.apply_superop_1q(q, m),
+        Some(free) => state.apply_superop_1q_diag(q, m, free),
     }
 }
 
@@ -697,7 +685,7 @@ impl NoisyProgram {
                                 }
                                 Step::Flush { q, tail } if is_dirty(*q) => {
                                     let m = lane_matrix([&lanes[0][*q], &lanes[1][*q]]);
-                                    flush_pair(pair, *q, &m, *tail);
+                                    flush(pair, *q, &m, *tail);
                                     for maps in &mut lanes {
                                         maps[*q] = IDENTITY;
                                     }
@@ -712,12 +700,12 @@ impl NoisyProgram {
                                     }
                                 }
                                 Step::Fold { .. } | Step::Bind { .. } => {}
-                                _ => base[self.pass_at[i]].apply_pair(pair),
+                                _ => base[self.pass_at[i]].apply(pair),
                             }
                         }
                         shifted[s] = theta[s];
                         for pass in &base[self.pass_at[rejoin]..] {
-                            pass.apply_pair(pair);
+                            pass.apply(pair);
                         }
                         for (lane, minus) in [(0, false), (1, true)] {
                             let mut probs = pair.lane_probabilities(lane);

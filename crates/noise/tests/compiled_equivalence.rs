@@ -14,8 +14,10 @@
 //! entry points (`apply_kraus`, `apply_unitary`, `apply_depolarizing`) are
 //! held to the same oracle on mixed states.
 //!
-//! Two bitwise contracts ride along: `apply_depolarizing` equals the
-//! per-element offset loop it replaced, and every fork's distribution from
+//! Three bitwise contracts ride along: `apply_depolarizing` equals the
+//! per-element offset loop it replaced, the two-qubit superoperator pass
+//! `superop_2q` equals the full-index scan it replaced on random 16×16
+//! matrices, and every fork's distribution from
 //! `NoisyProgram::for_each_shift` equals both the measured run
 //! (`outcome_probabilities`, diagonal-only tail) and the measured full run
 //! (`measure(run(…))`) at the shifted `θ`, on random symbolic circuits
@@ -32,7 +34,7 @@ use qoc_noise::channels::{
     amplitude_damping, depolarizing_1q, depolarizing_2q, error_rate_to_depolarizing_prob,
     phase_damping, thermal_relaxation,
 };
-use qoc_noise::density::DensityMatrix;
+use qoc_noise::density::{superop_2q, DensityMatrix};
 use qoc_noise::kraus::KrausChannel;
 use qoc_noise::model::{NoiseModel, NoiseOpKind, WireSelect};
 use qoc_noise::readout::{apply_confusion, ReadoutError};
@@ -322,6 +324,37 @@ fn depolarize_per_element(rho: &mut CMatrix, n: usize, p: f64, qubits: &[usize])
     }
 }
 
+/// The two-qubit superoperator loop `DensityMatrix::apply_kraus` ran before
+/// it stepped from block base to block base: every flat index scanned, the
+/// 15 in 16 that are no block base skipped. Kept as the bitwise oracle of
+/// `superop_2q`.
+fn superop_2q_scan(rho: &mut CMatrix, n: usize, a: usize, b: usize, s: &[Complex64]) {
+    let spread = |x: usize, offset: usize| ((x & 1) << (a + offset)) | ((x >> 1) << (b + offset));
+    let offsets: [usize; 16] = std::array::from_fn(|x| spread(x & 3, 0) | spread(x >> 2, n));
+    let mask = offsets[15];
+    let flat = rho.as_mut_slice();
+    for base in 0..flat.len() {
+        if base & mask != 0 {
+            continue;
+        }
+        let v: [Complex64; 16] = std::array::from_fn(|x| flat[base | offsets[x]]);
+        for (row, &off) in s.chunks_exact(16).zip(&offsets) {
+            let mut acc = Complex64::ZERO;
+            for (&m, &x) in row.iter().zip(&v) {
+                acc = m.mul_add(x, acc);
+            }
+            flat[base | off] = acc;
+        }
+    }
+}
+
+fn entry_bits(m: &CMatrix) -> Vec<(u64, u64)> {
+    m.as_slice()
+        .iter()
+        .map(|z| (z.re.to_bits(), z.im.to_bits()))
+        .collect()
+}
+
 /// Random circuits over `{RZ(θ), RY(θ), SX, CX, RZZ(θ)}` whose angles read
 /// symbols `0..4` (often more than once), plus `θ`.
 fn arb_symbolic_circuit() -> impl Strategy<Value = (Circuit, Vec<f64>)> {
@@ -408,6 +441,29 @@ proptest! {
         let want: Vec<(u64, u64)> =
             want.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect();
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn block_stepped_2q_superoperator_is_bit_identical_to_the_scan(
+        case in arb_circuit(),
+        wires in (0usize..5, 0usize..4),
+        gamma in 0.0f64..0.3,
+        entries in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 256),
+    ) {
+        // A mixed state, any wire pair in either order, and a 16×16 matrix
+        // that need not be a channel: the pass's arithmetic is all in play.
+        let (circuit, theta) = case;
+        let n = circuit.num_qubits();
+        prop_assume!(n >= 2);
+        let rho = NoisyProgram::compile(circuit, &generic_model(n, gamma, 0.1)).run(&theta);
+        let a = wires.0 % n;
+        let b = (a + 1 + wires.1 % (n - 1)) % n;
+        let s: Vec<Complex64> = entries.into_iter().map(|(re, im)| Complex64::new(re, im)).collect();
+        let mut want = rho.matrix().clone();
+        superop_2q_scan(&mut want, n, a, b, &s);
+        let mut got = rho.matrix().clone();
+        superop_2q(got.as_mut_slice(), n, a, b, &s);
+        prop_assert_eq!(entry_bits(&got), entry_bits(&want));
     }
 
     #[test]

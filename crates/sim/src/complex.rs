@@ -109,7 +109,12 @@ impl Complex64 {
         Complex64::new(self.im, -self.re)
     }
 
-    /// Fused multiply-add: `self * b + c` without an intermediate value.
+    /// Multiply-add `self * b + c`, *not* fused: each component is the
+    /// product rounded, then `c`'s component added and rounded again, so the
+    /// result is bit for bit `self * b + c`. Rust never contracts `a * b + c`
+    /// into a fused multiply-add, and the bit identity of the density
+    /// pairs' lanes, the parameter-shift forks and the seeded goldens
+    /// relies on every such expression rounding exactly this way.
     #[inline]
     pub fn mul_add(self, b: Complex64, c: Complex64) -> Self {
         Complex64::new(
@@ -345,6 +350,11 @@ mod tests {
         let b = c64(-0.5, 0.25);
         let c = c64(3.0, -1.0);
         assert!(a.mul_add(b, c).approx_eq(a * b + c, TOL));
+        // Unfused: bit for bit the separate product and sum, on inputs
+        // whose products round.
+        let (a, b, c) = (c64(0.1, 0.7), c64(-0.3, 1.0 / 3.0), c64(1e-3, -0.2));
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+        assert_eq!(bits(a.mul_add(b, c)), bits(a * b + c));
     }
 
     #[test]

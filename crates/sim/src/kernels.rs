@@ -8,12 +8,15 @@
 //! (allocation-free for every gate the QOC circuits use on their hot path),
 //! and [`Kernel::apply`] runs a branch-free loop specialized to that class.
 //!
-//! Kernels operate on a raw `&mut [Complex64]` amplitude slice so the same
-//! code serves the statevector simulator *and* the density-matrix simulator:
-//! a `2ⁿ×2ⁿ` row-major density matrix is a `4ⁿ` vector on `2n` qubits where
-//! gate qubit `q` appears as column bit `q` and row bit `n + q`, so
-//! `ρ ↦ UρU†` is [`Kernel::remapped`]`(n)` followed by [`Kernel::conj`]
-//! (see `qoc-noise`).
+//! Kernels operate on a raw amplitude slice, generic over the [`Amplitude`]
+//! type, so the same code serves the statevector simulator, the
+//! density-matrix simulator *and* its two-lane lockstep pairs: a `2ⁿ×2ⁿ`
+//! row-major density matrix is a `4ⁿ` vector on `2n` qubits where gate
+//! qubit `q` appears as column bit `q` and row bit `n + q`, so `ρ ↦ UρU†`
+//! is [`Kernel::remapped`]`(n)` followed by [`Kernel::conj`] (see
+//! `qoc-noise`). A pair stores entry `i` of both lanes as one amplitude
+//! whose operations are the [`Complex64`] ones written once per lane, so
+//! each lane rounds exactly as a lone state.
 //!
 //! Kernel classes:
 //!
@@ -30,6 +33,7 @@
 //! | [`Kernel::Unitary2`] | CY, CRX, CRY, RXX, RYY, RZX | dense 4×4 |
 
 use std::f64::consts::FRAC_PI_2;
+use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 use crate::circuit::Operation;
 use crate::complex::{c64, Complex64};
@@ -180,6 +184,32 @@ pub fn entries_1q(gate: GateKind, params: &[f64]) -> [Complex64; 4] {
         _ => unreachable!("two-qubit gate {gate} reached entries_1q"),
     }
 }
+
+/// An amplitude the kernels run on: a [`Complex64`], or a value holding
+/// several states' amplitudes whose every operation is the `Complex64` one
+/// per state, operand for operand.
+pub trait Amplitude:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Neg<Output = Self>
+    + Mul<f64, Output = Self>
+    + AddAssign
+{
+    /// The zero amplitude.
+    const ZERO: Self;
+}
+
+impl Amplitude for Complex64 {
+    const ZERO: Complex64 = Complex64::ZERO;
+}
+
+/// An entry of a pass matrix acting on amplitudes of type `A`: a
+/// [`Complex64`] shared by every state an amplitude holds, or a value
+/// holding one matrix entry per state.
+pub trait Coeff<A>: Copy + Mul<A, Output = A> {}
+
+impl<A, M: Copy + Mul<A, Output = A>> Coeff<A> for M {}
 
 /// Inserts a zero bit at position `bit`, shifting higher bits up.
 #[inline(always)]
@@ -392,12 +422,15 @@ impl Kernel {
     }
 
     /// Applies the kernel in place to an amplitude slice of power-of-two
-    /// length (a statevector, or a flattened density matrix).
+    /// length (a statevector, or a flattened density matrix or pair).
     ///
     /// # Panics
     ///
     /// Debug-asserts that every touched qubit fits the slice length.
-    pub fn apply(&self, amps: &mut [Complex64]) {
+    pub fn apply<A: Amplitude>(&self, amps: &mut [A])
+    where
+        Complex64: Coeff<A>,
+    {
         debug_assert!(amps.len().is_power_of_two(), "amplitude length");
         let len = amps.len();
         match *self {
@@ -423,9 +456,8 @@ impl Kernel {
                     for i in base..base + stride {
                         let a0 = amps[i];
                         let a1 = amps[i + stride];
-                        amps[i] = Complex64::new(c * a0.re - s * a1.re, c * a0.im - s * a1.im);
-                        amps[i + stride] =
-                            Complex64::new(s * a0.re + c * a1.re, s * a0.im + c * a1.im);
+                        amps[i] = a0 * c - a1 * s;
+                        amps[i + stride] = a0 * s + a1 * c;
                     }
                     base += stride << 1;
                 }
@@ -450,8 +482,8 @@ impl Kernel {
                     for i in base..base + stride {
                         let a0 = amps[i];
                         let a1 = amps[i + stride];
-                        amps[i] = m00.mul_add(a0, m01 * a1);
-                        amps[i + stride] = m10.mul_add(a0, m11 * a1);
+                        amps[i] = m00 * a0 + m01 * a1;
+                        amps[i + stride] = m10 * a0 + m11 * a1;
                     }
                     base += stride << 1;
                 }
@@ -495,24 +527,35 @@ impl Kernel {
                     amps.swap(base | ba, base | bb);
                 }
             }
-            Kernel::Unitary2 { a, b, ref m } => {
-                let (ba, bb) = (1usize << a, 1usize << b);
-                debug_assert!(ba < len && bb < len, "qubit out of range");
-                let (lo, hi) = (a.min(b), a.max(b));
-                for k in 0..len >> 2 {
-                    let base = expand2(k, lo, hi);
-                    let idx = [base, base | ba, base | bb, base | ba | bb];
-                    let amp = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
-                    for (r, &out_i) in idx.iter().enumerate() {
-                        let row = &m[4 * r..4 * r + 4];
-                        let mut acc = Complex64::ZERO;
-                        for (c, &v) in amp.iter().enumerate() {
-                            acc = row[c].mul_add(v, acc);
-                        }
-                        amps[out_i] = acc;
-                    }
-                }
+            Kernel::Unitary2 { a, b, ref m } => unitary2(amps, a, b, m),
+        }
+    }
+}
+
+/// The [`Kernel::Unitary2`] loop: row-major 4×4 `m` on bits `(a, b)` of
+/// `amps`, first listed bit least significant. Each output is
+/// `Σ_c m[r][c]·v_c` summed left to right from zero; `m`'s entries are
+/// shared by every state an amplitude holds or hold one matrix per state
+/// ([`Coeff`]).
+///
+/// # Panics
+///
+/// Debug-asserts that both bits fit the slice length.
+pub fn unitary2<A: Amplitude, M: Coeff<A>>(amps: &mut [A], a: usize, b: usize, m: &[M; 16]) {
+    let (ba, bb) = (1usize << a, 1usize << b);
+    debug_assert!(ba < amps.len() && bb < amps.len(), "qubit out of range");
+    let (lo, hi) = (a.min(b), a.max(b));
+    for k in 0..amps.len() >> 2 {
+        let base = expand2(k, lo, hi);
+        let idx = [base, base | ba, base | bb, base | ba | bb];
+        let amp = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
+        for (r, &out_i) in idx.iter().enumerate() {
+            let row = &m[4 * r..4 * r + 4];
+            let mut acc = A::ZERO;
+            for (c, &v) in amp.iter().enumerate() {
+                acc = row[c] * v + acc;
             }
+            amps[out_i] = acc;
         }
     }
 }
