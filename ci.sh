@@ -50,11 +50,13 @@ stage_kernel_equivalence() {
     # trace 1, Hermitian, PSD) on random circuits and calibrations, its
     # forks bit for bit vs full runs at the shifted θ, the block-stepped 2q
     # superoperator pass bit for bit vs the full-index scan it replaced,
-    # and the two-lane fork state's `Lanes` arithmetic, which runs the one
-    # generic set of passes, bit for bit vs two single-state passes (the
-    # qoc-noise unit tests, hence --lib again). Release mode: the proptest
-    # cases are heavy and the kernels under test are the ones production
-    # runs actually execute.
+    # the fork lane states' `Lanes` arithmetic, which runs the one generic
+    # set of passes, at 2, 4 and 8 lanes on every dispatch arm the host
+    # runs (baseline, and AVX2 where detected) bit for bit vs single-state
+    # passes, and grouped forks at both lane widths vs the shifted runs
+    # (the qoc-noise unit tests, hence --lib again). Release mode: the
+    # proptest cases are heavy and the kernels under test are the ones
+    # production runs actually execute.
     cargo test --offline --release -p qoc-sim --lib \
         --test kernel_equivalence --test golden_states --test properties || return 1
     cargo test --offline --release -p qoc-noise --lib --test compiled_equivalence

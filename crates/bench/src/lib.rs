@@ -4,6 +4,8 @@
 //! Criterion micro-benchmarks in `benches/`. Shared plumbing lives here:
 //! result-table formatting and JSON persistence under `results/`.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod suite;
 

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod alloc;
 pub mod checkpoint;

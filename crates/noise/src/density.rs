@@ -115,7 +115,8 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if a kernel qubit is out of range.
+    /// Panics if a two-qubit kernel names one wire twice, and (in debug
+    /// builds) if a kernel qubit is out of range.
     pub fn apply_kernel(&mut self, kernel: &Kernel) {
         Passes::apply_kernel(self, kernel);
     }
@@ -257,10 +258,11 @@ impl DensityMatrix {
 }
 
 /// A flattened density state the in-place passes run on: one
-/// [`DensityMatrix`] ([`Complex64`] entries) or a lockstep [`DensityPair`]
+/// [`DensityMatrix`] ([`Complex64`] entries) or lockstep [`DensityLanes`]
 /// ([`Lanes`] entries). Each pass is written once, generic over the entry
-/// [`Amplitude`], so each lane of a pair does exactly the float operations
-/// of a lone state put through the same pass.
+/// [`Amplitude`], so each lane does exactly the float operations of a lone
+/// state put through the same pass. The passes are `#[inline(always)]`, so
+/// that [`LaneArm::run`] compiles them into each arm's copy of its job.
 pub(crate) trait Passes {
     /// The entry type.
     type Amp: Amplitude;
@@ -270,6 +272,7 @@ pub(crate) trait Passes {
 
     /// `ρ ↦ UρU†` as the kernel pass pair of
     /// [`DensityMatrix::apply_kernel`].
+    #[inline(always)]
     fn apply_kernel(&mut self, kernel: &Kernel)
     where
         Complex64: Coeff<Self::Amp>,
@@ -282,8 +285,9 @@ pub(crate) trait Passes {
     /// Applies a one-qubit superoperator in place: `m` is row-major 4×4 on
     /// the local index `c + 2r` of qubit `q` (column bit `c`, row bit `r`),
     /// i.e. one [`Kernel::Unitary2`] pass on flattened bits `(q, n + q)`.
-    /// On a pair `m` is one matrix both lanes share ([`Complex64`] entries)
+    /// On lanes `m` is one matrix every lane shares ([`Complex64`] entries)
     /// or one per lane ([`lane_matrix`]).
+    #[inline(always)]
     fn apply_superop_1q<M: Coeff<Self::Amp>>(&mut self, q: usize, m: &[M; 16]) {
         let (n, amps) = self.flat();
         unitary2(amps, q, n + q, m);
@@ -293,12 +297,14 @@ pub(crate) trait Passes {
     /// entries diagonal on `q`, over the groups diagonal on every wire
     /// outside `free` ([`superop_1q_diag`]). Every entry it writes is
     /// bit-identical to the full pass's; the others are left stale.
+    #[inline(always)]
     fn apply_superop_1q_diag<M: Coeff<Self::Amp>>(&mut self, q: usize, m: &[M; 16], free: usize) {
         let (n, amps) = self.flat();
         superop_1q_diag(amps, n, q, m, free);
     }
 
     /// A two-qubit superoperator on `(a, b)` in place ([`superop_2q`]).
+    #[inline(always)]
     fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64])
     where
         Complex64: Coeff<Self::Amp>,
@@ -309,46 +315,72 @@ pub(crate) trait Passes {
 
     /// Uniform-Pauli depolarizing of probability `p` on `qubits`, as
     /// [`DensityMatrix::apply_depolarizing`].
+    #[inline(always)]
     fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
         let (n, amps) = self.flat();
         depolarize(amps, n, p, qubits);
     }
 }
 
+/// A single state's passes stay out of line: inlined into the one-state
+/// evolution they made the forward run ≈ 3% slower. Only the lane states
+/// need them inlined (see [`LaneArm::run`]).
 impl Passes for DensityMatrix {
     type Amp = Complex64;
 
+    #[inline(always)]
     fn flat(&mut self) -> (usize, &mut [Complex64]) {
         (self.num_qubits, self.mat.as_mut_slice())
     }
+
+    #[inline(never)]
+    fn apply_superop_1q<M: Coeff<Complex64>>(&mut self, q: usize, m: &[M; 16]) {
+        unitary2(self.mat.as_mut_slice(), q, self.num_qubits + q, m);
+    }
+
+    #[inline(never)]
+    fn apply_superop_1q_diag<M: Coeff<Complex64>>(&mut self, q: usize, m: &[M; 16], free: usize) {
+        superop_1q_diag(self.mat.as_mut_slice(), self.num_qubits, q, m, free);
+    }
+
+    #[inline(never)]
+    fn apply_superop_2q(&mut self, a: usize, b: usize, s: &[Complex64]) {
+        superop_2q(self.mat.as_mut_slice(), self.num_qubits, a, b, s);
+    }
+
+    #[inline(never)]
+    fn apply_depolarizing(&mut self, p: f64, qubits: &[usize]) {
+        depolarize(self.mat.as_mut_slice(), self.num_qubits, p, qubits);
+    }
 }
 
-/// Entry `i` of both lanes of a [`DensityPair`], stored `[re₀, re₁, im₀,
-/// im₁]`: the real parts side by side, then the imaginary parts.
+/// Entry `i` of `L` lockstep density matrices, stored `[re₀ … re_{L−1},
+/// im₀ … im_{L−1}]`: the real parts side by side, then the imaginary parts.
 ///
 /// Every operation below is the [`Complex64`] operation of the same shape
 /// written once per lane, operand for operand, so a lane rounds exactly as
 /// a lone `Complex64` would. Rust never contracts `a * b + c` into a fused
-/// multiply-add, so the two lanes of each line compile to one 2-wide SSE2
-/// instruction without changing a bit.
+/// multiply-add, so the lanes of each line compile to one vector
+/// instruction per register width (2 lanes in SSE2, 4 in AVX2) without
+/// changing a bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Lanes {
-    re: [f64; 2],
-    im: [f64; 2],
+pub(crate) struct Lanes<const L: usize> {
+    re: [f64; L],
+    im: [f64; L],
 }
 
-impl Amplitude for Lanes {
-    const ZERO: Lanes = Lanes {
-        re: [0.0; 2],
-        im: [0.0; 2],
+impl<const L: usize> Amplitude for Lanes<L> {
+    const ZERO: Lanes<L> = Lanes {
+        re: [0.0; L],
+        im: [0.0; L],
     };
 }
 
-impl Mul<Lanes> for Complex64 {
-    type Output = Lanes;
+impl<const L: usize> Mul<Lanes<L>> for Complex64 {
+    type Output = Lanes<L>;
     /// `m · x` per lane, as `Complex64 * Complex64`.
     #[inline(always)]
-    fn mul(self, x: Lanes) -> Lanes {
+    fn mul(self, x: Lanes<L>) -> Lanes<L> {
         Lanes {
             re: std::array::from_fn(|l| self.re * x.re[l] - self.im * x.im[l]),
             im: std::array::from_fn(|l| self.re * x.im[l] + self.im * x.re[l]),
@@ -356,12 +388,12 @@ impl Mul<Lanes> for Complex64 {
     }
 }
 
-impl Mul for Lanes {
-    type Output = Lanes;
+impl<const L: usize> Mul for Lanes<L> {
+    type Output = Lanes<L>;
     /// Lane `l` of `self` times lane `l` of `x`, as `Complex64 * Complex64`:
-    /// a per-lane matrix entry ([`lane_matrix`]) on a pair entry.
+    /// a per-lane matrix entry ([`lane_matrix`]) on a lane entry.
     #[inline(always)]
-    fn mul(self, x: Lanes) -> Lanes {
+    fn mul(self, x: Lanes<L>) -> Lanes<L> {
         Lanes {
             re: std::array::from_fn(|l| self.re[l] * x.re[l] - self.im[l] * x.im[l]),
             im: std::array::from_fn(|l| self.re[l] * x.im[l] + self.im[l] * x.re[l]),
@@ -369,10 +401,10 @@ impl Mul for Lanes {
     }
 }
 
-impl Mul<f64> for Lanes {
-    type Output = Lanes;
+impl<const L: usize> Mul<f64> for Lanes<L> {
+    type Output = Lanes<L>;
     #[inline(always)]
-    fn mul(self, k: f64) -> Lanes {
+    fn mul(self, k: f64) -> Lanes<L> {
         Lanes {
             re: self.re.map(|x| x * k),
             im: self.im.map(|x| x * k),
@@ -380,10 +412,10 @@ impl Mul<f64> for Lanes {
     }
 }
 
-impl Add for Lanes {
-    type Output = Lanes;
+impl<const L: usize> Add for Lanes<L> {
+    type Output = Lanes<L>;
     #[inline(always)]
-    fn add(self, o: Lanes) -> Lanes {
+    fn add(self, o: Lanes<L>) -> Lanes<L> {
         Lanes {
             re: std::array::from_fn(|l| self.re[l] + o.re[l]),
             im: std::array::from_fn(|l| self.im[l] + o.im[l]),
@@ -391,10 +423,10 @@ impl Add for Lanes {
     }
 }
 
-impl Sub for Lanes {
-    type Output = Lanes;
+impl<const L: usize> Sub for Lanes<L> {
+    type Output = Lanes<L>;
     #[inline(always)]
-    fn sub(self, o: Lanes) -> Lanes {
+    fn sub(self, o: Lanes<L>) -> Lanes<L> {
         Lanes {
             re: std::array::from_fn(|l| self.re[l] - o.re[l]),
             im: std::array::from_fn(|l| self.im[l] - o.im[l]),
@@ -402,17 +434,17 @@ impl Sub for Lanes {
     }
 }
 
-impl AddAssign for Lanes {
+impl<const L: usize> AddAssign for Lanes<L> {
     #[inline(always)]
-    fn add_assign(&mut self, o: Lanes) {
+    fn add_assign(&mut self, o: Lanes<L>) {
         *self = *self + o;
     }
 }
 
-impl Neg for Lanes {
-    type Output = Lanes;
+impl<const L: usize> Neg for Lanes<L> {
+    type Output = Lanes<L>;
     #[inline(always)]
-    fn neg(self) -> Lanes {
+    fn neg(self) -> Lanes<L> {
         Lanes {
             re: self.re.map(|x| -x),
             im: self.im.map(|x| -x),
@@ -420,25 +452,26 @@ impl Neg for Lanes {
     }
 }
 
-/// Two density matrices of one width evolved in lockstep, entry by entry
-/// interleaved as [`Lanes`] — the `±π/2` forks of one parameter-shift row.
-/// It runs the [`Passes`] of a single state, so each lane stays
-/// bit-identical to a single state put through the same passes; one 2-wide
-/// instruction serves both lanes.
+/// `L` density matrices of one width evolved in lockstep, entry by entry
+/// interleaved as [`Lanes`] — the `±π/2` forks of up to `L/2`
+/// parameter-shift rows. It runs the [`Passes`] of a single state, so each
+/// lane stays bit-identical to a single state put through the same passes;
+/// one vector instruction serves several lanes.
 #[derive(Debug, Clone)]
-pub(crate) struct DensityPair {
+pub(crate) struct DensityLanes<const L: usize> {
     num_qubits: usize,
-    flat: Vec<Lanes>,
+    flat: Vec<Lanes<L>>,
 }
 
-impl DensityPair {
-    /// A pair of width `num_qubits` (both lanes zero, not yet states).
+impl<const L: usize> DensityLanes<L> {
+    /// A lane state of width `num_qubits` (every lane zero, not yet a
+    /// state).
     pub(crate) fn new(num_qubits: usize) -> Self {
         assert!(
             num_qubits <= MAX_QUBITS,
             "density matrices limited to {MAX_QUBITS} qubits"
         );
-        DensityPair {
+        DensityLanes {
             num_qubits,
             flat: vec![Lanes::ZERO; 1 << (2 * num_qubits)],
         }
@@ -449,7 +482,7 @@ impl DensityPair {
         self.num_qubits
     }
 
-    /// Overwrites lane `lane` (0 or 1) with `rho`.
+    /// Overwrites lane `lane` with `rho`.
     pub(crate) fn set_lane(&mut self, lane: usize, rho: &DensityMatrix) {
         debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
         for (e, z) in self.flat.iter_mut().zip(rho.mat.as_slice()) {
@@ -458,18 +491,18 @@ impl DensityPair {
         }
     }
 
-    /// Overwrites both lanes with `rho`.
+    /// Overwrites every lane with `rho`.
     pub(crate) fn fill(&mut self, rho: &DensityMatrix) {
         debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
         for (e, z) in self.flat.iter_mut().zip(rho.mat.as_slice()) {
             *e = Lanes {
-                re: [z.re; 2],
-                im: [z.im; 2],
+                re: [z.re; L],
+                im: [z.im; L],
             };
         }
     }
 
-    /// Copies lane `lane` (0 or 1) into `rho`.
+    /// Copies lane `lane` into `rho`.
     pub(crate) fn lane_into(&self, lane: usize, rho: &mut DensityMatrix) {
         debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
         for (z, e) in rho.mat.as_mut_slice().iter_mut().zip(&self.flat) {
@@ -477,7 +510,7 @@ impl DensityPair {
         }
     }
 
-    /// The measurement distribution of lane `lane` (0 or 1), as
+    /// The measurement distribution of lane `lane`, as
     /// [`DensityMatrix::probabilities`] of it.
     pub(crate) fn lane_probabilities(&self, lane: usize) -> Vec<f64> {
         let dim = 1usize << self.num_qubits;
@@ -487,21 +520,96 @@ impl DensityPair {
     }
 }
 
-impl Passes for DensityPair {
-    type Amp = Lanes;
+impl<const L: usize> Passes for DensityLanes<L> {
+    type Amp = Lanes<L>;
 
-    fn flat(&mut self) -> (usize, &mut [Lanes]) {
+    #[inline(always)]
+    fn flat(&mut self) -> (usize, &mut [Lanes<L>]) {
         (self.num_qubits, &mut self.flat)
     }
 }
 
-/// The per-lane matrix with `m[0]` in lane 0 and `m[1]` in lane 1, for the
-/// pair passes that take [`Coeff`] entries.
-pub(crate) fn lane_matrix(m: [&[Complex64; 16]; 2]) -> [Lanes; 16] {
+/// The per-lane matrix with `m[l]` in lane `l`, for the lane passes that
+/// take [`Coeff`] entries.
+pub(crate) fn lane_matrix<const L: usize>(m: [&[Complex64; 16]; L]) -> [Lanes<L>; 16] {
     std::array::from_fn(|i| Lanes {
-        re: [m[0][i].re, m[1][i].re],
-        im: [m[0][i].im, m[1][i].im],
+        re: std::array::from_fn(|l| m[l][i].re),
+        im: std::array::from_fn(|l| m[l][i].im),
     })
+}
+
+/// The instruction set the lane passes are compiled for: one copy of the
+/// passes per arm, chosen at run time. Every arm does the same IEEE float
+/// operations (no arm contracts a multiply-add), so results are bit for bit
+/// the same on every arm; only the speed differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneArm {
+    /// The target's baseline instruction set (SSE2 on x86-64), on any
+    /// host: forks run as two-lane pairs.
+    Baseline,
+    /// AVX2, on x86-64 hosts that have it: forks run four lanes at a time.
+    Avx2,
+}
+
+impl LaneArm {
+    /// The widest arm this host runs.
+    pub fn detect() -> LaneArm {
+        if has_avx2() {
+            LaneArm::Avx2
+        } else {
+            LaneArm::Baseline
+        }
+    }
+
+    /// Every arm this host runs, the baseline first.
+    pub fn available() -> Vec<LaneArm> {
+        let mut arms = vec![LaneArm::Baseline];
+        if has_avx2() {
+            arms.push(LaneArm::Avx2);
+        }
+        arms
+    }
+
+    /// Runs `job` compiled for this arm. `job` and every pass it runs must
+    /// be `#[inline(always)]`: only code inlined into the AVX2 wrapper is
+    /// compiled for AVX2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this host does not run the arm.
+    #[inline]
+    pub(crate) fn run<T>(self, job: impl FnOnce() -> T) -> T {
+        match self {
+            LaneArm::Baseline => job(),
+            #[cfg(target_arch = "x86_64")]
+            LaneArm::Avx2 => {
+                assert!(has_avx2(), "this host has no AVX2");
+                // SAFETY: calling a `#[target_feature(enable = "avx2")]`
+                // function is sound exactly when the CPU running it has
+                // AVX2, and the assert above has just detected it on this
+                // one. `run_avx2` does nothing but call `job`, which is
+                // safe code. This is the workspace's one `unsafe` site.
+                unsafe { run_avx2(job) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            LaneArm::Avx2 => panic!("this host has no AVX2"),
+        }
+    }
+}
+
+/// Whether the host has AVX2 (detected once and cached by `std`).
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// `job` compiled with AVX2 enabled: [`LaneArm::Avx2`]'s wrapper.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<T>(job: impl FnOnce() -> T) -> T {
+    job()
 }
 
 /// The rows `r ∈ {0, 3}` of a one-qubit superoperator pass `m` on wire `q`
@@ -515,6 +623,7 @@ pub(crate) fn lane_matrix(m: [&[Complex64; 16]; 2]) -> [Lanes; 16] {
 /// A measured run ends in passes on distinct wires `w₁ … w_k`; pass `j`
 /// with `free = {w_j … w_k}` reads only entries the pass before it wrote,
 /// so after pass `k` the diagonal equals the full passes' bit for bit.
+#[inline(always)]
 fn superop_1q_diag<A: Amplitude, M: Coeff<A>>(
     amps: &mut [A],
     n: usize,
@@ -555,7 +664,7 @@ fn superop_1q_diag<A: Amplitude, M: Coeff<A>>(
 }
 
 /// Applies a two-qubit superoperator in place to the flat `4ⁿ` row-major
-/// entries `amps` of an `n`-qubit density matrix (or pair): `s` is
+/// entries `amps` of an `n`-qubit density matrix (or lanes): `s` is
 /// row-major 16×16 on the local index `c + 4r`, where `c = c_a + 2·c_b` are
 /// the column bits and `r = r_a + 2·r_b` the row bits of qubits `(a, b)` —
 /// the pass [`DensityMatrix::apply_kraus`] runs for a two-qubit channel.
@@ -566,6 +675,7 @@ fn superop_1q_diag<A: Amplitude, M: Coeff<A>>(
 /// # Panics
 ///
 /// Debug-asserts the slice and matrix sizes and that `a ≠ b` fit `n`.
+#[inline(always)]
 pub fn superop_2q<A: Amplitude>(amps: &mut [A], n: usize, a: usize, b: usize, s: &[Complex64])
 where
     Complex64: Coeff<A>,
@@ -598,6 +708,7 @@ where
 /// # Panics
 ///
 /// As [`DensityMatrix::apply_depolarizing`].
+#[inline(always)]
 fn depolarize<A: Amplitude>(amps: &mut [A], n: usize, p: f64, qubits: &[usize]) {
     let Some(Depolarizer {
         sub,
@@ -933,29 +1044,33 @@ mod tests {
             .collect()
     }
 
-    /// Puts two random Hermitian matrices through `single(lane, ·)` one by
-    /// one and, as the two lanes of a pair, through `pair`; each lane must
-    /// match its single pass bit for bit.
-    fn assert_lanes_match(
+    /// Puts `L` random Hermitian matrices through `single(lane, ·)` one by
+    /// one and, as the lanes of one lane state, through `lanes` compiled for
+    /// `arm`; each lane must match its single pass bit for bit.
+    fn assert_lanes_match<const L: usize>(
+        arm: LaneArm,
         n: usize,
         rng: &mut StdRng,
         what: &str,
         single: impl Fn(usize, &mut DensityMatrix),
-        pair: impl Fn(&mut DensityPair),
+        lanes: impl Fn(&mut DensityLanes<L>),
     ) {
-        let mut states = [random_hermitian(n, rng), random_hermitian(n, rng)];
-        let mut lanes = DensityPair::new(n);
+        let mut states: [DensityMatrix; L] = std::array::from_fn(|_| random_hermitian(n, rng));
+        let mut state = DensityLanes::<L>::new(n);
         for (lane, rho) in states.iter().enumerate() {
-            lanes.set_lane(lane, rho);
+            state.set_lane(lane, rho);
         }
-        pair(&mut lanes);
+        arm.run(
+            #[inline(always)]
+            || lanes(&mut state),
+        );
         let mut got = DensityMatrix::zero_state(n);
         for (lane, rho) in states.iter_mut().enumerate() {
             single(lane, rho);
-            lanes.lane_into(lane, &mut got);
+            state.lane_into(lane, &mut got);
             assert!(
                 bit_pattern(&got) == bit_pattern(rho),
-                "n={n}, {what}: lane {lane} differs from the single pass"
+                "{arm:?}, L={L}, n={n}, {what}: lane {lane} differs from the single pass"
             );
         }
     }
@@ -986,27 +1101,32 @@ mod tests {
     }
 
     /// Runs random superoperators on the distinct wires `order` as a
-    /// measured tail — single, pair with shared matrices, pair with one
-    /// matrix per lane — and holds every diagonal to the full passes', bit
-    /// for bit.
-    fn assert_tail_diagonal_matches(n: usize, order: &[usize], rng: &mut StdRng) {
-        let maps: Vec<[[Complex64; 16]; 2]> = order
+    /// measured tail — single, `L` lanes with shared matrices, `L` lanes
+    /// with one matrix per lane, the lanes compiled for `arm` — and holds
+    /// every diagonal to the full passes', bit for bit.
+    fn assert_tail_diagonal_matches<const L: usize>(
+        arm: LaneArm,
+        n: usize,
+        order: &[usize],
+        rng: &mut StdRng,
+    ) {
+        let maps: Vec<[[Complex64; 16]; L]> = order
             .iter()
-            .map(|_| [random_entries(rng), random_entries(rng)])
+            .map(|_| std::array::from_fn(|_| random_entries(rng)))
             .collect();
         // Pass j may leave entries off the diagonal on its own wire and on
         // the later tail wires stale.
         let free: Vec<usize> = (0..order.len())
             .map(|j| order[j..].iter().fold(0, |acc, &q| acc | 1 << q))
             .collect();
-        let inputs = [random_hermitian(n, rng), random_hermitian(n, rng)];
+        let inputs: [DensityMatrix; L] = std::array::from_fn(|_| random_hermitian(n, rng));
         let mut full = inputs.clone();
         for (lane, rho) in full.iter_mut().enumerate() {
             for (&q, m) in order.iter().zip(&maps) {
                 rho.apply_superop_1q(q, &m[lane]);
             }
         }
-        let what = format!("n={n}, tail on {order:?}");
+        let what = format!("{arm:?}, L={L}, n={n}, tail on {order:?}");
 
         let mut single = inputs[0].clone();
         for ((&q, m), &free) in order.iter().zip(&maps).zip(&free) {
@@ -1018,17 +1138,26 @@ mod tests {
         );
 
         let mut got = DensityMatrix::zero_state(n);
-        let mut shared = DensityPair::new(n);
-        let mut per_lane = DensityPair::new(n);
+        let mut shared = DensityLanes::<L>::new(n);
+        let mut per_lane = DensityLanes::<L>::new(n);
         for (lane, rho) in inputs.iter().enumerate() {
             shared.set_lane(lane, rho);
             per_lane.set_lane(lane, rho);
         }
-        for ((&q, m), &free) in order.iter().zip(&maps).zip(&free) {
-            shared.apply_superop_1q_diag(q, &m[0], free);
-            per_lane.apply_superop_1q_diag(q, &lane_matrix([&m[0], &m[1]]), free);
-        }
-        for lane in 0..2 {
+        arm.run(
+            #[inline(always)]
+            || {
+                for ((&q, m), &free) in order.iter().zip(&maps).zip(&free) {
+                    shared.apply_superop_1q_diag(q, &m[0], free);
+                    per_lane.apply_superop_1q_diag(
+                        q,
+                        &lane_matrix(std::array::from_fn(|l| &m[l])),
+                        free,
+                    );
+                }
+            },
+        );
+        for lane in 0..L {
             let mut want = inputs[lane].clone();
             for (&q, m) in order.iter().zip(&maps) {
                 want.apply_superop_1q(q, &m[0]);
@@ -1036,12 +1165,12 @@ mod tests {
             shared.lane_into(lane, &mut got);
             assert!(
                 diagonal_bits(&got) == diagonal_bits(&want),
-                "{what}: shared pair tail, lane {lane} diagonal differs"
+                "{what}: shared lanes tail, lane {lane} diagonal differs"
             );
             per_lane.lane_into(lane, &mut got);
             assert!(
                 diagonal_bits(&got) == diagonal_bits(&full[lane]),
-                "{what}: per-lane pair tail, lane {lane} diagonal differs"
+                "{what}: per-lane tail, lane {lane} diagonal differs"
             );
             let probs: Vec<u64> = per_lane
                 .lane_probabilities(lane)
@@ -1057,9 +1186,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pair_passes_are_bit_identical_to_single_passes() {
-        let mut rng = StdRng::seed_from_u64(0x9a17);
+    /// Every pass kind on `L` lanes compiled for `arm`, against `L` single
+    /// states: every kernel class on every wire (pair), the 1q
+    /// superoperator with a shared and a per-lane matrix, every measured
+    /// tail order, analytic depolarizing and the 2q superoperator.
+    fn assert_every_lane_pass_matches<const L: usize>(arm: LaneArm, rng: &mut StdRng) {
         for n in 1..=5usize {
             let wire_pairs: Vec<(usize, usize)> = (0..n)
                 .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
@@ -1070,13 +1201,13 @@ mod tests {
                 kernels.extend([
                     Kernel::Diag1 {
                         q,
-                        d: random_entries(&mut rng),
+                        d: random_entries(rng),
                     },
                     Kernel::RealRot1 { q, c, s },
                     Kernel::Flip { q },
                     Kernel::Unitary1 {
                         q,
-                        m: random_entries(&mut rng),
+                        m: random_entries(rng),
                     },
                 ]);
             }
@@ -1090,47 +1221,55 @@ mod tests {
                     Kernel::Diag2 {
                         a,
                         b,
-                        d: random_entries(&mut rng),
+                        d: random_entries(rng),
                     },
                     Kernel::Exchange { a, b },
                     Kernel::Unitary2 {
                         a,
                         b,
-                        m: random_entries(&mut rng),
+                        m: random_entries(rng),
                     },
                 ]);
             }
             for kernel in &kernels {
-                assert_lanes_match(
+                assert_lanes_match::<L>(
+                    arm,
                     n,
-                    &mut rng,
+                    rng,
                     &format!("{kernel:?}"),
                     |_, rho| rho.apply_kernel(kernel),
-                    |pair| pair.apply_kernel(kernel),
+                    #[inline(always)]
+                    |lanes| lanes.apply_kernel(kernel),
                 );
             }
             for q in 0..n {
-                let s: [Complex64; 16] = random_entries(&mut rng);
-                assert_lanes_match(
+                let s: [Complex64; 16] = random_entries(rng);
+                assert_lanes_match::<L>(
+                    arm,
                     n,
-                    &mut rng,
+                    rng,
                     &format!("1q superoperator on {q}"),
                     |_, rho| rho.apply_superop_1q(q, &s),
-                    |pair| pair.apply_superop_1q(q, &s),
+                    #[inline(always)]
+                    |lanes| lanes.apply_superop_1q(q, &s),
                 );
                 // One matrix per lane: each lane rounds as the single pass
                 // with its own matrix.
-                let per_lane: [[Complex64; 16]; 2] = [s, random_entries(&mut rng)];
-                assert_lanes_match(
+                let per_lane: [[Complex64; 16]; L] =
+                    std::array::from_fn(|l| if l == 0 { s } else { random_entries(rng) });
+                let m = lane_matrix(std::array::from_fn(|l| &per_lane[l]));
+                assert_lanes_match::<L>(
+                    arm,
                     n,
-                    &mut rng,
+                    rng,
                     &format!("per-lane 1q superoperator on {q}"),
                     |lane, rho| rho.apply_superop_1q(q, &per_lane[lane]),
-                    |pair| pair.apply_superop_1q(q, &lane_matrix([&per_lane[0], &per_lane[1]])),
+                    #[inline(always)]
+                    |lanes| lanes.apply_superop_1q(q, &m),
                 );
             }
             for order in wire_sequences(n) {
-                assert_tail_diagonal_matches(n, &order, &mut rng);
+                assert_tail_diagonal_matches::<L>(arm, n, &order, rng);
             }
             let depolarized: Vec<Vec<usize>> = (0..n)
                 .map(|q| vec![q])
@@ -1138,25 +1277,68 @@ mod tests {
                 .collect();
             for qubits in &depolarized {
                 for p in [0.0, 0.3, 1.0] {
-                    assert_lanes_match(
+                    assert_lanes_match::<L>(
+                        arm,
                         n,
-                        &mut rng,
+                        rng,
                         &format!("depolarizing p={p} on {qubits:?}"),
                         |_, rho| rho.apply_depolarizing(p, qubits),
-                        |pair| pair.apply_depolarizing(p, qubits),
+                        #[inline(always)]
+                        |lanes| lanes.apply_depolarizing(p, qubits),
                     );
                 }
             }
             for &(a, b) in &wire_pairs {
-                let s: [Complex64; 256] = random_entries(&mut rng);
-                assert_lanes_match(
+                let s: [Complex64; 256] = random_entries(rng);
+                assert_lanes_match::<L>(
+                    arm,
                     n,
-                    &mut rng,
+                    rng,
                     &format!("2q superoperator on ({a}, {b})"),
                     |_, rho| rho.apply_superop_2q(a, b, &s),
-                    |pair| pair.apply_superop_2q(a, b, &s),
+                    #[inline(always)]
+                    |lanes| lanes.apply_superop_2q(a, b, &s),
                 );
             }
+        }
+    }
+
+    /// The arms this host runs; says which it skips.
+    fn host_arms() -> Vec<LaneArm> {
+        let arms = LaneArm::available();
+        if !arms.contains(&LaneArm::Avx2) {
+            println!("no AVX2 on this host: the AVX2 arm is skipped");
+        }
+        arms
+    }
+
+    #[test]
+    fn lane_passes_are_bit_identical_to_single_passes() {
+        for arm in host_arms() {
+            let mut rng = StdRng::seed_from_u64(0x9a17);
+            assert_every_lane_pass_matches::<2>(arm, &mut rng);
+            assert_every_lane_pass_matches::<4>(arm, &mut rng);
+            assert_every_lane_pass_matches::<8>(arm, &mut rng);
+        }
+    }
+
+    #[test]
+    fn fill_copies_one_state_into_every_lane() {
+        let mut rng = StdRng::seed_from_u64(0xf111);
+        let rho = random_hermitian(3, &mut rng);
+        let mut lanes = DensityLanes::<4>::new(3);
+        lanes.fill(&rho);
+        let mut got = DensityMatrix::zero_state(3);
+        for lane in 0..4 {
+            lanes.lane_into(lane, &mut got);
+            assert!(bit_pattern(&got) == bit_pattern(&rho), "lane {lane}");
+            let probs: Vec<u64> = lanes
+                .lane_probabilities(lane)
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            let want: Vec<u64> = rho.probabilities().iter().map(|p| p.to_bits()).collect();
+            assert_eq!(probs, want, "lane {lane} probabilities");
         }
     }
 
@@ -1165,6 +1347,21 @@ mod tests {
     fn unitary_on_a_repeated_wire_panics() {
         let mut rho = DensityMatrix::zero_state(2);
         rho.apply_unitary(&GateKind::Cx.matrix(&[]), &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated wire")]
+    fn kernel_on_a_repeated_wire_panics() {
+        let mut rho = DensityMatrix::maximally_mixed(2);
+        rho.apply_kernel(&Kernel::Unitary2 {
+            a: 1,
+            b: 1,
+            m: GateKind::Cry
+                .matrix(&[1.1])
+                .as_slice()
+                .try_into()
+                .expect("4×4"),
+        });
     }
 
     #[test]

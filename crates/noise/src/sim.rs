@@ -32,12 +32,14 @@
 //! [`NoisyProgram::for_each_shift`] reuses one bound list for the
 //! parameter-shift rule. A shift of a symbol changes only the pending maps
 //! of the wires its single-qubit gates sit on (its *dirty* wires) and the
-//! two-qubit gates reading it, and only up to its *rejoin step*. At the
-//! symbol's first step both lanes of a two-lane state load the unshifted
-//! evolution; from there the pair runs the unshifted passes both signs
-//! share, one pass with a matrix per lane for each dirty flush, and the
-//! measured tail. Each lane does the float operations of a measured run at
-//! its shifted `θ`, so each fork's distribution is bit-identical to one.
+//! two-qubit gates reading it, and only up to its *rejoin step*. The forks
+//! of up to `L/2` symbols run as one `L`-lane state, `L = 4` where the host
+//! has AVX2 and `L = 2` elsewhere ([`LaneArm`]): at the pass where the
+//! first of their windows opens, every lane loads the unshifted evolution;
+//! from there the lanes run the unshifted passes they all share, one pass
+//! with a matrix per lane for each dirty flush, and the measured tail. Each
+//! lane does the float operations of a measured run at its shifted `θ`, so
+//! each fork's distribution is bit-identical to one.
 //!
 //! The dense per-gate Kraus evolution is the oracle the program is tested
 //! against (`tests/compiled_equivalence.rs`).
@@ -52,7 +54,9 @@ use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{entries_1q, Coeff, Kernel};
 
 use crate::channels::depolarizing_1q;
-use crate::density::{lane_matrix, superoperator, DensityMatrix, DensityPair, Passes, MAX_QUBITS};
+use crate::density::{
+    lane_matrix, superoperator, DensityLanes, DensityMatrix, LaneArm, Passes, MAX_QUBITS,
+};
 use crate::model::{NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::{apply_confusion, ReadoutError};
 
@@ -73,7 +77,8 @@ const SCRATCH_CAP: usize = 2;
 
 thread_local! {
     static SCRATCH: RefCell<Vec<DensityMatrix>> = const { RefCell::new(Vec::new()) };
-    static PAIR_SCRATCH: RefCell<Vec<DensityPair>> = const { RefCell::new(Vec::new()) };
+    static PAIR_SCRATCH: RefCell<Vec<DensityLanes<2>>> = const { RefCell::new(Vec::new()) };
+    static QUAD_SCRATCH: RefCell<Vec<DensityLanes<4>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs `f` on a reusable state of width `n` from the per-thread pool
@@ -113,17 +118,36 @@ fn with_scratch_density<T>(n: usize, f: impl FnOnce(&mut DensityMatrix) -> T) ->
     )
 }
 
-/// [`with_scratch`] on a two-lane pair.
-fn with_scratch_pair<T>(n: usize, f: impl FnOnce(&mut DensityPair) -> T) -> T {
+/// A lane state the forks run on, with its per-thread pool.
+trait LanePool: Sized + 'static {
+    fn pool() -> &'static LocalKey<RefCell<Vec<Self>>>;
+}
+
+impl LanePool for DensityLanes<2> {
+    fn pool() -> &'static LocalKey<RefCell<Vec<Self>>> {
+        &PAIR_SCRATCH
+    }
+}
+
+impl LanePool for DensityLanes<4> {
+    fn pool() -> &'static LocalKey<RefCell<Vec<Self>>> {
+        &QUAD_SCRATCH
+    }
+}
+
+/// [`with_scratch`] on an `L`-lane state.
+fn with_scratch_lanes<const L: usize, T>(n: usize, f: impl FnOnce(&mut DensityLanes<L>) -> T) -> T
+where
+    DensityLanes<L>: LanePool,
+{
     with_scratch(
-        &PAIR_SCRATCH,
+        DensityLanes::<L>::pool(),
         n,
-        DensityPair::num_qubits,
-        DensityPair::new,
+        DensityLanes::num_qubits,
+        DensityLanes::new,
         f,
     )
 }
-
 /// `a · b` for row-major 4×4 matrices.
 fn mul4(a: &Super1, b: &Super1) -> Super1 {
     std::array::from_fn(|i| {
@@ -214,8 +238,9 @@ enum Pass<'p> {
 }
 
 impl Pass<'_> {
-    /// Runs the pass on `state`: one density matrix, or both lanes of a
-    /// pair with the matrices both share.
+    /// Runs the pass on `state`: one density matrix, or every lane of a
+    /// lane state with the matrices all lanes share.
+    #[inline(always)]
     fn apply<S: Passes>(&self, state: &mut S)
     where
         Complex64: Coeff<S::Amp>,
@@ -229,8 +254,9 @@ impl Pass<'_> {
     }
 }
 
-/// Wire `q`'s flush on `state`: matrix `m` shared by a pair's lanes or one
-/// per lane ([`Coeff`]), a tail flush only where the diagonal needs it.
+/// Wire `q`'s flush on `state`: matrix `m` shared by every lane or one per
+/// lane ([`Coeff`]), a tail flush only where the diagonal needs it.
+#[inline(always)]
 fn flush<S: Passes, M: Coeff<S::Amp>>(state: &mut S, q: usize, m: &[M; 16], tail: Option<usize>) {
     match tail {
         None => state.apply_superop_1q(q, m),
@@ -343,6 +369,155 @@ fn debug_check_distribution(probs: &[f64]) {
         probs.iter().all(|&p| p >= 0.0) && (probs.iter().sum::<f64>() - 1.0).abs() < 1e-9,
         "compiled evolution measured a non-distribution: {probs:?}"
     );
+}
+
+/// What every fork group of one [`NoisyProgram::for_each_shift`] call
+/// shares: the requested rows, their windows and first-step pending maps,
+/// and the unshifted passes.
+struct Forks<'a, 'p> {
+    program: &'p NoisyProgram,
+    theta: &'a [f64],
+    symbols: &'a [usize],
+    /// Row `r`'s pending maps at its first step, `n` per row.
+    snapshots: &'a [Super1],
+    base: &'a [Pass<'p>],
+}
+
+impl Forks<'_, '_> {
+    /// Row `row`'s window.
+    fn window(&self, row: usize) -> Window {
+        self.program.shift_window(self.symbols[row])
+    }
+
+    /// Runs the forks of `group` (at most `L/2` rows, in first-step order)
+    /// on `lanes`, loaded from the base state `rho` at the pass where
+    /// `group[0]`'s window opens, and visits each fork's measured
+    /// distribution. Lane `2k` is `group[k]`'s `+` fork and lane `2k + 1`
+    /// its `−` fork; the lanes past them idle, and nothing reads them.
+    #[inline(always)]
+    fn run_group<const L: usize>(
+        &self,
+        group: &[usize],
+        rho: &DensityMatrix,
+        lanes: &mut DensityLanes<L>,
+        lane_state: &mut DensityMatrix,
+        shifted: &mut [f64],
+        visit: &mut dyn FnMut(usize, bool, &[f64]),
+    ) {
+        let program = self.program;
+        let (n, ops) = (program.num_qubits(), program.circuit.ops());
+        let active = 2 * group.len();
+        debug_assert!(active <= L, "group wider than the lanes");
+        let row = |lane: usize| group[lane / 2];
+        let value = |lane: usize| {
+            let theta = self.theta[self.symbols[row(lane)]];
+            if lane.is_multiple_of(2) {
+                theta + FRAC_PI_2
+            } else {
+                theta - FRAC_PI_2
+            }
+        };
+        // Whether step `i` lies in lane `lane`'s window; with wire `q`
+        // dirty; reading the lane's symbol.
+        let in_window = |lane: usize, i: usize| {
+            let w = self.window(row(lane));
+            (w.first..w.rejoin).contains(&i)
+        };
+        let dirty_at = |lane: usize, i: usize, q: usize| {
+            in_window(lane, i) && self.window(row(lane)).dirty & (1 << q) != 0
+        };
+        let reads_at = |lane: usize, i: usize| {
+            in_window(lane, i)
+                && reads_symbol(&program.circuit, &program.steps[i], self.symbols[row(lane)])
+        };
+        // Rows come in first-step order; the group ends at its last rejoin.
+        let first = self.window(group[0]).first;
+        let end = group
+            .iter()
+            .fold(first, |end, &r| end.max(self.window(r).rejoin));
+        lanes.fill(rho);
+        // Each lane's own pending maps of its row's dirty wires.
+        let mut maps = [[IDENTITY; MAX_QUBITS]; L];
+        for (lane, maps) in maps.iter_mut().enumerate().take(active) {
+            let r = row(lane);
+            maps[..n].copy_from_slice(&self.snapshots[r * n..(r + 1) * n]);
+        }
+        for (i, step) in program.steps.iter().enumerate().take(end).skip(first) {
+            let base = &self.base[program.pass_at[i]..];
+            match step {
+                Step::Fold { q, fold } => {
+                    for (lane, maps) in maps.iter_mut().enumerate().take(active) {
+                        if dirty_at(lane, i, *q) {
+                            maps[*q] = mul4(&program.folds[*fold], &maps[*q]);
+                        }
+                    }
+                }
+                Step::Bind { op } => {
+                    let (op, q) = (&ops[*op], ops[*op].qubits[0]);
+                    for (lane, maps) in maps.iter_mut().enumerate().take(active) {
+                        if dirty_at(lane, i, q) {
+                            let s = self.symbols[row(lane)];
+                            shifted[s] = value(lane);
+                            let g = gate_superop(op, shifted, program.wire_noise[q].as_ref());
+                            shifted[s] = self.theta[s];
+                            maps[q] = mul4(&g, &maps[q]);
+                        }
+                    }
+                }
+                Step::Flush { q, tail } if (0..active).any(|lane| dirty_at(lane, i, *q)) => {
+                    let Pass::Super1 { s: unshifted, .. } = &base[0] else {
+                        unreachable!("a flush binds to a one-qubit pass")
+                    };
+                    let m = lane_matrix::<L>(std::array::from_fn(|lane| {
+                        if lane < active && dirty_at(lane, i, *q) {
+                            &maps[lane][*q]
+                        } else {
+                            unshifted
+                        }
+                    }));
+                    flush(lanes, *q, &m, *tail);
+                    // A lane whose window opens later keeps its first-step
+                    // maps, which already hold this flush.
+                    for (lane, maps) in maps.iter_mut().enumerate().take(active) {
+                        if dirty_at(lane, i, *q) {
+                            maps[*q] = IDENTITY;
+                        }
+                    }
+                }
+                Step::Gate2 { op } if (0..active).any(|lane| reads_at(lane, i)) => {
+                    // Lane by lane: the shifted kernel on the lanes of rows
+                    // reading the gate, the unshifted one on the others.
+                    let Pass::Kernel(unshifted) = &base[0] else {
+                        unreachable!("a two-qubit gate binds to a kernel pass")
+                    };
+                    for lane in 0..active {
+                        let kernel = if reads_at(lane, i) {
+                            let s = self.symbols[row(lane)];
+                            shifted[s] = value(lane);
+                            let k = Kernel::from_operation(&ops[*op], shifted);
+                            shifted[s] = self.theta[s];
+                            k
+                        } else {
+                            *unshifted
+                        };
+                        lanes.lane_into(lane, lane_state);
+                        lane_state.apply_kernel(&kernel);
+                        lanes.set_lane(lane, lane_state);
+                    }
+                }
+                _ => base[0].apply(lanes),
+            }
+        }
+        for pass in &self.base[program.pass_at[end]..] {
+            pass.apply(lanes);
+        }
+        for lane in 0..active {
+            let mut probs = lanes.lane_probabilities(lane);
+            apply_confusion(&mut probs, &program.readout);
+            debug_check_distribution(&probs);
+            visit(row(lane), lane % 2 == 1, &probs);
+        }
+    }
 }
 
 /// What a wire's pending map holds while compiling.
@@ -523,6 +698,15 @@ impl NoisyProgram {
         self.circuit.num_qubits()
     }
 
+    /// The step window of a shift of `symbol`: the empty window for a
+    /// symbol no step reads.
+    fn shift_window(&self, symbol: usize) -> Window {
+        self.shift_windows
+            .get(symbol)
+            .copied()
+            .unwrap_or(Window::empty(self.steps.len()))
+    }
+
     /// Binds steps `range` against `theta` — carrying each wire's pending
     /// map in `pending` — and hands the resulting passes to `emit` in order;
     /// tail flushes keep their tail mark only when `measured`. The program's
@@ -583,23 +767,32 @@ impl NoisyProgram {
     /// and hands `visit(row, minus, probs)` the measured distribution (with
     /// readout error) at `θ` with `θ[symbols[row]]` raised
     /// (`minus == false`) or lowered by π/2 — the two runs of the
-    /// parameter-shift rule, plus before minus per row.
+    /// parameter-shift rule. Every `(row, minus)` is visited once, in group
+    /// order (below), not in row order, so a caller files what it is handed
+    /// by `(row, minus)`.
     ///
     /// `θ` is bound once into the unshifted passes, and one base state
-    /// advances through them in first-step order. At each symbol's first
-    /// step both lanes of a two-lane pair (`+` in lane 0, `−` in lane 1)
-    /// load the base state and run the symbol's window on it: the shifted
-    /// value changes only the pending maps of the symbol's dirty wires and
-    /// the two-qubit gates reading it, so only those steps are rebound per
-    /// sign (a dirty flush is one pass with a matrix per lane, a shifted
-    /// two-qubit gate runs one lane at a time), and every other pass is the
-    /// unshifted pass both lanes share. From the rejoin step on the pair
-    /// runs the unshifted passes, and the measured tail computes only what
-    /// the diagonal needs. Each lane does exactly the float operations of a
-    /// run at its shifted `θ` on every entry the diagonal depends on, so
-    /// `probs` is bit-identical to [`Self::outcome_probabilities`] and to
+    /// advances through them. The rows, in the order their symbols'
+    /// windows open, are cut into groups of `L/2` that each share one
+    /// `L`-lane state ([`LaneArm::detect`] picks the widest arm this host
+    /// runs: `L = 4` under AVX2, else `L = 2`); lanes `2k` and `2k + 1`
+    /// are the group's row `k` at `+` and at `−`, and the lanes of a short
+    /// last group idle unread. At the pass where the group's first window
+    /// opens, every lane loads the base state, and the lanes walk the steps
+    /// up to the group's last rejoin step. A shift changes only the pending
+    /// maps of the symbol's dirty wires and the two-qubit gates reading it,
+    /// so only those steps are rebound per lane, and only inside the row's
+    /// window; before a row's window opens its lanes run the unshifted
+    /// passes, as the base state would have. A flush dirty for any row of
+    /// the group is one pass with a matrix per lane (the unshifted matrix
+    /// for the other lanes), a shifted two-qubit gate runs one lane at a
+    /// time, and every other pass is the unshifted pass all lanes share.
+    /// From the last rejoin step on the lanes run the unshifted passes, and
+    /// the measured tail computes only what the diagonal needs. Each lane
+    /// does exactly the float operations of a run at its shifted `θ` on
+    /// every entry the diagonal depends on, so `probs` is bit-identical to [`Self::outcome_probabilities`] and to
     /// [`Self::measure`] of [`Self::run`] at that `θ`. The base state, the
-    /// pair and a lane buffer come from the per-thread scratch pools.
+    /// lane state and a lane buffer come from the per-thread scratch pools.
     ///
     /// # Panics
     ///
@@ -608,18 +801,46 @@ impl NoisyProgram {
         &self,
         theta: &[f64],
         symbols: &[usize],
+        visit: impl FnMut(usize, bool, &[f64]),
+    ) {
+        self.for_each_shift_on(LaneArm::detect(), theta, symbols, visit);
+    }
+
+    /// [`Self::for_each_shift`] with its forks compiled for `arm`: two-lane
+    /// pairs on [`LaneArm::Baseline`], four lanes on [`LaneArm::Avx2`].
+    /// Every arm visits the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this host does not run `arm` ([`LaneArm::available`]), or
+    /// if a listed symbol indexes past `theta`.
+    pub fn for_each_shift_on(
+        &self,
+        arm: LaneArm,
+        theta: &[f64],
+        symbols: &[usize],
         mut visit: impl FnMut(usize, bool, &[f64]),
     ) {
+        match arm {
+            LaneArm::Baseline => self.shifts_in_lanes::<2>(arm, theta, symbols, &mut visit),
+            LaneArm::Avx2 => self.shifts_in_lanes::<4>(arm, theta, symbols, &mut visit),
+        }
+    }
+
+    /// [`Self::for_each_shift`] on `L`-lane states, compiled for `arm`.
+    fn shifts_in_lanes<const L: usize>(
+        &self,
+        arm: LaneArm,
+        theta: &[f64],
+        symbols: &[usize],
+        visit: &mut dyn FnMut(usize, bool, &[f64]),
+    ) where
+        DensityLanes<L>: LanePool,
+    {
         let n = self.num_qubits();
         let len = self.steps.len();
-        let window = |s: usize| {
-            self.shift_windows
-                .get(s)
-                .copied()
-                .unwrap_or(Window::empty(len))
-        };
         let mut order: Vec<usize> = (0..symbols.len()).collect();
-        order.sort_by_key(|&r| window(symbols[r]).first);
+        order.sort_by_key(|&r| self.shift_window(symbols[r]).first);
         // The unshifted passes, and each row's pending maps at its first
         // step (only the first `n` wires are ever pending).
         let mut base = Vec::with_capacity(self.pass_at[len]);
@@ -627,7 +848,7 @@ impl NoisyProgram {
         let mut snapshots = vec![IDENTITY; symbols.len() * n];
         let mut cursor = 0;
         for &r in &order {
-            let first = window(symbols[r]).first;
+            let first = self.shift_window(symbols[r]).first;
             self.bind(cursor..first, theta, true, &mut pending, |pass| {
                 base.push(pass)
             });
@@ -640,85 +861,36 @@ impl NoisyProgram {
         });
         debug_assert_eq!(base.len(), self.pass_at[len], "pass index drifted");
 
-        let ops = self.circuit.ops();
+        let forks = Forks {
+            program: self,
+            theta,
+            symbols,
+            snapshots: &snapshots,
+            base: &base,
+        };
         let mut shifted = theta.to_vec();
         with_scratch_density(n, |rho| {
             with_scratch_density(n, |lane_state| {
-                with_scratch_pair(n, |pair| {
-                    rho.reset_zero();
-                    let mut applied = 0;
-                    for &r in &order {
-                        let s = symbols[r];
-                        let Window {
-                            first,
-                            rejoin,
-                            dirty,
-                        } = window(s);
-                        for pass in &base[applied..self.pass_at[first]] {
-                            pass.apply(rho);
-                        }
-                        applied = self.pass_at[first];
-                        pair.fill(rho);
-                        // Lane 0 is the `+` fork, lane 1 the `−` fork; each
-                        // keeps its own pending maps of the dirty wires.
-                        let values = [theta[s] + FRAC_PI_2, theta[s] - FRAC_PI_2];
-                        let mut lanes = [[IDENTITY; MAX_QUBITS]; 2];
-                        for maps in &mut lanes {
-                            maps[..n].copy_from_slice(&snapshots[r * n..(r + 1) * n]);
-                        }
-                        let is_dirty = |q: usize| dirty & (1 << q) != 0;
-                        for (i, step) in self.steps.iter().enumerate().take(rejoin).skip(first) {
-                            match step {
-                                Step::Fold { q, fold } if is_dirty(*q) => {
-                                    for maps in &mut lanes {
-                                        maps[*q] = mul4(&self.folds[*fold], &maps[*q]);
-                                    }
+                with_scratch_lanes::<L, _>(n, |lanes| {
+                    arm.run(
+                        #[inline(always)]
+                        || {
+                            rho.reset_zero();
+                            let mut applied = 0;
+                            for group in order.chunks(L / 2) {
+                                let opens = self.pass_at[forks.window(group[0]).first];
+                                for pass in &base[applied..opens] {
+                                    pass.apply(rho);
                                 }
-                                Step::Bind { op } if is_dirty(ops[*op].qubits[0]) => {
-                                    let (op, q) = (&ops[*op], ops[*op].qubits[0]);
-                                    for (maps, value) in lanes.iter_mut().zip(values) {
-                                        shifted[s] = value;
-                                        let g =
-                                            gate_superop(op, &shifted, self.wire_noise[q].as_ref());
-                                        maps[q] = mul4(&g, &maps[q]);
-                                    }
-                                }
-                                Step::Flush { q, tail } if is_dirty(*q) => {
-                                    let m = lane_matrix([&lanes[0][*q], &lanes[1][*q]]);
-                                    flush(pair, *q, &m, *tail);
-                                    for maps in &mut lanes {
-                                        maps[*q] = IDENTITY;
-                                    }
-                                }
-                                Step::Gate2 { op } if reads_symbol(&self.circuit, step, s) => {
-                                    for (lane, value) in values.into_iter().enumerate() {
-                                        shifted[s] = value;
-                                        let kernel = Kernel::from_operation(&ops[*op], &shifted);
-                                        pair.lane_into(lane, lane_state);
-                                        lane_state.apply_kernel(&kernel);
-                                        pair.set_lane(lane, lane_state);
-                                    }
-                                }
-                                Step::Fold { .. } | Step::Bind { .. } => {}
-                                _ => base[self.pass_at[i]].apply(pair),
+                                applied = opens;
+                                forks.run_group(group, rho, lanes, lane_state, &mut shifted, visit);
                             }
-                        }
-                        shifted[s] = theta[s];
-                        for pass in &base[self.pass_at[rejoin]..] {
-                            pass.apply(pair);
-                        }
-                        for (lane, minus) in [(0, false), (1, true)] {
-                            let mut probs = pair.lane_probabilities(lane);
-                            apply_confusion(&mut probs, &self.readout);
-                            debug_check_distribution(&probs);
-                            visit(r, minus, &probs);
-                        }
-                    }
+                        },
+                    )
                 })
             })
         });
     }
-
     /// Evolves `|0…0⟩⟨0…0|` through the program into a new density matrix,
     /// every pass in full.
     ///
@@ -827,6 +999,68 @@ mod tests {
         // ⟨Z⟩ should be −1 shifted by the 25% chance of reading 0: −0.5.
         let ez = noisy.expectations_z(&[])[0];
         assert!((ez + 0.5).abs() < 1e-10);
+    }
+
+    /// Rows whose windows open at one pass and at later passes, symbols
+    /// read by two-qubit gates (so a group mixes lanes that take a shifted
+    /// kernel with lanes that take the unshifted one), a repeated row and a
+    /// symbol no gate reads: every lane width on every arm this host runs
+    /// visits each fork once, bit-identical to its shifted run.
+    #[test]
+    fn lane_groups_are_bit_identical_to_shifted_runs() {
+        let mut c = Circuit::new(3);
+        c.ry(0, ParamValue::sym(0));
+        c.rx(1, ParamValue::sym(1));
+        c.rz(2, ParamValue::sym(2));
+        c.rzz(0, 1, ParamValue::sym(1));
+        c.rx(0, 0.7);
+        c.rxx(1, 2, ParamValue::sym(3));
+        c.ry(2, ParamValue::sym(0));
+        c.cx(0, 2);
+        c.rx(0, ParamValue::sym(3));
+        c.ry(1, ParamValue::sym(4));
+        let noise = NoiseModel::builder(3)
+            .one_qubit_all(depolarizing_1q(0.02))
+            .two_qubit_default(depolarizing_2q(0.05))
+            .readout(1, ReadoutError::new(0.01, 0.05))
+            .build();
+        let program = NoisyProgram::compile(c, &noise);
+        let theta = [0.3, -1.1, 0.7, 2.0, 0.9, 0.4];
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // In `[0, 3]` symbol 3's window opens after a flush of wire 0, which
+        // symbol 0 dirties and symbol 3 enters with a constant gate pending.
+        let row_sets: [&[usize]; 3] = [&[0, 1, 2, 3, 4, 1, 5], &[0, 3], &[2, 3, 4]];
+        for (arm, rows) in LaneArm::available()
+            .into_iter()
+            .flat_map(|arm| row_sets.map(|rows| (arm, rows)))
+        {
+            for width in [2, 4] {
+                let mut visits = Vec::new();
+                let mut check = |row: usize, minus: bool, probs: &[f64]| {
+                    visits.push((row, minus));
+                    let mut shifted = theta;
+                    shifted[rows[row]] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
+                    assert_eq!(
+                        bits(probs),
+                        bits(&program.outcome_probabilities(&shifted)),
+                        "{arm:?}, L={width}, rows {rows:?}: row {row} minus={minus}"
+                    );
+                };
+                if width == 2 {
+                    program.shifts_in_lanes::<2>(arm, &theta, rows, &mut check);
+                } else {
+                    program.shifts_in_lanes::<4>(arm, &theta, rows, &mut check);
+                }
+                visits.sort_unstable();
+                let want: Vec<(usize, bool)> = (0..rows.len())
+                    .flat_map(|r| [(r, false), (r, true)])
+                    .collect();
+                assert_eq!(
+                    visits, want,
+                    "{arm:?}, L={width}, rows {rows:?}: one visit per fork"
+                );
+            }
+        }
     }
 
     #[test]

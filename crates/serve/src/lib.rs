@@ -68,6 +68,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod job;
 pub mod preempt;

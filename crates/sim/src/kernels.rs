@@ -10,13 +10,13 @@
 //!
 //! Kernels operate on a raw amplitude slice, generic over the [`Amplitude`]
 //! type, so the same code serves the statevector simulator, the
-//! density-matrix simulator *and* its two-lane lockstep pairs: a `2ⁿ×2ⁿ`
+//! density-matrix simulator *and* its lockstep lane states: a `2ⁿ×2ⁿ`
 //! row-major density matrix is a `4ⁿ` vector on `2n` qubits where gate
 //! qubit `q` appears as column bit `q` and row bit `n + q`, so `ρ ↦ UρU†`
 //! is [`Kernel::remapped`]`(n)` followed by [`Kernel::conj`] (see
-//! `qoc-noise`). A pair stores entry `i` of both lanes as one amplitude
-//! whose operations are the [`Complex64`] ones written once per lane, so
-//! each lane rounds exactly as a lone state.
+//! `qoc-noise`). A lane state stores entry `i` of every lane as one
+//! amplitude whose operations are the [`Complex64`] ones written once per
+//! lane, so each lane rounds exactly as a lone state.
 //!
 //! Kernel classes:
 //!
@@ -422,15 +422,28 @@ impl Kernel {
     }
 
     /// Applies the kernel in place to an amplitude slice of power-of-two
-    /// length (a statevector, or a flattened density matrix or pair).
+    /// length (a statevector, or a flattened density matrix or lane state).
     ///
     /// # Panics
     ///
-    /// Debug-asserts that every touched qubit fits the slice length.
+    /// Panics if a two-qubit kernel names one wire twice (a pass on it
+    /// would mix amplitudes that are not one block). Debug-asserts that
+    /// every touched qubit fits the slice length.
     pub fn apply<A: Amplitude>(&self, amps: &mut [A])
     where
         Complex64: Coeff<A>,
     {
+        if let Kernel::ControlledFlip {
+            control: a,
+            target: b,
+        }
+        | Kernel::PhaseFlip2 { a, b }
+        | Kernel::Diag2 { a, b, .. }
+        | Kernel::Exchange { a, b }
+        | Kernel::Unitary2 { a, b, .. } = *self
+        {
+            assert_ne!(a, b, "repeated wire {a}");
+        }
         debug_assert!(amps.len().is_power_of_two(), "amplitude length");
         let len = amps.len();
         match *self {
@@ -538,12 +551,17 @@ impl Kernel {
 /// shared by every state an amplitude holds or hold one matrix per state
 /// ([`Coeff`]).
 ///
+/// Always inlined, so that a caller compiled for a wider instruction set
+/// (`qoc-noise`'s AVX2 fork lanes) gets the loop in that set.
+///
 /// # Panics
 ///
-/// Debug-asserts that both bits fit the slice length.
+/// Debug-asserts that the bits are distinct and fit the slice length.
+#[inline(always)]
 pub fn unitary2<A: Amplitude, M: Coeff<A>>(amps: &mut [A], a: usize, b: usize, m: &[M; 16]) {
     let (ba, bb) = (1usize << a, 1usize << b);
     debug_assert!(ba < amps.len() && bb < amps.len(), "qubit out of range");
+    debug_assert_ne!(a, b, "repeated wire {a}");
     let (lo, hi) = (a.min(b), a.max(b));
     for k in 0..amps.len() >> 2 {
         let base = expand2(k, lo, hi);
@@ -584,6 +602,19 @@ mod tests {
         (0..g.num_params())
             .map(|k| -1.23 + 0.71 * k as f64)
             .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated wire")]
+    fn two_qubit_kernel_on_a_repeated_wire_panics() {
+        let mut amps = [Complex64::ZERO; 4];
+        amps[0] = Complex64::ONE;
+        Kernel::Unitary2 {
+            a: 1,
+            b: 1,
+            m: [Complex64::ONE; 16],
+        }
+        .apply(&mut amps);
     }
 
     #[test]

@@ -138,6 +138,11 @@ impl Statevector {
 
     /// Applies a specialized gate [`Kernel`] in place — the fast path the
     /// fused program executor runs on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a two-qubit kernel names one wire twice; debug-asserts
+    /// that its qubits are in range.
     pub fn apply_kernel(&mut self, kernel: &Kernel) {
         kernel.apply(&mut self.amps);
     }
@@ -560,6 +565,13 @@ mod tests {
     use crate::gates::GateKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    #[should_panic(expected = "repeated wire")]
+    fn kernel_on_a_repeated_wire_panics() {
+        let mut sv = Statevector::zero_state(2);
+        sv.apply_kernel(&Kernel::Exchange { a: 1, b: 1 });
+    }
 
     #[test]
     fn pool_reuses_parked_states_and_counts_checkouts() {

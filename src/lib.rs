@@ -40,6 +40,8 @@
 //! assert!(result.total_inferences > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use qoc_core as core;
 pub use qoc_data as data;
 pub use qoc_device as device;
