@@ -14,7 +14,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak monitor watch shot-alloc bench-smoke)
+ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak monitor watch bench-smoke)
 
 stage_fmt() {
     cargo fmt --all -- --check
@@ -74,8 +74,8 @@ stage_diff_equivalence() {
     # Jacobian hook must equal the shifted jobs bit for bit on random
     # circuits on fake santiago and jakarta, every fork's distribution
     # equal to its shifted run's (measured and in full, the full run a
-    # state), and so must the noiseless backend's (exact, 64-shot and mixed
-    # rows, 1/2/8 workers).
+    # state), and so must the noiseless backend's (exact, 64-shot and the
+    # case's execution, 1/2/8 workers).
     cargo test --offline --release -p qoc-core --test diff_equivalence
 }
 
@@ -89,22 +89,15 @@ stage_trace_validate() {
     # its stderr names the offending line either way.
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
         results/ci_trace.jsonl --quiet || return 1
-    # Second leg: the SNR-adaptive shot controller on, so real alloc.window
-    # events get schema-checked and the run-savings gate sees a trace whose
-    # PGP knobs were retuned between windows.
-    QOC_SHOT_ALLOC=snr QOC_LOG=debug QOC_TRACE_FILE=results/ci_trace_snr.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
-    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
-        results/ci_trace_snr.jsonl --quiet || return 1
-    # Third leg: a misspelt knob must stop the run before it trains, with
+    # Second leg: a misspelt knob must stop the run before it trains, with
     # the error naming the knob that was meant.
     local err
-    if err=$(QOC_SHOT_ALOC=snr cargo run --offline --release --example traced_training 2>&1 >/dev/null); then
-        echo "trace-validate: traced_training ran with QOC_SHOT_ALOC set" >&2
+    if err=$(QOC_WORKRS=1 cargo run --offline --release --example traced_training 2>&1 >/dev/null); then
+        echo "trace-validate: traced_training ran with QOC_WORKRS set" >&2
         return 1
     fi
-    if ! grep -q 'QOC_SHOT_ALLOC' <<< "$err"; then
-        echo "trace-validate: the QOC_SHOT_ALOC error does not name QOC_SHOT_ALLOC:" >&2
+    if ! grep -q 'QOC_WORKERS' <<< "$err"; then
+        echo "trace-validate: the QOC_WORKRS error does not name QOC_WORKERS:" >&2
         echo "$err" | tail -5 >&2
         return 1
     fi
@@ -145,23 +138,7 @@ stage_determinism() {
             return 1
         fi
     done
-    # Third leg: the SNR-adaptive shot controller on. Every controller
-    # decision derives from deterministic gradient statistics, so budgets
-    # and skips must not reintroduce a worker-count dependence either.
-    QOC_SHOT_ALLOC=snr QOC_WORKERS=1 QOC_TRACE_FILE=results/ci_det_snr_w1.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
-    QOC_SHOT_ALLOC=snr QOC_WORKERS=4 QOC_TRACE_FILE=results/ci_det_snr_w4.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
-    for artifact in steps.jsonl evals.jsonl; do
-        if ! diff "results/ci_det_snr_w1.${artifact%.jsonl}.jsonl" \
-                  "results/ci_det_snr_w4.${artifact%.jsonl}.jsonl" > /dev/null; then
-            echo "determinism: $artifact differs between QOC_WORKERS=1 and 4 with QOC_SHOT_ALLOC=snr:" >&2
-            diff "results/ci_det_snr_w1.${artifact%.jsonl}.jsonl" \
-                 "results/ci_det_snr_w4.${artifact%.jsonl}.jsonl" | head -10 >&2
-            return 1
-        fi
-    done
-    echo "determinism: step and eval records identical at 1 and 4 workers (fixed budget and QOC_SHOT_ALLOC=snr)"
+    echo "determinism: step and eval records identical at 1 and 4 workers"
 }
 
 stage_fault_soak() {
@@ -261,21 +238,12 @@ stage_watch() {
         --alerts expect=qoc.device.retries,qoc.grad.snr
 }
 
-stage_shot_alloc() {
-    # Shot-allocation frontier, measured fresh at reduced size: training
-    # MNIST-2 with QOC_SHOT_ALLOC=snr must reach the fixed-1024-shot
-    # baseline's accuracy with ≥ 25% fewer executed shots, or the bin
-    # exits 1.
-    cargo run --offline --release -p qoc-bench --bin shot_frontier -- --ci
-}
-
 stage_bench_smoke() {
     # >25% regression vs a committed baseline fails (serial santiago
     # Jacobian and the noiseless MNIST-4 1024-shot Jacobian vs
     # BENCH_param_shift.json, fused QNN-4 state prep and 1024 shots of the
     # MNIST-4 read-out vs BENCH_gate_kernels.json, forked MNIST-4/jakarta
-    # example gradient vs BENCH_density.json). Also statically gates the committed
-    # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
+    # example gradient vs BENCH_density.json).
     cargo run --offline --release -p qoc-bench --bin bench_smoke
 }
 

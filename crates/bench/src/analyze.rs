@@ -27,8 +27,8 @@
 //! [`Analysis::sanity_failures`] distills the CI gates: a nonempty span
 //! forest, device-time exactness, pruning efficacy present when the run
 //! pruned, and the measured run-savings landing near the paper's
-//! `r·w_p/(w_a+w_p)` — step-weighted over the windows, since the shot
-//! allocator may retune `r` and `w_p` between them.
+//! `r·w_p/(w_a+w_p)` — step-weighted over the closed windows, since steps
+//! after the last one expect no savings.
 
 use std::collections::BTreeMap;
 
@@ -414,8 +414,8 @@ fn expected_savings_of(manifest: &Value) -> Option<f64> {
 }
 
 /// Σ(`expected_savings`·`stage_steps`) over the closed windows ÷ `steps`:
-/// the run-level `r·w_p/(w_a+w_p)` when retunes changed the knobs between
-/// windows (steps outside any closed window expect no savings).
+/// the run-level `r·w_p/(w_a+w_p)` (steps outside any closed window expect
+/// no savings).
 fn run_expected_savings(windows: &[WindowRow], steps: usize) -> f64 {
     if steps == 0 {
         return 0.0;
@@ -1229,29 +1229,19 @@ mod tests {
 
     #[test]
     fn run_savings_gate_weights_each_window_by_its_steps() {
-        // Paper defaults, no retune: three 3-step windows at 1/3 over 9
-        // steps expect exactly the configured 1/3.
+        // Paper defaults: three 3-step windows at 1/3 over 9 steps expect
+        // exactly the configured 1/3.
         let plain = savings_run(&[(3, 1.0 / 3.0); 3], &[8, 4, 4, 8, 4, 4, 8, 4, 4]);
         assert!((plain.expected_savings.unwrap() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(plain.sanity_failures(0.05), Vec::<String>::new());
 
-        // The shot allocator retuned to r = 0.45, w_p = 1 before the third
-        // window: it expects 0.225 over 2 steps, and the trailing full step
-        // closes no window. Against the configured 1/3 the measured 0.2639
-        // would fail; against (1/3·3 + 1/3·3 + 0.225·2)/9 it passes.
-        let retuned = savings_run(
-            &[(3, 1.0 / 3.0), (3, 1.0 / 3.0), (2, 0.225)],
-            &[8, 4, 4, 8, 4, 4, 8, 5, 8],
-        );
-        let expected = retuned.expected_savings.unwrap();
-        assert!((expected - 2.45 / 9.0).abs() < 1e-12, "expected {expected}");
-        assert!((retuned.measured_savings.unwrap() - 19.0 / 72.0).abs() < 1e-12);
-        assert_eq!(retuned.sanity_failures(0.05), Vec::<String>::new());
-        assert_eq!(
-            retuned.sanity_failures(0.005).len(),
-            1,
-            "tolerance still gates"
-        );
+        // A trailing full step closes no window and expects no savings:
+        // (1/3·9)/10 = 0.3, which the measured 1 − 56/80 matches.
+        let trailing = savings_run(&[(3, 1.0 / 3.0); 3], &[8, 4, 4, 8, 4, 4, 8, 4, 4, 8]);
+        let expected = trailing.expected_savings.unwrap();
+        assert!((expected - 0.3).abs() < 1e-12, "expected {expected}");
+        assert!((trailing.measured_savings.unwrap() - 0.3).abs() < 1e-12);
+        assert_eq!(trailing.sanity_failures(0.05), Vec::<String>::new());
     }
 
     #[test]

@@ -15,19 +15,13 @@
 //!   MNIST-4 on the emulated ibmq_jakarta at 1024 shots (the
 //!   `density/jacobian/mnist4_jakarta` row), guarding the forked noisy
 //!   Jacobian the fake device answers the shift planner's hook with.
-//! - `BENCH_shot_alloc.json` — checks the committed shot-allocation
-//!   frontier (the `shot_alloc/mnist2_frontier` row): the controller must
-//!   have reached baseline accuracy with ≥ 25% fewer executed shots. This
-//!   gate is static (the fresh re-measurement lives in the `ci.sh
-//!   shot-alloc` stage, which re-trains); it guards the *committed* claim
-//!   against a stale or hand-edited artifact.
 //!
 //! Each gate fails if the fresh timing regresses more than the tolerance
 //! against the committed baseline. Both sides compare their *minimum*
 //! sample: on shared/single-CPU runners medians swing ±25% with scheduler
 //! noise, while the minimum is a stable lower bound on the true cost.
 //!
-//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]`
+//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [DENSITY_JSON]]]`
 //! (defaults to the repo-root artifacts; `GATE_KERNELS_JSON` holds both the
 //! fused and the sampler row). The tolerance is 0.25 (25 %). Exit codes: **0** within
 //! tolerance, **1** regression or malformed baseline, **2** baseline
@@ -268,75 +262,6 @@ fn measure_disabled_span_profiler_off_min_ns() -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Fractional shot reduction the committed shot-allocation frontier must
-/// claim (mirrors the fresh gate in `shot_frontier --ci`).
-const SHOT_ALLOC_MIN_REDUCTION: f64 = 0.25;
-
-/// Static gate over the committed `BENCH_shot_alloc.json`: the
-/// `shot_alloc/mnist2_frontier` row must record ≥ 25% shot reduction at no
-/// accuracy loss. No re-measurement here — `ci.sh shot-alloc` re-trains.
-fn check_shot_alloc_gate(path: &PathBuf) -> GateRow {
-    let artifact = path.file_name().map_or_else(
-        || path.display().to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    let label = "shot_alloc/mnist2_frontier";
-    let mut row = GateRow {
-        artifact,
-        label: label.to_string(),
-        baseline_median: None,
-        baseline_min: None,
-        current_min: None,
-        status: "ok",
-        code: 0,
-    };
-    let refresh_hint = "cargo run --release -p qoc-bench --bin shot_frontier";
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            eprintln!(
-                "bench_smoke: baseline {} does not exist (run `{refresh_hint}` to create it)",
-                path.display()
-            );
-            row.status = "missing";
-            row.code = 2;
-            return row;
-        }
-        Err(e) => {
-            eprintln!("bench_smoke: cannot read {}: {e}", path.display());
-            row.status = "malformed";
-            row.code = 1;
-            return row;
-        }
-    };
-    let (reduction, delta) = match (
-        baseline_value(&text, label, "reduction"),
-        baseline_value(&text, label, "accuracy_delta"),
-    ) {
-        (Ok(r), Ok(d)) => (r, d),
-        (Err(msg), _) | (_, Err(msg)) => {
-            eprintln!("bench_smoke: {msg}");
-            row.status = "malformed";
-            row.code = 1;
-            return row;
-        }
-    };
-    println!(
-        "bench_smoke: {label}: committed reduction {:.1}% (gate ≥ {:.0}%), accuracy delta {:+.3} (gate ≥ 0)",
-        reduction * 100.0,
-        SHOT_ALLOC_MIN_REDUCTION * 100.0,
-        delta,
-    );
-    if reduction < SHOT_ALLOC_MIN_REDUCTION || delta < 0.0 {
-        eprintln!(
-            "bench_smoke: {label} no longer clears the frontier gate; refresh with `{refresh_hint}`"
-        );
-        row.status = "REGRESSED";
-        row.code = 1;
-    }
-    row
-}
-
 /// One regression gate: committed `min_ns` for `label` in the artifact at
 /// `path` vs a fresh re-measurement. Always returns a row for the summary
 /// table; the row's `code` carries the gate's exit-code severity.
@@ -459,11 +384,7 @@ fn main() -> ExitCode {
         || qoc_bench::suite::artifact_path("BENCH_gate_kernels.json"),
         PathBuf::from,
     );
-    let shot_alloc_path: PathBuf = std::env::args().nth(3).map_or_else(
-        || qoc_bench::suite::artifact_path("BENCH_shot_alloc.json"),
-        PathBuf::from,
-    );
-    let density_path: PathBuf = std::env::args().nth(4).map_or_else(
+    let density_path: PathBuf = std::env::args().nth(3).map_or_else(
         || qoc_bench::suite::artifact_path("BENCH_density.json"),
         PathBuf::from,
     );
@@ -521,7 +442,6 @@ fn main() -> ExitCode {
         "cargo bench -p qoc-bench --bench param_shift",
         measure_disabled_span_profiler_off_min_ns,
     ));
-    rows.push(check_shot_alloc_gate(&shot_alloc_path));
     println!();
     print!("{}", summary_table(&rows));
     match rows.iter().map(|r| r.code).max().unwrap_or(0) {

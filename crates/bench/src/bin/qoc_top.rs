@@ -143,9 +143,10 @@ fn render(doc: &Value, losses: &[f64]) -> String {
         get_f64(doc, &["snr", "max"]),
     ));
     out.push_str(&format!(
-        "  device {} circuits  {} shots  {:.3} s on-device\n",
+        "  device {} circuits  {} shots ({} requested)  {:.3} s on-device\n",
         get_u64(doc, &["device", "circuits_run"]),
         get_u64(doc, &["device", "total_shots"]),
+        get_u64(doc, &["device", "requested_shots"]),
         get_u64(doc, &["device", "device_ns"]) as f64 / 1e9,
     ));
     out.push_str(&format!(
@@ -209,15 +210,6 @@ fn render(doc: &Value, losses: &[f64]) -> String {
             ));
         }
     }
-    // Shot-allocation controller counters (all zero unless QOC_SHOT_ALLOC
-    // is active — the section still renders so the layout is stable).
-    out.push_str(&format!(
-        "  alloc  saved {} shots  skipped {} evals  {} windows  requested {} shots\n",
-        get_u64(doc, &["alloc", "saved_shots"]),
-        get_u64(doc, &["alloc", "skipped_evals"]),
-        get_u64(doc, &["alloc", "windows"]),
-        get_u64(doc, &["alloc", "requested_shots"]),
-    ));
     out.push_str(&format!(
         "  snapshot #{}  uptime {:.1} s\n",
         get_u64(doc, &["snapshot"]),

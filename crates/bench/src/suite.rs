@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use qoc_core::engine::{train, PruningKind, TrainConfig, TrainResult};
 use qoc_core::eval::evaluate_with_params;
@@ -203,8 +203,10 @@ pub fn timing_row(
 
 /// Writes a criterion bench's artifact `name` (e.g. `BENCH_density.json`)
 /// at the repository root: the timing rows, then the bench's `extra` rows,
-/// then a `host` row recording the available parallelism. `bench_smoke`
-/// reads these files back as its baselines.
+/// then a `host` row recording the available parallelism, each replacing
+/// the committed row of its label ([`merge_artifact`]), so a run filtered to
+/// some benchmarks rewrites only their rows. `bench_smoke` reads these files
+/// back as its baselines.
 pub fn write_bench_artifact(
     name: &str,
     timings: impl IntoIterator<Item = Measurement>,
@@ -217,11 +219,42 @@ pub fn write_bench_artifact(
         values: vec![("available_parallelism".into(), cores as f64)],
     });
     let path = artifact_path(name);
-    if let Ok(body) = serde_json::to_string_pretty(&rows) {
+    let committed = std::fs::read_to_string(&path).ok();
+    if let Ok(body) = merge_artifact(committed.as_deref(), &rows) {
         if std::fs::write(path, &body).is_ok() {
-            println!("wrote {name} ({} entries)", rows.len());
+            println!("wrote {} rows of {name}", rows.len());
         }
     }
+}
+
+/// The artifact text `committed` with the `fresh` rows merged in: each
+/// committed row whose label a fresh row carries is replaced where it
+/// stands, every other committed row is kept as it was, and fresh rows the
+/// file lacks are appended. Missing or unreadable text counts as no rows.
+fn merge_artifact(
+    committed: Option<&str>,
+    fresh: &[Measurement],
+) -> Result<String, serde_json::Error> {
+    let mut fresh: Vec<(&str, Value)> = fresh
+        .iter()
+        .map(|m| (m.label.as_str(), serde_json::to_value(m)))
+        .collect();
+    let committed: Option<Value> = committed.and_then(|text| serde_json::from_str(text).ok());
+    let mut rows: Vec<Value> = committed
+        .as_ref()
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .map(|row| {
+            let label = row.get("label").and_then(Value::as_str);
+            match fresh.iter().position(|(f, _)| Some(*f) == label) {
+                Some(i) => fresh.remove(i).1,
+                None => row.clone(),
+            }
+        })
+        .collect();
+    rows.extend(fresh.into_iter().map(|(_, row)| row));
+    serde_json::to_string_pretty(&Value::Array(rows))
 }
 
 /// The path of the repository-root artifact `name`, resolved at run time
@@ -256,6 +289,44 @@ mod tests {
             artifact_path_in(None, "BENCH_x.json"),
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_x.json")
         );
+    }
+
+    #[test]
+    fn a_merge_replaces_only_the_measured_rows() {
+        let row = |label: &str, x: f64| Measurement {
+            label: label.into(),
+            values: vec![("min_ns".into(), x), ("samples".into(), 10.0)],
+        };
+        let render = |rows: &[Measurement]| serde_json::to_string_pretty(&rows).unwrap();
+        // Awkward floats survive the trip through the committed text.
+        let committed = render(&[row("a", 0.1 + 0.2), row("b", 2.0), row("host", 2.0)]);
+        let fresh = [row("b", 1e-7), row("host", 1.0), row("c", 3.5)];
+        let merged = merge_artifact(Some(&committed), &fresh).unwrap();
+        let want = [
+            row("a", 0.1 + 0.2),
+            row("b", 1e-7),
+            row("host", 1.0),
+            row("c", 3.5),
+        ];
+        assert_eq!(merged, render(&want));
+        // Nothing committed: the fresh rows alone.
+        assert_eq!(merge_artifact(None, &fresh).unwrap(), render(&fresh));
+    }
+
+    #[test]
+    fn committed_artifacts_survive_a_merge_byte_for_byte() {
+        for name in [
+            "BENCH_density.json",
+            "BENCH_gate_kernels.json",
+            "BENCH_param_shift.json",
+        ] {
+            let committed = std::fs::read_to_string(artifact_path(name)).unwrap();
+            assert_eq!(
+                merge_artifact(Some(&committed), &[]).unwrap(),
+                committed,
+                "{name}"
+            );
+        }
     }
 
     #[test]

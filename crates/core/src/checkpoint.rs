@@ -21,15 +21,15 @@ use serde::{Serialize, Value};
 
 use qoc_telemetry::env::EnvError;
 
-use crate::alloc::AllocState;
 use crate::engine::{EvalRecord, StepRecord};
 use crate::optim::OptimizerState;
 use crate::prune::PrunerState;
 
 /// Format version stamped into every checkpoint; bumped on layout changes.
-/// Version 2 added the optional shot-allocation controller accumulators;
-/// version-1 checkpoints (no `alloc` field) still load, with the controller
-/// cleanly disabled. Anything else is rejected outright rather than guessed.
+/// Version 2 added the `alloc` field, which held the accumulators of a
+/// since-retired shot allocator and is now always `null`; version-1
+/// checkpoints (no `alloc` field) still load. Anything else is rejected
+/// outright rather than guessed.
 pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// Oldest schema version this build still reads.
@@ -90,6 +90,9 @@ pub enum CheckpointError {
     Malformed(String),
     /// The checkpoint was written by an unsupported schema version.
     Version(u32),
+    /// The checkpoint carries state of the retired SNR-adaptive shot
+    /// allocator, whose run this build cannot continue.
+    RetiredShotAllocator,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -102,6 +105,11 @@ impl std::fmt::Display for CheckpointError {
                 "unsupported checkpoint schema version {v} (this build reads \
                  versions {CHECKPOINT_SCHEMA_MIN_VERSION}-{CHECKPOINT_SCHEMA_VERSION})"
             ),
+            CheckpointError::RetiredShotAllocator => write!(
+                f,
+                "checkpoint carries state of the retired SNR-adaptive shot allocator; \
+                 this build trains at one shot budget per run and cannot continue it"
+            ),
         }
     }
 }
@@ -112,6 +120,21 @@ impl std::error::Error for CheckpointError {
             CheckpointError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// The type of [`TrainState::alloc`]. It has no values: the SNR-adaptive
+/// shot allocator whose accumulators the field held is retired, so every
+/// checkpoint writes `"alloc": null`, and loading one whose `alloc` is not
+/// null fails with [`CheckpointError::RetiredShotAllocator`]. The field is
+/// held only so that code building a `TrainState` by struct literal with
+/// `alloc: None` keeps compiling, until a change to that code removes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetiredShotAllocator {}
+
+impl Serialize for RetiredShotAllocator {
+    fn to_json(&self) -> Value {
+        match *self {}
     }
 }
 
@@ -140,9 +163,8 @@ pub struct TrainState {
     pub optimizer: OptimizerState,
     /// Pruner accumulator and window phase.
     pub pruner: PrunerState,
-    /// Shot-allocation controller accumulators (schema v2; `None` when the
-    /// controller was off, or in checkpoints written before it existed).
-    pub alloc: Option<AllocState>,
+    /// Always `None`; see [`RetiredShotAllocator`].
+    pub alloc: Option<RetiredShotAllocator>,
     /// Raw xoshiro256++ words of the serial training RNG.
     pub rng: [u64; 4],
     /// Per-step records so far.
@@ -200,7 +222,8 @@ impl TrainState {
     /// # Errors
     ///
     /// [`CheckpointError::Malformed`] on any missing or mistyped field;
-    /// [`CheckpointError::Version`] when `schema_version` is unsupported.
+    /// [`CheckpointError::Version`] when `schema_version` is unsupported;
+    /// [`CheckpointError::RetiredShotAllocator`] when `alloc` is not null.
     pub fn from_value(root: &Value) -> Result<TrainState, CheckpointError> {
         let version = as_u64(field(root, "schema_version")?, "schema_version")?;
         if version < u64::from(CHECKPOINT_SCHEMA_MIN_VERSION)
@@ -215,6 +238,11 @@ impl TrainState {
             .as_slice()
             .try_into()
             .map_err(|_| malformed(format!("rng must hold 4 words, got {}", rng_words.len())))?;
+        // Versions 1 (no `alloc`) and 2 (`alloc` null) are the runs this
+        // build can continue.
+        if !matches!(root.get("alloc"), None | Some(Value::Null)) {
+            return Err(CheckpointError::RetiredShotAllocator);
+        }
         let master_seed = as_u64(field(root, "master_seed")?, "master_seed")?;
         // `run_id` is derivable from the seed, so checkpoints written before
         // it existed still load under schema version 1.
@@ -233,12 +261,7 @@ impl TrainState {
             params: f64_vec(field(root, "params")?, "params")?,
             optimizer: parse_optimizer(field(root, "optimizer")?)?,
             pruner: parse_pruner(field(root, "pruner")?)?,
-            // v1 checkpoints predate the controller; a missing or null
-            // `alloc` resumes with it cleanly disabled.
-            alloc: match root.get("alloc") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(parse_alloc(v)?),
-            },
+            alloc: None,
             rng,
             steps: parse_records(field(root, "steps")?, "steps", parse_step)?,
             evals: parse_records(field(root, "evals")?, "evals", parse_eval)?,
@@ -357,24 +380,6 @@ fn parse_pruner(v: &Value) -> Result<PrunerState, CheckpointError> {
     Err(malformed("unrecognized pruner state"))
 }
 
-pub(crate) fn parse_alloc(v: &Value) -> Result<AllocState, CheckpointError> {
-    Ok(AllocState {
-        ema_abs: f64_vec(field(v, "ema_abs")?, "ema_abs")?,
-        noise: f64_vec(field(v, "noise")?, "noise")?,
-        evals: u64_vec(field(v, "evals")?, "evals")?,
-        skip_streak: u32_vec(field(v, "skip_streak")?, "skip_streak")?,
-        prev_was_subset: as_bool(field(v, "prev_was_subset")?, "prev_was_subset")?,
-        windows: as_u64(field(v, "windows")?, "windows")?,
-        baseline_shots: as_u64(field(v, "baseline_shots")?, "baseline_shots")?,
-        requested_shots: as_u64(field(v, "requested_shots")?, "requested_shots")?,
-        skipped_evals: as_u64(field(v, "skipped_evals")?, "skipped_evals")?,
-        ratio: as_f64(field(v, "ratio")?, "ratio")?,
-        pruning_window: as_u64(field(v, "pruning_window")?, "pruning_window")?,
-        retunes: as_u64(field(v, "retunes")?, "retunes")?,
-        stage: u64_vec(field(v, "stage")?, "stage")?,
-    })
-}
-
 fn parse_step(v: &Value) -> Result<StepRecord, CheckpointError> {
     Ok(StepRecord {
         step: as_usize(field(v, "step")?, "step")?,
@@ -417,21 +422,7 @@ mod tests {
                 step_in_phase: 1,
                 last_was_full: false,
             },
-            alloc: Some(AllocState {
-                ema_abs: vec![0.375, 1.5e-11],
-                noise: vec![0.0625, 4.9e-324],
-                evals: vec![7, 6],
-                skip_streak: vec![0, 3],
-                prev_was_subset: true,
-                windows: 2,
-                baseline_shots: 1_263_616,
-                requested_shots: 402_432,
-                skipped_evals: 5,
-                ratio: 0.55,
-                pruning_window: 3,
-                retunes: 1,
-                stage: vec![2, 3, 1, 9000, 16384, 2, 2],
-            }),
+            alloc: None,
             rng: [u64::MAX, 1, 0x0123_4567_89AB_CDEF, 42],
             steps: vec![StepRecord {
                 step: 6,
@@ -496,47 +487,60 @@ mod tests {
         assert_eq!(parsed, state);
     }
 
-    #[test]
-    fn v1_checkpoint_without_alloc_loads_with_controller_disabled() {
-        // Forward compat: a schema-v1 checkpoint predates the shot
-        // allocator entirely. It must load cleanly with `alloc: None` so
-        // the resumed run continues at the uniform budget.
-        let state = sample_state();
-        let mut text = serde_json::to_string_pretty(&state).unwrap();
-        text = text.replacen(
-            &format!("\"schema_version\": {CHECKPOINT_SCHEMA_VERSION}"),
-            "\"schema_version\": 1",
-            1,
-        );
-        let root = serde_json::from_str(&text).unwrap();
-        let stripped = match root {
-            Value::Object(entries) => {
-                Value::Object(entries.into_iter().filter(|(k, _)| k != "alloc").collect())
-            }
-            other => other,
+    /// `state` as JSON, minus the top-level fields `drop` and with `alloc`
+    /// set to `alloc`, at schema version `version`.
+    fn rewritten(state: &TrainState, version: u64, drop: &[&str], alloc: Value) -> Value {
+        let Value::Object(entries) = serde_json::to_value(state) else {
+            unreachable!("a state serializes to an object")
         };
-        let parsed = TrainState::from_value(&stripped).unwrap();
-        assert_eq!(parsed.alloc, None, "controller cleanly disabled");
-        assert_eq!(
-            parsed.schema_version, CHECKPOINT_SCHEMA_VERSION,
-            "loaded state is normalized to the current schema"
-        );
-        assert_eq!(parsed.params, state.params);
-        assert_eq!(parsed.pruner, state.pruner);
+        Value::Object(
+            entries
+                .into_iter()
+                .filter(|(k, _)| !drop.contains(&k.as_str()))
+                .map(|(k, v)| match k.as_str() {
+                    "schema_version" => (k, Value::UInt(version)),
+                    "alloc" => (k, alloc.clone()),
+                    _ => (k, v),
+                })
+                .collect(),
+        )
     }
 
     #[test]
-    fn v2_alloc_state_round_trips_exactly() {
+    fn v1_and_v2_checkpoints_without_allocator_state_load() {
+        // A v1 file has no `alloc` field, a v2 file a null one: both are
+        // runs at one shot budget, which this build continues.
         let state = sample_state();
         let text = serde_json::to_string_pretty(&state).unwrap();
-        let parsed = TrainState::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        let (a, b) = (
-            state.alloc.as_ref().unwrap(),
-            parsed.alloc.as_ref().unwrap(),
-        );
-        assert_eq!(a, b);
-        for (x, y) in a.noise.iter().zip(&b.noise) {
-            assert_eq!(x.to_bits(), y.to_bits(), "subnormals survive the trip");
+        assert!(text.contains("\"alloc\": null"), "{text}");
+        for (version, drop) in [(1, &["alloc"][..]), (2, &[][..])] {
+            let root = rewritten(&state, version, drop, Value::Null);
+            let parsed = TrainState::from_value(&root).unwrap();
+            assert_eq!(parsed, state, "v{version}");
+        }
+    }
+
+    #[test]
+    fn checkpoints_with_allocator_state_are_rejected() {
+        // A v2 file written with the retired shot allocator on carries its
+        // accumulators; that run cannot be continued at one budget.
+        let state = sample_state();
+        let snapshot = Value::Object(vec![
+            (
+                "ema_abs".to_string(),
+                Value::Array(vec![Value::Float(0.375)]),
+            ),
+            ("windows".to_string(), Value::UInt(2)),
+        ]);
+        for alloc in [snapshot, Value::Bool(false)] {
+            let err = TrainState::from_value(&rewritten(&state, 2, &[], alloc)).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::RetiredShotAllocator),
+                "{err}"
+            );
+            assert!(err
+                .to_string()
+                .contains("retired SNR-adaptive shot allocator"));
         }
     }
 

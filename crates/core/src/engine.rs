@@ -32,7 +32,6 @@ use qoc_nn::model::QnnModel;
 use qoc_telemetry::env::EnvError;
 use qoc_telemetry::export::StatusCore;
 
-use crate::alloc::{AllocState, ShotAllocConfig, ShotAllocator};
 use crate::checkpoint::{CheckpointConfig, TrainState, CHECKPOINT_SCHEMA_VERSION};
 use crate::eval::try_evaluate_params_prepared;
 use crate::grad::QnnGradientComputer;
@@ -111,10 +110,6 @@ pub struct TrainConfig {
     pub pruning: PruningKind,
     /// Shot policy for every circuit execution.
     pub execution: Execution,
-    /// SNR-adaptive shot allocation (see [`crate::alloc`]); `None` runs
-    /// every selected row at `execution`. The controller only acts under
-    /// finite-shot execution.
-    pub shot_alloc: Option<ShotAllocConfig>,
     /// RNG seed (parameter init, batching, sampling, shots).
     pub seed: u64,
     /// Evaluate on validation data every this many steps (and at the end).
@@ -137,7 +132,6 @@ impl TrainConfig {
             schedule: LrSchedule::paper_cosine(steps),
             pruning: PruningKind::None,
             execution: Execution::Shots(1024),
-            shot_alloc: None,
             seed: 42,
             eval_every: 5,
             eval_examples: 60,
@@ -219,6 +213,100 @@ pub enum TrainError {
     /// A `QOC_*` environment knob was unknown or malformed; rejected before
     /// any circuit ran.
     Config(EnvError),
+    /// The resume state does not belong to this model and config; rejected
+    /// before any circuit ran.
+    Resume(ResumeError),
+}
+
+/// How a resume state ([`RunAnchor::resume`]) contradicts the run it is
+/// asked to continue.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The checkpoint was written under another `TrainConfig::seed`.
+    Seed {
+        /// The checkpoint's master seed.
+        checkpoint: u64,
+        /// The config's seed.
+        config: u64,
+    },
+    /// The checkpoint's parameter vector does not fit the model.
+    Width {
+        /// Parameters in the checkpoint.
+        checkpoint: usize,
+        /// Parameters of the model.
+        model: usize,
+    },
+    /// The checkpoint is past the config's last step.
+    Step {
+        /// The checkpoint's next step.
+        next_step: usize,
+        /// The config's step count.
+        steps: usize,
+    },
+    /// The checkpoint's step history disagrees with its step counter.
+    History {
+        /// Step records in the checkpoint.
+        records: usize,
+        /// The checkpoint's next step.
+        next_step: usize,
+    },
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::Seed { checkpoint, config } => write!(
+                f,
+                "checkpoint was written under seed {checkpoint}, config has seed {config}"
+            ),
+            ResumeError::Width { checkpoint, model } => write!(
+                f,
+                "checkpoint holds {checkpoint} parameters, the model has {model}"
+            ),
+            ResumeError::Step { next_step, steps } => write!(
+                f,
+                "checkpoint is at step {next_step} but the config only has {steps} steps"
+            ),
+            ResumeError::History { records, next_step } => write!(
+                f,
+                "checkpoint holds {records} step records but is at step {next_step}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
+impl ResumeError {
+    /// The first way `state` contradicts a run of `steps` steps under
+    /// `seed` on a model of `params` parameters, if any.
+    fn check(state: &TrainState, seed: u64, params: usize, steps: usize) -> Result<(), Self> {
+        if state.master_seed != seed {
+            return Err(ResumeError::Seed {
+                checkpoint: state.master_seed,
+                config: seed,
+            });
+        }
+        if state.params.len() != params {
+            return Err(ResumeError::Width {
+                checkpoint: state.params.len(),
+                model: params,
+            });
+        }
+        if state.next_step > steps {
+            return Err(ResumeError::Step {
+                next_step: state.next_step,
+                steps,
+            });
+        }
+        if state.steps.len() != state.next_step {
+            return Err(ResumeError::History {
+                records: state.steps.len(),
+                next_step: state.next_step,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl std::fmt::Display for TrainError {
@@ -236,6 +324,7 @@ impl std::fmt::Display for TrainError {
                 Ok(())
             }
             TrainError::Config(source) => write!(f, "configuration rejected: {source}"),
+            TrainError::Resume(source) => write!(f, "resume rejected: {source}"),
         }
     }
 }
@@ -245,6 +334,7 @@ impl std::error::Error for TrainError {
         match self {
             TrainError::Execution { source, .. } => Some(source),
             TrainError::Config(source) => Some(source),
+            TrainError::Resume(source) => Some(source),
         }
     }
 }
@@ -323,7 +413,6 @@ struct PreStep {
     rng: [u64; 4],
     pruner: PrunerState,
     optimizer: OptimizerState,
-    alloc: Option<AllocState>,
     params: Vec<f64>,
     steps_len: usize,
     best_accuracy: f64,
@@ -335,8 +424,7 @@ struct PreStep {
 /// The backend's statistics counters are reset at entry so inference counts
 /// start from zero. Checkpointing is driven by the environment:
 /// `QOC_CHECKPOINT_FILE` (save path) and `QOC_CHECKPOINT_EVERY` (cadence,
-/// default 10 steps); so is the shot allocator when `config.shot_alloc` is
-/// `None` (`QOC_SHOT_ALLOC=snr` runs [`ShotAllocConfig::default`]).
+/// default 10 steps).
 ///
 /// # Panics
 ///
@@ -352,15 +440,11 @@ pub fn train(
 ) -> TrainResult {
     let run = || {
         let checkpoint = CheckpointConfig::from_env().map_err(TrainError::Config)?;
-        let mut config = *config;
-        if config.shot_alloc.is_none() {
-            config.shot_alloc = ShotAllocConfig::from_env().map_err(TrainError::Config)?;
-        }
         let anchor = RunAnchor {
             checkpoint: checkpoint.as_ref(),
             ..RunAnchor::default()
         };
-        train_anchored(model, backend, train_data, val_data, &config, anchor)
+        train_anchored(model, backend, train_data, val_data, config, anchor)
     };
     run().unwrap_or_else(|e| panic!("{e}"))
 }
@@ -373,15 +457,16 @@ pub fn train(
 ///
 /// # Errors
 ///
-/// [`TrainError::Config`] for an unknown or malformed `QOC_*` knob, before
-/// any circuit runs; [`TrainError::Execution`] when a batch fails
-/// permanently — an emergency checkpoint is written first if one is
-/// configured.
+/// [`TrainError::Config`] for an unknown or malformed `QOC_*` knob and
+/// [`TrainError::Resume`] for a resume state that does not match the model
+/// and config, both before any circuit runs; [`TrainError::Execution`] when
+/// a batch fails permanently — an emergency checkpoint is written first if
+/// one is configured.
 ///
 /// # Panics
 ///
-/// Panics if dataset widths do not match the model, the config is invalid,
-/// or a resume state does not match the config.
+/// Panics if dataset widths do not match the model or the config is
+/// invalid.
 pub fn train_anchored(
     model: &QnnModel,
     backend: &dyn QuantumBackend,
@@ -408,12 +493,15 @@ pub fn train_anchored(
         model.input_dim(),
         "validation features do not match model input"
     );
+    let n = model.num_params();
+    if let Some(state) = &resume {
+        ResumeError::check(state, config.seed, n, config.steps).map_err(TrainError::Resume)?;
+    }
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     backend.reset_stats();
 
     // Parameter init.
-    let n = model.num_params();
     let mut params: Vec<f64> = (0..n)
         .map(|_| rng.gen_range(-config.init_scale..config.init_scale))
         .collect();
@@ -430,37 +518,9 @@ pub fn train_anchored(
     let mut optimizer = config.optimizer.build(n);
     let mut pruner = config.pruning.build(n);
 
-    // The per-parameter gradient statistics and pruning windows: always
-    // tracked (the shot allocator reads them), emitted only when telemetry
-    // is enabled.
+    // The per-parameter gradient statistics and pruning windows, emitted
+    // when telemetry is enabled.
     let mut health = GradientHealth::new(n, config.batch_size);
-    // SNR-adaptive shot allocation (`config.shot_alloc`). The controller
-    // is ALWAYS on once configured — its decisions change the training
-    // trajectory, so they must not depend on whether anyone is watching.
-    // It only makes sense under finite-shot execution (exact gradients
-    // have no noise to budget against), and its decisions derive solely
-    // from the deterministic grad/grad_var stream, keeping runs
-    // worker-count invariant.
-    let mut alloc = match (config.shot_alloc, config.execution) {
-        (Some(cfg), Execution::Shots(base_shots)) => {
-            let (ratio, pruning_window) = match config.pruning {
-                PruningKind::Probabilistic(c) | PruningKind::Deterministic(c) => {
-                    (c.ratio, c.pruning_window)
-                }
-                PruningKind::None => (0.0, 0),
-            };
-            Some(ShotAllocator::new(
-                n,
-                base_shots,
-                config.batch_size,
-                computer.engine().jobs_per_row(),
-                cfg,
-                ratio,
-                pruning_window,
-            ))
-        }
-        _ => None,
-    };
 
     let mut steps = Vec::with_capacity(config.steps);
     let mut evals = Vec::new();
@@ -470,48 +530,12 @@ pub fn train_anchored(
     let mut base = DeviceCounters::default();
 
     if let Some(state) = &resume {
-        assert_eq!(
-            state.master_seed, config.seed,
-            "checkpoint was written under seed {}, config has seed {}",
-            state.master_seed, config.seed
-        );
-        assert_eq!(
-            state.params.len(),
-            n,
-            "checkpoint parameter width does not match the model"
-        );
-        assert!(
-            state.next_step <= config.steps,
-            "checkpoint is at step {} but the config only has {} steps",
-            state.next_step,
-            config.steps
-        );
-        assert_eq!(
-            state.steps.len(),
-            state.next_step,
-            "checkpoint history is inconsistent with its step counter"
-        );
         // The draws above replayed the original run's serial RNG prefix
         // (parameter init, validation subset) so `eval_set` is identical;
         // now install the mid-run state verbatim.
         params.clone_from(&state.params);
         optimizer.restore(&state.optimizer);
         pruner.restore(&state.pruner);
-        if let Some(snap) = &state.alloc {
-            let a = alloc.as_mut().expect(
-                "checkpoint carries shot-allocator state but config.shot_alloc is None \
-                 (or execution is exact) — resume with the original config",
-            );
-            let knobs = a.restore(snap, &mut health);
-            // The pruner snapshot carries window position, not retuned
-            // hyper-parameters; re-install what the controller had tuned to.
-            pruner.retune(knobs.ratio, knobs.pruning_window);
-        } else {
-            // v1 checkpoint (or a run that never had the controller):
-            // resume with it cleanly disabled so the replay stays
-            // bit-identical to the original uniform-budget run.
-            alloc = None;
-        }
         rng = StdRng::from_state(state.rng);
         steps.clone_from(&state.steps);
         evals.clone_from(&state.evals);
@@ -560,7 +584,6 @@ pub fn train_anchored(
             rng: rng.state(),
             pruner: pruner.state(),
             optimizer: optimizer.state(),
-            alloc: alloc.as_ref().map(|a| a.state(&health)),
             params: params.clone(),
             steps_len: steps.len(),
             best_accuracy,
@@ -579,28 +602,12 @@ pub fn train_anchored(
             .collect();
 
         let step_master = job_seed(config.seed, TRAIN_STREAM_BASE + step as u64);
-        let selected: Vec<usize> = match &selection {
-            Selection::Full => (0..n).collect(),
-            Selection::Subset(s) => s.clone(),
+        let subset = match &selection {
+            Selection::Full => None,
+            Selection::Subset(s) => Some(s.as_slice()),
         };
-        // The rows this step evaluates and each row's shot budget: the
-        // allocator refines the pruner's selection (and may skip rows);
-        // without it every selected row runs at the configured execution.
-        let (rows, budgets): (Vec<usize>, Vec<Execution>) = match alloc.as_mut() {
-            Some(a) => a
-                .plan(&health, &selected)
-                .rows
-                .iter()
-                .map(|spec| (spec.param, Execution::Shots(spec.shots)))
-                .unzip(),
-            None => {
-                let budgets = vec![config.execution; selected.len()];
-                (selected, budgets)
-            }
-        };
-        let grad_result =
-            computer.try_batch_gradient_budgeted(&params, &batch, &rows, &budgets, step_master);
-        let result = match grad_result {
+        let evaluated_params = subset.map_or(n, <[usize]>::len);
+        let result = match computer.try_batch_gradient(&params, &batch, subset, step_master) {
             Ok(r) => r,
             Err(source) => {
                 return Err(run.abort(
@@ -613,28 +620,22 @@ pub fn train_anchored(
             }
         };
         pruner.record(&result.grad);
-        let closed = health.observe_step(
+        health.observe_step(
             step,
             &selection,
-            &rows,
             &result.grad,
             &result.grad_var,
             pruner.savings(),
         );
-        // Unevaluated rows (pruned or skipped) stay frozen.
-        optimizer.step(&mut params, &result.grad, lr, Some(&rows));
-        if let Some(a) = alloc.as_mut() {
-            if let Some(retune) = a.observe(&health, closed, &result.grad_var) {
-                pruner.retune(retune.ratio, retune.pruning_window);
-            }
-        }
+        // Pruned rows stay frozen.
+        optimizer.step(&mut params, &result.grad, lr, subset);
 
         let inferences = run.counters().circuits_run;
         steps.push(StepRecord {
             step,
             loss: result.loss,
             lr,
-            evaluated_params: rows.len(),
+            evaluated_params,
             inferences,
         });
         if let Some(obs) = observer {
@@ -659,7 +660,7 @@ pub fn train_anchored(
                 step = step,
                 loss = result.loss,
                 lr = lr,
-                evaluated_params = rows.len(),
+                evaluated_params = evaluated_params,
                 inferences = inferences,
                 runs_delta = runs_delta,
                 grad_norm = grad_norm,
@@ -724,7 +725,7 @@ pub fn train_anchored(
                     params: params.clone(),
                     optimizer: optimizer.state(),
                     pruner: pruner.state(),
-                    alloc: alloc.as_ref().map(|a| a.state(&health)),
+                    alloc: None,
                     rng: rng.state(),
                     steps: steps.clone(),
                     evals: evals.clone(),
@@ -764,10 +765,7 @@ pub fn train_anchored(
         );
     }
     // Flush the final (possibly partial) window for telemetry.
-    let closed = health.finish(pruner.savings());
-    if let Some(a) = alloc.as_mut() {
-        a.finish(closed);
-    }
+    health.finish(pruner.savings());
     drop(run_span);
 
     let device = run.counters();
@@ -878,7 +876,7 @@ impl Run<'_> {
                 params: pre.params,
                 optimizer: pre.optimizer,
                 pruner: pre.pruner,
-                alloc: pre.alloc,
+                alloc: None,
                 rng: pre.rng,
                 steps: steps[..pre.steps_len].to_vec(),
                 evals: evals.to_vec(),
@@ -1071,7 +1069,6 @@ mod tests {
             schedule: LrSchedule::Constant { lr: 0.2 },
             pruning: PruningKind::None,
             execution: Execution::Exact,
-            shot_alloc: None,
             seed: 7,
             eval_every: 5,
             eval_examples: 16,

@@ -115,7 +115,8 @@ impl<'a> QnnGradientComputer<'a> {
 
     /// [`Self::batch_gradient`] with the typed failure path: returns the
     /// [`BatchError`] of the first job that exhausted the backend's retry
-    /// policy instead of panicking.
+    /// policy instead of panicking. An empty `subset` evaluates forward
+    /// passes only, and every parameter's gradient stays frozen at 0.
     ///
     /// # Panics
     ///
@@ -127,37 +128,16 @@ impl<'a> QnnGradientComputer<'a> {
         subset: Option<&[usize]>,
         master_seed: u64,
     ) -> Result<BatchGradient, BatchError> {
-        let indices: Vec<usize> = match subset {
-            Some(s) => s.to_vec(),
-            None => (0..self.model.num_params()).collect(),
-        };
-        let budgets = vec![self.engine.execution(); indices.len()];
-        self.try_batch_gradient_budgeted(params, batch, &indices, &budgets, master_seed)
-    }
-
-    /// [`Self::try_batch_gradient`] with a per-row shot budget (e.g. from
-    /// the SNR-adaptive allocator, [`crate::alloc`]): row `indices[r]` of
-    /// every example's Jacobian runs under `budgets[r]`. Seeds are untouched
-    /// (see [`ParameterShiftEngine::jacobian_jobs_budgeted`]), so budgets
-    /// equal to the engine's execution reproduce
-    /// [`Self::try_batch_gradient`] bit-identically. `indices` may be empty
-    /// — the batch then evaluates forward passes only and every parameter's
-    /// gradient stays frozen at 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty batch or mismatched `budgets`/`indices` lengths.
-    pub fn try_batch_gradient_budgeted(
-        &self,
-        params: &[f64],
-        batch: &[(&[f64], usize)],
-        indices: &[usize],
-        budgets: &[Execution],
-        master_seed: u64,
-    ) -> Result<BatchGradient, BatchError> {
-        assert_eq!(budgets.len(), indices.len(), "one budget per row");
         assert!(!batch.is_empty(), "empty batch");
         let n_params = self.model.num_params();
+        let all: Vec<usize>;
+        let indices = match subset {
+            Some(s) => s,
+            None => {
+                all = (0..n_params).collect();
+                &all
+            }
+        };
 
         let mut span = qoc_telemetry::span!(
             "grad.minibatch",
@@ -177,9 +157,7 @@ impl<'a> QnnGradientComputer<'a> {
             let example_master = job_seed(master_seed, e as u64);
             let forward_idx = jobs.len();
             jobs.push(self.engine.forward_job(theta, example_master));
-            let mut offer = self
-                .engine
-                .offer_jacobian(theta, indices, example_master, budgets);
+            let mut offer = self.engine.offer_jacobian(theta, indices, example_master);
             jobs.extend(offer.take_jobs().unwrap_or_default());
             layout.push((forward_idx, offer));
         }
@@ -195,9 +173,8 @@ impl<'a> QnnGradientComputer<'a> {
         let mut all_logits = Vec::with_capacity(batch.len());
         let scale = 1.0 / batch.len() as f64;
         let num_qubits = self.model.num_qubits();
-        // Any finite-shot row makes variance propagation worthwhile; the
-        // variance walk yields exact zeros for exact rows either way.
-        let any_shots = budgets.iter().any(|e| matches!(e, Execution::Shots(_)));
+        // Exact execution has no shot variance to propagate.
+        let any_shots = matches!(self.engine.execution(), Execution::Shots(_));
         for (&(_, target), (forward_idx, offer)) in batch.iter().zip(&layout) {
             let expectations = &results[*forward_idx];
             let logits = self.model.logits_from_expectations(expectations);
@@ -404,31 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn uniform_budgets_reproduce_the_plain_gradient_bit_for_bit() {
-        let model = QnnModel::mnist2();
-        let backend = NoiselessBackend::new();
-        let computer = QnnGradientComputer::new(&model, &backend, Execution::Shots(256));
-        let params = vec![0.25; 8];
-        let input = vec![0.3; 16];
-        let batch: Vec<(&[f64], usize)> = vec![(input.as_slice(), 0), (input.as_slice(), 1)];
-        let indices = [1usize, 4, 6];
-        let plain = computer
-            .try_batch_gradient(&params, &batch, Some(&indices), 77)
-            .unwrap();
-        let budgets = vec![Execution::Shots(256); indices.len()];
-        let budgeted = computer
-            .try_batch_gradient_budgeted(&params, &batch, &indices, &budgets, 77)
-            .unwrap();
-        assert_eq!(plain, budgeted);
-        for (a, b) in plain.grad_var.iter().zip(&budgeted.grad_var) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn empty_budgeted_subset_freezes_everything() {
-        // The allocator may skip every selected row; the batch then runs
-        // forward passes only and the whole gradient stays at 0.
+    fn empty_subset_freezes_everything() {
+        // A subset without rows runs forward passes only, and the whole
+        // gradient stays at 0.
         let model = QnnModel::mnist2();
         let backend = NoiselessBackend::new();
         let computer = QnnGradientComputer::new(&model, &backend, Execution::Shots(256));
@@ -437,7 +392,7 @@ mod tests {
         let batch: Vec<(&[f64], usize)> = vec![(input.as_slice(), 0)];
         backend.reset_stats();
         let g = computer
-            .try_batch_gradient_budgeted(&params, &batch, &[], &[], 5)
+            .try_batch_gradient(&params, &batch, Some(&[]), 5)
             .unwrap();
         assert!(g.grad.iter().all(|&x| x == 0.0));
         assert!(g.grad_var.iter().all(|&x| x == 0.0));

@@ -16,10 +16,6 @@
 //! - [`health`] — the one per-parameter gradient tracker (|g| EMA, sign
 //!   flips, shot-noise SNR) and pruning-window efficacy, always on and
 //!   emitted as telemetry when enabled;
-//! - [`alloc`] — the SNR-adaptive shot-allocation controller
-//!   (`QOC_SHOT_ALLOC=snr`): a budget policy over [`health`]'s statistics
-//!   (per-row shot budgets, skip-with-frozen-gradient) that auto-tunes PGP
-//!   from the recall of the windows [`health`] closes;
 //! - [`eval`] — on-backend validation.
 //!
 //! # Quick example — train a QNN on a fake IBM device
@@ -50,7 +46,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod alloc;
 pub mod checkpoint;
 pub mod engine;
 pub mod eval;
@@ -61,11 +56,10 @@ pub mod prune;
 pub mod sched;
 pub mod shift;
 
-pub use alloc::{AllocState, ShotAllocConfig, ShotAllocError, ShotAllocator, ShotSpec, StepPlan};
 pub use checkpoint::{CheckpointConfig, CheckpointError, TrainState};
 pub use engine::{
-    train, train_anchored, DeviceCounters, PruningKind, RunAnchor, TrainConfig, TrainError,
-    TrainObserver, TrainResult,
+    train, train_anchored, DeviceCounters, PruningKind, ResumeError, RunAnchor, TrainConfig,
+    TrainError, TrainObserver, TrainResult,
 };
 pub use grad::QnnGradientComputer;
 pub use optim::OptimizerKind;

@@ -52,19 +52,6 @@ pub trait Pruner: std::fmt::Debug {
     ///
     /// Panics if the snapshot's kind or width does not match this pruner.
     fn restore(&mut self, state: &PrunerState);
-
-    /// Installs auto-tuned hyper-parameters from the shot-allocation
-    /// controller's measured prune-efficacy recall ([`crate::alloc`]): a
-    /// new ratio `r` and pruning-window width `w_p`. Takes effect from the
-    /// next stage; the current window runs out under the old schedule.
-    /// Default is a no-op — strategies without tunable windows
-    /// ([`NoPruning`]) simply ignore the request.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on out-of-domain values (ratio outside
-    /// `[0, 1)`, zero window) — the controller clamps before calling.
-    fn retune(&mut self, _ratio: f64, _pruning_window: usize) {}
 }
 
 /// Serializable snapshot of a pruner's mutable state (checkpointing).
@@ -288,16 +275,6 @@ impl Pruner for ProbabilisticPruner {
             PrunerState::None => panic!("cannot restore a windowed pruner from PrunerState::None"),
         }
     }
-
-    fn retune(&mut self, ratio: f64, pruning_window: usize) {
-        assert!(
-            (0.0..1.0).contains(&ratio),
-            "retuned ratio must be in [0, 1), got {ratio}"
-        );
-        assert!(pruning_window >= 1, "retuned w_p must be ≥ 1");
-        self.config.ratio = ratio;
-        self.config.pruning_window = pruning_window;
-    }
 }
 
 /// The deterministic baseline of Table 2: always keep the top-`(1−r)n`
@@ -352,10 +329,6 @@ impl Pruner for DeterministicPruner {
 
     fn restore(&mut self, state: &PrunerState) {
         self.inner.restore(state);
-    }
-
-    fn retune(&mut self, ratio: f64, pruning_window: usize) {
-        self.inner.retune(ratio, pruning_window);
     }
 }
 
@@ -605,39 +578,6 @@ mod tests {
         let mut rng2 = StdRng::from_state(rng_snap);
         let replay = drive(&mut q, &[0.3; 8], 6, &mut rng2);
         assert_eq!(tail, replay, "restored pruner diverged");
-    }
-
-    #[test]
-    fn retune_changes_keep_count_and_cadence() {
-        let cfg = PruneConfig {
-            accumulation_window: 1,
-            pruning_window: 2,
-            ratio: 0.5,
-        };
-        let mut p = ProbabilisticPruner::new(8, cfg);
-        assert_eq!(p.keep_count(), 4);
-        p.retune(0.75, 3);
-        assert_eq!(p.keep_count(), 2, "higher ratio keeps fewer params");
-        let mut rng = StdRng::seed_from_u64(21);
-        let grads = vec![0.2; 8];
-        let sels = drive(&mut p, &grads, 8, &mut rng);
-        let pattern: Vec<bool> = sels.iter().map(|s| matches!(s, Selection::Full)).collect();
-        // New stage shape: 1 full + 3 subset, repeating.
-        assert_eq!(
-            pattern,
-            vec![true, false, false, false, true, false, false, false]
-        );
-        // NoPruning ignores the request entirely.
-        let mut n = NoPruning;
-        n.retune(0.9, 5);
-        assert_eq!(n.begin_step(&mut rng), Selection::Full);
-    }
-
-    #[test]
-    #[should_panic(expected = "retuned ratio")]
-    fn retune_rejects_out_of_domain_ratio() {
-        let mut p = ProbabilisticPruner::new(4, PruneConfig::paper_default());
-        p.retune(1.0, 2);
     }
 
     #[test]

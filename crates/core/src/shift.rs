@@ -34,12 +34,12 @@
 //! training minibatch — first offers the whole request to the backend as
 //! one structured [`JacobianBatch`] through
 //! [`QuantumBackend::run_jacobian_batch`]
-//! ([`ParameterShiftEngine::offer_jacobian`]). Each row carries its
-//! execution and the seeds of its shifted jobs. When every row is a single
-//! occurrence with |scale| = 1, a [`FakeDevice`] and the statevector
-//! backend answer with the shifted jobs' own results, every shifted circuit
-//! forked from one forward evolution and read out with its job's seed.
-//! Anything else (an empty request, a shared or scaled symbol, and every
+//! ([`ParameterShiftEngine::offer_jacobian`]). The batch carries the
+//! engine's execution, and each row the seeds of its shifted jobs. When
+//! every row is a single occurrence with |scale| = 1, a [`FakeDevice`] and
+//! the statevector backend answer with the shifted jobs' own results,
+//! every shifted circuit forked from one forward evolution and read out
+//! with its job's seed. Anything else (an empty request, a shared or scaled symbol, and every
 //! wrapper that doesn't forward the hook) declines, and the engine builds
 //! and runs the 2·occ shifted-job batch above; an answered request never
 //! builds its jobs. The shifted results feed the same
@@ -132,11 +132,8 @@ struct OccurrenceShift {
 pub struct JacobianPlan {
     /// Per row: `(plus_idx, minus_idx, scale)` terms into the job list.
     rows: Vec<Vec<(usize, usize, f64)>>,
-    /// Per row: the execution every one of its shifted jobs ran under —
-    /// the engine's own execution for [`ParameterShiftEngine::jacobian_jobs`],
-    /// the caller's per-row budget for
-    /// [`ParameterShiftEngine::jacobian_jobs_budgeted`].
-    row_executions: Vec<Execution>,
+    /// The execution every shifted job ran under.
+    execution: Execution,
     num_jobs: usize,
     num_outputs: usize,
 }
@@ -175,12 +172,12 @@ impl JacobianPlan {
     }
 
     /// Shot-noise variance of each assembled Jacobian entry under the
-    /// finite-shot binomial model (paper Section 3.3), at each row's own
+    /// finite-shot binomial model (paper Section 3.3), at the plan's
     /// execution: a measured expectation `f = ⟨Z⟩` estimated from `s` shots
     /// has `Var(f) = (1 − f²)/s`, so a row entry `Σ scale·½·(f₊ − f₋)`
     /// carries `Σ scale²·¼·((1 − f₊²) + (1 − f₋²))/s` (the two shifted runs
-    /// are independent jobs). Rows that ran exactly get zeros. Shape
-    /// matches [`Self::assemble`]'s output.
+    /// are independent jobs). Exact execution gives zeros. Shape matches
+    /// [`Self::assemble`]'s output.
     ///
     /// # Panics
     ///
@@ -194,10 +191,9 @@ impl JacobianPlan {
         );
         self.rows
             .iter()
-            .zip(&self.row_executions)
-            .map(|(terms, execution)| {
+            .map(|terms| {
                 let mut row = vec![0.0; self.num_outputs];
-                let Execution::Shots(shots) = *execution else {
+                let Execution::Shots(shots) = self.execution else {
                     return row;
                 };
                 let s = f64::from(shots.max(1));
@@ -457,58 +453,35 @@ impl<'a> ParameterShiftEngine<'a> {
         subset: Option<&[usize]>,
         master_seed: u64,
     ) -> (Vec<CircuitJob<'_>>, JacobianPlan) {
-        let indices: Vec<usize> = match subset {
-            Some(s) => s.to_vec(),
-            None => (0..self.num_trainable).collect(),
+        let all: Vec<usize>;
+        let indices = match subset {
+            Some(s) => s,
+            None => {
+                all = (0..self.num_trainable).collect();
+                &all
+            }
         };
-        let budgets = vec![self.execution; indices.len()];
-        self.jacobian_jobs_budgeted(theta, &indices, master_seed, &budgets)
-    }
-
-    /// [`Self::jacobian_jobs`] with a per-row [`Execution`] budget (e.g.
-    /// from the SNR-adaptive shot allocator, [`crate::alloc`]): every
-    /// shifted job of row `subset[r]` runs under `budgets[r]`. Job *seeds*
-    /// are untouched — budgets change how many shots a job draws, never
-    /// which RNG stream it draws them from — so budgets that all equal the
-    /// engine execution reproduce [`Self::jacobian_jobs`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `budgets` and `subset` lengths differ.
-    pub fn jacobian_jobs_budgeted(
-        &self,
-        theta: &[f64],
-        subset: &[usize],
-        master_seed: u64,
-        budgets: &[Execution],
-    ) -> (Vec<CircuitJob<'_>>, JacobianPlan) {
         let mut jobs = Vec::new();
-        let plan = self.layout(subset, budgets, |i, k, minus, execution| {
-            jobs.push(self.shifted_job(theta, i, k, minus, execution, master_seed));
+        let plan = self.layout(indices, |i, k, minus| {
+            jobs.push(self.shifted_job(theta, i, k, minus, master_seed));
         });
         (jobs, plan)
     }
 
-    /// The shifted-job list of rows `subset` under `budgets`, as the plan
-    /// that assembles it: two jobs per gate occurrence, `+π/2` before
-    /// `−π/2`, in row order. Calls `job(symbol, occurrence, minus,
-    /// execution)` once per job, in list order.
-    fn layout(
-        &self,
-        subset: &[usize],
-        budgets: &[Execution],
-        mut job: impl FnMut(usize, usize, bool, Execution),
-    ) -> JacobianPlan {
-        assert_eq!(budgets.len(), subset.len(), "one budget per requested row");
+    /// The shifted-job list of rows `subset`, as the plan that assembles
+    /// it: two jobs per gate occurrence, `+π/2` before `−π/2`, in row
+    /// order. Calls `job(symbol, occurrence, minus)` once per job, in list
+    /// order.
+    fn layout(&self, subset: &[usize], mut job: impl FnMut(usize, usize, bool)) -> JacobianPlan {
         let mut num_jobs = 0;
         let mut rows = Vec::with_capacity(subset.len());
-        for (&i, &execution) in subset.iter().zip(budgets) {
+        for &i in subset {
             assert!(i < self.num_trainable, "symbol {i} not trainable");
             let plan = &self.plans[i];
             let mut terms = Vec::with_capacity(plan.num_occurrences());
             for k in 0..plan.num_occurrences() {
-                job(i, k, false, execution);
-                job(i, k, true, execution);
+                job(i, k, false);
+                job(i, k, true);
                 terms.push((num_jobs, num_jobs + 1, plan.scale(k)));
                 num_jobs += 2;
             }
@@ -516,7 +489,7 @@ impl<'a> ParameterShiftEngine<'a> {
         }
         JacobianPlan {
             rows,
-            row_executions: budgets.to_vec(),
+            execution: self.execution,
             num_jobs,
             num_outputs: self.prepared.logical_qubits(),
         }
@@ -531,7 +504,6 @@ impl<'a> ParameterShiftEngine<'a> {
         i: usize,
         occurrence: usize,
         minus: bool,
-        execution: Execution,
         master_seed: u64,
     ) -> CircuitJob<'_> {
         let seed = shift_seed(master_seed, i, occurrence, minus);
@@ -539,21 +511,14 @@ impl<'a> ParameterShiftEngine<'a> {
             SymbolPlan::Simple => {
                 let mut shifted = theta.to_vec();
                 shifted[i] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
-                CircuitJob::expectation(&self.prepared, shifted, execution, seed)
+                CircuitJob::expectation(&self.prepared, shifted, self.execution, seed)
             }
             SymbolPlan::Occurrences(shifts) => {
                 let shift = &shifts[occurrence];
                 let prepared = if minus { &shift.minus } else { &shift.plus };
-                CircuitJob::expectation(prepared, theta.to_vec(), execution, seed)
+                CircuitJob::expectation(prepared, theta.to_vec(), self.execution, seed)
             }
         }
-    }
-
-    /// Shifted jobs each trainable symbol's Jacobian row costs per
-    /// evaluation (2 per differentiable gate occurrence) — the cost model
-    /// the shot allocator's savings accounting uses.
-    pub fn jobs_per_row(&self) -> Vec<usize> {
-        self.plans.iter().map(|p| 2 * p.num_occurrences()).collect()
     }
 
     /// Gradient row `∂f/∂θᵢ` for one trainable symbol.
@@ -561,39 +526,35 @@ impl<'a> ParameterShiftEngine<'a> {
         self.jacobian_subset(theta, &[i], master_seed).remove(0)
     }
 
-    /// Offers rows `indices` of the Jacobian at `theta`, row `indices[r]`
-    /// under `budgets[r]`, to the backend's hook as one [`JacobianBatch`]
-    /// carrying each row's execution and the seeds of its shifted jobs
-    /// (those of [`Self::jacobian_jobs_budgeted`]). The jobs themselves are
-    /// built only if the hook declines ([`JacobianOffer::take_jobs`]).
-    /// Every Jacobian the engine or the training loop evaluates goes
-    /// through here.
+    /// Offers rows `indices` of the Jacobian at `theta` to the backend's
+    /// hook as one [`JacobianBatch`] carrying the engine's execution and
+    /// the seeds of each row's shifted jobs (those of
+    /// [`Self::jacobian_jobs`]). The jobs themselves are built only if the
+    /// hook declines ([`JacobianOffer::take_jobs`]). Every Jacobian the
+    /// engine or the training loop evaluates goes through here.
     ///
     /// # Panics
     ///
-    /// Panics when `budgets` and `indices` lengths differ or an index is
-    /// not trainable.
+    /// Panics when an index is not trainable.
     pub fn offer_jacobian(
         &self,
         theta: &[f64],
         indices: &[usize],
         master_seed: u64,
-        budgets: &[Execution],
     ) -> JacobianOffer<'_> {
-        let plan = self.layout(indices, budgets, |_, _, _, _| {});
+        let plan = self.layout(indices, |_, _, _| {});
         let rows = indices
             .iter()
-            .zip(budgets)
-            .map(|(&symbol, &execution)| JacobianRow {
+            .map(|&symbol| JacobianRow {
                 symbol,
                 spec: &self.row_specs[symbol],
-                execution,
                 seeds: [false, true].map(|minus| shift_seed(master_seed, symbol, 0, minus)),
             })
             .collect();
         let batch = JacobianBatch {
             prepared: &self.prepared,
             theta: theta.to_vec(),
+            execution: self.execution,
             rows,
         };
         let answer = self.backend.run_jacobian_batch(&batch);
@@ -601,10 +562,9 @@ impl<'a> ParameterShiftEngine<'a> {
             answer.as_ref().is_none_or(|r| r.len() == plan.num_jobs()),
             "backend answered the wrong number of results"
         );
-        let jobs = answer.is_none().then(|| {
-            let (jobs, _) = self.jacobian_jobs_budgeted(theta, indices, master_seed, budgets);
-            jobs
-        });
+        let jobs = answer
+            .is_none()
+            .then(|| self.jacobian_jobs(theta, Some(indices), master_seed).0);
         JacobianOffer { plan, answer, jobs }
     }
 
@@ -618,8 +578,7 @@ impl<'a> ParameterShiftEngine<'a> {
         master_seed: u64,
     ) -> Result<Jacobian, BatchError> {
         let mut span = qoc_telemetry::span!("shift.jacobian", rows = indices.len());
-        let budgets = vec![self.execution; indices.len()];
-        let mut offer = self.offer_jacobian(theta, indices, master_seed, &budgets);
+        let mut offer = self.offer_jacobian(theta, indices, master_seed);
         let jobs = offer.take_jobs();
         if let Some(s) = span.as_mut() {
             s.field("jobs", offer.num_jobs());
@@ -892,8 +851,7 @@ mod tests {
         for execution in [Execution::Shots(64), Execution::Exact] {
             let engine = ParameterShiftEngine::new(&wrapped, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
-            let budgets = [execution; 5];
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets);
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6);
             assert_eq!(offer.mode(), "shifted-2p", "{execution:?}");
             assert_eq!(offer.num_jobs(), 10, "{execution:?}");
             wrapped.reset_stats();
@@ -925,8 +883,7 @@ mod tests {
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
             backend.reset_stats();
-            let budgets = [execution; 5];
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, &budgets);
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6);
             assert_eq!(backend.stats().circuits_run, 10, "{label}");
             assert_eq!(offer.mode(), "forked", "{label}");
             assert_eq!(offer.num_jobs(), 0, "{label}");
@@ -956,8 +913,7 @@ mod tests {
         for (backend, execution, rows, mode) in cases {
             let label = format!("{} {execution:?} rows {rows:?}", backend.name());
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
-            let budgets = vec![execution; rows.len()];
-            let offer = engine.offer_jacobian(&[0.3; 5], rows, 2, &budgets);
+            let offer = engine.offer_jacobian(&[0.3; 5], rows, 2);
             let jobs = if mode == "forked" { 0 } else { 2 * rows.len() };
             assert_eq!((offer.mode(), offer.num_jobs()), (mode, jobs), "{label}");
             assert!(qoc_telemetry::schema::SHIFT_JACOBIAN_MODES.contains(&mode));
@@ -995,8 +951,8 @@ mod tests {
         // The same exact expectations, read through a 1024-shot plan of the
         // same layout.
         let shots = 1024u32;
-        let (_, shot_plan) =
-            engine.jacobian_jobs_budgeted(&theta, &[0], 9, &[Execution::Shots(shots)]);
+        let shot_engine = ParameterShiftEngine::new(&backend, &c, 1, Execution::Shots(shots));
+        let (_, shot_plan) = shot_engine.jacobian_jobs(&theta, None, 9);
         let noisy = shot_plan.row_variances(&results);
         let fp = (0.7 + FRAC_PI_2).cos();
         let fm = (0.7 - FRAC_PI_2).cos();
@@ -1010,90 +966,18 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_jobs_with_uniform_budget_match_the_plain_plan() {
-        // The allocator's contract: budgets change shot counts, never
-        // seeds. A budgeted plan at the engine's own execution must be
-        // bit-identical to the plain plan — results AND predicted
-        // variances.
-        let backend = NoiselessBackend::new();
-        let c = ansatz_circuit();
-        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Shots(256));
-        let theta = [0.1, 0.2, 0.3, 0.4, 0.5];
-        let subset = [0usize, 2, 4];
-        let (plain_jobs, plain_plan) = engine.jacobian_jobs(&theta, Some(&subset), 17);
-        let budgets = vec![Execution::Shots(256); subset.len()];
-        let (bud_jobs, bud_plan) = engine.jacobian_jobs_budgeted(&theta, &subset, 17, &budgets);
-        assert_eq!(plain_jobs.len(), bud_jobs.len());
-        let plain = engine.run_batch(&plain_jobs);
-        let bud = engine.run_batch(&bud_jobs);
-        assert_eq!(plain, bud, "uniform budget must be bit-identical");
-        assert_eq!(
-            plain_plan.row_variances(&plain),
-            bud_plan.row_variances(&bud),
-            "variances match at a uniform budget"
-        );
-    }
-
-    #[test]
-    fn budgeted_rows_keep_their_streams_at_any_shot_count() {
-        // Row i at s shots draws from the same (symbol, occurrence, sign)
-        // streams as row i in the full Jacobian — changing ANOTHER row's
-        // budget must not perturb it.
-        let backend = NoiselessBackend::new();
-        let c = ansatz_circuit();
-        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Shots(256));
-        let theta = [0.1, 0.2, 0.3, 0.4, 0.5];
-        let (jobs_a, plan_a) = engine.jacobian_jobs_budgeted(
-            &theta,
-            &[1, 3],
-            23,
-            &[Execution::Shots(256), Execution::Shots(64)],
-        );
-        let (jobs_b, plan_b) = engine.jacobian_jobs_budgeted(
-            &theta,
-            &[1, 3],
-            23,
-            &[Execution::Shots(256), Execution::Shots(512)],
-        );
-        let rows_a = plan_a.assemble(&engine.run_batch(&jobs_a));
-        let rows_b = plan_b.assemble(&engine.run_batch(&jobs_b));
-        assert_eq!(rows_a[0], rows_b[0], "row 1 untouched by row 3's budget");
-        let full = engine.jacobian_subset(&theta, &[1], 23);
-        assert_eq!(rows_a[0], full[0], "budgeted row equals the uniform row");
-    }
-
-    #[test]
-    fn row_variances_mix_exact_and_shot_rows() {
-        let mut c = Circuit::new(1);
-        c.ry(0, ParamValue::sym(0));
-        c.rz(0, ParamValue::sym(1));
-        let backend = NoiselessBackend::new();
-        let engine = ParameterShiftEngine::new(&backend, &c, 2, Execution::Shots(1024));
-        let theta = [0.7, 0.1];
-        let (jobs, plan) = engine.jacobian_jobs_budgeted(
-            &theta,
-            &[0, 1],
-            9,
-            &[Execution::Exact, Execution::Shots(64)],
-        );
-        let results = engine.run_batch(&jobs);
-        let var = plan.row_variances(&results);
-        assert_eq!(var[0], vec![0.0], "exact row predicts zero variance");
-        assert!(
-            var[1][0] > 0.0,
-            "finite-shot row predicts positive variance"
-        );
-    }
-
-    #[test]
-    fn jobs_per_row_counts_occurrences() {
+    fn plans_cost_two_jobs_per_occurrence() {
         let mut c = Circuit::new(2);
         c.ry(0, ParamValue::sym(0));
         c.ry(1, ParamValue::sym(0));
         c.rzz(0, 1, ParamValue::sym(1));
         let backend = NoiselessBackend::new();
         let engine = ParameterShiftEngine::new(&backend, &c, 2, Execution::Exact);
-        assert_eq!(engine.jobs_per_row(), vec![4, 2]);
+        let jobs = |subset: Option<&[usize]>| engine.jacobian_jobs(&[0.1, 0.2], subset, 3);
+        assert_eq!(jobs(Some(&[0])).1.num_jobs(), 4);
+        assert_eq!(jobs(Some(&[1])).1.num_jobs(), 2);
+        let (all, plan) = jobs(None);
+        assert_eq!((all.len(), plan.num_jobs()), (6, 6));
     }
 
     #[test]

@@ -17,14 +17,14 @@
 //! 4. a fake device's answer to the Jacobian hook — every shifted circuit
 //!    forked from one forward evolution — is bit-identical to the shifted
 //!    jobs run through a wrapper that declines the hook, on random circuits
-//!    with encoder symbols, row subsets and mixed per-row executions, at
-//!    1, 2 and 8 workers, and every fork's measured distribution equals
-//!    its shifted run's, measured and in full, each full run a state
-//!    (trace 1, Hermitian, PSD to 1e-12);
+//!    with encoder symbols and row subsets, at one random execution per
+//!    request and at 1, 2 and 8 workers, and every fork's measured
+//!    distribution equals its shifted run's, measured and in full, each
+//!    full run a state (trace 1, Hermitian, PSD to 1e-12);
 //! 5. the noiseless backend's forked answer — every shifted statevector
 //!    forked from one binding of `θ` — is bit-identical to the declined
-//!    shifted jobs on the same random cases, for exact rows, `Shots(64)`
-//!    rows and mixed per-row budgets, at 1, 2 and 8 workers.
+//!    shifted jobs on the same random cases, exact, at `Shots(64)` and at
+//!    the case's execution, at 1, 2 and 8 workers.
 
 use proptest::prelude::*;
 
@@ -76,16 +76,14 @@ fn both_methods(
     let rows: Vec<usize> =
         subset.map_or_else(|| (0..engine.num_trainable()).collect(), <[usize]>::to_vec);
     let before = engine.backend().stats().circuits_run;
-    let mut offer =
-        engine.offer_jacobian(theta, &rows, seed, &vec![engine.execution(); rows.len()]);
+    let mut offer = engine.offer_jacobian(theta, &rows, seed);
     let results = offer
         .take_jobs()
         .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
     let own = offer.jacobian(&results);
-    let cost: usize = rows.iter().map(|&i| engine.jobs_per_row()[i]).sum();
     assert_eq!(
         engine.backend().stats().circuits_run - before,
-        cost as u64,
+        plan.num_jobs() as u64,
         "the engine's Jacobian must cost its shifted circuits"
     );
     [("shifted-2p", shifted), (offer.mode(), own)]
@@ -157,23 +155,39 @@ fn finite_difference(c: &Circuit, theta: &[f64], i: usize) -> Vec<f64> {
 
 /// A random 4-qubit device case: the circuit, its trainable-symbol count
 /// (later symbols are an untrainable encoder), `θ`, the requested rows in
-/// random order, and one execution per row.
-type DeviceCase = (Circuit, usize, Vec<f64>, Vec<usize>, Vec<Execution>);
+/// random order, and the request's execution.
+type DeviceCase = (Circuit, usize, Vec<f64>, Vec<usize>, Execution);
 
 /// Random circuits over `{H, CX, RX, RY, RZ, RZZ}` whose angles read a fresh
 /// symbol per gate (sometimes a reused one, sometimes at scale −1 or 2 —
 /// rows the fake device must decline), a random trainable prefix of the
-/// symbols, and a random row subset with mixed `Exact`/`Shots(1..=1024)`.
+/// symbols, a random row subset, and `Exact` or `Shots(1..=1024)`.
+///
+/// Half the circuits open with RY(θ₀) on a wire, a CX that flushes it, a
+/// constant H on it and then RX(θ₁), symbol 1's first gate; their request
+/// is rows 0 and 1, which open first and so share a fork lane group. Symbol
+/// 1's window then opens after row 0 flushed a wire both rows dirty, with
+/// a constant gate pending on it.
 fn arb_device_case() -> impl Strategy<Value = DeviceCase> {
     let op = (0u8..6, 0usize..4, 1usize..4, 0u8..10, 0u32..1000);
     (
         proptest::collection::vec(op, 1..14),
-        proptest::collection::vec((-3.0f64..3.0, 0u32..1000, 0u32..1025), 12),
-        0usize..12,
+        proptest::collection::vec((-3.0f64..3.0, 0u32..1000), 12),
+        (0usize..12, 0u32..1025),
+        (any::<bool>(), 0usize..4, 1usize..4),
     )
-        .prop_map(|(ops, draws, trainable_draw)| {
+        .prop_map(|(ops, draws, (trainable_draw, shots), (late, a, off))| {
             let mut c = Circuit::new(4);
-            let mut syms = 0usize;
+            // Symbols below `opening` belong to the opening gates and are
+            // never reused, so their rows stay forkable.
+            let opening = if late { 2 } else { 0 };
+            if late {
+                c.ry(a, ParamValue::sym(0));
+                c.cx(a, (a + off) % 4);
+                c.h(a);
+                c.rx(a, ParamValue::sym(1));
+            }
+            let mut syms = opening;
             for (kind, a, off, variant, reuse) in ops {
                 let b = (a + off) % 4;
                 if kind == 0 {
@@ -184,8 +198,8 @@ fn arb_device_case() -> impl Strategy<Value = DeviceCase> {
                     c.cx(a, b);
                     continue;
                 }
-                let index = if variant == 0 && syms > 0 {
-                    reuse as usize % syms
+                let index = if variant == 0 && syms > opening {
+                    opening + reuse as usize % (syms - opening)
                 } else {
                     syms += 1;
                     syms - 1
@@ -211,23 +225,20 @@ fn arb_device_case() -> impl Strategy<Value = DeviceCase> {
                 c.ry(0, ParamValue::sym(0));
                 syms = 1;
             }
-            let trainable = 1 + trainable_draw % syms;
+            let trainable = opening.max(1) + trainable_draw % (syms + 1 - opening.max(1));
             let theta: Vec<f64> = draws.iter().take(syms).map(|d| d.0).collect();
             // A random subset of the trainable symbols in random order.
             let mut keyed: Vec<(u32, usize)> = (0..trainable)
                 .map(|i| (draws[i].1, i))
-                .filter(|&(key, _)| key % 4 != 0)
+                .filter(|&(key, i)| if late { i < opening } else { key % 4 != 0 })
                 .collect();
             keyed.sort_unstable();
             let rows: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
-            let budgets = rows
-                .iter()
-                .map(|&i| match draws[i].2 {
-                    0 => Execution::Exact,
-                    shots => Execution::Shots(shots),
-                })
-                .collect();
-            (c, trainable, theta, rows, budgets)
+            let execution = match shots {
+                0 => Execution::Exact,
+                shots => Execution::Shots(shots),
+            };
+            (c, trainable, theta, rows, execution)
         })
 }
 
@@ -266,9 +277,9 @@ fn assert_state(rho: &DensityMatrix) {
     );
 }
 
-/// Offers rows `rows` of `c` at `theta`, row `rows[r]` under `budgets[r]`,
-/// to `backend` and to `declining`, a wrapper of the same backend that
-/// declines the hook, each engine at `workers` batch workers. A forking
+/// Offers rows `rows` of `c` at `theta` under `execution` to `backend` and
+/// to `declining`, a wrapper of the same backend that declines the hook,
+/// each engine at `workers` batch workers. A forking
 /// backend answers non-empty requests whose
 /// rows are all single occurrences with |scale| = 1, and declines the rest;
 /// either way its Jacobian, row variances and charged stats equal the
@@ -277,19 +288,18 @@ fn check_forked_equals_declined(
     backend: &dyn QuantumBackend,
     declining: &dyn QuantumBackend,
     (c, trainable, theta, rows): (&Circuit, usize, &[f64], &[usize]),
-    budgets: &[Execution],
+    execution: Execution,
     seed: u64,
     workers: usize,
 ) {
-    let engine = ParameterShiftEngine::new(backend, c, trainable, Execution::Shots(256))
-        .with_workers(workers);
-    let mut answered = engine.offer_jacobian(theta, rows, seed, budgets);
+    let engine = ParameterShiftEngine::new(backend, c, trainable, execution).with_workers(workers);
+    let mut answered = engine.offer_jacobian(theta, rows, seed);
     let own = answered
         .take_jobs()
         .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
-    let reference = ParameterShiftEngine::new(declining, c, trainable, Execution::Shots(256))
-        .with_workers(workers);
-    let mut declined = reference.offer_jacobian(theta, rows, seed, budgets);
+    let reference =
+        ParameterShiftEngine::new(declining, c, trainable, execution).with_workers(workers);
+    let mut declined = reference.offer_jacobian(theta, rows, seed);
     let jobs = declined.take_jobs().expect("the wrapper declines");
     let results = reference.run_batch(&jobs);
 
@@ -333,7 +343,7 @@ proptest! {
         jakarta in any::<bool>(),
         seed in 0u32..1000,
     ) {
-        let (c, trainable, theta, rows, budgets) = case;
+        let (c, trainable, theta, rows, execution) = case;
         let desc = if jakarta { fake_jakarta() } else { fake_santiago() };
         let device = FakeDevice::new(desc.clone());
         let declining = FaultInjectingBackend::new(FakeDevice::new(desc.clone()), FaultPlan::none());
@@ -343,7 +353,7 @@ proptest! {
                 &device,
                 &declining,
                 case,
-                &budgets,
+                execution,
                 u64::from(seed),
                 workers,
             );
@@ -373,22 +383,17 @@ proptest! {
         case in arb_device_case(),
         seed in 0u32..1000,
     ) {
-        let (c, trainable, theta, rows, mixed) = case;
+        let (c, trainable, theta, rows, drawn) = case;
         let noiseless = NoiselessBackend::new();
         let declining = FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
         let case = (&c, trainable, &theta[..], &rows[..]);
-        let requests = [
-            vec![Execution::Exact; rows.len()],
-            vec![Execution::Shots(64); rows.len()],
-            mixed,
-        ];
-        for budgets in &requests {
+        for execution in [Execution::Exact, Execution::Shots(64), drawn] {
             for workers in [1usize, 2, 8] {
                 check_forked_equals_declined(
                     &noiseless,
                     &declining,
                     case,
-                    budgets,
+                    execution,
                     u64::from(seed),
                     workers,
                 );
@@ -528,8 +533,7 @@ fn noisy_shifted_and_forked_jacobians_match_goldens() {
         // The full request reads symbol 1 twice, so the hook declines it.
         let declined = engine.jacobian(&theta, 0xC0FFEE);
         assert_golden_rows(&declined, &all, "declined hook", workers);
-        let executions = vec![Execution::Shots(256); forkable.len()];
-        let mut offer = engine.offer_jacobian(&theta, &forkable, 0xC0FFEE, &executions);
+        let mut offer = engine.offer_jacobian(&theta, &forkable, 0xC0FFEE);
         assert!(
             offer.take_jobs().is_none(),
             "the fake device forks rows {forkable:?}"

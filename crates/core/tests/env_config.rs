@@ -43,7 +43,9 @@ fn malformed_knobs_are_typed_errors_before_any_circuit_runs() {
 
     for (name, value, hint) in [
         ("QOC_WORKERS", "garbage", "integer ≥ 1"),
-        ("QOC_SHOT_ALOC", "snr", "did you mean QOC_SHOT_ALLOC?"),
+        ("QOC_WORKRS", "4", "did you mean QOC_WORKERS?"),
+        // The retired shot allocator's knob is unknown now.
+        ("QOC_SHOT_ALLOC", "snr", "not a known QOC_* variable"),
         ("QOC_DIFF_MODE", "adjoint", "did you mean QOC_"),
         ("QOC_CHECKPOINT_EVERY", "0", "integer ≥ 1"),
         (

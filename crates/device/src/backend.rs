@@ -242,6 +242,8 @@ pub struct JacobianBatch<'a> {
     pub prepared: &'a PreparedCircuit,
     /// Parameter binding.
     pub theta: Vec<f64>,
+    /// The execution every shifted job runs under.
+    pub execution: Execution,
     /// One entry per requested Jacobian row, in output order.
     pub rows: Vec<JacobianRow<'a>>,
 }
@@ -255,8 +257,6 @@ pub struct JacobianRow<'a> {
     /// The symbol's gate occurrences in the logical circuit, chain-rule
     /// scales included.
     pub spec: &'a JacobianRowSpec,
-    /// The execution the row's shifted jobs run under.
-    pub execution: Execution,
     /// Seeds of the row's `[+π/2, −π/2]` jobs on its first occurrence —
     /// its only jobs when its spec is a symbol shift
     /// ([`JacobianRowSpec::is_symbol_shift`]), which then run the prepared
@@ -690,9 +690,8 @@ fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
     let mut results = vec![Vec::new(); 2 * symbols.len()];
     let span = BatchSpan::open(backend, results.len(), 1);
     for_each_shift(&symbols, &mut |r, minus, state| {
-        let row = &batch.rows[r];
-        let mut rng = StdRng::seed_from_u64(row.seeds[usize::from(minus)]);
-        results[2 * r + usize::from(minus)] = read_out(state, row.execution, &mut rng);
+        let mut rng = StdRng::seed_from_u64(batch.rows[r].seeds[usize::from(minus)]);
+        results[2 * r + usize::from(minus)] = read_out(state, batch.execution, &mut rng);
     });
     span.close(backend);
     Some(results)

@@ -410,6 +410,40 @@ fn arb_rows() -> impl Strategy<Value = Vec<usize>> {
         })
 }
 
+/// [`arb_symbolic_circuit`] and [`arb_rows`]; half the circuits (on two or
+/// more qubits) behind RY(θ₀) on a wire, a CX that flushes it, a constant
+/// SX on it and RZ(θ₃), symbol 3's first gate. Their rows then hold 0 and
+/// 3, which open first and so share a lane group: symbol 3's window opens
+/// after row 0 flushed a wire both rows dirty, with the SX pending on it.
+fn arb_fork_case() -> impl Strategy<Value = (Circuit, Vec<f64>, Vec<usize>)> {
+    (
+        arb_symbolic_circuit(),
+        arb_rows(),
+        (any::<bool>(), 0usize..5, 0usize..4),
+    )
+        .prop_map(|((body, theta), mut rows, (late, q, off))| {
+            let n = body.num_qubits();
+            if !late || n < 2 {
+                return (body, theta, rows);
+            }
+            let q = q % n;
+            let mut c = Circuit::new(n);
+            c.ry(q, ParamValue::sym(0));
+            c.cx(q, (q + 1 + off % (n - 1)) % n);
+            c.push(GateKind::Sx, &[q], &[]);
+            c.rz(q, ParamValue::sym(3));
+            for op in body.ops() {
+                c.push(op.gate, &op.qubits, &op.params);
+            }
+            for symbol in [0, 3] {
+                if !rows.contains(&symbol) {
+                    rows.push(symbol);
+                }
+            }
+            (c, theta, rows)
+        })
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -468,15 +502,14 @@ proptest! {
 
     #[test]
     fn forked_shifts_are_bit_identical_to_shifted_runs(
-        case in arb_symbolic_circuit(),
+        case in arb_fork_case(),
         cal in arb_calibration(),
-        symbols in arb_rows(),
         kraus in (0.0f64..0.3, 0.0f64..0.3),
     ) {
         // Symbol 5 indexes past the circuit's symbols: its shifts leave the
         // program unchanged, and its forks must say so. The edge Kraus entry
         // puts a 16×16 superoperator pass into the forks' paired suffix.
-        let (circuit, mut theta) = case;
+        let (circuit, mut theta, symbols) = case;
         theta.resize(6, 0.4);
         let edge_kraus = asymmetric_2q(kraus.0, kraus.1);
         let noise = calibrated_model(&circuit, &cal.0, &cal.1, Some(&edge_kraus));

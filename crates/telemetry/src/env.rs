@@ -2,8 +2,7 @@
 //!
 //! [`KNOBS`] lists each knob the workspace reads with its [`Kind`] and its
 //! behaviour when unset; nothing else reads a `QOC_*` variable. There is
-//! one reader per kind ([`path`], [`level`], [`count`], [`choice`],
-//! [`spec`]); the ones whose kind can be malformed return it as the same
+//! one reader per kind ([`path`], [`level`], [`count`], [`spec`]); the ones whose kind can be malformed return it as the same
 //! [`EnvError`] naming the variable. [`check`] validates the whole
 //! environment — unknown `QOC_*` names (with the nearest knob as a hint)
 //! and every value — and the training engine, the experiment bins and
@@ -29,8 +28,6 @@ pub enum Kind {
     Level,
     /// An unsigned integer no smaller than the given minimum.
     Count(u64),
-    /// One of the listed words (ASCII case-insensitive).
-    Enum(&'static [&'static str]),
     /// A structured spec, checked here when this crate owns its grammar.
     Spec(Option<SpecCheck>),
 }
@@ -48,7 +45,7 @@ pub struct Knob {
 
 /// Every knob the workspace reads; the README's knob table mirrors it.
 #[rustfmt::skip]
-pub const KNOBS: [Knob; 14] = [
+pub const KNOBS: [Knob; 13] = [
     Knob { name: "QOC_LOG", kind: Kind::Level, default: "off" },
     Knob { name: "QOC_TRACE_FILE", kind: Kind::Path, default: "off" },
     Knob { name: "QOC_FLIGHT_RECORDER", kind: Kind::Count(0), default: "off (0 = off)" },
@@ -60,7 +57,6 @@ pub const KNOBS: [Knob; 14] = [
     Knob { name: "QOC_FAULT_PLAN", kind: Kind::Spec(None), default: "off" },
     Knob { name: "QOC_CHECKPOINT_FILE", kind: Kind::Path, default: "off" },
     Knob { name: "QOC_CHECKPOINT_EVERY", kind: Kind::Count(1), default: "10" },
-    Knob { name: "QOC_SHOT_ALLOC", kind: Kind::Enum(&["off", "snr"]), default: "off" },
     Knob { name: "QOC_SERVE_QUOTA", kind: Kind::Spec(None), default: "queued=16,running=2" },
     Knob { name: "QOC_SERVE_TENANTS", kind: Kind::Spec(None), default: "any tenant" },
 ];
@@ -110,8 +106,6 @@ impl Knob {
                 Ok(n) if n >= min => Ok(()),
                 _ => Err(format!("expected an integer ≥ {min}")),
             },
-            Kind::Enum(words) if words.iter().any(|w| w.eq_ignore_ascii_case(value)) => Ok(()),
-            Kind::Enum(words) => Err(format!("expected one of {}", words.join(", "))),
             Kind::Spec(Some(check)) => check(value),
         };
         verdict.map_err(|reason| EnvError::new(self.name, raw, reason))
@@ -145,11 +139,6 @@ pub fn level(name: &str) -> Result<Option<Level>, EnvError> {
 /// A [`Kind::Count`] knob.
 pub fn count(name: &str) -> Result<Option<u64>, EnvError> {
     Ok(read(name)?.and_then(|v| v.parse().ok()))
-}
-
-/// A [`Kind::Enum`] knob, lower-cased.
-pub fn choice(name: &str) -> Result<Option<String>, EnvError> {
-    Ok(read(name)?.map(|v| v.to_ascii_lowercase()))
 }
 
 /// A [`Kind::Spec`] knob's text, for its owner to parse (`None` also when
@@ -226,7 +215,6 @@ mod tests {
             (_, Kind::Level) => ("debug", Some("loud")),
             ("QOC_WORKERS" | "QOC_CHECKPOINT_EVERY", Kind::Count(_)) => ("4", Some("0")),
             (_, Kind::Count(_)) => ("0", Some("-1")),
-            (_, Kind::Enum(_)) => ("snr", Some("adjoint")),
             ("QOC_ALERT_RULES", _) => ("qoc.device.retries > 0", Some("qoc.grad.snr ~ 1")),
             (_, Kind::Spec(_)) => ("queued=8", None),
         }
@@ -280,13 +268,6 @@ mod tests {
         std::env::remove_var("QOC_CHECKPOINT_EVERY");
         assert_eq!(count("QOC_CHECKPOINT_EVERY"), Ok(None));
 
-        std::env::set_var("QOC_SHOT_ALLOC", "SNR");
-        assert_eq!(choice("QOC_SHOT_ALLOC"), Ok(Some("snr".to_string())));
-        std::env::set_var("QOC_SHOT_ALLOC", "adaptive");
-        assert!(choice("QOC_SHOT_ALLOC").is_err());
-        std::env::remove_var("QOC_SHOT_ALLOC");
-        assert_eq!(choice("QOC_SHOT_ALLOC"), Ok(None));
-
         std::env::set_var("QOC_CHECKPOINT_FILE", "run.ckpt");
         assert_eq!(path("QOC_CHECKPOINT_FILE"), Some(PathBuf::from("run.ckpt")));
         assert!(set_knobs().contains(&("QOC_CHECKPOINT_FILE", "run.ckpt".to_string())));
@@ -296,15 +277,16 @@ mod tests {
 
     #[test]
     fn unknown_names_are_rejected_with_the_nearest_knob() {
-        let err = check_vars([("QOC_SHOT_ALOC", "snr")]).unwrap_err();
-        assert_eq!(err.name, "QOC_SHOT_ALOC");
-        assert!(err.reason.contains("did you mean QOC_SHOT_ALLOC?"), "{err}");
+        let err = check_vars([("QOC_WORKRS", "4")]).unwrap_err();
+        assert_eq!(err.name, "QOC_WORKRS");
+        assert!(err.reason.contains("did you mean QOC_WORKERS?"), "{err}");
 
         let err = check_vars([("QOC_DIFF_MODE", "adjoint")]).unwrap_err();
         assert_eq!(err.name, "QOC_DIFF_MODE");
         assert!(err.reason.contains("did you mean QOC_"), "{err}");
 
         for removed in [
+            "QOC_SHOT_ALLOC",
             "QOC_SHOT_MIN",
             "QOC_SHOT_MAX",
             "QOC_TARGET_SNR",

@@ -20,7 +20,9 @@
 //! `device.total_shots`, `device.device_ns`) are stamped by the engine from
 //! the same integers that end up in the run manifest, so the final snapshot
 //! of a finished run reconciles with the manifest **to the nanosecond** —
-//! the `ci.sh monitor` stage gates on exactly that.
+//! the `ci.sh monitor` stage gates on exactly that. Its
+//! `device.requested_shots` is the registry's count of shots asked of the
+//! device, before any retry degraded them.
 //!
 //! When the status file is the only telemetry consumer configured, record
 //! dispatch is force-enabled so the SNR/queue-wait instrumentation feeds the
@@ -355,6 +357,7 @@ fn status_doc(
         Value::Null
     };
 
+    let counter = |name: &str| Value::UInt(metrics.counter(name));
     let mut entries = vec![
         ("schema_version".into(), Value::UInt(1)),
         ("run_id".into(), Value::Str(core.run_id.clone())),
@@ -378,11 +381,14 @@ fn status_doc(
                 ("circuits_run".into(), Value::UInt(core.circuits_run)),
                 ("total_shots".into(), Value::UInt(core.total_shots)),
                 ("device_ns".into(), Value::UInt(core.device_ns)),
+                (
+                    "requested_shots".into(),
+                    counter("qoc.device.requested_shots"),
+                ),
             ]),
         ),
     ];
 
-    let counter = |name: &str| Value::UInt(metrics.counter(name));
     entries.push((
         "retries".into(),
         Value::Object(vec![
@@ -396,18 +402,6 @@ fn status_doc(
         Value::Object(vec![
             ("hits".into(), counter("qoc.sim.pool.hits")),
             ("misses".into(), counter("qoc.sim.pool.misses")),
-        ]),
-    ));
-    entries.push((
-        "alloc".into(),
-        Value::Object(vec![
-            ("saved_shots".into(), counter("qoc.alloc.saved_shots")),
-            ("skipped_evals".into(), counter("qoc.alloc.skipped_evals")),
-            ("windows".into(), counter("qoc.alloc.windows")),
-            (
-                "requested_shots".into(),
-                counter("qoc.device.requested_shots"),
-            ),
         ]),
     ));
 

@@ -72,24 +72,6 @@ pub const PRUNE_EFFICACY_FIELDS: &[(&str, FieldKind)] = &[
     ("expected_savings", FieldKind::Num),
 ];
 
-/// Required fields of an `alloc.window` event: one per completed shot-
-/// allocation window (closed when a Full step follows Subset steps, and at
-/// end of training). `saved_shots` is signed — a controller that spends
-/// *more* than the fixed baseline reports a negative number.
-pub const ALLOC_WINDOW_FIELDS: &[(&str, FieldKind)] = &[
-    ("window", FieldKind::UInt),
-    ("stage_steps", FieldKind::UInt),
-    ("planned_rows", FieldKind::UInt),
-    ("skipped_rows", FieldKind::UInt),
-    ("requested_shots", FieldKind::UInt),
-    ("baseline_shots", FieldKind::UInt),
-    ("saved_shots", FieldKind::Num),
-    ("recall", FieldKind::Num),
-    ("ratio", FieldKind::Num),
-    ("pruning_window", FieldKind::UInt),
-    ("retuned", FieldKind::Bool),
-];
-
 /// Required fields of a `shift.jacobian` span: one per Jacobian the shift
 /// engine evaluates outside a training minibatch — its rows, the shifted
 /// jobs left to a batch, and who ran the shifted circuits.
@@ -240,7 +222,6 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
             Some("prune.efficacy") => {
                 check_fields(fields, PRUNE_EFFICACY_FIELDS, "prune.efficacy")?
             }
-            Some("alloc.window") => check_fields(fields, ALLOC_WINDOW_FIELDS, "alloc.window")?,
             Some("run.header") => check_fields(fields, RUN_HEADER_FIELDS, "run.header")?,
             Some(name @ ("alert.fired" | "alert.resolved")) => {
                 check_fields(fields, ALERT_EVENT_FIELDS, name)?
@@ -377,19 +358,6 @@ mod tests {
     fn golden_prune_efficacy_event_passes() {
         let line = r#"{"ts":9000,"kind":"event","level":"info","span":"prune.efficacy","thread":0,"fields":{"window":0,"stage_steps":3,"recall":0.75,"overlap":3,"kept":4,"saved_runs":64,"wasted_runs":16,"measured_savings":0.3333333333333333,"expected_savings":0.3333333333333333}}"#;
         assert_eq!(check_trace_record(&parse(line)), Ok(()));
-    }
-
-    #[test]
-    fn golden_alloc_window_event_passes() {
-        // The pinned wire shape of a shot-allocation window summary.
-        let line = r#"{"ts":9100,"kind":"event","level":"info","span":"alloc.window","thread":0,"fields":{"window":2,"stage_steps":3,"planned_rows":5,"skipped_rows":1,"requested_shots":402432,"baseline_shots":1263616,"saved_shots":861184,"recall":0.75,"ratio":0.55,"pruning_window":3,"retuned":false}}"#;
-        assert_eq!(check_trace_record(&parse(line)), Ok(()));
-        // Negative savings (controller overspent) are legal — Num, not UInt.
-        let overspent = line.replace("\"saved_shots\":861184", "\"saved_shots\":-512.0");
-        assert_eq!(check_trace_record(&parse(&overspent)), Ok(()));
-        let missing = line.replace("\"recall\":0.75,", "");
-        let err = check_trace_record(&parse(&missing)).unwrap_err();
-        assert!(err.contains("recall"), "unexpected error: {err}");
     }
 
     #[test]

@@ -39,8 +39,6 @@ fn run() -> Result<(), Box<dyn Error>> {
     let mut config = TrainConfig::paper_pgp(9);
     config.batch_size = 4;
     config.eval_examples = 16;
-    // QOC_SHOT_ALLOC=snr turns on the SNR-adaptive shot allocator.
-    config.shot_alloc = ShotAllocConfig::from_env()?;
 
     // Telemetry reads the environment once, on first use — configure it
     // before anything else touches the training stack. Values exported by

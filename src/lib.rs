@@ -52,7 +52,6 @@ pub use qoc_telemetry as telemetry;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use qoc_core::alloc::ShotAllocConfig;
     pub use qoc_core::checkpoint::{CheckpointConfig, TrainState};
     pub use qoc_core::engine::{
         train, train_anchored, PruningKind, RunAnchor, TrainConfig, TrainError, TrainResult,

@@ -8,7 +8,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use qoc::core::checkpoint::{
     CheckpointConfig, CheckpointError, TrainState, CHECKPOINT_SCHEMA_VERSION,
 };
-use qoc::core::engine::{train_anchored, PruningKind, RunAnchor, TrainConfig, TrainError};
+use qoc::core::engine::{
+    train_anchored, PruningKind, ResumeError, RunAnchor, TrainConfig, TrainError,
+};
 use qoc::core::prune::PruneConfig;
 use qoc::device::backend::{
     CircuitJob, Execution, ExecutionStats, NoiselessBackend, PreparedCircuit, QuantumBackend,
@@ -103,7 +105,6 @@ fn pgp_config(steps: usize) -> TrainConfig {
         schedule: LrSchedule::Constant { lr: 0.2 },
         pruning: PruningKind::Probabilistic(PruneConfig::paper_default()),
         execution: Execution::Shots(128),
-        shot_alloc: None,
         seed: 7,
         eval_every: 3,
         eval_examples: 8,
@@ -260,23 +261,94 @@ fn periodic_checkpoint_resumes_bit_identically() {
     assert_bit_identical(&resumed, &reference);
 }
 
+/// A checkpoint written at step 2 of a 4-step run of `pgp_config`.
+fn checkpoint_at_step_two(tag: &str, model: &QnnModel, ds: &Dataset) -> TrainState {
+    let path = ckpt_path(tag);
+    let ck = CheckpointConfig::new(&path, 2);
+    let backend = NoiselessBackend::new();
+    train_anchored(model, &backend, ds, ds, &pgp_config(4), checkpointing(&ck))
+        .expect("run completes");
+    let state = TrainState::load(&path).expect("checkpoint loads");
+    std::fs::remove_file(&path).ok();
+    state
+}
+
+/// Resumes `state` under `config` on a fresh backend and returns the
+/// resume error, after checking that no circuit ran.
+fn resume_error(
+    model: &QnnModel,
+    ds: &Dataset,
+    config: &TrainConfig,
+    state: TrainState,
+) -> ResumeError {
+    let backend = NoiselessBackend::new();
+    let result = train_anchored(model, &backend, ds, ds, config, resuming(state));
+    assert_eq!(
+        backend.stats().circuits_run,
+        0,
+        "a rejected resume ran circuits"
+    );
+    match result {
+        Err(TrainError::Resume(e)) => e,
+        Err(other) => panic!("expected a resume error, got {other}"),
+        Ok(_) => panic!("a mismatched checkpoint resumed"),
+    }
+}
+
 #[test]
-#[should_panic(expected = "seed")]
 fn resume_rejects_checkpoint_from_another_seed() {
     let model = QnnModel::mnist2();
     let ds = toy_data(8);
-    let config = pgp_config(4);
-
-    let path = ckpt_path("seed_mismatch");
-    let ck = CheckpointConfig::new(&path, 2);
-    let backend = NoiselessBackend::new();
-    train_anchored(&model, &backend, &ds, &ds, &config, checkpointing(&ck)).expect("run completes");
-    let state = TrainState::load(&path).expect("checkpoint loads");
-    std::fs::remove_file(&path).ok();
-
-    let mut other = config;
+    let state = checkpoint_at_step_two("seed_mismatch", &model, &ds);
+    let mut other = pgp_config(4);
     other.seed = 8;
-    let _ = train_anchored(&model, &backend, &ds, &ds, &other, resuming(state));
+    let err = resume_error(&model, &ds, &other, state);
+    assert_eq!(
+        err,
+        ResumeError::Seed {
+            checkpoint: 7,
+            config: 8
+        }
+    );
+    assert!(err.to_string().contains("seed 7"), "{err}");
+}
+
+#[test]
+fn resume_rejects_checkpoints_that_do_not_fit_the_run() {
+    let model = QnnModel::mnist2();
+    let ds = toy_data(8);
+    let state = checkpoint_at_step_two("fit_mismatch", &model, &ds);
+
+    let mut wide = state.clone();
+    wide.params.push(0.0);
+    let err = resume_error(&model, &ds, &pgp_config(4), wide);
+    assert_eq!(
+        err,
+        ResumeError::Width {
+            checkpoint: 9,
+            model: 8
+        }
+    );
+
+    let err = resume_error(&model, &ds, &pgp_config(1), state.clone());
+    assert_eq!(
+        err,
+        ResumeError::Step {
+            next_step: 2,
+            steps: 1
+        }
+    );
+
+    let mut truncated = state;
+    truncated.steps.pop();
+    let err = resume_error(&model, &ds, &pgp_config(4), truncated);
+    assert_eq!(
+        err,
+        ResumeError::History {
+            records: 1,
+            next_step: 2
+        }
+    );
 }
 
 /// Rewrites the on-disk checkpoint's `schema_version` and drops whole
@@ -303,11 +375,11 @@ fn rewrite_checkpoint(path: &std::path::Path, version: u32, drop_fields: &[&str]
 }
 
 /// Cross-version resume matrix: a current (v2) checkpoint and a
-/// synthesized v1 checkpoint (no `run_id`, no `alloc` — exactly what a
-/// pre-controller writer produced) must both resume cleanly and land
-/// bit-identical to the uninterrupted reference run, while a from-the-future
-/// v3 file must surface a typed [`CheckpointError::Version`] — never a
-/// panic or a silently wrong resume.
+/// synthesized v1 checkpoint (no `run_id`, no `alloc` — exactly what an
+/// older writer produced) must both resume cleanly and land bit-identical
+/// to the uninterrupted reference run, while a from-the-future v3 file and
+/// a v2 file carrying state of the retired shot allocator must surface
+/// typed [`CheckpointError`]s — never a panic or a silently wrong resume.
 #[test]
 fn cross_version_checkpoint_matrix() {
     let model = QnnModel::mnist2();
@@ -341,6 +413,7 @@ fn cross_version_checkpoint_matrix() {
     )
     .expect("checkpointed run completes");
     let golden = std::fs::read_to_string(&path).expect("golden checkpoint readable");
+    assert!(golden.contains("\"alloc\": null"), "v2 writes a null alloc");
 
     // Row 1 — v2 (current): loads and resumes bit-identically.
     let state = TrainState::load(&path).expect("v2 checkpoint loads");
@@ -358,8 +431,8 @@ fn cross_version_checkpoint_matrix() {
     assert_bit_identical(&resumed, &reference);
 
     // Row 2 — v1 (past): strip the v2-era fields and downgrade the tag.
-    // The loader must re-derive `run_id` from the seed and disable the
-    // shot-allocation controller, then resume to the same bits.
+    // The loader must re-derive `run_id` from the seed, then resume to the
+    // same bits.
     rewrite_checkpoint(&path, 1, &["run_id", "alloc"]);
     let v1_text = std::fs::read_to_string(&path).unwrap();
     assert!(!v1_text.contains("run_id"), "v1 file must not carry run_id");
@@ -369,7 +442,7 @@ fn cross_version_checkpoint_matrix() {
         state.schema_version, CHECKPOINT_SCHEMA_VERSION,
         "loaded state is normalized to the current schema"
     );
-    assert_eq!(state.alloc, None, "controller cleanly disabled");
+    assert_eq!(state.alloc, None);
     assert_eq!(
         state.run_id,
         qoc::core::engine::run_id_for_seed(config.seed),
@@ -383,7 +456,7 @@ fn cross_version_checkpoint_matrix() {
         &config,
         resuming(state),
     )
-    .expect("v1 resume completes with the controller disabled");
+    .expect("v1 resume completes");
     assert_bit_identical(&resumed, &reference);
 
     // Row 3 — v3 (future): typed rejection, not a panic and not a guess.
@@ -394,6 +467,25 @@ fn cross_version_checkpoint_matrix() {
         CheckpointError::Version(v) => assert_eq!(v, CHECKPOINT_SCHEMA_VERSION + 1),
         other => panic!("expected CheckpointError::Version, got {other}"),
     }
+
+    // Row 4 — a v2 file written with the retired shot allocator on: its
+    // accumulators fail the load, naming the allocator.
+    let with_alloc = golden.replacen(
+        "\"alloc\": null",
+        "\"alloc\": {\"windows\": 2, \"ratio\": 0.55}",
+        1,
+    );
+    std::fs::write(&path, with_alloc).unwrap();
+    let err = TrainState::load(&path).expect_err("allocator state must be rejected");
+    assert!(
+        matches!(err, CheckpointError::RetiredShotAllocator),
+        "expected CheckpointError::RetiredShotAllocator, got {err}"
+    );
+    assert!(
+        err.to_string()
+            .contains("retired SNR-adaptive shot allocator"),
+        "{err}"
+    );
 
     std::fs::remove_file(&path).ok();
 }

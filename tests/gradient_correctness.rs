@@ -122,14 +122,11 @@ fn sample_counts_pass_chi_squared_goodness_of_fit() {
     // The shot sampler must actually draw from the statevector's Born
     // distribution: chi-squared goodness-of-fit over every bin of a
     // near-uniform state, across several seeds — 8 bins at 1024 shots and
-    // 16 bins at the shot allocator's 128-shot floor, where most of the
-    // conditional binomials have small means. Critical values are
+    // 16 bins at 128 shots, where most of the conditional binomials have
+    // small means. Critical values are
     // χ²₀.₉₉₉ at 7 and 15 degrees of freedom. Seeds are fixed, so this is
     // a deterministic regression test, not a flaky statistical one.
-    for (qubits, shots, critical) in [
-        (3, 1024u32, 24.32),
-        (4, qoc::core::alloc::DEFAULT_MIN_SHOTS, 37.70),
-    ] {
+    for (qubits, shots, critical) in [(3, 1024u32, 24.32), (4, 128, 37.70)] {
         let mut c = Circuit::new(qubits);
         for q in 0..qubits {
             c.h(q);

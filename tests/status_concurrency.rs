@@ -51,7 +51,6 @@ fn config_for(seed: u64) -> TrainConfig {
         schedule: LrSchedule::Constant { lr: 0.2 },
         pruning: PruningKind::Probabilistic(PruneConfig::paper_default()),
         execution: Execution::Shots(64),
-        shot_alloc: None,
         seed,
         eval_every: 3,
         eval_examples: 4,

@@ -73,7 +73,6 @@ fn pgp_trace_confirms_run_savings_ratio() {
         schedule: LrSchedule::Constant { lr: 0.2 },
         pruning: PruningKind::Probabilistic(PruneConfig::paper_default()),
         execution: Execution::Exact,
-        shot_alloc: None,
         seed: 11,
         eval_every: 100,
         eval_examples: 8,
