@@ -27,8 +27,9 @@
 //! [`Analysis::sanity_failures`] distills the CI gates: a nonempty span
 //! forest, device-time exactness, pruning efficacy present when the run
 //! pruned, and the measured run-savings landing near the paper's
-//! `r·w_p/(w_a+w_p)` — step-weighted over the closed windows, since steps
-//! after the last one expect no savings.
+//! `r·w_p/(w_a+w_p)` — counted over the steps this process ran, each
+//! pruning-window step expecting `r` and each accumulation step nothing, so
+//! a run that stops or resumes mid-stage is judged on the steps it has.
 
 use std::collections::BTreeMap;
 
@@ -377,12 +378,13 @@ pub struct Analysis {
     pub steps: usize,
     /// Evaluation records found in `.evals.jsonl`.
     pub eval_records: usize,
-    /// Run savings measured from `.steps.jsonl` evaluated-parameter counts.
+    /// Run savings measured from the `.steps.jsonl` evaluated-parameter
+    /// counts of the steps this process ran (its `train.step` events; a
+    /// resumed run's satellite also holds the restored history).
     pub measured_savings: Option<f64>,
-    /// The run's expected savings: each `prune.efficacy` window's
-    /// `r·w_p/(w_a+w_p)` weighted by its `stage_steps`, over the steps in
-    /// `.steps.jsonl` (0 without step records). `Some` iff the manifest
-    /// configures pruning.
+    /// The savings the manifest's pruning schedule predicts over the same
+    /// steps ([`scheduled_savings`]; 0 without step records). `Some` iff the
+    /// manifest configures pruning.
     pub expected_savings: Option<f64>,
     /// Σ backoff-wait ns from the manifest's retry histogram.
     pub backoff_wait_ns: u64,
@@ -402,29 +404,27 @@ pub struct Analysis {
     pub zero_circuit_counters: Vec<&'static str>,
 }
 
-/// Extracts `r·w_p/(w_a+w_p)` from a manifest `config.pruning` value
-/// (`"None"`, or `{"Probabilistic": {…}}`).
-fn expected_savings_of(manifest: &Value) -> Option<f64> {
+/// The `(w_a, w_p, r)` of a manifest `config.pruning` value (`"None"`, or
+/// `{"Probabilistic": {…}}`).
+fn pruning_of(manifest: &Value) -> Option<(u64, u64, f64)> {
     let pruning = manifest.get("config")?.get("pruning")?;
     let cfg = pruning.get("Probabilistic")?;
-    let w_a = cfg.get("accumulation_window")?.as_f64()?;
-    let w_p = cfg.get("pruning_window")?.as_f64()?;
+    let w_a = cfg.get("accumulation_window")?.as_u64()?;
+    let w_p = cfg.get("pruning_window")?.as_u64()?;
     let r = cfg.get("ratio")?.as_f64()?;
-    Some(r * w_p / (w_a + w_p))
+    Some((w_a, w_p, r))
 }
 
-/// Σ(`expected_savings`·`stage_steps`) over the closed windows ÷ `steps`:
-/// the run-level `r·w_p/(w_a+w_p)` (steps outside any closed window expect
-/// no savings).
-fn run_expected_savings(windows: &[WindowRow], steps: usize) -> f64 {
-    if steps == 0 {
+/// The savings the `(w_a, w_p, r)` schedule predicts over `steps`: each
+/// stage opens with `w_a` full steps, then skips `r` of the gradients on
+/// each of its `w_p` pruning steps. Over whole stages this is the paper's
+/// `r·w_p/(w_a+w_p)`; 0 over no steps.
+fn scheduled_savings((w_a, w_p, r): (u64, u64, f64), steps: &[u64]) -> f64 {
+    if steps.is_empty() {
         return 0.0;
     }
-    let weighted: f64 = windows
-        .iter()
-        .map(|w| w.expected_savings * w.stage_steps as f64)
-        .sum();
-    weighted / steps as f64
+    let pruned = steps.iter().filter(|&&s| s % (w_a + w_p) >= w_a).count();
+    r * pruned as f64 / steps.len() as f64
 }
 
 /// Builds the wall-vs-device phase table from the forest plus the trace
@@ -691,13 +691,27 @@ pub fn analyze_run(
     let (phases, device_ns_spans, device_deltas_complete) =
         phase_table(&forest, &records, backoff_wait_ns, retries);
     let (params, windows) = health_report(&records);
-    // The manifest only tells whether pruning is configured; what the run
-    // should have saved comes from the windows it actually ran.
+    // Savings are judged over the steps this process ran: a resumed run's
+    // satellite also holds the restored history, which its trace never saw.
+    let first_step = records
+        .iter()
+        .filter(|r| !r.is_span && r.name == "train.step")
+        .filter_map(|r| r.field_u64("step"))
+        .min()
+        .unwrap_or(0);
+    let step_of = |s: &Value| s.get("step").and_then(Value::as_u64);
+    let own_steps: Vec<&Value> = steps
+        .iter()
+        .filter(|s| step_of(s).is_some_and(|k| k >= first_step))
+        .collect();
     let expected_savings = manifest
         .as_ref()
-        .and_then(expected_savings_of)
-        .filter(|&e| e > 0.0)
-        .map(|_| run_expected_savings(&windows, steps.len()));
+        .and_then(pruning_of)
+        .filter(|&(_, _, r)| r > 0.0)
+        .map(|schedule| {
+            let indices: Vec<u64> = own_steps.iter().filter_map(|s| step_of(s)).collect();
+            scheduled_savings(schedule, &indices)
+        });
     let run_wall_ns = forest
         .nodes
         .iter()
@@ -706,14 +720,13 @@ pub fn analyze_run(
         .sum();
 
     // Run savings measured from the step records: the full parameter width
-    // is the widest step (PGP always opens a stage with a full step).
-    let evaluated: Vec<u64> = steps
-        .iter()
-        .filter_map(|s| s.get("evaluated_params").and_then(Value::as_u64))
-        .collect();
-    let measured_savings = match (evaluated.iter().max(), evaluated.len()) {
-        (Some(&n_full), count) if n_full > 0 && count > 0 => {
-            let total: u64 = evaluated.iter().sum();
+    // is the widest step of the whole history (PGP always opens a stage with
+    // a full step, and step 0 opens one).
+    let evaluated = |s: &Value| s.get("evaluated_params").and_then(Value::as_u64);
+    let own: Vec<u64> = own_steps.iter().filter_map(|s| evaluated(s)).collect();
+    let measured_savings = match (steps.iter().filter_map(evaluated).max(), own.len()) {
+        (Some(n_full), count) if n_full > 0 && count > 0 => {
+            let total: u64 = own.iter().sum();
             Some(1.0 - total as f64 / (n_full * count as u64) as f64)
         }
         _ => None,
@@ -1228,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn run_savings_gate_weights_each_window_by_its_steps() {
+    fn run_savings_gate_follows_the_pruning_schedule() {
         // Paper defaults: three 3-step windows at 1/3 over 9 steps expect
         // exactly the configured 1/3.
         let plain = savings_run(&[(3, 1.0 / 3.0); 3], &[8, 4, 4, 8, 4, 4, 8, 4, 4]);
@@ -1250,9 +1263,14 @@ mod tests {
             r#"{"config":{"pruning":{"Probabilistic":{"accumulation_window":1,"pruning_window":2,"ratio":0.5}}}}"#,
         )
         .unwrap();
-        let s = expected_savings_of(&manifest).unwrap();
-        assert!((s - 1.0 / 3.0).abs() < 1e-12);
+        let schedule = pruning_of(&manifest).unwrap();
+        assert_eq!(schedule, (1, 2, 0.5));
+        let whole: Vec<u64> = (0..9).collect();
+        assert!((scheduled_savings(schedule, &whole) - 1.0 / 3.0).abs() < 1e-12);
+        // Resumed at step 7 of 12: 7, 8, 10 and 11 prune, 9 opens a stage.
+        let resumed: Vec<u64> = (7..12).collect();
+        assert!((scheduled_savings(schedule, &resumed) - 0.4).abs() < 1e-12);
         let none = serde_json::from_str(r#"{"config":{"pruning":"None"}}"#).unwrap();
-        assert_eq!(expected_savings_of(&none), None);
+        assert_eq!(pruning_of(&none), None);
     }
 }

@@ -6,7 +6,7 @@
 //! Usage: `cargo run --release -p qoc-bench --bin ablation_shots [--steps N]`
 
 use qoc_bench::suite::{Measurement, TaskBench};
-use qoc_bench::{arg_usize, format_table, save_json};
+use qoc_bench::{format_table, save_json};
 use qoc_core::engine::train;
 use qoc_core::grad::QnnGradientComputer;
 use qoc_data::tasks::Task;
@@ -16,8 +16,9 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     qoc_bench::init();
-    let steps = arg_usize("--steps", 20);
-    let seed = arg_usize("--seed", 42) as u64;
+    let flags = qoc_bench::flags(&["--steps", "--seed"]);
+    let steps = flags.get("--steps").unwrap_or(20);
+    let seed: u64 = flags.get("--seed").unwrap_or(42);
     let shots_grid = [128u32, 512, 1024, 4096];
     let bench = TaskBench::new(Task::Mnist2, seed);
     let mut rng = StdRng::seed_from_u64(seed);

@@ -10,6 +10,7 @@ use qoc_sim::resources::paper_workload_cost;
 
 fn main() {
     qoc_bench::init();
+    qoc_bench::flags(&[]);
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for n in (4..=34).step_by(2) {

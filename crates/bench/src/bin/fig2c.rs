@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p qoc-bench --bin fig2c [--samples N]`
 
 use qoc_bench::suite::TaskBench;
-use qoc_bench::{arg_usize, format_table, save_json};
+use qoc_bench::{format_table, save_json};
 use qoc_core::grad::QnnGradientComputer;
 use qoc_data::tasks::Task;
 use qoc_device::backend::Execution;
@@ -16,8 +16,9 @@ use rand::{Rng, SeedableRng};
 
 fn main() {
     qoc_bench::init();
-    let samples = arg_usize("--samples", 12);
-    let seed = arg_usize("--seed", 42) as u64;
+    let flags = qoc_bench::flags(&["--samples", "--seed"]);
+    let samples = flags.get("--samples").unwrap_or(12);
+    let seed: u64 = flags.get("--seed").unwrap_or(42);
     let bench = TaskBench::new(Task::Mnist4, seed);
     let mut rng = StdRng::seed_from_u64(seed);
 

@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use qoc_bench::{arg_usize, format_table, save_json};
+use qoc_bench::{format_table, save_json};
 use qoc_device::backends::fake_toronto;
 use qoc_device::schedule;
 use qoc_device::transpile::{transpile, TranspileOptions};
@@ -40,8 +40,9 @@ fn probe_circuit(n: usize) -> Circuit {
 
 fn main() {
     qoc_bench::init();
-    let circuits = arg_usize("--circuits", 50) as u32;
-    let measured_max = arg_usize("--measured-max", 18);
+    let flags = qoc_bench::flags(&["--circuits", "--measured-max"]);
+    let circuits: u32 = flags.get("--circuits").unwrap_or(50);
+    let measured_max = flags.get("--measured-max").unwrap_or(18);
     let toronto = fake_toronto();
 
     let mut rows = Vec::new();

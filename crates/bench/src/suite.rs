@@ -1,6 +1,6 @@
-//! Shared experiment plumbing: task → model/device wiring and the four
-//! training settings of the paper (Classical-Train, Classical-Train
-//! evaluated on QC, QC-Train, QC-Train-PGP).
+//! Shared experiment plumbing: task → model/device wiring, the training
+//! config and validation every experiment shares, and the paper's
+//! QC-Train-PGP setting.
 
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -110,28 +110,6 @@ impl TaskBench {
         c.eval_every = (steps / 6).max(2);
         c.seed = seed;
         c
-    }
-
-    /// Classical-Train: noiseless simulation with sampled measurement.
-    pub fn train_classical(&self, steps: usize, seed: u64) -> TrainResult {
-        train(
-            &self.model,
-            &self.simulator,
-            &self.train_set,
-            &self.val_set,
-            &self.config(steps, seed),
-        )
-    }
-
-    /// QC-Train: on-device training, no pruning.
-    pub fn train_qc(&self, steps: usize, seed: u64) -> TrainResult {
-        train(
-            &self.model,
-            &self.device,
-            &self.train_set,
-            &self.val_set,
-            &self.config(steps, seed),
-        )
     }
 
     /// QC-Train-PGP: on-device training with probabilistic gradient pruning.

@@ -250,6 +250,41 @@ pub enum ResumeError {
         /// The checkpoint's next step.
         next_step: usize,
     },
+    /// The checkpoint's pruner state does not restore into the pruner
+    /// `config.pruning` builds for the model: another kind or width.
+    Pruner {
+        /// The checkpoint's pruner state: its kind and width, e.g.
+        /// `Windowed[8]`.
+        checkpoint: String,
+        /// The config's pruner state.
+        config: String,
+    },
+    /// The checkpoint's optimizer state does not restore into the optimizer
+    /// `config.optimizer` builds for the model: another kind or width.
+    Optimizer {
+        /// The checkpoint's optimizer state: its kind and widths, e.g.
+        /// `Adam[8, 8, 8]`.
+        checkpoint: String,
+        /// The config's optimizer state.
+        config: String,
+    },
+}
+
+/// A pruner state's kind and vector width, e.g. `Windowed[8]`.
+fn shape_of_pruner(state: &PrunerState) -> String {
+    match state {
+        PrunerState::None => "None".into(),
+        PrunerState::Windowed { magnitude, .. } => format!("Windowed[{}]", magnitude.len()),
+    }
+}
+
+/// An optimizer state's kind and vector widths, e.g. `Adam[8, 8, 8]`.
+fn shape_of_optimizer(state: &OptimizerState) -> String {
+    match state {
+        OptimizerState::Sgd => "Sgd".into(),
+        OptimizerState::Momentum { velocity } => format!("Momentum[{}]", velocity.len()),
+        OptimizerState::Adam { m, v, t } => format!("Adam[{}, {}, {}]", m.len(), v.len(), t.len()),
+    }
 }
 
 impl std::fmt::Display for ResumeError {
@@ -271,6 +306,14 @@ impl std::fmt::Display for ResumeError {
                 f,
                 "checkpoint holds {records} step records but is at step {next_step}"
             ),
+            ResumeError::Pruner { checkpoint, config } => write!(
+                f,
+                "checkpoint holds pruner state {checkpoint}, the config's pruner has {config}"
+            ),
+            ResumeError::Optimizer { checkpoint, config } => write!(
+                f,
+                "checkpoint holds optimizer state {checkpoint}, the config's optimizer has {config}"
+            ),
         }
     }
 }
@@ -278,9 +321,10 @@ impl std::fmt::Display for ResumeError {
 impl std::error::Error for ResumeError {}
 
 impl ResumeError {
-    /// The first way `state` contradicts a run of `steps` steps under
-    /// `seed` on a model of `params` parameters, if any.
-    fn check(state: &TrainState, seed: u64, params: usize, steps: usize) -> Result<(), Self> {
+    /// The first way `state` contradicts a run of `config` on a model of
+    /// `params` parameters, if any.
+    fn check(state: &TrainState, config: &TrainConfig, params: usize) -> Result<(), Self> {
+        let (seed, steps) = (config.seed, config.steps);
         if state.master_seed != seed {
             return Err(ResumeError::Seed {
                 checkpoint: state.master_seed,
@@ -303,6 +347,26 @@ impl ResumeError {
             return Err(ResumeError::History {
                 records: state.steps.len(),
                 next_step: state.next_step,
+            });
+        }
+        let (checkpoint, fresh) = (
+            shape_of_pruner(&state.pruner),
+            shape_of_pruner(&config.pruning.build(params).state()),
+        );
+        if checkpoint != fresh {
+            return Err(ResumeError::Pruner {
+                checkpoint,
+                config: fresh,
+            });
+        }
+        let (checkpoint, fresh) = (
+            shape_of_optimizer(&state.optimizer),
+            shape_of_optimizer(&config.optimizer.build(params).state()),
+        );
+        if checkpoint != fresh {
+            return Err(ResumeError::Optimizer {
+                checkpoint,
+                config: fresh,
             });
         }
         Ok(())
@@ -495,7 +559,7 @@ pub fn train_anchored(
     );
     let n = model.num_params();
     if let Some(state) = &resume {
-        ResumeError::check(state, config.seed, n, config.steps).map_err(TrainError::Resume)?;
+        ResumeError::check(state, config, n).map_err(TrainError::Resume)?;
     }
 
     let mut rng = StdRng::seed_from_u64(config.seed);

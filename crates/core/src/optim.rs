@@ -26,7 +26,9 @@ pub trait Optimizer: std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's kind or width does not match this optimizer.
+    /// Panics if the snapshot's kind or width does not match this optimizer
+    /// (`train_anchored` rejects such a resume state first, as a typed
+    /// `ResumeError`).
     fn restore(&mut self, state: &OptimizerState);
 }
 

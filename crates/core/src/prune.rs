@@ -50,7 +50,9 @@ pub trait Pruner: std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot's kind or width does not match this pruner.
+    /// Panics if the snapshot's kind or width does not match this pruner
+    /// (`train_anchored` rejects such a resume state first, as a typed
+    /// `ResumeError`).
     fn restore(&mut self, state: &PrunerState);
 }
 

@@ -339,7 +339,7 @@ fn resume_rejects_checkpoints_that_do_not_fit_the_run() {
         }
     );
 
-    let mut truncated = state;
+    let mut truncated = state.clone();
     truncated.steps.pop();
     let err = resume_error(&model, &ds, &pgp_config(4), truncated);
     assert_eq!(
@@ -349,6 +349,23 @@ fn resume_rejects_checkpoints_that_do_not_fit_the_run() {
             next_step: 2
         }
     );
+
+    // A paper-PGP checkpoint resumed without pruning, and an Adam
+    // checkpoint resumed under SGD.
+    let unpruned = TrainConfig {
+        pruning: PruningKind::None,
+        ..pgp_config(4)
+    };
+    let err = resume_error(&model, &ds, &unpruned, state.clone());
+    assert!(matches!(err, ResumeError::Pruner { .. }), "{err}");
+    assert!(err.to_string().contains("Windowed[8]"), "{err}");
+    let sgd = TrainConfig {
+        optimizer: OptimizerKind::Sgd,
+        ..pgp_config(4)
+    };
+    let err = resume_error(&model, &ds, &sgd, state);
+    assert!(matches!(err, ResumeError::Optimizer { .. }), "{err}");
+    assert!(err.to_string().contains("Adam[8, 8, 8]"), "{err}");
 }
 
 /// Rewrites the on-disk checkpoint's `schema_version` and drops whole
