@@ -224,6 +224,9 @@ stage_watch() {
     # must still finish, and rules tuned to that plan must fire (device
     # retries above zero, worst-case gradient SNR under 0.5), with every
     # firing paired with a resolution or flushed as terminal at run end.
+    # The plan has no drift and no permanent faults, and a retry reruns the
+    # identical job, so the recovered run's step and eval records must equal
+    # leg 1's byte for byte.
     rm -f results/ci_watch_fault.status.json \
           results/ci_watch_fault.status.history.jsonl \
           results/ci_watch_fault.status.prom \
@@ -232,10 +235,18 @@ stage_watch() {
     QOC_STATUS_FILE=results/ci_watch_fault.status.json \
     QOC_TRACE_FILE=results/ci_watch_fault.jsonl \
     QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr min < 0.5" \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     cargo run --offline --release -p qoc-bench --bin monitor_check -- \
         results/ci_watch_fault.status.json results/ci_watch_fault.manifest.json \
-        --alerts expect=qoc.device.retries,qoc.grad.snr
+        --alerts expect=qoc.device.retries,qoc.grad.snr || return 1
+    local artifact
+    for artifact in steps evals; do
+        if ! cmp "results/ci_watch.$artifact.jsonl" "results/ci_watch_fault.$artifact.jsonl"; then
+            echo "watch: the recovered run's $artifact records differ from the clean run's" >&2
+            return 1
+        fi
+    done
+    echo "watch: recovered run's step and eval records equal the clean run's"
 }
 
 stage_bench_smoke() {

@@ -296,7 +296,7 @@ impl SpanForest {
 /// One row of the wall-vs-device phase table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRow {
-    /// Phase label (`jacobian`, `eval`, `prune`, `retry-backoff`, `other`).
+    /// Phase label (`jacobian`, `eval`, `prune`, `other`).
     pub phase: String,
     /// Spans (or events, for event-only phases) attributed to the phase.
     pub records: u64,
@@ -368,7 +368,9 @@ pub struct Analysis {
     /// `true` when every `device.batch` span carried a `device_ns` delta
     /// (older traces predate the field — exactness can't be checked there).
     pub device_deltas_complete: bool,
-    /// The manifest's `ExecutionStats` device time, as integer ns.
+    /// The manifest's `ExecutionStats` device time less its resume base
+    /// (the usage restored from a checkpoint, which this trace never saw),
+    /// as integer ns.
     pub device_ns_manifest: Option<u64>,
     /// Per-parameter health rows (by parameter index).
     pub params: Vec<ParamRow>,
@@ -386,8 +388,6 @@ pub struct Analysis {
     /// steps ([`scheduled_savings`]; 0 without step records). `Some` iff the
     /// manifest configures pruning.
     pub expected_savings: Option<f64>,
-    /// Σ backoff-wait ns from the manifest's retry histogram.
-    pub backoff_wait_ns: u64,
     /// Retry attempts recorded by the manifest.
     pub retries: u64,
     /// Best validation accuracy from the manifest.
@@ -428,13 +428,8 @@ fn scheduled_savings((w_a, w_p, r): (u64, u64, f64), steps: &[u64]) -> f64 {
 }
 
 /// Builds the wall-vs-device phase table from the forest plus the trace
-/// events and manifest-level retry accounting.
-fn phase_table(
-    forest: &SpanForest,
-    records: &[TraceRecord],
-    backoff_wait_ns: u64,
-    retries: u64,
-) -> (Vec<PhaseRow>, u64, bool) {
+/// events.
+fn phase_table(forest: &SpanForest, records: &[TraceRecord]) -> (Vec<PhaseRow>, u64, bool) {
     let mut rows: BTreeMap<String, PhaseRow> = BTreeMap::new();
     fn row<'a>(rows: &'a mut BTreeMap<String, PhaseRow>, phase: &str) -> &'a mut PhaseRow {
         rows.entry(phase.to_string()).or_insert_with(|| PhaseRow {
@@ -509,12 +504,7 @@ fn phase_table(
     if prune_events > 0 {
         row(&mut rows, "prune").records = prune_events;
     }
-    if backoff_wait_ns > 0 || retries > 0 {
-        let r = row(&mut rows, "retry-backoff");
-        r.records = retries;
-        r.wall_ns = backoff_wait_ns;
-    }
-    let order = ["jacobian", "eval", "prune", "retry-backoff", "other"];
+    let order = ["jacobian", "eval", "prune", "other"];
     let mut table: Vec<PhaseRow> = Vec::new();
     if let Some(p) = rows.get("jacobian") {
         table.push(p.clone());
@@ -635,14 +625,6 @@ pub fn analyze_run(
     threads.sort_unstable();
     threads.dedup();
 
-    let histogram_sum = |m: &Value, name: &str| {
-        m.get("metrics")
-            .and_then(|v| v.get("histograms"))
-            .and_then(|v| v.get(name))
-            .and_then(|v| v.get("sum"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
-    };
     let counter = |m: &Value, name: &str| {
         m.get("metrics")
             .and_then(|v| v.get("counters"))
@@ -650,17 +632,19 @@ pub fn analyze_run(
             .and_then(Value::as_u64)
             .unwrap_or(0)
     };
-    let backoff_wait_ns = manifest
-        .as_ref()
-        .map_or(0, |m| histogram_sum(m, "qoc.device.backoff_wait_ns"));
     let retries = manifest
         .as_ref()
         .map_or(0, |m| counter(m, "qoc.device.retries"));
     let device_ns_manifest = manifest.as_ref().and_then(|m| {
+        let base_ns = m
+            .get("resume_base")
+            .and_then(|b| b.get("device_ns"))
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
         m.get("execution_stats")
             .and_then(|s| s.get("estimated_device_seconds"))
             .and_then(Value::as_f64)
-            .map(|secs| (secs * 1e9).round() as u64)
+            .map(|secs| ((secs * 1e9).round() as u64).saturating_sub(base_ns))
     });
     let best_accuracy = manifest
         .as_ref()
@@ -688,8 +672,7 @@ pub fn analyze_run(
         .collect()
     });
 
-    let (phases, device_ns_spans, device_deltas_complete) =
-        phase_table(&forest, &records, backoff_wait_ns, retries);
+    let (phases, device_ns_spans, device_deltas_complete) = phase_table(&forest, &records);
     let (params, windows) = health_report(&records);
     // Savings are judged over the steps this process ran: a resumed run's
     // satellite also holds the restored history, which its trace never saw.
@@ -747,7 +730,6 @@ pub fn analyze_run(
         eval_records: evals.len(),
         measured_savings,
         expected_savings,
-        backoff_wait_ns,
         retries,
         best_accuracy,
         truncated_tail_lines,
@@ -1003,7 +985,6 @@ impl Analysis {
                 "device_deltas_complete",
                 Value::Bool(self.device_deltas_complete),
             ),
-            ("backoff_wait_ns", Value::UInt(self.backoff_wait_ns)),
             ("retries", Value::UInt(self.retries)),
             (
                 "truncated_tail_lines",

@@ -63,7 +63,7 @@ fn main() -> ExitCode {
         Ok(plan) => plan.unwrap_or_else(|| FaultPlan::aggressive(SOAK_SEED)),
         Err(e) => return fail(&e.to_string()),
     };
-    let policy = RetryPolicy::from_env().without_backoff();
+    let policy = RetryPolicy::from_env();
     if plan.transient_rate < 0.10 {
         return fail(&format!(
             "soak plan must inject ≥ 10% transient failures (got {})",

@@ -143,10 +143,9 @@ fn render(doc: &Value, losses: &[f64]) -> String {
         get_f64(doc, &["snr", "max"]),
     ));
     out.push_str(&format!(
-        "  device {} circuits  {} shots ({} requested)  {:.3} s on-device\n",
+        "  device {} circuits  {} shots  {:.3} s on-device\n",
         get_u64(doc, &["device", "circuits_run"]),
         get_u64(doc, &["device", "total_shots"]),
-        get_u64(doc, &["device", "requested_shots"]),
         get_u64(doc, &["device", "device_ns"]) as f64 / 1e9,
     ));
     out.push_str(&format!(
@@ -157,14 +156,13 @@ fn render(doc: &Value, losses: &[f64]) -> String {
         get_u64(doc, &["workers", "busy_ns"]) as f64 / 1e9,
     ));
     out.push_str(&format!(
-        "  queue  p50 {:.1} µs  p90 {:.1} µs  p99 {:.1} µs   retries {} (gave up {}, degraded {})  \
+        "  queue  p50 {:.1} µs  p90 {:.1} µs  p99 {:.1} µs   retries {} (gave up {})  \
          scratch hits {} misses {}\n",
         get_u64(doc, &["queue_wait_ns", "p50"]) as f64 / 1e3,
         get_u64(doc, &["queue_wait_ns", "p90"]) as f64 / 1e3,
         get_u64(doc, &["queue_wait_ns", "p99"]) as f64 / 1e3,
         get_u64(doc, &["retries", "retries"]),
         get_u64(doc, &["retries", "gave_up"]),
-        get_u64(doc, &["retries", "degraded_jobs"]),
         get_u64(doc, &["pool", "hits"]),
         get_u64(doc, &["pool", "misses"]),
     ));

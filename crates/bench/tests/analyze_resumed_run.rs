@@ -3,7 +3,9 @@
 //! run. The resumed run's `.steps.jsonl` holds all 12 step records, but its
 //! trace (and its `prune.efficacy` windows) only steps 7–11; both the
 //! measured and the expected savings must be taken over those five steps,
-//! and the uninterrupted run's numbers must stay the paper's 1/3.
+//! and the uninterrupted run's numbers must stay the paper's 1/3. The
+//! device-time gate likewise compares the resumed trace's batch deltas with
+//! the manifest's device time less the restored usage (its `resume_base`).
 //!
 //! Each run traces into its own file through `install_for_test`, so both
 //! share this process.
@@ -53,17 +55,6 @@ fn traced(
     (result, analysis)
 }
 
-/// The gate failures about run savings. The device-time gate is left out:
-/// a resumed run's manifest counts the restored usage too, which its trace
-/// never saw.
-fn savings_failures(analysis: &Analysis) -> Vec<String> {
-    analysis
-        .sanity_failures(0.05)
-        .into_iter()
-        .filter(|f| f.contains("savings") || f.contains("prune.efficacy"))
-        .collect()
-}
-
 #[test]
 fn a_resumed_pgp_run_is_judged_on_its_own_steps() {
     let dir = std::env::temp_dir().join(format!("qoc-analyze-resumed-{}", std::process::id()));
@@ -89,7 +80,7 @@ fn a_resumed_pgp_run_is_judged_on_its_own_steps() {
     assert_eq!(whole.steps, 12);
     assert!((whole.expected_savings.unwrap() - 1.0 / 3.0).abs() < 1e-12);
     assert!((whole.measured_savings.unwrap() - 1.0 / 3.0).abs() < 1e-12);
-    assert_eq!(savings_failures(&whole), Vec::<String>::new());
+    assert_eq!(whole.sanity_failures(0.05), Vec::<String>::new());
 
     let state = TrainState::load(&ckpt).expect("checkpoint loads");
     assert_eq!(state.next_step, 7);
@@ -110,7 +101,11 @@ fn a_resumed_pgp_run_is_judged_on_its_own_steps() {
     );
     assert!((analysis.expected_savings.unwrap() - 0.4).abs() < 1e-12);
     assert!((analysis.measured_savings.unwrap() - 0.4).abs() < 1e-12);
-    assert_eq!(savings_failures(&analysis), Vec::<String>::new());
+    // The device-time gate is live: every batch carried its delta, and the
+    // manifest less the restored usage matches them.
+    assert!(analysis.device_deltas_complete);
+    assert_eq!(analysis.device_ns_manifest, Some(analysis.device_ns_spans));
+    assert_eq!(analysis.sanity_failures(0.05), Vec::<String>::new());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

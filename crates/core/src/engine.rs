@@ -407,7 +407,7 @@ impl std::error::Error for TrainError {
 /// carried over from before a resume, and the totals (resume base + this
 /// process) the observer callbacks, run manifest and status snapshots are
 /// built from (see [`TrainObserver`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeviceCounters {
     /// Circuits executed so far.
     pub circuits_run: u64,
@@ -1034,9 +1034,10 @@ fn write_jsonl<T: serde::Serialize>(path: &std::path::Path, records: &[T]) {
 /// Persists the run next to the trace file (`QOC_TRACE_FILE`): per-step and
 /// per-checkpoint records as JSONL (`<stem>.steps.jsonl`,
 /// `<stem>.evals.jsonl`) and a run manifest (`<stem>.manifest.json`) tying
-/// together the config, environment, execution stats, and a final snapshot
-/// of the global metrics registry. I/O failures are reported to stderr, not
-/// propagated — telemetry must never fail a training run.
+/// together the config, environment, execution stats (resume base
+/// included), the resume base itself (zero unless resumed), and a final
+/// snapshot of the global metrics registry. I/O failures are reported to
+/// stderr, not propagated — telemetry must never fail a training run.
 fn persist_run(
     run: &Run<'_>,
     trace_path: &std::path::Path,
@@ -1085,6 +1086,7 @@ fn persist_run(
         ),
         ("best_accuracy".to_string(), Value::Float(best_accuracy)),
         ("execution_stats".to_string(), serde_json::to_value(stats)),
+        ("resume_base".to_string(), serde_json::to_value(&run.base)),
         (
             "metrics".to_string(),
             serde_json::to_value(&qoc_telemetry::metrics::Registry::global().snapshot()),

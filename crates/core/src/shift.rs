@@ -75,7 +75,7 @@ pub const FORWARD_STREAM: u64 = u64::MAX;
 ///
 /// Depends only on the mathematical identity of the job, so a symbol's
 /// gradient consumes identical randomness whether it is evaluated inside a
-/// full Jacobian, a pruned subset, or a lone [`ParameterShiftEngine::gradient_row`].
+/// full Jacobian or a pruned subset.
 pub fn shift_stream(symbol: usize, occurrence: usize, minus: bool) -> u64 {
     ((symbol as u64) << 32) | ((occurrence as u64) << 1) | u64::from(minus)
 }
@@ -519,11 +519,6 @@ impl<'a> ParameterShiftEngine<'a> {
                 CircuitJob::expectation(prepared, theta.to_vec(), self.execution, seed)
             }
         }
-    }
-
-    /// Gradient row `∂f/∂θᵢ` for one trainable symbol.
-    pub fn gradient_row(&self, theta: &[f64], i: usize, master_seed: u64) -> Vec<f64> {
-        self.jacobian_subset(theta, &[i], master_seed).remove(0)
     }
 
     /// Offers rows `indices` of the Jacobian at `theta` to the backend's

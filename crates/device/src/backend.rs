@@ -359,8 +359,8 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     /// `qoc.device.jobs_completed` counter) and pings the status exporter's
     /// heartbeat once per completed job, so `QOC_STATUS_FILE` snapshots keep
     /// refreshing inside long Jacobian batches. Retry counters
-    /// (`qoc.device.retries`, `.gave_up`, `.degraded_jobs`, backoff-wait
-    /// histogram) are recorded regardless.
+    /// (`qoc.device.retries`, `.gave_up`, `.preempted_jobs`) are recorded
+    /// regardless.
     fn run_batch_workers(&self, jobs: &[CircuitJob<'_>], workers: usize) -> BatchResult {
         /// One job's terminal outcome: expectations, or `(attempts, error)`.
         type JobOutcome = Result<Vec<f64>, (u32, JobError)>;

@@ -24,9 +24,10 @@
 //!
 //! A job's failure count is bounded by [`FaultPlan::max_failures_per_job`],
 //! so with `permanent_rate == 0` every fault is recoverable by a policy with
-//! `max_attempts > max_failures_per_job` — and because retries reuse the
-//! original job seed, the recovered batch is bit-identical to a fault-free
-//! one (property-tested in `crates/core/tests/properties.rs`).
+//! `max_attempts > max_failures_per_job` — and because a retry reruns the
+//! identical job (same shot budget, same seed), the recovered batch is
+//! bit-identical to a fault-free one (property-tested in
+//! `crates/core/tests/properties.rs`).
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -411,12 +412,7 @@ mod tests {
     }
 
     fn quick_policy() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            degrade_after: None,
-            ..RetryPolicy::default()
-        }
-        .without_backoff()
+        RetryPolicy { max_attempts: 4 }
     }
 
     #[test]
@@ -441,7 +437,6 @@ mod tests {
         let plan = FaultPlan::aggressive(5);
         let policy = RetryPolicy {
             max_attempts: plan.max_failures_per_job + 1,
-            ..RetryPolicy::default()
         };
         assert!(plan.recoverable_under(&policy));
         for seed in 0..500u64 {

@@ -305,7 +305,7 @@ mod tests {
 
     fn faulty(plan: FaultPlan) -> FaultInjectingBackend<FakeDevice> {
         FaultInjectingBackend::new(unfused(fake_lima()), plan)
-            .with_retry_policy(RetryPolicy::default().without_backoff())
+            .with_retry_policy(RetryPolicy::default())
     }
 
     #[test]

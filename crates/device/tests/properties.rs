@@ -1,14 +1,10 @@
 //! Property tests of the device layer: topology invariants, scheduling
-//! monotonicity, layout/routing bookkeeping, and the retry policy's
-//! seeded-jitter backoff over random inputs.
-
-use std::time::Duration;
+//! monotonicity and layout/routing bookkeeping over random inputs.
 
 use proptest::prelude::*;
 
 use qoc_device::backends::{all_paper_devices, fake_toronto};
 use qoc_device::calibration::{DeviceCalibration, EdgeCalibration, QubitCalibration};
-use qoc_device::retry::RetryPolicy;
 use qoc_device::schedule::{circuit_duration_ns, job_time};
 use qoc_device::topology::CouplingMap;
 use qoc_device::transpile::layout::Layout;
@@ -97,54 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn backoff_delays_stay_in_the_jitter_band_and_under_the_cap(
-        seed in any::<u64>(),
-        base_us in 1u64..50_000,
-        factor in 1.0f64..4.0,
-        jitter in 0.0f64..1.0,
-        attempt in 1u32..20,
-    ) {
-        let base = Duration::from_micros(base_us);
-        let cap = Duration::from_micros(base_us.saturating_mul(64));
-        let policy = RetryPolicy {
-            base_backoff: base,
-            backoff_factor: factor,
-            max_backoff: cap,
-            jitter,
-            ..RetryPolicy::default()
-        };
-        let delay = policy.backoff_delay(attempt, seed);
-        // Never above the cap, never below the fully down-jittered base.
-        prop_assert!(delay <= cap);
-        let floor = base.as_nanos() as f64 * (1.0 - jitter) - 1.0;
-        prop_assert!(delay.as_nanos() as f64 >= floor.max(0.0),
-            "delay {delay:?} under jitter floor (base {base:?}, jitter {jitter})");
-        // Pure function of (policy, seed, attempt).
-        prop_assert_eq!(delay, policy.backoff_delay(attempt, seed));
-    }
-
-    #[test]
-    fn unjittered_backoff_schedule_is_monotone(
-        seed in any::<u64>(),
-        base_us in 1u64..10_000,
-        factor in 1.0f64..4.0,
-    ) {
-        let policy = RetryPolicy {
-            base_backoff: Duration::from_micros(base_us),
-            backoff_factor: factor,
-            max_backoff: Duration::from_millis(500),
-            jitter: 0.0,
-            ..RetryPolicy::default()
-        };
-        let mut last = Duration::ZERO;
-        for attempt in 1..12 {
-            let d = policy.backoff_delay(attempt, seed);
-            prop_assert!(d >= last, "attempt {attempt} shortened the wait");
-            last = d;
-        }
-    }
-
-    #[test]
     fn every_paper_device_routes_every_pairing(a in 0usize..5, b in 0usize..5) {
         prop_assume!(a != b);
         for desc in all_paper_devices() {
@@ -155,46 +103,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Satellite invariant: backoff jitter is derived only from `(seed,
-/// attempt)`, so hammering the same pairs from many threads must produce
-/// bit-identical schedules — no hidden thread-local or global RNG.
-#[test]
-fn backoff_is_bit_identical_across_eight_threads() {
-    let policy = RetryPolicy {
-        base_backoff: Duration::from_micros(250),
-        backoff_factor: 2.0,
-        max_backoff: Duration::from_millis(50),
-        jitter: 0.5,
-        ..RetryPolicy::default()
-    };
-    let reference: Vec<Vec<Duration>> = (0..64u64)
-        .map(|seed| (1..10u32).map(|a| policy.backoff_delay(a, seed)).collect())
-        .collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let policy = &policy;
-                let reference = &reference;
-                scope.spawn(move || {
-                    for round in 0..50 {
-                        for seed in 0..64u64 {
-                            for attempt in 1..10u32 {
-                                let got = policy.backoff_delay(attempt, seed);
-                                assert_eq!(
-                                    got,
-                                    reference[seed as usize][attempt as usize - 1],
-                                    "round {round}: (seed {seed}, attempt {attempt}) diverged"
-                                );
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    });
 }

@@ -256,14 +256,9 @@ fn soak_descriptions() -> Vec<DeviceDescription> {
 }
 
 /// The retry policy every soak backend runs under: enough attempts to
-/// outlast [`FaultPlan::aggressive`]'s failure cap, no wall-clock backoff.
+/// outlast [`FaultPlan::aggressive`]'s failure cap.
 fn soak_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 4,
-        degrade_after: None,
-        ..RetryPolicy::default()
-    }
-    .without_backoff()
+    RetryPolicy { max_attempts: 4 }
 }
 
 fn faulty_backend(desc: &DeviceDescription, plan: &FaultPlan) -> Box<dyn QuantumBackend> {

@@ -20,9 +20,7 @@
 //! `device.total_shots`, `device.device_ns`) are stamped by the engine from
 //! the same integers that end up in the run manifest, so the final snapshot
 //! of a finished run reconciles with the manifest **to the nanosecond** —
-//! the `ci.sh monitor` stage gates on exactly that. Its
-//! `device.requested_shots` is the registry's count of shots asked of the
-//! device, before any retry degraded them.
+//! the `ci.sh monitor` stage gates on exactly that.
 //!
 //! When the status file is the only telemetry consumer configured, record
 //! dispatch is force-enabled so the SNR/queue-wait instrumentation feeds the
@@ -381,10 +379,6 @@ fn status_doc(
                 ("circuits_run".into(), Value::UInt(core.circuits_run)),
                 ("total_shots".into(), Value::UInt(core.total_shots)),
                 ("device_ns".into(), Value::UInt(core.device_ns)),
-                (
-                    "requested_shots".into(),
-                    counter("qoc.device.requested_shots"),
-                ),
             ]),
         ),
     ];
@@ -394,7 +388,6 @@ fn status_doc(
         Value::Object(vec![
             ("retries".into(), counter("qoc.device.retries")),
             ("gave_up".into(), counter("qoc.device.gave_up")),
-            ("degraded_jobs".into(), counter("qoc.device.degraded_jobs")),
         ]),
     ));
     entries.push((
