@@ -81,7 +81,7 @@ stage_diff_equivalence() {
 
 stage_trace_validate() {
     QOC_LOG=debug QOC_TRACE_FILE=results/ci_trace.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     # qoc-analyze schema-checks every trace line (grad.health payloads
     # included, hence the debug-level run) and both record satellites,
     # gates on a manifest with nonzero circuit-run counters, and exits 2
@@ -110,9 +110,9 @@ stage_analyze() {
     # with the manifest to the nanosecond, and the measured run savings is
     # within tolerance of the paper's r·w_p/(w_a+w_p).
     QOC_TRACE_FILE=results/ci_analyze.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
-        results/ci_analyze.jsonl --savings-tolerance 0.05
+        results/ci_analyze.jsonl --savings-tolerance 0.05 || return 1
     # The collapsed-stack artifact must be non-empty (flamegraph input).
     if ! [ -s results/ci_analyze.folded ]; then
         echo "analyze: results/ci_analyze.folded is missing or empty" >&2
@@ -125,9 +125,9 @@ stage_determinism() {
     # records at any worker count: batched parameter-shift seeds every job
     # deterministically, so parallelism must never leak into results.
     QOC_WORKERS=1 QOC_TRACE_FILE=results/ci_det_w1.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     QOC_WORKERS=4 QOC_TRACE_FILE=results/ci_det_w4.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     local artifact
     for artifact in steps.jsonl evals.jsonl; do
         if ! diff "results/ci_det_w1.${artifact%.jsonl}.jsonl" \
@@ -170,12 +170,12 @@ stage_monitor() {
           results/ci_monitor.status.prom
     QOC_STATUS_FILE=results/ci_monitor.status.json \
     QOC_FLIGHT_RECORDER=2048 QOC_TRACE_FILE=results/ci_monitor.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_monitor.status.json results/ci_monitor.manifest.json
+        results/ci_monitor.status.json results/ci_monitor.manifest.json || return 1
     # qoc-top must render one frame from the finished snapshot.
     cargo run --offline --release -p qoc-bench --bin qoc-top -- \
-        results/ci_monitor.status.json --once > /dev/null
+        results/ci_monitor.status.json --once > /dev/null || return 1
     # Leg 2: the same run under an aggressive fault plan with retries
     # disabled must fail, write an emergency checkpoint, and flush the
     # flight-recorder ring as a schema-valid black-box dump qoc-analyze
@@ -199,27 +199,29 @@ stage_monitor() {
 
 stage_watch() {
     # Always-on watch plane (profiler + SLO rules). Leg 1: a clean traced
-    # run with the 97 Hz sampling profiler and rules a healthy run must not
+    # run with the sampling profiler and rules a healthy run must not
     # breach (retries stay zero, median gradient SNR stays far above 0.05)
     # — zero alert transitions allowed — then the profiler's Jacobian-phase
     # share must reconcile with qoc-analyze's trace-derived share within
-    # 15% relative.
+    # 15% relative. The run lasts about 30 ms, so the profiler samples at
+    # 4999 Hz: at 97 Hz it took 1–3 samples, too few for the share to be
+    # measured rather than drawn.
     rm -f results/ci_watch.status.json results/ci_watch.status.history.jsonl \
           results/ci_watch.status.history.jsonl.1 results/ci_watch.status.prom \
           results/ci_watch.status.alerts.jsonl results/ci_watch.profile.folded
     QOC_STATUS_FILE=results/ci_watch.status.json \
-    QOC_PROFILE_HZ=97 QOC_TRACE_FILE=results/ci_watch.jsonl \
+    QOC_PROFILE_HZ=4999 QOC_TRACE_FILE=results/ci_watch.jsonl \
     QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr p50 < 0.05 for 3 windows" \
-        cargo run --offline --release --example traced_training > /dev/null
+        cargo run --offline --release --example traced_training > /dev/null || return 1
     cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_watch.status.json results/ci_watch.manifest.json --alerts none
+        results/ci_watch.status.json results/ci_watch.manifest.json --alerts none || return 1
     if ! [ -s results/ci_watch.profile.folded ]; then
         echo "watch: results/ci_watch.profile.folded is missing or empty" >&2
         return 1
     fi
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
         results/ci_watch.jsonl --profile results/ci_watch.profile.folded \
-        --profile-tolerance 0.15 --quiet
+        --profile-tolerance 0.15 --quiet || return 1
     # Leg 2: the same run under a fault plan with retries left enabled — it
     # must still finish, and rules tuned to that plan must fire (device
     # retries above zero, worst-case gradient SNR under 0.5), with every

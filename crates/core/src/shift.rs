@@ -35,17 +35,19 @@
 //! one structured [`JacobianBatch`] through
 //! [`QuantumBackend::run_jacobian_batch`]
 //! ([`ParameterShiftEngine::offer_jacobian`]). The batch carries the
-//! engine's execution, and each row the seeds of its shifted jobs. When
-//! every row is a single occurrence with |scale| = 1, a [`FakeDevice`] and
-//! the statevector backend answer with the shifted jobs' own results,
+//! engine's execution, and each row the seeds of its shifted jobs. The
+//! engine alone decides which requests are offered: non-empty ones whose
+//! every row is a single occurrence with |scale| = 1, i.e. shifts its
+//! symbol on the shared prepared circuit. A [`FakeDevice`] and the
+//! statevector backend answer those with the shifted jobs' own results,
 //! every shifted circuit forked from one forward evolution and read out
-//! with its job's seed. Anything else (an empty request, a shared or scaled symbol, and every
-//! wrapper that doesn't forward the hook) declines, and the engine builds
-//! and runs the 2·occ shifted-job batch above; an answered request never
-//! builds its jobs. The shifted results feed the same
-//! [`JacobianPlan::assemble`] and [`JacobianPlan::row_variances`] whoever
-//! ran them, so results are bit-identical on both paths (see DESIGN.md
-//! §5c).
+//! with its job's seed. An empty request or one with a shared or scaled
+//! symbol is not offered, and every wrapper that doesn't forward the hook
+//! declines; then the engine builds and runs the 2·occ shifted-job batch
+//! above. An answered request never builds its jobs. The shifted results
+//! feed the same [`JacobianPlan::assemble`] and
+//! [`JacobianPlan::row_variances`] whoever ran them, so results are
+//! bit-identical on both paths (see DESIGN.md §5c).
 //!
 //! Trainable gates without a native two-term shift rule (`crx`/`cry`/`crz`/
 //! `cp`/`p`/`u3`) are rewritten at engine construction via
@@ -61,7 +63,7 @@ use qoc_device::backend::{
 };
 use qoc_device::retry::{BatchError, BatchResult};
 use qoc_sim::circuit::{Circuit, ParamValue};
-use qoc_sim::diff::{decompose_for_shift_rules, JacobianRowSpec, ShiftOccurrence};
+use qoc_sim::diff::decompose_for_shift_rules;
 
 /// Jacobian of circuit expectations w.r.t. trainable symbols: row `i` is
 /// `∂f/∂θᵢ` across the logical qubits.
@@ -93,7 +95,8 @@ enum SymbolPlan {
     /// One occurrence with |scale| = 1: a symbol-level ±π/2 shift on the
     /// shared prepared circuit. The chain-rule factor `scale` cancels
     /// against the sign of the angle shift — for both scale = +1 and
-    /// scale = −1 the gradient is ½·(f(θᵢ+π/2) − f(θᵢ−π/2)).
+    /// scale = −1 the gradient is ½·(f(θᵢ+π/2) − f(θᵢ−π/2)). Only
+    /// requests made of these rows are offered to the backend's hook.
     Simple,
     /// General case (paper Section 3.1, final paragraph): shift each gate
     /// occurrence separately and sum with the occurrence's chain-rule
@@ -212,8 +215,8 @@ impl JacobianPlan {
     }
 }
 
-/// One Jacobian request after the backend's hook saw it
-/// ([`ParameterShiftEngine::offer_jacobian`]): the hook's shifted-job
+/// One Jacobian request after it was offered to the backend's hook, or
+/// not ([`ParameterShiftEngine::offer_jacobian`]): the hook's shifted-job
 /// results, or the shifted jobs still to run, and the plan that assembles
 /// either.
 #[derive(Debug)]
@@ -221,20 +224,20 @@ pub struct JacobianOffer<'e> {
     plan: JacobianPlan,
     /// The hook's results, in the order of the plan's jobs.
     answer: Option<Vec<Vec<f64>>>,
-    /// The declined request's shifted jobs, until taken.
+    /// The unanswered request's shifted jobs, until taken.
     jobs: Option<Vec<CircuitJob<'e>>>,
 }
 
 impl<'e> JacobianOffer<'e> {
-    /// The shifted jobs to run when the hook declined (`None` once taken
-    /// or when it answered). Their results, in order, are what
+    /// The shifted jobs to run when the hook did not answer (`None` once
+    /// taken or when it answered). Their results, in order, are what
     /// [`Self::jacobian`] and [`Self::row_variances`] take.
     pub fn take_jobs(&mut self) -> Option<Vec<CircuitJob<'e>>> {
         self.jobs.take()
     }
 
     /// Number of job results the assembly needs: the shifted jobs' count
-    /// when the hook declined, 0 when it answered.
+    /// when the hook did not answer, 0 when it answered.
     pub fn num_jobs(&self) -> usize {
         if self.answer.is_some() {
             0
@@ -244,7 +247,8 @@ impl<'e> JacobianOffer<'e> {
     }
 
     /// Who ran the shifted circuits, as the `shift.jacobian` span's `mode`
-    /// field names it: `"forked"` (the hook) or `"shifted-2p"` (declined).
+    /// field names it: `"forked"` (the hook) or `"shifted-2p"` (not
+    /// offered, or declined).
     pub fn mode(&self) -> &'static str {
         if self.answer.is_some() {
             "forked"
@@ -283,10 +287,6 @@ pub struct ParameterShiftEngine<'a> {
     num_trainable: usize,
     execution: Execution,
     plans: Vec<SymbolPlan>,
-    /// Per trainable symbol: its occurrences in the executed (possibly
-    /// decomposed) circuit — the structured-batch view of what
-    /// [`SymbolPlan`] encodes for the job path.
-    row_specs: Vec<JacobianRowSpec>,
     workers: Option<usize>,
 }
 
@@ -317,7 +317,6 @@ impl<'a> ParameterShiftEngine<'a> {
         let decomposed = decompose_for_shift_rules(circuit, num_trainable);
         let circuit = decomposed.as_ref().unwrap_or(circuit);
         let mut plans = Vec::with_capacity(num_trainable);
-        let mut row_specs = Vec::with_capacity(num_trainable);
         for s in 0..num_trainable {
             let occ = circuit.symbol_occurrences(s);
             assert!(
@@ -331,41 +330,34 @@ impl<'a> ParameterShiftEngine<'a> {
                     "symbol {s} occurs in gate {gate}, which has no two-term shift rule"
                 );
             }
-            let with_scales: Vec<ShiftOccurrence> = occ
+            // `(op_index, slot, scale)` of each occurrence, chain rule
+            // through `scale·θ+offset` included.
+            let scaled: Vec<(usize, usize, f64)> = occ
                 .iter()
                 .filter_map(
                     |&(op_index, slot)| match circuit.ops()[op_index].params[slot] {
-                        ParamValue::Sym { scale, .. } => Some(ShiftOccurrence {
-                            op_index,
-                            slot,
-                            scale,
-                        }),
+                        ParamValue::Sym { scale, .. } => Some((op_index, slot, scale)),
                         ParamValue::Const(_) => None,
                     },
                 )
                 .collect();
-            let spec = JacobianRowSpec {
-                occurrences: with_scales,
-            };
-            if spec.is_symbol_shift() {
-                plans.push(SymbolPlan::Simple);
-            } else {
-                let shifts = spec
-                    .occurrences
-                    .iter()
-                    .map(|o| {
-                        let plus = circuit.with_occurrence_shift(o.op_index, o.slot, FRAC_PI_2);
-                        let minus = circuit.with_occurrence_shift(o.op_index, o.slot, -FRAC_PI_2);
-                        OccurrenceShift {
-                            scale: o.scale,
-                            plus: backend.prepare(&plus),
-                            minus: backend.prepare(&minus),
-                        }
-                    })
-                    .collect();
-                plans.push(SymbolPlan::Occurrences(shifts));
-            }
-            row_specs.push(spec);
+            plans.push(match scaled[..] {
+                [(_, _, scale)] if (scale.abs() - 1.0).abs() < 1e-12 => SymbolPlan::Simple,
+                _ => SymbolPlan::Occurrences(
+                    scaled
+                        .iter()
+                        .map(|&(op_index, slot, scale)| {
+                            let plus = circuit.with_occurrence_shift(op_index, slot, FRAC_PI_2);
+                            let minus = circuit.with_occurrence_shift(op_index, slot, -FRAC_PI_2);
+                            OccurrenceShift {
+                                scale,
+                                plus: backend.prepare(&plus),
+                                minus: backend.prepare(&minus),
+                            }
+                        })
+                        .collect(),
+                ),
+            });
         }
         ParameterShiftEngine {
             backend,
@@ -373,7 +365,6 @@ impl<'a> ParameterShiftEngine<'a> {
             num_trainable,
             execution,
             plans,
-            row_specs,
             workers: None,
         }
     }
@@ -524,9 +515,12 @@ impl<'a> ParameterShiftEngine<'a> {
     /// Offers rows `indices` of the Jacobian at `theta` to the backend's
     /// hook as one [`JacobianBatch`] carrying the engine's execution and
     /// the seeds of each row's shifted jobs (those of
-    /// [`Self::jacobian_jobs`]). The jobs themselves are built only if the
-    /// hook declines ([`JacobianOffer::take_jobs`]). Every Jacobian the
-    /// engine or the training loop evaluates goes through here.
+    /// [`Self::jacobian_jobs`]) — if the request is non-empty and every
+    /// row shifts its symbol on the shared prepared circuit (one
+    /// occurrence, |scale| = 1). The jobs themselves are built only if the
+    /// request is not offered or the hook declines
+    /// ([`JacobianOffer::take_jobs`]). Every Jacobian the engine or the
+    /// training loop evaluates goes through here.
     ///
     /// # Panics
     ///
@@ -538,21 +532,27 @@ impl<'a> ParameterShiftEngine<'a> {
         master_seed: u64,
     ) -> JacobianOffer<'_> {
         let plan = self.layout(indices, |_, _, _| {});
-        let rows = indices
-            .iter()
-            .map(|&symbol| JacobianRow {
-                symbol,
-                spec: &self.row_specs[symbol],
-                seeds: [false, true].map(|minus| shift_seed(master_seed, symbol, 0, minus)),
+        let forkable = !indices.is_empty()
+            && indices
+                .iter()
+                .all(|&i| matches!(self.plans[i], SymbolPlan::Simple));
+        let answer = if forkable {
+            let rows = indices
+                .iter()
+                .map(|&symbol| JacobianRow {
+                    symbol,
+                    seeds: [false, true].map(|minus| shift_seed(master_seed, symbol, 0, minus)),
+                })
+                .collect();
+            self.backend.run_jacobian_batch(&JacobianBatch {
+                prepared: &self.prepared,
+                theta: theta.to_vec(),
+                execution: self.execution,
+                rows,
             })
-            .collect();
-        let batch = JacobianBatch {
-            prepared: &self.prepared,
-            theta: theta.to_vec(),
-            execution: self.execution,
-            rows,
+        } else {
+            None
         };
-        let answer = self.backend.run_jacobian_batch(&batch);
         debug_assert!(
             answer.as_ref().is_none_or(|r| r.len() == plan.num_jobs()),
             "backend answered the wrong number of results"
@@ -890,7 +890,7 @@ mod tests {
     fn offer_modes_are_the_schema_modes() {
         // Each way the hook can go names a mode the trace schema pins, and
         // the Jacobian costs its shifted circuits either way: two per row,
-        // none for an empty request, which every backend declines.
+        // none for an empty request, which is never offered.
         let c = ansatz_circuit();
         let noiseless = NoiselessBackend::new();
         let device = FakeDevice::new(fake_lima());
@@ -924,6 +924,87 @@ mod tests {
         for mode in qoc_telemetry::schema::SHIFT_JACOBIAN_MODES {
             assert!(seen.contains(mode), "{mode} not exercised");
         }
+    }
+
+    /// A noiseless backend that records the symbols of every request its
+    /// Jacobian hook is offered, then answers it.
+    #[derive(Debug, Default)]
+    struct RecordingBackend {
+        inner: NoiselessBackend,
+        offered: std::sync::Mutex<Vec<Vec<usize>>>,
+    }
+
+    impl QuantumBackend for RecordingBackend {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn num_qubits(&self) -> usize {
+            self.inner.num_qubits()
+        }
+
+        fn prepare(&self, circuit: &Circuit) -> PreparedCircuit {
+            self.inner.prepare(circuit)
+        }
+
+        fn run_job(&self, job: &CircuitJob<'_>) -> Vec<f64> {
+            self.inner.run_job(job)
+        }
+
+        fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
+            let symbols = batch.rows.iter().map(|r| r.symbol).collect();
+            self.offered.lock().unwrap().push(symbols);
+            self.inner.run_jacobian_batch(batch)
+        }
+
+        fn stats(&self) -> qoc_device::backend::ExecutionStats {
+            self.inner.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.inner.reset_stats();
+        }
+    }
+
+    #[test]
+    fn the_hook_is_offered_only_symbol_shift_rows() {
+        // Symbol 0 is shared, 1 scaled (2θ + 0.3), 2 negated (−θ: one
+        // occurrence at |scale| = 1, a symbol shift), 3 plain, and 4 a
+        // controlled rotation the planner decomposes into ±½ halves.
+        let sym = |index, scale, offset| ParamValue::Sym {
+            index,
+            scale,
+            offset,
+        };
+        let mut c = Circuit::new(2);
+        c.h(1);
+        c.ry(0, ParamValue::sym(0));
+        c.ry(1, ParamValue::sym(0));
+        c.rx(0, sym(1, 2.0, 0.3));
+        c.ry(1, sym(2, -1.0, 0.0));
+        c.rzz(0, 1, ParamValue::sym(3));
+        c.push(
+            qoc_sim::gates::GateKind::Crz,
+            &[1, 0],
+            &[ParamValue::sym(4)],
+        );
+        let backend = RecordingBackend::default();
+        let engine = ParameterShiftEngine::new(&backend, &c, 5, Execution::Shots(64));
+        let theta = [0.3, -0.7, 0.9, 0.4, 1.1];
+        let requests: [&[usize]; 8] = [&[2, 3], &[3, 2], &[0], &[1], &[4], &[2, 0], &[3, 4], &[]];
+        for rows in requests {
+            let (jobs, plan) = engine.jacobian_jobs(&theta, Some(rows), 5);
+            let reference = plan.assemble(&engine.run_batch(&jobs));
+            assert_eq!(
+                engine.jacobian_subset(&theta, rows, 5),
+                reference,
+                "{rows:?}"
+            );
+        }
+        assert_eq!(
+            *backend.offered.lock().unwrap(),
+            vec![vec![2, 3], vec![3, 2]]
+        );
     }
 
     #[test]

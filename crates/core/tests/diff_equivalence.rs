@@ -3,7 +3,8 @@
 //! Five contracts, straight from the planner's design:
 //!
 //! 1. the engine's own exact Jacobian — the noiseless backend's forked
-//!    answer to the Jacobian hook, or the shifted jobs it declined — agrees
+//!    answer to the Jacobian hook, or the shifted jobs of a request the
+//!    engine does not offer it — agrees
 //!    to ≤1e-12 with the shifted jobs built and run one by one, on random
 //!    symbolic circuits, at the shifted jobs' cost of two circuits per
 //!    gate occurrence;
@@ -160,7 +161,7 @@ type DeviceCase = (Circuit, usize, Vec<f64>, Vec<usize>, Execution);
 
 /// Random circuits over `{H, CX, RX, RY, RZ, RZZ}` whose angles read a fresh
 /// symbol per gate (sometimes a reused one, sometimes at scale −1 or 2 —
-/// rows the fake device must decline), a random trainable prefix of the
+/// a reused or doubled one is a row the engine must not offer), a random trainable prefix of the
 /// symbols, a random row subset, and `Exact` or `Shots(1..=1024)`.
 ///
 /// Half the circuits open with RY(θ₀) on a wire, a CX that flushes it, a
@@ -279,11 +280,11 @@ fn assert_state(rho: &DensityMatrix) {
 
 /// Offers rows `rows` of `c` at `theta` under `execution` to `backend` and
 /// to `declining`, a wrapper of the same backend that declines the hook,
-/// each engine at `workers` batch workers. A forking
-/// backend answers non-empty requests whose
-/// rows are all single occurrences with |scale| = 1, and declines the rest;
-/// either way its Jacobian, row variances and charged stats equal the
-/// declined shifted jobs' bit for bit.
+/// each engine at `workers` batch workers. The engine offers a forking
+/// backend only non-empty requests whose rows are all single occurrences
+/// with |scale| = 1, and runs the shifted jobs of the rest; either way its
+/// Jacobian, row variances and charged stats equal the declined shifted
+/// jobs' bit for bit.
 fn check_forked_equals_declined(
     backend: &dyn QuantumBackend,
     declining: &dyn QuantumBackend,

@@ -48,11 +48,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qoc_sim::circuit::Circuit;
-use qoc_sim::diff::JacobianRowSpec;
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::{
-    expectation_z_from_counts, sample_counts, with_scratch_state, Statevector,
-};
+use qoc_sim::scratch::with_scratch;
+use qoc_sim::statevector::{expectation_z_from_counts, sample_counts, Statevector};
 
 use qoc_noise::model::NoiseModel;
 use qoc_noise::sim::{expectations_z_of, NoisyProgram};
@@ -235,7 +233,8 @@ impl<'a> CircuitJob<'a> {
 
 /// A structured whole-Jacobian job: the planner hands the backend the full
 /// row structure at once instead of a flat list of shifted circuit jobs, so
-/// the backend can share work across rows.
+/// the backend can share work across rows. The planner builds one only for
+/// a non-empty request whose every row shifts its symbol on `prepared`.
 #[derive(Debug, Clone)]
 pub struct JacobianBatch<'a> {
     /// The compiled circuit to differentiate.
@@ -245,22 +244,17 @@ pub struct JacobianBatch<'a> {
     /// The execution every shifted job runs under.
     pub execution: Execution,
     /// One entry per requested Jacobian row, in output order.
-    pub rows: Vec<JacobianRow<'a>>,
+    pub rows: Vec<JacobianRow>,
 }
 
-/// One requested Jacobian row and the shifted jobs the planner would run
-/// for it.
-#[derive(Debug, Clone)]
-pub struct JacobianRow<'a> {
+/// One requested Jacobian row: its symbol occurs once in the circuit, at
+/// |scale| = 1, so its gradient is its two shifted jobs, the prepared
+/// circuit run at `theta[symbol] ± π/2`.
+#[derive(Debug, Clone, Copy)]
+pub struct JacobianRow {
     /// The row's trainable symbol (an index into `theta`).
     pub symbol: usize,
-    /// The symbol's gate occurrences in the logical circuit, chain-rule
-    /// scales included.
-    pub spec: &'a JacobianRowSpec,
-    /// Seeds of the row's `[+π/2, −π/2]` jobs on its first occurrence —
-    /// its only jobs when its spec is a symbol shift
-    /// ([`JacobianRowSpec::is_symbol_shift`]), which then run the prepared
-    /// circuit at `theta[symbol] ± π/2`.
+    /// Seeds of the row's `[+π/2, −π/2]` jobs.
     pub seeds: [u64; 2],
 }
 
@@ -445,10 +439,11 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     /// returns `None` when the backend cannot serve it — the planner then
     /// runs the jobs itself. An answer holds each row's `[f(θ₊), f(θ₋)]`
     /// results, two per row in row order, bit-identical to running the
-    /// jobs and charged as them. The planner offers every Jacobian here
-    /// first. The default declines, so wrapper backends that don't forward
-    /// it (fault injectors, queues) keep their inner backend on the
-    /// shifted-job path.
+    /// jobs and charged as them. The planner offers here every non-empty
+    /// Jacobian request whose rows all shift their symbol on the prepared
+    /// circuit ([`JacobianRow`]), and no other. The default declines, so
+    /// wrapper backends that don't forward it (fault injectors, queues)
+    /// keep their inner backend on the shifted-job path.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let _ = batch;
         None
@@ -665,9 +660,7 @@ fn sampled_distribution(probs: &[f64], shots: u32, rng: &mut StdRng) -> Vec<f64>
 }
 
 /// A backend's forked answer to `batch`: the results of its shifted jobs,
-/// computed without running them one by one. `None` unless the batch is
-/// non-empty and every row is a symbol shift
-/// ([`JacobianRowSpec::is_symbol_shift`]).
+/// computed without running them one by one.
 ///
 /// `for_each_shift(symbols, visit)` must hand `visit(row, minus, state)`
 /// what each row's job at `θ[symbols[row]] ± π/2` reads out — a final
@@ -682,10 +675,7 @@ fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
     batch: &JacobianBatch<'_>,
     for_each_shift: impl FnOnce(&[usize], &mut dyn FnMut(usize, bool, &S)),
     mut read_out: impl FnMut(&S, Execution, &mut StdRng) -> Vec<f64>,
-) -> Option<Vec<Vec<f64>>> {
-    if batch.rows.is_empty() || !batch.rows.iter().all(|r| r.spec.is_symbol_shift()) {
-        return None;
-    }
+) -> Vec<Vec<f64>> {
     let symbols: Vec<usize> = batch.rows.iter().map(|r| r.symbol).collect();
     let mut results = vec![Vec::new(); 2 * symbols.len()];
     let span = BatchSpan::open(backend, results.len(), 1);
@@ -694,7 +684,7 @@ fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
         results[2 * r + usize::from(minus)] = read_out(state, batch.execution, &mut rng);
     });
     span.close(backend);
-    Some(results)
+    results
 }
 
 /// Exact statevector backend — the "Classical-Train" substrate.
@@ -764,25 +754,26 @@ impl QuantumBackend for NoiselessBackend {
             panic!("prepared circuit belongs to a different backend kind");
         };
         let mut rng = StdRng::seed_from_u64(job.seed);
-        with_scratch_state(program.num_qubits(), |sv| {
+        with_scratch(program.num_qubits(), |sv: &mut Statevector| {
+            sv.reset_zero();
             program.run_into(&job.theta, sv);
             self.read_out(sv, job.kind, job.execution, &mut rng)
         })
     }
 
-    /// Answers every batch whose rows are all symbol shifts, exact or
-    /// sampled, with the shifted jobs' results ([`forked_answer`]), forked
-    /// from one binding of `θ` by [`FusedProgram::for_each_shift`].
+    /// Answers every batch, exact or sampled, with the shifted jobs'
+    /// results ([`forked_answer`]), forked from one binding of `θ` by
+    /// [`FusedProgram::for_each_shift`].
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let Plan::Direct { program, .. } = &batch.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        forked_answer(
+        Some(forked_answer(
             self,
             batch,
             |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
             |sv, execution, rng| self.read_out(sv, JobKind::ExpectationZ, execution, rng),
-        )
+        ))
     }
 
     fn stats(&self) -> ExecutionStats {
@@ -983,22 +974,22 @@ impl QuantumBackend for FakeDevice {
         }
     }
 
-    /// Answers every batch whose rows are all symbol shifts with the
-    /// shifted jobs' results ([`forked_answer`]), forked from one forward
-    /// evolution by [`NoisyProgram::for_each_shift`], which measures each
-    /// shifted run (readout error included) into the distribution the job
-    /// would sample; it is then read out like the job.
+    /// Answers every batch with the shifted jobs' results
+    /// ([`forked_answer`]), forked from one forward evolution by
+    /// [`NoisyProgram::for_each_shift`], which measures each shifted run
+    /// (readout error included) into the distribution the job would
+    /// sample; it is then read out like the job.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let plan = &batch.prepared.plan;
         let Plan::Device { program, .. } = plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        forked_answer(
+        Some(forked_answer(
             self,
             batch,
             |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
             |probs, execution, rng| self.read_out(plan, probs, execution, rng),
-        )
+        ))
     }
 
     fn stats(&self) -> ExecutionStats {

@@ -9,6 +9,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{unitary2, Amplitude, Coeff, Kernel};
 use qoc_sim::matrix::CMatrix;
+use qoc_sim::scratch::Scratch;
 use qoc_sim::statevector::Statevector;
 
 use crate::kraus::KrausChannel;
@@ -477,11 +478,6 @@ impl<const L: usize> DensityLanes<L> {
         }
     }
 
-    /// Number of qubits of each lane.
-    pub(crate) fn num_qubits(&self) -> usize {
-        self.num_qubits
-    }
-
     /// Overwrites lane `lane` with `rho`.
     pub(crate) fn set_lane(&mut self, lane: usize, rho: &DensityMatrix) {
         debug_assert_eq!(self.num_qubits, rho.num_qubits, "state widths differ");
@@ -517,6 +513,32 @@ impl<const L: usize> DensityLanes<L> {
         (0..dim)
             .map(|i| self.flat[i * (dim + 1)].re[lane].max(0.0))
             .collect()
+    }
+}
+
+/// A noisy run's state: a thread parks up to two.
+impl Scratch for DensityMatrix {
+    const CAP: usize = 2;
+
+    fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    fn fresh(num_qubits: usize) -> Self {
+        DensityMatrix::zero_state(num_qubits)
+    }
+}
+
+/// The forks' lane state: a thread parks up to two per lane count.
+impl<const L: usize> Scratch for DensityLanes<L> {
+    const CAP: usize = 2;
+
+    fn num_qubits(&self) -> usize {
+        self.num_qubits
+    }
+
+    fn fresh(num_qubits: usize) -> Self {
+        DensityLanes::new(num_qubits)
     }
 }
 

@@ -44,14 +44,13 @@
 //! The dense per-gate Kraus evolution is the oracle the program is tested
 //! against (`tests/compiled_equivalence.rs`).
 
-use std::cell::RefCell;
 use std::f64::consts::FRAC_PI_2;
 use std::ops::Range;
-use std::thread::LocalKey;
 
 use qoc_sim::circuit::{Circuit, Operation, ParamValue};
 use qoc_sim::complex::Complex64;
 use qoc_sim::kernels::{entries_1q, Coeff, Kernel};
+use qoc_sim::scratch::with_scratch;
 
 use crate::channels::depolarizing_1q;
 use crate::density::{
@@ -72,82 +71,6 @@ const IDENTITY: Super1 = {
     m
 };
 
-/// States of one kind parked per thread; more widths than this are rare.
-const SCRATCH_CAP: usize = 2;
-
-thread_local! {
-    static SCRATCH: RefCell<Vec<DensityMatrix>> = const { RefCell::new(Vec::new()) };
-    static PAIR_SCRATCH: RefCell<Vec<DensityLanes<2>>> = const { RefCell::new(Vec::new()) };
-    static QUAD_SCRATCH: RefCell<Vec<DensityLanes<4>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` on a reusable state of width `n` from the per-thread pool
-/// `pool` (`fresh(n)` on a miss), so repeated runs of a program allocate
-/// no `4ⁿ` buffer.
-fn with_scratch<S, T>(
-    pool: &'static LocalKey<RefCell<Vec<S>>>,
-    n: usize,
-    width: fn(&S) -> usize,
-    fresh: fn(usize) -> S,
-    f: impl FnOnce(&mut S) -> T,
-) -> T {
-    let parked = pool.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        let i = pool.iter().position(|state| width(state) == n)?;
-        Some(pool.swap_remove(i))
-    });
-    let mut state = parked.unwrap_or_else(|| fresh(n));
-    let out = f(&mut state);
-    pool.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < SCRATCH_CAP {
-            pool.push(state);
-        }
-    });
-    out
-}
-
-/// [`with_scratch`] on a density matrix.
-fn with_scratch_density<T>(n: usize, f: impl FnOnce(&mut DensityMatrix) -> T) -> T {
-    with_scratch(
-        &SCRATCH,
-        n,
-        DensityMatrix::num_qubits,
-        DensityMatrix::zero_state,
-        f,
-    )
-}
-
-/// A lane state the forks run on, with its per-thread pool.
-trait LanePool: Sized + 'static {
-    fn pool() -> &'static LocalKey<RefCell<Vec<Self>>>;
-}
-
-impl LanePool for DensityLanes<2> {
-    fn pool() -> &'static LocalKey<RefCell<Vec<Self>>> {
-        &PAIR_SCRATCH
-    }
-}
-
-impl LanePool for DensityLanes<4> {
-    fn pool() -> &'static LocalKey<RefCell<Vec<Self>>> {
-        &QUAD_SCRATCH
-    }
-}
-
-/// [`with_scratch`] on an `L`-lane state.
-fn with_scratch_lanes<const L: usize, T>(n: usize, f: impl FnOnce(&mut DensityLanes<L>) -> T) -> T
-where
-    DensityLanes<L>: LanePool,
-{
-    with_scratch(
-        DensityLanes::<L>::pool(),
-        n,
-        DensityLanes::num_qubits,
-        DensityLanes::new,
-        f,
-    )
-}
 /// `a · b` for row-major 4×4 matrices.
 fn mul4(a: &Super1, b: &Super1) -> Super1 {
     std::array::from_fn(|i| {
@@ -792,7 +715,8 @@ impl NoisyProgram {
     /// does exactly the float operations of a run at its shifted `θ` on
     /// every entry the diagonal depends on, so `probs` is bit-identical to [`Self::outcome_probabilities`] and to
     /// [`Self::measure`] of [`Self::run`] at that `θ`. The base state, the
-    /// lane state and a lane buffer come from the per-thread scratch pools.
+    /// lane state and a lane buffer come from the per-thread scratch pool
+    /// ([`with_scratch`]).
     ///
     /// # Panics
     ///
@@ -834,9 +758,7 @@ impl NoisyProgram {
         theta: &[f64],
         symbols: &[usize],
         visit: &mut dyn FnMut(usize, bool, &[f64]),
-    ) where
-        DensityLanes<L>: LanePool,
-    {
+    ) {
         let n = self.num_qubits();
         let len = self.steps.len();
         let mut order: Vec<usize> = (0..symbols.len()).collect();
@@ -869,9 +791,9 @@ impl NoisyProgram {
             base: &base,
         };
         let mut shifted = theta.to_vec();
-        with_scratch_density(n, |rho| {
-            with_scratch_density(n, |lane_state| {
-                with_scratch_lanes::<L, _>(n, |lanes| {
+        with_scratch(n, |rho: &mut DensityMatrix| {
+            with_scratch(n, |lane_state: &mut DensityMatrix| {
+                with_scratch(n, |lanes: &mut DensityLanes<L>| {
                     arm.run(
                         #[inline(always)]
                         || {
@@ -907,7 +829,7 @@ impl NoisyProgram {
     /// from a measured run: its tail computes only the diagonal, which is
     /// bit-identical to [`Self::run`]'s.
     pub fn outcome_probabilities(&self, theta: &[f64]) -> Vec<f64> {
-        with_scratch_density(self.num_qubits(), |rho| {
+        with_scratch(self.num_qubits(), |rho: &mut DensityMatrix| {
             self.evolve(theta, true, rho);
             let probs = self.measure(rho);
             debug_check_distribution(&probs);

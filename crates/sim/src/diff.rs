@@ -1,15 +1,15 @@
-//! Shift-aware differentiation primitives behind the Jacobian planner in
-//! `qoc-core`:
+//! Shift-aware gate decomposition behind the Jacobian planner in
+//! `qoc-core`.
 //!
-//! - [`decompose_for_shift_rules`] — Crooks-style decomposition (PAPERS.md,
-//!   Crooks 2019) of trainable gates whose generators do not obey the
-//!   two-term ±π/2 shift rule (`p`/`u3`/`cp`/`crx`/`cry`/`crz`) into
-//!   sequences of shift-rule rotations. Each symbolic angle is split
-//!   affinely, so every resulting occurrence stays differentiable and the
-//!   per-occurrence-sum convention of the shift engine applies unchanged.
-//! - [`rows_for_symbols`] — each trainable symbol's gate occurrences and
-//!   chain-rule scales ([`JacobianRowSpec`]), the row structure a backend's
-//!   Jacobian hook sees.
+//! [`decompose_for_shift_rules`] rewrites, Crooks-style (PAPERS.md, Crooks
+//! 2019), the trainable gates whose generators do not obey the two-term
+//! ±π/2 shift rule (`p`/`u3`/`cp`/`crx`/`cry`/`crz`) into sequences of
+//! shift-rule rotations. Each symbolic angle is split affinely, so every
+//! resulting occurrence stays differentiable and the per-occurrence-sum
+//! convention of the shift engine applies unchanged. Which Jacobian rows
+//! a backend's hook is offered is the planner's rule alone
+//! (`qoc_core::shift`): the ±½ rows of a decomposed controlled rotation
+//! run as per-occurrence shifted jobs.
 
 use crate::circuit::{Circuit, Operation, ParamValue};
 use crate::gates::GateKind;
@@ -120,61 +120,6 @@ pub fn decompose_for_shift_rules(circuit: &Circuit, num_trainable: usize) -> Opt
     Some(out)
 }
 
-/// One shifted gate occurrence contributing to a Jacobian row: the
-/// parameter-shift rule evaluates `±π/2` shifts of operation `op_index`'s
-/// parameter `slot` and weighs the difference by the occurrence's affine
-/// `scale` (chain rule through `scale·θ+offset`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShiftOccurrence {
-    /// Operation index inside the circuit.
-    pub op_index: usize,
-    /// Parameter slot inside that operation.
-    pub slot: usize,
-    /// Affine coefficient of the symbol in that slot.
-    pub scale: f64,
-}
-
-/// The occurrences of one trainable symbol — one Jacobian row.
-#[derive(Debug, Clone, Default)]
-pub struct JacobianRowSpec {
-    /// All gate occurrences of the row's symbol.
-    pub occurrences: Vec<ShiftOccurrence>,
-}
-
-impl JacobianRowSpec {
-    /// `true` for one occurrence with |scale| = 1: the row's gradient is
-    /// `½·(f(θ+π/2) − f(θ−π/2))` with the *symbol* itself shifted, since
-    /// the chain-rule factor ±1 cancels against the sign of the shift.
-    pub fn is_symbol_shift(&self) -> bool {
-        matches!(self.occurrences.as_slice(), [o] if (o.scale.abs() - 1.0).abs() < 1e-12)
-    }
-}
-
-/// Builds one [`JacobianRowSpec`] per requested symbol from the circuit's
-/// occurrence table.
-pub fn rows_for_symbols(circuit: &Circuit, symbols: &[usize]) -> Vec<JacobianRowSpec> {
-    symbols
-        .iter()
-        .map(|&s| JacobianRowSpec {
-            occurrences: circuit
-                .symbol_occurrences(s)
-                .into_iter()
-                .map(|(op_index, slot)| {
-                    let scale = match circuit.ops()[op_index].params[slot] {
-                        ParamValue::Sym { scale, .. } => scale,
-                        ParamValue::Const(_) => 0.0,
-                    };
-                    ShiftOccurrence {
-                        op_index,
-                        slot,
-                        scale,
-                    }
-                })
-                .collect(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,22 +145,6 @@ mod tests {
         );
         c.ry(2, ParamValue::sym(1));
         c
-    }
-
-    #[test]
-    fn rows_list_each_symbols_occurrences_and_scales() {
-        let c = test_circuit();
-        let rows = rows_for_symbols(&c, &[2, 0]);
-        let occ = |op_index, scale| ShiftOccurrence {
-            op_index,
-            slot: 0,
-            scale,
-        };
-        assert_eq!(rows[0].occurrences, vec![occ(5, 1.0)]);
-        assert!(rows[0].is_symbol_shift());
-        // Shared and scaled: shifted per occurrence, not as a symbol.
-        assert_eq!(rows[1].occurrences, vec![occ(2, 1.0), occ(6, -1.5)]);
-        assert!(!rows[1].is_symbol_shift());
     }
 
     #[test]

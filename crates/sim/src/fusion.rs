@@ -41,7 +41,8 @@ use crate::circuit::{Circuit, ParamValue};
 use crate::complex::Complex64;
 use crate::gates::GateKind;
 use crate::kernels::{entries_1q, Kernel};
-use crate::statevector::{with_scratch_state, Statevector};
+use crate::scratch::with_scratch;
+use crate::statevector::Statevector;
 
 /// One source gate inside a symbolic 1q run, kept unresolved until binding.
 #[derive(Debug, Clone, PartialEq)]
@@ -324,7 +325,7 @@ impl FusedProgram {
     /// operations of [`Self::run_into`] at the shifted `θ`, so the state is
     /// bit-identical to that run's. A symbol no step reads visits the
     /// unshifted final state. Both states come from the per-thread scratch
-    /// pool.
+    /// pool ([`with_scratch`]).
     ///
     /// # Panics
     ///
@@ -342,8 +343,9 @@ impl FusedProgram {
         let mut order: Vec<usize> = (0..symbols.len()).collect();
         order.sort_by_key(|&r| first(symbols[r]));
         let mut shifted = theta.to_vec();
-        with_scratch_state(self.num_qubits, |state| {
-            with_scratch_state(self.num_qubits, |fork| {
+        with_scratch(self.num_qubits, |state: &mut Statevector| {
+            with_scratch(self.num_qubits, |fork: &mut Statevector| {
+                state.reset_zero();
                 let mut applied = 0;
                 for &r in &order {
                     let s = symbols[r];

@@ -12,11 +12,12 @@
 //!   real-rotation, dense) shared by the statevector and density paths.
 //! - [`fusion`] — peephole gate fusion compiling a circuit into a
 //!   [`FusedProgram`] reusable across parameter bindings.
-//! - [`diff`] — shift-aware differentiation primitives: Crooks-style gate
-//!   decomposition onto shift-rule-friendly generators and the per-symbol
-//!   occurrence table of a Jacobian row.
+//! - [`diff`] — Crooks-style gate decomposition onto shift-rule-friendly
+//!   generators.
 //! - [`statevector`] / [`simulator`] — exact state evolution, expectation
 //!   values, and shot sampling.
+//! - [`scratch`] — the per-thread pool every state a circuit run evolves
+//!   is borrowed from.
 //! - [`resources`] — the exponential classical-cost model behind Figures
 //!   2(a) and 8 of the paper.
 //! - [`qasm`] — OpenQASM 2.0 export at the hardware interface boundary.
@@ -51,6 +52,7 @@ pub mod kernels;
 pub mod matrix;
 pub mod qasm;
 pub mod resources;
+pub mod scratch;
 pub mod simulator;
 pub mod statevector;
 

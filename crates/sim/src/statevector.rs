@@ -5,11 +5,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
-use qoc_telemetry::metrics::{Counter, Gauge, Registry};
 use rand::Rng;
 
 use crate::complex::Complex64;
@@ -367,154 +363,6 @@ thread_local! {
     static SUFFIX_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-thread_local! {
-    /// Per-thread pool of reusable statevectors, keyed by width on lookup.
-    static STATE_POOL: RefCell<Vec<Statevector>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Maximum states parked per thread (widths in a run are few; this bounds
-/// worst-case retained memory even when a Jacobian forks many scratch
-/// states at once).
-const STATE_POOL_CAP: usize = 8;
-
-/// `qoc.sim.pool.*` registry metrics: acquisition hit/miss counters and a
-/// live gauge mirroring the number of currently checked-out pooled states
-/// (so fork leaks show up in traces). Registry lookups take a mutex, so the
-/// `Arc` handles are resolved once and cached.
-struct PoolMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    live: Arc<Gauge>,
-}
-
-fn pool_metrics() -> &'static PoolMetrics {
-    static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = Registry::global();
-        PoolMetrics {
-            hits: reg.counter("qoc.sim.pool.hits"),
-            misses: reg.counter("qoc.sim.pool.misses"),
-            live: reg.gauge("qoc.sim.pool.live"),
-        }
-    })
-}
-
-/// Process-wide count of checked-out pooled states (the pools themselves are
-/// per-thread, but leak detection wants the global picture).
-static POOL_LIVE: AtomicU64 = AtomicU64::new(0);
-
-/// A [`Statevector`] checked out of the per-thread scratch pool.
-///
-/// Dereferences to the underlying state; on drop the state is returned to
-/// the pool (up to [`STATE_POOL_CAP`] per thread) for reuse by later
-/// acquisitions of the same width. Acquire with [`pooled_zero`].
-pub struct PooledState {
-    // Always Some until drop.
-    sv: Option<Statevector>,
-}
-
-impl PooledState {
-    fn acquire(num_qubits: usize) -> Statevector {
-        let m = pool_metrics();
-        let reused = STATE_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            pool.iter()
-                .position(|s| s.num_qubits() == num_qubits)
-                .map(|i| pool.swap_remove(i))
-        });
-        let sv = match reused {
-            Some(s) => {
-                m.hits.inc();
-                s
-            }
-            None => {
-                m.misses.inc();
-                Statevector::zero_state(num_qubits)
-            }
-        };
-        m.live
-            .set(POOL_LIVE.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
-        sv
-    }
-
-    /// Consumes the guard, returning the state to the caller instead of the
-    /// pool.
-    #[must_use]
-    pub fn into_inner(mut self) -> Statevector {
-        self.sv.take().expect("state present until drop")
-    }
-}
-
-impl Deref for PooledState {
-    type Target = Statevector;
-    fn deref(&self) -> &Statevector {
-        self.sv.as_ref().expect("state present until drop")
-    }
-}
-
-impl DerefMut for PooledState {
-    fn deref_mut(&mut self) -> &mut Statevector {
-        self.sv.as_mut().expect("state present until drop")
-    }
-}
-
-impl Drop for PooledState {
-    fn drop(&mut self) {
-        pool_metrics()
-            .live
-            .set(POOL_LIVE.fetch_sub(1, Ordering::Relaxed) as f64 - 1.0);
-        if let Some(sv) = self.sv.take() {
-            STATE_POOL.with(|pool| {
-                let mut pool = pool.borrow_mut();
-                if pool.len() < STATE_POOL_CAP {
-                    pool.push(sv);
-                }
-            });
-        }
-    }
-}
-
-impl fmt::Debug for PooledState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("PooledState").field(&**self).finish()
-    }
-}
-
-/// Checks a `|0…0⟩` state of the given width out of the per-thread pool.
-///
-/// # Examples
-///
-/// ```
-/// use qoc_sim::statevector::pooled_zero;
-///
-/// let sv = pooled_zero(2);
-/// assert_eq!(sv.expectation_z(0), 1.0);
-/// ```
-pub fn pooled_zero(num_qubits: usize) -> PooledState {
-    let mut sv = PooledState::acquire(num_qubits);
-    sv.reset_zero();
-    PooledState { sv: Some(sv) }
-}
-
-/// Runs `f` with a reusable `|0…0⟩` scratch state of the given width,
-/// returning the state to a per-thread pool afterwards.
-///
-/// This removes the `2ⁿ`-amplitude allocation from every job in the
-/// parameter-shift batch loop.
-///
-/// # Examples
-///
-/// ```
-/// use qoc_sim::statevector::with_scratch_state;
-///
-/// let ez = with_scratch_state(2, |sv| sv.expectation_z(0));
-/// assert_eq!(ez, 1.0);
-/// ```
-pub fn with_scratch_state<T>(num_qubits: usize, f: impl FnOnce(&mut Statevector) -> T) -> T {
-    let mut sv = pooled_zero(num_qubits);
-    f(&mut sv)
-}
-
 /// Converts dense outcome counts (see [`sample_counts`]) into per-qubit Z
 /// expectations: `(#zeros − #ones) / shots` for each qubit.
 pub fn expectation_z_from_counts(counts: &[u32], num_qubits: usize, shots: u32) -> Vec<f64> {
@@ -571,41 +419,6 @@ mod tests {
     fn kernel_on_a_repeated_wire_panics() {
         let mut sv = Statevector::zero_state(2);
         sv.apply_kernel(&Kernel::Exchange { a: 1, b: 1 });
-    }
-
-    #[test]
-    fn pool_reuses_parked_states_and_counts_checkouts() {
-        // Each test runs on its own thread, so the thread-local pool starts
-        // empty and this sequence is deterministic.
-        let misses = Registry::global().counter("qoc.sim.pool.misses");
-        let hits = Registry::global().counter("qoc.sim.pool.hits");
-        let m0 = misses.get();
-        let first = pooled_zero(6);
-        let ptr = first.amplitudes().as_ptr();
-        assert_eq!(first.expectation_z(0), 1.0);
-        drop(first);
-        assert!(misses.get() > m0, "first checkout must miss");
-
-        let h0 = hits.get();
-        let again = pooled_zero(6);
-        assert_eq!(again.amplitudes().as_ptr(), ptr, "parked buffer reused");
-        assert!(hits.get() > h0, "same-width checkout must hit");
-
-        // into_inner detaches the state: the buffer must not be reused.
-        let detached = again.into_inner();
-        let fresh = pooled_zero(6);
-        assert_ne!(fresh.amplitudes().as_ptr(), detached.amplitudes().as_ptr());
-    }
-
-    #[test]
-    fn pool_parks_at_most_cap_states() {
-        // The pool is thread-local and this test owns its thread, so the
-        // parked count is deterministic: 2·CAP concurrent checkouts, but
-        // only CAP of the returns may park.
-        let held: Vec<_> = (0..2 * STATE_POOL_CAP).map(|_| pooled_zero(3)).collect();
-        drop(held);
-        let parked = STATE_POOL.with(|p| p.borrow().len());
-        assert_eq!(parked, STATE_POOL_CAP);
     }
 
     #[test]
@@ -751,26 +564,6 @@ mod tests {
         sv.amps[0] = c64(1e-170, 0.0);
         sv.normalize();
         assert!(sv.amps[0].re.is_finite() && sv.amps[0].re == 1e-170);
-    }
-
-    #[test]
-    fn scratch_state_pool_reuses_and_resets() {
-        let p = with_scratch_state(3, |sv| {
-            sv.apply_1q(&GateKind::X.matrix(&[]), 1);
-            sv.amplitudes().as_ptr() as usize
-        });
-        // Same width again: the pooled (dirtied) state must come back reset.
-        let (p2, ok) = with_scratch_state(3, |sv| {
-            (
-                sv.amplitudes().as_ptr() as usize,
-                sv.amplitudes()[0] == Complex64::ONE && sv.expectation_z(1) == 1.0,
-            )
-        });
-        assert_eq!(p, p2, "pool did not reuse the allocation");
-        assert!(ok, "pooled state was not reset to |0…0⟩");
-        // A different width allocates fresh without disturbing the pool.
-        let ez = with_scratch_state(1, |sv| sv.expectation_z(0));
-        assert_eq!(ez, 1.0);
     }
 
     #[test]
