@@ -52,14 +52,17 @@ stage_kernel_equivalence() {
     # superoperator pass bit for bit vs the full-index scan it replaced,
     # the fork lane states' `Lanes` arithmetic, which runs the one generic
     # set of passes, at 2, 4 and 8 lanes on every dispatch arm the host
-    # runs (baseline, and AVX2 where detected) bit for bit vs single-state
-    # passes, and grouped forks at both lane widths vs the shifted runs
-    # (the qoc-noise unit tests, hence --lib again). Release mode: the
-    # proptest cases are heavy and the kernels under test are the ones
-    # production runs actually execute.
+    # runs (baseline everywhere, and AVX-512 where detected) bit for bit
+    # vs single-state passes, and grouped forks at 2, 4 and 8 lanes on
+    # those arms vs the shifted runs (the qoc-noise unit tests, hence --lib
+    # again), and the paper's MNIST-4/jakarta forks grouped on each of
+    # those arms vs the shifted runs (the root package's grouped_forks).
+    # Release mode: the proptest cases are heavy and the kernels under test
+    # are the ones production runs actually execute.
     cargo test --offline --release -p qoc-sim --lib \
         --test kernel_equivalence --test golden_states --test properties || return 1
-    cargo test --offline --release -p qoc-noise --lib --test compiled_equivalence
+    cargo test --offline --release -p qoc-noise --lib --test compiled_equivalence || return 1
+    cargo test --offline --release -p qoc --test grouped_forks
 }
 
 stage_diff_equivalence() {

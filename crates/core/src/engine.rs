@@ -1034,10 +1034,11 @@ fn write_jsonl<T: serde::Serialize>(path: &std::path::Path, records: &[T]) {
 /// Persists the run next to the trace file (`QOC_TRACE_FILE`): per-step and
 /// per-checkpoint records as JSONL (`<stem>.steps.jsonl`,
 /// `<stem>.evals.jsonl`) and a run manifest (`<stem>.manifest.json`) tying
-/// together the config, environment, execution stats (resume base
-/// included), the resume base itself (zero unless resumed), and a final
-/// snapshot of the global metrics registry. I/O failures are reported to
-/// stderr, not propagated — telemetry must never fail a training run.
+/// together the config, environment, the noisy forks' lane arm, execution
+/// stats (resume base included), the resume base itself (zero unless
+/// resumed), and a final snapshot of the global metrics registry. I/O
+/// failures are reported to stderr, not propagated — telemetry must never
+/// fail a training run.
 fn persist_run(
     run: &Run<'_>,
     trace_path: &std::path::Path,
@@ -1065,6 +1066,8 @@ fn persist_run(
         .into_iter()
         .map(|(name, value)| (name.to_string(), Value::Str(value)))
         .collect();
+    // The arm the noisy forks run on, picked from the host's CPU.
+    let fork_arm = qoc_device::LaneArm::detect();
     let mut entries = vec![
         ("config".to_string(), serde_json::to_value(run.config)),
         ("env".to_string(), Value::Object(env)),
@@ -1077,6 +1080,13 @@ fn persist_run(
         (
             "workers".to_string(),
             Value::UInt(default_worker_count() as u64),
+        ),
+        (
+            "fork_lanes".to_string(),
+            Value::Object(vec![
+                ("arm".to_string(), Value::Str(fork_arm.name().to_string())),
+                ("lanes".to_string(), Value::UInt(fork_arm.lanes() as u64)),
+            ]),
         ),
         (
             "available_parallelism".to_string(),

@@ -61,6 +61,8 @@ pub use backends::DeviceDescription;
 pub use calibration::{DeviceCalibration, EdgeCalibration, QubitCalibration};
 pub use faults::{FaultInjectingBackend, FaultPlan};
 pub use pool::{placement_score, DevicePool, PlacementScore, PoolBuilder, PooledDevice};
+/// The instruction set a fake device's noisy parameter-shift forks run on.
+pub use qoc_noise::density::LaneArm;
 pub use retry::{BatchError, BatchResult, JobError, RetryPolicy};
 pub use topology::CouplingMap;
 pub use transpile::{transpile, TranspileOptions, TranspiledCircuit};

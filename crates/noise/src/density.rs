@@ -362,7 +362,7 @@ impl Passes for DensityMatrix {
 /// written once per lane, operand for operand, so a lane rounds exactly as
 /// a lone `Complex64` would. Rust never contracts `a * b + c` into a fused
 /// multiply-add, so the lanes of each line compile to one vector
-/// instruction per register width (2 lanes in SSE2, 4 in AVX2) without
+/// instruction per register width (2 lanes in SSE2, 8 in AVX-512) without
 /// changing a bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Lanes<const L: usize> {
@@ -569,15 +569,16 @@ pub enum LaneArm {
     /// The target's baseline instruction set (SSE2 on x86-64), on any
     /// host: forks run as two-lane pairs.
     Baseline,
-    /// AVX2, on x86-64 hosts that have it: forks run four lanes at a time.
-    Avx2,
+    /// AVX-512F, on x86-64 hosts that have it: forks run eight lanes at a
+    /// time.
+    Avx512,
 }
 
 impl LaneArm {
     /// The widest arm this host runs.
     pub fn detect() -> LaneArm {
-        if has_avx2() {
-            LaneArm::Avx2
+        if has_avx512() {
+            LaneArm::Avx512
         } else {
             LaneArm::Baseline
         }
@@ -586,15 +587,33 @@ impl LaneArm {
     /// Every arm this host runs, the baseline first.
     pub fn available() -> Vec<LaneArm> {
         let mut arms = vec![LaneArm::Baseline];
-        if has_avx2() {
-            arms.push(LaneArm::Avx2);
+        if has_avx512() {
+            arms.push(LaneArm::Avx512);
         }
         arms
     }
 
+    /// The arm's name as a run manifest records it.
+    pub fn name(self) -> &'static str {
+        match self {
+            LaneArm::Baseline => "baseline",
+            LaneArm::Avx512 => "avx512",
+        }
+    }
+
+    /// The lane count of the arm's fork states, as
+    /// [`NoisyProgram::for_each_shift_on`](crate::sim::NoisyProgram::for_each_shift_on)
+    /// runs them.
+    pub fn lanes(self) -> usize {
+        match self {
+            LaneArm::Baseline => 2,
+            LaneArm::Avx512 => 8,
+        }
+    }
+
     /// Runs `job` compiled for this arm. `job` and every pass it runs must
-    /// be `#[inline(always)]`: only code inlined into the AVX2 wrapper is
-    /// compiled for AVX2.
+    /// be `#[inline(always)]`: only code inlined into the AVX-512 wrapper is
+    /// compiled for AVX-512.
     ///
     /// # Panics
     ///
@@ -604,33 +623,33 @@ impl LaneArm {
         match self {
             LaneArm::Baseline => job(),
             #[cfg(target_arch = "x86_64")]
-            LaneArm::Avx2 => {
-                assert!(has_avx2(), "this host has no AVX2");
-                // SAFETY: calling a `#[target_feature(enable = "avx2")]`
+            LaneArm::Avx512 => {
+                assert!(has_avx512(), "this host has no AVX-512F");
+                // SAFETY: calling a `#[target_feature(enable = "avx512f")]`
                 // function is sound exactly when the CPU running it has
-                // AVX2, and the assert above has just detected it on this
-                // one. `run_avx2` does nothing but call `job`, which is
-                // safe code. This is the workspace's one `unsafe` site.
-                unsafe { run_avx2(job) }
+                // AVX-512F, and the assert above has just detected it on
+                // this one. `run_avx512` does nothing but call `job`, which
+                // is safe code. This is the workspace's one `unsafe` site.
+                unsafe { run_avx512(job) }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            LaneArm::Avx2 => panic!("this host has no AVX2"),
+            LaneArm::Avx512 => panic!("this host has no AVX-512F"),
         }
     }
 }
 
-/// Whether the host has AVX2 (detected once and cached by `std`).
-fn has_avx2() -> bool {
+/// Whether the host has AVX-512F (detected once and cached by `std`).
+fn has_avx512() -> bool {
     #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2");
+    return std::arch::is_x86_feature_detected!("avx512f");
     #[cfg(not(target_arch = "x86_64"))]
     false
 }
 
-/// `job` compiled with AVX2 enabled: [`LaneArm::Avx2`]'s wrapper.
+/// `job` compiled with AVX-512F enabled: [`LaneArm::Avx512`]'s wrapper.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn run_avx2<T>(job: impl FnOnce() -> T) -> T {
+#[target_feature(enable = "avx512f")]
+fn run_avx512<T>(job: impl FnOnce() -> T) -> T {
     job()
 }
 
@@ -1328,8 +1347,8 @@ mod tests {
     /// The arms this host runs; says which it skips.
     fn host_arms() -> Vec<LaneArm> {
         let arms = LaneArm::available();
-        if !arms.contains(&LaneArm::Avx2) {
-            println!("no AVX2 on this host: the AVX2 arm is skipped");
+        if !arms.contains(&LaneArm::Avx512) {
+            println!("no AVX-512F on this host: the AVX-512 arm is skipped");
         }
         arms
     }

@@ -38,7 +38,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// The AVX2 fork lanes (`density::LaneArm::run`) hold the workspace's one
+// The AVX-512 fork lanes (`density::LaneArm::run`) hold the workspace's one
 // `unsafe` block; every other crate forbids `unsafe` outright.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 

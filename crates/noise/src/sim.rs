@@ -33,8 +33,8 @@
 //! parameter-shift rule. A shift of a symbol changes only the pending maps
 //! of the wires its single-qubit gates sit on (its *dirty* wires) and the
 //! two-qubit gates reading it, and only up to its *rejoin step*. The forks
-//! of up to `L/2` symbols run as one `L`-lane state, `L = 4` where the host
-//! has AVX2 and `L = 2` elsewhere ([`LaneArm`]): at the pass where the
+//! of up to `L/2` symbols run as one `L`-lane state, `L = 8` where the host
+//! has AVX-512F and `L = 2` elsewhere ([`LaneArm`]): at the pass where the
 //! first of their windows opens, every lane loads the unshifted evolution;
 //! from there the lanes run the unshifted passes they all share, one pass
 //! with a matrix per lane for each dirty flush, and the measured tail. Each
@@ -698,7 +698,7 @@ impl NoisyProgram {
     /// advances through them. The rows, in the order their symbols'
     /// windows open, are cut into groups of `L/2` that each share one
     /// `L`-lane state ([`LaneArm::detect`] picks the widest arm this host
-    /// runs: `L = 4` under AVX2, else `L = 2`); lanes `2k` and `2k + 1`
+    /// runs: `L = 8` under AVX-512F, else `L = 2`); lanes `2k` and `2k + 1`
     /// are the group's row `k` at `+` and at `−`, and the lanes of a short
     /// last group idle unread. At the pass where the group's first window
     /// opens, every lane loads the base state, and the lanes walk the steps
@@ -731,7 +731,7 @@ impl NoisyProgram {
     }
 
     /// [`Self::for_each_shift`] with its forks compiled for `arm`: two-lane
-    /// pairs on [`LaneArm::Baseline`], four lanes on [`LaneArm::Avx2`].
+    /// pairs on [`LaneArm::Baseline`], eight lanes on [`LaneArm::Avx512`].
     /// Every arm visits the same bits.
     ///
     /// # Panics
@@ -747,7 +747,7 @@ impl NoisyProgram {
     ) {
         match arm {
             LaneArm::Baseline => self.shifts_in_lanes::<2>(arm, theta, symbols, &mut visit),
-            LaneArm::Avx2 => self.shifts_in_lanes::<4>(arm, theta, symbols, &mut visit),
+            LaneArm::Avx512 => self.shifts_in_lanes::<8>(arm, theta, symbols, &mut visit),
         }
     }
 
@@ -956,7 +956,7 @@ mod tests {
             .into_iter()
             .flat_map(|arm| row_sets.map(|rows| (arm, rows)))
         {
-            for width in [2, 4] {
+            for width in [2, 4, 8] {
                 let mut visits = Vec::new();
                 let mut check = |row: usize, minus: bool, probs: &[f64]| {
                     visits.push((row, minus));
@@ -968,10 +968,10 @@ mod tests {
                         "{arm:?}, L={width}, rows {rows:?}: row {row} minus={minus}"
                     );
                 };
-                if width == 2 {
-                    program.shifts_in_lanes::<2>(arm, &theta, rows, &mut check);
-                } else {
-                    program.shifts_in_lanes::<4>(arm, &theta, rows, &mut check);
+                match width {
+                    2 => program.shifts_in_lanes::<2>(arm, &theta, rows, &mut check),
+                    4 => program.shifts_in_lanes::<4>(arm, &theta, rows, &mut check),
+                    _ => program.shifts_in_lanes::<8>(arm, &theta, rows, &mut check),
                 }
                 visits.sort_unstable();
                 let want: Vec<(usize, bool)> = (0..rows.len())

@@ -552,7 +552,7 @@ impl Kernel {
 /// ([`Coeff`]).
 ///
 /// Always inlined, so that a caller compiled for a wider instruction set
-/// (`qoc-noise`'s AVX2 fork lanes) gets the loop in that set.
+/// (`qoc-noise`'s AVX-512 fork lanes) gets the loop in that set.
 ///
 /// # Panics
 ///

@@ -3,7 +3,7 @@
 //!
 //! `NoisyProgram::for_each_shift` cuts the rows, in the order their
 //! symbols' windows open, into groups that share one lane state: one row
-//! per pair on the baseline arm, two rows per four lanes under AVX2. On
+//! per pair on the baseline arm, four rows per eight lanes under AVX-512. On
 //! MNIST-4 transpiled to fake jakarta most symbols of an ansatz block
 //! (symbols 0–11, 12–23, 24–35) open their windows at one pass, so a group
 //! holds rows of one block or of two neighbouring blocks.
@@ -65,19 +65,24 @@ fn grouped_forks_on_mnist4_jakarta_are_bit_identical_to_shifted_runs() {
     let all: Vec<usize> = (0..36).collect();
     // A pruned step's 18 rows, spread over the three blocks, one of them a
     // second row for symbol 3, plus a row for `past`: 19 rows, so under
-    // four lanes the last group holds one row and an idle lane pair.
+    // eight lanes four full groups and a last group of three rows with an
+    // idle lane pair.
     let mut pruned = vec![0, 2, 3, 5, 7, 8, 11];
     pruned.extend([12, 14, 15, 18, 20, 23]);
     pruned.extend([25, 27, 30, 34]);
     pruned.extend([3, past]);
     assert_eq!(pruned.len(), 19);
 
+    // One row: under eight lanes its group leaves six lanes idle.
+    let single = [14];
+
     let arms = LaneArm::available();
-    if !arms.contains(&LaneArm::Avx2) {
-        println!("no AVX2 on this host: the AVX2 arm is skipped");
+    if !arms.contains(&LaneArm::Avx512) {
+        println!("no AVX-512F on this host: the eight-lane AVX-512 arm is skipped");
     }
     for arm in arms {
         check_forks(&program, &theta, &all, arm);
         check_forks(&program, &theta, &pruned, arm);
+        check_forks(&program, &theta, &single, arm);
     }
 }

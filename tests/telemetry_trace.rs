@@ -18,6 +18,7 @@ use qoc_core::prune::PruneConfig;
 use qoc_core::sched::LrSchedule;
 use qoc_data::dataset::Dataset;
 use qoc_device::backend::{Execution, NoiselessBackend};
+use qoc_device::LaneArm;
 use qoc_nn::model::QnnModel;
 
 /// A tiny linearly-separable 2-class dataset in encoder space.
@@ -228,6 +229,12 @@ fn pgp_trace_confirms_run_savings_ratio() {
             .and_then(Value::as_u64),
         Some(result.total_inferences)
     );
+    // The fork arm this host runs, as the noisy forks pick it.
+    let (arm, forks) = (LaneArm::detect(), manifest.get("fork_lanes"));
+    let arm_name = forks.and_then(|f| f.get("arm")).and_then(Value::as_str);
+    assert_eq!(arm_name, Some(arm.name()));
+    let lanes = forks.and_then(|f| f.get("lanes")).and_then(Value::as_u64);
+    assert_eq!(lanes, Some(arm.lanes() as u64));
     let counters = manifest
         .get("metrics")
         .and_then(|m| m.get("counters"))
