@@ -14,7 +14,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak monitor watch bench-smoke)
+ALL_STAGES=(fmt clippy doc build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak monitor watch bench-smoke)
 
 stage_fmt() {
     cargo fmt --all -- --check
@@ -22,6 +22,17 @@ stage_fmt() {
 
 stage_clippy() {
     cargo clippy --offline --workspace --all-targets -- -D warnings
+}
+
+stage_doc() {
+    # Rustdoc of the qoc crates with warnings (broken, ambiguous or
+    # private intra-doc links) as errors. The vendored shims stay out:
+    # their own docs do not build clean.
+    local packages=(-p qoc)
+    for manifest in crates/*/Cargo.toml; do
+        packages+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+    done
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps "${packages[@]}"
 }
 
 stage_build() {

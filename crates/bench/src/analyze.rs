@@ -385,7 +385,7 @@ pub struct Analysis {
     /// resumed run's satellite also holds the restored history).
     pub measured_savings: Option<f64>,
     /// The savings the manifest's pruning schedule predicts over the same
-    /// steps ([`scheduled_savings`]; 0 without step records). `Some` iff the
+    /// steps (`scheduled_savings`; 0 without step records). `Some` iff the
     /// manifest configures pruning.
     pub expected_savings: Option<f64>,
     /// Retry attempts recorded by the manifest.

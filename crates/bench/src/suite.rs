@@ -182,7 +182,7 @@ pub fn timing_row(
 /// Writes a criterion bench's artifact `name` (e.g. `BENCH_density.json`)
 /// at the repository root: the timing rows, then the bench's `extra` rows,
 /// then a `host` row recording the available parallelism, each replacing
-/// the committed row of its label ([`merge_artifact`]), so a run filtered to
+/// the committed row of its label (`merge_artifact`), so a run filtered to
 /// some benchmarks rewrites only their rows. `bench_smoke` reads these files
 /// back as its baselines.
 pub fn write_bench_artifact(

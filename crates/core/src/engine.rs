@@ -8,7 +8,7 @@
 //! # Failure and recovery
 //!
 //! Backends surface unrecoverable job failures as
-//! [`BatchError`](qoc_device::retry::BatchError)s. [`train_anchored`] maps
+//! [`BatchError`]s. [`train_anchored`] maps
 //! those to [`TrainError::Execution`], writing an *emergency checkpoint*
 //! first when checkpointing is configured — captured from the state at the
 //! top of the failing step, so resuming from it ([`RunAnchor::resume`])

@@ -11,17 +11,17 @@
 //!
 //! Stages 1 and 2 for *every example in the mini-batch* are independent
 //! circuit executions. [`QnnGradientComputer::batch_gradient`] first offers
-//! each example's Jacobian to the backend's hook
+//! each example's Jacobian, with its forward run, to the backend's hook
 //! ([`ParameterShiftEngine::offer_jacobian`]; the fake device and the
 //! noiseless backend answer it with the shifted circuits forked from one
-//! forward evolution), then collects
-//! the forward jobs and every declined example's shifted jobs — at most
-//! `batch·(1 + 2·|subset|)` jobs — into a single
-//! [`QuantumBackend::run_batch`] submission. Either way every example costs
-//! `1 + 2·|subset|` circuits. Each example draws its jobs' randomness from
-//! its own master seed `job_seed(master_seed, example_idx)`, so results do
-//! not depend on batch composition order, worker count, or which path ran
-//! its shifted circuits.
+//! forward evolution, which they carry on to the end as the forward run),
+//! then collects the forward job and shifted jobs of every declined (or
+//! never offered) example — at most `batch·(1 + 2·|subset|)` jobs — into a
+//! single [`QuantumBackend::run_batch`] submission, skipped when every
+//! example was answered. Either way every example costs `1 + 2·|subset|`
+//! circuits. Each example draws its jobs' randomness from its own master
+//! seed `job_seed(master_seed, example_idx)`, so results do not depend on
+//! batch composition order, worker count, or which path ran its circuits.
 
 use qoc_device::backend::{job_seed, Execution, QuantumBackend};
 use qoc_device::retry::BatchError;
@@ -144,27 +144,35 @@ impl<'a> QnnGradientComputer<'a> {
             batch = batch.len(),
             evaluated = indices.len(),
         );
-        // Offer each example's Jacobian to the backend's hook, then collect
-        // the forward jobs and every declined example's shifted jobs into
-        // one batch.
+        // Offer each example's Jacobian and forward run to the backend's
+        // hook, then collect the forward and shifted jobs of every example
+        // it did not answer into one batch.
         let thetas: Vec<Vec<f64>> = batch
             .iter()
             .map(|&(input, _)| self.model.symbol_vector(params, input))
             .collect();
-        let mut jobs = Vec::with_capacity(batch.len() * (1 + 2 * indices.len()));
+        let mut jobs = Vec::new();
         let mut layout = Vec::with_capacity(batch.len());
         for (e, theta) in thetas.iter().enumerate() {
             let example_master = job_seed(master_seed, e as u64);
+            let mut offer = self
+                .engine
+                .offer_jacobian(theta, indices, example_master, true);
             let forward_idx = jobs.len();
-            jobs.push(self.engine.forward_job(theta, example_master));
-            let mut offer = self.engine.offer_jacobian(theta, indices, example_master);
-            jobs.extend(offer.take_jobs().unwrap_or_default());
+            if offer.forward().is_none() {
+                jobs.push(self.engine.forward_job(theta, example_master));
+                jobs.extend(offer.take_jobs().unwrap_or_default());
+            }
             layout.push((forward_idx, offer));
         }
         if let Some(s) = span.as_mut() {
             s.field("jobs", jobs.len());
         }
-        let results = self.engine.try_run_batch(&jobs)?;
+        let results = if jobs.is_empty() {
+            Vec::new()
+        } else {
+            self.engine.try_run_batch(&jobs)?
+        };
 
         // Classical stages: backprop through the head and dot with the rows.
         let mut grad = vec![0.0; n_params];
@@ -176,13 +184,18 @@ impl<'a> QnnGradientComputer<'a> {
         // Exact execution has no shot variance to propagate.
         let any_shots = matches!(self.engine.execution(), Execution::Shots(_));
         for (&(_, target), (forward_idx, offer)) in batch.iter().zip(&layout) {
-            let expectations = &results[*forward_idx];
+            let (expectations, shifted) = match offer.forward() {
+                Some(answered) => (answered, &results[..0]),
+                None => (
+                    &results[*forward_idx][..],
+                    &results[forward_idx + 1..forward_idx + 1 + offer.num_jobs()],
+                ),
+            };
             let logits = self.model.logits_from_expectations(expectations);
             let (loss, grad_logits) = loss_and_grad(&logits, target);
             let grad_expectations = self.model.head().backward(&grad_logits, num_qubits);
             total_loss += loss;
 
-            let shifted = &results[forward_idx + 1..forward_idx + 1 + offer.num_jobs()];
             let jac = offer.jacobian(shifted);
             for (row, &param_idx) in jac.iter().zip(indices) {
                 let dot: f64 = row.iter().zip(&grad_expectations).map(|(j, g)| j * g).sum();
@@ -224,7 +237,9 @@ impl<'a> QnnGradientComputer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qoc_device::backend::NoiselessBackend;
+    use qoc_device::backend::{FakeDevice, NoiselessBackend};
+    use qoc_device::backends::fake_santiago;
+    use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
     use qoc_nn::loss::cross_entropy;
     use qoc_sim::simulator::StatevectorSimulator;
 
@@ -317,16 +332,38 @@ mod tests {
 
     #[test]
     fn run_count_matches_cost_model() {
-        // Per example: 1 forward + 2 runs per selected parameter.
+        // Per example: 1 forward + 2 runs per selected parameter, whether
+        // the hook answers the example (forward run included) or a wrapper
+        // declines it and the jobs run as one batch; both paths charge the
+        // same circuits, shots and device time.
         let model = QnnModel::mnist2();
-        let backend = NoiselessBackend::new();
-        let computer = QnnGradientComputer::new(&model, &backend, Execution::Exact);
-        backend.reset_stats();
         let params = vec![0.0; 8];
         let input = vec![0.1; 16];
         let batch: Vec<(&[f64], usize)> = vec![(input.as_slice(), 0), (input.as_slice(), 1)];
-        let _ = computer.batch_gradient(&params, &batch, Some(&[0, 2, 4]), 4);
-        assert_eq!(backend.stats().circuits_run, 2 * (1 + 2 * 3));
+        let noiseless = NoiselessBackend::new();
+        let noiseless_declining =
+            FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
+        let device = FakeDevice::new(fake_santiago());
+        let device_declining =
+            FaultInjectingBackend::new(FakeDevice::new(fake_santiago()), FaultPlan::none());
+        let cases: [(&dyn QuantumBackend, &dyn QuantumBackend, Execution); 2] = [
+            (&noiseless, &noiseless_declining, Execution::Exact),
+            (&device, &device_declining, Execution::Shots(1024)),
+        ];
+        for (answering, declining, execution) in cases {
+            for backend in [answering, declining] {
+                let computer = QnnGradientComputer::new(&model, backend, execution);
+                backend.reset_stats();
+                let _ = computer.batch_gradient(&params, &batch, Some(&[0, 2, 4]), 4);
+                assert_eq!(
+                    backend.stats().circuits_run,
+                    2 * (1 + 2 * 3),
+                    "{execution:?}"
+                );
+            }
+            let (answered, declined) = (answering.stats(), declining.stats());
+            assert_eq!(answered, declined, "{execution:?}");
+        }
     }
 
     #[test]

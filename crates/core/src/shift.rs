@@ -11,7 +11,7 @@
 //!
 //! A Jacobian is 2·n independent circuit executions — exactly the batch
 //! shape hardware providers accept. The engine therefore *plans* the full
-//! ±π/2 job set ([`Self::jacobian_jobs`]) and submits it through
+//! ±π/2 job set ([`ParameterShiftEngine::jacobian_jobs`]) and submits it through
 //! [`QuantumBackend::run_batch`], which fans it over worker threads.
 //! Randomness comes from deterministic per-job streams instead of a shared
 //! `&mut RngCore`: each job's seed is `job_seed(master, stream)` where the
@@ -35,17 +35,19 @@
 //! one structured [`JacobianBatch`] through
 //! [`QuantumBackend::run_jacobian_batch`]
 //! ([`ParameterShiftEngine::offer_jacobian`]). The batch carries the
-//! engine's execution, and each row the seeds of its shifted jobs. The
+//! engine's execution, each row the seeds of its shifted jobs, and a
+//! training example's request also the seed of its forward job. The
 //! engine alone decides which requests are offered: non-empty ones whose
 //! every row is a single occurrence with |scale| = 1, i.e. shifts its
 //! symbol on the shared prepared circuit. A [`FakeDevice`] and the
-//! statevector backend answer those with the shifted jobs' own results,
-//! every shifted circuit forked from one forward evolution and read out
-//! with its job's seed. An empty request or one with a shared or scaled
-//! symbol is not offered, and every wrapper that doesn't forward the hook
-//! declines; then the engine builds and runs the 2·occ shifted-job batch
-//! above. An answered request never builds its jobs. The shifted results
-//! feed the same [`JacobianPlan::assemble`] and
+//! statevector backend answer those with the jobs' own results: every
+//! shifted circuit forked from one forward evolution, that evolution
+//! carried to its end as the forward run, each read out with its job's
+//! seed. An empty request or one with a shared or scaled symbol is not
+//! offered, and every wrapper that doesn't forward the hook declines; then
+//! the engine builds and runs the 2·occ shifted-job batch above (and the
+//! forward job). An answered request never builds its jobs. The shifted
+//! results feed the same [`JacobianPlan::assemble`] and
 //! [`JacobianPlan::row_variances`] whoever ran them, so results are
 //! bit-identical on both paths (see DESIGN.md §5c).
 //!
@@ -217,12 +219,13 @@ impl JacobianPlan {
 
 /// One Jacobian request after it was offered to the backend's hook, or
 /// not ([`ParameterShiftEngine::offer_jacobian`]): the hook's shifted-job
-/// results, or the shifted jobs still to run, and the plan that assembles
-/// either.
+/// results (and forward result, if asked for), or the shifted jobs still to
+/// run, and the plan that assembles either.
 #[derive(Debug)]
 pub struct JacobianOffer<'e> {
     plan: JacobianPlan,
-    /// The hook's results, in the order of the plan's jobs.
+    /// The hook's results, in the order of the plan's jobs, then the
+    /// forward job's if the offer asked for it.
     answer: Option<Vec<Vec<f64>>>,
     /// The unanswered request's shifted jobs, until taken.
     jobs: Option<Vec<CircuitJob<'e>>>,
@@ -244,6 +247,14 @@ impl<'e> JacobianOffer<'e> {
         } else {
             self.plan.num_jobs()
         }
+    }
+
+    /// The hook's result of the forward job: `Some` only when the offer
+    /// asked for it and the hook answered. Otherwise the caller runs
+    /// [`ParameterShiftEngine::forward_job`] itself.
+    pub fn forward(&self) -> Option<&[f64]> {
+        let answer = self.answer.as_ref()?;
+        answer.get(self.plan.num_jobs()).map(Vec::as_slice)
     }
 
     /// Who ran the shifted circuits, as the `shift.jacobian` span's `mode`
@@ -517,8 +528,10 @@ impl<'a> ParameterShiftEngine<'a> {
     /// the seeds of each row's shifted jobs (those of
     /// [`Self::jacobian_jobs`]) — if the request is non-empty and every
     /// row shifts its symbol on the shared prepared circuit (one
-    /// occurrence, |scale| = 1). The jobs themselves are built only if the
-    /// request is not offered or the hook declines
+    /// occurrence, |scale| = 1). With `forward`, the batch also carries the
+    /// seed of [`Self::forward_job`], and an answer holds that job's result
+    /// too ([`JacobianOffer::forward`]). The jobs themselves are built only
+    /// if the request is not offered or the hook declines
     /// ([`JacobianOffer::take_jobs`]). Every Jacobian the engine or the
     /// training loop evaluates goes through here.
     ///
@@ -530,6 +543,7 @@ impl<'a> ParameterShiftEngine<'a> {
         theta: &[f64],
         indices: &[usize],
         master_seed: u64,
+        forward: bool,
     ) -> JacobianOffer<'_> {
         let plan = self.layout(indices, |_, _, _| {});
         let forkable = !indices.is_empty()
@@ -549,12 +563,15 @@ impl<'a> ParameterShiftEngine<'a> {
                 theta: theta.to_vec(),
                 execution: self.execution,
                 rows,
+                forward_seed: forward.then(|| job_seed(master_seed, FORWARD_STREAM)),
             })
         } else {
             None
         };
         debug_assert!(
-            answer.as_ref().is_none_or(|r| r.len() == plan.num_jobs()),
+            answer
+                .as_ref()
+                .is_none_or(|r| r.len() == plan.num_jobs() + usize::from(forward)),
             "backend answered the wrong number of results"
         );
         let jobs = answer
@@ -573,7 +590,7 @@ impl<'a> ParameterShiftEngine<'a> {
         master_seed: u64,
     ) -> Result<Jacobian, BatchError> {
         let mut span = qoc_telemetry::span!("shift.jacobian", rows = indices.len());
-        let mut offer = self.offer_jacobian(theta, indices, master_seed);
+        let mut offer = self.offer_jacobian(theta, indices, master_seed, false);
         let jobs = offer.take_jobs();
         if let Some(s) = span.as_mut() {
             s.field("jobs", offer.num_jobs());
@@ -846,8 +863,9 @@ mod tests {
         for execution in [Execution::Shots(64), Execution::Exact] {
             let engine = ParameterShiftEngine::new(&wrapped, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6);
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, true);
             assert_eq!(offer.mode(), "shifted-2p", "{execution:?}");
+            assert_eq!(offer.forward(), None, "{execution:?}");
             assert_eq!(offer.num_jobs(), 10, "{execution:?}");
             wrapped.reset_stats();
             let jac = engine.jacobian(&theta, 6);
@@ -862,7 +880,8 @@ mod tests {
         // The fake device forks every shifted circuit from one forward
         // evolution, the noiseless backend from one binding of θ — sampled
         // and exact rows: the same results, bit for bit, and the same
-        // circuit count as running the shifted jobs.
+        // circuit count as running the shifted jobs; asked for the forward
+        // job too, the answer ends with its result.
         let c = ansatz_circuit();
         let theta = [0.3; 5];
         let device = FakeDevice::new(fake_lima());
@@ -878,10 +897,18 @@ mod tests {
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
             let reference = shifted_jacobian(&engine, &theta, 6);
             backend.reset_stats();
-            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6);
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, false);
             assert_eq!(backend.stats().circuits_run, 10, "{label}");
             assert_eq!(offer.mode(), "forked", "{label}");
             assert_eq!(offer.num_jobs(), 0, "{label}");
+            assert_eq!(offer.forward(), None, "{label}");
+            assert_eq!(offer.jacobian(&[]), reference, "{label}");
+
+            let forward = backend.run_job(&engine.forward_job(&theta, 6));
+            backend.reset_stats();
+            let offer = engine.offer_jacobian(&theta, &[0, 1, 2, 3, 4], 6, true);
+            assert_eq!(backend.stats().circuits_run, 11, "{label}");
+            assert_eq!(offer.forward(), Some(&forward[..]), "{label}");
             assert_eq!(offer.jacobian(&[]), reference, "{label}");
         }
     }
@@ -908,7 +935,7 @@ mod tests {
         for (backend, execution, rows, mode) in cases {
             let label = format!("{} {execution:?} rows {rows:?}", backend.name());
             let engine = ParameterShiftEngine::new(backend, &c, 5, execution);
-            let offer = engine.offer_jacobian(&[0.3; 5], rows, 2);
+            let offer = engine.offer_jacobian(&[0.3; 5], rows, 2, false);
             let jobs = if mode == "forked" { 0 } else { 2 * rows.len() };
             assert_eq!((offer.mode(), offer.num_jobs()), (mode, jobs), "{label}");
             assert!(qoc_telemetry::schema::SHIFT_JACOBIAN_MODES.contains(&mode));

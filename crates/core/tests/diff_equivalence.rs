@@ -29,12 +29,12 @@
 
 use proptest::prelude::*;
 
-use std::f64::consts::FRAC_PI_2;
-
+use qoc_core::grad::{BatchGradient, QnnGradientComputer};
 use qoc_core::shift::{Jacobian, ParameterShiftEngine};
 use qoc_device::backend::{Execution, FakeDevice, NoiselessBackend, QuantumBackend};
 use qoc_device::backends::{fake_jakarta, fake_lima, fake_santiago};
 use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
+use qoc_nn::model::QnnModel;
 use qoc_noise::density::DensityMatrix;
 use qoc_noise::sim::NoisyProgram;
 use qoc_sim::circuit::{Circuit, ParamValue};
@@ -77,7 +77,7 @@ fn both_methods(
     let rows: Vec<usize> =
         subset.map_or_else(|| (0..engine.num_trainable()).collect(), <[usize]>::to_vec);
     let before = engine.backend().stats().circuits_run;
-    let mut offer = engine.offer_jacobian(theta, &rows, seed);
+    let mut offer = engine.offer_jacobian(theta, &rows, seed, false);
     let results = offer
         .take_jobs()
         .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
@@ -278,13 +278,13 @@ fn assert_state(rho: &DensityMatrix) {
     );
 }
 
-/// Offers rows `rows` of `c` at `theta` under `execution` to `backend` and
-/// to `declining`, a wrapper of the same backend that declines the hook,
-/// each engine at `workers` batch workers. The engine offers a forking
-/// backend only non-empty requests whose rows are all single occurrences
-/// with |scale| = 1, and runs the shifted jobs of the rest; either way its
-/// Jacobian, row variances and charged stats equal the declined shifted
-/// jobs' bit for bit.
+/// Offers rows `rows` of `c` at `theta` under `execution`, with the
+/// forward run, to `backend` and to `declining`, a wrapper of the same
+/// backend that declines the hook, each engine at `workers` batch workers.
+/// The engine offers a forking backend only non-empty requests whose rows
+/// are all single occurrences with |scale| = 1, and runs the shifted jobs
+/// and forward job of the rest; either way its Jacobian, row variances,
+/// forward result and charged stats equal the declined jobs' bit for bit.
 fn check_forked_equals_declined(
     backend: &dyn QuantumBackend,
     declining: &dyn QuantumBackend,
@@ -294,15 +294,21 @@ fn check_forked_equals_declined(
     workers: usize,
 ) {
     let engine = ParameterShiftEngine::new(backend, c, trainable, execution).with_workers(workers);
-    let mut answered = engine.offer_jacobian(theta, rows, seed);
+    let mut answered = engine.offer_jacobian(theta, rows, seed, true);
     let own = answered
         .take_jobs()
         .map_or_else(Vec::new, |jobs| engine.run_batch(&jobs));
+    let own_forward = answered.forward().map_or_else(
+        || backend.run_job(&engine.forward_job(theta, seed)),
+        <[f64]>::to_vec,
+    );
     let reference =
         ParameterShiftEngine::new(declining, c, trainable, execution).with_workers(workers);
-    let mut declined = reference.offer_jacobian(theta, rows, seed);
+    let mut declined = reference.offer_jacobian(theta, rows, seed, true);
+    assert_eq!(declined.forward(), None, "the wrapper declines");
     let jobs = declined.take_jobs().expect("the wrapper declines");
     let results = reference.run_batch(&jobs);
+    let forward = declining.run_job(&reference.forward_job(theta, seed));
 
     let all_simple = !rows.is_empty()
         && rows.iter().all(|&s| {
@@ -313,6 +319,8 @@ fn check_forked_equals_declined(
         });
     let mode = if all_simple { "forked" } else { "shifted-2p" };
     assert_eq!(answered.mode(), mode);
+    assert_eq!(answered.forward().is_some(), all_simple);
+    assert_eq!(bits(&[own_forward]), bits(&[forward]));
     assert_eq!(
         bits(&answered.jacobian(&own)),
         bits(&declined.jacobian(&results))
@@ -365,16 +373,15 @@ proptest! {
         // full, and that full run ends in a state.
         let executable = device.prepare(&c).executable().clone();
         let program = NoisyProgram::compile(executable, &desc.calibration.noise_model());
-        program.for_each_shift(&theta, &rows, |row, minus, probs| {
-            let mut shifted = theta.clone();
-            shifted[rows[row]] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
+        program.for_each_shift(&theta, &rows, true, |run, probs| {
+            let shifted = run.theta(&theta, &rows);
             let rho = program.run(&shifted);
             assert_state(&rho);
             let want = [program.outcome_probabilities(&shifted), program.measure(&rho)];
             assert_eq!(
                 bits(&[probs.to_vec(), probs.to_vec()]),
                 bits(&want),
-                "row {row} minus={minus}: fork differs from the measured and the full run"
+                "{run:?}: fork differs from the measured and the full run"
             );
         });
     }
@@ -534,7 +541,7 @@ fn noisy_shifted_and_forked_jacobians_match_goldens() {
         // The full request reads symbol 1 twice, so the hook declines it.
         let declined = engine.jacobian(&theta, 0xC0FFEE);
         assert_golden_rows(&declined, &all, "declined hook", workers);
-        let mut offer = engine.offer_jacobian(&theta, &forkable, 0xC0FFEE);
+        let mut offer = engine.offer_jacobian(&theta, &forkable, 0xC0FFEE, false);
         assert!(
             offer.take_jobs().is_none(),
             "the fake device forks rows {forkable:?}"
@@ -568,5 +575,112 @@ fn subset_rows_match_full_jacobian_rows_by_both_methods() {
     for ((mode, full), (_, sub)) in full.into_iter().zip(sub) {
         assert_eq!(sub[0], full[3], "{mode}");
         assert_eq!(sub[1], full[0], "{mode}");
+    }
+}
+
+/// The paper's MNIST-4 model, its weights, and the binding of input `e`.
+fn mnist4(e: usize) -> (QnnModel, Vec<f64>, Vec<f64>) {
+    let model = QnnModel::mnist4();
+    let params: Vec<f64> = (0..model.num_params())
+        .map(|i| 0.1 + 0.37 * i as f64)
+        .collect();
+    let input: Vec<f64> = (0..model.input_dim())
+        .map(|i| 0.05 * (i + e) as f64)
+        .collect();
+    (model, params, input)
+}
+
+/// A full, a pruned (18 rows over the three ansatz blocks) and a one-row
+/// request of MNIST-4's 36 weights.
+fn mnist4_requests() -> [Vec<usize>; 3] {
+    let pruned = vec![
+        0, 2, 3, 5, 7, 8, 11, 12, 14, 15, 18, 20, 23, 25, 27, 30, 34, 35,
+    ];
+    [(0..36).collect(), pruned, vec![14]]
+}
+
+#[test]
+fn answered_forward_runs_equal_the_forward_job_bit_for_bit() {
+    // The forward result a backend's hook answers along with MNIST-4's
+    // shifted runs — the fake devices' noisy base state, the noiseless
+    // backend's base statevector, each carried to the end — reads out as
+    // the forward job run on its own, for full, pruned and one-row
+    // requests, exact and at the paper's 1024 shots.
+    let (model, params, input) = mnist4(0);
+    let theta = model.symbol_vector(&params, &input);
+    let jakarta = FakeDevice::new(fake_jakarta());
+    let santiago = FakeDevice::new(fake_santiago());
+    let noiseless = NoiselessBackend::new();
+    let backends: [&dyn QuantumBackend; 3] = [&jakarta, &santiago, &noiseless];
+    for backend in backends {
+        for execution in [Execution::Exact, Execution::Shots(1024)] {
+            let engine =
+                ParameterShiftEngine::new(backend, model.circuit(), model.num_params(), execution);
+            for rows in mnist4_requests() {
+                let label = format!("{} {execution:?} rows {rows:?}", backend.name());
+                let offer = engine.offer_jacobian(&theta, &rows, 0x5EED, true);
+                let answered = offer.forward().expect("the backend answers").to_vec();
+                let job = backend.run_job(&engine.forward_job(&theta, 0x5EED));
+                assert_eq!(bits(&[answered]), bits(&[job]), "{label}");
+            }
+        }
+    }
+}
+
+/// Every number of a minibatch gradient, as bits.
+fn gradient_bits(g: &BatchGradient) -> Vec<Vec<u64>> {
+    let mut rows = vec![vec![g.loss], g.grad.clone(), g.grad_var.clone()];
+    rows.extend(g.logits.iter().cloned());
+    bits(&rows)
+}
+
+#[test]
+fn declined_batch_gradients_equal_the_answered_ones_bit_for_bit() {
+    // A two-example MNIST-4 minibatch through a backend whose hook answers
+    // every example (forward run included, so no job is submitted) and
+    // through a wrapper that declines it (every example's forward and
+    // shifted jobs in one batch): the same gradient, bit for bit, at 1, 2
+    // and 8 workers, for full, pruned and one-row subsets.
+    let (model, params, first) = mnist4(0);
+    let (_, _, second) = mnist4(3);
+    let batch: [(&[f64], usize); 2] = [(&first, 0), (&second, 3)];
+    let noiseless = NoiselessBackend::new();
+    let noiseless_declining =
+        FaultInjectingBackend::new(NoiselessBackend::new(), FaultPlan::none());
+    let jakarta = FakeDevice::new(fake_jakarta());
+    let jakarta_declining =
+        FaultInjectingBackend::new(FakeDevice::new(fake_jakarta()), FaultPlan::none());
+    let santiago = FakeDevice::new(fake_santiago());
+    let santiago_declining =
+        FaultInjectingBackend::new(FakeDevice::new(fake_santiago()), FaultPlan::none());
+    let pairs: [(&dyn QuantumBackend, &dyn QuantumBackend); 3] = [
+        (&noiseless, &noiseless_declining),
+        (&jakarta, &jakarta_declining),
+        (&santiago, &santiago_declining),
+    ];
+    for (backend, declining) in pairs {
+        for execution in [Execution::Exact, Execution::Shots(1024)] {
+            for subset in mnist4_requests() {
+                for workers in [1usize, 2, 8] {
+                    let label = format!(
+                        "{} {execution:?} rows {subset:?} workers {workers}",
+                        backend.name()
+                    );
+                    let gradient = |b: &dyn QuantumBackend| {
+                        QnnGradientComputer::new(&model, b, execution)
+                            .with_workers(workers)
+                            .try_batch_gradient(&params, &batch, Some(&subset), 0xBA7C4)
+                            .expect("no faults")
+                    };
+                    let (answered, declined) = (gradient(backend), gradient(declining));
+                    assert_eq!(
+                        gradient_bits(&answered),
+                        gradient_bits(&declined),
+                        "{label}"
+                    );
+                    assert_eq!(backend.stats(), declining.stats(), "{label}");
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Principal component analysis.
 //!
-//! The vowel task "perform[s] principal component analysis (PCA) for the
-//! vowel features and take[s] the 10 most significant dimensions". Built
+//! The vowel task "perform\[s\] principal component analysis (PCA) for the
+//! vowel features and take\[s\] the 10 most significant dimensions". Built
 //! from scratch: covariance matrix + cyclic Jacobi eigensolver (the feature
 //! dimension is small, so Jacobi is simple and exact enough).
 

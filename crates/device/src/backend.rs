@@ -48,6 +48,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qoc_sim::circuit::Circuit;
+use qoc_sim::diff::ShiftRun;
 use qoc_sim::fusion::FusedProgram;
 use qoc_sim::scratch::with_scratch;
 use qoc_sim::statevector::{expectation_z_from_counts, sample_counts, Statevector};
@@ -235,16 +236,22 @@ impl<'a> CircuitJob<'a> {
 /// row structure at once instead of a flat list of shifted circuit jobs, so
 /// the backend can share work across rows. The planner builds one only for
 /// a non-empty request whose every row shifts its symbol on `prepared`.
+/// A training example's request also carries its forward job, the
+/// unshifted run of `prepared` at `theta`, so one evolution serves both.
 #[derive(Debug, Clone)]
 pub struct JacobianBatch<'a> {
     /// The compiled circuit to differentiate.
     pub prepared: &'a PreparedCircuit,
     /// Parameter binding.
     pub theta: Vec<f64>,
-    /// The execution every shifted job runs under.
+    /// The execution every job of the batch runs under.
     pub execution: Execution,
     /// One entry per requested Jacobian row, in output order.
     pub rows: Vec<JacobianRow>,
+    /// Seed of the forward job — the expectation job of `prepared` at
+    /// `theta` — whose result the answer ends with; `None` when the
+    /// request is a Jacobian alone.
+    pub forward_seed: Option<u64>,
 }
 
 /// One requested Jacobian row: its symbol occurs once in the circuit, at
@@ -435,15 +442,17 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
             .collect()
     }
 
-    /// Runs a whole Jacobian's shifted jobs in one structured job, or
-    /// returns `None` when the backend cannot serve it — the planner then
-    /// runs the jobs itself. An answer holds each row's `[f(θ₊), f(θ₋)]`
-    /// results, two per row in row order, bit-identical to running the
-    /// jobs and charged as them. The planner offers here every non-empty
-    /// Jacobian request whose rows all shift their symbol on the prepared
-    /// circuit ([`JacobianRow`]), and no other. The default declines, so
-    /// wrapper backends that don't forward it (fault injectors, queues)
-    /// keep their inner backend on the shifted-job path.
+    /// Runs a whole Jacobian's shifted jobs — and, when the batch carries
+    /// a [`JacobianBatch::forward_seed`], its forward job — in one
+    /// structured job, or returns `None` when the backend cannot serve it:
+    /// the planner then runs the jobs itself. An answer holds each row's
+    /// `[f(θ₊), f(θ₋)]` results, two per row in row order, then the forward
+    /// job's `f(θ)` if asked for, bit-identical to running the jobs and
+    /// charged as them. The planner offers here every non-empty Jacobian
+    /// request whose rows all shift their symbol on the prepared circuit
+    /// ([`JacobianRow`]), and no other. The default declines, so wrapper
+    /// backends that don't forward it (fault injectors, queues) keep their
+    /// inner backend on the shifted-job path.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let _ = batch;
         None
@@ -613,9 +622,10 @@ struct StatCells {
 }
 
 impl StatCells {
-    /// Charges one circuit run under `execution`: its shots, and the
-    /// latency model's `overhead + shots · per_shot` of device time.
-    fn charge(&self, execution: Execution, overhead_ns: f64, per_shot_ns: f64) {
+    /// Charges `jobs` circuit runs under `execution`: each its shots, and
+    /// the latency model's `overhead + shots · per_shot` of device time.
+    /// The counters and histograms end as after `jobs` single charges.
+    fn charge(&self, execution: Execution, overhead_ns: f64, per_shot_ns: f64, jobs: u64) {
         let shots = match execution {
             Execution::Exact => 0,
             Execution::Shots(s) => s,
@@ -623,15 +633,15 @@ impl StatCells {
         let seconds = (overhead_ns + f64::from(shots) * per_shot_ns) / 1e9;
         let nanos = (seconds * 1e9).round() as u64;
         let shots = u64::from(shots);
-        self.circuits.inc();
-        self.shots.add(shots);
-        self.nanos.add(nanos);
+        self.circuits.add(jobs);
+        self.shots.add(shots * jobs);
+        self.nanos.add(nanos * jobs);
         let global = device_metrics();
-        global.circuits.inc();
-        global.shots.add(shots);
-        global.device_ns.add(nanos);
-        global.job_shots.record(shots);
-        global.job_device_ns.record(nanos);
+        global.circuits.add(jobs);
+        global.shots.add(shots * jobs);
+        global.device_ns.add(nanos * jobs);
+        global.job_shots.record_n(shots, jobs);
+        global.job_device_ns.record_n(nanos, jobs);
     }
 
     fn snapshot(&self) -> ExecutionStats {
@@ -659,30 +669,47 @@ fn sampled_distribution(probs: &[f64], shots: u32, rng: &mut StdRng) -> Vec<f64>
         .collect()
 }
 
-/// A backend's forked answer to `batch`: the results of its shifted jobs,
-/// computed without running them one by one.
+/// A backend's forked answer to `batch`: the results of its shifted jobs
+/// and, when it carries a forward seed, of its forward job, computed
+/// without running them one by one.
 ///
-/// `for_each_shift(symbols, visit)` must hand `visit(row, minus, state)`
-/// what each row's job at `θ[symbols[row]] ± π/2` reads out — a final
-/// statevector, or a measured distribution — bit-identical to the shifted
-/// job's. `read_out(state, execution, rng)` then finishes it as the job
-/// would, charging it to the backend's stats, with an RNG seeded from the
-/// job's seed. Results land in the
-/// [`QuantumBackend::run_jacobian_batch`] order (`2·row + minus`), and the
-/// batch runs inside a one-worker `device.batch` span.
+/// `for_each_shift(symbols, unshifted, visit)` must hand `visit(run, state)`
+/// what each job reads out — a final statevector, or a measured
+/// distribution — bit-identical to the job's: both shifted runs of every
+/// row, and the unshifted run when `unshifted` is set. `read_out(state,
+/// execution, rng)` then finishes it as the job would, with an RNG seeded
+/// from the job's seed. Results land in the
+/// [`QuantumBackend::run_jacobian_batch`] order (`2·row + minus`, then the
+/// forward job), `stats` is charged for all of them in one update at the
+/// latency model's `(overhead_ns, per_shot_ns)`, and the batch runs inside
+/// a one-worker `device.batch` span.
 fn forked_answer<B: QuantumBackend + ?Sized, S: ?Sized>(
     backend: &B,
+    (stats, overhead_ns, per_shot_ns): (&StatCells, f64, f64),
     batch: &JacobianBatch<'_>,
-    for_each_shift: impl FnOnce(&[usize], &mut dyn FnMut(usize, bool, &S)),
+    for_each_shift: impl FnOnce(&[usize], bool, &mut dyn FnMut(ShiftRun, &S)),
     mut read_out: impl FnMut(&S, Execution, &mut StdRng) -> Vec<f64>,
 ) -> Vec<Vec<f64>> {
     let symbols: Vec<usize> = batch.rows.iter().map(|r| r.symbol).collect();
-    let mut results = vec![Vec::new(); 2 * symbols.len()];
+    let forward = 2 * symbols.len();
+    let mut results = vec![Vec::new(); forward + usize::from(batch.forward_seed.is_some())];
     let span = BatchSpan::open(backend, results.len(), 1);
-    for_each_shift(&symbols, &mut |r, minus, state| {
-        let mut rng = StdRng::seed_from_u64(batch.rows[r].seeds[usize::from(minus)]);
-        results[2 * r + usize::from(minus)] = read_out(state, batch.execution, &mut rng);
+    for_each_shift(&symbols, batch.forward_seed.is_some(), &mut |run, state| {
+        let (index, seed) = match run {
+            ShiftRun::Shifted { row, minus } => (
+                2 * row + usize::from(minus),
+                batch.rows[row].seeds[usize::from(minus)],
+            ),
+            ShiftRun::Unshifted => (forward, batch.forward_seed.expect("forward run asked for")),
+        };
+        results[index] = read_out(state, batch.execution, &mut StdRng::seed_from_u64(seed));
     });
+    stats.charge(
+        batch.execution,
+        overhead_ns,
+        per_shot_ns,
+        results.len() as u64,
+    );
     span.close(backend);
     results
 }
@@ -705,8 +732,8 @@ impl NoiselessBackend {
         NoiselessBackend::default()
     }
 
-    /// Finishes one job from its final state `sv`: charges it to the stats
-    /// and returns what `kind` asks for, exact or sampled from `rng`.
+    /// Finishes one job from its final state `sv`: what `kind` asks for,
+    /// exact or sampled from `rng`.
     fn read_out(
         &self,
         sv: &Statevector,
@@ -714,7 +741,6 @@ impl NoiselessBackend {
         execution: Execution,
         rng: &mut StdRng,
     ) -> Vec<f64> {
-        self.stats.charge(execution, 0.0, 0.0);
         match (kind, execution) {
             (JobKind::ExpectationZ, Execution::Exact) => sv.expectation_all_z(),
             (JobKind::OutcomeDistribution, Execution::Exact) => sv.probabilities(),
@@ -754,6 +780,7 @@ impl QuantumBackend for NoiselessBackend {
             panic!("prepared circuit belongs to a different backend kind");
         };
         let mut rng = StdRng::seed_from_u64(job.seed);
+        self.stats.charge(job.execution, 0.0, 0.0, 1);
         with_scratch(program.num_qubits(), |sv: &mut Statevector| {
             sv.reset_zero();
             program.run_into(&job.theta, sv);
@@ -761,17 +788,20 @@ impl QuantumBackend for NoiselessBackend {
         })
     }
 
-    /// Answers every batch, exact or sampled, with the shifted jobs'
-    /// results ([`forked_answer`]), forked from one binding of `θ` by
-    /// [`FusedProgram::for_each_shift`].
+    /// Answers every batch, exact or sampled, with the results of its
+    /// shifted jobs and forward job, forked from one binding of `θ` by
+    /// [`FusedProgram::for_each_shift`] and read out like the jobs.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let Plan::Direct { program, .. } = &batch.prepared.plan else {
             panic!("prepared circuit belongs to a different backend kind");
         };
         Some(forked_answer(
             self,
+            (&self.stats, 0.0, 0.0),
             batch,
-            |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
+            |symbols, unshifted, visit| {
+                program.for_each_shift(&batch.theta, symbols, unshifted, visit)
+            },
             |sv, execution, rng| self.read_out(sv, JobKind::ExpectationZ, execution, rng),
         ))
     }
@@ -836,26 +866,17 @@ impl FakeDevice {
     }
 
     /// Finishes one expectation job of a device plan from its measured
-    /// compact distribution `probs`: charges the job to the stats and
-    /// returns the per-logical-qubit ⟨Z⟩, exact or sampled from `rng`.
-    fn read_out(
-        &self,
-        plan: &Plan,
-        probs: &[f64],
-        execution: Execution,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
+    /// compact distribution `probs`: the per-logical-qubit ⟨Z⟩, exact or
+    /// sampled from `rng`.
+    fn read_out(plan: &Plan, probs: &[f64], execution: Execution, rng: &mut StdRng) -> Vec<f64> {
         let Plan::Device {
             program,
             logical_readout,
-            per_shot_ns,
-            overhead_ns,
             ..
         } = plan
         else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        self.stats.charge(execution, *overhead_ns, *per_shot_ns);
         let n = program.num_qubits();
         let physical = match execution {
             Execution::Exact => expectations_z_of(probs, n),
@@ -953,10 +974,11 @@ impl QuantumBackend for FakeDevice {
         };
         let compact_probs = program.outcome_probabilities(&job.theta);
         let mut rng = StdRng::seed_from_u64(job.seed);
+        self.stats
+            .charge(job.execution, *overhead_ns, *per_shot_ns, 1);
         if job.kind == JobKind::ExpectationZ {
-            return self.read_out(plan, &compact_probs, job.execution, &mut rng);
+            return Self::read_out(plan, &compact_probs, job.execution, &mut rng);
         }
-        self.stats.charge(job.execution, *overhead_ns, *per_shot_ns);
         // Marginalize onto the logical readout wires, logical bit order.
         let mut probs = vec![0.0; 1 << logical_readout.len()];
         for (s, p) in compact_probs.iter().enumerate() {
@@ -974,21 +996,30 @@ impl QuantumBackend for FakeDevice {
         }
     }
 
-    /// Answers every batch with the shifted jobs' results
-    /// ([`forked_answer`]), forked from one forward evolution by
+    /// Answers every batch with the results of its shifted jobs and
+    /// forward job, forked from one forward evolution by
     /// [`NoisyProgram::for_each_shift`], which measures each shifted run
-    /// (readout error included) into the distribution the job would
-    /// sample; it is then read out like the job.
+    /// and the forward run (readout error included) into the distribution
+    /// the job would sample; each is then read out like the job.
     fn run_jacobian_batch(&self, batch: &JacobianBatch<'_>) -> Option<Vec<Vec<f64>>> {
         let plan = &batch.prepared.plan;
-        let Plan::Device { program, .. } = plan else {
+        let Plan::Device {
+            program,
+            per_shot_ns,
+            overhead_ns,
+            ..
+        } = plan
+        else {
             panic!("prepared circuit belongs to a different backend kind");
         };
         Some(forked_answer(
             self,
+            (&self.stats, *overhead_ns, *per_shot_ns),
             batch,
-            |symbols, visit| program.for_each_shift(&batch.theta, symbols, visit),
-            |probs, execution, rng| self.read_out(plan, probs, execution, rng),
+            |symbols, unshifted, visit| {
+                program.for_each_shift(&batch.theta, symbols, unshifted, visit)
+            },
+            |probs, execution, rng| Self::read_out(plan, probs, execution, rng),
         ))
     }
 

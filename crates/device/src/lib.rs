@@ -9,7 +9,7 @@
 //!   ranges, and the noise model they imply;
 //! - [`backends`] — `fake_jakarta`, `fake_manila`, `fake_santiago`,
 //!   `fake_lima`, `fake_toronto`;
-//! - [`transpile`] — basis decomposition to `{RZ, SX, X, CX}` (symbolic
+//! - [`transpile`](mod@transpile) — basis decomposition to `{RZ, SX, X, CX}` (symbolic
 //!   parameters preserved), layout, SWAP routing, peephole optimization;
 //! - [`schedule`] — ASAP gate scheduling and the job latency model behind
 //!   Figure 8;

@@ -39,7 +39,8 @@
 //! from there the lanes run the unshifted passes they all share, one pass
 //! with a matrix per lane for each dirty flush, and the measured tail. Each
 //! lane does the float operations of a measured run at its shifted `θ`, so
-//! each fork's distribution is bit-identical to one.
+//! each fork's distribution is bit-identical to one. On request, the base
+//! state then runs the rest of the unshifted passes as the forward run.
 //!
 //! The dense per-gate Kraus evolution is the oracle the program is tested
 //! against (`tests/compiled_equivalence.rs`).
@@ -49,6 +50,7 @@ use std::ops::Range;
 
 use qoc_sim::circuit::{Circuit, Operation, ParamValue};
 use qoc_sim::complex::Complex64;
+use qoc_sim::diff::ShiftRun;
 use qoc_sim::kernels::{entries_1q, Coeff, Kernel};
 use qoc_sim::scratch::with_scratch;
 
@@ -304,6 +306,8 @@ struct Forks<'a, 'p> {
     /// Row `r`'s pending maps at its first step, `n` per row.
     snapshots: &'a [Super1],
     base: &'a [Pass<'p>],
+    /// The unshifted `N_q · (U ⊗ Ū)` of each `Step::Bind`, in step order.
+    binds: &'a [Super1],
 }
 
 impl Forks<'_, '_> {
@@ -325,7 +329,7 @@ impl Forks<'_, '_> {
         lanes: &mut DensityLanes<L>,
         lane_state: &mut DensityMatrix,
         shifted: &mut [f64],
-        visit: &mut dyn FnMut(usize, bool, &[f64]),
+        visit: &mut dyn FnMut(ShiftRun, &[f64]),
     ) {
         let program = self.program;
         let (n, ops) = (program.num_qubits(), program.circuit.ops());
@@ -377,13 +381,19 @@ impl Forks<'_, '_> {
                 }
                 Step::Bind { op } => {
                     let (op, q) = (&ops[*op], ops[*op].qubits[0]);
+                    // A bind of another symbol is the unshifted one.
+                    let unshifted = &self.binds[program.bind_at[i]];
                     for (lane, maps) in maps.iter_mut().enumerate().take(active) {
                         if dirty_at(lane, i, q) {
-                            let s = self.symbols[row(lane)];
-                            shifted[s] = value(lane);
-                            let g = gate_superop(op, shifted, program.wire_noise[q].as_ref());
-                            shifted[s] = self.theta[s];
-                            maps[q] = mul4(&g, &maps[q]);
+                            maps[q] = if reads_at(lane, i) {
+                                let s = self.symbols[row(lane)];
+                                shifted[s] = value(lane);
+                                let g = gate_superop(op, shifted, program.wire_noise[q].as_ref());
+                                shifted[s] = self.theta[s];
+                                mul4(&g, &maps[q])
+                            } else {
+                                mul4(unshifted, &maps[q])
+                            };
                         }
                     }
                 }
@@ -438,7 +448,11 @@ impl Forks<'_, '_> {
             let mut probs = lanes.lane_probabilities(lane);
             apply_confusion(&mut probs, &program.readout);
             debug_check_distribution(&probs);
-            visit(row(lane), lane % 2 == 1, &probs);
+            let run = ShiftRun::Shifted {
+                row: row(lane),
+                minus: lane % 2 == 1,
+            };
+            visit(run, &probs);
         }
     }
 }
@@ -523,6 +537,8 @@ pub struct NoisyProgram {
     folds: Vec<Super1>,
     /// `pass_at[i]`: passes the steps before step `i` bind to.
     pass_at: Vec<usize>,
+    /// `bind_at[i]`: `Step::Bind`s before step `i`.
+    bind_at: Vec<usize>,
     /// Per symbol: its step window (see [`shift_windows`]).
     shift_windows: Vec<Window>,
     readout: Vec<ReadoutError>,
@@ -594,11 +610,12 @@ impl NoisyProgram {
             b.flush(q);
         }
         measured_tail(&mut b.steps);
-        let mut pass_at = Vec::with_capacity(b.steps.len() + 1);
-        pass_at.push(0);
+        let (mut pass_at, mut bind_at) = (vec![0], vec![0]);
         for step in &b.steps {
             let passes = usize::from(!matches!(step, Step::Fold { .. } | Step::Bind { .. }));
             pass_at.push(pass_at[pass_at.len() - 1] + passes);
+            let binds = usize::from(matches!(step, Step::Bind { .. }));
+            bind_at.push(bind_at[bind_at.len() - 1] + binds);
         }
         NoisyProgram {
             readout: noise.readout()[..n].to_vec(),
@@ -608,6 +625,7 @@ impl NoisyProgram {
             steps: b.steps,
             folds: b.folds,
             pass_at,
+            bind_at,
         }
     }
 
@@ -632,14 +650,16 @@ impl NoisyProgram {
 
     /// Binds steps `range` against `theta` — carrying each wire's pending
     /// map in `pending` — and hands the resulting passes to `emit` in order;
-    /// tail flushes keep their tail mark only when `measured`. The program's
-    /// one step interpreter.
+    /// tail flushes keep their tail mark only when `measured`, and each
+    /// bound `N_q · (U ⊗ Ū)` goes to `binds` when given. The program's one
+    /// step interpreter.
     fn bind<'p>(
         &'p self,
         range: Range<usize>,
         theta: &[f64],
         measured: bool,
         pending: &mut [Super1; MAX_QUBITS],
+        mut binds: Option<&mut Vec<Super1>>,
         mut emit: impl FnMut(Pass<'p>),
     ) {
         let ops = self.circuit.ops();
@@ -651,6 +671,9 @@ impl NoisyProgram {
                     let q = op.qubits[0];
                     let s = gate_superop(op, theta, self.wire_noise[q].as_ref());
                     pending[q] = mul4(&s, &pending[q]);
+                    if let Some(binds) = binds.as_deref_mut() {
+                        binds.push(s);
+                    }
                 }
                 Step::Flush { q, tail } => {
                     emit(Pass::Super1 {
@@ -678,21 +701,27 @@ impl NoisyProgram {
         );
         rho.reset_zero();
         let mut pending = [IDENTITY; MAX_QUBITS];
-        self.bind(0..self.steps.len(), theta, measured, &mut pending, |pass| {
-            pass.apply(rho)
-        });
+        self.bind(
+            0..self.steps.len(),
+            theta,
+            measured,
+            &mut pending,
+            None,
+            |pass| pass.apply(rho),
+        );
         if !measured {
             debug_check_state(rho);
         }
     }
 
     /// Runs the program at each `±π/2` shift of each symbol in `symbols`
-    /// and hands `visit(row, minus, probs)` the measured distribution (with
-    /// readout error) at `θ` with `θ[symbols[row]]` raised
-    /// (`minus == false`) or lowered by π/2 — the two runs of the
-    /// parameter-shift rule. Every `(row, minus)` is visited once, in group
-    /// order (below), not in row order, so a caller files what it is handed
-    /// by `(row, minus)`.
+    /// and hands `visit(run, probs)` the measured distribution (with
+    /// readout error) of each [`ShiftRun::Shifted`] run — `θ` with
+    /// `θ[symbols[row]]` raised or lowered by π/2, the two runs of the
+    /// parameter-shift rule — and then, when `unshifted` is set, of the
+    /// [`ShiftRun::Unshifted`] forward run at `θ`. Every shifted run is
+    /// visited once, in group order (below), not in row order, so a caller
+    /// files what it is handed by its run.
     ///
     /// `θ` is bound once into the unshifted passes, and one base state
     /// advances through them. The rows, in the order their symbols'
@@ -706,16 +735,21 @@ impl NoisyProgram {
     /// maps of the symbol's dirty wires and the two-qubit gates reading it,
     /// so only those steps are rebound per lane, and only inside the row's
     /// window; before a row's window opens its lanes run the unshifted
-    /// passes, as the base state would have. A flush dirty for any row of
-    /// the group is one pass with a matrix per lane (the unshifted matrix
-    /// for the other lanes), a shifted two-qubit gate runs one lane at a
-    /// time, and every other pass is the unshifted pass all lanes share.
-    /// From the last rejoin step on the lanes run the unshifted passes, and
-    /// the measured tail computes only what the diagonal needs. Each lane
-    /// does exactly the float operations of a run at its shifted `θ` on
-    /// every entry the diagonal depends on, so `probs` is bit-identical to [`Self::outcome_probabilities`] and to
-    /// [`Self::measure`] of [`Self::run`] at that `θ`. The base state, the
-    /// lane state and a lane buffer come from the per-thread scratch pool
+    /// passes, as the base state would have, and a bind of another symbol
+    /// on a dirty wire takes the unshifted bind. A flush dirty for any row
+    /// of the group is one pass with a matrix per lane (the unshifted
+    /// matrix for the other lanes), a shifted two-qubit gate runs one lane
+    /// at a time, and every other pass is the unshifted pass all lanes
+    /// share. From the last rejoin step on the lanes run the unshifted
+    /// passes, and the measured tail computes only what the diagonal needs.
+    /// Each lane does exactly the float operations of a run at its shifted
+    /// `θ` on every entry the diagonal depends on, so `probs` is
+    /// bit-identical to [`Self::outcome_probabilities`] and to
+    /// [`Self::measure`] of [`Self::run`] at that `θ`. The forward run is
+    /// the base state carried through the rest of the unshifted passes,
+    /// measured tail included: bit-identical to
+    /// [`Self::outcome_probabilities`] at `θ`. The base state, the lane
+    /// state and a lane buffer come from the per-thread scratch pool
     /// ([`with_scratch`]).
     ///
     /// # Panics
@@ -725,9 +759,10 @@ impl NoisyProgram {
         &self,
         theta: &[f64],
         symbols: &[usize],
-        visit: impl FnMut(usize, bool, &[f64]),
+        unshifted: bool,
+        visit: impl FnMut(ShiftRun, &[f64]),
     ) {
-        self.for_each_shift_on(LaneArm::detect(), theta, symbols, visit);
+        self.for_each_shift_on(LaneArm::detect(), theta, symbols, unshifted, visit);
     }
 
     /// [`Self::for_each_shift`] with its forks compiled for `arm`: two-lane
@@ -743,11 +778,16 @@ impl NoisyProgram {
         arm: LaneArm,
         theta: &[f64],
         symbols: &[usize],
-        mut visit: impl FnMut(usize, bool, &[f64]),
+        unshifted: bool,
+        mut visit: impl FnMut(ShiftRun, &[f64]),
     ) {
         match arm {
-            LaneArm::Baseline => self.shifts_in_lanes::<2>(arm, theta, symbols, &mut visit),
-            LaneArm::Avx512 => self.shifts_in_lanes::<8>(arm, theta, symbols, &mut visit),
+            LaneArm::Baseline => {
+                self.shifts_in_lanes::<2>(arm, theta, symbols, unshifted, &mut visit)
+            }
+            LaneArm::Avx512 => {
+                self.shifts_in_lanes::<8>(arm, theta, symbols, unshifted, &mut visit)
+            }
         }
     }
 
@@ -757,30 +797,42 @@ impl NoisyProgram {
         arm: LaneArm,
         theta: &[f64],
         symbols: &[usize],
-        visit: &mut dyn FnMut(usize, bool, &[f64]),
+        unshifted: bool,
+        visit: &mut dyn FnMut(ShiftRun, &[f64]),
     ) {
         let n = self.num_qubits();
         let len = self.steps.len();
         let mut order: Vec<usize> = (0..symbols.len()).collect();
         order.sort_by_key(|&r| self.shift_window(symbols[r]).first);
-        // The unshifted passes, and each row's pending maps at its first
-        // step (only the first `n` wires are ever pending).
+        // The unshifted passes and binds, and each row's pending maps at its
+        // first step (only the first `n` wires are ever pending).
         let mut base = Vec::with_capacity(self.pass_at[len]);
+        let mut binds = Vec::with_capacity(self.bind_at[len]);
         let mut pending = [IDENTITY; MAX_QUBITS];
         let mut snapshots = vec![IDENTITY; symbols.len() * n];
         let mut cursor = 0;
         for &r in &order {
             let first = self.shift_window(symbols[r]).first;
-            self.bind(cursor..first, theta, true, &mut pending, |pass| {
-                base.push(pass)
-            });
+            self.bind(
+                cursor..first,
+                theta,
+                true,
+                &mut pending,
+                Some(&mut binds),
+                |pass| base.push(pass),
+            );
             debug_assert_eq!(base.len(), self.pass_at[first], "pass index drifted");
             cursor = first;
             snapshots[r * n..(r + 1) * n].copy_from_slice(&pending[..n]);
         }
-        self.bind(cursor..len, theta, true, &mut pending, |pass| {
-            base.push(pass)
-        });
+        self.bind(
+            cursor..len,
+            theta,
+            true,
+            &mut pending,
+            Some(&mut binds),
+            |pass| base.push(pass),
+        );
         debug_assert_eq!(base.len(), self.pass_at[len], "pass index drifted");
 
         let forks = Forks {
@@ -789,6 +841,7 @@ impl NoisyProgram {
             symbols,
             snapshots: &snapshots,
             base: &base,
+            binds: &binds,
         };
         let mut shifted = theta.to_vec();
         with_scratch(n, |rho: &mut DensityMatrix| {
@@ -807,12 +860,21 @@ impl NoisyProgram {
                                 applied = opens;
                                 forks.run_group(group, rho, lanes, lane_state, &mut shifted, visit);
                             }
+                            if unshifted {
+                                for pass in &base[applied..] {
+                                    pass.apply(rho);
+                                }
+                                let probs = self.measure(rho);
+                                debug_check_distribution(&probs);
+                                visit(ShiftRun::Unshifted, &probs);
+                            }
                         },
                     )
                 })
             })
         });
     }
+
     /// Evolves `|0…0⟩⟨0…0|` through the program into a new density matrix,
     /// every pass in full.
     ///
@@ -925,9 +987,11 @@ mod tests {
 
     /// Rows whose windows open at one pass and at later passes, symbols
     /// read by two-qubit gates (so a group mixes lanes that take a shifted
-    /// kernel with lanes that take the unshifted one), a repeated row and a
-    /// symbol no gate reads: every lane width on every arm this host runs
-    /// visits each fork once, bit-identical to its shifted run.
+    /// kernel with lanes that take the unshifted one), a repeated row, a
+    /// symbol no gate reads and no rows at all: every lane width on every
+    /// arm this host runs visits each fork once, bit-identical to its
+    /// shifted run, and the forward run when asked, bit-identical to the
+    /// measured run at `θ`.
     #[test]
     fn lane_groups_are_bit_identical_to_shifted_runs() {
         let mut c = Circuit::new(3);
@@ -951,35 +1015,36 @@ mod tests {
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         // In `[0, 3]` symbol 3's window opens after a flush of wire 0, which
         // symbol 0 dirties and symbol 3 enters with a constant gate pending.
-        let row_sets: [&[usize]; 3] = [&[0, 1, 2, 3, 4, 1, 5], &[0, 3], &[2, 3, 4]];
+        let row_sets: [&[usize]; 4] = [&[0, 1, 2, 3, 4, 1, 5], &[0, 3], &[2, 3, 4], &[]];
         for (arm, rows) in LaneArm::available()
             .into_iter()
             .flat_map(|arm| row_sets.map(|rows| (arm, rows)))
         {
-            for width in [2, 4, 8] {
+            for (width, unshifted) in [2, 4, 8].into_iter().flat_map(|w| [(w, true), (w, false)]) {
                 let mut visits = Vec::new();
-                let mut check = |row: usize, minus: bool, probs: &[f64]| {
-                    visits.push((row, minus));
-                    let mut shifted = theta;
-                    shifted[rows[row]] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
+                let mut check = |run: ShiftRun, probs: &[f64]| {
+                    visits.push(run);
                     assert_eq!(
                         bits(probs),
-                        bits(&program.outcome_probabilities(&shifted)),
-                        "{arm:?}, L={width}, rows {rows:?}: row {row} minus={minus}"
+                        bits(&program.outcome_probabilities(&run.theta(&theta, rows))),
+                        "{arm:?}, L={width}, rows {rows:?}: {run:?}"
                     );
                 };
                 match width {
-                    2 => program.shifts_in_lanes::<2>(arm, &theta, rows, &mut check),
-                    4 => program.shifts_in_lanes::<4>(arm, &theta, rows, &mut check),
-                    _ => program.shifts_in_lanes::<8>(arm, &theta, rows, &mut check),
+                    2 => program.shifts_in_lanes::<2>(arm, &theta, rows, unshifted, &mut check),
+                    4 => program.shifts_in_lanes::<4>(arm, &theta, rows, unshifted, &mut check),
+                    _ => program.shifts_in_lanes::<8>(arm, &theta, rows, unshifted, &mut check),
                 }
                 visits.sort_unstable();
-                let want: Vec<(usize, bool)> = (0..rows.len())
-                    .flat_map(|r| [(r, false), (r, true)])
+                let mut want: Vec<ShiftRun> = (0..rows.len())
+                    .flat_map(|row| [false, true].map(|minus| ShiftRun::Shifted { row, minus }))
                     .collect();
+                if unshifted {
+                    want.push(ShiftRun::Unshifted);
+                }
                 assert_eq!(
                     visits, want,
-                    "{arm:?}, L={width}, rows {rows:?}: one visit per fork"
+                    "{arm:?}, L={width}, rows {rows:?}: one visit per run"
                 );
             }
         }

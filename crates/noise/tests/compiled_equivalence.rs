@@ -18,17 +18,16 @@
 //! per-element offset loop it replaced, the two-qubit superoperator pass
 //! `superop_2q` equals the full-index scan it replaced on random 16×16
 //! matrices, and every fork's distribution from
-//! `NoisyProgram::for_each_shift` equals both the measured run
+//! `NoisyProgram::for_each_shift` — and its forward run, the base state
+//! carried to the end — equals both the measured run
 //! (`outcome_probabilities`, diagonal-only tail) and the measured full run
-//! (`measure(run(…))`) at the shifted `θ`, on random symbolic circuits
+//! (`measure(run(…))`) at the run's `θ`, on random symbolic circuits
 //! (shared symbols, parametrized RZZ) under calibrated models with an
 //! asymmetric 2q Kraus entry on every edge, so the forks' two-lane passes
 //! cover every kind of pass the program emits; each full run ends in a
 //! state.
 
 use proptest::prelude::*;
-
-use std::f64::consts::FRAC_PI_2;
 
 use qoc_noise::channels::{
     amplitude_damping, depolarizing_1q, depolarizing_2q, error_rate_to_depolarizing_prob,
@@ -41,6 +40,7 @@ use qoc_noise::readout::{apply_confusion, ReadoutError};
 use qoc_noise::sim::NoisyProgram;
 use qoc_sim::circuit::{Circuit, ParamValue};
 use qoc_sim::complex::Complex64;
+use qoc_sim::diff::ShiftRun;
 use qoc_sim::gates::GateKind;
 use qoc_sim::matrix::CMatrix;
 
@@ -515,31 +515,28 @@ proptest! {
         let noise = calibrated_model(&circuit, &cal.0, &cal.1, Some(&edge_kraus));
         let program = NoisyProgram::compile(circuit, &noise);
         let mut visits = Vec::new();
-        program.for_each_shift(&theta, &symbols, |row, minus, probs| {
-            visits.push((row, minus));
-            let mut shifted = theta.clone();
-            if minus {
-                shifted[symbols[row]] -= FRAC_PI_2;
-            } else {
-                shifted[symbols[row]] += FRAC_PI_2;
-            }
+        program.for_each_shift(&theta, &symbols, true, |run, probs| {
+            visits.push(run);
+            let shifted = run.theta(&theta, &symbols);
             let rho = program.run(&shifted);
             assert_state(&rho);
             prop_assert_eq!(
                 bits(probs),
                 bits(&program.outcome_probabilities(&shifted)),
-                "row {} minus={}: fork differs from the measured run", row, minus
+                "{:?}: fork differs from the measured run", run
             );
             prop_assert_eq!(
                 bits(probs),
                 bits(&program.measure(&rho)),
-                "row {} minus={}: fork differs from the full run", row, minus
+                "{:?}: fork differs from the full run", run
             );
         });
         visits.sort_unstable();
-        let want: Vec<(usize, bool)> =
-            (0..symbols.len()).flat_map(|r| [(r, false), (r, true)]).collect();
-        prop_assert_eq!(visits, want, "every row visited once per sign");
+        let mut want: Vec<ShiftRun> = (0..symbols.len())
+            .flat_map(|row| [false, true].map(|minus| ShiftRun::Shifted { row, minus }))
+            .collect();
+        want.push(ShiftRun::Unshifted);
+        prop_assert_eq!(visits, want, "every row visited once per sign, then the forward run");
     }
 
     #[test]

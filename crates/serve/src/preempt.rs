@@ -16,8 +16,9 @@
 //! [`QuantumBackend::run_jacobian_batch`], which declines while the flag is
 //! set so the request falls back to shifted jobs that then report
 //! [`JobError::Preempted`]. Preemption latency is therefore one circuit
-//! job, or one example's Jacobian on backends that answer the hook (a fake
-//! device runs a whole example's shifted circuits inside it).
+//! job, or one example on backends that answer the hook (a fake device
+//! runs a whole example's shifted circuits and its forward run inside it,
+//! so the flag is seen at the next example's offer).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -9,7 +9,7 @@
 //! make multi-tenant serving trustworthy:
 //!
 //! 1. **Completion** — every admitted job finishes; zero failures.
-//! 2. **Determinism** — every job's [`TrainResult`] (steps, evals, params,
+//! 2. **Determinism** — every job's [`TrainResult`](qoc_core::engine::TrainResult) (steps, evals, params,
 //!    accuracy, inference count, device seconds) is **bit-identical** to a
 //!    solo run of the same request on a fresh instance of the same device
 //!    class with the same fault plan — despite retries, preemptions,

@@ -10,9 +10,43 @@
 //! a backend's hook is offered is the planner's rule alone
 //! (`qoc_core::shift`): the ±½ rows of a decomposed controlled rotation
 //! run as per-occurrence shifted jobs.
+//!
+//! [`ShiftRun`] names the runs a fork driver hands its visitor: each row's
+//! two shifted runs and, when asked for, the unshifted forward run.
+
+use std::f64::consts::FRAC_PI_2;
 
 use crate::circuit::{Circuit, Operation, ParamValue};
 use crate::gates::GateKind;
+
+/// One run of the parameter-shift rule that a fork driver
+/// ([`crate::fusion::FusedProgram::for_each_shift`], and the noisy one in
+/// `qoc-noise`) hands its visitor. Shifted runs order before the unshifted
+/// one, by row, `+` before `−`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ShiftRun {
+    /// The run at `θ` with `θ[symbols[row]]` raised (`minus == false`) or
+    /// lowered by π/2.
+    Shifted {
+        /// The requested row.
+        row: usize,
+        /// Whether the row's symbol is lowered.
+        minus: bool,
+    },
+    /// The run at `θ` itself: the forward run.
+    Unshifted,
+}
+
+impl ShiftRun {
+    /// The binding this run evaluates, for rows `symbols` of `theta`.
+    pub fn theta(self, theta: &[f64], symbols: &[usize]) -> Vec<f64> {
+        let mut at = theta.to_vec();
+        if let ShiftRun::Shifted { row, minus } = self {
+            at[symbols[row]] += if minus { -FRAC_PI_2 } else { FRAC_PI_2 };
+        }
+        at
+    }
+}
 
 /// Multiplies a gate angle by `f`, distributing over the affine form so a
 /// symbolic angle `s·θ[i]+o` becomes `(s·f)·θ[i]+(o·f)`.

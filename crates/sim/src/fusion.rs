@@ -32,13 +32,15 @@
 //! `θ` into one kernel per step once, advances one base state in order of
 //! each symbol's first reading step, and forks every `±π/2` shift of a
 //! symbol from the base state at that step, rebinding only the steps that
-//! read the symbol. Each fork does exactly the float operations of a full
-//! run at the shifted `θ`, so its state is bit-identical to one.
+//! read the symbol; on request it then finishes the base state as the
+//! unshifted forward run. Each fork does exactly the float operations of a
+//! full run at the shifted `θ`, so its state is bit-identical to one.
 
 use std::f64::consts::FRAC_PI_2;
 
 use crate::circuit::{Circuit, ParamValue};
 use crate::complex::Complex64;
+use crate::diff::ShiftRun;
 use crate::gates::GateKind;
 use crate::kernels::{entries_1q, Kernel};
 use crate::scratch::with_scratch;
@@ -313,9 +315,11 @@ impl FusedProgram {
     }
 
     /// Runs the program at each `±π/2` shift of each symbol in `symbols`
-    /// and hands `visit(row, minus, state)` the final state at `θ` with
-    /// `θ[symbols[row]]` raised (`minus == false`) or lowered by π/2 — the
-    /// two runs of the parameter-shift rule, plus before minus per row.
+    /// and hands `visit(run, state)` the final state of each
+    /// [`ShiftRun::Shifted`] run — `θ` with `θ[symbols[row]]` raised or
+    /// lowered by π/2, the two runs of the parameter-shift rule, plus
+    /// before minus per row — and then, when `unshifted` is set, of the
+    /// [`ShiftRun::Unshifted`] forward run at `θ`.
     ///
     /// `θ` is bound into one kernel per step once, and one base state
     /// advances through them in order of each symbol's first reading step.
@@ -324,8 +328,10 @@ impl FusedProgram {
     /// `θ`, and applies the base kernels everywhere else: exactly the float
     /// operations of [`Self::run_into`] at the shifted `θ`, so the state is
     /// bit-identical to that run's. A symbol no step reads visits the
-    /// unshifted final state. Both states come from the per-thread scratch
-    /// pool ([`with_scratch`]).
+    /// unshifted final state. The forward run is the base state carried
+    /// through the remaining base kernels, bit-identical to
+    /// [`Self::run_into`] at `θ`. Both states come from the per-thread
+    /// scratch pool ([`with_scratch`]).
     ///
     /// # Panics
     ///
@@ -334,7 +340,8 @@ impl FusedProgram {
         &self,
         theta: &[f64],
         symbols: &[usize],
-        mut visit: impl FnMut(usize, bool, &Statevector),
+        unshifted: bool,
+        mut visit: impl FnMut(ShiftRun, &Statevector),
     ) {
         let len = self.steps.len();
         let reads = |s: usize| self.reading_steps.get(s).map_or(&[][..], Vec::as_slice);
@@ -347,8 +354,8 @@ impl FusedProgram {
             with_scratch(self.num_qubits, |fork: &mut Statevector| {
                 state.reset_zero();
                 let mut applied = 0;
-                for &r in &order {
-                    let s = symbols[r];
+                for &row in &order {
+                    let s = symbols[row];
                     let start = first(s);
                     for k in &base[applied..start] {
                         state.apply_kernel(k);
@@ -370,9 +377,15 @@ impl FusedProgram {
                         for k in &base[next..] {
                             fork.apply_kernel(k);
                         }
-                        visit(r, minus, fork);
+                        visit(ShiftRun::Shifted { row, minus }, fork);
                     }
                     shifted[s] = theta[s];
+                }
+                if unshifted {
+                    for k in &base[applied..] {
+                        state.apply_kernel(k);
+                    }
+                    visit(ShiftRun::Unshifted, state);
                 }
             })
         });
@@ -583,31 +596,30 @@ mod tests {
         assert_matches_reference(&c, &[], 1);
     }
 
-    /// Every state `for_each_shift` visits equals `run` at the shifted `θ`
-    /// amplitude for amplitude, and each `(row, sign)` is visited once.
+    /// Every state `for_each_shift` visits equals `run` at its run's `θ`
+    /// amplitude for amplitude, and each `(row, sign)` and the unshifted
+    /// run are visited once.
     fn assert_forks_match_shifted_runs(c: &Circuit, theta: &[f64], symbols: &[usize]) {
         let prog = FusedProgram::compile(c);
         let mut visits = Vec::new();
-        prog.for_each_shift(theta, symbols, |row, minus, sv| {
-            let mut at = theta.to_vec();
-            let s = symbols[row];
-            at[s] = if minus {
-                theta[s] - FRAC_PI_2
-            } else {
-                theta[s] + FRAC_PI_2
-            };
-            let want = prog.run(&at);
+        prog.for_each_shift(theta, symbols, true, |run, sv| {
+            let want = prog.run(&run.theta(theta, symbols));
             assert!(
                 sv.amplitudes() == want.amplitudes(),
-                "row {row} (symbol {s}, minus {minus}) differs from the shifted run"
+                "{run:?} of symbols {symbols:?} differs from its run"
             );
-            visits.push((row, minus));
+            visits.push(run);
         });
         visits.sort_unstable();
-        let want: Vec<(usize, bool)> = (0..symbols.len())
-            .flat_map(|r| [(r, false), (r, true)])
+        let mut want: Vec<ShiftRun> = (0..symbols.len())
+            .flat_map(|row| [false, true].map(|minus| ShiftRun::Shifted { row, minus }))
             .collect();
+        want.push(ShiftRun::Unshifted);
         assert_eq!(visits, want);
+        let mut shifted_only = Vec::new();
+        prog.for_each_shift(theta, symbols, false, |run, _| shifted_only.push(run));
+        shifted_only.sort_unstable();
+        assert_eq!(shifted_only, want[..2 * symbols.len()]);
     }
 
     /// Symbols in `Dyn1` runs (several in one run, one spread over two

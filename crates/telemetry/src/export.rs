@@ -14,7 +14,7 @@
 //!   (heartbeats refresh the main file only), giving `qoc-top` its loss
 //!   sparkline and CI its monotonicity check.
 //! - **`<stem>.prom`** — the full metrics registry in Prometheus text
-//!   format (see [`prom`](crate::prom)).
+//!   format (see [`prom`]).
 //!
 //! The device counters in the document (`device.circuits_run`,
 //! `device.total_shots`, `device.device_ns`) are stamped by the engine from

@@ -18,7 +18,7 @@
 //!   [`export`]er (`QOC_STATUS_FILE`) publishing atomic
 //!   JSON snapshots plus a Prometheus text sibling (see [`prom`]).
 //! - **Knobs** — every `QOC_*` environment variable of the workspace is
-//!   tabled and parsed in [`env`].
+//!   tabled and parsed in [`env`](mod@env).
 //!
 //! # Off by default, cheap when off
 //!

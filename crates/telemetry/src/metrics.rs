@@ -148,10 +148,19 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v`: the same cells as `n` calls of
+    /// [`Self::record`] (the sum wraps as they would), in five updates.
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -447,6 +456,19 @@ mod tests {
         // The top sample lives in the overflow bucket: quantile = exact max.
         assert_eq!(s.quantile(1.0), 5000);
         assert!((s.mean() - (1.0 + 5.0 + 10.0 + 11.0 + 50.0 + 200.0 + 5000.0) / 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (one_by_one, at_once) = (Histogram::new(&[10, 100]), Histogram::new(&[10, 100]));
+        for (v, n) in [(7, 3), (100, 0), (101, 2), (u64::MAX / 2, 5)] {
+            for _ in 0..n {
+                one_by_one.record(v);
+            }
+            at_once.record_n(v, n);
+        }
+        assert_eq!(at_once.snapshot(), one_by_one.snapshot());
+        assert_eq!(at_once.count(), 10);
     }
 
     #[test]

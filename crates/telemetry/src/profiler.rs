@@ -12,7 +12,7 @@
 //!
 //! # Slot protocol (seqlock)
 //!
-//! Each thread owns one [`SpanSlot`]: a sequence counter, a depth, and a
+//! Each thread owns one `SpanSlot`: a sequence counter, a depth, and a
 //! fixed array of interned span-name ids. Writers (span open/close on the
 //! owning thread) bump `seq` to odd, mutate, bump back to even. The sampler
 //! reads `seq`, the frames, then `seq` again; a read that saw an odd or
