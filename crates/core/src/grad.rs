@@ -185,7 +185,7 @@ impl<'a> QnnGradientComputer<'a> {
         let any_shots = matches!(self.engine.execution(), Execution::Shots(_));
         for (&(_, target), (forward_idx, offer)) in batch.iter().zip(&layout) {
             let (expectations, shifted) = match offer.forward() {
-                Some(answered) => (answered, &results[..0]),
+                Some(answered) => (answered, &[][..]),
                 None => (
                     &results[*forward_idx][..],
                     &results[forward_idx + 1..forward_idx + 1 + offer.num_jobs()],
