@@ -14,7 +14,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy doc build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak monitor watch bench-smoke)
+ALL_STAGES=(fmt clippy doc build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak watch bench-smoke)
 
 stage_fmt() {
     cargo fmt --all -- --check
@@ -166,69 +166,25 @@ stage_serve_soak() {
     # Multi-tenant serving plane under fire: ~200 interleaved jobs across
     # 3 tenants on a pool of fault-injected fake devices, with admission
     # backpressure and mid-flight preemptions. Gates: zero give-ups, every
-    # job bit-identical to a solo run, quotas respected, and the status
-    # doc's per-tenant counters reconciled to the nanosecond. Report lands
-    # in results/serve_soak.json.
+    # job bit-identical to a solo run, quotas respected, and the per-tenant
+    # registry counters reconciled to the nanosecond. Report lands in
+    # results/serve_soak.json.
     cargo run --offline --release -p qoc-bench --bin serve_soak -- --ci \
         --out results/serve_soak.json
 }
 
-stage_monitor() {
-    # Live observability plane. Leg 1: a traced PGP run with the status
-    # exporter and flight recorder on — every snapshot must parse against
-    # the pinned schema, the history's cumulative counters must be monotone,
-    # the final snapshot must reconcile with the manifest to the nanosecond,
-    # and the Prometheus sibling must expose ≥ 20 well-formed metric
-    # families including qoc_grad_snr.
-    rm -f results/ci_monitor.status.json results/ci_monitor.status.history.jsonl \
-          results/ci_monitor.status.prom
-    QOC_STATUS_FILE=results/ci_monitor.status.json \
-    QOC_FLIGHT_RECORDER=2048 QOC_TRACE_FILE=results/ci_monitor.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null || return 1
-    cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_monitor.status.json results/ci_monitor.manifest.json || return 1
-    # qoc-top must render one frame from the finished snapshot.
-    cargo run --offline --release -p qoc-bench --bin qoc-top -- \
-        results/ci_monitor.status.json --once > /dev/null || return 1
-    # Leg 2: the same run under an aggressive fault plan with retries
-    # disabled must fail, write an emergency checkpoint, and flush the
-    # flight-recorder ring as a schema-valid black-box dump qoc-analyze
-    # ingests without error.
-    rm -f results/ci_blackbox.ckpt results/ci_blackbox.blackbox.jsonl
-    if QOC_FAULT_PLAN="seed=7,transient=0.2,timeout=0.05,max_failures=9" \
-       QOC_MAX_RETRIES=0 QOC_FLIGHT_RECORDER=2048 \
-       QOC_CHECKPOINT_FILE=results/ci_blackbox.ckpt \
-       QOC_TRACE_FILE=results/ci_monitor_fault.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null 2>&1; then
-        echo "monitor: fault-plan run unexpectedly succeeded" >&2
-        return 1
-    fi
-    if ! [ -s results/ci_blackbox.blackbox.jsonl ]; then
-        echo "monitor: black-box dump results/ci_blackbox.blackbox.jsonl missing" >&2
-        return 1
-    fi
-    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
-        results/ci_blackbox.blackbox.jsonl --blackbox --quiet
-}
-
 stage_watch() {
-    # Always-on watch plane (profiler + SLO rules). Leg 1: a clean traced
-    # run with the sampling profiler and rules a healthy run must not
-    # breach (retries stay zero, median gradient SNR stays far above 0.05)
-    # — zero alert transitions allowed — then the profiler's Jacobian-phase
-    # share must reconcile with qoc-analyze's trace-derived share within
-    # 15% relative. The run lasts about 30 ms, so the profiler samples at
-    # 4999 Hz: at 97 Hz it took 1–3 samples, too few for the share to be
-    # measured rather than drawn.
-    rm -f results/ci_watch.status.json results/ci_watch.status.history.jsonl \
-          results/ci_watch.status.history.jsonl.1 results/ci_watch.status.prom \
-          results/ci_watch.status.alerts.jsonl results/ci_watch.profile.folded
-    QOC_STATUS_FILE=results/ci_watch.status.json \
+    # The profiled run and the fault runs, gated on what qoc-analyze reads
+    # from their traces. Leg 1: a clean traced run with the sampling
+    # profiler must need no retries and keep the median per-parameter mean
+    # gradient SNR at or above 0.05, both read from its analysis report;
+    # then the profiler's Jacobian-phase share must reconcile with
+    # qoc-analyze's trace-derived share within 15% relative. The run lasts
+    # about 30 ms, so the profiler samples at 4999 Hz: at 97 Hz it took 1–3
+    # samples, too few for the share to be measured rather than drawn.
+    rm -f results/ci_watch.profile.folded
     QOC_PROFILE_HZ=4999 QOC_TRACE_FILE=results/ci_watch.jsonl \
-    QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr p50 < 0.05 for 3 windows" \
         cargo run --offline --release --example traced_training > /dev/null || return 1
-    cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_watch.status.json results/ci_watch.manifest.json --alerts none || return 1
     if ! [ -s results/ci_watch.profile.folded ]; then
         echo "watch: results/ci_watch.profile.folded is missing or empty" >&2
         return 1
@@ -236,25 +192,32 @@ stage_watch() {
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
         results/ci_watch.jsonl --profile results/ci_watch.profile.folded \
         --profile-tolerance 0.15 --quiet || return 1
-    # Leg 2: the same run under a fault plan with retries left enabled — it
-    # must still finish, and rules tuned to that plan must fire (device
-    # retries above zero, worst-case gradient SNR under 0.5), with every
-    # firing paired with a resolution or flushed as terminal at run end.
-    # The plan has no drift and no permanent faults, and a retry reruns the
-    # identical job, so the recovered run's step and eval records must equal
-    # leg 1's byte for byte.
-    rm -f results/ci_watch_fault.status.json \
-          results/ci_watch_fault.status.history.jsonl \
-          results/ci_watch_fault.status.prom \
-          results/ci_watch_fault.status.alerts.jsonl
+    python3 - results/ci_watch.analysis.json <<'PY' || return 1
+import json, statistics, sys
+report = json.load(open(sys.argv[1]))
+snr = statistics.median(p["mean_snr"] for p in report["params"])
+print(f"watch: clean run: {report['retries']} retries, median mean SNR {snr:.3g}")
+if report["retries"] != 0:
+    sys.exit("watch: the clean run needed retries")
+if snr < 0.05:
+    sys.exit(f"watch: median per-parameter mean SNR {snr} < 0.05")
+PY
+    # Leg 2: the same run under a fault plan with retries left enabled must
+    # still finish, having retried. The plan has no drift and no permanent
+    # faults, and a retry reruns the identical job, so the recovered run's
+    # step and eval records must equal leg 1's byte for byte.
     QOC_FAULT_PLAN="seed=7,transient=0.2,timeout=0.05,max_failures=3" \
-    QOC_STATUS_FILE=results/ci_watch_fault.status.json \
     QOC_TRACE_FILE=results/ci_watch_fault.jsonl \
-    QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr min < 0.5" \
         cargo run --offline --release --example traced_training > /dev/null || return 1
-    cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_watch_fault.status.json results/ci_watch_fault.manifest.json \
-        --alerts expect=qoc.device.retries,qoc.grad.snr || return 1
+    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
+        results/ci_watch_fault.jsonl --quiet || return 1
+    python3 - results/ci_watch_fault.analysis.json <<'PY' || return 1
+import json, sys
+retries = json.load(open(sys.argv[1]))["retries"]
+print(f"watch: fault run: {retries} retries")
+if retries == 0:
+    sys.exit("watch: the fault plan caused no retries")
+PY
     local artifact
     for artifact in steps evals; do
         if ! cmp "results/ci_watch.$artifact.jsonl" "results/ci_watch_fault.$artifact.jsonl"; then
@@ -263,6 +226,24 @@ stage_watch() {
         fi
     done
     echo "watch: recovered run's step and eval records equal the clean run's"
+    # Leg 3: under a harsher plan with retries disabled the run must fail
+    # and leave a non-empty emergency checkpoint. It writes no satellites,
+    # so qoc-analyze passes its trace only if the trace holds the
+    # train.abort event (else the satellites are missing inputs, exit 2).
+    rm -f results/ci_watch_abort.ckpt results/ci_watch_abort.jsonl
+    if QOC_FAULT_PLAN="seed=7,transient=0.2,timeout=0.05,max_failures=9" \
+       QOC_MAX_RETRIES=0 QOC_CHECKPOINT_FILE=results/ci_watch_abort.ckpt \
+       QOC_TRACE_FILE=results/ci_watch_abort.jsonl \
+        cargo run --offline --release --example traced_training > /dev/null 2>&1; then
+        echo "watch: the run without retries unexpectedly succeeded" >&2
+        return 1
+    fi
+    if ! [ -s results/ci_watch_abort.ckpt ]; then
+        echo "watch: emergency checkpoint results/ci_watch_abort.ckpt missing or empty" >&2
+        return 1
+    fi
+    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
+        results/ci_watch_abort.jsonl --quiet
 }
 
 stage_bench_smoke() {
@@ -277,19 +258,6 @@ stage_bench_smoke() {
 STAGE_NAMES=()
 STAGE_TIMES=()
 STAGE_RESULTS=()
-STAGE_ALERTS=()
-
-# Counts `fired` transitions across every alert log a stage touched (the
-# marker file is touched just before the stage runs, so only logs written
-# or appended during the stage are counted).
-count_stage_alerts() {
-    local marker="$1" total=0 n log
-    while IFS= read -r log; do
-        n=$(grep -Eco '"kind":[[:space:]]*"fired"' "$log" 2>/dev/null) || n=0
-        total=$(( total + n ))
-    done < <(find results -name '*.alerts.jsonl' -newer "$marker" 2>/dev/null)
-    echo "$total"
-}
 
 print_summary() {
     [ ${#STAGE_NAMES[@]} -eq 0 ] && return
@@ -297,9 +265,8 @@ print_summary() {
     echo "== stage summary =="
     local i
     for i in "${!STAGE_NAMES[@]}"; do
-        printf '  %-16s %6ss  %-6s  %s alert(s) fired\n' \
-            "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_RESULTS[$i]}" \
-            "${STAGE_ALERTS[$i]}"
+        printf '  %-16s %6ss  %s\n' \
+            "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_RESULTS[$i]}"
     done
     # Slowest stages first — the budget to attack when CI feels sluggish.
     if [ ${#STAGE_NAMES[@]} -gt 1 ]; then
@@ -319,9 +286,8 @@ print_summary() {
         for i in "${!STAGE_NAMES[@]}"; do
             local comma=','
             [ "$i" -eq $(( ${#STAGE_NAMES[@]} - 1 )) ] && comma=''
-            printf '  {"stage": "%s", "seconds": %s, "status": "%s", "alerts_fired": %s}%s\n' \
-                "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_RESULTS[$i]}" \
-                "${STAGE_ALERTS[$i]}" "$comma"
+            printf '  {"stage": "%s", "seconds": %s, "status": "%s"}%s\n' \
+                "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_RESULTS[$i]}" "$comma"
         done
         echo ']'
     } > results/ci_summary.json
@@ -329,21 +295,18 @@ print_summary() {
 trap print_summary EXIT
 
 run_stage() {
-    local name="$1" fn="stage_${1//-/_}" start elapsed marker alerts
+    local name="$1" fn="stage_${1//-/_}" start elapsed
     echo "==> $name"
     mkdir -p results
-    marker=$(mktemp results/.ci_stage_marker.XXXXXX)
     start=$(date +%s)
     if "$fn"; then
         elapsed=$(( $(date +%s) - start ))
-        alerts=$(count_stage_alerts "$marker"); rm -f "$marker"
         STAGE_NAMES+=("$name"); STAGE_TIMES+=("$elapsed")
-        STAGE_RESULTS+=("ok"); STAGE_ALERTS+=("$alerts")
+        STAGE_RESULTS+=("ok")
     else
         elapsed=$(( $(date +%s) - start ))
-        alerts=$(count_stage_alerts "$marker"); rm -f "$marker"
         STAGE_NAMES+=("$name"); STAGE_TIMES+=("$elapsed")
-        STAGE_RESULTS+=("FAILED"); STAGE_ALERTS+=("$alerts")
+        STAGE_RESULTS+=("FAILED")
         echo "ci.sh: stage $name failed (${elapsed}s)" >&2
         exit 1
     fi

@@ -124,27 +124,12 @@ fn bench_batched_jacobian(c: &mut Criterion) {
 /// Overhead of a span at a disabled telemetry site: one relaxed atomic load
 /// and no allocation. This must stay in the few-nanosecond range — it is the
 /// price every instrumented hot path pays in ordinary (untraced) runs.
-///
-/// The `flight_off` row pins the same invariant for the flight recorder:
-/// with `QOC_FLIGHT_RECORDER` unset the recorder is never constructed, so
-/// the disabled-span cost is *identical* whether or not the ring-buffer
-/// subsystem exists in the binary — no extra branch, no registration.
 fn bench_disabled_span(c: &mut Criterion) {
     assert!(
         !qoc_telemetry::enabled(),
         "telemetry must be disabled for the overhead bench (unset QOC_LOG/QOC_TRACE_FILE)"
     );
     c.bench_function("telemetry/span_disabled", |b| {
-        b.iter(|| {
-            let span = qoc_telemetry::span!("bench.noop", jobs = 17usize,);
-            std::hint::black_box(span)
-        })
-    });
-    assert!(
-        qoc_telemetry::flight_recorder().is_none(),
-        "flight recorder must be off for the overhead bench (unset QOC_FLIGHT_RECORDER)"
-    );
-    c.bench_function("telemetry/span_disabled_flight_off", |b| {
         b.iter(|| {
             let span = qoc_telemetry::span!("bench.noop", jobs = 17usize,);
             std::hint::black_box(span)

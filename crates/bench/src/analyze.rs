@@ -404,6 +404,16 @@ pub struct Analysis {
     pub zero_circuit_counters: Vec<&'static str>,
 }
 
+/// The step at which the traced run died: that of the first `train.abort`
+/// event. A run that fails with an execution error writes no satellites,
+/// so its trace alone is its record and the run-level gates do not apply.
+pub fn aborted_step(records: &[TraceRecord]) -> Option<u64> {
+    records
+        .iter()
+        .find(|r| !r.is_span && r.name == "train.abort")
+        .and_then(|r| r.field_u64("step"))
+}
+
 /// The `(w_a, w_p, r)` of a manifest `config.pruning` value (`"None"`, or
 /// `{"Probabilistic": {…}}`).
 fn pruning_of(manifest: &Value) -> Option<(u64, u64, f64)> {
@@ -593,9 +603,9 @@ fn health_report(records: &[TraceRecord]) -> (Vec<ParamRow>, Vec<WindowRow>) {
     (params, windows)
 }
 
-/// Runs the full offline analysis. Satellite texts are optional — a trace
-/// from a crashed run may have none — but the report is correspondingly
-/// thinner and the savings gates become inert.
+/// Runs the full offline analysis. Satellite texts are optional — an
+/// aborted run has none — but the report is correspondingly thinner and
+/// the savings gates become inert.
 pub fn analyze_run(
     trace_text: &str,
     steps_text: Option<&str>,

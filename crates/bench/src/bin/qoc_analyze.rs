@@ -11,8 +11,8 @@
 //! - `<stem>.analysis.json` — the same report, machine-readable.
 //!
 //! Usage: `qoc-analyze [TRACE_FILE] [--savings-tolerance X] [--quiet]
-//! [--blackbox] [--profile FOLDED [--profile-tolerance X]]` (the trace
-//! defaults to `$QOC_TRACE_FILE`).
+//! [--profile FOLDED [--profile-tolerance X]]` (the trace defaults to
+//! `$QOC_TRACE_FILE`).
 //!
 //! `--profile` ingests a sampling-profiler `.profile.folded` file (written
 //! when the traced run also set `QOC_PROFILE_HZ`) and cross-checks the
@@ -21,18 +21,15 @@
 //! divergence beyond `--profile-tolerance` (default 0.15, relative) fails
 //! the run like any other sanity gate.
 //!
-//! `--blackbox` ingests a flight-recorder crash dump
-//! (`<checkpoint>.blackbox.jsonl`, written on `TrainError::Execution`)
-//! instead of a full traced run: the dump is a bounded ring of the *last*
-//! records before the crash, so satellites don't exist and the sanity gates
-//! (device-time reconciliation, pruning efficacy) are skipped — only the
-//! schema check and the span-forest/phase report run. A trailing truncated
-//! line (killed writer) is tolerated in either mode.
-//!
-//! Outside `--blackbox` the three satellites are required, and every trace
-//! line and satellite record is checked against the pinned schemas in
-//! `qoc_telemetry::schema` — so one `qoc-analyze` run is also the full
-//! artifact validation of a traced run.
+//! A trace that holds a `train.abort` event is the whole record of a run
+//! that died with an execution error (`TrainError::Execution`): such a run
+//! writes no satellites, so none are read and the run-level gates
+//! (device-time reconciliation, pruning efficacy, profile) are skipped —
+//! only the schema check and the span-forest/phase report run. Any other
+//! trace needs its three satellites. Every trace line and satellite record
+//! is checked against the pinned schemas in `qoc_telemetry::schema` — so
+//! one `qoc-analyze` run is also the full artifact validation of a traced
+//! run. A trailing truncated line (killed writer) is tolerated.
 //!
 //! Exit codes let CI gate on it: **2** when an input file is missing (the
 //! trace, a satellite, or a `--profile` file), **1** when an artifact is
@@ -43,7 +40,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use qoc_bench::analyze::analyze_run;
+use qoc_bench::analyze::{aborted_step, analyze_run, parse_trace};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("qoc-analyze: {msg}");
@@ -71,7 +68,6 @@ fn main() -> ExitCode {
     let mut trace_arg: Option<PathBuf> = None;
     let mut tolerance = 0.05f64;
     let mut quiet = false;
-    let mut blackbox = false;
     let mut profile_arg: Option<PathBuf> = None;
     let mut profile_tolerance = 0.15f64;
     let mut i = 0;
@@ -99,7 +95,6 @@ fn main() -> ExitCode {
                 };
             }
             "--quiet" => quiet = true,
-            "--blackbox" => blackbox = true,
             flag if flag.starts_with("--") => {
                 return fail(&format!("unknown flag {flag:?}"));
             }
@@ -122,10 +117,13 @@ fn main() -> ExitCode {
         }
         Err(e) => return fail(&format!("cannot read {}: {e}", trace_path.display())),
     };
-    // A black-box dump is the ring contents alone — no satellites were ever
-    // written next to it, so don't probe for (or gate on) them.
+    let aborted = match parse_trace(&trace_text) {
+        Ok((records, _)) => aborted_step(&records).is_some(),
+        Err(e) => return fail(&format!("malformed: {e}")),
+    };
+    // An aborted run wrote no satellites: any next to its trace are not its.
     let mut satellites = Vec::new();
-    if !blackbox {
+    if !aborted {
         for ext in ["steps.jsonl", "evals.jsonl", "manifest.json"] {
             match read_satellite(&trace_path.with_extension(ext)) {
                 Ok(text) => satellites.push(text),
@@ -168,15 +166,8 @@ fn main() -> ExitCode {
         );
     }
 
-    if blackbox {
-        // The ring holds whatever the last moments produced — maybe only
-        // events, never satellites — so the run-level sanity gates don't
-        // apply. An empty dump still fails: the recorder saw nothing.
-        return if analysis.spans + analysis.events == 0 {
-            fail("black-box dump contains no records")
-        } else {
-            ExitCode::SUCCESS
-        };
+    if aborted {
+        return ExitCode::SUCCESS;
     }
     let mut failures = analysis.sanity_failures(tolerance);
     if let Some(profile_path) = &profile_arg {

@@ -11,8 +11,8 @@
 //!   request on the same device class;
 //! - no tenant exceeds its running cap; queue high-water marks respect
 //!   admission caps plus preemption requeues;
-//! - the status document's per-tenant section reconciles against the
-//!   per-job results to the nanosecond.
+//! - each tenant's registry counters reconcile against the per-job
+//!   results to the nanosecond.
 //!
 //! Usage: `serve_soak [--ci] [--jobs N] [--tenants N] [--seed S]
 //! [--out PATH]`. The default profile is the headline one (≥1000 jobs,

@@ -1,11 +1,12 @@
 //! `qoc-analyze` as the artifact gate of a traced run: a manifest that
-//! reports zero circuits run fails the sanity gates (exit 1), and a missing
-//! satellite is a missing input (exit 2).
+//! reports zero circuits run fails the sanity gates (exit 1), a missing
+//! satellite is a missing input (exit 2), and the trace of an aborted run
+//! is a whole record without satellites (exit 0).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use qoc_bench::analyze::analyze_run;
+use qoc_bench::analyze::{aborted_step, analyze_run, parse_trace};
 
 const TRACE: &str = concat!(
     r#"{"ts":100,"kind":"span","level":"debug","span":"train.run","thread":0,"dur_ns":80,"fields":{"steps":1}}"#,
@@ -75,4 +76,28 @@ fn missing_satellite_is_a_missing_input() {
         analyze_exit_code(&write_run("nosteps", None, &manifest(7))),
         2
     );
+}
+
+#[test]
+fn aborted_trace_needs_no_satellites() {
+    let abort = r#"{"ts":90,"kind":"event","level":"warn","span":"train.abort","thread":0,"fields":{"step":4,"error":"job 2 failed","checkpointed":false}}"#;
+    let aborted = format!("{abort}\n{TRACE}");
+    let analysis = analyze_run(&aborted, None, None, None).unwrap();
+    assert_eq!((analysis.spans, analysis.events), (1, 1));
+    let step = |trace: &str| aborted_step(&parse_trace(trace).unwrap().0);
+    assert_eq!((step(&aborted), step(TRACE)), (Some(4), None));
+
+    let dir = std::env::temp_dir().join(format!("qoc-analyze-gate-{}-aborted", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let trace = dir.join("run.jsonl");
+    std::fs::write(&trace, &aborted).expect("write trace");
+    // A satellite left over from another run is not this run's: unread.
+    std::fs::write(trace.with_extension("steps.jsonl"), "not json\n").expect("write steps");
+    assert_eq!(analyze_exit_code(&trace), 0);
+
+    // The same trace without its abort is a finished run missing its
+    // satellites.
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    std::fs::write(&trace, TRACE).expect("write trace");
+    assert_eq!(analyze_exit_code(&trace), 2);
 }

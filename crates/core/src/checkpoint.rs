@@ -152,8 +152,7 @@ pub struct TrainState {
     /// The run's `TrainConfig::seed` (resume refuses a mismatch).
     pub master_seed: u64,
     /// Seed-derived run identity (see [`crate::engine::run_id_for_seed`]);
-    /// joins the checkpoint with the run's trace, manifest, status
-    /// snapshots, and black-box dump.
+    /// joins the checkpoint with the run's trace and manifest.
     pub run_id: String,
     /// First step the resumed run executes.
     pub next_step: usize,

@@ -30,7 +30,6 @@ use qoc_device::backend::{
 use qoc_device::retry::BatchError;
 use qoc_nn::model::QnnModel;
 use qoc_telemetry::env::EnvError;
-use qoc_telemetry::export::StatusCore;
 
 use crate::checkpoint::{CheckpointConfig, TrainState, CHECKPOINT_SCHEMA_VERSION};
 use crate::eval::try_evaluate_params_prepared;
@@ -56,22 +55,11 @@ const RUN_ID_STREAM: u64 = 3 << 48;
 
 /// Deterministic, seed-derived run identity: 16 lowercase hex digits of
 /// `job_seed(seed, RUN_ID_STREAM)`. Stamped into the trace header, run
-/// manifest, checkpoints, status snapshots, and black-box dumps, so every
-/// artifact of one run can be joined offline — and a resumed run (same
-/// seed) keeps the identity of the run it continues.
+/// manifest and checkpoints, so every artifact of one run can be joined
+/// offline — and a resumed run (same seed) keeps the identity of the run it
+/// continues.
 pub fn run_id_for_seed(seed: u64) -> String {
     format!("{:016x}", job_seed(seed, RUN_ID_STREAM))
-}
-
-/// Maps a pruner's window state to the status-snapshot phase label.
-fn prune_phase(state: &PrunerState) -> &'static str {
-    match state {
-        PrunerState::None => "none",
-        PrunerState::Windowed {
-            accumulating: true, ..
-        } => "accumulating",
-        PrunerState::Windowed { .. } => "pruning",
-    }
 }
 
 /// Gradient-pruning mode.
@@ -405,8 +393,8 @@ impl std::error::Error for TrainError {
 
 /// Cumulative device usage in exactly-additive integer units: the usage
 /// carried over from before a resume, and the totals (resume base + this
-/// process) the observer callbacks, run manifest and status snapshots are
-/// built from (see [`TrainObserver`]).
+/// process) the observer callbacks and run manifest are built from (see
+/// [`TrainObserver`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DeviceCounters {
     /// Circuits executed so far.
@@ -419,10 +407,10 @@ pub struct DeviceCounters {
 
 /// Per-run telemetry anchor: callbacks the engine invokes at step and eval
 /// boundaries, carrying the same records it accumulates into the
-/// [`TrainResult`]. Unlike the process-global status exporter
-/// (`QOC_STATUS_FILE`), an observer is scoped to one run — a multi-tenant
-/// host (`qoc-serve`) runs many engines in one process and gives each its
-/// own observer to surface live per-job status.
+/// [`TrainResult`]. Unlike the process-global trace (`QOC_TRACE_FILE`), an
+/// observer is scoped to one run — a multi-tenant host (`qoc-serve`) runs
+/// many engines in one process and gives each its own observer to surface
+/// live per-job status.
 ///
 /// Callbacks run on the training thread between batches; keep them cheap.
 /// Default implementations do nothing.
@@ -621,7 +609,7 @@ pub fn train_anchored(
         checkpoint,
     };
     // The trace header: first structured event of every traced run, carrying
-    // the identity that joins trace/manifest/checkpoint/status artifacts.
+    // the identity that joins trace/manifest/checkpoint artifacts.
     qoc_telemetry::event!(
         qoc_telemetry::Level::Info,
         "run.header",
@@ -674,13 +662,7 @@ pub fn train_anchored(
         let result = match computer.try_batch_gradient(&params, &batch, subset, step_master) {
             Ok(r) => r,
             Err(source) => {
-                return Err(run.abort(
-                    step,
-                    source,
-                    prestep,
-                    (&steps, &evals, &checkpoint_params),
-                    prune_phase(&pruner.state()),
-                ));
+                return Err(run.abort(step, source, prestep, (&steps, &evals, &checkpoint_params)));
             }
         };
         pruner.record(&result.grad);
@@ -750,7 +732,6 @@ pub fn train_anchored(
                         source,
                         prestep,
                         (&steps, &evals, &checkpoint_params),
-                        prune_phase(&pruner.state()),
                     ));
                 }
             };
@@ -819,14 +800,6 @@ pub fn train_anchored(
                 }
             }
         }
-
-        run.publish_status(
-            "running",
-            step + 1,
-            result.loss,
-            best_accuracy,
-            prune_phase(&pruner.state()),
-        );
     }
     // Flush the final (possibly partial) window for telemetry.
     health.finish(pruner.savings());
@@ -838,15 +811,6 @@ pub fn train_anchored(
         total_shots: device.total_shots,
         estimated_device_seconds: device.device_ns as f64 / 1e9,
     };
-    // Terminal status snapshot: same integers as the manifest, so the last
-    // snapshot of a finished run reconciles to the nanosecond.
-    run.publish_status(
-        "finished",
-        config.steps,
-        steps.last().map_or(0.0, |s| s.loss),
-        best_accuracy,
-        prune_phase(&pruner.state()),
-    );
     if let Some(trace_path) = qoc_telemetry::trace_file_path() {
         persist_run(&run, &trace_path, &steps, &evals, &totals, best_accuracy);
     }
@@ -861,8 +825,7 @@ pub fn train_anchored(
     })
 }
 
-/// The per-run constants the step loop's status, abort and manifest paths
-/// share.
+/// The per-run constants the step loop's abort and manifest paths share.
 struct Run<'a> {
     /// Seed-derived identity ([`run_id_for_seed`]).
     id: String,
@@ -885,50 +848,16 @@ impl Run<'_> {
         }
     }
 
-    /// Publishes a live status snapshot when `QOC_STATUS_FILE` is set,
-    /// `step` steps into the run. The device counters come from the same
-    /// integer bases that build the final manifest, so snapshots telescope
-    /// to it exactly.
-    fn publish_status(
-        &self,
-        state: &'static str,
-        step: usize,
-        loss: f64,
-        best_accuracy: f64,
-        prune_phase: &str,
-    ) {
-        let Some(exporter) = qoc_telemetry::export::global() else {
-            return;
-        };
-        let device = self.counters();
-        exporter.on_step(StatusCore {
-            run_id: self.id.clone(),
-            state,
-            backend: self.backend.name().to_string(),
-            step: step as u64,
-            steps_total: self.config.steps as u64,
-            loss,
-            best_accuracy,
-            prune_phase: prune_phase.to_string(),
-            circuits_run: device.circuits_run,
-            total_shots: device.total_shots,
-            device_ns: device.device_ns,
-        });
-    }
-
     /// Writes the emergency checkpoint (when configured) and builds the
     /// [`TrainError`] for a batch failure at `step`. The checkpoint uses the
     /// pre-step snapshot so the resumed run replays the failed step in full.
-    /// Before surfacing the error, the crash leaves its observability trail:
-    /// a `failed` status snapshot (when exporting) and the flight recorder's
-    /// black-box dump (when recording) next to the checkpoint.
+    /// A traced run's trace ends with the `train.abort` event at `step`.
     fn abort(
         &self,
         step: usize,
         source: BatchError,
         prestep: Option<PreStep>,
         (steps, evals, checkpoint_params): (&[StepRecord], &[EvalRecord], &[Vec<f64>]),
-        prune_phase: &'static str,
     ) -> TrainError {
         let mut saved = None;
         if let (Some(ck), Some(pre)) = (self.checkpoint, prestep) {
@@ -970,49 +899,10 @@ impl Run<'_> {
                 checkpointed = saved.is_some(),
             );
         }
-        self.publish_status(
-            "failed",
-            step,
-            steps.last().map_or(0.0, |s| s.loss),
-            evals.iter().fold(0.0, |b, e| b.max(e.accuracy)),
-            prune_phase,
-        );
-        // The dump is last so the train.abort event above is inside the ring.
-        dump_blackbox(saved.as_deref());
         TrainError::Execution {
             step,
             source,
             checkpoint: saved,
-        }
-    }
-}
-
-/// Flushes the flight recorder's ring as schema-valid JSONL — the black-box
-/// dump a dead run leaves behind for `qoc-analyze`. Placed next to the
-/// emergency checkpoint when one was written, else next to the trace file,
-/// else next to the status file; skipped (with nothing to anchor to) when
-/// none of those exist.
-fn dump_blackbox(checkpoint: Option<&std::path::Path>) -> Option<PathBuf> {
-    let recorder = qoc_telemetry::flight_recorder()?;
-    let anchor = checkpoint
-        .map(std::path::Path::to_path_buf)
-        .or_else(qoc_telemetry::trace_file_path)
-        .or_else(|| qoc_telemetry::export::global().map(|e| e.path().to_path_buf()))?;
-    let path = anchor.with_extension("blackbox.jsonl");
-    match recorder.dump_jsonl(&path) {
-        Ok(lines) => {
-            eprintln!(
-                "qoc: flight recorder dumped {lines} records to {}",
-                path.display()
-            );
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!(
-                "qoc: failed to write black-box dump {}: {e}",
-                path.display()
-            );
-            None
         }
     }
 }

@@ -25,8 +25,7 @@
 //! and of the open pruning window. The engine always builds it; only the
 //! emission is gated on [`qoc_telemetry::enabled`]: one `grad.health`
 //! event per evaluated parameter per step, one `prune.efficacy` event per
-//! completed window, and SNR samples into the `qoc.grad.snr`
-//! streaming-quantile estimator. A resumed run starts a fresh tracker.
+//! completed window. A resumed run starts a fresh tracker.
 
 use qoc_telemetry::metrics::Registry;
 
@@ -173,8 +172,7 @@ impl GradientHealth {
         self.window.evaluated_sum += evaluated.len() as u64;
         self.prev_was_subset = matches!(selection, Selection::Subset(_));
 
-        let snr_estimator = qoc_telemetry::enabled()
-            .then(|| Registry::global().quantile_estimator("qoc.grad.snr", 4096));
+        let traced = qoc_telemetry::enabled();
         for &i in evaluated {
             let p = &mut self.params[i];
             let g = grad[i];
@@ -199,9 +197,9 @@ impl GradientHealth {
                 p.last_sign = sign;
             }
             p.evals += 1;
-            let Some(snr_estimator) = &snr_estimator else {
+            if !traced {
                 continue;
-            };
+            }
             // Flip rate over the evals − 1 transitions (0.0 until the
             // second evaluation).
             let flip_rate = if p.evals > 1 {
@@ -217,7 +215,6 @@ impl GradientHealth {
             } else {
                 0.0
             };
-            snr_estimator.record(snr);
             qoc_telemetry::event!(
                 qoc_telemetry::Level::Debug,
                 "grad.health",

@@ -37,11 +37,10 @@
 //! accumulation stays exact (integer addition commutes; float addition does
 //! not).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use qoc_telemetry::metrics::{Counter, Gauge, Histogram, Registry};
+use qoc_telemetry::metrics::{Counter, Histogram, Registry};
 use qoc_telemetry::SpanGuard;
 
 use rand::rngs::StdRng;
@@ -355,11 +354,8 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     /// emits a `device.batch` span and feeds the per-job queue-wait and
     /// wall-time histograms plus the per-worker jobs/busy-time histograms
     /// (`qoc.device.*` in the global registry); when disabled, no clock is
-    /// read per job. It also maintains the live dashboard gauges
-    /// (`qoc.device.jobs_inflight`, `qoc.device.workers_live`, plus the
-    /// `qoc.device.jobs_completed` counter) and pings the status exporter's
-    /// heartbeat once per completed job, so `QOC_STATUS_FILE` snapshots keep
-    /// refreshing inside long Jacobian batches. Retry counters
+    /// read per job. It also counts completed jobs
+    /// (`qoc.device.jobs_completed`). Retry counters
     /// (`qoc.device.retries`, `.gave_up`, `.preempted_jobs`) are recorded
     /// regardless.
     fn run_batch_workers(&self, jobs: &[CircuitJob<'_>], workers: usize) -> BatchResult {
@@ -371,16 +367,12 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
         let telemetry = span.0.as_ref().map(|_| {
             let m = batch_metrics();
             m.batches.inc();
-            m.jobs_enqueued(jobs.len() as u64);
             (m, Instant::now())
         });
         // Worker `w`'s share: jobs `w`, `w + workers`, … each driven through
         // the retry policy, tagged with their batch index.
         let run_stride = |w: usize| -> Vec<(usize, JobOutcome)> {
             let mut busy_ns = 0u64;
-            if let Some((m, _)) = &telemetry {
-                m.workers_delta(1);
-            }
             let out: Vec<_> = jobs
                 .iter()
                 .enumerate()
@@ -397,7 +389,7 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                         let dur = start.elapsed().as_nanos() as u64;
                         m.job_wall_ns.record(dur);
                         busy_ns += dur;
-                        m.job_finished();
+                        m.jobs_completed.inc();
                     }
                     (i, result)
                 })
@@ -405,7 +397,6 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
             if let Some((m, _)) = &telemetry {
                 m.worker_jobs.record(out.len() as u64);
                 m.worker_busy_ns.record(busy_ns);
-                m.workers_delta(-1);
             }
             out
         };
@@ -536,11 +527,6 @@ fn device_metrics() -> &'static DeviceMetrics {
 
 /// Batch-level metrics, recorded only while telemetry is enabled (they need
 /// wall-clock reads around every job).
-///
-/// The live gauges (`qoc.device.jobs_inflight`, `qoc.device.workers_live`)
-/// are backed by atomic cells so overlapping batches on different threads
-/// compose: each batch adds its jobs/workers on entry and subtracts as they
-/// drain, and the gauge is re-published from the cell after every change.
 struct BatchMetrics {
     batches: Arc<Counter>,
     queue_wait_ns: Arc<Histogram>,
@@ -548,38 +534,6 @@ struct BatchMetrics {
     worker_jobs: Arc<Histogram>,
     worker_busy_ns: Arc<Histogram>,
     jobs_completed: Arc<Counter>,
-    jobs_inflight: Arc<Gauge>,
-    workers_live: Arc<Gauge>,
-    inflight_cell: AtomicU64,
-    live_cell: AtomicU64,
-}
-
-impl BatchMetrics {
-    /// Registers `n` jobs as queued/in-flight for the live dashboard.
-    fn jobs_enqueued(&self, n: u64) {
-        let now = self.inflight_cell.fetch_add(n, Ordering::Relaxed) + n;
-        self.jobs_inflight.set(now as f64);
-    }
-
-    /// Marks one job finished: bumps the completion counter, drops the
-    /// in-flight gauge, and gives the status exporter a heartbeat so long
-    /// Jacobian batches still refresh the snapshot between steps.
-    fn job_finished(&self) {
-        self.jobs_completed.inc();
-        let now = self.inflight_cell.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.jobs_inflight.set(now as f64);
-        qoc_telemetry::export::heartbeat();
-    }
-
-    /// Adjusts the live-worker gauge by `delta` (worker start / exit).
-    fn workers_delta(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.live_cell.fetch_add(delta as u64, Ordering::Relaxed) + delta as u64
-        } else {
-            self.live_cell.fetch_sub((-delta) as u64, Ordering::Relaxed) - (-delta) as u64
-        };
-        self.workers_live.set(now as f64);
-    }
 }
 
 fn batch_metrics() -> &'static BatchMetrics {
@@ -597,10 +551,6 @@ fn batch_metrics() -> &'static BatchMetrics {
             ),
             worker_busy_ns: reg.histogram("qoc.device.worker_busy_ns", &latency_bounds),
             jobs_completed: reg.counter("qoc.device.jobs_completed"),
-            jobs_inflight: reg.gauge("qoc.device.jobs_inflight"),
-            workers_live: reg.gauge("qoc.device.workers_live"),
-            inflight_cell: AtomicU64::new(0),
-            live_cell: AtomicU64::new(0),
         }
     })
 }

@@ -174,7 +174,7 @@ impl QnnModel {
     }
 
     /// A concrete (bound-input) circuit for one example with symbolic
-    /// weights — useful for inspection and QASM export.
+    /// weights — useful for inspection.
     pub fn circuit_for_input(&self, input: &[f64]) -> Circuit {
         assert_eq!(input.len(), self.input_dim(), "input width mismatch");
         let mut c = Circuit::new(self.num_qubits);

@@ -11,9 +11,9 @@
 //! - `--drain`: accept nothing, drain, and exit (boot smoke test).
 //!
 //! Environment: `QOC_SERVE_QUOTA` (`queued=N,running=M`, applied to every
-//! tenant), `QOC_SERVE_TENANTS` (comma-separated allow-list),
-//! `QOC_STATUS_FILE` (live status doc with per-tenant rows — watch with
-//! `qoc-top`).
+//! tenant) and `QOC_SERVE_TENANTS` (comma-separated allow-list). The
+//! per-tenant ledger is printed at the end; the same counts live in the
+//! `qoc.serve.tenant.*` registry counters.
 
 use std::io::BufRead;
 use std::process::ExitCode;

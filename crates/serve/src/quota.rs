@@ -96,7 +96,7 @@ pub enum AdmissionError {
     },
     /// The tenant name cannot be used (empty, over-long, or contains a
     /// character outside `[A-Za-z0-9_-]` — tenant names become metric-name
-    /// segments and Prometheus label values).
+    /// segments).
     InvalidTenant {
         /// The rejected tenant name.
         tenant: String,
@@ -139,19 +139,16 @@ impl fmt::Display for AdmissionError {
 impl std::error::Error for AdmissionError {}
 
 /// Longest accepted tenant name. Tenant names are embedded into every
-/// per-tenant metric name; an unbounded name would bloat the registry and
-/// the status document.
+/// per-tenant metric name; an unbounded name would bloat the registry.
 pub const MAX_TENANT_NAME_LEN: usize = 64;
 
 /// `true` when `tenant` may be used as a tenant name (and therefore as a
-/// metric-name segment under `qoc.serve.tenant.<tenant>.` and, downstream,
-/// a Prometheus label value).
+/// metric-name segment under `qoc.serve.tenant.<tenant>.`).
 ///
 /// The allow-list is deliberately strict — ASCII alphanumerics plus `-` and
 /// `_`, 1..=[`MAX_TENANT_NAME_LEN`] chars. Anything laxer lets a hostile
-/// tenant id smuggle metric-name separators (`.`), Prometheus escapes
-/// (`"` `\` newline), or exposition-format syntax (`{` `}` `,` `=`) into
-/// exported telemetry.
+/// tenant id smuggle metric-name separators (`.`), quotes, escapes or
+/// control characters into the registry and the trace.
 pub fn tenant_name_ok(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= MAX_TENANT_NAME_LEN
@@ -198,8 +195,8 @@ mod tests {
     #[test]
     fn hostile_tenant_names_are_rejected() {
         // Each of these would corrupt a downstream surface if admitted:
-        // metric-name dots, Prometheus label escapes, exposition syntax,
-        // control characters, and non-ASCII homoglyphs.
+        // metric-name dots, quotes and escapes, punctuation, control
+        // characters, and non-ASCII homoglyphs.
         for hostile in [
             "evil\"tenant",    // label-value quote
             "back\\slash",     // label-value escape

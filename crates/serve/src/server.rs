@@ -33,14 +33,13 @@
 //!
 //! Per-tenant counters are registered under
 //! `qoc.serve.tenant.<tenant>.<field>` (see
-//! [`qoc_telemetry::export::TENANT_METRIC_PREFIX`]); any status exporter in
-//! the process folds them into the status document's `tenants` section,
-//! which `qoc-top` renders as per-tenant rows.
+//! [`qoc_telemetry::export::TENANT_METRIC_PREFIX`]), in the process-wide
+//! metrics registry.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -102,9 +101,7 @@ struct TenantCounters {
     resumed: Arc<Counter>,
     steps: Arc<Counter>,
     device_ns: Arc<Counter>,
-    /// Admission (or preemption requeue) → dispatch latency. A histogram —
-    /// the status exporter's tenant section only mirrors counters, so this
-    /// surfaces through `histograms` / Prometheus / the SLO rules instead.
+    /// Admission (or preemption requeue) → dispatch latency.
     queue_wait_ns: Arc<Histogram>,
 }
 
@@ -241,23 +238,10 @@ impl std::fmt::Debug for ServerInner {
     }
 }
 
-/// SLO rules every server installs into the global alert engine: queue-wait
-/// p99 sustained over a minute, and any job failure. Per-tenant via the
-/// one-segment wildcard; user rules from `QOC_ALERT_RULES` coexist (the
-/// engine dedupes by rule text).
-pub const DEFAULT_SLO_RULES: &str =
-    "qoc.serve.tenant.*.queue_wait_ns p99 > 60s for 3 windows; qoc.serve.tenant.*.failed > 0";
-
 impl Server {
     /// Starts a server over `pool`. The scheduler thread runs until
     /// [`Server::shutdown`] (or drop, which drains first).
     pub fn new(pool: Arc<DevicePool>, cfg: ServeConfig) -> Server {
-        static SLO_RULES: OnceLock<()> = OnceLock::new();
-        SLO_RULES.get_or_init(|| {
-            if let Err(err) = qoc_telemetry::alerts::install_rules(DEFAULT_SLO_RULES) {
-                eprintln!("qoc-serve: default SLO rules rejected: {err}");
-            }
-        });
         let inner = Arc::new(ServerInner {
             pool,
             cfg,

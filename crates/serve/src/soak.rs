@@ -19,8 +19,9 @@
 //! 4. **Quota** — no tenant ever exceeds its running cap, and queue
 //!    high-water marks stay within `max_queued + max_running` (admission
 //!    cap plus preemption requeues, which bypass admission by design).
-//! 5. **Reconciliation** — the status document's `tenants` section
-//!    (schema-checked) agrees with the per-job results to the nanosecond.
+//! 5. **Reconciliation** — each tenant's registry counters
+//!    (`qoc.serve.tenant.<tenant>.{completed,device_ns,preempted}`) agree
+//!    with the per-job results and the server's ledger to the nanosecond.
 //!
 //! The same harness backs `crates/serve/tests/soak.rs` (small profile,
 //! tier-1) and the `serve_soak` bench bin (CI and full ≥1000-job
@@ -41,7 +42,7 @@ use qoc_device::faults::{FaultInjectingBackend, FaultPlan};
 use qoc_device::pool::PoolBuilder;
 use qoc_device::retry::RetryPolicy;
 use qoc_nn::model::QnnModel;
-use qoc_telemetry::export::{StatusCore, StatusExporter, TENANT_METRIC_PREFIX};
+use qoc_telemetry::export::TENANT_METRIC_PREFIX;
 use qoc_telemetry::metrics::Registry;
 
 use crate::job::{JobHandle, JobOutcome, JobPhase, TrainRequest};
@@ -147,7 +148,7 @@ pub struct SoakReport {
     /// Jobs re-run solo and confirmed bit-identical.
     pub solo_verified: usize,
     /// Exact on-device nanoseconds across all jobs (sum of per-result
-    /// integer counters; reconciled against the status document).
+    /// integer counters; reconciled against the tenant counters).
     pub device_ns: u64,
 }
 
@@ -508,7 +509,7 @@ pub fn run_soak(profile: &SoakProfile) -> Result<SoakReport, String> {
         }
     }
 
-    // --- invariant 5: status document reconciles to the nanosecond ---
+    // --- invariant 5: tenant counters reconcile to the nanosecond ---
     let mut expect_completed = vec![0u64; profile.tenants];
     let mut expect_ns = vec![0u64; profile.tenants];
     let mut device_ns_total = 0u64;
@@ -522,61 +523,30 @@ pub fn run_soak(profile: &SoakProfile) -> Result<SoakReport, String> {
         expect_ns[tenant] += ns;
         device_ns_total += ns;
     }
-    let status_path = work_dir.join("serve_soak_status.json");
-    let exporter = StatusExporter::new(status_path.clone());
-    exporter.on_step(StatusCore {
-        run_id: format!("{:016x}", profile.seed),
-        state: "finished",
-        backend: "qoc-serve-pool".to_string(),
-        step: profile.jobs as u64,
-        steps_total: profile.jobs as u64,
-        loss: 0.0,
-        best_accuracy: 0.0,
-        prune_phase: "none".to_string(),
-        circuits_run: after.counter("qoc.device.circuits_run"),
-        total_shots: after.counter("qoc.device.total_shots"),
-        device_ns: device_ns_total,
-    });
-    let text =
-        std::fs::read_to_string(&status_path).map_err(|e| format!("status doc unreadable: {e}"))?;
-    let doc: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("status doc unparseable: {e}"))?;
-    qoc_telemetry::schema::check_status_doc(&doc)
-        .map_err(|e| format!("status doc schema violation: {e}"))?;
-    let tenants_doc = doc
-        .get("tenants")
-        .ok_or("status doc has no tenants section")?;
     for (i, tenant) in tenant_names.iter().enumerate() {
-        let field = |name: &str| {
-            tenants_doc
-                .get(tenant)
-                .and_then(|t| t.get(name))
-                .and_then(serde::Value::as_u64)
-                .unwrap_or(0)
-        };
-        let completed = field("completed") - tenant_base[i].0;
+        let completed = tenant_counter(tenant, "completed") - tenant_base[i].0;
         if completed != expect_completed[i] {
             return Err(format!(
-                "tenant {tenant}: status doc says {completed} completed, results say {}",
+                "tenant {tenant}: registry says {completed} completed, results say {}",
                 expect_completed[i]
             ));
         }
-        let ns = field("device_ns") - tenant_base[i].1;
+        let ns = tenant_counter(tenant, "device_ns") - tenant_base[i].1;
         if ns != expect_ns[i] {
             return Err(format!(
-                "tenant {tenant}: status doc device_ns {ns} != per-job sum {} (off by {})",
+                "tenant {tenant}: registry device_ns {ns} != per-job sum {} (off by {})",
                 expect_ns[i],
                 ns.abs_diff(expect_ns[i])
             ));
         }
-        let doc_preempted = field("preempted") - tenant_base[i].2;
+        let preempted = tenant_counter(tenant, "preempted") - tenant_base[i].2;
         let snap = snapshots
             .iter()
             .find(|s| &s.tenant == tenant)
             .expect("snapshot for every tenant");
-        if doc_preempted != snap.preempted {
+        if preempted != snap.preempted {
             return Err(format!(
-                "tenant {tenant}: status doc preempted {doc_preempted} != server {}",
+                "tenant {tenant}: registry preempted {preempted} != server {}",
                 snap.preempted
             ));
         }

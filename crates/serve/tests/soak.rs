@@ -173,7 +173,7 @@ fn fair_share_respects_per_tenant_running_caps() {
 
 /// The headline: interleaved multi-tenant jobs under aggressive fault
 /// injection with mid-flight preemptions — every result bit-identical to
-/// solo, zero give-ups, quotas and the status document intact.
+/// solo, zero give-ups, quotas and the tenant counters intact.
 #[test]
 fn soak_smoke_profile_holds_every_invariant() {
     let profile = SoakProfile::smoke();

@@ -20,7 +20,6 @@
 //!   is borrowed from.
 //! - [`resources`] — the exponential classical-cost model behind Figures
 //!   2(a) and 8 of the paper.
-//! - [`qasm`] — OpenQASM 2.0 export at the hardware interface boundary.
 //!
 //! # Quick example
 //!
@@ -50,7 +49,6 @@ pub mod fusion;
 pub mod gates;
 pub mod kernels;
 pub mod matrix;
-pub mod qasm;
 pub mod resources;
 pub mod scratch;
 pub mod simulator;

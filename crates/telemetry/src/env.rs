@@ -2,8 +2,9 @@
 //!
 //! [`KNOBS`] lists each knob the workspace reads with its [`Kind`] and its
 //! behaviour when unset; nothing else reads a `QOC_*` variable. There is
-//! one reader per kind ([`path`], [`level`], [`count`], [`spec`]); the ones whose kind can be malformed return it as the same
-//! [`EnvError`] naming the variable. [`check`] validates the whole
+//! one reader per kind ([`path`], [`level`], [`count`], [`spec`]); the ones
+//! whose kind can be malformed return it as the same [`EnvError`] naming
+//! the variable. [`check`] validates the whole
 //! environment — unknown `QOC_*` names (with the nearest knob as a hint)
 //! and every value — and the training engine, the experiment bins and
 //! `qoc-serve` run it first, so a typo stops them before the first circuit
@@ -16,9 +17,6 @@ use std::path::PathBuf;
 
 use crate::Level;
 
-/// Validates a structured spec, with the reason on rejection.
-pub type SpecCheck = fn(&str) -> Result<(), String>;
-
 /// How a knob's value is parsed.
 #[derive(Debug, Clone, Copy)]
 pub enum Kind {
@@ -28,8 +26,8 @@ pub enum Kind {
     Level,
     /// An unsigned integer no smaller than the given minimum.
     Count(u64),
-    /// A structured spec, checked here when this crate owns its grammar.
-    Spec(Option<SpecCheck>),
+    /// A structured spec, parsed by the crate that owns its grammar.
+    Spec,
 }
 
 /// One `QOC_*` environment knob.
@@ -43,22 +41,20 @@ pub struct Knob {
     pub default: &'static str,
 }
 
-/// Every knob the workspace reads; the README's knob table mirrors it.
+/// Every knob the workspace reads; the README's knob table mirrors it
+/// (checked by a unit test).
 #[rustfmt::skip]
-pub const KNOBS: [Knob; 13] = [
+pub const KNOBS: [Knob; 10] = [
     Knob { name: "QOC_LOG", kind: Kind::Level, default: "off" },
     Knob { name: "QOC_TRACE_FILE", kind: Kind::Path, default: "off" },
-    Knob { name: "QOC_FLIGHT_RECORDER", kind: Kind::Count(0), default: "off (0 = off)" },
     Knob { name: "QOC_PROFILE_HZ", kind: Kind::Count(0), default: "off (0 = off)" },
-    Knob { name: "QOC_STATUS_FILE", kind: Kind::Path, default: "off" },
-    Knob { name: "QOC_ALERT_RULES", kind: Kind::Spec(Some(|s| crate::alerts::parse_rules(s).map(drop))), default: "no rules" },
     Knob { name: "QOC_WORKERS", kind: Kind::Count(1), default: "available parallelism" },
     Knob { name: "QOC_MAX_RETRIES", kind: Kind::Count(0), default: "4" },
-    Knob { name: "QOC_FAULT_PLAN", kind: Kind::Spec(None), default: "off" },
+    Knob { name: "QOC_FAULT_PLAN", kind: Kind::Spec, default: "off" },
     Knob { name: "QOC_CHECKPOINT_FILE", kind: Kind::Path, default: "off" },
     Knob { name: "QOC_CHECKPOINT_EVERY", kind: Kind::Count(1), default: "10" },
-    Knob { name: "QOC_SERVE_QUOTA", kind: Kind::Spec(None), default: "queued=16,running=2" },
-    Knob { name: "QOC_SERVE_TENANTS", kind: Kind::Spec(None), default: "any tenant" },
+    Knob { name: "QOC_SERVE_QUOTA", kind: Kind::Spec, default: "queued=16,running=2" },
+    Knob { name: "QOC_SERVE_TENANTS", kind: Kind::Spec, default: "any tenant" },
 ];
 
 /// A `QOC_*` variable that is unknown or holds a value its knob rejects.
@@ -97,7 +93,7 @@ impl Knob {
         let value = raw.trim();
         let verdict = match self.kind {
             _ if value.is_empty() => Ok(()),
-            Kind::Path | Kind::Spec(None) => Ok(()),
+            Kind::Path | Kind::Spec => Ok(()),
             Kind::Level => value
                 .parse::<Level>()
                 .map(drop)
@@ -106,7 +102,6 @@ impl Knob {
                 Ok(n) if n >= min => Ok(()),
                 _ => Err(format!("expected an integer ≥ {min}")),
             },
-            Kind::Spec(Some(check)) => check(value),
         };
         verdict.map_err(|reason| EnvError::new(self.name, raw, reason))
     }
@@ -141,8 +136,7 @@ pub fn count(name: &str) -> Result<Option<u64>, EnvError> {
     Ok(read(name)?.and_then(|v| v.parse().ok()))
 }
 
-/// A [`Kind::Spec`] knob's text, for its owner to parse (`None` also when
-/// this crate's check rejects it).
+/// A [`Kind::Spec`] knob's text, for its owner to parse.
 pub fn spec(name: &str) -> Option<String> {
     read(name).ok().flatten()
 }
@@ -215,8 +209,7 @@ mod tests {
             (_, Kind::Level) => ("debug", Some("loud")),
             ("QOC_WORKERS" | "QOC_CHECKPOINT_EVERY", Kind::Count(_)) => ("4", Some("0")),
             (_, Kind::Count(_)) => ("0", Some("-1")),
-            ("QOC_ALERT_RULES", _) => ("qoc.device.retries > 0", Some("qoc.grad.snr ~ 1")),
-            (_, Kind::Spec(_)) => ("queued=8", None),
+            (_, Kind::Spec) => ("queued=8", None),
         }
     }
 
@@ -235,7 +228,7 @@ mod tests {
             let garbage = "\u{1F4A5}garbage";
             let rejected = bad
                 .into_iter()
-                .chain((!matches!(knob.kind, Kind::Path | Kind::Spec(None))).then_some(garbage));
+                .chain((!matches!(knob.kind, Kind::Path | Kind::Spec)).then_some(garbage));
             for value in rejected {
                 let err = check_vars([(knob.name, value)]).expect_err(knob.name);
                 assert_eq!(err.name, knob.name);
@@ -293,11 +286,28 @@ mod tests {
             "QOC_STATUS_EVERY",
             "QOC_STATUS_HISTORY_MAX",
             "QOC_BENCH_TOLERANCE",
+            "QOC_STATUS_FILE",
+            "QOC_ALERT_RULES",
+            "QOC_FLIGHT_RECORDER",
         ] {
             assert!(check_vars([(removed, "1")]).is_err(), "{removed}");
         }
         // Other variables are not ours to judge.
         assert_eq!(check_vars([("PATH", "/bin"), ("QOCX", "1")]), Ok(()));
+    }
+
+    #[test]
+    fn readme_knob_table_lists_every_knob_in_order() {
+        // Rows of the README table start with a backticked knob name.
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<&str> = readme
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `QOC_"))
+            .filter_map(|rest| rest.split_once('`'))
+            .map(|(name, _)| name)
+            .collect();
+        let knobs: Vec<&str> = KNOBS.iter().map(|k| &k.name["QOC_".len()..]).collect();
+        assert_eq!(rows, knobs);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! A zero-external-dependency observability layer (the build environment has
 //! no crates registry, so `tracing`/`metrics` are reimplemented in-repo in
-//! the same spirit as the `vendor/` shims). Three pieces:
+//! the same spirit as the `vendor/` shims). The JSONL trace, with the
+//! satellites the training engine writes next to it, is the one record of a
+//! run. The pieces:
 //!
 //! - **Spans and events** — [`span!`] returns a guard that measures
 //!   monotonic elapsed time and emits a record on drop; [`event!`] emits a
@@ -12,11 +14,12 @@
 //!   line-buffered JSONL sink gated by `QOC_TRACE_FILE` (see [`sink`]).
 //! - **Metrics** — a global registry of atomic counters, gauges, and
 //!   fixed-bucket histograms (see [`metrics`]), exported via
-//!   [`metrics::Registry::snapshot`] into run manifests and bench artifacts.
-//! - **Live observability** — a bounded in-memory [`flight`] recorder
-//!   (`QOC_FLIGHT_RECORDER`, black-box crash dumps) and a live status
-//!   [`export`]er (`QOC_STATUS_FILE`) publishing atomic
-//!   JSON snapshots plus a Prometheus text sibling (see [`prom`]).
+//!   [`metrics::Registry::snapshot`] into run manifests and bench artifacts;
+//!   [`export`] names the per-tenant metrics of the serving plane.
+//! - **Profiler** — a span-stack sampling [`profiler`] (`QOC_PROFILE_HZ`)
+//!   whose collapsed stacks join the trace's satellites.
+//! - **Schemas** — the pinned shapes of trace lines and satellite records
+//!   ([`schema`]).
 //! - **Knobs** — every `QOC_*` environment variable of the workspace is
 //!   tabled and parsed in [`env`](mod@env).
 //!
@@ -44,14 +47,10 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod alerts;
 pub mod env;
 pub mod export;
-pub mod flight;
 pub mod metrics;
 pub mod profiler;
-pub mod prom;
-pub mod quantile;
 pub mod schema;
 pub mod sink;
 
@@ -257,7 +256,6 @@ struct Telemetry {
     dispatched: AtomicU64,
     subscribers: RwLock<Vec<Arc<dyn Subscriber>>>,
     trace_path: RwLock<Option<PathBuf>>,
-    flight: RwLock<Option<Arc<flight::FlightRecorder>>>,
 }
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
@@ -280,34 +278,22 @@ fn global() -> &'static Telemetry {
                 Err(err) => eprintln!("qoc-telemetry: cannot open QOC_TRACE_FILE: {err}"),
             }
         }
-        // The flight recorder is never constructed unless asked for (a
-        // capacity > 0).
-        let count = |name| env::count(name).ok().flatten().filter(|&n| n > 0);
-        let flight = count("QOC_FLIGHT_RECORDER").map(|n| {
-            let capacity = usize::try_from(n).unwrap_or(usize::MAX);
-            Arc::new(flight::FlightRecorder::new(capacity))
-        });
-        if let Some(recorder) = &flight {
-            subscribers.push(recorder.clone());
-        }
-        // A configured status exporter needs the gated instrumentation
-        // (SNR, queue-wait) to feed the metrics registry even when no
-        // record subscriber exists; a configured profiler needs the spans
-        // themselves to be constructed so their stacks can be sampled.
-        let profile_hz = count("QOC_PROFILE_HZ");
+        // A configured profiler needs the spans themselves to be
+        // constructed so their stacks can be sampled.
+        let profile_hz = env::count("QOC_PROFILE_HZ")
+            .ok()
+            .flatten()
+            .filter(|&n| n > 0);
         if let Some(hz) = profile_hz {
             profiler::start_at(u32::try_from(hz).unwrap_or(u32::MAX));
         }
-        let active = !subscribers.is_empty()
-            || env::path("QOC_STATUS_FILE").is_some()
-            || profile_hz.is_some();
+        let active = !subscribers.is_empty() || profile_hz.is_some();
         Telemetry {
             active: AtomicBool::new(active),
             epoch: Instant::now(),
             dispatched: AtomicU64::new(0),
             subscribers: RwLock::new(subscribers),
             trace_path: RwLock::new(trace_path),
-            flight: RwLock::new(flight),
         }
     })
 }
@@ -342,12 +328,6 @@ pub fn trace_file_path() -> Option<PathBuf> {
         .read()
         .expect("telemetry poisoned")
         .clone()
-}
-
-/// The installed flight recorder (`QOC_FLIGHT_RECORDER`), if any. The
-/// engine's crash path uses this to flush the black-box dump.
-pub fn flight_recorder() -> Option<Arc<flight::FlightRecorder>> {
-    global().flight.read().expect("telemetry poisoned").clone()
 }
 
 /// Number of records dispatched so far (observability for the
@@ -499,16 +479,6 @@ pub fn install_for_test(
     subscribers: Vec<Arc<dyn Subscriber>>,
     trace_path: Option<PathBuf>,
 ) -> TestInstallGuard {
-    install_for_test_with_flight(subscribers, trace_path, None)
-}
-
-/// [`install_for_test`] that additionally swaps the global flight-recorder
-/// handle, so tests can exercise the black-box crash-dump path.
-pub fn install_for_test_with_flight(
-    subscribers: Vec<Arc<dyn Subscriber>>,
-    trace_path: Option<PathBuf>,
-    flight: Option<Arc<flight::FlightRecorder>>,
-) -> TestInstallGuard {
     static TEST_LOCK: Mutex<()> = Mutex::new(());
     let lock = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let t = global();
@@ -524,13 +494,10 @@ pub fn install_for_test_with_flight(
         &mut *t.trace_path.write().expect("telemetry poisoned"),
         trace_path,
     );
-    let prev_flight =
-        std::mem::replace(&mut *t.flight.write().expect("telemetry poisoned"), flight);
     TestInstallGuard {
         prev_subs: Some(prev_subs),
         prev_active,
         prev_path,
-        prev_flight,
         _lock: lock,
     }
 }
@@ -541,7 +508,6 @@ pub struct TestInstallGuard {
     prev_subs: Option<Vec<Arc<dyn Subscriber>>>,
     prev_active: bool,
     prev_path: Option<PathBuf>,
-    prev_flight: Option<Arc<flight::FlightRecorder>>,
     _lock: MutexGuard<'static, ()>,
 }
 
@@ -552,7 +518,6 @@ impl Drop for TestInstallGuard {
             self.prev_subs.take().unwrap_or_default();
         t.active.store(self.prev_active, Ordering::Relaxed);
         *t.trace_path.write().expect("telemetry poisoned") = self.prev_path.take();
-        *t.flight.write().expect("telemetry poisoned") = self.prev_flight.take();
     }
 }
 
@@ -591,10 +556,6 @@ mod tests {
         let guard = install_for_test(Vec::new(), None);
         assert!(!enabled());
         assert_eq!(trace_file_path(), None);
-        assert!(
-            flight_recorder().is_none(),
-            "QOC_FLIGHT_RECORDER unset: the recorder must never be constructed"
-        );
         let before = dispatch_count();
         event!(Level::Info, "should.not.appear", x = 1u64);
         let span = span!("also.not", y = 2u64);

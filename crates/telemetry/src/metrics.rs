@@ -19,8 +19,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::Serialize;
 
-use crate::quantile::{QuantileSnapshot, StreamingQuantile};
-
 /// A monotonically increasing `u64` counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -272,8 +270,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Streaming-quantile summaries by name.
-    pub quantiles: BTreeMap<String, QuantileSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -286,11 +282,6 @@ impl MetricsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
     }
-
-    /// Convenience quantile-estimator lookup.
-    pub fn quantile(&self, name: &str) -> Option<&QuantileSnapshot> {
-        self.quantiles.get(name)
-    }
 }
 
 /// A named collection of metrics. Handles are `Arc`s: look a metric up once
@@ -300,7 +291,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    quantiles: Mutex<BTreeMap<String, Arc<StreamingQuantile>>>,
 }
 
 impl Registry {
@@ -345,17 +335,6 @@ impl Registry {
         )
     }
 
-    /// Returns (registering on first use) the streaming-quantile estimator
-    /// `name`. The capacity applies on first registration; later callers
-    /// get the existing estimator unchanged.
-    pub fn quantile_estimator(&self, name: &str, capacity: usize) -> Arc<StreamingQuantile> {
-        let mut map = self.quantiles.lock().expect("metrics registry poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(StreamingQuantile::new(capacity))),
-        )
-    }
-
     /// Snapshots every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -380,13 +359,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
-            quantiles: self
-                .quantiles
-                .lock()
-                .expect("metrics registry poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
         }
     }
 
@@ -401,9 +373,6 @@ impl Registry {
         }
         for h in self.histograms.lock().expect("poisoned").values() {
             h.reset();
-        }
-        for q in self.quantiles.lock().expect("poisoned").values() {
-            q.reset();
         }
     }
 }
@@ -492,25 +461,6 @@ mod tests {
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(s1.quantile(q), 7);
         }
-    }
-
-    #[test]
-    fn registry_quantile_estimator_snapshots_and_resets() {
-        let reg = Registry::new();
-        let q = reg.quantile_estimator("test.snr", 128);
-        for i in 1..=100 {
-            q.record(i as f64);
-        }
-        // Same name returns the same estimator regardless of capacity.
-        assert_eq!(reg.quantile_estimator("test.snr", 4).count(), 100);
-        let snap = reg.snapshot();
-        let qs = snap.quantile("test.snr").expect("registered");
-        assert_eq!(qs.count, 100);
-        assert_eq!(qs.min, 1.0);
-        assert_eq!(qs.p50, 50.0);
-        assert_eq!(qs.max, 100.0);
-        reg.reset();
-        assert_eq!(reg.snapshot().quantile("test.snr").unwrap().count, 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!    spans);
 //! 2. the **satellites** — `<stem>.steps.jsonl` (one `StepRecord` per
 //!    line) and `<stem>.evals.jsonl` (one `EvalRecord` per line);
-//! 3. two **structured event payloads** introduced by the gradient-health
-//!    layer — `grad.health` and `prune.efficacy` — whose field shapes
-//!    downstream tooling (`qoc-analyze`, CI gates) depends on.
+//! 3. the **structured event payloads** — `grad.health`, `prune.efficacy`,
+//!    `run.header` and `train.abort` — whose field shapes downstream tooling
+//!    (`qoc-analyze`, CI gates) depends on.
 //!
 //! `qoc-analyze` validates through this module so the contract lives in
 //! exactly one place; the golden tests below pin each
@@ -88,7 +88,7 @@ pub const SHIFT_JACOBIAN_MODES: &[&str] = &["forked", "shifted-2p"];
 
 /// Required fields of a `run.header` event: emitted exactly once at train
 /// start, carrying the seed-derived `run_id` that joins every artifact of a
-/// run (trace, manifest, checkpoint, status snapshots, black-box dump).
+/// run (trace, manifest, checkpoint).
 pub const RUN_HEADER_FIELDS: &[(&str, FieldKind)] = &[
     ("run_id", FieldKind::Str),
     ("seed", FieldKind::UInt),
@@ -96,53 +96,13 @@ pub const RUN_HEADER_FIELDS: &[(&str, FieldKind)] = &[
     ("backend", FieldKind::Str),
 ];
 
-/// Required fields of an `alert.fired` / `alert.resolved` event: one per
-/// SLO-rule state transition, emitted at status-exporter cadence.
-pub const ALERT_EVENT_FIELDS: &[(&str, FieldKind)] = &[
-    ("rule", FieldKind::Str),
-    ("metric", FieldKind::Str),
-    ("value", FieldKind::Num),
-    ("threshold", FieldKind::Num),
-    ("windows", FieldKind::UInt),
-];
-
-/// Required fields of one `<stem>.alerts.jsonl` line: every rule transition
-/// (`fired`, `resolved`, or the `terminal` flush of a still-active firing
-/// when the run ends) appends one.
-pub const ALERT_LINE_FIELDS: &[(&str, FieldKind)] = &[
-    ("ts_ns", FieldKind::UInt),
-    ("kind", FieldKind::Str),
-    ("rule", FieldKind::Str),
-    ("metric", FieldKind::Str),
-    ("value", FieldKind::Num),
-    ("threshold", FieldKind::Num),
-    ("windows", FieldKind::UInt),
-    ("snapshot", FieldKind::UInt),
-];
-
-/// Required top-level fields of a live status snapshot (`QOC_STATUS_FILE`).
-pub const STATUS_DOC_FIELDS: &[(&str, FieldKind)] = &[
-    ("schema_version", FieldKind::UInt),
-    ("run_id", FieldKind::Str),
-    ("state", FieldKind::Str),
-    ("backend", FieldKind::Str),
+/// Required fields of a `train.abort` event: emitted once when a batch
+/// fails for good, at the step it failed in. A trace that holds one belongs
+/// to a run that wrote no satellites.
+pub const TRAIN_ABORT_FIELDS: &[(&str, FieldKind)] = &[
     ("step", FieldKind::UInt),
-    ("steps_total", FieldKind::UInt),
-    ("loss", FieldKind::Num),
-    ("best_accuracy", FieldKind::Num),
-    ("prune_phase", FieldKind::Str),
-    ("snapshot", FieldKind::UInt),
-    ("uptime_ns", FieldKind::UInt),
-    ("step_rate", FieldKind::Num),
-];
-
-/// Required fields of the `device` sub-object of a status snapshot. These
-/// are engine-stamped cumulative counters: the final snapshot of a run must
-/// reconcile with the manifest's execution stats to the nanosecond.
-pub const STATUS_DEVICE_FIELDS: &[(&str, FieldKind)] = &[
-    ("circuits_run", FieldKind::UInt),
-    ("total_shots", FieldKind::UInt),
-    ("device_ns", FieldKind::UInt),
+    ("error", FieldKind::Str),
+    ("checkpointed", FieldKind::Bool),
 ];
 
 /// Required fields of one `<stem>.steps.jsonl` line (`StepRecord`).
@@ -223,9 +183,7 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
                 check_fields(fields, PRUNE_EFFICACY_FIELDS, "prune.efficacy")?
             }
             Some("run.header") => check_fields(fields, RUN_HEADER_FIELDS, "run.header")?,
-            Some(name @ ("alert.fired" | "alert.resolved")) => {
-                check_fields(fields, ALERT_EVENT_FIELDS, name)?
-            }
+            Some("train.abort") => check_fields(fields, TRAIN_ABORT_FIELDS, "train.abort")?,
             _ => {}
         }
     }
@@ -241,85 +199,6 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Validates one parsed status snapshot (`QOC_STATUS_FILE` document, or one
-/// line of its `<stem>.history.jsonl` sibling).
-pub fn check_status_doc(value: &Value) -> Result<(), String> {
-    if value.as_object().is_none() {
-        return Err("status doc is not a JSON object".to_string());
-    }
-    check_fields(value, STATUS_DOC_FIELDS, "status doc")?;
-    match value.get("state").and_then(Value::as_str) {
-        Some("running" | "finished" | "failed") => {}
-        Some(other) => return Err(format!("status doc: unknown state {other:?}")),
-        None => unreachable!("checked by STATUS_DOC_FIELDS"),
-    }
-    let device = value
-        .get("device")
-        .ok_or_else(|| "status doc: missing device object".to_string())?;
-    if device.as_object().is_none() {
-        return Err("status doc: device is not an object".to_string());
-    }
-    check_fields(device, STATUS_DEVICE_FIELDS, "status doc device")?;
-    // Optional multi-tenant section (present only when a `qoc-serve` host
-    // runs in the publishing process): one object of unsigned counters per
-    // tenant.
-    if let Some(tenants) = value.get("tenants") {
-        let Some(entries) = tenants.as_object() else {
-            return Err("status doc: tenants is not an object".to_string());
-        };
-        for (tenant, fields) in entries {
-            let Some(fields) = fields.as_object() else {
-                return Err(format!("status doc: tenant {tenant:?} is not an object"));
-            };
-            for (field, v) in fields {
-                if !FieldKind::UInt.matches(v) {
-                    return Err(format!(
-                        "status doc: tenant {tenant:?} field {field:?} is not a UInt"
-                    ));
-                }
-            }
-        }
-    }
-    // Optional SLO/alert section (present only when alert rules are
-    // installed in the publishing process).
-    if let Some(alerts) = value.get("alerts") {
-        if alerts.as_object().is_none() {
-            return Err("status doc: alerts is not an object".to_string());
-        }
-        for key in ["rules", "fired_total", "resolved_total"] {
-            match alerts.get(key) {
-                Some(v) if FieldKind::UInt.matches(v) => {}
-                Some(_) => return Err(format!("status doc: alerts.{key} is not a UInt")),
-                None => return Err(format!("status doc: alerts missing {key}")),
-            }
-        }
-        let Some(active) = alerts.get("active").and_then(Value::as_array) else {
-            return Err("status doc: alerts.active is not an array".to_string());
-        };
-        for entry in active {
-            for key in ["rule", "metric"] {
-                if entry.get(key).and_then(Value::as_str).is_none() {
-                    return Err(format!("status doc: active alert missing Str {key}"));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Validates one parsed `<stem>.alerts.jsonl` line.
-pub fn check_alert_line(value: &Value) -> Result<(), String> {
-    if value.as_object().is_none() {
-        return Err("alert line is not a JSON object".to_string());
-    }
-    check_fields(value, ALERT_LINE_FIELDS, "alert line")?;
-    match value.get("kind").and_then(Value::as_str) {
-        Some("fired" | "resolved" | "terminal") => Ok(()),
-        Some(other) => Err(format!("alert line: unknown kind {other:?}")),
-        None => unreachable!("checked by ALERT_LINE_FIELDS"),
-    }
 }
 
 /// Validates one parsed `<stem>.steps.jsonl` line.
@@ -372,81 +251,12 @@ mod tests {
     }
 
     #[test]
-    fn golden_status_doc_passes() {
-        // The pinned shape of a live status snapshot. Extra sections (snr,
-        // queue_wait_ns, pool, …) are allowed; the core contract is not.
-        let doc = r#"{"schema_version":1,"run_id":"9a1f0c44d2e6b013","state":"running","backend":"fake_santiago","step":3,"steps_total":9,"loss":0.41,"best_accuracy":0.75,"prune_phase":"accumulating","snapshot":4,"uptime_ns":1200345,"step_rate":1.5,"eta_seconds":4.0,"device":{"circuits_run":740,"total_shots":757760,"device_ns":91234567}}"#;
-        assert_eq!(check_status_doc(&parse(doc)), Ok(()));
-        let bad_state = doc.replace("\"running\"", "\"sideways\"");
-        assert!(check_status_doc(&parse(&bad_state))
-            .unwrap_err()
-            .contains("unknown state"));
-        let no_device = r#"{"schema_version":1,"run_id":"x","state":"running","backend":"b","step":1,"steps_total":2,"loss":0.5,"best_accuracy":0.0,"prune_phase":"none","snapshot":1,"uptime_ns":10,"step_rate":0.0}"#;
-        assert!(check_status_doc(&parse(no_device))
-            .unwrap_err()
-            .contains("device"));
-        // The optional multi-tenant section: objects of UInt counters.
-        let with_tenants = doc.replace(
-            "\"device\":",
-            r#""tenants":{"acme":{"completed":12,"preempted":2},"beta":{"completed":7}},"device":"#,
-        );
-        assert_eq!(check_status_doc(&parse(&with_tenants)), Ok(()));
-        let bad_tenant = doc.replace(
-            "\"device\":",
-            r#""tenants":{"acme":{"completed":"twelve"}},"device":"#,
-        );
-        let err = check_status_doc(&parse(&bad_tenant)).unwrap_err();
-        assert!(err.contains("acme"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn golden_alert_events_and_lines_pass() {
-        // The pinned wire shape of an SLO transition event.
-        let fired = r#"{"ts":88000,"kind":"event","level":"warn","span":"alert.fired","thread":0,"fields":{"rule":"qoc.grad.snr p50 < 0.5 for 3 windows","metric":"qoc.grad.snr","value":0.31,"threshold":0.5,"windows":3}}"#;
-        assert_eq!(check_trace_record(&parse(fired)), Ok(()));
-        let resolved = fired.replace("alert.fired", "alert.resolved");
-        assert_eq!(check_trace_record(&parse(&resolved)), Ok(()));
-        let missing = fired.replace("\"metric\":\"qoc.grad.snr\",", "");
+    fn golden_train_abort_event_passes() {
+        let line = r#"{"ts":9100,"kind":"event","level":"warn","span":"train.abort","thread":0,"fields":{"step":2,"error":"job 3 failed after 1 attempt(s): transient","checkpointed":true}}"#;
+        assert_eq!(check_trace_record(&parse(line)), Ok(()));
+        let missing = line.replace("\"step\":2,", "");
         let err = check_trace_record(&parse(&missing)).unwrap_err();
-        assert!(err.contains("metric"), "unexpected error: {err}");
-
-        // The pinned shape of one <stem>.alerts.jsonl line; every firing
-        // pairs with a resolved or terminal line carrying the same rule.
-        let line = r#"{"ts_ns":91234567,"kind":"fired","rule":"qoc.device.retries > 0","metric":"qoc.device.retries","value":3,"threshold":0,"windows":1,"snapshot":7}"#;
-        assert_eq!(check_alert_line(&parse(line)), Ok(()));
-        for kind in ["resolved", "terminal"] {
-            let l = line.replace("\"kind\":\"fired\"", &format!("\"kind\":\"{kind}\""));
-            assert_eq!(check_alert_line(&parse(&l)), Ok(()));
-        }
-        let bad_kind = line.replace("\"kind\":\"fired\"", "\"kind\":\"sideways\"");
-        assert!(check_alert_line(&parse(&bad_kind))
-            .unwrap_err()
-            .contains("unknown kind"));
-        let missing = line.replace("\"snapshot\":7", "\"snapshots\":7");
-        assert!(check_alert_line(&parse(&missing))
-            .unwrap_err()
-            .contains("snapshot"));
-    }
-
-    #[test]
-    fn status_doc_alerts_section_is_validated() {
-        let doc = r#"{"schema_version":1,"run_id":"9a1f0c44d2e6b013","state":"running","backend":"fake_santiago","step":3,"steps_total":9,"loss":0.41,"best_accuracy":0.75,"prune_phase":"accumulating","snapshot":4,"uptime_ns":1200345,"step_rate":1.5,"device":{"circuits_run":740,"total_shots":757760,"device_ns":91234567}}"#;
-        let with_alerts = doc.replace(
-            "\"device\":",
-            r#""alerts":{"rules":2,"fired_total":1,"resolved_total":0,"active":[{"rule":"qoc.device.retries > 0","metric":"qoc.device.retries"}]},"device":"#,
-        );
-        assert_eq!(check_status_doc(&parse(&with_alerts)), Ok(()));
-        let bad_total = with_alerts.replace("\"fired_total\":1", "\"fired_total\":\"one\"");
-        assert!(check_status_doc(&parse(&bad_total))
-            .unwrap_err()
-            .contains("fired_total"));
-        let bad_active = with_alerts.replace(
-            r#"[{"rule":"qoc.device.retries > 0","metric":"qoc.device.retries"}]"#,
-            r#"[{"rule":"qoc.device.retries > 0"}]"#,
-        );
-        assert!(check_status_doc(&parse(&bad_active))
-            .unwrap_err()
-            .contains("metric"));
+        assert!(err.contains("step"), "unexpected error: {err}");
     }
 
     #[test]

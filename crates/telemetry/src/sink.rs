@@ -40,37 +40,6 @@ pub fn record_json(record: &Record<'_>) -> serde::Value {
     serde::Value::Object(entries)
 }
 
-/// Renders an [`OwnedRecord`] with the exact same shape as [`record_json`]
-/// — the flight-recorder black-box dump goes through this, so a dump line
-/// is indistinguishable from a live trace line to every consumer.
-pub fn owned_record_json(record: &OwnedRecord) -> serde::Value {
-    let fields: Vec<(&'static str, FieldValue)> = Vec::new();
-    let borrowed = Record {
-        ts_ns: record.ts_ns,
-        level: record.level,
-        kind: record.kind,
-        span: &record.span,
-        thread: record.thread,
-        dur_ns: record.dur_ns,
-        fields: &fields,
-    };
-    let mut value = record_json(&borrowed);
-    if let serde::Value::Object(entries) = &mut value {
-        let rendered: Vec<(String, serde::Value)> = record
-            .fields
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_json()))
-            .collect();
-        for (key, slot) in entries.iter_mut() {
-            if key == "fields" {
-                *slot = serde::Value::Object(rendered);
-                break;
-            }
-        }
-    }
-    value
-}
-
 /// Human-readable subscriber writing to stderr, installed when `QOC_LOG`
 /// is set. Lines look like
 /// `[  0.012s] debug span device.batch (184.2µs) jobs=34 workers=4`.

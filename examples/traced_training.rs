@@ -33,7 +33,7 @@ fn run() -> Result<(), Box<dyn Error>> {
     qoc::telemetry::env::check()?;
     // QOC_FAULT_PLAN wraps the emulator in the deterministic fault injector
     // — CI uses this (with retries disabled) to drive the emergency
-    // checkpoint + flight-recorder black-box path.
+    // checkpoint and the aborted-trace path.
     let fault_plan = FaultPlan::from_env()?;
     let checkpoint = CheckpointConfig::from_env()?;
     let mut config = TrainConfig::paper_pgp(9);

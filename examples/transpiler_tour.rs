@@ -2,15 +2,14 @@
 //!
 //! Follows one QNN circuit from its logical form through basis
 //! decomposition, layout, SWAP routing, and peephole optimization onto each
-//! of the five fake IBM machines, ending with the OpenQASM the paper's flow
-//! would submit through qiskit.
+//! of the five fake IBM machines, ending with the readout mapping on the
+//! smallest of them.
 //!
 //! Run with: `cargo run --release --example transpiler_tour`
 
 use qoc::device::schedule;
 use qoc::device::transpile::{transpile, TranspileOptions};
 use qoc::prelude::*;
-use qoc::sim::qasm::to_qasm;
 
 fn main() {
     // The Vowel-4 ansatz: RZZ ring + RXX ring — rich in two-qubit gates.
@@ -43,18 +42,9 @@ fn main() {
         );
     }
 
-    // Show the actual QASM for the smallest device, with everything bound.
+    // Where each logical qubit is read out on the smallest device.
     let santiago = fake_santiago();
     let t = transpile(logical, &santiago.coupling, TranspileOptions::default());
-    let params = vec![0.1; model.num_params()];
-    let input = vec![0.5; model.input_dim()];
-    let bound = t.circuit.bind(&model.symbol_vector(&params, &input));
-    let qasm = to_qasm(&bound).expect("bound circuit exports");
-    println!("\nOpenQASM 2.0 submitted for ibmq_santiago (first 15 lines):");
-    for line in qasm.lines().take(15) {
-        println!("  {line}");
-    }
-    println!("  ... ({} lines total)", qasm.lines().count());
     println!(
         "\nreadout mapping (logical → physical): {:?}",
         t.final_layout
