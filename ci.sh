@@ -103,7 +103,14 @@ stage_trace_validate() {
     # its stderr names the offending line either way.
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
         results/ci_trace.jsonl --quiet || return 1
-    # Second leg: a misspelt knob must stop the run before it trains, with
+    # Second leg: the run's step and eval records must be the committed
+    # traced_training ones byte for byte: the example's seed is fixed, so a
+    # difference is a behaviour change or a stale results/traced_training.*.
+    local records
+    for records in steps evals; do
+        cmp "results/ci_trace.$records.jsonl" "results/traced_training.$records.jsonl" || return 1
+    done
+    # Third leg: a misspelt knob must stop the run before it trains, with
     # the error naming the knob that was meant.
     local err
     if err=$(QOC_WORKRS=1 cargo run --offline --release --example traced_training 2>&1 >/dev/null); then

@@ -1,19 +1,22 @@
-//! The paper's accuracy claims as one paired-seed study: Fig. 2(b) (the
-//! noise gap), Table 1 (PGP vs QC-Train vs Classical), Table 2
-//! (probabilistic vs deterministic pruning), Table 3 (optimizers), Fig. 6
-//! (accuracy vs #inferences) and Fig. 7 (the r / w_a / w_p ablation).
+//! The paper's measured claims as one paired-seed study: Fig. 2(b) (the
+//! noise gap), Fig. 2(c) (small gradients flip sign on the device), Table 1
+//! (PGP vs QC-Train vs Classical), Table 2 (probabilistic vs deterministic
+//! pruning), Table 3 (optimizers), Fig. 6 (accuracy vs #inferences), Fig. 7
+//! (the r / w_a / w_p ablation), and accuracy vs the shot budget.
 //!
 //! Every section is rows of one settings table ([`settings`]): a task, the
-//! backend it trains on, its `TrainConfig` delta, and what gets validated
+//! backend it runs on, its `TrainConfig` delta, and what gets scored
 //! where. Each row runs over a set of seeds. Within a seed every row of a
 //! task shares `TaskBench::new(task, seed)`'s data, `config.seed`'s
-//! initialisation and the validation draw, so two rows' accuracies pair;
-//! each distinct (task, backend, `TrainConfig`) trains once, so Fig. 6
-//! reads Table 1's runs and Fig. 7's three sweeps share their base point.
-//! Each claim ([`CLAIMS`]) is judged by [`judge`].
+//! initialisation, the validation draw and Fig. 2(c)'s parameter points, so
+//! two rows' scores pair; each distinct (task, backend, `TrainConfig`)
+//! trains once and each distinct (task, backend, execution) measures its
+//! gradients once, so Fig. 6 reads Table 1's runs, Fig. 7's three sweeps
+//! share their base point and Fig. 2(c)'s bins share one measurement per
+//! shot budget. Each claim ([`CLAIMS`]) is judged by [`judge`].
 //!
 //! Usage: `cargo run --release -p qoc-bench --bin study -- [--seeds N|A..=B]
-//! [--steps N] [--section table1,fig6,…]` (default seeds `1..=10`, each
+//! [--steps N] [--section table1,fig2c,…]` (default seeds `1..=10`, each
 //! row's own step budget, every section). Writes `results/study.json` and
 //! prints the claims as markdown.
 
@@ -27,20 +30,27 @@ use serde::Serialize;
 
 use qoc_bench::suite::{pgp_config_for, TaskBench};
 use qoc_core::engine::{train, PruningKind, TrainConfig, TrainResult};
+use qoc_core::grad::QnnGradientComputer;
 use qoc_core::optim::OptimizerKind;
 use qoc_core::prune::PruneConfig;
 use qoc_data::tasks::{Task, ALL_TASKS};
-use qoc_device::backend::QuantumBackend;
+use qoc_device::backend::{Execution, QuantumBackend, PAPER_SHOTS};
 
-/// The sections of the paper the study reproduces.
-const SECTIONS: [&str; 6] = ["fig2b", "table1", "table2", "table3", "fig6", "fig7"];
+/// The sections the study reproduces: the paper's, then the shot budget.
+const SECTIONS: [&str; 8] = [
+    "fig2b", "fig2c", "table1", "table2", "table3", "fig6", "fig7", "shots",
+];
+/// Fig. 2(c)'s exact-|gradient| bins: bin `i` is `EDGES[i]..EDGES[i + 1]`.
+const EDGES: [f64; 7] = [0.0, 0.005, 0.01, 0.02, 0.04, 0.08, f64::INFINITY];
+/// Fig. 2(c)'s random parameter points per seed, one training example each.
+const POINTS: usize = 12;
 /// Bootstrap resamples per claim, all drawn from [`BOOTSTRAP_SEED`] so the
 /// JSON is deterministic.
 const RESAMPLES: usize = 10_000;
 const BOOTSTRAP_SEED: u64 = 2022;
 
 /// `--section`: comma-separated names from [`SECTIONS`].
-struct Sections(Vec<&'static str>);
+pub struct Sections(pub Vec<&'static str>);
 
 impl FromStr for Sections {
     type Err = String;
@@ -72,7 +82,8 @@ impl FromStr for Seeds {
     }
 }
 
-/// Where a row trains, or where its parameters are validated.
+/// Where a row trains or measures gradients, or where its parameters are
+/// validated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum On {
     Simulator,
@@ -98,6 +109,10 @@ pub enum Score {
     /// with `revalidate`, of each checkpoint's parameters validated on a
     /// backend over a draw of that many examples.
     Curve { revalidate: Option<(On, usize)> },
+    /// The seed's [`POINTS`] gradients measured on the row's backend at its
+    /// execution against the exact noiseless ones: those whose exact
+    /// magnitude lies in bin `bin` of [`EDGES`]. The row trains nothing.
+    Gradients { bin: usize },
 }
 
 /// One row of the settings table.
@@ -113,12 +128,15 @@ pub struct Setting {
     pub steps: usize,
     pub pruning: PruningKind,
     pub optimizer: OptimizerKind,
+    /// How the row's circuits are read out, in training or in a
+    /// [`Score::Gradients`] measurement.
+    pub execution: Execution,
     pub score: Score,
 }
 
 impl Setting {
-    /// A row of `steps` steps under Adam without pruning, scored on
-    /// `train_on` over 300 examples.
+    /// A row of `steps` steps under Adam without pruning at the paper's
+    /// 1024 shots, scored on `train_on` over 300 examples.
     fn new(section: &'static str, task: Task, label: &str, train_on: On, steps: usize) -> Self {
         Setting {
             section,
@@ -128,6 +146,7 @@ impl Setting {
             steps,
             pruning: PruningKind::None,
             optimizer: OptimizerKind::Adam,
+            execution: Execution::Shots(PAPER_SHOTS),
             score: Score::Final {
                 on: train_on,
                 examples: 300,
@@ -136,7 +155,7 @@ impl Setting {
     }
 }
 
-/// The paper's accuracy experiments as data, in [`SECTIONS`] order.
+/// The study's experiments as data, in [`SECTIONS`] order.
 pub fn settings() -> Vec<Setting> {
     use On::{Device, Simulator};
     let row = Setting::new;
@@ -150,6 +169,17 @@ pub fn settings() -> Vec<Setting> {
     for task in [Task::Mnist2, Task::Fashion2, Task::Mnist4, Task::Fashion4] {
         rows.push(row("fig2b", task, "Classical (Simu)", Simulator, 25));
         rows.push(row("fig2b", task, "QC-Train", Device, 25));
+    }
+    let shot_budgets = [128, 512, PAPER_SHOTS, 4096];
+    for shots in shot_budgets {
+        for bin in 0..EDGES.len() - 1 {
+            let label = format!("{shots} shots, [{}, {})", EDGES[bin], EDGES[bin + 1]);
+            rows.push(Setting {
+                execution: Execution::Shots(shots),
+                score: Score::Gradients { bin },
+                ..row("fig2c", Task::Mnist4, &label, Device, 0)
+            });
+        }
     }
     for &task in ALL_TASKS {
         rows.push(row("table1", task, "Classical (Simu)", Simulator, 30));
@@ -240,13 +270,21 @@ pub fn settings() -> Vec<Setting> {
             });
         }
     }
+    for shots in shot_budgets {
+        rows.push(Setting {
+            execution: Execution::Shots(shots),
+            score: on_device(150),
+            ..row("shots", Task::Mnist2, &format!("{shots} shots"), Device, 20)
+        });
+    }
     rows
 }
 
-/// The paper's claims: in a section, row `.1` beats row `.2` on every task
-/// that has both.
+/// The claims: in a section, row `.1` beats row `.2` on every task that has
+/// both (for Fig. 2(c), flips more often).
 const CLAIMS: &[(&str, &str, &str)] = &[
     ("fig2b", "Classical (Simu)", "QC-Train"),
+    ("fig2c", "1024 shots, [0, 0.005)", "1024 shots, [0.08, inf)"),
     ("table1", "QC-Train-PGP", "QC-Train"),
     ("table1", "QC-Train-PGP", "Classical (QC)"),
     ("table1", "Classical (Simu)", "QC-Train-PGP"),
@@ -258,11 +296,29 @@ const CLAIMS: &[(&str, &str, &str)] = &[
     ("fig7", "r=0.5", "r=0.85"),
     ("fig7", "w_a=1", "w_a=8"),
     ("fig7", "w_p=2", "w_p=5"),
+    ("shots", "1024 shots", "128 shots"),
 ];
 
-/// What one row measured at one seed.
+/// What one row measured at one seed: a training's score, or a Fig. 2(c)
+/// bin. Serialized as the inner struct alone.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    Trained(Trained),
+    Gradients(GradientBin),
+}
+
+impl Serialize for Outcome {
+    fn to_json(&self) -> serde::Value {
+        match self {
+            Outcome::Trained(trained) => trained.to_json(),
+            Outcome::Gradients(bin) => bin.to_json(),
+        }
+    }
+}
+
+/// A training row's score at one seed.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Outcome {
+pub struct Trained {
     /// The validated accuracy ([`Score::Final`]), or the curve's best.
     pub accuracy: f64,
     /// The training run's circuit executions, checkpoints included.
@@ -278,7 +334,7 @@ fn best(points: &[(u64, f64)], budget: u64) -> f64 {
     within.fold(0.0, |best, &(_, y)| f64::max(best, y))
 }
 
-impl Outcome {
+impl Trained {
     fn of(score: Score, bench: &TaskBench, result: &TrainResult, seed: u64) -> Self {
         let validate =
             |on: On, params, examples| bench.validate(on.backend(bench), params, examples, seed);
@@ -294,8 +350,9 @@ impl Outcome {
                     .collect();
                 (best(&curve, u64::MAX), Some(curve))
             }
+            Score::Gradients { .. } => unreachable!("a gradient row trains nothing"),
         };
-        Outcome {
+        Trained {
             accuracy,
             inferences: result.total_inferences,
             curve,
@@ -303,10 +360,61 @@ impl Outcome {
     }
 }
 
+/// The gradients at the seed's [`POINTS`] parameter points, each drawn
+/// uniformly from `[-1, 1)` by one generator seeded with `seed`, point `s`
+/// on training example `s` with master seed `s`, measured on `on` at
+/// `execution`.
+fn gradients(bench: &TaskBench, on: On, execution: Execution, seed: u64) -> Vec<Vec<f64>> {
+    let computer = QnnGradientComputer::new(&bench.model, on.backend(bench), execution);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gradient = |s: usize| {
+        let params: Vec<_> = (0..bench.model.num_params())
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let batch = [bench.train_set.example(s % bench.train_set.len())];
+        computer
+            .batch_gradient(&params, &batch, None, s as u64)
+            .grad
+    };
+    (0..POINTS).map(gradient).collect()
+}
+
+/// One Fig. 2(c) bin at one seed: the measured gradients whose exact
+/// magnitude lies in the bin, against the exact ones. The means are NaN
+/// (`null` in the JSON) for an empty bin.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct GradientBin {
+    pub count: usize,
+    /// Mean of `|measured − exact| / max(|exact|, 1e-6)`.
+    pub mean_relative_error: f64,
+    /// The share whose measured sign differs from the exact one.
+    pub flip_rate: f64,
+    /// Mean of `|measured − exact|`.
+    pub mae: f64,
+}
+
+impl GradientBin {
+    /// Bin `bin` of [`EDGES`] over paired `exact` and `measured` gradients.
+    fn of(exact: &[Vec<f64>], measured: &[Vec<f64>], bin: usize) -> Self {
+        let pairs = exact.iter().flatten().zip(measured.iter().flatten());
+        let within = |(e, _): &(&f64, &f64)| (EDGES[bin]..EDGES[bin + 1]).contains(&e.abs());
+        let pairs: Vec<(f64, f64)> = pairs.filter(within).map(|(e, m)| (*e, *m)).collect();
+        let n = pairs.len() as f64;
+        let mean = |f: fn(f64, f64) -> f64| pairs.iter().map(|&(e, m)| f(e, m)).sum::<f64>() / n;
+        GradientBin {
+            count: pairs.len(),
+            mean_relative_error: mean(|e, m| (m - e).abs() / e.abs().max(1e-6)),
+            flip_rate: mean(|e, m| f64::from(u8::from(e.signum() != m.signum()))),
+            mae: mean(|e, m| (m - e).abs()),
+        }
+    }
+}
+
 /// One claim judged over the seeds.
 #[derive(Debug, Serialize)]
 pub struct Judged {
-    /// Row `a`'s value per seed (at Fig. 6's matched budget for curves).
+    /// Row `a`'s value per seed (at Fig. 6's matched budget for curves, the
+    /// flip rate for Fig. 2(c)'s bins).
     pub a: Vec<f64>,
     pub b: Vec<f64>,
     /// `a − b` per seed, their mean, and the mean's 95% bootstrap CI.
@@ -320,20 +428,26 @@ pub struct Judged {
 
 /// Judges "`a` beats `b`" from the two rows' outcomes at the same seeds.
 /// Curves compare their best accuracy within the smaller of the two runs'
-/// inferences (Fig. 6's matched budget); final scores compare directly.
+/// inferences (Fig. 6's matched budget); final scores compare directly, and
+/// gradient bins compare their flip rates.
 ///
 /// # Panics
 ///
-/// Panics when the rows ran different seeds or only one is a curve.
+/// Panics when the rows ran different seeds or score different things.
 pub fn judge(a: &[Outcome], b: &[Outcome]) -> Judged {
+    use Outcome::{Gradients, Trained};
     assert_eq!(a.len(), b.len(), "paired rows ran different seeds");
-    let pair = |(x, y): (&Outcome, &Outcome)| match (&x.curve, &y.curve) {
-        (Some(cx), Some(cy)) => {
-            let budget = x.inferences.min(y.inferences);
-            (best(cx, budget), best(cy, budget))
-        }
-        (None, None) => (x.accuracy, y.accuracy),
-        _ => panic!("a claim pairs a curve with a final score"),
+    let pair = |xy: (&Outcome, &Outcome)| match xy {
+        (Trained(x), Trained(y)) => match (&x.curve, &y.curve) {
+            (Some(cx), Some(cy)) => {
+                let budget = x.inferences.min(y.inferences);
+                (best(cx, budget), best(cy, budget))
+            }
+            (None, None) => (x.accuracy, y.accuracy),
+            _ => panic!("a claim pairs a curve with a final score"),
+        },
+        (Gradients(x), Gradients(y)) => (x.flip_rate, y.flip_rate),
+        _ => panic!("a claim pairs a gradient bin with a training"),
     };
     let (a, b): (Vec<f64>, Vec<f64>) = a.iter().zip(b).map(pair).unzip();
     let differences: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
@@ -388,7 +502,9 @@ pub struct Study {
 
 impl Study {
     /// Runs `table` over `seeds` and judges every claim both rows of which
-    /// are in the table.
+    /// are in the table. A row's gradients draw only from generators of
+    /// their own ([`gradients`]), so adding one leaves every training row's
+    /// outcome as it was.
     pub fn new(table: &[Setting], seeds: &[u64]) -> Self {
         let mut outcomes = vec![Vec::new(); table.len()];
         let mut tasks: Vec<Task> = table.iter().map(|row| row.task).collect();
@@ -400,13 +516,30 @@ impl Study {
             for &task in &tasks {
                 let bench = TaskBench::new(task, seed);
                 let mut runs: Vec<(On, TrainConfig, TrainResult)> = Vec::new();
+                let mut measured: Vec<(On, Execution, Vec<Vec<f64>>)> = Vec::new();
+                let mut measure = |on, execution| {
+                    let same = |(o, e, _): &(On, Execution, _)| (*o, *e) == (on, execution);
+                    let i = measured.iter().position(same).unwrap_or_else(|| {
+                        eprintln!("[study] seed {seed} {task}: {on:?} gradients, {execution:?}");
+                        measured.push((on, execution, gradients(&bench, on, execution, seed)));
+                        measured.len() - 1
+                    });
+                    measured[i].2.clone()
+                };
                 for (row, out) in table.iter().zip(&mut outcomes) {
                     if row.task != task {
+                        continue;
+                    }
+                    if let Score::Gradients { bin } = row.score {
+                        let exact = measure(On::Simulator, Execution::Exact);
+                        let noisy = measure(row.train_on, row.execution);
+                        out.push(Outcome::Gradients(GradientBin::of(&exact, &noisy, bin)));
                         continue;
                     }
                     let mut config = bench.config(row.steps, seed);
                     config.pruning = row.pruning;
                     config.optimizer = row.optimizer;
+                    config.execution = row.execution;
                     let same =
                         |(on, c, _): &(On, TrainConfig, _)| *on == row.train_on && *c == config;
                     let i = runs.iter().position(same).unwrap_or_else(|| {
@@ -420,7 +553,8 @@ impl Study {
                         runs.push((row.train_on, config, result));
                         runs.len() - 1
                     });
-                    out.push(Outcome::of(row.score, &bench, &runs[i].2, seed));
+                    let trained = Trained::of(row.score, &bench, &runs[i].2, seed);
+                    out.push(Outcome::Trained(trained));
                 }
                 trainings_per_seed += runs.len();
             }

@@ -1,8 +1,8 @@
 //! # qoc-bench — experiment harnesses
 //!
 //! The experiment binaries of the QOC paper (see DESIGN.md §4): the
-//! paired-seed `study` of its accuracy claims, one binary per remaining
-//! figure, plus Criterion micro-benchmarks in `benches/`. Shared plumbing
+//! paired-seed `study` of its measured claims, one binary per cost-model
+//! figure (`fig2a`, `fig8`), plus Criterion micro-benchmarks in `benches/`. Shared plumbing
 //! lives here: command-line flags, result-table formatting and JSON
 //! persistence under `results/`.
 

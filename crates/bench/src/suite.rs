@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Serialize, Value};
 
-use qoc_core::engine::{train, PruningKind, TrainConfig, TrainResult};
+use qoc_core::engine::TrainConfig;
 use qoc_core::eval::evaluate_with_params;
 use qoc_core::prune::PruneConfig;
 use qoc_data::dataset::Dataset;
@@ -110,19 +110,6 @@ impl TaskBench {
         c.eval_every = (steps / 6).max(2);
         c.seed = seed;
         c
-    }
-
-    /// QC-Train-PGP: on-device training with probabilistic gradient pruning.
-    pub fn train_qc_pgp(&self, steps: usize, seed: u64) -> TrainResult {
-        let mut c = self.config(steps, seed);
-        c.pruning = PruningKind::Probabilistic(pgp_config_for(self.task));
-        train(
-            &self.model,
-            &self.device,
-            &self.train_set,
-            &self.val_set,
-            &c,
-        )
     }
 
     /// Accuracy of fixed parameters on the validation set, on a backend.

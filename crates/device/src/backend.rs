@@ -343,10 +343,10 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     /// and, because every job owns its seed, the output *values* — are
     /// independent of scheduling.
     ///
-    /// Each job runs under [`Self::retry_policy`]: failed attempts back off
-    /// and retry **with the original job seed** (see
-    /// [`crate::retry::RetryPolicy`]), optionally degrading the shot budget.
-    /// Every job is driven to success or exhaustion even after another job
+    /// Each job runs under [`Self::retry_policy`]: a retryable failure
+    /// reruns the identical job at once, up to the policy's
+    /// `max_attempts` — same circuit, same shot budget, **same job seed**
+    /// (see [`crate::retry::RetryPolicy`]). Every job is driven to success or exhaustion even after another job
     /// has failed (keeps execution statistics independent of worker count);
     /// the reported error is the failed job with the lowest index.
     ///

@@ -1,12 +1,12 @@
-//! Noise anatomy across the five fake IBM machines.
-//!
-//! Shows (1) how each device's calibration corrupts the same QNN circuit's
-//! expectation values, and (2) why small parameter-shift gradients become
-//! unreliable — the observation behind probabilistic gradient pruning.
+//! Noise anatomy across the five fake IBM machines: how each device's
+//! calibration corrupts the same QNN circuit's expectation values. What
+//! that does to parameter-shift gradients (small ones flip sign, the
+//! observation behind probabilistic gradient pruning) is measured over
+//! paired seeds by `cargo run --release -p qoc-bench --bin study --
+//! --section fig2c`.
 //!
 //! Run with: `cargo run --release --example noise_study`
 
-use qoc::core::grad::QnnGradientComputer;
 use qoc::prelude::*;
 
 fn main() {
@@ -17,7 +17,6 @@ fn main() {
     let input = vec![0.8; model.input_dim()];
     let theta = model.symbol_vector(&params, &input);
 
-    // Part 1: expectation shrinkage per device.
     let exact = |backend: &dyn QuantumBackend| {
         let prepared = backend.prepare(model.circuit());
         backend.run_job(&CircuitJob::expectation(
@@ -51,34 +50,5 @@ fn main() {
         );
     }
     println!("\nNoise pulls every |⟨Z⟩| toward 0; the damping differs per machine");
-    println!("(gate errors, T1/T2, readout) and per qubit (routing placement).\n");
-
-    // Part 2: gradient reliability vs magnitude on one device.
-    let device = FakeDevice::new(fake_jakarta());
-    let exact_grad = QnnGradientComputer::new(&model, &simulator, Execution::Exact);
-    let noisy_grad = QnnGradientComputer::new(&model, &device, Execution::Shots(1024));
-    let (feat, label) = (input.as_slice(), 0usize);
-    let batch = [(feat, label)];
-    let exact = exact_grad.batch_gradient(&params, &batch, None, 1);
-    println!(
-        "parameter-shift gradients on {} (1024 shots):\n",
-        device.name()
-    );
-    println!(
-        "{:<6} {:>12} {:>12} {:>12} {:>10}",
-        "param", "exact", "noisy", "rel. error", "sign flip"
-    );
-    let noisy = noisy_grad.batch_gradient(&params, &batch, None, 1);
-    let mut indexed: Vec<usize> = (0..model.num_params()).collect();
-    indexed.sort_by(|&a, &b| exact.grad[b].abs().total_cmp(&exact.grad[a].abs()));
-    for &i in &indexed {
-        let (e, n) = (exact.grad[i], noisy.grad[i]);
-        println!(
-            "θ[{i:<3}] {e:>12.4} {n:>12.4} {:>12.2} {:>10}",
-            ((n - e) / e.abs().max(1e-6)).abs(),
-            if e.signum() != n.signum() { "YES" } else { "" }
-        );
-    }
-    println!("\nRows are sorted by |exact gradient|: relative error (and the sign");
-    println!("flips) concentrate at the bottom — exactly the gradients QOC prunes.");
+    println!("(gate errors, T1/T2, readout) and per qubit (routing placement).");
 }
